@@ -23,7 +23,6 @@ from .analyticity import (
     km_lambda,
 )
 from .dynamics import (
-    MomentumField,
     conserved_mean,
     h1_energy,
     inverse_momentum,

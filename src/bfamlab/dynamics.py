@@ -14,31 +14,28 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigurationError
-from .grid import GridSpec, RealField, SpectralField, dealias, deriv, dft, helmholtz, helmholtz_inv, idft
-
-# The momentum density m = u - u_xx has the same representation as any other
-# sampled field; the alias documents intent at call sites.
-MomentumField = RealField
+from .grid import GridSpec, RealField, dft, helmholtz, helmholtz_inv, idft
 
 
-def _check_same_grid(f: RealField, g: RealField) -> GridSpec:
-    if f.grid != g.grid:
-        raise ConfigurationError("fields live on different grids")
-    return f.grid
+def _rhs_from_products(grid: GridSpec, b: float, advect: np.ndarray, square: np.ndarray, dsquare: np.ndarray) -> np.ndarray:
+    """Band of -advect - d/dx Helmholtz^{-1}((b/2) square + ((3-b)/2) dsquare).
 
-
-def _rhs_from_products(grid: GridSpec, b: float, advect: np.ndarray, square: np.ndarray, dsquare: np.ndarray) -> RealField:
-    """Assemble -advect - d/dx Helmholtz^{-1}((b/2) square + ((3-b)/2) dsquare).
-
-    The three inputs are physical-space products (u*v_x, u*v, u_x*v_x style);
-    each product spectrum is dealiased before use. Shared by the direct RHS
-    evaluation and the time-Taylor recursion so both follow one code path.
+    The three inputs are physical-space products (u*v_x, u*v, u_x*v_x style).
+    Returns the first grid.band_size entries of the unnormalised rfft of the
+    result: only the dealiased band of each product spectrum is used, so
+    np.fft.irfft(band, N) zero-pads it back to samples. Shared by the direct
+    RHS evaluation, the RK4 stages and the time-Taylor recursion so all
+    follow one code path.
     """
-    adv_hat = dealias(dft(RealField(grid, advect)))
+    m = grid.band_size
     q = 0.5 * b * square + 0.5 * (3.0 - b) * dsquare
-    q_hat = dealias(dft(RealField(grid, q)))
-    nonlocal_hat = deriv(helmholtz_inv(q_hat), 1)
-    return RealField(grid, -(idft(adv_hat).samples + idft(nonlocal_hat).samples))
+    return -(np.fft.rfft(advect)[:m] + grid.band_nonlocal_multiplier * np.fft.rfft(q)[:m])
+
+
+def _rhs_band(grid: GridSpec, b: float, u_hat: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Band of F(u), given the samples u and their half spectrum u_hat = rfft(u)."""
+    ux = np.fft.irfft(grid.half_deriv_multiplier * u_hat, grid.n_points)
+    return _rhs_from_products(grid, b, u * ux, u * u, ux * ux)
 
 
 def rhs_F(u: RealField, b: float) -> RealField:
@@ -46,17 +43,16 @@ def rhs_F(u: RealField, b: float) -> RealField:
     if not np.isfinite(b):
         raise ConfigurationError(f"b must be finite, got {b}")
     grid = u.grid
-    ux = idft(deriv(dft(u), 1)).samples
-    us = u.samples
-    return _rhs_from_products(grid, b, us * ux, us * us, ux * ux)
+    band = _rhs_band(grid, b, np.fft.rfft(u.samples), u.samples)
+    return RealField(grid, np.fft.irfft(band, grid.n_points))
 
 
-def momentum(u: RealField) -> MomentumField:
+def momentum(u: RealField) -> RealField:
     """Momentum density m = u - u_xx, via the multiplier (1 + xi^2)."""
     return idft(helmholtz(dft(u)))
 
 
-def inverse_momentum(m: MomentumField) -> RealField:
+def inverse_momentum(m: RealField) -> RealField:
     """The u with momentum(u) = m; smoothing inverse of the Helmholtz operator."""
     return idft(helmholtz_inv(dft(m)))
 

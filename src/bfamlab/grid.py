@@ -73,6 +73,25 @@ class GridSpec:
         """1 / (1 + xi^2); denominator is >= 1 for every mode."""
         return 1.0 / (1.0 + self.xi**2)
 
+    # Half-spectrum multipliers for rfft arrays, modes k = 0 .. N/2.
+
+    @cached_property
+    def band_size(self) -> int:
+        """Number m of half-spectrum modes kept by the dealias rule, k <= fraction * N/2."""
+        return int(np.count_nonzero(self.dealias_mask[: self.n_points // 2 + 1]))
+
+    @cached_property
+    def half_deriv_multiplier(self) -> np.ndarray:
+        """i xi_k for k = 0 .. N/2, with the sign-ambiguous Nyquist entry zeroed."""
+        multiplier = 1j * self.xi[: self.n_points // 2 + 1]
+        multiplier[-1] = 0.0
+        return multiplier
+
+    @cached_property
+    def band_nonlocal_multiplier(self) -> np.ndarray:
+        """i xi / (1 + xi^2) on the dealiased band, k = 0 .. m-1."""
+        return self.half_deriv_multiplier[: self.band_size] * self.helmholtz_inv_multiplier[: self.band_size]
+
 
 @dataclass(frozen=True)
 class RealField:

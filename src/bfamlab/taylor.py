@@ -22,7 +22,7 @@ import numpy as np
 
 from .dynamics import _rhs_from_products
 from .errors import ConfigurationError, NumericalError
-from .grid import RealField, deriv, dft, idft
+from .grid import RealField
 from .norms import sobolev_norm
 
 COEFF_SUP_CAP = 1e12
@@ -59,20 +59,22 @@ def taylor_coeffs(u0: RealField, b: float, order: int) -> TaylorSeries:
     if order < 1:
         raise ConfigurationError(f"order must be >= 1, got {order}")
     grid = u0.grid
+    n = grid.n_points
     cs = [u0.samples]
-    dcs = [idft(deriv(dft(u0), 1)).samples]
+    dcs = []
     fields = [u0]
     for k in range(order):
-        conv_advect = np.zeros(grid.n_points)
-        conv_square = np.zeros(grid.n_points)
-        conv_dsquare = np.zeros(grid.n_points)
+        dcs.append(np.fft.irfft(grid.half_deriv_multiplier * np.fft.rfft(cs[k]), n))
+        conv_advect = np.zeros(n)
+        conv_square = np.zeros(n)
+        conv_dsquare = np.zeros(n)
         for i in range(k + 1):
             conv_advect += cs[i] * dcs[k - i]
             conv_square += cs[i] * cs[k - i]
             conv_dsquare += dcs[i] * dcs[k - i]
         try:
-            c_next = _rhs_from_products(grid, b, conv_advect, conv_square, conv_dsquare)
-            c_next = RealField(grid, c_next.samples / (k + 1))
+            band = _rhs_from_products(grid, b, conv_advect, conv_square, conv_dsquare)
+            c_next = RealField(grid, np.fft.irfft(band, n) / (k + 1))
         except NumericalError as err:
             raise NumericalError(
                 f"non-finite Taylor coefficient c_{k + 1}; the temporal radius "
@@ -88,7 +90,6 @@ def taylor_coeffs(u0: RealField, b: float, order: int) -> TaylorSeries:
             break
         fields.append(c_next)
         cs.append(c_next.samples)
-        dcs.append(idft(deriv(dft(c_next), 1)).samples)
     if len(fields) < 2:
         raise NumericalError("no usable Taylor coefficients beyond the datum")
     return TaylorSeries(b=b, coeffs=tuple(fields))

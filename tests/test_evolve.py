@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import bfamlab.dynamics
 from bfamlab import (
     BlowupError,
     ConfigurationError,
@@ -12,6 +13,7 @@ from bfamlab import (
     conserved_mean,
     h1_energy,
     make_grid,
+    rhs_F,
     rk4_step,
     run,
 )
@@ -67,6 +69,103 @@ class TestRk4Step:
         grid = make_grid(64, 2 * np.pi)
         with pytest.raises(ConfigurationError):
             rk4_step(RealField(grid, np.zeros(64)), 0.0, 2.0)
+
+    def test_overflow_in_a_stage_is_blowup(self):
+        grid = make_grid(64, 2 * np.pi)
+        u = RealField(grid, 1e200 * np.sin(grid.x))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(BlowupError):
+            rk4_step(u, 0.01, 2.0, blowup_threshold=1e300)
+
+
+def _complex_fft_rhs(u, b, xi, keep):
+    """Dealiased b-family RHS with full complex FFTs, in physical space."""
+    ixi = 1j * xi
+    ixi[xi.size // 2] = 0.0
+    ux = np.fft.ifft(ixi * np.fft.fft(u)).real
+    adv_hat = np.where(keep, np.fft.fft(u * ux), 0.0)
+    q_hat = np.where(keep, np.fft.fft(0.5 * b * u * u + 0.5 * (3.0 - b) * ux * ux), 0.0)
+    return -(np.fft.ifft(adv_hat).real + np.fft.ifft(ixi / (1.0 + xi**2) * q_hat).real)
+
+
+def _complex_fft_rk4(u, dt, b, xi, keep):
+    k1 = _complex_fft_rhs(u, b, xi, keep)
+    k2 = _complex_fft_rhs(u + 0.5 * dt * k1, b, xi, keep)
+    k3 = _complex_fft_rhs(u + 0.5 * dt * k2, b, xi, keep)
+    k4 = _complex_fft_rhs(u + dt * k3, b, xi, keep)
+    return u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+class TestRk4AgainstComplexFft:
+    """rk4_step against an independent complex-FFT step on a field that fills
+    every mode, including those above the dealias cutoff."""
+
+    @pytest.fixture
+    def full_spectrum_field(self, rng):
+        grid = make_grid(64, 2 * np.pi)
+        k = np.arange(33)
+        coeffs = (rng.standard_normal(33) + 1j * rng.standard_normal(33)) / (1.0 + k)
+        samples = np.fft.irfft(coeffs, 64) * 64
+        return RealField(grid, 0.5 * samples / np.max(np.abs(samples)))
+
+    @pytest.mark.parametrize("b", [-1.0, 0.0, 0.8, 2.0, 3.0, 5.5])
+    def test_matches_complex_fft_step(self, full_spectrum_field, b):
+        u = full_spectrum_field
+        grid = u.grid
+        dt = 1e-3
+        expected = _complex_fft_rk4(u.samples, dt, b, grid.xi, grid.dealias_mask)
+        out = rk4_step(u, dt, b)
+        scale = np.max(np.abs(expected))
+        assert np.max(np.abs(out.samples - expected)) / scale <= 1e-13
+
+    @pytest.mark.parametrize("b", [-1.0, 2.0, 3.0])
+    def test_modes_above_cutoff_stay_frozen(self, full_spectrum_field, b):
+        u = full_spectrum_field
+        grid = u.grid
+        out = rk4_step(u, 1e-2, b)
+        u_hat = np.fft.fft(u.samples) / grid.n_points
+        out_hat = np.fft.fft(out.samples) / grid.n_points
+        above = ~grid.dealias_mask
+        assert np.max(np.abs(u_hat[above])) > 1e-3 * np.max(np.abs(u_hat))
+        assert np.max(np.abs(out_hat[above] - u_hat[above])) <= 1e-15 * np.max(np.abs(u_hat))
+        # the band itself did move
+        assert np.max(np.abs(out_hat[~above] - u_hat[~above])) > 1e-6
+
+
+class TestFftBudget:
+    """Transform and combine counts of the stepping hot path."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        tally = {"real": 0, "complex": 0, "combine": 0}
+
+        def counted(fn, key):
+            def wrapper(*args, **kwargs):
+                tally[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name, key in (("rfft", "real"), ("irfft", "real"), ("fft", "complex"), ("ifft", "complex")):
+            monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name), key))
+        monkeypatch.setattr(
+            bfamlab.dynamics,
+            "_rhs_from_products",
+            counted(bfamlab.dynamics._rhs_from_products, "combine"),
+        )
+        return tally
+
+    @pytest.fixture
+    def u(self):
+        grid = make_grid(256, 80.0)
+        return RealField(grid, np.exp(-(((grid.x - 40.0) / 3.0) ** 2)))
+
+    def test_rk4_step_budget(self, u, counts):
+        rk4_step(u, 0.01, 2.0)
+        assert counts == {"real": 17, "complex": 0, "combine": 4}
+
+    def test_rhs_budget(self, u, counts):
+        rhs_F(u, 2.0)
+        assert counts == {"real": 5, "complex": 0, "combine": 1}
 
 
 class TestRun:

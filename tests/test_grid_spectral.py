@@ -189,3 +189,21 @@ class TestDealias:
         reference = dft(RealField(fine, f_fine * f_fine))
         for k in range(-5, 6):
             assert abs(product.coeff(k) - reference.coeff(k)) < 1e-14
+
+
+class TestHalfSpectrum:
+    @pytest.mark.parametrize("fraction, band", [(2.0 / 3.0, 6), (0.5, 5), (1.0, 9)])
+    def test_band_size_n16(self, fraction, band):
+        # 2/3 of N/2 = 8 keeps k = 0..5; fraction 1 keeps the Nyquist mode too
+        assert make_grid(16, 2 * np.pi, fraction).band_size == band
+
+    def test_multipliers_match_full_spectrum_operators(self, random_field):
+        grid = random_field.grid
+        half = grid.n_points // 2 + 1
+        m = grid.band_size
+        u_hat = np.fft.rfft(random_field.samples) / grid.n_points
+        assert grid.half_deriv_multiplier[-1] == 0.0
+        expected_deriv = deriv(dft(random_field), 1).coeffs[:half]
+        assert np.allclose(grid.half_deriv_multiplier * u_hat, expected_deriv, rtol=0, atol=1e-13)
+        expected_nonlocal = deriv(helmholtz_inv(dft(random_field)), 1).coeffs[:m]
+        assert np.allclose(grid.band_nonlocal_multiplier * u_hat[:m], expected_nonlocal, rtol=0, atol=1e-14)
