@@ -55,7 +55,6 @@ from .grid import (
 )
 from .norms import (
     GevreyNorm,
-    NormParams,
     gevrey_norm,
     hm_norm,
     km_phi,

@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .grid import GridSpec, RealField, dft, helmholtz, helmholtz_inv, idft
+from .norms import sobolev_norm
 
 
 def _rhs_from_products(grid: GridSpec, b: float, advect: np.ndarray, square: np.ndarray, dsquare: np.ndarray) -> np.ndarray:
@@ -71,10 +72,7 @@ def h1_energy(u: RealField) -> float:
 
     Conserved by the flow only at b = 2.
     """
-    u_hat = dft(u)
-    return u.grid.box_length * float(
-        np.sum((1.0 + u.grid.xi**2) * np.abs(u_hat.coeffs) ** 2)
-    )
+    return sobolev_norm(u, 1.0) ** 2
 
 
 def momentum_l1(u: RealField) -> float:

@@ -37,8 +37,10 @@ class GridSpec:
             raise ConfigurationError(
                 f"n_points must be even and >= 8, got {self.n_points}"
             )
-        if not self.box_length > 0:
-            raise ConfigurationError(f"box_length must be positive, got {self.box_length}")
+        if not 0 < self.box_length < np.inf:
+            raise ConfigurationError(
+                f"box_length must be positive and finite, got {self.box_length}"
+            )
         if not 0 < self.dealias_fraction <= 1:
             raise ConfigurationError(
                 f"dealias_fraction must lie in (0, 1], got {self.dealias_fraction}"

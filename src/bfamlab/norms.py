@@ -8,46 +8,36 @@ consistent with the series-coefficient transform convention:
     hm_norm(u, sigma, m)      = sup_j sigma^j (j+1)^2 / j! * |d^j u|_{H^{2m}}
     km_phi(u, sigma, m)       = 1/2 sum_{j=0}^m e^{2 sigma j} / (j!)^2 * |d^j u|^2_{H^2}
 
+The fields are real, so every sum runs over the half spectrum k = 0 .. N/2
+of one rfft, with pair weight p_k = 2 for the conjugate modes +-k and
+p_k = 1 for k = 0 and the Nyquist mode k = N/2.
+
 Factorially weighted sums are evaluated in log space (j! overflows doubles at
-j = 171). Modes whose amplitude sits below the round-off floor, |u_hat| below
-1e-13 * max|u_hat|, are excluded from the weighted sums: high-order spectral
+j = 171), from one kernel returning log |d^j u|_{H^s} for a whole array of
+orders j. Modes whose amplitude sits below the round-off floor, |u_hat| below
+1e-13 * max|u_hat|, are excluded from these sums: high-order spectral
 derivatives amplify round-off by |xi|^j and would otherwise masquerade as
-norm growth.
+norm growth. The open-ended sums (hm_norm, km_radius_norm) take 32 orders
+per block and stop at the first run of three consecutive terms below 1e-16
+of the running value.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import logsumexp
+from scipy.special import gammaln, logsumexp, xlogy
 
 from .errors import ConfigurationError, TruncationError
-from .grid import RealField, dft
+from .grid import RealField
 
 ROUNDOFF_FLOOR = 1e-13
 TAIL_RTOL = 1e-16
 _LOG_TAIL = math.log(TAIL_RTOL)
 DEFAULT_J_MAX = 200
-
-
-@dataclass(frozen=True)
-class NormParams:
-    """Bundle of norm parameters: strip width sigma, Sobolev index s,
-    derivative-count index m, and the truncation budget j_max."""
-
-    sigma: float
-    s: float = 2.0
-    m: int = 2
-    j_max: int = DEFAULT_J_MAX
-
-    def __post_init__(self):
-        if self.j_max < 1:
-            raise ConfigurationError(f"j_max must be >= 1, got {self.j_max}")
-        if self.m < 0:
-            raise ConfigurationError(f"m must be >= 0, got {self.m}")
+_ORDER_BLOCK = 32  # orders per (order, mode) array: bounds its memory when j_max is large
 
 
 class GevreyNorm(NamedTuple):
@@ -57,23 +47,61 @@ class GevreyNorm(NamedTuple):
     diverged: bool
 
 
-def _log_spectrum(u: RealField):
-    """(xi, log|u_hat|) over modes above the round-off floor; None if u == 0."""
-    amp = np.abs(dft(u).coeffs)
+def _spectrum(u: RealField):
+    """(|xi_k|, L p_k |u_hat_k|^2, |u_hat_k|) over the half spectrum k = 0 .. N/2."""
+    grid = u.grid
+    amp = np.abs(np.fft.rfft(u.samples)) / grid.n_points
+    pair = np.full(amp.size, 2.0)
+    pair[[0, -1]] = 1.0
+    return np.abs(grid.xi[: amp.size]), grid.box_length * pair * amp**2, amp
+
+
+def _resolved_spectrum(u: RealField):
+    """(|xi|, L p |u_hat|^2) over modes above the round-off floor; None if u == 0."""
+    abs_xi, weight, amp = _spectrum(u)
     peak = float(amp.max())
     if peak == 0.0:
         return None
     usable = amp > ROUNDOFF_FLOOR * peak
-    return u.grid.xi[usable], np.log(amp[usable])
+    return abs_xi[usable], weight[usable]
+
+
+def _log_derivative_norms(spectrum, s: float, j: np.ndarray) -> np.ndarray:
+    """log |d^j u|_{H^s} for each order in the integer array j.
+
+    One logsumexp over the (order, mode) array of log L p (1+xi^2)^s
+    |xi|^{2j} |u_hat|^2; the xi = 0 mode counts for j = 0 only.
+    """
+    abs_xi, weight = spectrum
+    log_terms = (np.log(weight) + s * np.log1p(abs_xi**2)) + xlogy(2.0 * j[:, None], abs_xi)
+    return 0.5 * logsumexp(log_terms, axis=1)
+
+
+def _truncated_sum(log_terms_of, j_max: int, accumulate):
+    """Running value of the log terms j = 0, 1, ..., j_max under `accumulate`.
+
+    `accumulate` is np.maximum.accumulate (a sup) or np.logaddexp.accumulate
+    (a sum). Terms are evaluated 32 orders at a time; the value is returned
+    at the first run of three consecutive terms below TAIL_RTOL of the
+    running value, and None if no such run occurs by j = j_max.
+    """
+    running = -math.inf
+    carry = np.zeros(0, dtype=bool)  # small-term flags of the last two orders so far
+    for start in range(0, j_max + 1, _ORDER_BLOCK):
+        terms = log_terms_of(np.arange(start, min(start + _ORDER_BLOCK, j_max + 1)))
+        values = accumulate(np.concatenate(([running], terms)))[1:]
+        small = np.concatenate((carry, terms < values + _LOG_TAIL))
+        three = small[:-2] & small[1:-1] & small[2:]
+        if three.any():
+            return float(values[np.argmax(three) + 2 - carry.size])
+        running, carry = values[-1], small[-2:]
+    return None
 
 
 def sobolev_norm(u: RealField, s: float) -> float:
     """H^s norm, ( L sum_k (1+xi^2)^s |u_hat|^2 )^{1/2}."""
-    u_hat = dft(u)
-    weights = (1.0 + u.grid.xi**2) ** s
-    return float(
-        np.sqrt(u.grid.box_length * np.sum(weights * np.abs(u_hat.coeffs) ** 2))
-    )
+    abs_xi, weight, _ = _spectrum(u)
+    return float(np.sqrt(np.sum((1.0 + abs_xi**2) ** s * weight)))
 
 
 def gevrey_norm(u: RealField, sigma: float, s: float) -> GevreyNorm:
@@ -86,51 +114,32 @@ def gevrey_norm(u: RealField, sigma: float, s: float) -> GevreyNorm:
     """
     if sigma < 0:
         raise ConfigurationError(f"sigma must be >= 0, got {sigma}")
-    spectrum = _log_spectrum(u)
+    spectrum = _resolved_spectrum(u)
     if spectrum is None:
         return GevreyNorm(0.0, False)
-    xi, log_amp = spectrum
-    log_terms = 2.0 * sigma * np.abs(xi) + s * np.log1p(xi**2) + 2.0 * log_amp
-    total = logsumexp(log_terms) + math.log(u.grid.box_length)
+    abs_xi, weight = spectrum
+    sobolev_terms = (1.0 + abs_xi**2) ** s * weight
+    exponent = 2.0 * sigma * abs_xi
+    # e^{2 sigma |xi|} scaled by its largest value, so the sum cannot overflow;
+    # at sigma = 0 the sum is the Sobolev sum itself
+    shift = float(exponent.max())
+    total = np.sum(sobolev_terms * np.exp(exponent - shift))
     with np.errstate(over="ignore"):
-        value = float(np.exp(0.5 * total))
-    return GevreyNorm(value, _tail_growing(xi, log_terms))
+        value = float(np.sqrt(total) * np.exp(0.5 * shift))
+    return GevreyNorm(value, _tail_growing(abs_xi, exponent + np.log(sobolev_terms)))
 
 
-def _tail_growing(xi: np.ndarray, log_terms: np.ndarray) -> bool:
+def _tail_growing(abs_xi: np.ndarray, log_terms: np.ndarray) -> bool:
     """Least-squares slope of log term vs |xi| over the last quarter of the
-    distinct resolved |k| values is positive."""
-    abs_xi = np.abs(xi)
+    resolved k > 0 is positive. Half-spectrum modes are the distinct |xi|
+    values, their terms already carrying both of +-k."""
     positive = abs_xi > 0
-    if not np.any(positive):
-        return False
-    # combine the +-k contributions of each distinct |xi|
-    distinct, inverse = np.unique(abs_xi[positive], return_inverse=True)
-    combined = np.full(distinct.size, -math.inf)
-    for idx, term in zip(inverse, log_terms[positive]):
-        combined[idx] = np.logaddexp(combined[idx], term)
-    n = distinct.size
-    if n < 8:
-        return False
+    n = int(np.count_nonzero(positive))
     start = (3 * n) // 4
-    if n - start < 4:
+    if n < 8 or n - start < 4:
         return False
-    slope = np.polyfit(distinct[start:], combined[start:], 1)[0]
+    slope = np.polyfit(abs_xi[positive][start:], log_terms[positive][start:], 1)[0]
     return bool(slope > 0)
-
-
-def _log_derivative_norm(base: np.ndarray, log_abs_xi: np.ndarray, j: int) -> float:
-    """log of ( sum over modes of base-weight * |xi|^{2j} )^{1/2}.
-
-    `base` already carries log L, the Sobolev weight, and 2 log|u_hat|;
-    entries with xi = 0 must be removed from `base` for j >= 1 (their
-    log|xi| is -inf).
-    """
-    if base.size == 0:
-        return -math.inf
-    if j == 0:
-        return 0.5 * float(logsumexp(base))
-    return 0.5 * float(logsumexp(base + 2.0 * j * log_abs_xi))
 
 
 def hm_norm(u: RealField, sigma: float, m: int, j_max: int = DEFAULT_J_MAX) -> float:
@@ -146,33 +155,27 @@ def hm_norm(u: RealField, sigma: float, m: int, j_max: int = DEFAULT_J_MAX) -> f
         raise ConfigurationError(f"m must be an integer >= 2, got {m}")
     if j_max < 1:
         raise ConfigurationError(f"j_max must be >= 1, got {j_max}")
-    spectrum = _log_spectrum(u)
+    spectrum = _resolved_spectrum(u)
     if spectrum is None:
         return 0.0
-    xi, log_amp = spectrum
-    log_l = math.log(u.grid.box_length)
-    base = log_l + 2.0 * m * np.log1p(xi**2) + 2.0 * log_amp
-    nonzero = xi != 0
-    base_nz = base[nonzero]
-    log_abs_xi = np.log(np.abs(xi[nonzero]))
     log_sigma = math.log(sigma)
 
-    log_sup = -math.inf
-    below = 0
-    for j in range(j_max + 1):
-        log_norm_j = _log_derivative_norm(base if j == 0 else base_nz, log_abs_xi, j)
-        log_term = j * log_sigma + 2.0 * math.log(j + 1) - math.lgamma(j + 1) + log_norm_j
-        log_sup = max(log_sup, log_term)
-        if log_term < log_sup + _LOG_TAIL:
-            below += 1
-            if below == 3:
-                return math.exp(log_sup)
-        else:
-            below = 0
-    raise TruncationError(
-        f"hm_norm terms have not decayed below {TAIL_RTOL:g} of the sup by j = {j_max}; "
-        "sigma exceeds the decay rate resolvable on this grid"
-    )
+    def log_terms_of(j):
+        return (j * log_sigma + 2.0 * np.log(j + 1.0) - gammaln(j + 1)
+                + _log_derivative_norms(spectrum, 2.0 * m, j))
+
+    log_sup = _truncated_sum(log_terms_of, j_max, np.maximum.accumulate)
+    if log_sup is None:
+        raise TruncationError(
+            f"hm_norm terms have not decayed below {TAIL_RTOL:g} of the sup by j = {j_max}; "
+            "sigma exceeds the decay rate resolvable on this grid"
+        )
+    return math.exp(log_sup)
+
+
+def _log_km_terms(spectrum, sigma: float, j: np.ndarray) -> np.ndarray:
+    """log of e^{2 sigma j} / (j!)^2 |d^j u|^2_{H^2} for each order in j."""
+    return 2.0 * (sigma * j - gammaln(j + 1) + _log_derivative_norms(spectrum, 2.0, j))
 
 
 def km_phi(u: RealField, sigma: float, m: int) -> float:
@@ -182,21 +185,10 @@ def km_phi(u: RealField, sigma: float, m: int) -> float:
     """
     if m < 0:
         raise ConfigurationError(f"m must be a non-negative integer, got {m}")
-    spectrum = _log_spectrum(u)
+    spectrum = _resolved_spectrum(u)
     if spectrum is None:
         return 0.0
-    xi, log_amp = spectrum
-    base = math.log(u.grid.box_length) + 2.0 * np.log1p(xi**2) + 2.0 * log_amp
-    nonzero = xi != 0
-    base_nz = base[nonzero]
-    log_abs_xi = np.log(np.abs(xi[nonzero]))
-    log_terms = [
-        2.0 * sigma * j
-        - 2.0 * math.lgamma(j + 1)
-        + 2.0 * _log_derivative_norm(base if j == 0 else base_nz, log_abs_xi, j)
-        for j in range(m + 1)
-    ]
-    return 0.5 * float(np.exp(logsumexp(log_terms)))
+    return 0.5 * float(np.exp(logsumexp(_log_km_terms(spectrum, sigma, np.arange(m + 1)))))
 
 
 def km_radius_norm(u: RealField, sigma: float, j_max: int = DEFAULT_J_MAX) -> float:
@@ -209,30 +201,14 @@ def km_radius_norm(u: RealField, sigma: float, j_max: int = DEFAULT_J_MAX) -> fl
     """
     if j_max < 1:
         raise ConfigurationError(f"j_max must be >= 1, got {j_max}")
-    spectrum = _log_spectrum(u)
+    spectrum = _resolved_spectrum(u)
     if spectrum is None:
         return 0.0
-    xi, log_amp = spectrum
-    base = math.log(u.grid.box_length) + 2.0 * np.log1p(xi**2) + 2.0 * log_amp
-    nonzero = xi != 0
-    base_nz = base[nonzero]
-    log_abs_xi = np.log(np.abs(xi[nonzero]))
-
-    total = -math.inf
-    below = 0
-    for j in range(j_max + 1):
-        log_term = (
-            2.0 * sigma * j
-            - 2.0 * math.lgamma(j + 1)
-            + 2.0 * _log_derivative_norm(base if j == 0 else base_nz, log_abs_xi, j)
-        )
-        total = np.logaddexp(total, log_term)
-        if log_term - total < _LOG_TAIL:
-            below += 1
-            if below == 3:
-                return float(np.exp(0.5 * total))
-        else:
-            below = 0
-    raise TruncationError(
-        f"km_radius_norm tail has not fallen below {TAIL_RTOL:g} by j = {j_max}"
+    total = _truncated_sum(
+        lambda j: _log_km_terms(spectrum, sigma, j), j_max, np.logaddexp.accumulate
     )
+    if total is None:
+        raise TruncationError(
+            f"km_radius_norm tail has not fallen below {TAIL_RTOL:g} by j = {j_max}"
+        )
+    return float(np.exp(0.5 * total))

@@ -376,12 +376,18 @@ def read_snapshot(path) -> Snapshot:
         raise SnapshotError(
             f"{path}: unsupported snapshot version {version}, expected {SNAPSHOT_VERSION}"
         )
+    try:
+        make_grid(n_points, box_length)
+    except ConfigurationError as err:
+        raise SnapshotError(f"{path}: header describes no grid: {err}") from err
     payload = raw[_HEADER.size :]
     if len(payload) != 8 * n_points:
         raise SnapshotError(
             f"{path}: payload holds {len(payload)} bytes, expected {8 * n_points}"
         )
     samples = np.frombuffer(payload, dtype="<f8").astype(np.float64)
+    if not np.all(np.isfinite(samples)):
+        raise SnapshotError(f"{path}: payload holds non-finite samples")
     return Snapshot(
         n_points=n_points, box_length=box_length, t=t, b=b,
         samples=samples, version=version,

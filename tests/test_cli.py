@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from bfamlab import SpectralField, make_grid, write_snapshot
+from bfamlab import Snapshot, SpectralField, make_grid, write_snapshot
 from bfamlab.cli import main
 from bfamlab.grid import idft
 from bfamlab.scenarios import snapshot_of
@@ -105,6 +105,32 @@ class TestNormsCommand:
         ])
         assert code == 0
         assert "diverged" in capsys.readouterr().out
+
+
+class TestMalformedSnapshot:
+    """Snapshots that read back but describe no field: io error, exit 3."""
+
+    def write(self, tmp_path, n_points, box_length, samples):
+        path = tmp_path / "bad.bgev"
+        write_snapshot(path, Snapshot(n_points=n_points, box_length=box_length,
+                                      t=0.0, b=2.0, samples=samples))
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["norms", "radius"])
+    def test_non_finite_sample(self, tmp_path, capsys, command):
+        samples = np.sin(make_grid(64, 2 * np.pi).x)
+        samples[5] = np.nan
+        path = self.write(tmp_path, 64, 2 * np.pi, samples)
+        extra = ["--sigma", "0.2", "--s", "2.0"] if command == "norms" else []
+        assert main([command, "--snapshot", path, *extra]) == 3
+        assert "non-finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n_points, box_length",
+                             [(63, 2 * np.pi), (6, 2 * np.pi), (64, 0.0), (64, -1.0), (64, np.inf)])
+    def test_header_no_grid_accepts(self, tmp_path, capsys, n_points, box_length):
+        path = self.write(tmp_path, n_points, box_length, np.zeros(n_points))
+        assert main(["radius", "--snapshot", path]) == 3
+        assert "io error" in capsys.readouterr().err
 
 
 class TestTaylorCommand:

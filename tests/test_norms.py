@@ -4,11 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import i0
 
 from bfamlab import (
     ConfigurationError,
-    NormParams,
     RealField,
     SpectralField,
     TruncationError,
@@ -201,13 +202,113 @@ class TestNormAxioms:
         )
 
 
-class TestNormParams:
-    def test_defaults(self):
-        params = NormParams(sigma=0.5)
-        assert params.s == 2.0 and params.m == 2 and params.j_max == 200
+def _few_mode_field():
+    """Spectral field with modes +-1, +-2, +-3 only, all other coefficients exactly 0."""
+    grid = make_grid(32, 2 * np.pi)
+    coeffs = np.zeros(32, dtype=complex)
+    for k, c in ((1, 0.5), (2, 0.3 - 0.2j), (3, 0.1 + 0.05j)):
+        coeffs[k], coeffs[-k] = c, np.conj(c)
+    return SpectralField(grid, coeffs)
 
-    def test_invalid(self):
-        with pytest.raises(ConfigurationError):
-            NormParams(sigma=0.5, j_max=0)
-        with pytest.raises(ConfigurationError):
-            NormParams(sigma=0.5, m=-1)
+
+def _enumerated(terms, accumulate):
+    """(value, stop) of the running value at the first run of three consecutive
+    terms below 1e-16 of it, by direct enumeration; (None, None) if no run."""
+    value, below = 0.0, 0
+    for j, term in enumerate(terms):
+        value = accumulate(value, term)
+        below = below + 1 if term < 1e-16 * value else 0
+        if below == 3:
+            return value, j
+    return None, None
+
+
+class TestKernelOracle:
+    """hm_norm, km_phi and km_radius_norm against term-by-term enumeration of
+    sigma^j (j+1)^2/j! |d^j u|_{H^{2m}} and e^{2 sigma j}/(j!)^2 |d^j u|^2_{H^2},
+    around the 32-order block boundary of the truncated sums."""
+
+    F = _few_mode_field()
+    u = idft(F)
+
+    @classmethod
+    def derivative_norm(cls, j, s):
+        return sobolev_norm(idft(deriv(cls.F, j)), s)
+
+    @classmethod
+    def hm_terms(cls, sigma, m, count=80):
+        return [sigma**j * (j + 1) ** 2 / math.factorial(j) * cls.derivative_norm(j, 2 * m)
+                for j in range(count)]
+
+    @classmethod
+    def km_terms(cls, sigma, count=80):
+        return [math.exp(2 * sigma * j) / math.factorial(j) ** 2 * cls.derivative_norm(j, 2) ** 2
+                for j in range(count)]
+
+    @pytest.mark.parametrize("sigma, first_block", [(0.5, True), (1.1, False)])
+    @pytest.mark.parametrize("j_max", [31, 32, 33, 64])
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_hm_norm(self, sigma, first_block, j_max, m):
+        expected, stop = _enumerated(self.hm_terms(sigma, m), max)
+        # at sigma = 1.1 the stopping run is j = 31, 32, 33, across the block boundary
+        assert (stop < 31) if first_block else (stop == 33)
+        if stop > j_max:
+            with pytest.raises(TruncationError):
+                hm_norm(self.u, sigma, m, j_max=j_max)
+        else:
+            assert hm_norm(self.u, sigma, m, j_max=j_max) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("sigma, first_block", [(0.5, True), (1.1, False)])
+    @pytest.mark.parametrize("j_max", [31, 32, 33, 64])
+    def test_km_radius_norm(self, sigma, first_block, j_max):
+        expected, stop = _enumerated(self.km_terms(sigma), lambda a, b: a + b)
+        assert (stop < 31) if first_block else (32 < stop < 64)
+        if stop > j_max:
+            with pytest.raises(TruncationError):
+                km_radius_norm(self.u, sigma, j_max=j_max)
+        else:
+            value = km_radius_norm(self.u, sigma, j_max=j_max)
+            assert value == pytest.approx(math.sqrt(expected), rel=1e-12)
+
+    @pytest.mark.parametrize("sigma", [-0.5, 0.5, 1.1])
+    @pytest.mark.parametrize("m", [31, 32, 33, 64])
+    def test_km_phi(self, sigma, m):
+        expected = 0.5 * sum(self.km_terms(sigma, m + 1))
+        assert km_phi(self.u, sigma, m) == pytest.approx(expected, rel=1e-12)
+
+
+even_grids = st.tuples(
+    st.integers(4, 256).map(lambda half: 2 * half),
+    st.floats(0.5, 100.0),
+    st.integers(0, 2**32 - 1),
+)
+
+
+def _white_noise(n, box_length, seed):
+    """Samples with every mode, the Nyquist mode included, excited."""
+    return RealField(make_grid(n, box_length), np.random.default_rng(seed).standard_normal(n))
+
+
+class TestPairWeightProperties:
+    """Identities over random even N, box lengths and fields; they fail if a
+    half-spectrum pair weight, the Nyquist one included, is wrong."""
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(even_grids)
+    def test_parseval(self, case):
+        u = _white_noise(*case)
+        expected = u.grid.box_length * np.mean(u.samples**2)
+        assert sobolev_norm(u, 0.0) ** 2 == pytest.approx(expected, rel=1e-12)
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(even_grids, st.sampled_from([0.0, 1.0, 2.0]))
+    def test_gevrey_at_sigma_zero_is_sobolev(self, case, s):
+        u = _white_noise(*case)
+        assert gevrey_norm(u, 0.0, s).value == pytest.approx(sobolev_norm(u, s), rel=1e-15)
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(even_grids, st.floats(-2.0, 2.0))
+    def test_km_phi_m0_is_half_h2_squared(self, case, sigma):
+        u = _white_noise(*case)
+        expected = 0.5 * sobolev_norm(u, 2.0) ** 2
+        assert km_phi(u, sigma, 0) == pytest.approx(expected, rel=1e-12)
