@@ -8,15 +8,27 @@ turns the quadratic right-hand side into a Cauchy-product recursion,
                                     + ((3-b)/2) sum_{i+j=k} d_x c_i d_x c_j ) ],
 
 with c_0 the initial datum, so c_1 equals the direct right-hand side
-evaluation exactly (shared code path). The temporal radius of convergence is
-estimated by a root test on the coefficient norms.
+evaluation exactly (shared code path).
+
+The coefficients c_k and derivatives d_x c_k are rows of two preallocated
+arrays, so each Cauchy sum is one contraction over the rows. The two
+symmetric sums add the pairs i < j once, doubled, plus the middle term
+i = j when k is even. Each order costs four real FFTs: the two product
+transforms inside the shared combine, and the inverse transforms of the
+new coefficient's band and of i xi times that band, so d_x c_{k+1} never
+round-trips through the samples.
+
+The temporal radius of convergence is estimated by a root test on the
+coefficient norms, once per series.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -31,7 +43,11 @@ MIN_ORDER_FOR_RADIUS = 6
 
 @dataclass(frozen=True)
 class TaylorSeries:
-    """Coefficient fields c_0 ... c_K; c_k has units of u per time^k."""
+    """Coefficient fields c_0 ... c_K; c_k has units of u per time^k.
+
+    A series is immutable: its root-test radius is computed on first use
+    and kept for the life of the series.
+    """
 
     b: float
     coeffs: tuple
@@ -48,6 +64,16 @@ class TaylorSeries:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
+    @cached_property
+    def _radius(self) -> float:
+        K = self.order
+        best = 0.0
+        for k in range((K + 1) // 2, K + 1):
+            norm = sobolev_norm(self.coeffs[k], 0.0)
+            if norm > 0.0:
+                best = max(best, norm ** (1.0 / k))
+        return math.inf if best == 0.0 else 1.0 / best
+
 
 def taylor_coeffs(u0: RealField, b: float, order: int) -> TaylorSeries:
     """Build the series coefficients up to the requested order.
@@ -56,43 +82,47 @@ def taylor_coeffs(u0: RealField, b: float, order: int) -> TaylorSeries:
     radius at this resolution; the series is truncated there with a warning
     rather than allowed to overflow.
     """
-    if order < 1:
-        raise ConfigurationError(f"order must be >= 1, got {order}")
+    if isinstance(order, bool) or not isinstance(order, numbers.Integral) or order < 1:
+        raise ConfigurationError(f"order must be an integer >= 1, got {order!r}")
+    if not np.isfinite(b):
+        raise ConfigurationError(f"b must be finite, got {b}")
     grid = u0.grid
     n = grid.n_points
-    cs = [u0.samples]
-    dcs = []
-    fields = [u0]
+    band_deriv = grid.half_deriv_multiplier[: grid.band_size]
+    cs = np.empty((order + 1, n))
+    dcs = np.empty((order, n))  # d_x c_order is never used
+    cs[0] = u0.samples
+    dcs[0] = np.fft.irfft(grid.half_deriv_multiplier * np.fft.rfft(u0.samples), n)
+    kept = order + 1
     for k in range(order):
-        dcs.append(np.fft.irfft(grid.half_deriv_multiplier * np.fft.rfft(cs[k]), n))
-        conv_advect = np.zeros(n)
-        conv_square = np.zeros(n)
-        conv_dsquare = np.zeros(n)
-        for i in range(k + 1):
-            conv_advect += cs[i] * dcs[k - i]
-            conv_square += cs[i] * cs[k - i]
-            conv_dsquare += dcs[i] * dcs[k - i]
-        try:
-            band = _rhs_from_products(grid, b, conv_advect, conv_square, conv_dsquare)
-            c_next = RealField(grid, np.fft.irfft(band, n) / (k + 1))
-        except NumericalError as err:
+        pairs = (k + 1) // 2  # index pairs i < k - i
+        advect = np.einsum("ij,ij->j", cs[: k + 1], dcs[k::-1])
+        square = 2.0 * np.einsum("ij,ij->j", cs[:pairs], cs[k : k - pairs : -1])
+        dsquare = 2.0 * np.einsum("ij,ij->j", dcs[:pairs], dcs[k : k - pairs : -1])
+        if k % 2 == 0:
+            square += cs[k // 2] * cs[k // 2]
+            dsquare += dcs[k // 2] * dcs[k // 2]
+        band = _rhs_from_products(grid, b, advect, square, dsquare) / (k + 1)
+        cs[k + 1] = np.fft.irfft(band, n)
+        sup = float(np.max(np.abs(cs[k + 1])))
+        if not math.isfinite(sup):
             raise NumericalError(
                 f"non-finite Taylor coefficient c_{k + 1}; the temporal radius "
                 "is effectively zero at this resolution"
-            ) from err
-        sup = float(np.max(np.abs(c_next.samples)))
+            )
         if sup > COEFF_SUP_CAP:
             warnings.warn(
                 f"Taylor coefficient c_{k + 1} reached sup norm {sup:.3e}; "
                 f"series truncated at order {k} to avoid overflow noise",
                 stacklevel=2,
             )
+            kept = k + 1
             break
-        fields.append(c_next)
-        cs.append(c_next.samples)
-    if len(fields) < 2:
+        if k + 1 < order:
+            dcs[k + 1] = np.fft.irfft(band_deriv * band, n)
+    if kept < 2:
         raise NumericalError("no usable Taylor coefficients beyond the datum")
-    return TaylorSeries(b=b, coeffs=tuple(fields))
+    return TaylorSeries(b=b, coeffs=(u0,) + tuple(RealField(grid, c) for c in cs[1:kept]))
 
 
 def taylor_eval(series: TaylorSeries, t: float) -> RealField:
@@ -100,6 +130,8 @@ def taylor_eval(series: TaylorSeries, t: float) -> RealField:
 
     Warns (does not fail) when |t| exceeds the estimated temporal radius.
     """
+    if not math.isfinite(t):
+        raise ConfigurationError(f"t must be finite, got {t}")
     if series.order >= MIN_ORDER_FOR_RADIUS:
         radius = time_radius_estimate(series)
         if math.isfinite(radius) and abs(t) > radius:
@@ -120,18 +152,11 @@ def time_radius_estimate(series: TaylorSeries) -> float:
     Using only the last half of the computed coefficients makes the estimate
     robust to odd/even cancellation in parity-symmetric data. Returns inf
     when every tail coefficient vanishes (polynomial or steady case).
+    Computed once per series.
     """
     K = series.order
     if K < MIN_ORDER_FOR_RADIUS:
         raise ConfigurationError(
             f"radius estimation needs at least {MIN_ORDER_FOR_RADIUS} coefficients, got {K}"
         )
-    tail_start = max(1, (K + 1) // 2)
-    best = 0.0
-    for k in range(tail_start, K + 1):
-        norm = sobolev_norm(series.coeffs[k], 0.0)
-        if norm > 0.0:
-            best = max(best, norm ** (1.0 / k))
-    if best == 0.0:
-        return math.inf
-    return 1.0 / best
+    return series._radius
