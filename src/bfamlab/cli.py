@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 configuration problem (including usage errors),
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -32,7 +33,9 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The one parser of this process; parse_args keeps no state between calls."""
     parser = _Parser(prog="bfamlab", description=__doc__)
     parser.add_argument("--version", action="version", version=f"bfamlab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -8,6 +8,7 @@ are recorded without interpolation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional
 
@@ -34,6 +35,10 @@ class EvolveConfig:
     require_sign_certificate: bool = False
 
     def __post_init__(self):
+        for name in ("b", "t_final", "dt_max", "sample_interval", "blowup_threshold"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigurationError(f"{name} must be finite, got {value}")
         if self.t_final < 0:
             raise ConfigurationError(f"t_final must be >= 0, got {self.t_final}")
         if self.dt_max <= 0:
@@ -89,8 +94,8 @@ def rk4_step(
     result; its finiteness check covers every stage, since a non-finite
     stage value reaches the result through the band.
     """
-    if dt <= 0:
-        raise ConfigurationError(f"dt must be positive, got {dt}")
+    if not 0 < dt < math.inf:
+        raise ConfigurationError(f"dt must be positive and finite, got {dt}")
     if not np.isfinite(b):
         raise ConfigurationError(f"b must be finite, got {b}")
     grid = u.grid

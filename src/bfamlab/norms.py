@@ -14,12 +14,13 @@ p_k = 1 for k = 0 and the Nyquist mode k = N/2.
 
 Factorially weighted sums are evaluated in log space (j! overflows doubles at
 j = 171), from one kernel returning log |d^j u|_{H^s} for a whole array of
-orders j. Modes whose amplitude sits below the round-off floor, |u_hat| below
-1e-13 * max|u_hat|, are excluded from these sums: high-order spectral
-derivatives amplify round-off by |xi|^j and would otherwise masquerade as
-norm growth. The open-ended sums (hm_norm, km_radius_norm) take 32 orders
-per block and stop at the first run of three consecutive terms below 1e-16
-of the running value.
+orders j. The log-sum-exp and the table of log j! are this module's own
+numpy code, so the package needs numpy alone. Modes whose amplitude sits
+below the round-off floor, |u_hat| below 1e-13 * max|u_hat|, are excluded
+from these sums: high-order spectral derivatives amplify round-off by
+|xi|^j and would otherwise masquerade as norm growth. The open-ended sums
+(hm_norm, km_radius_norm) take 32 orders per block and stop at the first
+run of three consecutive terms below 1e-16 of the running value.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gammaln, logsumexp, xlogy
 
 from .errors import ConfigurationError, TruncationError
 from .grid import RealField
@@ -38,6 +38,7 @@ TAIL_RTOL = 1e-16
 _LOG_TAIL = math.log(TAIL_RTOL)
 DEFAULT_J_MAX = 200
 _ORDER_BLOCK = 32  # orders per (order, mode) array: bounds its memory when j_max is large
+_log_factorials = np.array([math.lgamma(j + 1.0) for j in range(DEFAULT_J_MAX + 1)])
 
 
 class GevreyNorm(NamedTuple):
@@ -66,14 +67,47 @@ def _resolved_spectrum(u: RealField):
     return abs_xi[usable], weight[usable]
 
 
+def _logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
+    """log sum exp(a) along axis; -inf where every term is -inf.
+
+    The largest term (with its ties) is taken out of the sum and the rest
+    enters through log1p (Blanchard, Higham and Higham, IMA J. Numer. Anal.
+    41, 2021), which keeps the result within an ulp or so of the exact value.
+    """
+    peak = np.max(a, axis=axis, keepdims=True)
+    top = a == peak
+    ties = np.count_nonzero(top, axis=axis, keepdims=True)
+    # skipping the shift where a == peak keeps -inf - -inf (NaN) out of an all -inf row
+    shifted = np.subtract(a, peak, out=np.full_like(a, -np.inf), where=~top)
+    rest = np.sum(np.exp(shifted), axis=axis, keepdims=True)
+    return np.squeeze(np.log1p(rest / ties) + np.log(ties) + peak, axis=axis)
+
+
+# the name bench/tracing.py wraps to count log-sum-exp calls per norm
+logsumexp = _logsumexp
+
+
+def _log_factorial(j: np.ndarray) -> np.ndarray:
+    """log j! for a non-negative integer array j, from a table grown on demand."""
+    global _log_factorials
+    if j.max() >= _log_factorials.size:
+        size = max(int(j.max()) + 1, 2 * _log_factorials.size)
+        _log_factorials = np.array([math.lgamma(k + 1.0) for k in range(size)])
+    return _log_factorials[j]
+
+
 def _log_derivative_norms(spectrum, s: float, j: np.ndarray) -> np.ndarray:
     """log |d^j u|_{H^s} for each order in the integer array j.
 
-    One logsumexp over the (order, mode) array of log L p (1+xi^2)^s
+    One log-sum-exp over the (order, mode) array of log L p (1+xi^2)^s
     |xi|^{2j} |u_hat|^2; the xi = 0 mode counts for j = 0 only.
     """
     abs_xi, weight = spectrum
-    log_terms = (np.log(weight) + s * np.log1p(abs_xi**2)) + xlogy(2.0 * j[:, None], abs_xi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # log 0 = -inf at xi = 0, and 0 * -inf = NaN in the j = 0 row
+        power = 2.0 * j[:, None] * np.log(abs_xi)
+    power[j == 0] = 0.0
+    log_terms = (np.log(weight) + s * np.log1p(abs_xi**2)) + power
     return 0.5 * logsumexp(log_terms, axis=1)
 
 
@@ -161,7 +195,7 @@ def hm_norm(u: RealField, sigma: float, m: int, j_max: int = DEFAULT_J_MAX) -> f
     log_sigma = math.log(sigma)
 
     def log_terms_of(j):
-        return (j * log_sigma + 2.0 * np.log(j + 1.0) - gammaln(j + 1)
+        return (j * log_sigma + 2.0 * np.log(j + 1.0) - _log_factorial(j)
                 + _log_derivative_norms(spectrum, 2.0 * m, j))
 
     log_sup = _truncated_sum(log_terms_of, j_max, np.maximum.accumulate)
@@ -175,7 +209,7 @@ def hm_norm(u: RealField, sigma: float, m: int, j_max: int = DEFAULT_J_MAX) -> f
 
 def _log_km_terms(spectrum, sigma: float, j: np.ndarray) -> np.ndarray:
     """log of e^{2 sigma j} / (j!)^2 |d^j u|^2_{H^2} for each order in j."""
-    return 2.0 * (sigma * j - gammaln(j + 1) + _log_derivative_norms(spectrum, 2.0, j))
+    return 2.0 * (sigma * j - _log_factorial(j) + _log_derivative_norms(spectrum, 2.0, j))
 
 
 def km_phi(u: RealField, sigma: float, m: int) -> float:

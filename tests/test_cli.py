@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from bfamlab import Snapshot, SpectralField, make_grid, write_snapshot
+from bfamlab import Snapshot, SpectralField, cli, make_grid, write_snapshot
 from bfamlab.cli import main
 from bfamlab.grid import idft
 from bfamlab.scenarios import snapshot_of
@@ -158,3 +158,60 @@ class TestUsage:
 
     def test_missing_required_option(self, capsys):
         assert main(["run"]) == 1
+
+
+class TestNonFiniteRunParameters:
+    @pytest.mark.parametrize("line", [
+        "t_final = nan", "t_final = inf", "dt_max = nan",
+        "sample_interval = nan", "blowup_threshold = nan",
+    ])
+    def test_config_error_exit_code(self, tmp_path, capsys, line):
+        key = line.split()[0]
+        text = "\n".join(
+            text_line for text_line in CONFIG.splitlines() if not text_line.startswith(key)
+        ).replace("[run]", f"[run]\n{line}")
+        path = tmp_path / "nonfinite.ini"
+        path.write_text(text.format(outdir=tmp_path / "out"))
+        assert main(["run", "--config", str(path)]) == 1
+        assert f"{key} must be finite" in capsys.readouterr().err
+
+
+class TestCachedParser:
+    """main reuses one parser per process; a call sees only its own options."""
+
+    @staticmethod
+    def invoke(capsys, argv):
+        try:
+            code = main(argv)
+        except SystemExit as exit_:  # --version exits through argparse
+            code = exit_.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_repeated_calls_match_first(self, planted_snapshot, capsys):
+        calls = [
+            ["norms", "--snapshot", str(planted_snapshot), "--sigma", "0.2", "--s", "2.0"],
+            ["radius", "--snapshot", str(planted_snapshot)],
+            ["norms", "--snapshot", str(planted_snapshot)],
+            ["--version"],
+        ]
+        cli._build_parser.cache_clear()
+        first = [self.invoke(capsys, argv) for argv in calls]
+        assert [code for code, _, _ in first] == [0, 0, 1, 0]
+        assert "bfamlab 0.1.0" in first[3][1]
+        for _ in range(2):
+            assert [self.invoke(capsys, argv) for argv in calls] == first
+        assert cli._build_parser.cache_info().misses == 1
+
+    @pytest.mark.parametrize("command, option, value", [
+        ("norms", "--j-max", "5"), ("radius", "--k-min", "40"),
+    ])
+    def test_option_does_not_leak(self, planted_snapshot, capsys, command, option, value):
+        argv = [command, "--snapshot", str(planted_snapshot)]
+        if command == "norms":
+            argv += ["--sigma", "0.2", "--s", "2.0"]
+        cli._build_parser.cache_clear()
+        default = self.invoke(capsys, argv)
+        given = self.invoke(capsys, argv + [option, value])
+        assert given[0] == 0 and given[1] != default[1]
+        assert self.invoke(capsys, argv) == default

@@ -1,5 +1,8 @@
 """CFL control, RK4 stepping, blow-up handling, and conservation monitoring."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -68,6 +71,14 @@ class TestRk4Step:
         grid = make_grid(64, 2 * np.pi)
         with pytest.raises(ConfigurationError):
             rk4_step(RealField(grid, np.zeros(64)), 0.0, 2.0)
+
+    @pytest.mark.parametrize("dt", [math.nan, math.inf])
+    def test_non_finite_dt_rejected(self, dt):
+        grid = make_grid(64, 2 * np.pi)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError, match="dt must be positive and finite"):
+                rk4_step(RealField(grid, np.sin(grid.x)), dt, 2.0)
 
     def test_overflow_in_a_stage_is_blowup(self):
         grid = make_grid(64, 2 * np.pi)
@@ -252,6 +263,15 @@ class TestRun:
             EvolveConfig(b=2.0, t_final=1.0, dt_max=0.0, sample_interval=0.1)
         with pytest.raises(ConfigurationError):
             EvolveConfig(b=2.0, t_final=1.0, dt_max=0.01, sample_interval=0.1, cfl_safety=1.5)
+
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["b", "t_final", "dt_max", "sample_interval", "blowup_threshold"])
+    def test_non_finite_config_rejected(self, name, value):
+        fields = dict(b=2.0, t_final=1.0, dt_max=0.01, sample_interval=0.1, blowup_threshold=1e6)
+        fields[name] = value
+        with pytest.raises(ConfigurationError, match=f"{name} must be finite"):
+            EvolveConfig(**fields)
 
 
 class TestOrderOfAccuracy:

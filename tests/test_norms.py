@@ -1,6 +1,11 @@
 """Sobolev, Gevrey, Himonas-Misiolek, and Kato-Masuda norm implementations."""
 
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import i0
 
+import bfamlab
 from bfamlab import (
     ConfigurationError,
     RealField,
@@ -20,6 +26,7 @@ from bfamlab import (
     make_grid,
     sobolev_norm,
 )
+from bfamlab import norms
 from bfamlab.grid import deriv, dft, idft
 
 
@@ -312,3 +319,122 @@ class TestPairWeightProperties:
         u = _white_noise(*case)
         expected = 0.5 * sobolev_norm(u, 2.0) ** 2
         assert km_phi(u, sigma, 0) == pytest.approx(expected, rel=1e-12)
+
+
+class TestNumpyKernels:
+    """The module's own log-sum-exp and log j! against scipy.special, and the
+    three factorial norms against their scipy formulation."""
+
+    @staticmethod
+    def arrays():
+        rng = np.random.default_rng(2024)
+        for _ in range(40):
+            a = rng.uniform(-700.0, 700.0) + rng.standard_normal((32, int(rng.integers(1, 3000))))
+            a[1] = -np.inf  # every term zero
+            a[2] = -np.inf
+            a[2, -1] = rng.standard_normal()  # a single finite term
+            a[3, :] = a[3, 0]  # all tied at the maximum
+            a[4, : a.shape[1] // 2] = a[4].max()  # half tied at the maximum
+            yield a
+
+    def test_logsumexp_matches_scipy(self):
+        from scipy.special import logsumexp
+
+        for a in self.arrays():
+            ours, ref = norms._logsumexp(a, axis=1), logsumexp(a, axis=1)
+            assert ours.shape == ref.shape
+            assert ours[1] == -np.inf
+            finite = np.isfinite(ref)
+            assert np.array_equal(finite, np.isfinite(ours))
+            tol = 1e-15 * np.maximum(1.0, np.abs(ref[finite]))
+            assert np.all(np.abs(ours[finite] - ref[finite]) <= tol)
+            assert abs(norms._logsumexp(a[0]) - logsumexp(a[0])) <= 1e-15 * max(1.0, abs(ref[0]))
+
+    def test_log_factorial_table_grows(self, monkeypatch):
+        from scipy.special import gammaln
+
+        monkeypatch.setattr(norms, "_log_factorials", norms._log_factorials[:10])
+        j = np.arange(401)
+        ours, ref = norms._log_factorial(j), gammaln(j + 1)
+        assert norms._log_factorials.size >= 401
+        assert np.array_equal(ours[:2], [0.0, 0.0])
+        assert np.all(np.abs(ours[2:] - ref[2:]) <= 1e-15 * ref[2:])
+
+    @staticmethod
+    def scipy_log_derivative_norms(spectrum, s, j):
+        from scipy.special import logsumexp, xlogy
+
+        abs_xi, weight = spectrum
+        log_terms = (np.log(weight) + s * np.log1p(abs_xi**2)) + xlogy(2.0 * j[:, None], abs_xi)
+        return 0.5 * logsumexp(log_terms, axis=1)
+
+    @classmethod
+    def scipy_norms(cls, u, sigma, m):
+        """(hm_norm, km_phi, km_radius_norm) with scipy's kernels in the terms."""
+        from scipy.special import gammaln, logsumexp
+
+        spectrum = norms._resolved_spectrum(u)
+
+        def hm_terms(j):
+            return (j * math.log(sigma) + 2.0 * np.log(j + 1.0) - gammaln(j + 1)
+                    + cls.scipy_log_derivative_norms(spectrum, 2.0 * m, j))
+
+        def km_terms(j):
+            return 2.0 * (sigma * j - gammaln(j + 1)
+                          + cls.scipy_log_derivative_norms(spectrum, 2.0, j))
+
+        log_hm = norms._truncated_sum(hm_terms, norms.DEFAULT_J_MAX, np.maximum.accumulate)
+        log_km = norms._truncated_sum(km_terms, norms.DEFAULT_J_MAX, np.logaddexp.accumulate)
+        return (None if log_hm is None else math.exp(log_hm),
+                0.5 * float(np.exp(logsumexp(km_terms(np.arange(33))))),
+                None if log_km is None else math.exp(0.5 * log_km))
+
+    @staticmethod
+    def fields():
+        rng = np.random.default_rng(7)
+        for n in (16, 64, 256, 1024, 4096):
+            for kind in ("sech", "sine", "noise"):
+                box = float(rng.uniform(2 * np.pi, 80.0))
+                grid = make_grid(n, box)
+                if kind == "sech":
+                    width = float(rng.uniform(0.5, 2.0))
+                    samples = 1.0 / np.cosh((grid.x - box / 2) / width)
+                elif kind == "sine":
+                    samples = rng.uniform(0.5, 2.0) * np.sin(2 * np.pi * grid.x / box + rng.uniform(0, 6))
+                else:
+                    coeffs = np.zeros(n // 2 + 1, dtype=complex)
+                    band = min(12, n // 4)
+                    coeffs[1:band] = rng.standard_normal(band - 1) + 1j * rng.standard_normal(band - 1)
+                    samples = np.fft.irfft(coeffs, n) * n
+                yield RealField(grid, samples)
+
+    @pytest.mark.parametrize("sigma, m", [(0.05, 2), (0.3, 3), (1.0, 2)])
+    def test_norms_match_scipy_formulation(self, sigma, m):
+        for u in self.fields():
+            hm_ref, phi_ref, radius_ref = self.scipy_norms(u, sigma, m)
+            for expected, norm in ((hm_ref, lambda: hm_norm(u, sigma, m)),
+                                   (radius_ref, lambda: km_radius_norm(u, sigma))):
+                if expected is None:
+                    with pytest.raises(TruncationError):
+                        norm()
+                else:
+                    assert norm() == pytest.approx(expected, rel=1e-13)
+            assert km_phi(u, sigma, 32) == pytest.approx(phi_ref, rel=1e-13)
+
+    def test_constant_field_no_warning(self):
+        # only xi = 0 is resolved, so every order j >= 1 sums no terms
+        grid = make_grid(64, 10.0)
+        u = RealField(grid, np.full(64, -3.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert hm_norm(u, 0.5, 2) == pytest.approx(3.0 * math.sqrt(10.0), rel=1e-15)
+            assert km_radius_norm(u, 0.5) == pytest.approx(3.0 * math.sqrt(10.0), rel=1e-15)
+            assert km_phi(u, 0.5, 8) == pytest.approx(0.5 * 9.0 * 10.0, rel=1e-15)
+
+    def test_import_leaves_scipy_out(self):
+        src = str(Path(bfamlab.__file__).resolve().parent.parent)
+        code = "import sys, bfamlab, bfamlab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out.strip() == "[]"

@@ -168,6 +168,13 @@ class TestFftBudget:
         assert fft_counts == {"real": 0, "complex": 0, "combine": 0}
 
 
+    def test_radius_takes_no_fft(self, u, fft_counts):
+        series = taylor_coeffs(u, 2.0, 8)
+        fft_counts.update(real=0, complex=0, combine=0)
+        time_radius_estimate(series)
+        assert fft_counts == {"real": 0, "complex": 0, "combine": 0}
+
+
 class TestEvaluation:
     def test_t_zero_returns_datum(self, random_field):
         series = taylor_coeffs(random_field, 2.0, 4)
@@ -230,6 +237,16 @@ class TestRadiusEstimate:
         series = taylor_coeffs(random_field, 2.0, 4)
         with pytest.raises(ConfigurationError):
             time_radius_estimate(series)
+
+    @pytest.mark.parametrize("order", [6, 16, 64])
+    def test_matches_sobolev_root_test(self, order):
+        grid = make_grid(256, 80.0)
+        u0 = initial_data("gaussian", {"amplitude": 1.0, "width": 5.0}, grid)
+        series = taylor_coeffs(u0, 2.0, order)
+        assert series.order == order
+        tail = range((order + 1) // 2, order + 1)
+        expected = 1.0 / max(sobolev_norm(series.coeffs[k], 0.0) ** (1.0 / k) for k in tail)
+        assert time_radius_estimate(series) == pytest.approx(expected, rel=1e-13)
 
     def test_gaussian_radius_positive_and_finite(self):
         grid = make_grid(256, 80.0)
