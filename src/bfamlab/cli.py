@@ -175,6 +175,9 @@ _COMMANDS = {
 }
 
 
+_ERROR_PREFIXES = {1: "configuration error", 2: "numerical blow-up", 3: "io error"}
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -185,18 +188,10 @@ def main(argv=None) -> int:
         return 1
     try:
         return _COMMANDS[args.command](args)
-    except ConfigurationError as err:
-        print(f"configuration error: {err}", file=sys.stderr)
-        return 1
-    except InsufficientBandError as err:
-        print(f"configuration error: {err}", file=sys.stderr)
-        return 1
-    except BlowupError as err:
-        print(f"numerical blow-up: {err}", file=sys.stderr)
-        return 2
-    except (SnapshotError, OSError) as err:
-        print(f"io error: {err}", file=sys.stderr)
-        return 3
+    except (ConfigurationError, InsufficientBandError, BlowupError, OSError) as err:
+        code = scenarios.exit_code_for(err)
+        print(f"{_ERROR_PREFIXES[code]}: {err}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import require_finite
 from .grid import GridSpec, RealField, dft, helmholtz, helmholtz_inv, idft
 from .norms import sobolev_norm
 
@@ -41,8 +41,7 @@ def _rhs_band(grid: GridSpec, b: float, u_hat: np.ndarray, u: np.ndarray) -> np.
 
 def rhs_F(u: RealField, b: float) -> RealField:
     """Evaluate F(u) pseudo-spectrally with dealiased quadratic products."""
-    if not np.isfinite(b):
-        raise ConfigurationError(f"b must be finite, got {b}")
+    require_finite("b", b)
     grid = u.grid
     band = _rhs_band(grid, b, np.fft.rfft(u.samples), u.samples)
     return RealField(grid, np.fft.irfft(band, grid.n_points))

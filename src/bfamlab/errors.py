@@ -1,8 +1,9 @@
 """Exception taxonomy shared across the package.
 
-Exit-code mapping at the CLI: ConfigurationError -> 1, BlowupError -> 2,
-SnapshotError (and other I/O failures) -> 3.
+The CLI exit code of each exception comes from scenarios.exit_code_for.
 """
+
+import math
 
 
 class ConfigurationError(ValueError):
@@ -36,3 +37,10 @@ class InsufficientBandError(ValueError):
 
 class SnapshotError(IOError):
     """Malformed, truncated, or version-mismatched snapshot file."""
+
+
+def require_finite(name, *values):
+    """Raise ConfigurationError unless every value that is not None is finite."""
+    for value in values:
+        if value is not None and not math.isfinite(value):
+            raise ConfigurationError(f"{name} must be finite, got {value}")

@@ -15,7 +15,7 @@ from typing import Callable, Mapping, Optional
 import numpy as np
 
 from .dynamics import _rhs_band, momentum_max, momentum_min
-from .errors import BlowupError, ConfigurationError, NumericalError
+from .errors import BlowupError, ConfigurationError, NumericalError, require_finite
 from .grid import RealField
 
 SIGN_TOL = 1e-10
@@ -36,9 +36,7 @@ class EvolveConfig:
 
     def __post_init__(self):
         for name in ("b", "t_final", "dt_max", "sample_interval", "blowup_threshold"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ConfigurationError(f"{name} must be finite, got {value}")
+            require_finite(name, getattr(self, name))
         if self.t_final < 0:
             raise ConfigurationError(f"t_final must be >= 0, got {self.t_final}")
         if self.dt_max <= 0:
@@ -96,8 +94,7 @@ def rk4_step(
     """
     if not 0 < dt < math.inf:
         raise ConfigurationError(f"dt must be positive and finite, got {dt}")
-    if not np.isfinite(b):
-        raise ConfigurationError(f"b must be finite, got {b}")
+    require_finite("b", b)
     grid = u.grid
     n, m = grid.n_points, grid.band_size
     u_hat = np.fft.rfft(u.samples)

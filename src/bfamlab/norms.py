@@ -209,13 +209,16 @@ def hm_norm(u: RealField, sigma: float, m: int, j_max: int = DEFAULT_J_MAX) -> f
 
 def _log_km_terms(spectrum, sigma: float, j: np.ndarray) -> np.ndarray:
     """log of e^{2 sigma j} / (j!)^2 |d^j u|^2_{H^2} for each order in j."""
-    return 2.0 * (sigma * j - _log_factorial(j) + _log_derivative_norms(spectrum, 2.0, j))
+    # sigma j is 0 at j = 0 for every sigma: -inf * 0 would be NaN
+    weight = np.where(j > 0, sigma, 0.0) * j
+    return 2.0 * (weight - _log_factorial(j) + _log_derivative_norms(spectrum, 2.0, j))
 
 
 def km_phi(u: RealField, sigma: float, m: int) -> float:
     """Kato-Masuda functional, 1/2 sum_{j<=m} e^{2 sigma j}/(j!)^2 |d^j u|^2_{H^2}.
 
-    Any real sigma is admitted. m = 0 reduces to half the squared H^2 norm.
+    Any real sigma is admitted, and sigma = -inf gives the limit, half the
+    squared H^2 norm. m = 0 reduces to half the squared H^2 norm as well.
     """
     if m < 0:
         raise ConfigurationError(f"m must be a non-negative integer, got {m}")

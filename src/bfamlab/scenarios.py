@@ -16,35 +16,27 @@ import json
 import math
 import struct
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 import numpy as np
 
 from . import analyticity, dynamics, evolve, norms
-from .errors import BlowupError, ConfigurationError, InsufficientBandError, SnapshotError
-from .grid import DEFAULT_DEALIAS_FRACTION, GridSpec, RealField, dft, make_grid
+from .errors import (
+    BlowupError,
+    ConfigurationError,
+    InsufficientBandError,
+    SnapshotError,
+    require_finite,
+)
+from .grid import GridSpec, RealField, dft, make_grid
 
 INIT_FAMILIES = ("gaussian", "sech", "sine", "momentum_bump")
 
 SNAPSHOT_MAGIC = b"BGEV"
 SNAPSHOT_VERSION = 1
 _HEADER = struct.Struct("<4sIQddd")  # magic, version, N, L, t, b
-
-DIAGNOSTIC_COLUMNS = (
-    "t",
-    "l2",
-    "h1",
-    "h2",
-    "mean_u",
-    "m_l1",
-    "m_min",
-    "sigma_hat",
-    "fit_quality",
-    "km_sigma_bound",
-    "dt_used",
-)
 
 
 @dataclass(frozen=True)
@@ -60,6 +52,8 @@ class InitSpec:
             raise ConfigurationError(
                 f"unknown init family {self.family!r}; choose from {INIT_FAMILIES}"
             )
+        for name in ("amplitude", "width", "center"):
+            require_finite(name, getattr(self, name))
         if self.amplitude <= 0 or self.width <= 0:
             raise ConfigurationError("amplitude and width must be positive")
         if self.mode < 1:
@@ -75,6 +69,9 @@ class DiagnosticsSpec:
     m_trunc: int = analyticity.DEFAULT_M_TRUNC
 
     def __post_init__(self):
+        require_finite("s", self.s)
+        require_finite("sigma_list", *self.sigma_list)
+        require_finite("gamma", self.gamma_override)
         if self.sigma_list and self.s <= 1.5:
             raise ConfigurationError(
                 f"Gevrey diagnostics require s > 3/2 (analyticity hypothesis on the "
@@ -102,7 +99,7 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class DiagnosticsRow:
-    """One sampling instant; column order is DIAGNOSTIC_COLUMNS."""
+    """One sampling instant; the field order is the CSV column order."""
 
     t: float
     l2: float
@@ -118,6 +115,9 @@ class DiagnosticsRow:
 
     def values(self) -> tuple:
         return tuple(getattr(self, name) for name in DIAGNOSTIC_COLUMNS)
+
+
+DIAGNOSTIC_COLUMNS = tuple(column.name for column in fields(DiagnosticsRow))
 
 
 @dataclass(frozen=True)
@@ -155,17 +155,25 @@ def initial_data(family: str, params: Mapping[str, float], grid: GridSpec) -> Re
         spec = InitSpec(family=family, **params)
     except TypeError as err:
         raise ConfigurationError(f"bad parameters for family {family!r}: {err}") from err
+    return _initial_field(spec, grid)
+
+
+def build_initial(cfg: RunConfig) -> RealField:
+    return _initial_field(cfg.init, cfg.grid)
+
+
+def _initial_field(spec: InitSpec, grid: GridSpec) -> RealField:
     x = grid.x
     length = grid.box_length
     center = spec.center if spec.center is not None else 0.5 * length
     a, w = spec.amplitude, spec.width
-    if family == "gaussian":
+    if spec.family == "gaussian":
         samples = _periodized(lambda y: a * np.exp(-(y / w) ** 2), x, center, length)
         return RealField(grid, samples)
-    if family == "sech":
+    if spec.family == "sech":
         samples = _periodized(lambda y: a / np.cosh(y / w), x, center, length)
         return RealField(grid, samples)
-    if family == "sine":
+    if spec.family == "sine":
         # phase built from node indices: x_j = j L / N makes L cancel exactly
         phase = (2.0 * np.pi * spec.mode / grid.n_points) * np.arange(grid.n_points)
         return RealField(grid, a * np.sin(phase))
@@ -173,41 +181,70 @@ def initial_data(family: str, params: Mapping[str, float], grid: GridSpec) -> Re
     return dynamics.inverse_momentum(RealField(grid, bump))
 
 
-def build_initial(cfg: RunConfig) -> RealField:
-    spec = cfg.init
-    params = {"amplitude": spec.amplitude, "width": spec.width, "mode": spec.mode}
-    if spec.center is not None:
-        params["center"] = spec.center
-    return initial_data(spec.family, params, cfg.grid)
-
-
 # ---------------------------------------------------------------------------
 # config file grammar
 
-_KNOWN_KEYS = {
-    "grid": ("n_points", "box_length", "dealias_fraction"),
-    "run": (
-        "b",
-        "t_final",
-        "dt_max",
-        "sample_interval",
-        "cfl_safety",
-        "blowup_threshold",
-        "require_sign_certificate",
-    ),
-    "init": ("family", "amplitude", "width", "center", "mode"),
-    "diagnostics": ("sigma_list", "s", "fit_k_min", "gamma", "m_trunc"),
-    "output": ("dir",),
-}
+_REQUIRED = object()  # default of the keys a config must set
 
-_DEFAULTS = {
-    "n_points": 512,
-    "box_length": 2.0 * math.pi,
-    "t_final": 1.0,
-    "dt_max": 0.02,
-    "sample_interval": 0.1,
-    "output_dir": "bfamlab_run",
-}
+
+class ConfigKey(NamedTuple):
+    """One config key and the RunConfig field it sets ("" part: RunConfig itself).
+
+    `default` applies only where the field's dataclass has none; None leaves
+    the dataclass default in force.
+    """
+
+    section: str
+    key: str
+    part: str
+    field: str
+    kind: type
+    default: object = None
+
+
+# one row per key, in the order render_config writes them
+CONFIG_SCHEMA = (
+    ConfigKey("grid", "n_points", "grid", "n_points", int, 512),
+    ConfigKey("grid", "box_length", "grid", "box_length", float, 2.0 * math.pi),
+    ConfigKey("grid", "dealias_fraction", "grid", "dealias_fraction", float),
+    ConfigKey("run", "b", "", "b", float, _REQUIRED),
+    ConfigKey("run", "t_final", "evolve", "t_final", float, 1.0),
+    ConfigKey("run", "dt_max", "evolve", "dt_max", float, 0.02),
+    ConfigKey("run", "sample_interval", "evolve", "sample_interval", float, 0.1),
+    ConfigKey("run", "cfl_safety", "evolve", "cfl_safety", float),
+    ConfigKey("run", "blowup_threshold", "evolve", "blowup_threshold", float),
+    ConfigKey("run", "require_sign_certificate", "evolve", "require_sign_certificate", bool),
+    ConfigKey("init", "family", "init", "family", str, _REQUIRED),
+    ConfigKey("init", "amplitude", "init", "amplitude", float),
+    ConfigKey("init", "width", "init", "width", float),
+    ConfigKey("init", "mode", "init", "mode", int),
+    ConfigKey("init", "center", "init", "center", float),
+    ConfigKey("diagnostics", "sigma_list", "diagnostics", "sigma_list", tuple),
+    ConfigKey("diagnostics", "s", "diagnostics", "s", float),
+    ConfigKey("diagnostics", "fit_k_min", "diagnostics", "fit_k_min", int),
+    ConfigKey("diagnostics", "m_trunc", "diagnostics", "m_trunc", int),
+    ConfigKey("diagnostics", "gamma", "diagnostics", "gamma_override", float),
+    ConfigKey("output", "dir", "", "output_dir", str, "bfamlab_run"),
+)
+
+
+def _parse(parser: configparser.ConfigParser, row: ConfigKey):
+    """The value of a key the config sets, as the row's type."""
+    if row.kind is bool:
+        return parser.getboolean(row.section, row.key)
+    raw = parser.get(row.section, row.key)
+    if row.kind is tuple:
+        return tuple(float(piece) for piece in map(str.strip, raw.split(",")) if piece)
+    return row.kind(raw)
+
+
+def _render(kind: type, value) -> str:
+    """The config text of a value; _parse inverts it."""
+    if kind is float:
+        return _fmt(value)
+    if kind is tuple:
+        return ", ".join(map(_fmt, value))
+    return str(value).lower() if kind is bool else str(value)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -219,113 +256,46 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigurationError(f"config syntax error: {err}") from err
 
     for section in parser.sections():
-        if section not in _KNOWN_KEYS:
+        keys = [row.key for row in CONFIG_SCHEMA if row.section == section]
+        if not keys:
             raise ConfigurationError(f"unknown config section [{section}]")
         for key in parser[section]:
-            if key not in _KNOWN_KEYS[section]:
+            if key not in keys:
                 raise ConfigurationError(f"unknown key {key!r} in section [{section}]")
 
-    def get(section, key, default=None, convert=float):
-        if not parser.has_option(section, key):
-            return default
-        raw = parser.get(section, key)
-        try:
-            return convert(raw)
-        except ValueError as err:
-            raise ConfigurationError(
-                f"cannot parse {section}.{key} = {raw!r}: {err}"
-            ) from err
-
-    def get_bool(section, key, default):
-        if not parser.has_option(section, key):
-            return default
-        try:
-            return parser.getboolean(section, key)
-        except ValueError as err:
-            raise ConfigurationError(f"{section}.{key} must be a boolean") from err
-
-    if not parser.has_option("run", "b"):
-        raise ConfigurationError("config must set run.b")
-    if not parser.has_option("init", "family"):
-        raise ConfigurationError("config must set init.family")
-
-    grid = make_grid(
-        get("grid", "n_points", _DEFAULTS["n_points"], convert=int),
-        get("grid", "box_length", _DEFAULTS["box_length"]),
-        get("grid", "dealias_fraction", DEFAULT_DEALIAS_FRACTION),
-    )
-    b = get("run", "b")
-    evolve_cfg = evolve.EvolveConfig(
-        b=b,
-        t_final=get("run", "t_final", _DEFAULTS["t_final"]),
-        dt_max=get("run", "dt_max", _DEFAULTS["dt_max"]),
-        sample_interval=get("run", "sample_interval", _DEFAULTS["sample_interval"]),
-        cfl_safety=get("run", "cfl_safety", 0.2),
-        blowup_threshold=get("run", "blowup_threshold", 1e6),
-        require_sign_certificate=get_bool("run", "require_sign_certificate", False),
-    )
-    init = InitSpec(
-        family=get("init", "family", convert=str),
-        amplitude=get("init", "amplitude", 1.0),
-        width=get("init", "width", 1.0),
-        center=get("init", "center", None),
-        mode=get("init", "mode", 1, convert=int),
-    )
-
-    def parse_sigmas(raw: str) -> tuple:
-        items = [piece.strip() for piece in raw.split(",")]
-        return tuple(float(piece) for piece in items if piece)
-
-    diagnostics = DiagnosticsSpec(
-        sigma_list=get("diagnostics", "sigma_list", (), convert=parse_sigmas),
-        s=get("diagnostics", "s", 2.0),
-        fit_k_min=get("diagnostics", "fit_k_min", analyticity.DEFAULT_FIT_K_MIN, convert=int),
-        gamma_override=get("diagnostics", "gamma", None),
-        m_trunc=get("diagnostics", "m_trunc", analyticity.DEFAULT_M_TRUNC, convert=int),
-    )
-    output_dir = get("output", "dir", _DEFAULTS["output_dir"], convert=str)
+    values = {part: {} for part in ("", "grid", "evolve", "init", "diagnostics")}
+    for row in CONFIG_SCHEMA:
+        if parser.has_option(row.section, row.key):
+            try:
+                value = _parse(parser, row)
+            except ValueError as err:
+                raw = parser.get(row.section, row.key)
+                raise ConfigurationError(
+                    f"cannot parse {row.section}.{row.key} = {raw!r}: {err}"
+                ) from err
+        elif row.default is _REQUIRED:
+            raise ConfigurationError(f"config must set {row.section}.{row.key}")
+        elif row.default is None:
+            continue
+        else:
+            value = row.default
+        values[row.part][row.field] = value
     return RunConfig(
-        grid=grid, b=b, evolve=evolve_cfg, init=init,
-        diagnostics=diagnostics, output_dir=output_dir,
+        grid=GridSpec(**values["grid"]),
+        evolve=evolve.EvolveConfig(b=values[""]["b"], **values["evolve"]),
+        init=InitSpec(**values["init"]),
+        diagnostics=DiagnosticsSpec(**values["diagnostics"]),
+        **values[""],
     )
 
 
 def render_config(cfg: RunConfig) -> str:
     """Serialize a RunConfig back to config-file text; parse_config inverts this."""
     parser = configparser.ConfigParser()
-    parser["grid"] = {
-        "n_points": str(cfg.grid.n_points),
-        "box_length": f"{cfg.grid.box_length:.17g}",
-        "dealias_fraction": f"{cfg.grid.dealias_fraction:.17g}",
-    }
-    parser["run"] = {
-        "b": f"{cfg.b:.17g}",
-        "t_final": f"{cfg.evolve.t_final:.17g}",
-        "dt_max": f"{cfg.evolve.dt_max:.17g}",
-        "sample_interval": f"{cfg.evolve.sample_interval:.17g}",
-        "cfl_safety": f"{cfg.evolve.cfl_safety:.17g}",
-        "blowup_threshold": f"{cfg.evolve.blowup_threshold:.17g}",
-        "require_sign_certificate": str(cfg.evolve.require_sign_certificate).lower(),
-    }
-    init = {
-        "family": cfg.init.family,
-        "amplitude": f"{cfg.init.amplitude:.17g}",
-        "width": f"{cfg.init.width:.17g}",
-        "mode": str(cfg.init.mode),
-    }
-    if cfg.init.center is not None:
-        init["center"] = f"{cfg.init.center:.17g}"
-    parser["init"] = init
-    diagnostics = {
-        "sigma_list": ", ".join(f"{s:.17g}" for s in cfg.diagnostics.sigma_list),
-        "s": f"{cfg.diagnostics.s:.17g}",
-        "fit_k_min": str(cfg.diagnostics.fit_k_min),
-        "m_trunc": str(cfg.diagnostics.m_trunc),
-    }
-    if cfg.diagnostics.gamma_override is not None:
-        diagnostics["gamma"] = f"{cfg.diagnostics.gamma_override:.17g}"
-    parser["diagnostics"] = diagnostics
-    parser["output"] = {"dir": cfg.output_dir}
+    for row in CONFIG_SCHEMA:
+        value = getattr(getattr(cfg, row.part) if row.part else cfg, row.field)
+        if value is not None:
+            parser.read_dict({row.section: {row.key: _render(row.kind, value)}})
     buffer = io.StringIO()
     parser.write(buffer)
     return buffer.getvalue()
@@ -467,23 +437,15 @@ def compute_diagnostics(trajectory, diag: DiagnosticsSpec):
     else:
         gamma = -0.05
     bound = analyticity.km_bound_from_run(trajectory, gamma, diag.m_trunc)
-    rows = []
-    for record, fit in zip(trajectory.diagnostics, fits):
-        rows.append(
-            DiagnosticsRow(
-                t=record["t"],
-                l2=record["l2"],
-                h1=record["h1"],
-                h2=record["h2"],
-                mean_u=record["mean_u"],
-                m_l1=record["m_l1"],
-                m_min=record["m_min"],
-                sigma_hat=fit.sigma_hat if fit else math.nan,
-                fit_quality=fit.fit_quality if fit else math.nan,
-                km_sigma_bound=analyticity.km_bound_sigma(record["t"], bound),
-                dt_used=record["dt_used"],
-            )
+    rows = [
+        DiagnosticsRow(
+            **record,
+            sigma_hat=fit.sigma_hat if fit else math.nan,
+            fit_quality=fit.fit_quality if fit else math.nan,
+            km_sigma_bound=analyticity.km_bound_sigma(record["t"], bound),
         )
+        for record, fit in zip(trajectory.diagnostics, fits)
+    ]
     return rows, bound, fits
 
 
@@ -517,11 +479,8 @@ def run_scenario(cfg: RunConfig, config_text: Optional[str] = None) -> ScenarioR
 
 
 def exit_code_for(err: BaseException) -> int:
-    """Map an exception to the CLI exit-code contract."""
-    if isinstance(err, ConfigurationError):
-        return 1
+    """CLI exit code: 2 for BlowupError, 3 for OSError (SnapshotError included),
+    and 1 for everything else, ConfigurationError and InsufficientBandError among it."""
     if isinstance(err, BlowupError):
         return 2
-    if isinstance(err, (SnapshotError, OSError)):
-        return 3
-    return 1
+    return 3 if isinstance(err, OSError) else 1

@@ -33,7 +33,7 @@ from functools import cached_property
 import numpy as np
 
 from .dynamics import _rhs_from_products
-from .errors import ConfigurationError, NumericalError
+from .errors import ConfigurationError, NumericalError, require_finite
 from .grid import RealField
 
 COEFF_SUP_CAP = 1e12
@@ -83,8 +83,7 @@ def taylor_coeffs(u0: RealField, b: float, order: int) -> TaylorSeries:
     """
     if isinstance(order, bool) or not isinstance(order, numbers.Integral) or order < 1:
         raise ConfigurationError(f"order must be an integer >= 1, got {order!r}")
-    if not np.isfinite(b):
-        raise ConfigurationError(f"b must be finite, got {b}")
+    require_finite("b", b)
     grid = u0.grid
     n = grid.n_points
     band_deriv = grid.half_deriv_multiplier[: grid.band_size]
@@ -129,8 +128,7 @@ def taylor_eval(series: TaylorSeries, t: float) -> RealField:
 
     Warns (does not fail) when |t| exceeds the estimated temporal radius.
     """
-    if not math.isfinite(t):
-        raise ConfigurationError(f"t must be finite, got {t}")
+    require_finite("t", t)
     if series.order >= MIN_ORDER_FOR_RADIUS:
         radius = time_radius_estimate(series)
         if math.isfinite(radius) and abs(t) > radius:

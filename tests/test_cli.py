@@ -176,6 +176,27 @@ class TestNonFiniteRunParameters:
         assert f"{key} must be finite" in capsys.readouterr().err
 
 
+class TestNonFiniteInitAndDiagnostics:
+    @pytest.mark.parametrize("section, line", [
+        ("init", "amplitude = nan"), ("init", "amplitude = inf"),
+        ("init", "width = inf"), ("init", "center = nan"),
+        ("diagnostics", "s = nan"), ("diagnostics", "gamma = nan"),
+        ("diagnostics", "gamma = -inf"), ("diagnostics", "sigma_list = nan"),
+    ])
+    def test_config_error_exit_code(self, tmp_path, capsys, section, line):
+        key = line.split()[0]
+        text = "\n".join(
+            text_line for text_line in CONFIG.splitlines()
+            if not text_line.startswith(f"{key} ")
+        ).replace(f"[{section}]", f"[{section}]\n{line}")
+        path = tmp_path / "nonfinite.ini"
+        path.write_text(text.format(outdir=tmp_path / "out"))
+        assert main(["run", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"configuration error: {key} must be finite" in err
+        assert "Traceback" not in err
+
+
 class TestCachedParser:
     """main reuses one parser per process; a call sees only its own options."""
 

@@ -181,6 +181,13 @@ class TestKatoMasuda:
         with pytest.raises(ConfigurationError):
             km_phi(random_field, 0.0, -1)
 
+    @pytest.mark.filterwarnings("error")
+    def test_sigma_minus_inf_is_the_h2_limit(self, random_field):
+        # sigma j at j = 0 must not become -inf * 0 = NaN
+        h2 = sobolev_norm(random_field, 2.0)
+        assert km_phi(random_field, -math.inf, 32) == pytest.approx(0.5 * h2**2, rel=1e-14)
+        assert km_radius_norm(random_field, -math.inf) == pytest.approx(h2, rel=1e-14)
+
 
 class TestNormAxioms:
     def test_triangle_inequality(self, grid_2pi, rng):

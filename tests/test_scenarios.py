@@ -1,6 +1,9 @@
 """Config grammar, initial-datum families, persistence, and the pipeline."""
 
+import dataclasses
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from bfamlab import (
     run_scenario,
     write_snapshot,
 )
+from bfamlab import scenarios
 from bfamlab.scenarios import (
     DIAGNOSTIC_COLUMNS,
     DiagnosticsRow,
@@ -154,6 +158,167 @@ class TestParseConfig:
         text = MINIMAL + "\n[diagnostics]\ngamma = 0.2\n"
         with pytest.raises(ConfigurationError):
             parse_config(text)
+
+
+# a valid value for every key, different from its default, and the
+# RunConfig field it sets
+NON_DEFAULT = {
+    ("grid", "n_points"): ("64", "grid.n_points"),
+    ("grid", "box_length"): ("10.0", "grid.box_length"),
+    ("grid", "dealias_fraction"): ("0.5", "grid.dealias_fraction"),
+    ("run", "b"): ("-1.5", "b"),
+    ("run", "t_final"): ("0.5", "evolve.t_final"),
+    ("run", "dt_max"): ("0.01", "evolve.dt_max"),
+    ("run", "sample_interval"): ("0.05", "evolve.sample_interval"),
+    ("run", "cfl_safety"): ("0.5", "evolve.cfl_safety"),
+    ("run", "blowup_threshold"): ("1e3", "evolve.blowup_threshold"),
+    ("run", "require_sign_certificate"): ("true", "evolve.require_sign_certificate"),
+    ("init", "family"): ("gaussian", "init.family"),
+    ("init", "amplitude"): ("0.1", "init.amplitude"),
+    ("init", "width"): ("2.0", "init.width"),
+    ("init", "mode"): ("3", "init.mode"),
+    ("init", "center"): ("1.25", "init.center"),
+    ("diagnostics", "sigma_list"): ("0.1, 0.25", "diagnostics.sigma_list"),
+    ("diagnostics", "s"): ("2.5", "diagnostics.s"),
+    ("diagnostics", "fit_k_min"): ("6", "diagnostics.fit_k_min"),
+    ("diagnostics", "m_trunc"): ("16", "diagnostics.m_trunc"),
+    ("diagnostics", "gamma"): ("-0.2", "diagnostics.gamma_override"),
+    ("output", "dir"): ("elsewhere", "output_dir"),
+}
+
+# every key set, center and gamma included; the text render_config wrote
+# before the config schema became one table
+GOLDEN_CONFIG = """
+[grid]
+n_points = 256
+box_length = 80.0
+dealias_fraction = 0.5
+
+[run]
+b = -1.5
+t_final = 0.3
+dt_max = 0.01
+sample_interval = 0.1
+cfl_safety = 0.25
+blowup_threshold = 1e4
+require_sign_certificate = true
+
+[init]
+family = gaussian
+amplitude = 0.1
+width = 1.5
+center = 30.0
+mode = 2
+
+[diagnostics]
+sigma_list =
+s = 2.5
+fit_k_min = 6
+gamma = -0.2
+m_trunc = 16
+
+[output]
+dir = golden_run
+"""
+
+GOLDEN_RENDER = (
+    "[grid]\nn_points = 256\nbox_length = 80\ndealias_fraction = 0.5\n\n"
+    "[run]\nb = -1.5\nt_final = 0.29999999999999999\ndt_max = 0.01\n"
+    "sample_interval = 0.10000000000000001\ncfl_safety = 0.25\n"
+    "blowup_threshold = 10000\nrequire_sign_certificate = true\n\n"
+    "[init]\nfamily = gaussian\namplitude = 0.10000000000000001\nwidth = 1.5\n"
+    "mode = 2\ncenter = 30\n\n"
+    "[diagnostics]\nsigma_list = \ns = 2.5\nfit_k_min = 6\nm_trunc = 16\n"
+    "gamma = -0.20000000000000001\n\n"
+    "[output]\ndir = golden_run\n\n"
+)
+
+
+def _config_text(sections) -> str:
+    return "".join(
+        f"[{section}]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items())
+        for section, keys in sections.items()
+    )
+
+
+def _flat_fields(cfg) -> dict:
+    """RunConfig fields as {"part.field": value}, nested parts flattened."""
+    flat = {}
+    for name, value in dataclasses.asdict(cfg).items():
+        if isinstance(value, dict):
+            flat.update({f"{name}.{field}": item for field, item in value.items()})
+        else:
+            flat[name] = value
+    return flat
+
+
+def _readme_grammar_rows():
+    """(section, key, default cell) of the README "Config file grammar" table."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("### Config file grammar", 1)[1].split("\n\n")[2]
+    rows, section = [], None
+    for line in table.splitlines()[2:]:
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        section = cells[0].strip("`[]") or section
+        rows.append((section, cells[1].strip("`"), cells[2]))
+    return rows
+
+
+class TestConfigSchema:
+    def test_golden_render(self):
+        assert render_config(parse_config(GOLDEN_CONFIG)) == GOLDEN_RENDER
+        assert parse_config(GOLDEN_RENDER) == parse_config(GOLDEN_CONFIG)
+
+    def test_schema_rows_match_the_field_map(self):
+        assert [
+            (row.section, row.key, f"{row.part}.{row.field}".lstrip("."))
+            for row in scenarios.CONFIG_SCHEMA
+        ] == [(section, key, field) for (section, key), (_, field) in NON_DEFAULT.items()]
+
+    @pytest.mark.parametrize("section, key", list(NON_DEFAULT))
+    def test_each_key_sets_exactly_its_field(self, section, key):
+        value, field = NON_DEFAULT[section, key]
+        sections = {"run": {"b": "2.0"}, "init": {"family": "sine"}}
+        base = parse_config(_config_text(sections))
+        sections.setdefault(section, {})[key] = value
+        cfg = parse_config(_config_text(sections))
+        before, after = _flat_fields(base), _flat_fields(cfg)
+        changed = {name for name in before if before[name] != after[name]}
+        # run.b is RunConfig.b and is handed on to EvolveConfig.b
+        assert changed == ({"b", "evolve.b"} if field == "b" else {field})
+        assert parse_config(render_config(cfg)) == cfg
+
+    def test_readme_table_matches_schema(self):
+        rows = _readme_grammar_rows()
+        assert [(section, key) for section, key, _ in rows] == [
+            (row.section, row.key) for row in scenarios.CONFIG_SCHEMA
+        ]
+        defaults = _flat_fields(parse_config(MINIMAL))
+        plain_number = re.compile(r"`([-+]?\d+(\.\d*)?([eE][-+]?\d+)?)`")
+        checked = 0
+        for (_, field), (section, key, cell) in zip(NON_DEFAULT.values(), rows):
+            match = plain_number.fullmatch(cell)
+            if match:
+                assert defaults[field] == float(match.group(1)), (section, key)
+                checked += 1
+        assert checked == 12
+
+
+class TestNonFiniteSpecs:
+    @pytest.mark.parametrize("section, line", [
+        ("init", "amplitude = nan"), ("init", "amplitude = inf"),
+        ("init", "width = nan"), ("init", "width = inf"),
+        ("init", "center = nan"), ("init", "center = -inf"),
+        ("diagnostics", "s = nan"), ("diagnostics", "s = inf"),
+        ("diagnostics", "gamma = nan"), ("diagnostics", "gamma = -inf"),
+        ("diagnostics", "sigma_list = 0.1, nan"), ("diagnostics", "sigma_list = inf"),
+    ])
+    def test_non_finite_values_rejected(self, section, line):
+        key, value = line.split(" = ")
+        sections = {"run": {"b": "2.0"}, "init": {"family": "sech"}}
+        sections.setdefault(section, {})[key] = value
+        with pytest.raises(ConfigurationError, match=f"^{key} must be finite"):
+            parse_config(_config_text(sections))
 
 
 class TestSnapshotIO:
