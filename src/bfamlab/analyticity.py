@@ -23,9 +23,8 @@ import numpy as np
 
 from .errors import ConfigurationError, InsufficientBandError
 from .grid import SpectralField
-from .norms import km_phi, sobolev_norm
+from .norms import ROUNDOFF_FLOOR, km_phi, sobolev_norm
 
-FIT_FLOOR = 1e-13
 DEFAULT_FIT_K_MIN = 4
 DEFAULT_M_TRUNC = 32
 MIN_FIT_MODES = 8
@@ -65,15 +64,11 @@ class KMBound:
             raise ConfigurationError("lambda must be >= 0 and K_rate > 0")
 
 
-def fit_decay_radius(
-    F: SpectralField,
-    k_min: int = DEFAULT_FIT_K_MIN,
-    floor: float = FIT_FLOOR,
-) -> RadiusFit:
+def fit_decay_radius(F: SpectralField, k_min: int = DEFAULT_FIT_K_MIN) -> RadiusFit:
     """Fit log|u_hat_k| = const - sigma_hat * |xi_k| over the usable band.
 
     Modes below k_min encode bulk shape rather than tail decay and are
-    excluded, as are modes below `floor` relative to the spectral peak.
+    excluded, as are modes below ROUNDOFF_FLOOR relative to the spectral peak.
     Raises InsufficientBandError with fewer than 8 usable modes.
     """
     grid = F.grid
@@ -85,7 +80,7 @@ def fit_decay_radius(
     ks = np.arange(1, half)
     amp = amp_all[ks]
     candidate = ks >= k_min
-    above_floor = amp > floor * peak
+    above_floor = amp > ROUNDOFF_FLOOR * peak
     usable = candidate & above_floor
     if int(np.sum(usable)) < MIN_FIT_MODES:
         raise InsufficientBandError(
@@ -175,8 +170,6 @@ def km_bound_from_run(trajectory, gamma: float, m_trunc: int = DEFAULT_M_TRUNC) 
     """
     if not trajectory.snapshots:
         raise ConfigurationError("trajectory has no snapshots")
-    if gamma >= 0:
-        raise ConfigurationError(f"gamma must be negative, got {gamma}")
     mu = 1.0 + max(sobolev_norm(u, 2.0) for _, u in trajectory.snapshots)
     phi0 = km_phi(trajectory.snapshots[0][1], gamma, m_trunc)
     lam = km_lambda(trajectory.b, mu, phi0)

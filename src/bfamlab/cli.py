@@ -53,7 +53,6 @@ def _build_parser() -> _Parser:
     p_radius = sub.add_parser("radius", help="spectral decay fit of a snapshot")
     p_radius.add_argument("--snapshot", required=True)
     p_radius.add_argument("--k-min", type=int, default=analyticity.DEFAULT_FIT_K_MIN)
-    p_radius.add_argument("--floor", type=float, default=analyticity.FIT_FLOOR)
 
     p_taylor = sub.add_parser("taylor", help="time-Taylor series report")
     p_taylor.add_argument("--config", required=True)
@@ -64,19 +63,19 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _read_config(path) -> tuple:
+def _read_config(path) -> scenarios.RunConfig:
     try:
         text = Path(path).read_text()
     except OSError as err:
         raise SnapshotError(f"cannot read config {path}: {err}") from err
-    return scenarios.parse_config(text), text
+    return scenarios.parse_config(text)
 
 
 def _cmd_run(args) -> int:
-    cfg, text = _read_config(args.config)
-    result = scenarios.run_scenario(cfg, config_text=text)
+    cfg = _read_config(args.config)
+    result = scenarios.run_scenario(cfg)
     final = result.rows[-1]
-    print(f"run complete: b = {cfg.b:g}, {len(result.rows)} samples, "
+    print(f"run complete: b = {cfg.evolve.b:g}, {len(result.rows)} samples, "
           f"t_final = {final.t:g}")
     print(f"outputs in {cfg.output_dir}")
     print(f"final sigma_hat = {final.sigma_hat:.6g} (fit quality {final.fit_quality:.4f}), "
@@ -117,7 +116,7 @@ def _cmd_norms(args) -> int:
 def _cmd_radius(args) -> int:
     snap = scenarios.read_snapshot(args.snapshot)
     u = scenarios.field_of(snap)
-    fit = analyticity.fit_decay_radius(dft(u), k_min=args.k_min, floor=args.floor)
+    fit = analyticity.fit_decay_radius(dft(u), k_min=args.k_min)
     print(f"sigma_hat   = {fit.sigma_hat:.12g}")
     print(f"fit_quality = {fit.fit_quality:.12g}")
     print(f"band        = modes {fit.band[0]}..{fit.band[1]}")
@@ -126,9 +125,9 @@ def _cmd_radius(args) -> int:
 
 
 def _cmd_taylor(args) -> int:
-    cfg, _ = _read_config(args.config)
+    cfg = _read_config(args.config)
     u0 = scenarios.build_initial(cfg)
-    series = taylor.taylor_coeffs(u0, cfg.b, args.order)
+    series = taylor.taylor_coeffs(u0, cfg.evolve.b, args.order)
     print(f"computed {series.order + 1} coefficients (c_0 .. c_{series.order})")
     for k, c in enumerate(series.coeffs):
         print(f"  |c_{k}|_L2 = {norms.sobolev_norm(c, 0.0):.6g}")
@@ -137,7 +136,7 @@ def _cmd_taylor(args) -> int:
     t_check = 0.05 if math.isinf(rho) else min(rho / 4.0, 0.05)
     if t_check > 0:
         stepper_cfg = evolve.EvolveConfig(
-            b=cfg.b, t_final=t_check, dt_max=t_check / 2000.0,
+            b=cfg.evolve.b, t_final=t_check, dt_max=t_check / 2000.0,
             sample_interval=t_check, cfl_safety=1.0,
             blowup_threshold=cfg.evolve.blowup_threshold,
         )
@@ -153,14 +152,12 @@ def _cmd_taylor(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    cfg, _ = _read_config(args.config)
-    u0 = scenarios.build_initial(cfg)
-    trajectory = evolve.run(u0, cfg.evolve, monitors=scenarios.STANDARD_MONITORS)
-    rows, bound, _ = scenarios.compute_diagnostics(trajectory, cfg.diagnostics)
+    result = scenarios.simulate(_read_config(args.config))
+    bound = result.bound
     print(f"mu = {bound.mu:.6g}, K = {bound.K_rate:.6g}, gamma = {bound.gamma:.6g}, "
           f"lambda = {bound.lam:.6g}, phi0 = {bound.phi0:.6g}")
     print(f"{'t':>12} {'sigma(t)':>16} {'r(t)':>16}")
-    for row in rows:
+    for row in result.rows:
         radius = analyticity.km_bound_radius(row.t, bound)
         print(f"{row.t:>12.6g} {row.km_sigma_bound:>16.6g} {radius:>16.6g}")
     return 0

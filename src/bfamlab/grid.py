@@ -95,6 +95,18 @@ class GridSpec:
         return self.half_deriv_multiplier[: self.band_size] * self.helmholtz_inv_multiplier[: self.band_size]
 
 
+def _checked(grid: GridSpec, values, dtype, kind: str, entries: str) -> np.ndarray:
+    """values as an array of dtype, checked to hold N finite entries."""
+    array = np.asarray(values, dtype=dtype)
+    if array.shape != (grid.n_points,):
+        raise ConfigurationError(
+            f"expected {grid.n_points} {entries}, got shape {array.shape}"
+        )
+    if not np.all(np.isfinite(array)):
+        raise NumericalError(f"{kind} {entries} are not all finite")
+    return array
+
+
 @dataclass(frozen=True)
 class RealField:
     """N real samples of a function on the grid; samples[j] = u(x_j)."""
@@ -103,14 +115,8 @@ class RealField:
     samples: np.ndarray
 
     def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=np.float64)
+        samples = _checked(self.grid, self.samples, np.float64, "field", "samples")
         object.__setattr__(self, "samples", samples)
-        if samples.shape != (self.grid.n_points,):
-            raise ConfigurationError(
-                f"expected {self.grid.n_points} samples, got shape {samples.shape}"
-            )
-        if not np.all(np.isfinite(samples)):
-            raise NumericalError("field samples are not all finite")
 
 
 @dataclass(frozen=True)
@@ -121,14 +127,8 @@ class SpectralField:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        coeffs = np.asarray(self.coeffs, dtype=np.complex128)
+        coeffs = _checked(self.grid, self.coeffs, np.complex128, "spectral", "coefficients")
         object.__setattr__(self, "coeffs", coeffs)
-        if coeffs.shape != (self.grid.n_points,):
-            raise ConfigurationError(
-                f"expected {self.grid.n_points} coefficients, got shape {coeffs.shape}"
-            )
-        if not np.all(np.isfinite(coeffs)):
-            raise NumericalError("spectral coefficients are not all finite")
 
     def coeff(self, k: int) -> complex:
         """Coefficient of integer mode k in [-N/2, N/2)."""

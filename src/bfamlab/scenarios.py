@@ -2,10 +2,11 @@
 
 A run is described by an INI-style config file with sections
 [grid], [run], [init], [diagnostics], [output]; the exact grammar and the
-default for every key are documented in the README. Config files are the
-reproducibility unit: each run directory receives a config copy, the
-diagnostics CSV (plus plot-ready two-column companions), the initial and
-final field snapshots, and a JSON manifest.
+default for every key are documented in the README. The parsed RunConfig is
+the one source of what a run uses: `simulate` runs the pipeline in memory and
+`run_scenario` persists it, into a run directory holding render_config(cfg) as
+config.ini, the diagnostics CSV (plus plot-ready two-column companions), the
+initial and final field snapshots, and a JSON manifest.
 """
 
 from __future__ import annotations
@@ -90,7 +91,6 @@ class DiagnosticsSpec:
 @dataclass(frozen=True)
 class RunConfig:
     grid: GridSpec
-    b: float
     evolve: evolve.EvolveConfig
     init: InitSpec
     diagnostics: DiagnosticsSpec
@@ -207,7 +207,7 @@ CONFIG_SCHEMA = (
     ConfigKey("grid", "n_points", "grid", "n_points", int, 512),
     ConfigKey("grid", "box_length", "grid", "box_length", float, 2.0 * math.pi),
     ConfigKey("grid", "dealias_fraction", "grid", "dealias_fraction", float),
-    ConfigKey("run", "b", "", "b", float, _REQUIRED),
+    ConfigKey("run", "b", "evolve", "b", float, _REQUIRED),
     ConfigKey("run", "t_final", "evolve", "t_final", float, 1.0),
     ConfigKey("run", "dt_max", "evolve", "dt_max", float, 0.02),
     ConfigKey("run", "sample_interval", "evolve", "sample_interval", float, 0.1),
@@ -282,7 +282,7 @@ def parse_config(text: str) -> RunConfig:
         values[row.part][row.field] = value
     return RunConfig(
         grid=GridSpec(**values["grid"]),
-        evolve=evolve.EvolveConfig(b=values[""]["b"], **values["evolve"]),
+        evolve=evolve.EvolveConfig(**values["evolve"]),
         init=InitSpec(**values["init"]),
         diagnostics=DiagnosticsSpec(**values["diagnostics"]),
         **values[""],
@@ -449,23 +449,28 @@ def compute_diagnostics(trajectory, diag: DiagnosticsSpec):
     return rows, bound, fits
 
 
-def run_scenario(cfg: RunConfig, config_text: Optional[str] = None) -> ScenarioResult:
-    """Full pipeline: init -> evolve -> per-sample diagnostics -> strip bound,
-    persisting everything into cfg.output_dir."""
+def simulate(cfg: RunConfig) -> ScenarioResult:
+    """The pipeline in memory: init -> evolve -> per-sample diagnostics -> strip bound."""
+    trajectory = evolve.run(build_initial(cfg), cfg.evolve, monitors=STANDARD_MONITORS)
+    rows, bound, fits = compute_diagnostics(trajectory, cfg.diagnostics)
+    return ScenarioResult(cfg, trajectory, rows, bound, fits)
+
+
+def run_scenario(cfg: RunConfig) -> ScenarioResult:
+    """simulate(cfg), persisting everything into cfg.output_dir; config.ini is
+    render_config(cfg), so it names every value the run used."""
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "config.ini").write_text(config_text or render_config(cfg))
+    (out / "config.ini").write_text(render_config(cfg))
     started = time.time()
     status = 0
     try:
-        u0 = build_initial(cfg)
-        trajectory = evolve.run(u0, cfg.evolve, monitors=STANDARD_MONITORS)
-        rows, bound, fits = compute_diagnostics(trajectory, cfg.diagnostics)
-        emit_diagnostics(rows, out / "diagnostics.csv")
-        write_snapshot(out / "initial.bgev", snapshot_of(u0, 0.0, cfg.b))
-        t_end, u_end = trajectory.snapshots[-1]
-        write_snapshot(out / "final.bgev", snapshot_of(u_end, t_end, cfg.b))
-        return ScenarioResult(cfg, trajectory, rows, bound, fits)
+        result = simulate(cfg)
+        emit_diagnostics(result.rows, out / "diagnostics.csv")
+        snapshots = result.trajectory.snapshots
+        for name, (t, u) in (("initial", snapshots[0]), ("final", snapshots[-1])):
+            write_snapshot(out / f"{name}.bgev", snapshot_of(u, t, cfg.evolve.b))
+        return result
     except BaseException as err:
         status = exit_code_for(err)
         raise

@@ -19,6 +19,7 @@ from bfamlab import (
     rk4_step,
     run,
 )
+from bfamlab import evolve
 from bfamlab.scenarios import STANDARD_MONITORS, initial_data
 
 
@@ -156,6 +157,11 @@ class TestFftBudget:
     def test_rhs_budget(self, u, fft_counts):
         rhs_F(u, 2.0)
         assert fft_counts == {"real": 5, "complex": 0, "combine": 1}
+
+    def test_sign_certificate_budget(self, u, fft_counts):
+        # both extremes of the verdict come from one momentum field
+        evolve._check_sign_certificate(u)
+        assert fft_counts == {"real": 0, "complex": 2, "combine": 0}
 
 
 class TestRun:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bfamlab import (
     ConfigurationError,
@@ -207,3 +209,53 @@ class TestHalfSpectrum:
         assert np.allclose(grid.half_deriv_multiplier * u_hat, expected_deriv, rtol=0, atol=1e-13)
         expected_nonlocal = deriv(helmholtz_inv(dft(random_field)), 1).coeffs[:m]
         assert np.allclose(grid.band_nonlocal_multiplier * u_hat[:m], expected_nonlocal, rtol=0, atol=1e-14)
+
+
+random_grids = st.tuples(
+    st.integers(4, 256).map(lambda half: 2 * half),
+    st.floats(0.5, 100.0),
+    st.integers(0, 2**32 - 1),
+)
+
+
+def _noise(n, box_length, seed):
+    """White-noise samples, every mode the Nyquist one included excited."""
+    return RealField(make_grid(n, box_length), np.random.default_rng(seed).standard_normal(n))
+
+
+class TestTransformProperties:
+    """The transforms on random even N in [8, 512] and box lengths in [0.5, 100]."""
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(random_grids)
+    def test_round_trip(self, case):
+        u = _noise(*case)
+        error = np.max(np.abs(idft(dft(u)).samples - u.samples))
+        assert error <= 1e-14 * np.max(np.abs(u.samples))
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(random_grids)
+    def test_helmholtz_inverse(self, case):
+        F = dft(_noise(*case))
+        error = np.max(np.abs(helmholtz_inv(helmholtz(F)).coeffs - F.coeffs))
+        assert error <= 1e-14 * np.max(np.abs(F.coeffs))
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(random_grids)
+    def test_derivative_of_a_sine(self, case):
+        n, box_length, seed = case
+        grid = make_grid(n, box_length)
+        q = 1 + seed % (n // 2 - 1)  # every mode below Nyquist
+        phase = (2.0 * np.pi * q / n) * np.arange(n)
+        xi_q = 2.0 * np.pi * q / box_length
+        du = idft(deriv(dft(RealField(grid, np.sin(phase))), 1)).samples
+        assert np.max(np.abs(du - xi_q * np.cos(phase))) <= 1e-12 * xi_q
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(random_grids)
+    def test_half_multiplier_is_the_full_derivative(self, case):
+        F = dft(_noise(*case))
+        half = F.grid.n_points // 2 + 1
+        np.testing.assert_array_equal(
+            F.grid.half_deriv_multiplier * F.coeffs[:half], deriv(F, 1).coeffs[:half]
+        )

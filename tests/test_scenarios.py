@@ -112,7 +112,7 @@ class TestParseConfig:
         cfg = parse_config(MINIMAL)
         assert cfg.grid.n_points == 512
         assert cfg.grid.box_length == pytest.approx(2 * math.pi)
-        assert cfg.b == 2.0
+        assert cfg.evolve.b == 2.0
         assert cfg.evolve.cfl_safety == 0.2
         assert cfg.diagnostics.s == 2.0
         assert cfg.init.family == "sine"
@@ -166,7 +166,7 @@ NON_DEFAULT = {
     ("grid", "n_points"): ("64", "grid.n_points"),
     ("grid", "box_length"): ("10.0", "grid.box_length"),
     ("grid", "dealias_fraction"): ("0.5", "grid.dealias_fraction"),
-    ("run", "b"): ("-1.5", "b"),
+    ("run", "b"): ("-1.5", "evolve.b"),
     ("run", "t_final"): ("0.5", "evolve.t_final"),
     ("run", "dt_max"): ("0.01", "evolve.dt_max"),
     ("run", "sample_interval"): ("0.05", "evolve.sample_interval"),
@@ -284,8 +284,7 @@ class TestConfigSchema:
         cfg = parse_config(_config_text(sections))
         before, after = _flat_fields(base), _flat_fields(cfg)
         changed = {name for name in before if before[name] != after[name]}
-        # run.b is RunConfig.b and is handed on to EvolveConfig.b
-        assert changed == ({"b", "evolve.b"} if field == "b" else {field})
+        assert changed == {field}
         assert parse_config(render_config(cfg)) == cfg
 
     def test_readme_table_matches_schema(self):
@@ -406,7 +405,7 @@ class TestRunScenario:
         out = tmp_path / "runA"
         text = SMALL_RUN.format(outdir=out)
         cfg = parse_config(text)
-        result = run_scenario(cfg, config_text=text)
+        result = run_scenario(cfg)
 
         for name in (
             "config.ini",
@@ -427,10 +426,7 @@ class TestRunScenario:
         persisted = (out / "config.ini").read_text()
         cfg2 = parse_config(persisted)
         out2 = tmp_path / "runB"
-        cfg2 = type(cfg2)(
-            grid=cfg2.grid, b=cfg2.b, evolve=cfg2.evolve, init=cfg2.init,
-            diagnostics=cfg2.diagnostics, output_dir=str(out2),
-        )
+        cfg2 = dataclasses.replace(cfg2, output_dir=str(out2))
         run_scenario(cfg2)
         a = (out / "diagnostics.csv").read_text()
         b = (out2 / "diagnostics.csv").read_text()
@@ -441,7 +437,7 @@ class TestRunScenario:
 
         out = tmp_path / "run"
         text = SMALL_RUN.format(outdir=out)
-        run_scenario(parse_config(text), config_text=text)
+        run_scenario(parse_config(text))
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["exit_status"] == 0
         assert manifest["finished_unix"] >= manifest["started_unix"]
@@ -465,8 +461,40 @@ family = sine
 [output]
 dir = {outdir}
 """.format(outdir=tmp_path / "sine_run")
-        result = run_scenario(parse_config(text), config_text=text)
+        result = run_scenario(parse_config(text))
         assert all(math.isnan(row.sigma_hat) for row in result.rows)
         assert all(math.isnan(row.fit_quality) for row in result.rows)
         assert result.bound.gamma == -0.05
         assert all(np.isfinite(row.km_sigma_bound) for row in result.rows)
+
+
+class TestRunConfigIsTheOnlySource:
+    """What a run writes is what its RunConfig says, and b is held once."""
+
+    def test_replaced_b_is_the_b_the_files_record(self, tmp_path):
+        out = tmp_path / "run"
+        cfg = parse_config(SMALL_RUN.format(outdir=out))
+        cfg = dataclasses.replace(cfg, evolve=dataclasses.replace(cfg.evolve, b=1.0))
+        result = run_scenario(cfg)
+        assert result.trajectory.b == 1.0
+        assert parse_config((out / "config.ini").read_text()) == cfg
+        for name in ("initial.bgev", "final.bgev"):
+            assert read_snapshot(out / name).b == result.trajectory.b
+
+    def test_b_is_not_a_run_config_field(self):
+        with pytest.raises(TypeError):
+            dataclasses.replace(parse_config(MINIMAL), b=1.0)
+
+    def test_config_copy_is_the_render(self, tmp_path):
+        out = tmp_path / "run"
+        cfg = parse_config(SMALL_RUN.format(outdir=out))
+        run_scenario(cfg)
+        assert (out / "config.ini").read_bytes() == render_config(cfg).encode()
+
+    def test_rerun_of_the_config_copy_reproduces_the_outputs(self, tmp_path):
+        out = tmp_path / "run"
+        run_scenario(parse_config(SMALL_RUN.format(outdir=out)))
+        names = ("config.ini", "diagnostics.csv", "initial.bgev", "final.bgev")
+        first = {name: (out / name).read_bytes() for name in names}
+        run_scenario(parse_config(first["config.ini"].decode()))
+        assert {name: (out / name).read_bytes() for name in names} == first
