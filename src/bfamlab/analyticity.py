@@ -165,12 +165,19 @@ def km_bound_from_run(trajectory, gamma: float, m_trunc: int = DEFAULT_M_TRUNC) 
     """Populate the bound constants from a sampled trajectory.
 
     mu is the sampled maximum of 1 + |u|_{H^2} (under-sampling can
-    under-estimate it); phi0 evaluates the strip functional of the initial
-    state at sigma = gamma, matching the ODE initial condition.
+    under-estimate it), read from the 'h2' column of trajectory.diagnostics
+    when that monitor ran and computed from the snapshots otherwise; phi0
+    evaluates the strip functional of the initial state at sigma = gamma,
+    matching the ODE initial condition.
     """
     if not trajectory.snapshots:
         raise ConfigurationError("trajectory has no snapshots")
-    mu = 1.0 + max(sobolev_norm(u, 2.0) for _, u in trajectory.snapshots)
+    rows = trajectory.diagnostics
+    if rows and all("h2" in row for row in rows):
+        h2 = [row["h2"] for row in rows]
+    else:
+        h2 = [sobolev_norm(u, 2.0) for _, u in trajectory.snapshots]
+    mu = 1.0 + max(h2)
     phi0 = km_phi(trajectory.snapshots[0][1], gamma, m_trunc)
     lam = km_lambda(trajectory.b, mu, phi0)
     k_rate, _ = km_constants(trajectory.b, mu, phi0)

@@ -91,7 +91,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_norms(args) -> int:
     snap = scenarios.read_snapshot(args.snapshot)
-    u = scenarios.field_of(snap)
+    # one transform of the snapshot serves every norm below
+    u = norms._spectrum(scenarios.field_of(snap))
     print(f"snapshot: N = {snap.n_points}, L = {snap.box_length:g}, "
           f"t = {snap.t:g}, b = {snap.b:g}")
     print(f"l2          = {norms.sobolev_norm(u, 0.0):.12g}")

@@ -7,6 +7,11 @@ The evolution law is
 a one-parameter family containing Camassa-Holm (b = 2) and
 Degasperis-Procesi (b = 3). Quadratic products are formed in physical
 space and their spectra dealiased before any further multiplier is applied.
+
+The two products, u u_x and (b/2) u^2 + ((3-b)/2) u_x^2, are the rows of
+one (2, N) array, and one combine, `_rhs_from_products`, turns them into
+the band of F with one stacked rfft. `rhs_F`, every RK4 stage of
+`evolve` and every order of the `taylor` recursion go through it.
 """
 
 from __future__ import annotations
@@ -18,33 +23,41 @@ from .grid import GridSpec, RealField, dft, helmholtz, helmholtz_inv, idft
 from .norms import sobolev_norm
 
 
-def _rhs_from_products(grid: GridSpec, b: float, advect: np.ndarray, square: np.ndarray, dsquare: np.ndarray) -> np.ndarray:
-    """Band of -advect - d/dx Helmholtz^{-1}((b/2) square + ((3-b)/2) dsquare).
+def _products(b: float, advect: np.ndarray, square: np.ndarray, dsquare: np.ndarray, out=None) -> np.ndarray:
+    """The combine's input, rows [advect, (b/2) square + ((3-b)/2) dsquare].
 
-    The three inputs are physical-space products (u*v_x, u*v, u_x*v_x style).
-    Returns the first grid.band_size entries of the unnormalised rfft of the
-    result: only the dealiased band of each product spectrum is used, so
-    np.fft.irfft(band, N) zero-pads it back to samples. Shared by the direct
-    RHS evaluation, the RK4 stages and the time-Taylor recursion so all
-    follow one code path.
+    The three inputs are physical-space products (u*v_x, u*v, u_x*v_x
+    style); `out`, when given, is a (2, N) work array that receives them.
+    """
+    if out is None:
+        out = np.empty((2, advect.size))
+    out[0] = advect
+    np.add((0.5 * b) * square, (0.5 * (3.0 - b)) * dsquare, out=out[1])
+    return out
+
+
+def _rhs_from_products(grid: GridSpec, products: np.ndarray, out=None) -> np.ndarray:
+    """Band of -products[0] - d/dx Helmholtz^{-1} products[1].
+
+    `products` is the (2, N) array of `_products`; both rows are transformed
+    by one stacked rfft, written into `out` when given. Returns the first
+    grid.band_size entries of the unnormalised rfft of the result: only the
+    dealiased band of each product spectrum is used, so
+    np.fft.irfft(band, N) zero-pads it back to samples.
     """
     m = grid.band_size
-    q = 0.5 * b * square + 0.5 * (3.0 - b) * dsquare
-    return -(np.fft.rfft(advect)[:m] + grid.band_nonlocal_multiplier * np.fft.rfft(q)[:m])
-
-
-def _rhs_band(grid: GridSpec, b: float, u_hat: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Band of F(u), given the samples u and their half spectrum u_hat = rfft(u)."""
-    ux = np.fft.irfft(grid.half_deriv_multiplier * u_hat, grid.n_points)
-    return _rhs_from_products(grid, b, u * ux, u * u, ux * ux)
+    spectra = np.fft.rfft(products, out=out)
+    return -(spectra[0, :m] + grid.band_nonlocal_multiplier * spectra[1, :m])
 
 
 def rhs_F(u: RealField, b: float) -> RealField:
     """Evaluate F(u) pseudo-spectrally with dealiased quadratic products."""
     require_finite("b", b)
     grid = u.grid
-    band = _rhs_band(grid, b, np.fft.rfft(u.samples), u.samples)
-    return RealField(grid, np.fft.irfft(band, grid.n_points))
+    n, u = grid.n_points, u.samples
+    ux = np.fft.irfft(grid.half_deriv_multiplier * np.fft.rfft(u), n)
+    band = _rhs_from_products(grid, _products(b, u * ux, u * u, ux * ux))
+    return RealField(grid, np.fft.irfft(band, n))
 
 
 def momentum(u: RealField) -> RealField:

@@ -4,6 +4,16 @@ The nonlocal term's multiplier |xi|/(1+xi^2) is bounded by 1/2, so advection
 dominates stability and an advective CFL condition suffices for the explicit
 stepper. Steps are clipped to land exactly on each sample time, so diagnostics
 are recorded without interpolation.
+
+A march carries the state's half spectrum rfft(u), and the samples of u and
+u_x, from step to step in work arrays allocated once. An RK4 stage is two
+numpy.fft calls: one stacked irfft gives u and u_x of the stage spectrum,
+one stacked rfft of the two products (inside `dynamics._rhs_from_products`)
+gives the stage's band. Stage 1 reuses the u and u_x that closed the
+previous step, so a step is 16 real transforms in 8 calls. Only the
+dealiased band moves; modes above the cutoff keep their initial values.
+One reading per step, peak = max|u|, feeds the blow-up test and the next
+CFL step.
 """
 
 from __future__ import annotations
@@ -14,8 +24,8 @@ from typing import Callable, Mapping, Optional
 
 import numpy as np
 
-from .dynamics import _rhs_band, momentum
-from .errors import BlowupError, ConfigurationError, NumericalError, require_finite
+from .dynamics import _products, _rhs_from_products, momentum
+from .errors import BlowupError, ConfigurationError, require_finite
 from .grid import RealField
 
 SIGN_TOL = 1e-10
@@ -59,12 +69,22 @@ class Trajectory:
 
     snapshots[i] is (t_i, field) with strictly increasing t_i, starting at the
     initial datum; diagnostics[i] maps 't', 'dt_used', and each monitor name
-    to its value at t_i.
+    to its value at t_i. steps counts the completed RK4 steps, and dt_min and
+    dt_max are the smallest and largest of their step sizes (None before the
+    first step).
     """
 
     b: float
     snapshots: list = field(default_factory=list)
     diagnostics: list = field(default_factory=list)
+    steps: int = 0
+    dt_min: Optional[float] = None
+    dt_max: Optional[float] = None
+
+    def _count_step(self, dt: float) -> None:
+        self.steps += 1
+        self.dt_min = dt if self.dt_min is None else min(self.dt_min, dt)
+        self.dt_max = dt if self.dt_max is None else max(self.dt_max, dt)
 
     @property
     def times(self) -> np.ndarray:
@@ -75,10 +95,80 @@ class Trajectory:
         return self.snapshots[-1][1]
 
 
+def _cfl_step(peak: float, dx: float, cfg: EvolveConfig) -> float:
+    """dt = min(dt_max, cfl_safety * dx / max(peak, velocity floor))."""
+    return min(cfg.dt_max, cfg.cfl_safety * dx / max(peak, _VELOCITY_FLOOR))
+
+
 def cfl_dt(u: RealField, cfg: EvolveConfig) -> float:
     """dt = min(dt_max, cfl_safety * dx / max|u|), with a velocity floor."""
-    speed = max(float(np.max(np.abs(u.samples))), _VELOCITY_FLOOR)
-    return min(cfg.dt_max, cfg.cfl_safety * u.grid.dx / speed)
+    return _cfl_step(float(np.max(np.abs(u.samples))), u.grid.dx, cfg)
+
+
+class _March:
+    """The carried state of an RK4 march and its work arrays.
+
+    u_hat is rfft(u). Row 0 of `spectra` is the current stage's half
+    spectrum: its band is rewritten every stage, and its modes above the
+    band are those of u_hat, which never change. Row 1 is i xi times row 0.
+    `fields` holds the samples of u and u_x at the current stage; after a
+    step it holds those of the new state. `peak` is max|u| of the state.
+    """
+
+    def __init__(self, u: RealField, b: float, blowup_threshold: float):
+        grid = self.grid = u.grid
+        self.b, self.blowup_threshold = b, blowup_threshold
+        self.u_hat = np.fft.rfft(u.samples)
+        self.spectra = np.array([self.u_hat, grid.half_deriv_multiplier * self.u_hat])
+        self.fields = np.array([u.samples, np.fft.irfft(self.spectra[1], grid.n_points)])
+        self.products = np.empty_like(self.fields)
+        self.product_spectra = np.empty_like(self.spectra)
+        self.peak = float(np.max(np.abs(u.samples)))
+
+    def state(self) -> RealField:
+        """The current state, with samples of its own (the work arrays are reused)."""
+        return RealField(self.grid, self.fields[0].copy())
+
+    def _band_rhs(self) -> np.ndarray:
+        """Band of F at the stage whose u and u_x samples are in `fields`."""
+        u, ux = self.fields
+        products = _products(self.b, u * ux, u * u, ux * ux, out=self.products)
+        return _rhs_from_products(self.grid, products, out=self.product_spectra)
+
+    def _load(self, band: np.ndarray) -> None:
+        """Make band the stage spectrum's band; one stacked irfft puts its
+        u and u_x into `fields`."""
+        grid, spectra = self.grid, self.spectra
+        m = grid.band_size
+        spectra[0, :m] = band
+        # above the band, row 1 already holds i xi times the frozen modes
+        np.multiply(grid.half_deriv_multiplier[:m], band, out=spectra[1, :m])
+        np.fft.irfft(spectra, grid.n_points, out=self.fields)
+
+    def step(self, dt: float) -> None:
+        """Advance the state by one classical four-stage Runge-Kutta step.
+
+        Raises BlowupError unless the new peak is at most blowup_threshold;
+        a NaN peak fails that test too, so a non-finite state never passes.
+        """
+        u_hat = self.u_hat[: self.grid.band_size]
+        k1 = self._band_rhs()
+        self._load(u_hat + (0.5 * dt) * k1)
+        k2 = self._band_rhs()
+        self._load(u_hat + (0.5 * dt) * k2)
+        k3 = self._band_rhs()
+        self._load(u_hat + dt * k3)
+        k4 = self._band_rhs()
+        u_hat += (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        self._load(u_hat)
+        peak = float(np.max(np.abs(self.fields[0])))
+        if not peak <= self.blowup_threshold:
+            raise BlowupError(
+                f"sup norm {peak:.3e} exceeded blow-up threshold {self.blowup_threshold:.3e}"
+                if math.isfinite(peak)
+                else "non-finite state after RK4 step: field samples are not all finite"
+            )
+        self.peak = peak
 
 
 def rk4_step(
@@ -86,37 +176,16 @@ def rk4_step(
 ) -> RealField:
     """One classical four-stage Runge-Kutta step of the b-family flow.
 
-    The stages run on the half spectrum rfft(u). Every increment is
-    dealiased, so only the band k < grid.band_size is updated and modes
-    above the cutoff keep their values. One RealField is built, for the
-    result; its finiteness check covers every stage, since a non-finite
-    stage value reaches the result through the band.
+    The step of `run`'s march, taken once from u: only the band
+    k < grid.band_size is updated, and modes above the cutoff keep their
+    values.
     """
     if not 0 < dt < math.inf:
         raise ConfigurationError(f"dt must be positive and finite, got {dt}")
     require_finite("b", b)
-    grid = u.grid
-    n, m = grid.n_points, grid.band_size
-    u_hat = np.fft.rfft(u.samples)
-    k1 = _rhs_band(grid, b, u_hat, u.samples)
-    stage_hat = u_hat.copy()
-    stage_hat[:m] = u_hat[:m] + (0.5 * dt) * k1
-    k2 = _rhs_band(grid, b, stage_hat, np.fft.irfft(stage_hat, n))
-    stage_hat[:m] = u_hat[:m] + (0.5 * dt) * k2
-    k3 = _rhs_band(grid, b, stage_hat, np.fft.irfft(stage_hat, n))
-    stage_hat[:m] = u_hat[:m] + dt * k3
-    k4 = _rhs_band(grid, b, stage_hat, np.fft.irfft(stage_hat, n))
-    u_hat[:m] += (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    try:
-        out = RealField(grid, np.fft.irfft(u_hat, n))
-    except NumericalError as err:
-        raise BlowupError(f"non-finite state after RK4 step: {err}") from err
-    peak = float(np.max(np.abs(out.samples)))
-    if peak > blowup_threshold:
-        raise BlowupError(
-            f"sup norm {peak:.3e} exceeded blow-up threshold {blowup_threshold:.3e}"
-        )
-    return out
+    march = _March(u, b, blowup_threshold)
+    march.step(dt)
+    return march.state()
 
 
 def _sample_times(cfg: EvolveConfig) -> list:
@@ -166,24 +235,26 @@ def run(
         traj.diagnostics.append(row)
 
     record(0.0, u0, 0.0)
-    u, t = u0, 0.0
+    march = _March(u0, cfg.b, cfg.blowup_threshold)
+    t = 0.0
     eps = 1e-12 * max(1.0, cfg.t_final)
     for t_target in _sample_times(cfg):
         dt = 0.0
         while t_target - t > eps:
-            dt_cfl = cfl_dt(u, cfg)
+            dt_cfl = _cfl_step(march.peak, u0.grid.dx, cfg)
             remaining = t_target - t
             if dt_cfl >= remaining - eps:
                 dt, t_next = remaining, t_target
             else:
                 dt, t_next = dt_cfl, t + dt_cfl
             try:
-                u = rk4_step(u, dt, cfg.b, cfg.blowup_threshold)
+                march.step(dt)
             except BlowupError as err:
                 raise _diagnose_blowup(err, u0, t, traj) from err
+            traj._count_step(dt)
             t = t_next
         t = t_target
-        record(t, u, dt)
+        record(t, march.state(), dt)
     return traj
 
 

@@ -21,6 +21,10 @@ from these sums: high-order spectral derivatives amplify round-off by
 |xi|^j and would otherwise masquerade as norm growth. The open-ended sums
 (hm_norm, km_radius_norm) take 32 orders per block and stop at the first
 run of three consecutive terms below 1e-16 of the running value.
+
+Each norm takes one rfft of its field. A caller that takes several norms of
+one state can take that transform once: every norm accepts the result of
+`_spectrum(u)` in place of u.
 """
 
 from __future__ import annotations
@@ -48,13 +52,23 @@ class GevreyNorm(NamedTuple):
     diverged: bool
 
 
-def _spectrum(u: RealField):
+class _Spectrum(NamedTuple):
     """(|xi_k|, L p_k |u_hat_k|^2, |u_hat_k|) over the half spectrum k = 0 .. N/2."""
+
+    abs_xi: np.ndarray
+    weight: np.ndarray
+    amp: np.ndarray
+
+
+def _spectrum(u) -> _Spectrum:
+    """The half spectrum of u by one rfft; a _Spectrum passes through as it is."""
+    if isinstance(u, _Spectrum):
+        return u
     grid = u.grid
     amp = np.abs(np.fft.rfft(u.samples)) / grid.n_points
     pair = np.full(amp.size, 2.0)
     pair[[0, -1]] = 1.0
-    return np.abs(grid.xi[: amp.size]), grid.box_length * pair * amp**2, amp
+    return _Spectrum(np.abs(grid.xi[: amp.size]), grid.box_length * pair * amp**2, amp)
 
 
 def _resolved_spectrum(u: RealField):

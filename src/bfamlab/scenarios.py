@@ -463,16 +463,18 @@ def run_scenario(cfg: RunConfig) -> ScenarioResult:
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.ini").write_text(render_config(cfg))
     started = time.time()
-    status = 0
+    status, trajectory = 0, None
     try:
         result = simulate(cfg)
+        trajectory = result.trajectory
         emit_diagnostics(result.rows, out / "diagnostics.csv")
-        snapshots = result.trajectory.snapshots
+        snapshots = trajectory.snapshots
         for name, (t, u) in (("initial", snapshots[0]), ("final", snapshots[-1])):
             write_snapshot(out / f"{name}.bgev", snapshot_of(u, t, cfg.evolve.b))
         return result
     except BaseException as err:
         status = exit_code_for(err)
+        trajectory = getattr(err, "trajectory", None) or trajectory
         raise
     finally:
         manifest = {
@@ -480,6 +482,9 @@ def run_scenario(cfg: RunConfig) -> ScenarioResult:
             "finished_unix": time.time(),
             "exit_status": status,
         }
+        if trajectory is not None:
+            manifest.update(steps=trajectory.steps, dt_min=trajectory.dt_min,
+                            dt_max=trajectory.dt_max)
         (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 

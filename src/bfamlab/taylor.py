@@ -13,10 +13,10 @@ evaluation exactly (shared code path).
 The coefficients c_k and derivatives d_x c_k are rows of two preallocated
 arrays, so each Cauchy sum is one contraction over the rows. The two
 symmetric sums add the pairs i < j once, doubled, plus the middle term
-i = j when k is even. Each order costs four real FFTs: the two product
-transforms inside the shared combine, and the inverse transforms of the
-new coefficient's band and of i xi times that band, so d_x c_{k+1} never
-round-trips through the samples.
+i = j when k is even. Each order costs four real FFTs in two stacked calls:
+the two product transforms inside the shared combine, and the inverse
+transforms of the new coefficient's band and of i xi times that band, so
+d_x c_{k+1} never round-trips through the samples.
 
 The temporal radius of convergence is estimated by a root test on the
 coefficient norms, once per series.
@@ -32,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dynamics import _rhs_from_products
+from .dynamics import _products, _rhs_from_products
 from .errors import ConfigurationError, NumericalError, require_finite
 from .grid import RealField
 
@@ -88,7 +88,7 @@ def taylor_coeffs(u0: RealField, b: float, order: int) -> TaylorSeries:
     n = grid.n_points
     band_deriv = grid.half_deriv_multiplier[: grid.band_size]
     cs = np.empty((order + 1, n))
-    dcs = np.empty((order, n))  # d_x c_order is never used
+    dcs = np.empty((order + 1, n))  # d_x c_order comes with c_order, unused
     cs[0] = u0.samples
     dcs[0] = np.fft.irfft(grid.half_deriv_multiplier * np.fft.rfft(u0.samples), n)
     kept = order + 1
@@ -100,8 +100,8 @@ def taylor_coeffs(u0: RealField, b: float, order: int) -> TaylorSeries:
         if k % 2 == 0:
             square += cs[k // 2] * cs[k // 2]
             dsquare += dcs[k // 2] * dcs[k // 2]
-        band = _rhs_from_products(grid, b, advect, square, dsquare) / (k + 1)
-        cs[k + 1] = np.fft.irfft(band, n)
+        band = _rhs_from_products(grid, _products(b, advect, square, dsquare)) / (k + 1)
+        cs[k + 1], dcs[k + 1] = np.fft.irfft([band, band_deriv * band], n)
         sup = float(np.max(np.abs(cs[k + 1])))
         if not math.isfinite(sup):
             raise NumericalError(
@@ -116,8 +116,6 @@ def taylor_coeffs(u0: RealField, b: float, order: int) -> TaylorSeries:
             )
             kept = k + 1
             break
-        if k + 1 < order:
-            dcs[k + 1] = np.fft.irfft(band_deriv * band, n)
     if kept < 2:
         raise NumericalError("no usable Taylor coefficients beyond the datum")
     return TaylorSeries(b=b, coeffs=(u0,) + tuple(RealField(grid, c) for c in cs[1:kept]))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import bfamlab.dynamics
+import bfamlab.evolve
 import bfamlab.taylor
 from bfamlab import RealField, make_grid
 
@@ -30,20 +31,31 @@ def random_field(grid_2pi, rng):
 
 @pytest.fixture
 def fft_counts(monkeypatch):
-    """Live tally of real and complex FFTs and of shared-combine calls."""
-    tally = {"real": 0, "complex": 0, "combine": 0}
+    """Live tally of FFTs and of shared-combine calls.
 
-    def counted(fn, key):
-        def wrapper(*args, **kwargs):
-            tally[key] += 1
-            return fn(*args, **kwargs)
+    "real" and "complex" count transformed rows, so a stacked (2, N) rfft
+    counts 2; "calls" counts numpy.fft calls of either kind.
+    """
+    tally = {"real": 0, "complex": 0, "calls": 0, "combine": 0}
+
+    def counted(fft, key):
+        def wrapper(a, *args, **kwargs):
+            tally[key] += int(np.prod(np.shape(a)[:-1], dtype=int))
+            tally["calls"] += 1
+            return fft(a, *args, **kwargs)
 
         return wrapper
 
     for name, key in (("rfft", "real"), ("irfft", "real"), ("fft", "complex"), ("ifft", "complex")):
         monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name), key))
-    # the recursion imports the combine by name, so patch both bindings
-    combine = counted(bfamlab.dynamics._rhs_from_products, "combine")
-    for module in (bfamlab.dynamics, bfamlab.taylor):
-        monkeypatch.setattr(module, "_rhs_from_products", combine)
+
+    combine = bfamlab.dynamics._rhs_from_products
+
+    def counted_combine(*args, **kwargs):
+        tally["combine"] += 1
+        return combine(*args, **kwargs)
+
+    # the stepper and the recursion import the combine by name, so patch every binding
+    for module in (bfamlab.dynamics, bfamlab.evolve, bfamlab.taylor):
+        monkeypatch.setattr(module, "_rhs_from_products", counted_combine)
     return tally

@@ -76,6 +76,16 @@ class TestRunCommand:
         assert main(["run", "--config", str(path)]) == 2
         assert "blow-up" in capsys.readouterr().err
 
+    def test_non_finite_state_exit_code(self, tmp_path, capsys):
+        # u^2 overflows in the first stage and the state turns NaN
+        text = CONFIG.replace("amplitude = 0.25", "amplitude = 1e200").replace(
+            "sample_interval = 0.1", "sample_interval = 0.1\nblowup_threshold = 1e300")
+        path = tmp_path / "nan.ini"
+        path.write_text(text.format(outdir=tmp_path / "out"))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["run", "--config", str(path)]) == 2
+        assert "non-finite state" in capsys.readouterr().err
+
 
 class TestRadiusCommand:
     def test_planted_spectrum_report(self, planted_snapshot, capsys):
@@ -97,6 +107,12 @@ class TestNormsCommand:
         assert code == 0
         out = capsys.readouterr().out
         assert "gevrey" in out and "km_phi" in out
+
+    def test_one_rfft_serves_every_norm(self, planted_snapshot, fft_counts, capsys):
+        argv = ["norms", "--snapshot", str(planted_snapshot), "--sigma", "0.2", "--s", "2.0"]
+        assert main(argv) == 0
+        assert fft_counts == {"real": 1, "complex": 0, "calls": 1, "combine": 0}
+        assert "km_radius" in capsys.readouterr().out
 
     def test_divergent_sigma_noted(self, planted_snapshot, capsys):
         code = main([

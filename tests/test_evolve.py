@@ -151,17 +151,26 @@ class TestFftBudget:
         return RealField(grid, np.exp(-(((grid.x - 40.0) / 3.0) ** 2)))
 
     def test_rk4_step_budget(self, u, fft_counts):
+        # rfft(u) and u_x to start the march, then one 16-transform step
         rk4_step(u, 0.01, 2.0)
-        assert fft_counts == {"real": 17, "complex": 0, "combine": 4}
+        assert fft_counts == {"real": 18, "complex": 0, "calls": 10, "combine": 4}
+
+    def test_run_step_budget(self, u, fft_counts):
+        # dt_max = 0.01 is far below the CFL step 0.2 dx / max|u| = 0.0625
+        cfg = EvolveConfig(b=2.0, t_final=0.1, dt_max=0.01, sample_interval=0.05)
+        traj = run(u, cfg)
+        assert traj.steps == 10
+        # 2 transforms in 2 calls start the march; each step is 16 in 8
+        assert fft_counts == {"real": 2 + 16 * 10, "complex": 0, "calls": 2 + 8 * 10, "combine": 4 * 10}
 
     def test_rhs_budget(self, u, fft_counts):
         rhs_F(u, 2.0)
-        assert fft_counts == {"real": 5, "complex": 0, "combine": 1}
+        assert fft_counts == {"real": 5, "complex": 0, "calls": 4, "combine": 1}
 
     def test_sign_certificate_budget(self, u, fft_counts):
         # both extremes of the verdict come from one momentum field
         evolve._check_sign_certificate(u)
-        assert fft_counts == {"real": 0, "complex": 2, "combine": 0}
+        assert fft_counts == {"real": 0, "complex": 2, "calls": 2, "combine": 0}
 
 
 class TestRun:
@@ -278,6 +287,94 @@ class TestRun:
         fields[name] = value
         with pytest.raises(ConfigurationError, match=f"{name} must be finite"):
             EvolveConfig(**fields)
+
+
+class TestRunMarch:
+    """run's carried-spectrum march: blow-up, agreement with rk4_step, step counts."""
+
+    def test_threshold_overflow_aborts_with_partial_trajectory(self):
+        # the first step's sup|u| is about 1, above the threshold
+        grid = make_grid(64, 2 * np.pi)
+        u0 = RealField(grid, np.sin(grid.x))
+        cfg = EvolveConfig(b=2.0, t_final=1.0, dt_max=0.01, sample_interval=0.05,
+                           blowup_threshold=0.5)
+        with pytest.raises(BlowupError, match="exceeded blow-up threshold") as excinfo:
+            run(u0, cfg)
+        err = excinfo.value
+        assert err.time == 0.0
+        assert err.trajectory.steps == 0
+        assert [t for t, _ in err.trajectory.snapshots] == [0.0]
+        assert "blow-up may be genuine" in str(err)
+
+    def test_nan_state_aborts_with_partial_trajectory(self):
+        # u^2 overflows in the first stage, so the new state is NaN; the
+        # threshold test must still refuse it
+        grid = make_grid(64, 2 * np.pi)
+        u0 = RealField(grid, 1e200 * np.sin(grid.x))
+        cfg = EvolveConfig(b=2.0, t_final=1.0, dt_max=0.01, sample_interval=0.05,
+                           blowup_threshold=1e300)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            BlowupError, match="non-finite state after RK4 step"
+        ) as excinfo:
+            run(u0, cfg)
+        err = excinfo.value
+        assert err.time == 0.0
+        assert err.trajectory.snapshots[0][1] is u0
+        assert err.trajectory.steps == 0
+
+    def test_abort_time_is_the_last_completed_step(self):
+        u0 = bump_datum(n=256, amplitude=1.0, width=5.0)
+        cfg = EvolveConfig(b=3.0, t_final=5.0, dt_max=0.02, sample_interval=0.5,
+                           blowup_threshold=1.2)
+        with pytest.raises(BlowupError) as excinfo:
+            run(u0, cfg)
+        err = excinfo.value
+        traj = err.trajectory
+        # the march aborts after its last completed step, at t ~ steps * dt_max
+        assert traj.steps > 0
+        assert err.time >= traj.snapshots[-1][0]
+        assert err.time == pytest.approx(traj.steps * 0.02, abs=0.02)
+
+    def test_matches_a_loop_of_rk4_step(self, monkeypatch):
+        # CFL-limited: 0.2 dx / max|u| is about 0.08, below dt_max
+        u0 = bump_datum(n=256, amplitude=0.8, width=5.0)
+        cfg = EvolveConfig(b=2.0, t_final=1.0, dt_max=0.2, sample_interval=0.25)
+        dts = []
+        step = evolve._March.step
+
+        def logged(march, dt):
+            dts.append(dt)
+            return step(march, dt)
+
+        monkeypatch.setattr(evolve._March, "step", logged)
+        final = run(u0, cfg).final_state.samples
+        monkeypatch.undo()
+        assert len(set(dts)) > 4
+        u = u0
+        for dt in dts:
+            u = rk4_step(u, dt, cfg.b)
+        assert np.max(np.abs(u.samples - final)) / np.max(np.abs(final)) <= 1e-13
+
+    def test_steps_and_dt_range_recorded(self):
+        # dt_max = 0.01 is far below the CFL step 0.2 dx / max|u| ~ 0.25
+        u0 = bump_datum(n=128)
+        cfg = EvolveConfig(b=2.0, t_final=1.0, dt_max=0.01, sample_interval=0.5)
+        traj = run(u0, cfg)
+        assert traj.steps == math.ceil(cfg.t_final / cfg.dt_max)
+        assert traj.dt_max == pytest.approx(cfg.dt_max, rel=1e-9)
+        assert traj.dt_min == pytest.approx(cfg.dt_max, rel=1e-9)
+
+    def test_zero_horizon_takes_no_step(self):
+        cfg = EvolveConfig(b=2.0, t_final=0.0, dt_max=0.01, sample_interval=0.5)
+        traj = run(bump_datum(n=128), cfg)
+        assert (traj.steps, traj.dt_min, traj.dt_max) == (0, None, None)
+
+    def test_snapshots_own_their_samples(self):
+        u0 = bump_datum(n=128)
+        cfg = EvolveConfig(b=2.0, t_final=0.3, dt_max=0.01, sample_interval=0.1)
+        states = [u.samples for _, u in run(u0, cfg).snapshots]
+        assert all(not np.shares_memory(a, b) for i, a in enumerate(states) for b in states[i + 1:])
+        assert all(np.max(np.abs(a - b)) > 0 for a, b in zip(states, states[1:]))
 
 
 class TestOrderOfAccuracy:

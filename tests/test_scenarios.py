@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from bfamlab import (
+    BlowupError,
     ConfigurationError,
     RealField,
     SnapshotError,
@@ -441,6 +442,45 @@ class TestRunScenario:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["exit_status"] == 0
         assert manifest["finished_unix"] >= manifest["started_unix"]
+        # t_final = 0.2 at dt_max = 0.02, which the CFL step does not limit
+        assert manifest["steps"] == 10
+        assert manifest["dt_min"] == pytest.approx(0.02, rel=1e-9)
+        assert manifest["dt_max"] == pytest.approx(0.02, rel=1e-9)
+
+    def test_manifest_reports_blowup(self, tmp_path):
+        import json
+
+        out = tmp_path / "run"
+        text = SMALL_RUN.format(outdir=out).replace(
+            "sample_interval = 0.1", "sample_interval = 0.1\nblowup_threshold = 0.01")
+        with pytest.raises(BlowupError):
+            run_scenario(parse_config(text))
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["exit_status"] == 2
+        assert (manifest["steps"], manifest["dt_min"], manifest["dt_max"]) == (0, None, None)
+
+    def test_mu_reads_the_h2_column(self, tmp_path, monkeypatch):
+        from bfamlab import analyticity, evolve, norms
+
+        text = SMALL_RUN.format(outdir=tmp_path).replace("t_final = 0.2", "t_final = 1.0")
+        h2_norms = []
+        sobolev_norm = norms.sobolev_norm
+
+        def counted(u, s):
+            if s == 2.0:
+                h2_norms.append(u)
+            return sobolev_norm(u, s)
+
+        # the monitors look the norm up in norms, the bound imports it by name
+        for module in (norms, analyticity):
+            monkeypatch.setattr(module, "sobolev_norm", counted)
+        result = scenarios.simulate(parse_config(text))
+        assert len(result.rows) == 11
+        assert len(h2_norms) == 11
+        assert result.bound.mu == 1.0 + max(row.h2 for row in result.rows)
+        # without the monitor the snapshots give the same mu, bit for bit
+        bare = evolve.Trajectory(b=result.trajectory.b, snapshots=result.trajectory.snapshots)
+        assert analyticity.km_bound_from_run(bare, result.bound.gamma).mu == result.bound.mu
 
     def test_sparse_spectrum_yields_nan_fit_columns(self, tmp_path):
         # a pure sine never has enough usable modes for the decay fit; the
