@@ -161,23 +161,27 @@ def km_bound_radius(t: float, bound: KMBound) -> float:
     return float(np.exp(sigma)) if math.isfinite(sigma) else 0.0
 
 
-def km_bound_from_run(trajectory, gamma: float, m_trunc: int = DEFAULT_M_TRUNC) -> KMBound:
+def km_bound_from_run(
+    trajectory, gamma: float, m_trunc: int = DEFAULT_M_TRUNC, h2_norms=None
+) -> KMBound:
     """Populate the bound constants from a sampled trajectory.
 
     mu is the sampled maximum of 1 + |u|_{H^2} (under-sampling can
-    under-estimate it), read from the 'h2' column of trajectory.diagnostics
-    when that monitor ran and computed from the snapshots otherwise; phi0
-    evaluates the strip functional of the initial state at sigma = gamma,
-    matching the ODE initial condition.
+    under-estimate it). h2_norms, when given, are the H^2 norms of the
+    snapshots in order, as a caller that already took them passes them;
+    otherwise they are computed from the snapshots. phi0 evaluates the
+    strip functional of the initial state at sigma = gamma, matching the
+    ODE initial condition.
     """
     if not trajectory.snapshots:
         raise ConfigurationError("trajectory has no snapshots")
-    rows = trajectory.diagnostics
-    if rows and all("h2" in row for row in rows):
-        h2 = [row["h2"] for row in rows]
-    else:
-        h2 = [sobolev_norm(u, 2.0) for _, u in trajectory.snapshots]
-    mu = 1.0 + max(h2)
+    if h2_norms is None:
+        h2_norms = [sobolev_norm(u, 2.0) for _, u in trajectory.snapshots]
+    elif len(h2_norms) != len(trajectory.snapshots):
+        raise ConfigurationError(
+            f"{len(h2_norms)} H^2 norms for {len(trajectory.snapshots)} snapshots"
+        )
+    mu = 1.0 + max(h2_norms)
     phi0 = km_phi(trajectory.snapshots[0][1], gamma, m_trunc)
     lam = km_lambda(trajectory.b, mu, phi0)
     k_rate, _ = km_constants(trajectory.b, mu, phi0)

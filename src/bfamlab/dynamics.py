@@ -8,10 +8,12 @@ a one-parameter family containing Camassa-Holm (b = 2) and
 Degasperis-Procesi (b = 3). Quadratic products are formed in physical
 space and their spectra dealiased before any further multiplier is applied.
 
-The two products, u u_x and (b/2) u^2 + ((3-b)/2) u_x^2, are the rows of
-one (2, N) array, and one combine, `_rhs_from_products`, turns them into
-the band of F with one stacked rfft. `rhs_F`, every RK4 stage of
-`evolve` and every order of the `taylor` recursion go through it.
+One combine, `_rhs_from_products`, takes the physical-space products
+u u_x, u^2 and u_x^2 as the rows of one (3, N) array, forms the weighted
+row (b/2) u^2 + ((3-b)/2) u_x^2 in place and turns the two rows
+[u u_x, weighted] into the band of F with one stacked rfft. `rhs_F`,
+every RK4 stage of `evolve` and every order of the `taylor` recursion go
+through it; the b-weighting lives nowhere else.
 """
 
 from __future__ import annotations
@@ -23,30 +25,24 @@ from .grid import GridSpec, RealField, dft, helmholtz, helmholtz_inv, idft
 from .norms import sobolev_norm
 
 
-def _products(b: float, advect: np.ndarray, square: np.ndarray, dsquare: np.ndarray, out=None) -> np.ndarray:
-    """The combine's input, rows [advect, (b/2) square + ((3-b)/2) dsquare].
+def _rhs_from_products(grid: GridSpec, b: float, products: np.ndarray, out=None) -> np.ndarray:
+    """Band of -advect - d/dx Helmholtz^{-1} ((b/2) square + ((3-b)/2) dsquare).
 
-    The three inputs are physical-space products (u*v_x, u*v, u_x*v_x
-    style); `out`, when given, is a (2, N) work array that receives them.
-    """
-    if out is None:
-        out = np.empty((2, advect.size))
-    out[0] = advect
-    np.add((0.5 * b) * square, (0.5 * (3.0 - b)) * dsquare, out=out[1])
-    return out
-
-
-def _rhs_from_products(grid: GridSpec, products: np.ndarray, out=None) -> np.ndarray:
-    """Band of -products[0] - d/dx Helmholtz^{-1} products[1].
-
-    `products` is the (2, N) array of `_products`; both rows are transformed
-    by one stacked rfft, written into `out` when given. Returns the first
-    grid.band_size entries of the unnormalised rfft of the result: only the
-    dealiased band of each product spectrum is used, so
-    np.fft.irfft(band, N) zero-pads it back to samples.
+    `products` is a (3, N) array with rows [advect, square, dsquare]: the
+    physical-space products u u_x, u^2 and u_x^2, or their Cauchy sums. It
+    is work space: row 1 is overwritten with the weighted sum and row 2
+    with its scaled term. Rows 0 and 1 are transformed by one stacked rfft,
+    written into `out` when given. Returns the first grid.band_size entries
+    of the unnormalised rfft of the result: only the dealiased band of each
+    product spectrum is used, so np.fft.irfft(band, N) zero-pads it back
+    to samples.
     """
     m = grid.band_size
-    spectra = np.fft.rfft(products, out=out)
+    square, dsquare = products[1], products[2]
+    np.multiply(square, 0.5 * b, out=square)
+    np.multiply(dsquare, 0.5 * (3.0 - b), out=dsquare)
+    np.add(square, dsquare, out=square)
+    spectra = np.fft.rfft(products[:2], out=out)
     return -(spectra[0, :m] + grid.band_nonlocal_multiplier * spectra[1, :m])
 
 
@@ -56,7 +52,7 @@ def rhs_F(u: RealField, b: float) -> RealField:
     grid = u.grid
     n, u = grid.n_points, u.samples
     ux = np.fft.irfft(grid.half_deriv_multiplier * np.fft.rfft(u), n)
-    band = _rhs_from_products(grid, _products(b, u * ux, u * u, ux * ux))
+    band = _rhs_from_products(grid, b, np.array([u * ux, u * u, ux * ux]))
     return RealField(grid, np.fft.irfft(band, n))
 
 

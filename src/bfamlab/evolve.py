@@ -8,8 +8,9 @@ are recorded without interpolation.
 A march carries the state's half spectrum rfft(u), and the samples of u and
 u_x, from step to step in work arrays allocated once. An RK4 stage is two
 numpy.fft calls: one stacked irfft gives u and u_x of the stage spectrum,
-one stacked rfft of the two products (inside `dynamics._rhs_from_products`)
-gives the stage's band. Stage 1 reuses the u and u_x that closed the
+and the products u u_x, u^2, u_x^2 are written into one work array whose
+combine (`dynamics._rhs_from_products`) gives the stage's band with one
+stacked rfft. Stage 1 reuses the u and u_x that closed the
 previous step, so a step is 16 real transforms in 8 calls. Only the
 dealiased band moves; modes above the cutoff keep their initial values.
 One reading per step, peak = max|u|, feeds the blow-up test and the next
@@ -24,7 +25,7 @@ from typing import Callable, Mapping, Optional
 
 import numpy as np
 
-from .dynamics import _products, _rhs_from_products, momentum
+from .dynamics import _rhs_from_products, momentum
 from .errors import BlowupError, ConfigurationError, require_finite
 from .grid import RealField
 
@@ -112,7 +113,8 @@ class _March:
     spectrum: its band is rewritten every stage, and its modes above the
     band are those of u_hat, which never change. Row 1 is i xi times row 0.
     `fields` holds the samples of u and u_x at the current stage; after a
-    step it holds those of the new state. `peak` is max|u| of the state.
+    step it holds those of the new state. `products` receives u u_x, u^2
+    and u_x^2 for the combine. `peak` is max|u| of the state.
     """
 
     def __init__(self, u: RealField, b: float, blowup_threshold: float):
@@ -121,7 +123,7 @@ class _March:
         self.u_hat = np.fft.rfft(u.samples)
         self.spectra = np.array([self.u_hat, grid.half_deriv_multiplier * self.u_hat])
         self.fields = np.array([u.samples, np.fft.irfft(self.spectra[1], grid.n_points)])
-        self.products = np.empty_like(self.fields)
+        self.products = np.empty((3, grid.n_points))
         self.product_spectra = np.empty_like(self.spectra)
         self.peak = float(np.max(np.abs(u.samples)))
 
@@ -131,9 +133,10 @@ class _March:
 
     def _band_rhs(self) -> np.ndarray:
         """Band of F at the stage whose u and u_x samples are in `fields`."""
-        u, ux = self.fields
-        products = _products(self.b, u * ux, u * u, ux * ux, out=self.products)
-        return _rhs_from_products(self.grid, products, out=self.product_spectra)
+        fields, products = self.fields, self.products
+        np.multiply(fields[0], fields[1], out=products[0])
+        np.multiply(fields, fields, out=products[1:])
+        return _rhs_from_products(self.grid, self.b, products, out=self.product_spectra)
 
     def _load(self, band: np.ndarray) -> None:
         """Make band the stage spectrum's band; one stacked irfft puts its

@@ -428,7 +428,12 @@ def _fit_or_nan(u: RealField, k_min: int):
 
 
 def compute_diagnostics(trajectory, diag: DiagnosticsSpec):
-    """Radius fits per snapshot, the strip bound, and the assembled rows."""
+    """Radius fits per snapshot, the strip bound, and the assembled rows.
+
+    trajectory is a run with STANDARD_MONITORS: every record holds their
+    columns, and the bound takes mu from the 'h2' column instead of a
+    second H^2 norm of each snapshot.
+    """
     fits = [_fit_or_nan(u, diag.fit_k_min) for _, u in trajectory.snapshots]
     if diag.gamma_override is not None:
         gamma = diag.gamma_override
@@ -436,7 +441,8 @@ def compute_diagnostics(trajectory, diag: DiagnosticsSpec):
         gamma = analyticity.default_gamma(fits[0].sigma_hat)
     else:
         gamma = -0.05
-    bound = analyticity.km_bound_from_run(trajectory, gamma, diag.m_trunc)
+    h2_norms = [record["h2"] for record in trajectory.diagnostics]
+    bound = analyticity.km_bound_from_run(trajectory, gamma, diag.m_trunc, h2_norms)
     rows = [
         DiagnosticsRow(
             **record,

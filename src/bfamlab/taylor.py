@@ -32,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dynamics import _products, _rhs_from_products
+from .dynamics import _rhs_from_products
 from .errors import ConfigurationError, NumericalError, require_finite
 from .grid import RealField
 
@@ -100,7 +100,7 @@ def taylor_coeffs(u0: RealField, b: float, order: int) -> TaylorSeries:
         if k % 2 == 0:
             square += cs[k // 2] * cs[k // 2]
             dsquare += dcs[k // 2] * dcs[k // 2]
-        band = _rhs_from_products(grid, _products(b, advect, square, dsquare)) / (k + 1)
+        band = _rhs_from_products(grid, b, np.array([advect, square, dsquare])) / (k + 1)
         cs[k + 1], dcs[k + 1] = np.fft.irfft([band, band_deriv * band], n)
         sup = float(np.max(np.abs(cs[k + 1])))
         if not math.isfinite(sup):

@@ -220,6 +220,26 @@ class TestKmBoundFromRun:
         bound = km_bound_from_run(trajectory, gamma=-0.1)
         assert bound.mu == pytest.approx(1.0 + sobolev_norm(u0, 2.0), rel=1e-13)
 
+    def test_monitor_named_h2_does_not_set_mu(self):
+        # mu comes from the snapshots unless the caller hands H^2 norms over
+        from bfamlab import sobolev_norm
+
+        grid = make_grid(64, 2 * np.pi)
+        u0 = RealField(grid, 0.5 * np.sin(grid.x))
+        cfg = EvolveConfig(b=2.0, t_final=0.2, dt_max=0.05, sample_interval=0.1)
+        trajectory = run(u0, cfg, monitors={"h2": lambda u: 123.0})
+        bound = km_bound_from_run(trajectory, gamma=-0.1)
+        assert bound.mu == 1.0 + max(sobolev_norm(u, 2.0) for _, u in trajectory.snapshots)
+
+    def test_given_h2_norms(self):
+        grid = make_grid(64, 2 * np.pi)
+        u0 = RealField(grid, 0.5 * np.sin(grid.x))
+        cfg = EvolveConfig(b=2.0, t_final=0.2, dt_max=0.05, sample_interval=0.1)
+        trajectory = run(u0, cfg)
+        assert km_bound_from_run(trajectory, -0.1, h2_norms=[1.0, 4.0, 2.0]).mu == 5.0
+        with pytest.raises(ConfigurationError):
+            km_bound_from_run(trajectory, -0.1, h2_norms=[1.0, 4.0])
+
     def test_gamma_validation(self):
         grid = make_grid(64, 2 * np.pi)
         cfg = EvolveConfig(b=2.0, t_final=0.0, dt_max=0.05, sample_interval=0.1)

@@ -18,7 +18,7 @@ from bfamlab import (
     taylor_eval,
     time_radius_estimate,
 )
-from bfamlab.dynamics import _products, _rhs_from_products
+from bfamlab.dynamics import _rhs_from_products
 from bfamlab.scenarios import initial_data
 
 
@@ -36,7 +36,7 @@ def loop_coeffs(u0, b, order, dtype=np.float64):
             advect += cs[i] * dcs[k - i]
             square += cs[i] * cs[k - i]
             dsquare += dcs[i] * dcs[k - i]
-        band = _rhs_from_products(grid, _products(b, advect, square, dsquare))
+        band = _rhs_from_products(grid, b, np.array([advect, square, dsquare]))
         cs.append(np.fft.irfft(band, n) / (k + 1))
     return cs
 
