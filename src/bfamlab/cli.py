@@ -80,10 +80,9 @@ def _cmd_run(args) -> int:
     print(f"outputs in {cfg.output_dir}")
     print(f"final sigma_hat = {final.sigma_hat:.6g} (fit quality {final.fit_quality:.4f}), "
           f"strip bound sigma = {final.km_sigma_bound:.6g}")
+    final_spectrum = norms._spectrum(result.trajectory.final_state)
     for sigma in cfg.diagnostics.sigma_list:
-        value, diverged = norms.gevrey_norm(
-            result.trajectory.final_state, sigma, cfg.diagnostics.s
-        )
+        value, diverged = norms.gevrey_norm(final_spectrum, sigma, cfg.diagnostics.s)
         note = " (diverged)" if diverged else ""
         print(f"gevrey norm at sigma = {sigma:g}: {value:.6g}{note}")
     return 0

@@ -11,12 +11,22 @@ space and their spectra dealiased before any further multiplier is applied.
 One combine, `_rhs_from_products`, takes the physical-space products
 u u_x, u^2 and u_x^2 as the rows of one (3, N) array, forms the weighted
 row (b/2) u^2 + ((3-b)/2) u_x^2 in place and turns the two rows
-[u u_x, weighted] into the band of F with one stacked rfft. `rhs_F`,
-every RK4 stage of `evolve` and every order of the `taylor` recursion go
-through it; the b-weighting lives nowhere else.
+[u u_x, weighted] into a band with one stacked rfft. `rhs_F`, every RK4
+stage of `evolve` and every order of the `taylor` recursion go through it;
+the b-weighting lives nowhere else.
+
+The combine returns the band of -F = u u_x + d/dx Helmholtz^{-1}(...), the
+sum of the two transformed rows, so it ends on an add and no negation:
+callers subtract it, or divide it by a negative number, where they would
+have added F. Negation is exact in floating point, so the results are those
+of adding F bit for bit, except that an exact zero may change sign. With
+every buffer given (`out` for the product spectra and `band` for the
+result), a combine allocates nothing: 8 numpy calls, one of them an FFT.
 """
 
 from __future__ import annotations
+
+from typing import Optional
 
 import numpy as np
 
@@ -25,17 +35,20 @@ from .grid import GridSpec, RealField, dft, helmholtz, helmholtz_inv, idft
 from .norms import sobolev_norm
 
 
-def _rhs_from_products(grid: GridSpec, b: float, products: np.ndarray, out=None) -> np.ndarray:
-    """Band of -advect - d/dx Helmholtz^{-1} ((b/2) square + ((3-b)/2) dsquare).
+def _rhs_from_products(
+    grid: GridSpec, b: float, products: np.ndarray, out=None, band=None
+) -> np.ndarray:
+    """Band of advect + d/dx Helmholtz^{-1} ((b/2) square + ((3-b)/2) dsquare), i.e. of -F.
 
     `products` is a (3, N) array with rows [advect, square, dsquare]: the
     physical-space products u u_x, u^2 and u_x^2, or their Cauchy sums. It
     is work space: row 1 is overwritten with the weighted sum and row 2
     with its scaled term. Rows 0 and 1 are transformed by one stacked rfft,
-    written into `out` when given. Returns the first grid.band_size entries
-    of the unnormalised rfft of the result: only the dealiased band of each
-    product spectrum is used, so np.fft.irfft(band, N) zero-pads it back
-    to samples.
+    written into `out` (shape (2, N/2+1)) when given. The result, the first
+    grid.band_size entries of the unnormalised rfft of -F, is written into
+    `band` when given and returned: only the dealiased band of each product
+    spectrum is used, so np.fft.irfft(-band, N) zero-pads it back to the
+    samples of F.
     """
     m = grid.band_size
     square, dsquare = products[1], products[2]
@@ -43,7 +56,8 @@ def _rhs_from_products(grid: GridSpec, b: float, products: np.ndarray, out=None)
     np.multiply(dsquare, 0.5 * (3.0 - b), out=dsquare)
     np.add(square, dsquare, out=square)
     spectra = np.fft.rfft(products[:2], out=out)
-    return -(spectra[0, :m] + grid.band_nonlocal_multiplier * spectra[1, :m])
+    band = np.multiply(grid.band_nonlocal_multiplier, spectra[1, :m], out=band)
+    return np.add(spectra[0, :m], band, out=band)
 
 
 def rhs_F(u: RealField, b: float) -> RealField:
@@ -53,7 +67,7 @@ def rhs_F(u: RealField, b: float) -> RealField:
     n, u = grid.n_points, u.samples
     ux = np.fft.irfft(grid.half_deriv_multiplier * np.fft.rfft(u), n)
     band = _rhs_from_products(grid, b, np.array([u * ux, u * u, ux * ux]))
-    return RealField(grid, np.fft.irfft(band, n))
+    return RealField(grid, np.fft.irfft(-band, n))
 
 
 def momentum(u: RealField) -> RealField:
@@ -83,22 +97,25 @@ def h1_energy(u: RealField) -> float:
     return sobolev_norm(u, 1.0) ** 2
 
 
-def momentum_l1(u: RealField) -> float:
+def momentum_l1(u: RealField, m: Optional[RealField] = None) -> float:
     """Periodic trapezoid quadrature of |m|, m = u - u_xx.
 
-    Conserved by the flow whenever m never changes sign.
+    Conserved by the flow whenever m never changes sign. A caller that
+    already holds momentum(u) passes it as m.
     """
-    m = momentum(u)
+    m = momentum(u) if m is None else m
     return u.grid.dx * float(np.sum(np.abs(m.samples)))
 
 
-def momentum_min(u: RealField) -> float:
+def momentum_min(u: RealField, m: Optional[RealField] = None) -> float:
     """Grid minimum of the momentum density; sign certificate for m >= 0.
 
     Spectral data cannot certify pointwise sign between nodes; treat values
-    above roughly -1e-10 * max|m| as non-negative.
+    above roughly -1e-10 * max|m| as non-negative. A caller that already
+    holds momentum(u) passes it as m.
     """
-    return float(np.min(momentum(u).samples))
+    m = momentum(u) if m is None else m
+    return float(np.min(m.samples))
 
 
 def momentum_max(u: RealField) -> float:

@@ -15,6 +15,11 @@ previous step, so a step is 16 real transforms in 8 calls. Only the
 dealiased band moves; modes above the cutoff keep their initial values.
 One reading per step, peak = max|u|, feeds the blow-up test and the next
 CFL step.
+
+A step allocates no array: every band operation writes with out= into the
+march's work arrays, 55 numpy calls per step, 8 of them FFTs. The combine
+returns the band of -F, so each stage spectrum u_hat + c k_i is formed as
+u_hat - c (-k_i), with the same results (see `dynamics`).
 """
 
 from __future__ import annotations
@@ -107,64 +112,80 @@ def cfl_dt(u: RealField, cfg: EvolveConfig) -> float:
 
 
 class _March:
-    """The carried state of an RK4 march and its work arrays.
+    """The carried state of an RK4 march and its work arrays, allocated once.
 
-    u_hat is rfft(u). Row 0 of `spectra` is the current stage's half
-    spectrum: its band is rewritten every stage, and its modes above the
-    band are those of u_hat, which never change. Row 1 is i xi times row 0.
-    `fields` holds the samples of u and u_x at the current stage; after a
-    step it holds those of the new state. `products` receives u u_x, u^2
-    and u_x^2 for the combine. `peak` is max|u| of the state.
+    `spectra` row 0 is the current stage's half spectrum: its band is
+    rewritten every stage, and its modes above the band are those of the
+    initial state, which never change. Row 1 is i xi times row 0. `u_hat` is
+    the band of rfft(u) for the state. `fields` holds the samples of u and
+    u_x at the current stage; after a step it holds those of the new state.
+    `products` receives u u_x, u^2 and u_x^2 for the combine, and
+    `product_spectra` their transforms. `bands` rows 0..3 receive the
+    stages' bands of -F (k1..k4 negated) and row 4 is band work space.
+    `peak` is max|u| of the state.
     """
 
     def __init__(self, u: RealField, b: float, blowup_threshold: float):
         grid = self.grid = u.grid
+        n, m = grid.n_points, grid.band_size
         self.b, self.blowup_threshold = b, blowup_threshold
-        self.u_hat = np.fft.rfft(u.samples)
-        self.spectra = np.array([self.u_hat, grid.half_deriv_multiplier * self.u_hat])
-        self.fields = np.array([u.samples, np.fft.irfft(self.spectra[1], grid.n_points)])
-        self.products = np.empty((3, grid.n_points))
+        u_hat = np.fft.rfft(u.samples)
+        self.spectra = np.array([u_hat, grid.half_deriv_multiplier * u_hat])
+        self.fields = np.array([u.samples, np.fft.irfft(self.spectra[1], n)])
+        self.products = np.empty((3, n))
         self.product_spectra = np.empty_like(self.spectra)
+        self.bands = np.empty((5, m), dtype=complex)
+        self.u_hat = u_hat[:m]
+        # views and multipliers of the stage arithmetic, bound once
+        self._stage, self._stage_deriv = self.spectra[0, :m], self.spectra[1, :m]
+        self._deriv = grid.half_deriv_multiplier[:m]
+        self._u, self._ux = self.fields
+        self._squares = self.products[1:]
         self.peak = float(np.max(np.abs(u.samples)))
 
     def state(self) -> RealField:
         """The current state, with samples of its own (the work arrays are reused)."""
-        return RealField(self.grid, self.fields[0].copy())
+        return RealField(self.grid, self._u.copy())
 
-    def _band_rhs(self) -> np.ndarray:
-        """Band of F at the stage whose u and u_x samples are in `fields`."""
-        fields, products = self.fields, self.products
-        np.multiply(fields[0], fields[1], out=products[0])
-        np.multiply(fields, fields, out=products[1:])
-        return _rhs_from_products(self.grid, self.b, products, out=self.product_spectra)
+    def _band_rhs(self, band: np.ndarray) -> None:
+        """Write into band the band of -F at the stage whose u and u_x
+        samples are in `fields`."""
+        np.multiply(self._u, self._ux, out=self.products[0])
+        np.multiply(self.fields, self.fields, out=self._squares)
+        _rhs_from_products(self.grid, self.b, self.products, out=self.product_spectra, band=band)
 
-    def _load(self, band: np.ndarray) -> None:
-        """Make band the stage spectrum's band; one stacked irfft puts its
-        u and u_x into `fields`."""
-        grid, spectra = self.grid, self.spectra
-        m = grid.band_size
-        spectra[0, :m] = band
+    def _load(self) -> None:
+        """One stacked irfft puts u and u_x of the stage spectrum into `fields`."""
         # above the band, row 1 already holds i xi times the frozen modes
-        np.multiply(grid.half_deriv_multiplier[:m], band, out=spectra[1, :m])
-        np.fft.irfft(spectra, grid.n_points, out=self.fields)
+        np.multiply(self._deriv, self._stage, out=self._stage_deriv)
+        np.fft.irfft(self.spectra, self.grid.n_points, out=self.fields)
 
     def step(self, dt: float) -> None:
         """Advance the state by one classical four-stage Runge-Kutta step.
 
-        Raises BlowupError unless the new peak is at most blowup_threshold;
-        a NaN peak fails that test too, so a non-finite state never passes.
+        Each stage spectrum u_hat + c k_i is formed as u_hat - c (-k_i)
+        straight into the stage band, and k1 + 2 k2 + 2 k3 + k4 is summed
+        in that order in place, so a step allocates no array. Raises
+        BlowupError unless the new peak is at most blowup_threshold; a NaN
+        peak fails that test too, so a non-finite state never passes.
         """
-        u_hat = self.u_hat[: self.grid.band_size]
-        k1 = self._band_rhs()
-        self._load(u_hat + (0.5 * dt) * k1)
-        k2 = self._band_rhs()
-        self._load(u_hat + (0.5 * dt) * k2)
-        k3 = self._band_rhs()
-        self._load(u_hat + dt * k3)
-        k4 = self._band_rhs()
-        u_hat += (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        self._load(u_hat)
-        peak = float(np.max(np.abs(self.fields[0])))
+        u_hat, stage, bands = self.u_hat, self._stage, self.bands
+        k, work = bands[:4], bands[4]
+        self._band_rhs(k[0])
+        for i, c in enumerate((0.5 * dt, 0.5 * dt, dt)):
+            np.multiply(c, k[i], out=work)
+            np.subtract(u_hat, work, out=stage)
+            self._load()
+            self._band_rhs(k[i + 1])
+        np.multiply(2.0, k[1:3], out=k[1:3])
+        np.add(k[0], k[1], out=work)
+        np.add(work, k[2], out=work)
+        np.add(work, k[3], out=work)
+        np.multiply(dt / 6.0, work, out=work)
+        np.subtract(u_hat, work, out=u_hat)
+        np.copyto(stage, u_hat)
+        self._load()
+        peak = float(np.max(np.abs(self._u, out=self.products[0])))
         if not peak <= self.blowup_threshold:
             raise BlowupError(
                 f"sup norm {peak:.3e} exceeded blow-up threshold {self.blowup_threshold:.3e}"

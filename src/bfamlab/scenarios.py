@@ -410,13 +410,41 @@ class ScenarioResult:
     fits: list
 
 
+class _PerState:
+    """fn(u), taken once for consecutive calls on the same state object.
+
+    The monitors of one sample are called in turn on one RealField, and
+    several of them need the same transform of it. The last (state, value)
+    pair is kept as one attribute, so a call never pairs one state with the
+    value of another, and the state is held, so its identity is not reused.
+    A RealField's samples are not changed in place, so a kept value stays
+    that of its state.
+    """
+
+    def __init__(self, fn):
+        self._fn = fn
+        self._last = (None, None)
+
+    def __call__(self, u: RealField):
+        state, value = self._last
+        if state is not u:
+            value = self._fn(u)
+            self._last = (u, value)
+        return value
+
+
+# per sample, one rfft serves l2, h1 and h2 and one momentum field serves m_l1
+# and m_min; the lambdas look the functions up per call, so a patched one is used
+_sample_spectrum = _PerState(lambda u: norms._spectrum(u))
+_sample_momentum = _PerState(lambda u: dynamics.momentum(u))
+
 STANDARD_MONITORS = {
-    "l2": lambda u: norms.sobolev_norm(u, 0.0),
-    "h1": lambda u: norms.sobolev_norm(u, 1.0),
-    "h2": lambda u: norms.sobolev_norm(u, 2.0),
+    "l2": lambda u: norms.sobolev_norm(_sample_spectrum(u), 0.0),
+    "h1": lambda u: norms.sobolev_norm(_sample_spectrum(u), 1.0),
+    "h2": lambda u: norms.sobolev_norm(_sample_spectrum(u), 2.0),
     "mean_u": dynamics.conserved_mean,
-    "m_l1": dynamics.momentum_l1,
-    "m_min": dynamics.momentum_min,
+    "m_l1": lambda u: dynamics.momentum_l1(u, _sample_momentum(u)),
+    "m_min": lambda u: dynamics.momentum_min(u, _sample_momentum(u)),
 }
 
 

@@ -16,7 +16,10 @@ symmetric sums add the pairs i < j once, doubled, plus the middle term
 i = j when k is even. Each order costs four real FFTs in two stacked calls:
 the two product transforms inside the shared combine, and the inverse
 transforms of the new coefficient's band and of i xi times that band, so
-d_x c_{k+1} never round-trips through the samples.
+d_x c_{k+1} never round-trips through the samples. The three sums are
+written into the rows of one products array, the combine's band into the
+half spectrum that the stacked irfft reads, and every other step of an
+order into work arrays allocated once per series.
 
 The temporal radius of convergence is estimated by a root test on the
 coefficient norms, once per series.
@@ -85,24 +88,36 @@ def taylor_coeffs(u0: RealField, b: float, order: int) -> TaylorSeries:
         raise ConfigurationError(f"order must be an integer >= 1, got {order!r}")
     require_finite("b", b)
     grid = u0.grid
-    n = grid.n_points
-    band_deriv = grid.half_deriv_multiplier[: grid.band_size]
+    n, m = grid.n_points, grid.band_size
+    band_deriv = grid.half_deriv_multiplier[:m]
     cs = np.empty((order + 1, n))
     dcs = np.empty((order + 1, n))  # d_x c_order comes with c_order, unused
     cs[0] = u0.samples
     dcs[0] = np.fft.irfft(grid.half_deriv_multiplier * np.fft.rfft(u0.samples), n)
+    # work arrays of the recursion: the combine's products and their spectra,
+    # the half spectra of c_{k+1} and d_x c_{k+1} (zero above the band), and
+    # two rows for the middle terms and for the new coefficient's samples
+    products = np.empty((3, n))
+    product_spectra = np.empty((2, n // 2 + 1), dtype=complex)
+    half = np.zeros_like(product_spectra)
+    band, pair = half[0, :m], np.empty((2, n))
     kept = order + 1
     for k in range(order):
         pairs = (k + 1) // 2  # index pairs i < k - i
-        advect = np.einsum("ij,ij->j", cs[: k + 1], dcs[k::-1])
-        square = 2.0 * np.einsum("ij,ij->j", cs[:pairs], cs[k : k - pairs : -1])
-        dsquare = 2.0 * np.einsum("ij,ij->j", dcs[:pairs], dcs[k : k - pairs : -1])
+        np.einsum("ij,ij->j", cs[: k + 1], dcs[k::-1], out=products[0])
+        np.einsum("ij,ij->j", cs[:pairs], cs[k : k - pairs : -1], out=products[1])
+        np.einsum("ij,ij->j", dcs[:pairs], dcs[k : k - pairs : -1], out=products[2])
+        np.multiply(2.0, products[1:], out=products[1:])
         if k % 2 == 0:
-            square += cs[k // 2] * cs[k // 2]
-            dsquare += dcs[k // 2] * dcs[k // 2]
-        band = _rhs_from_products(grid, b, np.array([advect, square, dsquare])) / (k + 1)
-        cs[k + 1], dcs[k + 1] = np.fft.irfft([band, band_deriv * band], n)
-        sup = float(np.max(np.abs(cs[k + 1])))
+            np.multiply(cs[k // 2], cs[k // 2], out=pair[0])
+            np.multiply(dcs[k // 2], dcs[k // 2], out=pair[1])
+            np.add(products[1:], pair, out=products[1:])
+        # the combine gives the band of -F: dividing by -(k + 1) gives c_{k+1}'s
+        _rhs_from_products(grid, b, products, out=product_spectra, band=band)
+        np.divide(band, -(k + 1), out=band)
+        np.multiply(band_deriv, band, out=half[1, :m])
+        cs[k + 1], dcs[k + 1] = np.fft.irfft(half, n, out=pair)
+        sup = float(np.max(np.abs(pair[0], out=pair[1])))
         if not math.isfinite(sup):
             raise NumericalError(
                 f"non-finite Taylor coefficient c_{k + 1}; the temporal radius "

@@ -16,6 +16,7 @@ from bfamlab import (
     rhs_F,
     sobolev_norm,
 )
+from bfamlab.dynamics import _rhs_from_products
 from bfamlab.grid import deriv, dft, helmholtz_inv, idft
 
 
@@ -83,6 +84,23 @@ class TestRhs:
     def test_sine_steady_at_b_minus_one(self, grid_2pi):
         out = rhs_F(RealField(grid_2pi, np.sin(grid_2pi.x)), -1.0)
         assert np.max(np.abs(out.samples)) < 1e-12
+
+
+class TestCombine:
+    @pytest.mark.parametrize("b", [-1.0, 0.0, 2.0, 3.0])
+    def test_caller_band_storage(self, random_field, b):
+        grid = random_field.grid
+        n, u = grid.n_points, random_field.samples
+        ux = np.fft.irfft(grid.half_deriv_multiplier * np.fft.rfft(u), n)
+        products = np.array([u * ux, u * u, ux * ux])
+        expected = _rhs_from_products(grid, b, products.copy())
+        band = np.empty(grid.band_size, dtype=complex)
+        spectra = np.empty((2, n // 2 + 1), dtype=complex)
+        got = _rhs_from_products(grid, b, products.copy(), out=spectra, band=band)
+        assert got is band
+        assert band.tobytes() == expected.tobytes()
+        # the band is that of -F
+        assert np.array_equal(np.fft.irfft(-band, n), rhs_F(random_field, b).samples)
 
 
 class TestMomentum:

@@ -1,6 +1,7 @@
 """CFL control, RK4 stepping, blow-up handling, and conservation monitoring."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -171,6 +172,26 @@ class TestFftBudget:
         # both extremes of the verdict come from one momentum field
         evolve._check_sign_certificate(u)
         assert fft_counts == {"real": 0, "complex": 2, "calls": 2, "combine": 0}
+
+
+class TestStepAllocation:
+    def test_step_allocates_less_than_one_sample_array(self):
+        # a warm march writes every stage into its work arrays; the little a
+        # step still allocates (small Python objects, FFT scratch) stays under
+        # one real N-sample array
+        grid = make_grid(1024, 80.0)
+        march = evolve._March(RealField(grid, 0.05 / np.cosh(grid.x - 40.0)), 2.0, 1e6)
+        march.step(0.02)
+        tracemalloc.start()
+        try:
+            march.step(0.02)
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            march.step(0.02)
+            growth = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert growth < 8 * grid.n_points
 
 
 class TestRun:

@@ -13,14 +13,17 @@ from bfamlab import (
     ConfigurationError,
     RealField,
     SnapshotError,
+    conserved_mean,
     initial_data,
     make_grid,
     momentum,
+    momentum_l1,
     momentum_min,
     parse_config,
     read_snapshot,
     render_config,
     run_scenario,
+    sobolev_norm,
     write_snapshot,
 )
 from bfamlab import scenarios
@@ -399,6 +402,32 @@ class TestDiagnosticsCsv:
         assert len(sigma_dat) == 2 and len(bound_dat) == 2
         t, sigma = sigma_dat[1].split()
         assert float(t) == 0.5 and float(sigma) == 1.5
+
+
+class TestStandardMonitors:
+    @pytest.fixture
+    def states(self):
+        grid = make_grid(256, 80.0)
+        return [RealField(grid, 0.5 / np.cosh(grid.x - c)) for c in (30.0, 45.0)]
+
+    def test_one_spectrum_and_one_momentum_per_sample(self, states, fft_counts):
+        for fn in scenarios.STANDARD_MONITORS.values():
+            fn(states[0])
+        # rfft for l2, h1 and h2; fft + ifft for the momentum of m_l1 and m_min
+        assert fft_counts == {"real": 1, "complex": 2, "calls": 3, "combine": 0}
+
+    def test_values_equal_the_direct_calls(self, states):
+        # alternating states: each sample's shared transforms are its own
+        for u in states + states[::-1]:
+            row = {name: fn(u) for name, fn in scenarios.STANDARD_MONITORS.items()}
+            assert row == {
+                "l2": sobolev_norm(u, 0.0),
+                "h1": sobolev_norm(u, 1.0),
+                "h2": sobolev_norm(u, 2.0),
+                "mean_u": conserved_mean(u),
+                "m_l1": momentum_l1(u),
+                "m_min": momentum_min(u),
+            }
 
 
 class TestRunScenario:

@@ -36,8 +36,9 @@ def loop_coeffs(u0, b, order, dtype=np.float64):
             advect += cs[i] * dcs[k - i]
             square += cs[i] * cs[k - i]
             dsquare += dcs[i] * dcs[k - i]
+        # the combine returns the band of -F
         band = _rhs_from_products(grid, b, np.array([advect, square, dsquare]))
-        cs.append(np.fft.irfft(band, n) / (k + 1))
+        cs.append(np.fft.irfft(-band, n) / (k + 1))
     return cs
 
 
