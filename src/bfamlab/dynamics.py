@@ -19,9 +19,10 @@ The combine returns the band of -F = u u_x + d/dx Helmholtz^{-1}(...), the
 sum of the two transformed rows, so it ends on an add and no negation:
 callers subtract it, or divide it by a negative number, where they would
 have added F. Negation is exact in floating point, so the results are those
-of adding F bit for bit, except that an exact zero may change sign. With
-every buffer given (`out` for the product spectra and `band` for the
-result), a combine allocates nothing: 8 numpy calls, one of them an FFT.
+of adding F bit for bit, except that an exact zero may change sign. The
+product spectra go into caller-given `out`; with `band` given for the
+result too, a combine allocates nothing: 8 numpy calls, one of them the
+grid's rfft kernel.
 """
 
 from __future__ import annotations
@@ -31,31 +32,31 @@ from typing import Optional
 import numpy as np
 
 from .errors import require_finite
-from .grid import GridSpec, RealField, dft, helmholtz, helmholtz_inv, idft
+from .grid import GridSpec, RealField, _irfft, _rfft, dft, helmholtz, helmholtz_inv, idft
 from .norms import sobolev_norm
 
 
 def _rhs_from_products(
-    grid: GridSpec, b: float, products: np.ndarray, out=None, band=None
+    grid: GridSpec, b: float, products: np.ndarray, out: np.ndarray, band=None
 ) -> np.ndarray:
     """Band of advect + d/dx Helmholtz^{-1} ((b/2) square + ((3-b)/2) dsquare), i.e. of -F.
 
     `products` is a (3, N) array with rows [advect, square, dsquare]: the
     physical-space products u u_x, u^2 and u_x^2, or their Cauchy sums. It
     is work space: row 1 is overwritten with the weighted sum and row 2
-    with its scaled term. Rows 0 and 1 are transformed by one stacked rfft,
-    written into `out` (shape (2, N/2+1)) when given. The result, the first
+    with its scaled term. Rows 0 and 1 are transformed by one stacked rfft
+    into `out`, a complex (2, N/2+1) array. The result, the first
     grid.band_size entries of the unnormalised rfft of -F, is written into
     `band` when given and returned: only the dealiased band of each product
-    spectrum is used, so np.fft.irfft(-band, N) zero-pads it back to the
-    samples of F.
+    spectrum is used, so the irfft of -band to N points zero-pads it back to
+    the samples of F.
     """
     m = grid.band_size
     square, dsquare = products[1], products[2]
     np.multiply(square, 0.5 * b, out=square)
     np.multiply(dsquare, 0.5 * (3.0 - b), out=dsquare)
     np.add(square, dsquare, out=square)
-    spectra = np.fft.rfft(products[:2], out=out)
+    spectra = _rfft(products[:2], out)
     band = np.multiply(grid.band_nonlocal_multiplier, spectra[1, :m], out=band)
     return np.add(spectra[0, :m], band, out=band)
 
@@ -65,9 +66,10 @@ def rhs_F(u: RealField, b: float) -> RealField:
     require_finite("b", b)
     grid = u.grid
     n, u = grid.n_points, u.samples
-    ux = np.fft.irfft(grid.half_deriv_multiplier * np.fft.rfft(u), n)
-    band = _rhs_from_products(grid, b, np.array([u * ux, u * u, ux * ux]))
-    return RealField(grid, np.fft.irfft(-band, n))
+    spectra = np.empty((2, n // 2 + 1), dtype=complex)
+    ux = _irfft(grid.half_deriv_multiplier * _rfft(u, spectra[0]), np.empty(n))
+    band = _rhs_from_products(grid, b, np.array([u * ux, u * u, ux * ux]), out=spectra)
+    return RealField(grid, _irfft(-band, np.empty(n)))
 
 
 def momentum(u: RealField) -> RealField:

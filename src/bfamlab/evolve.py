@@ -7,14 +7,14 @@ are recorded without interpolation.
 
 A march carries the state's half spectrum rfft(u), and the samples of u and
 u_x, from step to step in work arrays allocated once. An RK4 stage is two
-numpy.fft calls: one stacked irfft gives u and u_x of the stage spectrum,
-and the products u u_x, u^2, u_x^2 are written into one work array whose
-combine (`dynamics._rhs_from_products`) gives the stage's band with one
-stacked rfft. Stage 1 reuses the u and u_x that closed the
-previous step, so a step is 16 real transforms in 8 calls. Only the
-dealiased band moves; modes above the cutoff keep their initial values.
-One reading per step, peak = max|u|, feeds the blow-up test and the next
-CFL step.
+calls of the grid's real-transform kernels (`grid._rfft`, `grid._irfft`):
+one stacked irfft gives u and u_x of the stage spectrum, and the products
+u u_x, u^2, u_x^2 are written into one work array whose combine
+(`dynamics._rhs_from_products`) gives the stage's band with one stacked
+rfft. Stage 1 reuses the u and u_x that closed the previous step, so a step
+is 16 real transforms in 8 kernel calls. Only the dealiased band moves;
+modes above the cutoff keep their initial values. One reading per step,
+peak = max|u|, feeds the blow-up test and the next CFL step.
 
 A step allocates no array: every band operation writes with out= into the
 march's work arrays, 55 numpy calls per step, 8 of them FFTs. The combine
@@ -32,7 +32,7 @@ import numpy as np
 
 from .dynamics import _rhs_from_products, momentum
 from .errors import BlowupError, ConfigurationError, require_finite
-from .grid import RealField
+from .grid import RealField, _irfft, _rfft
 
 SIGN_TOL = 1e-10
 _VELOCITY_FLOOR = 1e-8
@@ -129,9 +129,9 @@ class _March:
         grid = self.grid = u.grid
         n, m = grid.n_points, grid.band_size
         self.b, self.blowup_threshold = b, blowup_threshold
-        u_hat = np.fft.rfft(u.samples)
+        u_hat = _rfft(u.samples, np.empty(n // 2 + 1, dtype=complex))
         self.spectra = np.array([u_hat, grid.half_deriv_multiplier * u_hat])
-        self.fields = np.array([u.samples, np.fft.irfft(self.spectra[1], n)])
+        self.fields = np.array([u.samples, _irfft(self.spectra[1], np.empty(n))])
         self.products = np.empty((3, n))
         self.product_spectra = np.empty_like(self.spectra)
         self.bands = np.empty((5, m), dtype=complex)
@@ -158,7 +158,7 @@ class _March:
         """One stacked irfft puts u and u_x of the stage spectrum into `fields`."""
         # above the band, row 1 already holds i xi times the frozen modes
         np.multiply(self._deriv, self._stage, out=self._stage_deriv)
-        np.fft.irfft(self.spectra, self.grid.n_points, out=self.fields)
+        _irfft(self.spectra, self.fields)
 
     def step(self, dt: float) -> None:
         """Advance the state by one classical four-stage Runge-Kutta step.
@@ -185,7 +185,7 @@ class _March:
         np.subtract(u_hat, work, out=u_hat)
         np.copyto(stage, u_hat)
         self._load()
-        peak = float(np.max(np.abs(self._u, out=self.products[0])))
+        peak = float(np.maximum.reduce(np.abs(self._u, out=self.products[0])))
         if not peak <= self.blowup_threshold:
             raise BlowupError(
                 f"sup norm {peak:.3e} exceeded blow-up threshold {self.blowup_threshold:.3e}"

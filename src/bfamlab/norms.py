@@ -34,8 +34,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigurationError, TruncationError
-from .grid import RealField
+from .errors import ConfigurationError, TruncationError, require_finite
+from .grid import RealField, _rfft
 
 ROUNDOFF_FLOOR = 1e-13
 TAIL_RTOL = 1e-16
@@ -65,7 +65,8 @@ def _spectrum(u) -> _Spectrum:
     if isinstance(u, _Spectrum):
         return u
     grid = u.grid
-    amp = np.abs(np.fft.rfft(u.samples)) / grid.n_points
+    spectrum = _rfft(u.samples, np.empty(grid.n_points // 2 + 1, dtype=complex))
+    amp = np.abs(spectrum) / grid.n_points
     pair = np.full(amp.size, 2.0)
     pair[[0, -1]] = 1.0
     return _Spectrum(np.abs(grid.xi[: amp.size]), grid.box_length * pair * amp**2, amp)
@@ -146,8 +147,15 @@ def _truncated_sum(log_terms_of, j_max: int, accumulate):
     return None
 
 
+def _require_sigma_below_inf(sigma: float) -> None:
+    """Admit every real sigma and -inf; NaN and +inf raise ConfigurationError."""
+    if not sigma < math.inf:
+        raise ConfigurationError(f"sigma must be real or -inf, got {sigma}")
+
+
 def sobolev_norm(u: RealField, s: float) -> float:
     """H^s norm, ( L sum_k (1+xi^2)^s |u_hat|^2 )^{1/2}."""
+    require_finite("s", s)
     abs_xi, weight, _ = _spectrum(u)
     return float(np.sqrt(np.sum((1.0 + abs_xi**2) ** s * weight)))
 
@@ -160,6 +168,8 @@ def gevrey_norm(u: RealField, sigma: float, s: float) -> GevreyNorm:
     when the weighted per-|k| terms grow over the last quarter of the
     above-floor spectrum.
     """
+    require_finite("sigma", sigma)
+    require_finite("s", s)
     if sigma < 0:
         raise ConfigurationError(f"sigma must be >= 0, got {sigma}")
     spectrum = _resolved_spectrum(u)
@@ -197,6 +207,7 @@ def hm_norm(u: RealField, sigma: float, m: int, j_max: int = DEFAULT_J_MAX) -> f
     the running sup; if that never happens within j_max terms the norm is
     not resolvable at this resolution and a TruncationError is raised.
     """
+    require_finite("sigma", sigma)
     if sigma <= 0:
         raise ConfigurationError(f"sigma must be > 0, got {sigma}")
     if m < 2:
@@ -232,8 +243,10 @@ def km_phi(u: RealField, sigma: float, m: int) -> float:
     """Kato-Masuda functional, 1/2 sum_{j<=m} e^{2 sigma j}/(j!)^2 |d^j u|^2_{H^2}.
 
     Any real sigma is admitted, and sigma = -inf gives the limit, half the
-    squared H^2 norm. m = 0 reduces to half the squared H^2 norm as well.
+    squared H^2 norm; NaN and +inf raise ConfigurationError. m = 0 reduces
+    to half the squared H^2 norm as well.
     """
+    _require_sigma_below_inf(sigma)
     if m < 0:
         raise ConfigurationError(f"m must be a non-negative integer, got {m}")
     spectrum = _resolved_spectrum(u)
@@ -248,8 +261,10 @@ def km_radius_norm(u: RealField, sigma: float, j_max: int = DEFAULT_J_MAX) -> fl
     The factorial weights guarantee eventual convergence; the sum stops when
     three consecutive terms fall below 1e-16 of the running total, and raises
     TruncationError if that does not happen within j_max terms (the field is
-    not in the strip class at this sigma and resolution).
+    not in the strip class at this sigma and resolution). sigma is admitted
+    as in km_phi.
     """
+    _require_sigma_below_inf(sigma)
     if j_max < 1:
         raise ConfigurationError(f"j_max must be >= 1, got {j_max}")
     spectrum = _resolved_spectrum(u)

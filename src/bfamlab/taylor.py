@@ -13,13 +13,13 @@ evaluation exactly (shared code path).
 The coefficients c_k and derivatives d_x c_k are rows of two preallocated
 arrays, so each Cauchy sum is one contraction over the rows. The two
 symmetric sums add the pairs i < j once, doubled, plus the middle term
-i = j when k is even. Each order costs four real FFTs in two stacked calls:
-the two product transforms inside the shared combine, and the inverse
-transforms of the new coefficient's band and of i xi times that band, so
-d_x c_{k+1} never round-trips through the samples. The three sums are
-written into the rows of one products array, the combine's band into the
-half spectrum that the stacked irfft reads, and every other step of an
-order into work arrays allocated once per series.
+i = j when k is even. Each order costs four real FFTs in two stacked calls
+of the grid's real-transform kernels: the two product transforms inside the
+shared combine, and the inverse transforms of the new coefficient's band and
+of i xi times that band, so d_x c_{k+1} never round-trips through the
+samples. The three sums are written into the rows of one products array,
+the combine's band into the half spectrum that the stacked irfft reads, and
+every other step of an order into work arrays allocated once per series.
 
 The temporal radius of convergence is estimated by a root test on the
 coefficient norms, once per series.
@@ -37,7 +37,7 @@ import numpy as np
 
 from .dynamics import _rhs_from_products
 from .errors import ConfigurationError, NumericalError, require_finite
-from .grid import RealField
+from .grid import RealField, _irfft, _rfft
 
 COEFF_SUP_CAP = 1e12
 MIN_ORDER_FOR_RADIUS = 6
@@ -93,7 +93,8 @@ def taylor_coeffs(u0: RealField, b: float, order: int) -> TaylorSeries:
     cs = np.empty((order + 1, n))
     dcs = np.empty((order + 1, n))  # d_x c_order comes with c_order, unused
     cs[0] = u0.samples
-    dcs[0] = np.fft.irfft(grid.half_deriv_multiplier * np.fft.rfft(u0.samples), n)
+    u0_hat = _rfft(u0.samples, np.empty(n // 2 + 1, dtype=complex))
+    _irfft(grid.half_deriv_multiplier * u0_hat, dcs[0])
     # work arrays of the recursion: the combine's products and their spectra,
     # the half spectra of c_{k+1} and d_x c_{k+1} (zero above the band), and
     # two rows for the middle terms and for the new coefficient's samples
@@ -116,8 +117,8 @@ def taylor_coeffs(u0: RealField, b: float, order: int) -> TaylorSeries:
         _rhs_from_products(grid, b, products, out=product_spectra, band=band)
         np.divide(band, -(k + 1), out=band)
         np.multiply(band_deriv, band, out=half[1, :m])
-        cs[k + 1], dcs[k + 1] = np.fft.irfft(half, n, out=pair)
-        sup = float(np.max(np.abs(pair[0], out=pair[1])))
+        cs[k + 1], dcs[k + 1] = _irfft(half, pair)
+        sup = float(np.maximum.reduce(np.abs(pair[0], out=pair[1])))
         if not math.isfinite(sup):
             raise NumericalError(
                 f"non-finite Taylor coefficient c_{k + 1}; the temporal radius "

@@ -114,6 +114,14 @@ class TestNormsCommand:
         assert fft_counts == {"real": 1, "complex": 0, "calls": 1, "combine": 0}
         assert "km_radius" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("sigma, s", [("nan", "2.0"), ("inf", "2.0"), ("0.2", "nan")])
+    def test_non_finite_arguments_rejected(self, planted_snapshot, capsys, sigma, s):
+        argv = ["norms", "--snapshot", str(planted_snapshot), "--sigma", sigma, "--s", s]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert err.startswith("configuration error:")
+        assert "nan" not in out and "inf" not in out
+
     def test_divergent_sigma_noted(self, planted_snapshot, capsys):
         code = main([
             "norms", "--snapshot", str(planted_snapshot),

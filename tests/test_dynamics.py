@@ -93,9 +93,9 @@ class TestCombine:
         n, u = grid.n_points, random_field.samples
         ux = np.fft.irfft(grid.half_deriv_multiplier * np.fft.rfft(u), n)
         products = np.array([u * ux, u * u, ux * ux])
-        expected = _rhs_from_products(grid, b, products.copy())
-        band = np.empty(grid.band_size, dtype=complex)
         spectra = np.empty((2, n // 2 + 1), dtype=complex)
+        expected = _rhs_from_products(grid, b, products.copy(), out=spectra)
+        band = np.empty(grid.band_size, dtype=complex)
         got = _rhs_from_products(grid, b, products.copy(), out=spectra, band=band)
         assert got is band
         assert band.tobytes() == expected.tobytes()

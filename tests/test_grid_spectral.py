@@ -18,6 +18,7 @@ from bfamlab import (
     idft,
     make_grid,
 )
+from bfamlab.grid import _irfft, _rfft
 
 
 class TestMakeGrid:
@@ -259,3 +260,40 @@ class TestTransformProperties:
         np.testing.assert_array_equal(
             F.grid.half_deriv_multiplier * F.coeffs[:half], deriv(F, 1).coeffs[:half]
         )
+
+
+kernel_cases = st.tuples(
+    st.integers(4, 2048).map(lambda half: 2 * half),
+    st.sampled_from([(), (2,), (3,)]),
+    st.integers(0, 2**32 - 1),
+)
+
+
+class TestRealTransformKernels:
+    """The grid's kernels give the bytes of numpy.fft.rfft / irfft exactly, on
+    random even N in [8, 4096] and shapes (N,), (2, N) and (3, N).
+
+    They call private numpy kernels, so a numpy upgrade that changes those
+    fails here instead of letting results drift.
+    """
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(kernel_cases)
+    def test_rfft_is_numpy_rfft(self, case):
+        n, rows, seed = case
+        samples = np.random.default_rng(seed).standard_normal(rows + (n,))
+        out = np.empty(rows + (n // 2 + 1,), dtype=complex)
+        assert _rfft(samples, out) is out
+        assert out.tobytes() == np.fft.rfft(samples).tobytes()
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(kernel_cases, st.booleans())
+    def test_irfft_is_numpy_irfft(self, case, band_only):
+        n, rows, seed = case
+        rng = np.random.default_rng(seed)
+        # a dealiased band, shorter than N/2 + 1, is zero-padded as numpy.fft does
+        modes = make_grid(n, 1.0).band_size if band_only else n // 2 + 1
+        spectrum = rng.standard_normal(rows + (modes,)) + 1j * rng.standard_normal(rows + (modes,))
+        out = np.empty(rows + (n,))
+        assert _irfft(spectrum, out) is out
+        assert out.tobytes() == np.fft.irfft(spectrum, n).tobytes()

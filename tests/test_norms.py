@@ -189,6 +189,33 @@ class TestKatoMasuda:
         assert km_radius_norm(random_field, -math.inf) == pytest.approx(h2, rel=1e-14)
 
 
+class TestNonFiniteArguments:
+    """NaN sigma or s and +inf sigma raise instead of printing NaN norms;
+    km_phi and km_radius_norm keep sigma = -inf (TestKatoMasuda)."""
+
+    @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
+    def test_sobolev_s(self, random_field, s):
+        with pytest.raises(ConfigurationError):
+            sobolev_norm(random_field, s)
+
+    @pytest.mark.parametrize("sigma, s", [(math.nan, 1.0), (math.inf, 1.0), (0.2, math.nan)])
+    def test_gevrey(self, random_field, sigma, s):
+        with pytest.raises(ConfigurationError):
+            gevrey_norm(random_field, sigma, s)
+
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf])
+    def test_hm_sigma(self, random_field, sigma):
+        with pytest.raises(ConfigurationError):
+            hm_norm(random_field, sigma, 2)
+
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf])
+    def test_km_sigma(self, random_field, sigma):
+        with pytest.raises(ConfigurationError):
+            km_phi(random_field, sigma, 4)
+        with pytest.raises(ConfigurationError):
+            km_radius_norm(random_field, sigma)
+
+
 class TestNormAxioms:
     def test_triangle_inequality(self, grid_2pi, rng):
         u = RealField(grid_2pi, rng.standard_normal(64))

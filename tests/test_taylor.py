@@ -37,7 +37,8 @@ def loop_coeffs(u0, b, order, dtype=np.float64):
             square += cs[i] * cs[k - i]
             dsquare += dcs[i] * dcs[k - i]
         # the combine returns the band of -F
-        band = _rhs_from_products(grid, b, np.array([advect, square, dsquare]))
+        spectra = np.empty((2, n // 2 + 1), dtype=np.result_type(dtype, 1j))
+        band = _rhs_from_products(grid, b, np.array([advect, square, dsquare]), out=spectra)
         cs.append(np.fft.irfft(-band, n) / (k + 1))
     return cs
 
