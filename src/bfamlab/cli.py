@@ -92,11 +92,12 @@ def _cmd_norms(args) -> int:
     snap = scenarios.read_snapshot(args.snapshot)
     # one transform of the snapshot serves every norm below
     u = norms._spectrum(scenarios.field_of(snap))
+    # gevrey_norm checks sigma and s before anything reaches stdout
+    value, diverged = norms.gevrey_norm(u, args.sigma, args.s)
     print(f"snapshot: N = {snap.n_points}, L = {snap.box_length:g}, "
           f"t = {snap.t:g}, b = {snap.b:g}")
     print(f"l2          = {norms.sobolev_norm(u, 0.0):.12g}")
     print(f"sobolev s={args.s:g}  = {norms.sobolev_norm(u, args.s):.12g}")
-    value, diverged = norms.gevrey_norm(u, args.sigma, args.s)
     note = " (diverged: sigma exceeds the resolvable decay rate)" if diverged else ""
     print(f"gevrey      = {value:.12g}{note}")
     try:

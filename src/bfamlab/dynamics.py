@@ -1,28 +1,23 @@
 """Right-hand side of the b-family evolution law and its monitored functionals.
 
-The evolution law is
+The evolution law, in conservative form, is
 
-    u_t = F(u) = -u u_x - d/dx (1 - d^2/dx^2)^{-1} ( (b/2) u^2 + ((3-b)/2) u_x^2 ),
+    u_t = F(u) = -d/dx [ u^2/2 + (1 - d^2/dx^2)^{-1} ( (b/2) u^2 + ((3-b)/2) u_x^2 ) ],
 
 a one-parameter family containing Camassa-Holm (b = 2) and
-Degasperis-Procesi (b = 3). Quadratic products are formed in physical
-space and their spectra dealiased before any further multiplier is applied.
+Degasperis-Procesi (b = 3). The squares u^2 and u_x^2 are formed in
+physical space and their spectra dealiased before any further multiplier
+is applied. On the band, -F is then A rfft(u^2) + B rfft(u_x^2) with
 
-One combine, `_rhs_from_products`, takes the physical-space products
-u u_x, u^2 and u_x^2 as the rows of one (3, N) array, forms the weighted
-row (b/2) u^2 + ((3-b)/2) u_x^2 in place and turns the two rows
-[u u_x, weighted] into a band with one stacked rfft. `rhs_F`, every RK4
-stage of `evolve` and every order of the `taylor` recursion go through it;
-the b-weighting lives nowhere else.
+    A = i xi (1/2 + (b/2) / (1 + xi^2)),    B = i xi ((3-b)/2) / (1 + xi^2),
 
-The combine returns the band of -F = u u_x + d/dx Helmholtz^{-1}(...), the
-sum of the two transformed rows, so it ends on an add and no negation:
-callers subtract it, or divide it by a negative number, where they would
-have added F. Negation is exact in floating point, so the results are those
-of adding F bit for bit, except that an exact zero may change sign. The
-product spectra go into caller-given `out`; with `band` given for the
-result too, a combine allocates nothing: 8 numpy calls, one of them the
-grid's rfft kernel.
+built once per b by `_band_multipliers`; both vanish at xi = 0, so the mean
+of u never moves. One combine, `_rhs_from_products`, serves `rhs_F`, every
+RK4 stage of `evolve` and every order of the `taylor` recursion; b enters
+nowhere else. It returns the band of -F, so it ends on an add and no
+negation: callers subtract it, or divide it by a negative number, where
+they would have added F. With `band` given, a combine allocates nothing:
+4 numpy calls, one of them the grid's rfft kernel.
 """
 
 from __future__ import annotations
@@ -32,33 +27,32 @@ from typing import Optional
 import numpy as np
 
 from .errors import require_finite
-from .grid import GridSpec, RealField, _irfft, _rfft, dft, helmholtz, helmholtz_inv, idft
+from .grid import GridSpec, RealField, _irfft, _rfft
 from .norms import sobolev_norm
 
 
-def _rhs_from_products(
-    grid: GridSpec, b: float, products: np.ndarray, out: np.ndarray, band=None
-) -> np.ndarray:
-    """Band of advect + d/dx Helmholtz^{-1} ((b/2) square + ((3-b)/2) dsquare), i.e. of -F.
+def _band_multipliers(grid: GridSpec, b: float) -> np.ndarray:
+    """The pair [A, B] of band multipliers of -F at this b, a (2, band_size) array."""
+    nonlocal_, deriv = grid.band_nonlocal_multiplier, grid.half_deriv_multiplier[: grid.band_size]
+    return np.array([0.5 * (deriv + b * nonlocal_), (0.5 * (3.0 - b)) * nonlocal_])
 
-    `products` is a (3, N) array with rows [advect, square, dsquare]: the
-    physical-space products u u_x, u^2 and u_x^2, or their Cauchy sums. It
-    is work space: row 1 is overwritten with the weighted sum and row 2
-    with its scaled term. Rows 0 and 1 are transformed by one stacked rfft
-    into `out`, a complex (2, N/2+1) array. The result, the first
-    grid.band_size entries of the unnormalised rfft of -F, is written into
-    `band` when given and returned: only the dealiased band of each product
-    spectrum is used, so the irfft of -band to N points zero-pads it back to
+
+def _rhs_from_products(multipliers, squares: np.ndarray, out: np.ndarray, band=None) -> np.ndarray:
+    """Band of A rfft(squares[0]) + B rfft(squares[1]), i.e. of -F.
+
+    `multipliers` is the pair [A, B] of `_band_multipliers`, and `squares`
+    the rows [u^2, u_x^2] or their Cauchy sums. One stacked rfft writes
+    their spectra into `out`, a complex (2, N/2+1) array whose row 1 then
+    serves as work space. The result, the first m = multipliers.shape[1]
+    entries of the unnormalised rfft of -F, is written into `band` when
+    given and returned; the irfft of -band to N points zero-pads it back to
     the samples of F.
     """
-    m = grid.band_size
-    square, dsquare = products[1], products[2]
-    np.multiply(square, 0.5 * b, out=square)
-    np.multiply(dsquare, 0.5 * (3.0 - b), out=dsquare)
-    np.add(square, dsquare, out=square)
-    spectra = _rfft(products[:2], out)
-    band = np.multiply(grid.band_nonlocal_multiplier, spectra[1, :m], out=band)
-    return np.add(spectra[0, :m], band, out=band)
+    m = multipliers.shape[1]
+    spectra = _rfft(squares, out)
+    band = np.multiply(multipliers[0], spectra[0, :m], out=band)
+    dsquare = np.multiply(multipliers[1], spectra[1, :m], out=spectra[1, :m])
+    return np.add(band, dsquare, out=band)
 
 
 def rhs_F(u: RealField, b: float) -> RealField:
@@ -68,18 +62,26 @@ def rhs_F(u: RealField, b: float) -> RealField:
     n, u = grid.n_points, u.samples
     spectra = np.empty((2, n // 2 + 1), dtype=complex)
     ux = _irfft(grid.half_deriv_multiplier * _rfft(u, spectra[0]), np.empty(n))
-    band = _rhs_from_products(grid, b, np.array([u * ux, u * u, ux * ux]), out=spectra)
+    band = _rhs_from_products(_band_multipliers(grid, b), np.array([u * u, ux * ux]), out=spectra)
     return RealField(grid, _irfft(-band, np.empty(n)))
+
+
+def _helmholtz_half(u: RealField, apply) -> RealField:
+    """u with its half spectrum divided (np.divide) or multiplied (np.multiply) by 1/(1 + xi^2)."""
+    n = u.grid.n_points
+    spectrum = _rfft(u.samples, np.empty(n // 2 + 1, dtype=complex))
+    apply(spectrum, u.grid.helmholtz_inv_multiplier[: n // 2 + 1], out=spectrum)
+    return RealField(u.grid, _irfft(spectrum, np.empty(n)))
 
 
 def momentum(u: RealField) -> RealField:
     """Momentum density m = u - u_xx, via the multiplier (1 + xi^2)."""
-    return idft(helmholtz(dft(u)))
+    return _helmholtz_half(u, np.divide)
 
 
 def inverse_momentum(m: RealField) -> RealField:
     """The u with momentum(u) = m; smoothing inverse of the Helmholtz operator."""
-    return idft(helmholtz_inv(dft(m)))
+    return _helmholtz_half(m, np.multiply)
 
 
 def conserved_mean(u: RealField) -> float:

@@ -8,18 +8,19 @@ are recorded without interpolation.
 A march carries the state's half spectrum rfft(u), and the samples of u and
 u_x, from step to step in work arrays allocated once. An RK4 stage is two
 calls of the grid's real-transform kernels (`grid._rfft`, `grid._irfft`):
-one stacked irfft gives u and u_x of the stage spectrum, and the products
-u u_x, u^2, u_x^2 are written into one work array whose combine
-(`dynamics._rhs_from_products`) gives the stage's band with one stacked
-rfft. Stage 1 reuses the u and u_x that closed the previous step, so a step
-is 16 real transforms in 8 kernel calls. Only the dealiased band moves;
-modes above the cutoff keep their initial values. One reading per step,
-peak = max|u|, feeds the blow-up test and the next CFL step.
+one stacked irfft gives u and u_x of the stage spectrum, one multiply
+squares them into one work array, and the combine
+(`dynamics._rhs_from_products`, with the band multipliers built once per
+march) gives the stage's band with one stacked rfft. Stage 1 reuses the u
+and u_x that closed the previous step, so a step is 16 real transforms in 8
+kernel calls. Only the dealiased band moves; modes above the cutoff keep
+their initial values. One reading per step, peak = max|u|, feeds the
+blow-up test and the next CFL step.
 
 A step allocates no array: every band operation writes with out= into the
-march's work arrays, 55 numpy calls per step, 8 of them FFTs. The combine
+march's work arrays, 43 numpy calls per step, 8 of them FFTs. The combine
 returns the band of -F, so each stage spectrum u_hat + c k_i is formed as
-u_hat - c (-k_i), with the same results (see `dynamics`).
+u_hat - c (-k_i), with the same results: negation is exact.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Callable, Mapping, Optional
 
 import numpy as np
 
-from .dynamics import _rhs_from_products, momentum
+from .dynamics import _band_multipliers, _rhs_from_products, momentum
 from .errors import BlowupError, ConfigurationError, require_finite
 from .grid import RealField, _irfft, _rfft
 
@@ -119,73 +120,68 @@ class _March:
     initial state, which never change. Row 1 is i xi times row 0. `u_hat` is
     the band of rfft(u) for the state. `fields` holds the samples of u and
     u_x at the current stage; after a step it holds those of the new state.
-    `products` receives u u_x, u^2 and u_x^2 for the combine, and
-    `product_spectra` their transforms. `bands` rows 0..3 receive the
-    stages' bands of -F (k1..k4 negated) and row 4 is band work space.
-    `peak` is max|u| of the state.
+    `squares` receives u^2 and u_x^2 for the combine, and `product_spectra`
+    their transforms. `bands` rows 0..3 receive the stages' bands of -F
+    (k1..k4 negated) and row 4 is band work space. `multipliers` is the
+    combine's pair [A, B] at b. `peak` is max|u| of the state.
     """
 
     def __init__(self, u: RealField, b: float, blowup_threshold: float):
         grid = self.grid = u.grid
         n, m = grid.n_points, grid.band_size
-        self.b, self.blowup_threshold = b, blowup_threshold
+        self.blowup_threshold = blowup_threshold
+        self.multipliers = _band_multipliers(grid, b)
         u_hat = _rfft(u.samples, np.empty(n // 2 + 1, dtype=complex))
         self.spectra = np.array([u_hat, grid.half_deriv_multiplier * u_hat])
         self.fields = np.array([u.samples, _irfft(self.spectra[1], np.empty(n))])
-        self.products = np.empty((3, n))
+        self.squares = np.empty((2, n))
         self.product_spectra = np.empty_like(self.spectra)
         self.bands = np.empty((5, m), dtype=complex)
         self.u_hat = u_hat[:m]
-        # views and multipliers of the stage arithmetic, bound once
+        # views of the stage band and its derivative, and i xi on the band
         self._stage, self._stage_deriv = self.spectra[0, :m], self.spectra[1, :m]
         self._deriv = grid.half_deriv_multiplier[:m]
-        self._u, self._ux = self.fields
-        self._squares = self.products[1:]
         self.peak = float(np.max(np.abs(u.samples)))
 
     def state(self) -> RealField:
         """The current state, with samples of its own (the work arrays are reused)."""
-        return RealField(self.grid, self._u.copy())
-
-    def _band_rhs(self, band: np.ndarray) -> None:
-        """Write into band the band of -F at the stage whose u and u_x
-        samples are in `fields`."""
-        np.multiply(self._u, self._ux, out=self.products[0])
-        np.multiply(self.fields, self.fields, out=self._squares)
-        _rhs_from_products(self.grid, self.b, self.products, out=self.product_spectra, band=band)
-
-    def _load(self) -> None:
-        """One stacked irfft puts u and u_x of the stage spectrum into `fields`."""
-        # above the band, row 1 already holds i xi times the frozen modes
-        np.multiply(self._deriv, self._stage, out=self._stage_deriv)
-        _irfft(self.spectra, self.fields)
+        return RealField(self.grid, self.fields[0].copy())
 
     def step(self, dt: float) -> None:
         """Advance the state by one classical four-stage Runge-Kutta step.
 
-        Each stage spectrum u_hat + c k_i is formed as u_hat - c (-k_i)
-        straight into the stage band, and k1 + 2 k2 + 2 k3 + k4 is summed
-        in that order in place, so a step allocates no array. Raises
-        BlowupError unless the new peak is at most blowup_threshold; a NaN
-        peak fails that test too, so a non-finite state never passes.
+        A stage squares `fields` and combines the squares into its band of
+        -F. The next stage spectrum u_hat + c k_i is formed as u_hat - c (-k_i)
+        in the stage band, and one stacked irfft of it and of i xi times it
+        (above the band, row 1 already holds i xi times the frozen modes)
+        loads `fields`. k1 + 2 k2 + 2 k3 + k4 is summed in that order in
+        place, so a step allocates no array. Raises BlowupError unless the new
+        peak is at most blowup_threshold, which a NaN peak fails too.
         """
-        u_hat, stage, bands = self.u_hat, self._stage, self.bands
-        k, work = bands[:4], bands[4]
-        self._band_rhs(k[0])
+        multiply, subtract, add = np.multiply, np.subtract, np.add
+        irfft, combine, multipliers = _irfft, _rhs_from_products, self.multipliers
+        u_hat, spectra, fields, squares = self.u_hat, self.spectra, self.fields, self.squares
+        stage, stage_deriv, deriv = self._stage, self._stage_deriv, self._deriv
+        k, work, product_spectra = self.bands[:4], self.bands[4], self.product_spectra
+        multiply(fields, fields, out=squares)
+        combine(multipliers, squares, product_spectra, k[0])
         for i, c in enumerate((0.5 * dt, 0.5 * dt, dt)):
-            np.multiply(c, k[i], out=work)
-            np.subtract(u_hat, work, out=stage)
-            self._load()
-            self._band_rhs(k[i + 1])
-        np.multiply(2.0, k[1:3], out=k[1:3])
-        np.add(k[0], k[1], out=work)
-        np.add(work, k[2], out=work)
-        np.add(work, k[3], out=work)
-        np.multiply(dt / 6.0, work, out=work)
-        np.subtract(u_hat, work, out=u_hat)
+            multiply(c, k[i], out=work)
+            subtract(u_hat, work, out=stage)
+            multiply(deriv, stage, out=stage_deriv)
+            irfft(spectra, fields)
+            multiply(fields, fields, out=squares)
+            combine(multipliers, squares, product_spectra, k[i + 1])
+        multiply(2.0, k[1:3], out=k[1:3])
+        add(k[0], k[1], out=work)
+        add(work, k[2], out=work)
+        add(work, k[3], out=work)
+        multiply(dt / 6.0, work, out=work)
+        subtract(u_hat, work, out=u_hat)
         np.copyto(stage, u_hat)
-        self._load()
-        peak = float(np.maximum.reduce(np.abs(self._u, out=self.products[0])))
+        multiply(deriv, stage, out=stage_deriv)
+        irfft(spectra, fields)
+        peak = float(np.maximum.reduce(np.abs(fields[0], out=squares[0])))
         if not peak <= self.blowup_threshold:
             raise BlowupError(
                 f"sup norm {peak:.3e} exceeded blow-up threshold {self.blowup_threshold:.3e}"

@@ -1,24 +1,26 @@
 """Local-in-time power-series solution u(t, x) = sum_k c_k(x) t^k.
 
-Substituting the series into the evolution law and matching powers of t
-turns the quadratic right-hand side into a Cauchy-product recursion,
+Substituting the series into the evolution law, in conservative form, and
+matching powers of t turns the quadratic right-hand side into a
+Cauchy-product recursion,
 
-    c_{k+1} = -1/(k+1) [ sum_{i+j=k} c_i d_x c_j
-              + d_x Helmholtz^{-1}( (b/2) sum_{i+j=k} c_i c_j
-                                    + ((3-b)/2) sum_{i+j=k} d_x c_i d_x c_j ) ],
+    c_{k+1} = -1/(k+1) d_x [ (1/2) sum_{i+j=k} c_i c_j
+              + Helmholtz^{-1}( (b/2) sum_{i+j=k} c_i c_j
+                                + ((3-b)/2) sum_{i+j=k} d_x c_i d_x c_j ) ],
 
 with c_0 the initial datum, so c_1 equals the direct right-hand side
 evaluation exactly (shared code path).
 
 The coefficients c_k and derivatives d_x c_k are rows of two preallocated
-arrays, so each Cauchy sum is one contraction over the rows. The two
-symmetric sums add the pairs i < j once, doubled, plus the middle term
-i = j when k is even. Each order costs four real FFTs in two stacked calls
-of the grid's real-transform kernels: the two product transforms inside the
-shared combine, and the inverse transforms of the new coefficient's band and
-of i xi times that band, so d_x c_{k+1} never round-trips through the
-samples. The three sums are written into the rows of one products array,
-the combine's band into the half spectrum that the stacked irfft reads, and
+arrays, so each of the two Cauchy sums of an order is one contraction over
+the rows. Both sums are symmetric: they add the pairs i < j once, doubled,
+plus the middle term i = j when k is even; the conservative form needs no
+sum of c_i d_x c_j. Each order costs four real FFTs in two stacked calls of
+the grid's real-transform kernels: the two square transforms inside the
+shared combine, and the inverse transforms of the new coefficient's band
+and of i xi times that band, so d_x c_{k+1} never round-trips through the
+samples. The two sums are written into the rows of one squares array, the
+combine's band into the half spectrum that the stacked irfft reads, and
 every other step of an order into work arrays allocated once per series.
 
 The temporal radius of convergence is estimated by a root test on the
@@ -35,7 +37,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dynamics import _rhs_from_products
+from .dynamics import _band_multipliers, _rhs_from_products
 from .errors import ConfigurationError, NumericalError, require_finite
 from .grid import RealField, _irfft, _rfft
 
@@ -90,31 +92,30 @@ def taylor_coeffs(u0: RealField, b: float, order: int) -> TaylorSeries:
     grid = u0.grid
     n, m = grid.n_points, grid.band_size
     band_deriv = grid.half_deriv_multiplier[:m]
+    multipliers = _band_multipliers(grid, b)
     cs = np.empty((order + 1, n))
     dcs = np.empty((order + 1, n))  # d_x c_order comes with c_order, unused
     cs[0] = u0.samples
     u0_hat = _rfft(u0.samples, np.empty(n // 2 + 1, dtype=complex))
     _irfft(grid.half_deriv_multiplier * u0_hat, dcs[0])
-    # work arrays of the recursion: the combine's products and their spectra,
-    # the half spectra of c_{k+1} and d_x c_{k+1} (zero above the band), and
-    # two rows for the middle terms and for the new coefficient's samples
-    products = np.empty((3, n))
+    # work arrays: the combine's squares and their spectra, the half spectra of
+    # c_{k+1} and d_x c_{k+1} (zero above the band), and two rows of samples
+    squares = np.empty((2, n))
     product_spectra = np.empty((2, n // 2 + 1), dtype=complex)
     half = np.zeros_like(product_spectra)
     band, pair = half[0, :m], np.empty((2, n))
     kept = order + 1
     for k in range(order):
         pairs = (k + 1) // 2  # index pairs i < k - i
-        np.einsum("ij,ij->j", cs[: k + 1], dcs[k::-1], out=products[0])
-        np.einsum("ij,ij->j", cs[:pairs], cs[k : k - pairs : -1], out=products[1])
-        np.einsum("ij,ij->j", dcs[:pairs], dcs[k : k - pairs : -1], out=products[2])
-        np.multiply(2.0, products[1:], out=products[1:])
+        np.einsum("ij,ij->j", cs[:pairs], cs[k : k - pairs : -1], out=squares[0])
+        np.einsum("ij,ij->j", dcs[:pairs], dcs[k : k - pairs : -1], out=squares[1])
+        np.multiply(2.0, squares, out=squares)
         if k % 2 == 0:
             np.multiply(cs[k // 2], cs[k // 2], out=pair[0])
             np.multiply(dcs[k // 2], dcs[k // 2], out=pair[1])
-            np.add(products[1:], pair, out=products[1:])
+            np.add(squares, pair, out=squares)
         # the combine gives the band of -F: dividing by -(k + 1) gives c_{k+1}'s
-        _rhs_from_products(grid, b, products, out=product_spectra, band=band)
+        _rhs_from_products(multipliers, squares, out=product_spectra, band=band)
         np.divide(band, -(k + 1), out=band)
         np.multiply(band_deriv, band, out=half[1, :m])
         cs[k + 1], dcs[k + 1] = _irfft(half, pair)

@@ -10,6 +10,43 @@ import bfamlab.taylor
 from bfamlab import RealField, make_grid
 
 
+def _reference_wavenumbers(n, box_length):
+    """i xi_k for k = 0 .. N/2 (Nyquist zeroed), xi_k, and the 2/3 dealias mask."""
+    k = np.arange(n // 2 + 1)
+    xi = 2.0 * np.pi * k / box_length
+    ixi = 1j * xi
+    ixi[-1] = 0.0
+    return ixi, xi, k <= (2.0 / 3.0) * (n // 2)
+
+
+def conservative_band(square, dsquare, b, box_length):
+    """Half spectrum of -F from the samples of u^2 and u_x^2 (or their Cauchy
+    sums), in conservative form,
+
+        -F = d/dx [ u^2/2 + (1 - d^2/dx^2)^{-1} ((b/2) u^2 + ((3-b)/2) u_x^2) ],
+
+    with both spectra cut to |k| <= (2/3) N/2; unnormalised, like numpy's
+    rfft. A reference for the combine built on numpy.fft alone, in the
+    squares' own precision.
+    """
+    ixi, xi, keep = _reference_wavenumbers(square.shape[-1], box_length)
+    s_hat = np.fft.rfft(square) * keep
+    d_hat = np.fft.rfft(dsquare) * keep
+    return ixi * (0.5 * s_hat + (0.5 * b * s_hat + 0.5 * (3.0 - b) * d_hat) / (1.0 + xi**2))
+
+
+def reference_derivative(u, box_length):
+    """Samples of u_x, by an rfft round trip in u's own precision."""
+    ixi, _, _ = _reference_wavenumbers(u.shape[-1], box_length)
+    return np.fft.irfft(ixi * np.fft.rfft(u), u.shape[-1])
+
+
+def conservative_rhs(u, b, box_length):
+    """Samples of F(u) from `conservative_band`."""
+    ux = reference_derivative(u, box_length)
+    return np.fft.irfft(-conservative_band(u * u, ux * ux, b, box_length), u.shape[-1])
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -16,8 +16,10 @@ from bfamlab import (
     rhs_F,
     sobolev_norm,
 )
-from bfamlab.dynamics import _rhs_from_products
+from bfamlab import evolve
+from bfamlab.dynamics import _band_multipliers, _rhs_from_products
 from bfamlab.grid import deriv, dft, helmholtz_inv, idft
+from conftest import conservative_band, conservative_rhs, reference_derivative
 
 
 class TestRhs:
@@ -87,20 +89,68 @@ class TestRhs:
 
 
 class TestCombine:
-    @pytest.mark.parametrize("b", [-1.0, 0.0, 2.0, 3.0])
+    """The combine and rhs_F against a conservative-form RHS of numpy.fft alone."""
+
+    B_VALUES = [-1.0, 0.0, 2.0, 3.0]
+
+    @staticmethod
+    def squares(u, box_length):
+        ux = reference_derivative(u, box_length)
+        return np.array([u * u, ux * ux])
+
+    @pytest.mark.parametrize("b", B_VALUES)
+    def test_band_matches_reference(self, random_field, b):
+        grid = random_field.grid
+        squares = self.squares(random_field.samples, grid.box_length)
+        spectra = np.empty((2, grid.n_points // 2 + 1), dtype=complex)
+        band = _rhs_from_products(_band_multipliers(grid, b), squares, out=spectra)
+        expected = conservative_band(*squares, b, grid.box_length)
+        assert band.shape == (grid.band_size,)
+        assert np.max(np.abs(band - expected[: grid.band_size])) <= 1e-14 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("b", B_VALUES)
+    def test_rhs_matches_reference(self, random_field, b):
+        grid = random_field.grid
+        expected = conservative_rhs(random_field.samples, b, grid.box_length)
+        got = rhs_F(random_field, b).samples
+        assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("b", B_VALUES)
     def test_caller_band_storage(self, random_field, b):
         grid = random_field.grid
-        n, u = grid.n_points, random_field.samples
-        ux = np.fft.irfft(grid.half_deriv_multiplier * np.fft.rfft(u), n)
-        products = np.array([u * ux, u * u, ux * ux])
-        spectra = np.empty((2, n // 2 + 1), dtype=complex)
-        expected = _rhs_from_products(grid, b, products.copy(), out=spectra)
+        squares = self.squares(random_field.samples, grid.box_length)
+        multipliers = _band_multipliers(grid, b)
+        spectra = np.empty((2, grid.n_points // 2 + 1), dtype=complex)
+        expected = _rhs_from_products(multipliers, squares, out=spectra)
         band = np.empty(grid.band_size, dtype=complex)
-        got = _rhs_from_products(grid, b, products.copy(), out=spectra, band=band)
+        got = _rhs_from_products(multipliers, squares, out=spectra, band=band)
         assert got is band
         assert band.tobytes() == expected.tobytes()
-        # the band is that of -F
+        # rhs_F is the irfft of -band
+        n = grid.n_points
         assert np.array_equal(np.fft.irfft(-band, n), rhs_F(random_field, b).samples)
+
+    @pytest.mark.parametrize("b", [-1.0, 0.0, 0.8, 2.0, 3.0, 5.5])
+    def test_mean_entry_is_exactly_zero(self, random_field, b):
+        # i xi_0 = 0, so both multipliers vanish at k = 0 and the band's mean
+        # entry is zero whatever the squares
+        grid = random_field.grid
+        assert np.all(_band_multipliers(grid, b)[:, 0] == 0.0)
+        squares = self.squares(random_field.samples + 2.5, grid.box_length)
+        spectra = np.empty((2, grid.n_points // 2 + 1), dtype=complex)
+        assert _rhs_from_products(_band_multipliers(grid, b), squares, out=spectra)[0] == 0.0
+
+    @pytest.mark.parametrize("b", [-1.0, 2.0, 3.0])
+    def test_march_keeps_mean_mode(self, random_field, b):
+        # the datum's mean mode is round-off, about -5e-16, so any increment
+        # there would show
+        u = RealField(random_field.grid, 0.1 * random_field.samples)
+        march = evolve._March(u, b, 1e6)
+        mean = march.u_hat[0].tobytes()
+        for _ in range(50):
+            march.step(1e-3)
+        assert march.u_hat[0].tobytes() == mean
+        assert np.max(np.abs(march.state().samples - u.samples)) > 1e-6
 
 
 class TestMomentum:

@@ -20,7 +20,8 @@ from bfamlab import (
     rk4_step,
     run,
 )
-from bfamlab import evolve
+from bfamlab import dynamics, evolve
+from bfamlab import grid as grid_module
 from bfamlab.scenarios import STANDARD_MONITORS, initial_data
 
 
@@ -90,13 +91,16 @@ class TestRk4Step:
 
 
 def _complex_fft_rhs(u, b, xi, keep):
-    """Dealiased b-family RHS with full complex FFTs, in physical space."""
+    """Dealiased b-family RHS in conservative form with full complex FFTs,
+    -d/dx [u^2/2 + (1 - d^2/dx^2)^{-1} ((b/2) u^2 + ((3-b)/2) u_x^2)], in
+    physical space."""
     ixi = 1j * xi
     ixi[xi.size // 2] = 0.0
     ux = np.fft.ifft(ixi * np.fft.fft(u)).real
-    adv_hat = np.where(keep, np.fft.fft(u * ux), 0.0)
-    q_hat = np.where(keep, np.fft.fft(0.5 * b * u * u + 0.5 * (3.0 - b) * ux * ux), 0.0)
-    return -(np.fft.ifft(adv_hat).real + np.fft.ifft(ixi / (1.0 + xi**2) * q_hat).real)
+    s_hat = np.where(keep, np.fft.fft(u * u), 0.0)
+    d_hat = np.where(keep, np.fft.fft(ux * ux), 0.0)
+    flux = 0.5 * s_hat + (0.5 * b * s_hat + 0.5 * (3.0 - b) * d_hat) / (1.0 + xi**2)
+    return -np.fft.ifft(ixi * flux).real
 
 
 def _complex_fft_rk4(u, dt, b, xi, keep):
@@ -171,7 +175,36 @@ class TestFftBudget:
     def test_sign_certificate_budget(self, u, fft_counts):
         # both extremes of the verdict come from one momentum field
         evolve._check_sign_certificate(u)
-        assert fft_counts == {"real": 0, "complex": 2, "calls": 2, "combine": 0}
+        assert fft_counts == {"real": 2, "complex": 0, "calls": 2, "combine": 0}
+
+
+class _CountingProxy:
+    """Stands for a module or callable and counts the calls made through it."""
+
+    def __init__(self, target, tally):
+        self._target, self._tally = target, tally
+
+    def __getattr__(self, name):
+        value = getattr(self._target, name)
+        return _CountingProxy(value, self._tally) if callable(value) else value
+
+    def __call__(self, *args, **kwargs):
+        self._tally["calls"] += 1
+        return self._target(*args, **kwargs)
+
+
+class TestStepCalls:
+    def test_step_makes_at_most_43_numpy_calls(self, monkeypatch):
+        # every numpy function, ufunc and ufunc method the step and its
+        # combines call, and the 8 pocketfft kernel calls
+        grid = make_grid(256, 80.0)
+        march = evolve._March(RealField(grid, np.exp(-(((grid.x - 40.0) / 3.0) ** 2))), 2.0, 1e6)
+        tally = {"calls": 0}
+        for module in (evolve, dynamics):
+            monkeypatch.setattr(module, "np", _CountingProxy(np, tally))
+        monkeypatch.setattr(grid_module, "_pocketfft", _CountingProxy(grid_module._pocketfft, tally))
+        march.step(0.01)
+        assert 0 < tally["calls"] <= 43
 
 
 class TestStepAllocation:

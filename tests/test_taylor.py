@@ -18,28 +18,24 @@ from bfamlab import (
     taylor_eval,
     time_radius_estimate,
 )
-from bfamlab.dynamics import _rhs_from_products
 from bfamlab.scenarios import initial_data
+from conftest import conservative_band, reference_derivative
 
 
 def loop_coeffs(u0, b, order, dtype=np.float64):
     """Reference recursion: one sequential multiply-add per Cauchy term,
-    derivatives by an rfft round trip of each coefficient."""
-    grid = u0.grid
-    n = grid.n_points
+    derivatives by an rfft round trip of each coefficient, and the
+    conservative-form right-hand side of numpy.fft alone."""
+    n, box_length = u0.grid.n_points, u0.grid.box_length
     cs = [u0.samples.astype(dtype)]
     dcs = []
     for k in range(order):
-        dcs.append(np.fft.irfft(grid.half_deriv_multiplier * np.fft.rfft(cs[k]), n))
-        advect, square, dsquare = (np.zeros(n, dtype) for _ in range(3))
+        dcs.append(reference_derivative(cs[k], box_length))
+        square, dsquare = np.zeros(n, dtype), np.zeros(n, dtype)
         for i in range(k + 1):
-            advect += cs[i] * dcs[k - i]
             square += cs[i] * cs[k - i]
             dsquare += dcs[i] * dcs[k - i]
-        # the combine returns the band of -F
-        spectra = np.empty((2, n // 2 + 1), dtype=np.result_type(dtype, 1j))
-        band = _rhs_from_products(grid, b, np.array([advect, square, dsquare]), out=spectra)
-        cs.append(np.fft.irfft(-band, n) / (k + 1))
+        cs.append(np.fft.irfft(-conservative_band(square, dsquare, b, box_length), n) / (k + 1))
     return cs
 
 
