@@ -13,8 +13,10 @@ gaussian, so the sign hypothesis holds by construction.
 
 import numpy as np
 
-from bfamlab import EvolveConfig, momentum_min, run
-from bfamlab.scenarios import STANDARD_MONITORS, initial_data
+from bfamlab import (
+    EvolveConfig, conserved_mean, momentum_l1, momentum_min, run, sobolev_norm,
+)
+from bfamlab.scenarios import initial_data
 from bfamlab.grid import make_grid
 
 grid = make_grid(512, 80.0)
@@ -27,8 +29,12 @@ for b in (0.0, 2.0, 3.0):
         b=b, t_final=5.0, dt_max=0.01, sample_interval=1.0,
         require_sign_certificate=True,
     )
-    traj = run(u0, cfg, monitors=STANDARD_MONITORS)
-    rows = traj.diagnostics
+    traj = run(u0, cfg)
+    rows = [
+        {"t": t, "mean_u": conserved_mean(u), "h1": sobolev_norm(u, 1.0),
+         "m_l1": momentum_l1(u), "m_min": momentum_min(u)}
+        for t, u in traj.snapshots
+    ]
     first, last = rows[0], rows[-1]
     print(f"b = {b:g}")
     print(f"  {'t':>5} {'mean':>12} {'H1 energy':>12} {'|m|_L1':>12} {'min m':>12}")

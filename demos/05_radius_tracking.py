@@ -17,7 +17,7 @@ positive, for every b once the momentum is sign-definite.
 import numpy as np
 
 from bfamlab import EvolveConfig, km_bound_radius, run
-from bfamlab.scenarios import STANDARD_MONITORS, DiagnosticsSpec, compute_diagnostics, initial_data
+from bfamlab.scenarios import DiagnosticsSpec, compute_diagnostics, initial_data
 from bfamlab.grid import make_grid
 
 grid = make_grid(1024, 80.0)
@@ -29,7 +29,7 @@ for b in (0.0, 2.0):
         b=b, t_final=10.0, dt_max=0.02, sample_interval=2.0,
         require_sign_certificate=True,
     )
-    traj = run(u0, cfg, monitors=STANDARD_MONITORS)
+    traj = run(u0, cfg)
     rows, bound, fits = compute_diagnostics(traj, DiagnosticsSpec())
     print(f"b = {b:g}: mu = {bound.mu:.4f}, K = A(mu) = {bound.K_rate:.2f}, "
           f"gamma = {bound.gamma:.4f}, lambda = {bound.lam:.2f}")

@@ -3,7 +3,7 @@
 Two complementary views of the spatial analyticity radius:
 
 * empirical: the exponential decay rate of the Fourier coefficients,
-  recovered by a log-linear fit over the resolved part of the spectrum;
+  recovered by a log-linear fit over the resolved part of the half spectrum;
 * theoretical: the a-priori strip lower bound r(t) = e^{sigma(t)},
   sigma(t) = gamma - lambda (e^{A(mu) t / 2} - 1), driven by the explicit
   rates A(p) = (32 + 16|b| + 64|3-b|) p and
@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigurationError, InsufficientBandError
 from .grid import SpectralField
-from .norms import ROUNDOFF_FLOOR, km_phi, sobolev_norm
+from .norms import ROUNDOFF_FLOOR, _spectrum, km_phi, sobolev_norm
 
 DEFAULT_FIT_K_MIN = 4
 DEFAULT_M_TRUNC = 32
@@ -64,20 +64,24 @@ class KMBound:
             raise ConfigurationError("lambda must be >= 0 and K_rate > 0")
 
 
-def fit_decay_radius(F: SpectralField, k_min: int = DEFAULT_FIT_K_MIN) -> RadiusFit:
+def fit_decay_radius(u, k_min: int = DEFAULT_FIT_K_MIN) -> RadiusFit:
     """Fit log|u_hat_k| = const - sigma_hat * |xi_k| over the usable band.
 
+    u is a field or its half spectrum `norms._spectrum(u)`, as every norm
+    takes, or a SpectralField, of which the modes k = 0 .. N/2 are read.
     Modes below k_min encode bulk shape rather than tail decay and are
     excluded, as are modes below ROUNDOFF_FLOOR relative to the spectral peak.
     Raises InsufficientBandError with fewer than 8 usable modes.
     """
-    grid = F.grid
-    half = grid.n_points // 2
-    amp_all = np.abs(F.coeffs)
+    if isinstance(u, SpectralField):
+        amp_all = np.abs(u.coeffs[: u.grid.n_points // 2 + 1])
+        abs_xi = np.abs(u.grid.xi[: amp_all.size])
+    else:
+        abs_xi, _, amp_all = _spectrum(u)
     peak = float(amp_all.max())
     if peak == 0.0:
         raise InsufficientBandError("cannot fit a decay rate to a zero spectrum")
-    ks = np.arange(1, half)
+    ks = np.arange(1, amp_all.size - 1)
     amp = amp_all[ks]
     candidate = ks >= k_min
     above_floor = amp > ROUNDOFF_FLOOR * peak
@@ -88,7 +92,7 @@ def fit_decay_radius(F: SpectralField, k_min: int = DEFAULT_FIT_K_MIN) -> Radius
             f"need at least {MIN_FIT_MODES}"
         )
     floor_hit = bool(np.any(candidate & ~above_floor))
-    xs = grid.xi[ks[usable]]
+    xs = abs_xi[ks[usable]]
     ys = np.log(amp[usable])
     slope, intercept = np.polyfit(xs, ys, 1)
     resid = ys - (slope * xs + intercept)

@@ -20,7 +20,7 @@ from .errors import (
     SnapshotError,
     TruncationError,
 )
-from .grid import RealField, dft
+from .grid import RealField
 
 
 class _UsageError(Exception):
@@ -92,32 +92,34 @@ def _cmd_norms(args) -> int:
     snap = scenarios.read_snapshot(args.snapshot)
     # one transform of the snapshot serves every norm below
     u = norms._spectrum(scenarios.field_of(snap))
-    # gevrey_norm checks sigma and s before anything reaches stdout
     value, diverged = norms.gevrey_norm(u, args.sigma, args.s)
-    print(f"snapshot: N = {snap.n_points}, L = {snap.box_length:g}, "
-          f"t = {snap.t:g}, b = {snap.b:g}")
-    print(f"l2          = {norms.sobolev_norm(u, 0.0):.12g}")
-    print(f"sobolev s={args.s:g}  = {norms.sobolev_norm(u, args.s):.12g}")
     note = " (diverged: sigma exceeds the resolvable decay rate)" if diverged else ""
-    print(f"gevrey      = {value:.12g}{note}")
+    lines = [
+        f"snapshot: N = {snap.n_points}, L = {snap.box_length:g}, "
+        f"t = {snap.t:g}, b = {snap.b:g}",
+        f"l2          = {norms.sobolev_norm(u, 0.0):.12g}",
+        f"sobolev s={args.s:g}  = {norms.sobolev_norm(u, args.s):.12g}",
+        f"gevrey      = {value:.12g}{note}",
+    ]
     try:
         hm = norms.hm_norm(u, args.sigma, args.m, args.j_max) if args.sigma > 0 else None
-        print(f"hm m={args.m}      = {hm:.12g}" if hm is not None
-              else "hm          = skipped (requires sigma > 0)")
+        lines.append(f"hm m={args.m}      = {hm:.12g}" if hm is not None
+                     else "hm          = skipped (requires sigma > 0)")
     except TruncationError as err:
-        print(f"hm          = not converged ({err})")
-    print(f"km_phi m=32 = {norms.km_phi(u, args.sigma, 32):.12g}")
+        lines.append(f"hm          = not converged ({err})")
+    lines.append(f"km_phi m=32 = {norms.km_phi(u, args.sigma, 32):.12g}")
     try:
-        print(f"km_radius   = {norms.km_radius_norm(u, args.sigma, args.j_max):.12g}")
+        lines.append(f"km_radius   = {norms.km_radius_norm(u, args.sigma, args.j_max):.12g}")
     except TruncationError as err:
-        print(f"km_radius   = not converged ({err})")
+        lines.append(f"km_radius   = not converged ({err})")
+    # printed once every norm is taken, so a configuration error prints nothing
+    print("\n".join(lines))
     return 0
 
 
 def _cmd_radius(args) -> int:
     snap = scenarios.read_snapshot(args.snapshot)
-    u = scenarios.field_of(snap)
-    fit = analyticity.fit_decay_radius(dft(u), k_min=args.k_min)
+    fit = analyticity.fit_decay_radius(scenarios.field_of(snap), k_min=args.k_min)
     print(f"sigma_hat   = {fit.sigma_hat:.12g}")
     print(f"fit_quality = {fit.fit_quality:.12g}")
     print(f"band        = modes {fit.band[0]}..{fit.band[1]}")

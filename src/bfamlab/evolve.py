@@ -1,9 +1,10 @@
-"""Explicit RK4 time marching with CFL step control and sampled diagnostics.
+"""Explicit RK4 time marching with CFL step control and sampled states.
 
 The nonlocal term's multiplier |xi|/(1+xi^2) is bounded by 1/2, so advection
 dominates stability and an advective CFL condition suffices for the explicit
-stepper. Steps are clipped to land exactly on each sample time, so diagnostics
-are recorded without interpolation.
+stepper. Steps are clipped to land exactly on each sample time, so a run keeps
+the state at each sample time without interpolation; every per-sample reading
+is taken from those states after the march (`scenarios.compute_diagnostics`).
 
 A march carries the state's half spectrum rfft(u), and the samples of u and
 u_x, from step to step in work arrays allocated once. An RK4 stage is two
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -37,8 +38,6 @@ from .grid import RealField, _irfft, _rfft
 
 SIGN_TOL = 1e-10
 _VELOCITY_FLOOR = 1e-8
-
-Monitor = Callable[[RealField], float]
 
 
 @dataclass(frozen=True)
@@ -72,18 +71,18 @@ class EvolveConfig:
 
 @dataclass
 class Trajectory:
-    """Sampled states and monitor values of one run.
+    """Sampled states of one run.
 
     snapshots[i] is (t_i, field) with strictly increasing t_i, starting at the
-    initial datum; diagnostics[i] maps 't', 'dt_used', and each monitor name
-    to its value at t_i. steps counts the completed RK4 steps, and dt_min and
-    dt_max are the smallest and largest of their step sizes (None before the
-    first step).
+    initial datum, and dt_used[i] is the size of the step that landed on t_i
+    (0 for the initial datum). steps counts the completed RK4 steps, and
+    dt_min and dt_max are the smallest and largest of their step sizes (None
+    before the first step).
     """
 
     b: float
     snapshots: list = field(default_factory=list)
-    diagnostics: list = field(default_factory=list)
+    dt_used: list = field(default_factory=list)
     steps: int = 0
     dt_min: Optional[float] = None
     dt_max: Optional[float] = None
@@ -227,18 +226,13 @@ def _check_sign_certificate(u0: RealField) -> bool:
     return m_min >= -SIGN_TOL * scale or m_max <= SIGN_TOL * scale
 
 
-def run(
-    u0: RealField,
-    cfg: EvolveConfig,
-    monitors: Optional[Mapping[str, Monitor]] = None,
-) -> Trajectory:
-    """March from 0 to t_final, recording a snapshot and monitor values at
-    t = 0 and every sample_interval (plus t_final itself).
+def run(u0: RealField, cfg: EvolveConfig) -> Trajectory:
+    """March from 0 to t_final, recording a snapshot at t = 0 and every
+    sample_interval (plus t_final itself).
 
     Deterministic for a given (u0, cfg). On blow-up the partial trajectory
     and abort time are attached to the raised BlowupError.
     """
-    monitors = dict(monitors or {})
     if cfg.require_sign_certificate and not _check_sign_certificate(u0):
         raise ConfigurationError(
             "initial momentum changes sign; the sign-certificate hypothesis "
@@ -248,11 +242,8 @@ def run(
     traj = Trajectory(b=cfg.b)
 
     def record(t: float, u: RealField, dt_used: float):
-        row = {"t": t, "dt_used": dt_used}
-        for name, fn in monitors.items():
-            row[name] = float(fn(u))
         traj.snapshots.append((t, u))
-        traj.diagnostics.append(row)
+        traj.dt_used.append(dt_used)
 
     record(0.0, u0, 0.0)
     march = _March(u0, cfg.b, cfg.blowup_threshold)

@@ -16,8 +16,10 @@ call numpy's pocketfft kernels directly and write into caller-given storage.
 They are the calls numpy.fft.rfft and numpy.fft.irfft end in, with the same
 arguments, so results are those of numpy.fft bit for bit, without about
 4 us of argument handling per call. N is even on every grid, so the
-even-length forward kernel always applies. The complex `dft` and `idft` stay
-on numpy.fft: folding their 1/N into the kernel's factor would change bits.
+even-length forward kernel always applies. The complex `dft` and `idft`, and
+the `SpectralField` they return, are public API and the tests' reference
+path; no run takes them. They stay on numpy.fft: folding their 1/N into the
+kernel's factor would change bits.
 """
 
 from __future__ import annotations

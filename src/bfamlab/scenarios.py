@@ -6,7 +6,9 @@ default for every key are documented in the README. The parsed RunConfig is
 the one source of what a run uses: `simulate` runs the pipeline in memory and
 `run_scenario` persists it, into a run directory holding render_config(cfg) as
 config.ini, the diagnostics CSV (plus plot-ready two-column companions), the
-initial and final field snapshots, and a JSON manifest.
+initial and final field snapshots, and a JSON manifest. Every diagnostics
+column is read from the sampled states after the march, one half spectrum
+and one momentum field per sample (`compute_diagnostics`).
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .errors import (
     SnapshotError,
     require_finite,
 )
-from .grid import GridSpec, RealField, dft, make_grid
+from .grid import GridSpec, RealField, make_grid
 
 INIT_FAMILIES = ("gaussian", "sech", "sine", "momentum_bump")
 
@@ -410,82 +412,58 @@ class ScenarioResult:
     fits: list
 
 
-class _PerState:
-    """fn(u), taken once for consecutive calls on the same state object.
+def _sample_columns(u: RealField, k_min: int):
+    """The columns of one sample that its state alone fixes, and its decay
+    fit (None with too few usable modes).
 
-    The monitors of one sample are called in turn on one RealField, and
-    several of them need the same transform of it. The last (state, value)
-    pair is kept as one attribute, so a call never pairs one state with the
-    value of another, and the state is held, so its identity is not reused.
-    A RealField's samples are not changed in place, so a kept value stays
-    that of its state.
+    One half spectrum gives l2, h1, h2 and the fit, and one momentum field
+    gives m_l1 and m_min: 3 real transforms per sample. The functions are
+    looked up in their modules per call, so a patched one is used.
     """
-
-    def __init__(self, fn):
-        self._fn = fn
-        self._last = (None, None)
-
-    def __call__(self, u: RealField):
-        state, value = self._last
-        if state is not u:
-            value = self._fn(u)
-            self._last = (u, value)
-        return value
-
-
-# per sample, one rfft serves l2, h1 and h2 and one momentum field serves m_l1
-# and m_min; the lambdas look the functions up per call, so a patched one is used
-_sample_spectrum = _PerState(lambda u: norms._spectrum(u))
-_sample_momentum = _PerState(lambda u: dynamics.momentum(u))
-
-STANDARD_MONITORS = {
-    "l2": lambda u: norms.sobolev_norm(_sample_spectrum(u), 0.0),
-    "h1": lambda u: norms.sobolev_norm(_sample_spectrum(u), 1.0),
-    "h2": lambda u: norms.sobolev_norm(_sample_spectrum(u), 2.0),
-    "mean_u": dynamics.conserved_mean,
-    "m_l1": lambda u: dynamics.momentum_l1(u, _sample_momentum(u)),
-    "m_min": lambda u: dynamics.momentum_min(u, _sample_momentum(u)),
-}
-
-
-def _fit_or_nan(u: RealField, k_min: int):
+    spectrum = norms._spectrum(u)
+    m = dynamics.momentum(u)
     try:
-        return analyticity.fit_decay_radius(dft(u), k_min=k_min)
+        fit = analyticity.fit_decay_radius(spectrum, k_min=k_min)
     except InsufficientBandError:
-        return None
+        fit = None
+    columns = dict(
+        l2=norms.sobolev_norm(spectrum, 0.0),
+        h1=norms.sobolev_norm(spectrum, 1.0),
+        h2=norms.sobolev_norm(spectrum, 2.0),
+        mean_u=dynamics.conserved_mean(u),
+        m_l1=dynamics.momentum_l1(u, m),
+        m_min=dynamics.momentum_min(u, m),
+        sigma_hat=fit.sigma_hat if fit else math.nan,
+        fit_quality=fit.fit_quality if fit else math.nan,
+    )
+    return columns, fit
 
 
 def compute_diagnostics(trajectory, diag: DiagnosticsSpec):
-    """Radius fits per snapshot, the strip bound, and the assembled rows.
-
-    trajectory is a run with STANDARD_MONITORS: every record holds their
-    columns, and the bound takes mu from the 'h2' column instead of a
-    second H^2 norm of each snapshot.
-    """
-    fits = [_fit_or_nan(u, diag.fit_k_min) for _, u in trajectory.snapshots]
+    """Per-sample columns and radius fits of every snapshot, the strip bound,
+    and the assembled rows; mu comes from the samples' h2 column."""
+    readings = [_sample_columns(u, diag.fit_k_min) for _, u in trajectory.snapshots]
+    fits = [fit for _, fit in readings]
     if diag.gamma_override is not None:
         gamma = diag.gamma_override
     elif fits[0] is not None:
         gamma = analyticity.default_gamma(fits[0].sigma_hat)
     else:
         gamma = -0.05
-    h2_norms = [record["h2"] for record in trajectory.diagnostics]
+    h2_norms = [columns["h2"] for columns, _ in readings]
     bound = analyticity.km_bound_from_run(trajectory, gamma, diag.m_trunc, h2_norms)
     rows = [
         DiagnosticsRow(
-            **record,
-            sigma_hat=fit.sigma_hat if fit else math.nan,
-            fit_quality=fit.fit_quality if fit else math.nan,
-            km_sigma_bound=analyticity.km_bound_sigma(record["t"], bound),
+            t=t, **columns, km_sigma_bound=analyticity.km_bound_sigma(t, bound), dt_used=dt,
         )
-        for record, fit in zip(trajectory.diagnostics, fits)
+        for (t, _), dt, (columns, _) in zip(trajectory.snapshots, trajectory.dt_used, readings)
     ]
     return rows, bound, fits
 
 
 def simulate(cfg: RunConfig) -> ScenarioResult:
     """The pipeline in memory: init -> evolve -> per-sample diagnostics -> strip bound."""
-    trajectory = evolve.run(build_initial(cfg), cfg.evolve, monitors=STANDARD_MONITORS)
+    trajectory = evolve.run(build_initial(cfg), cfg.evolve)
     rows, bound, fits = compute_diagnostics(trajectory, cfg.diagnostics)
     return ScenarioResult(cfg, trajectory, rows, bound, fits)
 

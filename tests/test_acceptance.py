@@ -37,7 +37,7 @@ from bfamlab import (
     taylor_eval,
 )
 from bfamlab.grid import dft, idft
-from bfamlab.scenarios import STANDARD_MONITORS
+from bfamlab.scenarios import DiagnosticsSpec, compute_diagnostics
 
 
 def report(number, ok, detail):
@@ -95,13 +95,13 @@ def test_criterion_04_conservation_at_desk_scale():
             require_sign_certificate=True,
         )
         start = time.perf_counter()
-        traj = run(u0, cfg, monitors=STANDARD_MONITORS)
+        traj = run(u0, cfg)
+        rows, _, _ = compute_diagnostics(traj, DiagnosticsSpec())
         elapsed = time.perf_counter() - start
-        rows = traj.diagnostics
-        mean_drift = abs(rows[-1]["mean_u"] - rows[0]["mean_u"]) / abs(rows[0]["mean_u"])
-        ml1_drift = max(abs(r["m_l1"] - rows[0]["m_l1"]) for r in rows) / rows[0]["m_l1"]
+        mean_drift = abs(rows[-1].mean_u - rows[0].mean_u) / abs(rows[0].mean_u)
+        ml1_drift = max(abs(r.m_l1 - rows[0].m_l1) for r in rows) / rows[0].m_l1
         m_inf = max(np.max(np.abs(momentum(u).samples)) for _, u in traj.snapshots)
-        m_min_worst = min(r["m_min"] for r in rows)
+        m_min_worst = min(r.m_min for r in rows)
         checks = {
             "mean": mean_drift < 1e-10,
             "m_l1": ml1_drift < 1e-4,
@@ -109,7 +109,7 @@ def test_criterion_04_conservation_at_desk_scale():
             "time": elapsed < 120.0,
         }
         if b == 2.0:
-            h1_drift = abs(rows[-1]["h1"] - rows[0]["h1"]) / rows[0]["h1"]
+            h1_drift = abs(rows[-1].h1 - rows[0].h1) / rows[0].h1
             checks["h1"] = h1_drift < 1e-6
             details.append(f"b=2 h1 drift {h1_drift:.2e}")
         details.append(f"b={b:g} mean {mean_drift:.1e} mL1 {ml1_drift:.1e} {elapsed:.1f}s")
@@ -247,7 +247,7 @@ def test_criterion_09_empirical_global_analyticity():
             b=b, t_final=10.0, dt_max=0.02, sample_interval=0.5,
             require_sign_certificate=True,
         )
-        traj = run(u0, cfg, monitors=STANDARD_MONITORS)
+        traj = run(u0, cfg)
         fits = [fit_decay_radius(dft(u)) for _, u in traj.snapshots]
         bound = km_bound_from_run(traj, gamma=-0.1)
         sigma_min = min(fit.sigma_hat for fit in fits)

@@ -23,6 +23,7 @@ from bfamlab import (
     run,
 )
 from bfamlab.grid import dft
+from bfamlab.norms import _spectrum
 from bfamlab.scenarios import initial_data
 
 
@@ -64,6 +65,29 @@ class TestFitDecayRadius:
             oracle = abs(np.trapezoid(integrand, x)) / 80.0
             assert abs(F.coeff(k)) == pytest.approx(oracle, rel=1e-6)
             assert oracle == pytest.approx(np.pi / 80.0 / np.cosh(np.pi * xi / 2), rel=1e-6)
+
+    @staticmethod
+    def assert_inputs_agree(u):
+        # the half spectrum and the complex transform differ by round-off only
+        half, full = fit_decay_radius(_spectrum(u)), fit_decay_radius(dft(u))
+        assert (half.band, half.floor_hit) == (full.band, full.floor_hit)
+        assert half.sigma_hat == pytest.approx(full.sigma_hat, rel=1e-5)
+        assert half.fit_quality == pytest.approx(full.fit_quality, abs=1e-6)
+
+    def test_half_spectrum_fit_agrees_on_sech(self):
+        grid = make_grid(2048, 80.0)
+        u = initial_data("sech", {"amplitude": 1.0, "width": 1.0}, grid)
+        self.assert_inputs_agree(u)
+        # a field is read through the same half spectrum
+        assert fit_decay_radius(u) == fit_decay_radius(_spectrum(u))
+
+    @pytest.mark.parametrize("b", [-1.0, 0.0, 2.0, 3.0])
+    def test_half_spectrum_fit_agrees_on_criterion_09_states(self, b):
+        grid = make_grid(1024, 80.0)
+        u0 = initial_data("sech", {"amplitude": 0.05, "width": 1.0}, grid)
+        cfg = EvolveConfig(b=b, t_final=10.0, dt_max=0.02, sample_interval=0.5)
+        for _, u in run(u0, cfg).snapshots:
+            self.assert_inputs_agree(u)
 
     def test_super_exponential_warns_and_flags_floor(self):
         grid = make_grid(1024, 80.0)
@@ -219,17 +243,6 @@ class TestKmBoundFromRun:
         trajectory = run(u0, cfg)
         bound = km_bound_from_run(trajectory, gamma=-0.1)
         assert bound.mu == pytest.approx(1.0 + sobolev_norm(u0, 2.0), rel=1e-13)
-
-    def test_monitor_named_h2_does_not_set_mu(self):
-        # mu comes from the snapshots unless the caller hands H^2 norms over
-        from bfamlab import sobolev_norm
-
-        grid = make_grid(64, 2 * np.pi)
-        u0 = RealField(grid, 0.5 * np.sin(grid.x))
-        cfg = EvolveConfig(b=2.0, t_final=0.2, dt_max=0.05, sample_interval=0.1)
-        trajectory = run(u0, cfg, monitors={"h2": lambda u: 123.0})
-        bound = km_bound_from_run(trajectory, gamma=-0.1)
-        assert bound.mu == 1.0 + max(sobolev_norm(u, 2.0) for _, u in trajectory.snapshots)
 
     def test_given_h2_norms(self):
         grid = make_grid(64, 2 * np.pi)

@@ -125,6 +125,17 @@ class TestNormsCommand:
         assert err.startswith("configuration error:")
         assert out == ""
 
+    @pytest.mark.parametrize("option", [("--m", "1"), ("--m", "-3"), ("--j-max", "0")])
+    def test_bad_order_prints_nothing(self, planted_snapshot, capsys, option):
+        # hm_norm rejects these after l2, sobolev and gevrey are taken; the
+        # table reaches stdout whole or not at all
+        argv = ["norms", "--snapshot", str(planted_snapshot), "--sigma", "0.2", "--s", "2.0",
+                *option]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert err.startswith("configuration error:")
+        assert out == ""
+
     def test_divergent_sigma_noted(self, planted_snapshot, capsys):
         code = main([
             "norms", "--snapshot", str(planted_snapshot),

@@ -22,7 +22,7 @@ from bfamlab import (
 )
 from bfamlab import dynamics, evolve
 from bfamlab import grid as grid_module
-from bfamlab.scenarios import STANDARD_MONITORS, initial_data
+from bfamlab.scenarios import initial_data
 
 
 def bump_datum(n=512, length=80.0, amplitude=0.5, width=8.0):
@@ -258,27 +258,27 @@ class TestRun:
             assert ta == tb
             assert np.array_equal(ua.samples, ub.samples)
 
-    def test_monitors_recorded(self):
+    def test_dt_used_recorded(self):
         u0 = bump_datum(n=128)
         cfg = EvolveConfig(b=2.0, t_final=0.2, dt_max=0.01, sample_interval=0.1)
-        traj = run(u0, cfg, monitors={"mean": conserved_mean})
-        assert all("mean" in row for row in traj.diagnostics)
-        assert traj.diagnostics[0]["dt_used"] == 0.0
-        assert all(row["dt_used"] > 0 for row in traj.diagnostics[1:])
+        traj = run(u0, cfg)
+        assert len(traj.dt_used) == len(traj.snapshots) == 3
+        assert traj.dt_used[0] == 0.0
+        assert all(dt > 0 for dt in traj.dt_used[1:])
 
     @pytest.mark.parametrize("b", [-1.0, 0.0, 2.0, 3.0])
     def test_mean_conserved(self, b):
         u0 = bump_datum()
         cfg = EvolveConfig(b=b, t_final=1.0, dt_max=0.01, sample_interval=0.5)
-        traj = run(u0, cfg, monitors={"mean": conserved_mean})
-        means = [row["mean"] for row in traj.diagnostics]
+        traj = run(u0, cfg)
+        means = [conserved_mean(u) for _, u in traj.snapshots]
         assert abs(means[-1] - means[0]) / abs(means[0]) < 1e-10
 
     def test_h1_conserved_at_b2(self):
         u0 = bump_datum()
         cfg = EvolveConfig(b=2.0, t_final=2.0, dt_max=0.01, sample_interval=1.0)
-        traj = run(u0, cfg, monitors={"h1": h1_energy})
-        values = [row["h1"] for row in traj.diagnostics]
+        traj = run(u0, cfg)
+        values = [h1_energy(u) for _, u in traj.snapshots]
         assert abs(values[-1] - values[0]) / values[0] < 1e-6
 
     def test_sine_steady_run(self):

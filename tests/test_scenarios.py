@@ -14,6 +14,7 @@ from bfamlab import (
     RealField,
     SnapshotError,
     conserved_mean,
+    fit_decay_radius,
     initial_data,
     make_grid,
     momentum,
@@ -404,30 +405,32 @@ class TestDiagnosticsCsv:
         assert float(t) == 0.5 and float(sigma) == 1.5
 
 
-class TestStandardMonitors:
+class TestSampleColumns:
     @pytest.fixture
     def states(self):
         grid = make_grid(256, 80.0)
         return [RealField(grid, 0.5 / np.cosh(grid.x - c)) for c in (30.0, 45.0)]
 
     def test_one_spectrum_and_one_momentum_per_sample(self, states, fft_counts):
-        for fn in scenarios.STANDARD_MONITORS.values():
-            fn(states[0])
-        # rfft for l2, h1 and h2; rfft + irfft for the momentum of m_l1 and m_min
+        scenarios._sample_columns(states[0], 4)
+        # rfft for l2, h1, h2 and the fit; rfft + irfft for the momentum of m_l1 and m_min
         assert fft_counts == {"real": 3, "complex": 0, "calls": 3, "combine": 0}
 
     def test_values_equal_the_direct_calls(self, states):
-        # alternating states: each sample's shared transforms are its own
+        # alternating states: each sample's transforms are its own
         for u in states + states[::-1]:
-            row = {name: fn(u) for name, fn in scenarios.STANDARD_MONITORS.items()}
-            assert row == {
+            columns, fit = scenarios._sample_columns(u, 4)
+            assert columns == {
                 "l2": sobolev_norm(u, 0.0),
                 "h1": sobolev_norm(u, 1.0),
                 "h2": sobolev_norm(u, 2.0),
                 "mean_u": conserved_mean(u),
                 "m_l1": momentum_l1(u),
                 "m_min": momentum_min(u),
+                "sigma_hat": fit.sigma_hat,
+                "fit_quality": fit.fit_quality,
             }
+            assert fit == fit_decay_radius(u)
 
 
 class TestRunScenario:
@@ -500,16 +503,25 @@ class TestRunScenario:
                 h2_norms.append(u)
             return sobolev_norm(u, s)
 
-        # the monitors look the norm up in norms, the bound imports it by name
+        # the sample columns look the norm up in norms, the bound imports it by name
         for module in (norms, analyticity):
             monkeypatch.setattr(module, "sobolev_norm", counted)
         result = scenarios.simulate(parse_config(text))
         assert len(result.rows) == 11
         assert len(h2_norms) == 11
         assert result.bound.mu == 1.0 + max(row.h2 for row in result.rows)
-        # without the monitor the snapshots give the same mu, bit for bit
+        # without the h2 column the snapshots give the same mu, bit for bit
         bare = evolve.Trajectory(b=result.trajectory.b, snapshots=result.trajectory.snapshots)
         assert analyticity.km_bound_from_run(bare, result.bound.gamma).mu == result.bound.mu
+
+    def test_transform_budget(self, tmp_path, fft_counts):
+        result = scenarios.simulate(parse_config(SMALL_RUN.format(outdir=tmp_path)))
+        steps, samples = result.trajectory.steps, len(result.rows)
+        assert (steps, samples) == (10, 3)
+        # the march: 2 to set up and 16 per step; 3 per sample; 1 for the
+        # bound's phi0; no complex transform anywhere
+        assert fft_counts["real"] == 2 + 16 * steps + 3 * samples + 1
+        assert fft_counts["complex"] == 0
 
     def test_sparse_spectrum_yields_nan_fit_columns(self, tmp_path):
         # a pure sine never has enough usable modes for the decay fit; the
