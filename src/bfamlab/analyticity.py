@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigurationError, InsufficientBandError
 from .grid import SpectralField
-from .norms import ROUNDOFF_FLOOR, _spectrum, km_phi, sobolev_norm
+from .norms import ROUNDOFF_FLOOR, _line_fit, _spectrum, km_phi, sobolev_norm
 
 DEFAULT_FIT_K_MIN = 4
 DEFAULT_M_TRUNC = 32
@@ -94,11 +94,11 @@ def fit_decay_radius(u, k_min: int = DEFAULT_FIT_K_MIN) -> RadiusFit:
     floor_hit = bool(np.any(candidate & ~above_floor))
     xs = abs_xi[ks[usable]]
     ys = np.log(amp[usable])
-    slope, intercept = np.polyfit(xs, ys, 1)
+    slope, intercept = _line_fit(xs, ys)
     resid = ys - (slope * xs + intercept)
     ss_tot = float(np.sum((ys - ys.mean()) ** 2))
     r2 = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0 else 1.0
-    sigma_hat = max(0.0, -float(slope))
+    sigma_hat = max(0.0, -slope)
     if floor_hit and _decay_accelerating(xs, ys):
         warnings.warn(
             "spectral decay steepens with |xi| (super-exponential); the fitted "
@@ -119,8 +119,7 @@ def _decay_accelerating(xs: np.ndarray, ys: np.ndarray) -> bool:
     mid = xs.size // 2
     if mid < 3 or xs.size - mid < 3:
         return False
-    s1 = np.polyfit(xs[:mid], ys[:mid], 1)[0]
-    s2 = np.polyfit(xs[mid:], ys[mid:], 1)[0]
+    s1, s2 = _line_fit(xs[:mid], ys[:mid])[0], _line_fit(xs[mid:], ys[mid:])[0]
     return s2 < 1.5 * s1 < 0
 
 

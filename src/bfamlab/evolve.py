@@ -19,7 +19,9 @@ their initial values. One reading per step, peak = max|u|, feeds the
 blow-up test and the next CFL step.
 
 A step allocates no array: every band operation writes with out= into the
-march's work arrays, 43 numpy calls per step, 8 of them FFTs. The combine
+march's work arrays, 41 numpy calls per step, 8 of them FFTs. The step's
+coefficients and the constant 2 are read through complex 0-d views of one
+work array, so no band operation converts a Python float. The combine
 returns the band of -F, so each stage spectrum u_hat + c k_i is formed as
 u_hat - c (-k_i), with the same results: negation is exact.
 """
@@ -135,8 +137,14 @@ class _March:
         self.fields = np.array([u.samples, _irfft(self.spectra[1], np.empty(n))])
         self.squares = np.empty((2, n))
         self.product_spectra = np.empty_like(self.spectra)
-        self.bands = np.empty((5, m), dtype=complex)
+        self.bands = k = np.empty((5, m), dtype=complex)
         self.u_hat = u_hat[:m]
+        # the step's coefficients dt/2, dt/2, dt, dt/6 and the constant 2
+        coefficients = np.array([0, 0, 0, 0, 2], dtype=complex)
+        c = [coefficients[i, ...] for i in range(5)]
+        self._coefficients, self._sixth, self._two = coefficients.real, c[3], c[4]
+        self._stages = tuple((c[i], k[i], k[i + 1]) for i in range(3))
+        self._k, self._middle, self._work = k[:4], k[1:3], k[4]
         # views of the stage band and its derivative, and i xi on the band
         self._stage, self._stage_deriv = self.spectra[0, :m], self.spectra[1, :m]
         self._deriv = grid.half_deriv_multiplier[:m]
@@ -153,29 +161,32 @@ class _March:
         -F. The next stage spectrum u_hat + c k_i is formed as u_hat - c (-k_i)
         in the stage band, and one stacked irfft of it and of i xi times it
         (above the band, row 1 already holds i xi times the frozen modes)
-        loads `fields`. k1 + 2 k2 + 2 k3 + k4 is summed in that order in
-        place, so a step allocates no array. Raises BlowupError unless the new
-        peak is at most blowup_threshold, which a NaN peak fails too.
+        loads `fields`. k2 and k3 are doubled in place and one add.reduce sums
+        k1 + 2 k2 + 2 k3 + k4 row by row, left to right, so a step allocates
+        no array. Raises BlowupError unless the new peak is at most
+        blowup_threshold, which a NaN peak fails too.
         """
-        multiply, subtract, add = np.multiply, np.subtract, np.add
+        multiply, subtract = np.multiply, np.subtract
         irfft, combine, multipliers = _irfft, _rhs_from_products, self.multipliers
         u_hat, spectra, fields, squares = self.u_hat, self.spectra, self.fields, self.squares
         stage, stage_deriv, deriv = self._stage, self._stage_deriv, self._deriv
-        k, work, product_spectra = self.bands[:4], self.bands[4], self.product_spectra
+        k, middle, work, product_spectra = self._k, self._middle, self._work, self.product_spectra
+        coefficients = self._coefficients
+        coefficients[0] = coefficients[1] = 0.5 * dt
+        coefficients[2] = dt
+        coefficients[3] = dt / 6.0
         multiply(fields, fields, out=squares)
         combine(multipliers, squares, product_spectra, k[0])
-        for i, c in enumerate((0.5 * dt, 0.5 * dt, dt)):
-            multiply(c, k[i], out=work)
+        for c, k_i, k_next in self._stages:
+            multiply(c, k_i, out=work)
             subtract(u_hat, work, out=stage)
             multiply(deriv, stage, out=stage_deriv)
             irfft(spectra, fields)
             multiply(fields, fields, out=squares)
-            combine(multipliers, squares, product_spectra, k[i + 1])
-        multiply(2.0, k[1:3], out=k[1:3])
-        add(k[0], k[1], out=work)
-        add(work, k[2], out=work)
-        add(work, k[3], out=work)
-        multiply(dt / 6.0, work, out=work)
+            combine(multipliers, squares, product_spectra, k_next)
+        multiply(self._two, middle, out=middle)
+        np.add.reduce(k, axis=0, out=work)
+        multiply(self._sixth, work, out=work)
         subtract(u_hat, work, out=u_hat)
         np.copyto(stage, u_hat)
         multiply(deriv, stage, out=stage_deriv)

@@ -15,11 +15,12 @@ Every real transform of the package goes through `_rfft` and `_irfft`, which
 call numpy's pocketfft kernels directly and write into caller-given storage.
 They are the calls numpy.fft.rfft and numpy.fft.irfft end in, with the same
 arguments, so results are those of numpy.fft bit for bit, without about
-4 us of argument handling per call. N is even on every grid, so the
-even-length forward kernel always applies. The complex `dft` and `idft`, and
-the `SpectralField` they return, are public API and the tests' reference
-path; no run takes them. They stay on numpy.fft: folding their 1/N into the
-kernel's factor would change bits.
+4 us of argument handling per call. Their scale factors, 1 and 1/N, are
+float64 0-d arrays made once per N, not Python floats converted per call.
+N is even on every grid, so the even-length forward kernel always applies.
+The complex `dft` and `idft`, and the `SpectralField` they return, are
+public API and the tests' reference path; no run takes them. They stay on
+numpy.fft: folding their 1/N into the kernel's factor would change bits.
 """
 
 from __future__ import annotations
@@ -149,16 +150,24 @@ class SpectralField:
         return complex(self.coeffs[k % n])
 
 
+_UNIT_FACTOR = np.array(1.0)
+_inverse_lengths = {}  # N -> 1/N as a float64 0-d array, made on first use
+
+
 def _rfft(samples: np.ndarray, out: np.ndarray) -> np.ndarray:
     """numpy.fft.rfft of the rows of samples (last axis even N) written into out
     (last axis N/2+1); returns out."""
-    return _pocketfft.rfft_n_even(samples, 1.0, out=(out,))
+    return _pocketfft.rfft_n_even(samples, _UNIT_FACTOR, out=(out,))
 
 
 def _irfft(spectrum: np.ndarray, out: np.ndarray) -> np.ndarray:
     """numpy.fft.irfft of the rows of spectrum to out's last-axis length N,
     written into out; returns out. Rows shorter than N/2+1 are zero-padded."""
-    return _pocketfft.irfft(spectrum, 1.0 / out.shape[-1], out=(out,))
+    n = out.shape[-1]
+    factor = _inverse_lengths.get(n)
+    if factor is None:
+        factor = _inverse_lengths[n] = np.array(1.0 / n)
+    return _pocketfft.irfft(spectrum, factor, out=(out,))
 
 
 def make_grid(

@@ -187,6 +187,15 @@ def gevrey_norm(u: RealField, sigma: float, s: float) -> GevreyNorm:
     return GevreyNorm(value, _tail_growing(abs_xi, exponent + np.log(sobolev_terms)))
 
 
+def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple:
+    """(slope, intercept) of the least-squares line through the points (x, y),
+    in centred closed form: no Vandermonde matrix and no lstsq call."""
+    x_mean, y_mean = x.mean(), y.mean()
+    dx = x - x_mean
+    slope = float(np.dot(dx, y - y_mean) / np.dot(dx, dx))
+    return slope, float(y_mean) - slope * float(x_mean)
+
+
 def _tail_growing(abs_xi: np.ndarray, log_terms: np.ndarray) -> bool:
     """Least-squares slope of log term vs |xi| over the last quarter of the
     resolved k > 0 is positive. Half-spectrum modes are the distinct |xi|
@@ -196,8 +205,7 @@ def _tail_growing(abs_xi: np.ndarray, log_terms: np.ndarray) -> bool:
     start = (3 * n) // 4
     if n < 8 or n - start < 4:
         return False
-    slope = np.polyfit(abs_xi[positive][start:], log_terms[positive][start:], 1)[0]
-    return bool(slope > 0)
+    return _line_fit(abs_xi[positive][start:], log_terms[positive][start:])[0] > 0
 
 
 def hm_norm(u: RealField, sigma: float, m: int, j_max: int = DEFAULT_J_MAX) -> float:

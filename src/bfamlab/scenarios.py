@@ -17,6 +17,7 @@ import configparser
 import io
 import json
 import math
+import platform
 import struct
 import time
 from dataclasses import dataclass, fields
@@ -25,7 +26,7 @@ from typing import Mapping, NamedTuple, Optional
 
 import numpy as np
 
-from . import analyticity, dynamics, evolve, norms
+from . import __version__, analyticity, dynamics, evolve, norms
 from .errors import (
     BlowupError,
     ConfigurationError,
@@ -471,9 +472,11 @@ def simulate(cfg: RunConfig) -> ScenarioResult:
 def run_scenario(cfg: RunConfig) -> ScenarioResult:
     """simulate(cfg), persisting everything into cfg.output_dir; config.ini is
     render_config(cfg), so it names every value the run used."""
+    import hashlib  # here, so that importing the package does not load it
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.ini").write_text(render_config(cfg))
+    config_sha256 = hashlib.sha256((out / "config.ini").read_bytes()).hexdigest()
     started = time.time()
     status, trajectory = 0, None
     try:
@@ -493,6 +496,9 @@ def run_scenario(cfg: RunConfig) -> ScenarioResult:
             "started_unix": started,
             "finished_unix": time.time(),
             "exit_status": status,
+            "versions": {"bfamlab": __version__, "numpy": np.__version__,
+                         "python": platform.python_version()},
+            "config_sha256": config_sha256,
         }
         if trajectory is not None:
             manifest.update(steps=trajectory.steps, dt_min=trajectory.dt_min,

@@ -74,10 +74,24 @@ class TestFitDecayRadius:
         assert half.sigma_hat == pytest.approx(full.sigma_hat, rel=1e-5)
         assert half.fit_quality == pytest.approx(full.fit_quality, abs=1e-6)
 
+    @staticmethod
+    def assert_matches_polyfit(u):
+        # the band, floor flag and slope of the same fit made with np.polyfit
+        abs_xi, _, amp = _spectrum(u)
+        ks = np.arange(1, amp.size - 1)
+        candidate, above = ks >= 4, amp[ks] > 1e-13 * amp.max()
+        usable = ks[candidate & above]
+        slope = np.polyfit(abs_xi[usable], np.log(amp[usable]), 1)[0]
+        fit = fit_decay_radius(_spectrum(u))
+        assert fit.band == (usable[0], usable[-1])
+        assert fit.floor_hit == bool(np.any(candidate & ~above))
+        assert fit.sigma_hat == pytest.approx(-slope, rel=1e-13)
+
     def test_half_spectrum_fit_agrees_on_sech(self):
         grid = make_grid(2048, 80.0)
         u = initial_data("sech", {"amplitude": 1.0, "width": 1.0}, grid)
         self.assert_inputs_agree(u)
+        self.assert_matches_polyfit(u)
         # a field is read through the same half spectrum
         assert fit_decay_radius(u) == fit_decay_radius(_spectrum(u))
 
@@ -88,6 +102,7 @@ class TestFitDecayRadius:
         cfg = EvolveConfig(b=b, t_final=10.0, dt_max=0.02, sample_interval=0.5)
         for _, u in run(u0, cfg).snapshots:
             self.assert_inputs_agree(u)
+            self.assert_matches_polyfit(u)
 
     def test_super_exponential_warns_and_flags_floor(self):
         grid = make_grid(1024, 80.0)

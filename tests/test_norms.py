@@ -88,6 +88,32 @@ class TestGevrey:
         assert value == 0.0 and not diverged
 
 
+class TestLineFit:
+    @pytest.mark.parametrize("size", [3, 4, 7, 50, 280, 2000])
+    def test_matches_polyfit(self, rng, size):
+        # from a half of the smallest decay-fit band to the largest spectra
+        x = np.sort(rng.uniform(0.0, 30.0, size))
+        y = 2.0 - 0.7 * x + 0.1 * rng.standard_normal(size)
+        slope, intercept = norms._line_fit(x, y)
+        expected = np.polyfit(x, y, 1)
+        assert slope == pytest.approx(expected[0], rel=1e-12)
+        assert intercept == pytest.approx(expected[1], rel=1e-12)
+
+    def test_divergence_flags_match_polyfit(self, grid_2pi, random_field, monkeypatch):
+        # the verdicts on this module's Gevrey cases, with the closed-form line
+        # and with np.polyfit in its place
+        grid = make_grid(256, 2 * np.pi)
+        planted = idft(SpectralField(grid, np.exp(-0.2 * np.abs(grid.xi))))
+        cases = [(random_field, sigma, s)
+                 for sigma in (0.0, 0.2, 0.3, 0.5, 1.0) for s in (0.0, 1.0, 1.5, 2.0)]
+        cosine = RealField(grid_2pi, np.cos(grid_2pi.x))
+        cases += [(cosine, 1.0, 0.0), (planted, 0.5, 0.0), (planted, 0.1, 0.0)]
+        flags = [gevrey_norm(u, sigma, s).diverged for u, sigma, s in cases]
+        monkeypatch.setattr(norms, "_line_fit", lambda x, y: tuple(np.polyfit(x, y, 1)))
+        assert flags == [gevrey_norm(u, sigma, s).diverged for u, sigma, s in cases]
+        assert flags[-2:] == [True, False]
+
+
 class TestHimonasMisiolek:
     @pytest.mark.parametrize("m", [2, 3])
     def test_sine_closed_form(self, grid_2pi, m):

@@ -478,6 +478,7 @@ class TestRunScenario:
         assert manifest["steps"] == 10
         assert manifest["dt_min"] == pytest.approx(0.02, rel=1e-9)
         assert manifest["dt_max"] == pytest.approx(0.02, rel=1e-9)
+        self.assert_provenance(manifest, out)
 
     def test_manifest_reports_blowup(self, tmp_path):
         import json
@@ -490,6 +491,22 @@ class TestRunScenario:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["exit_status"] == 2
         assert (manifest["steps"], manifest["dt_min"], manifest["dt_max"]) == (0, None, None)
+        self.assert_provenance(manifest, out)
+
+    @staticmethod
+    def assert_provenance(manifest, out):
+        import hashlib
+        import platform
+
+        import bfamlab
+
+        assert manifest["versions"] == {
+            "bfamlab": bfamlab.__version__,
+            "numpy": np.__version__,
+            "python": platform.python_version(),
+        }
+        digest = hashlib.sha256((out / "config.ini").read_bytes()).hexdigest()
+        assert manifest["config_sha256"] == digest
 
     def test_mu_reads_the_h2_column(self, tmp_path, monkeypatch):
         from bfamlab import analyticity, evolve, norms
