@@ -22,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, InsufficientBandError
-from .grid import SpectralField
-from .norms import ROUNDOFF_FLOOR, _line_fit, _spectrum, km_phi, sobolev_norm
+from .norms import _line_fit, _spectrum, km_phi, sobolev_norm
 
 DEFAULT_FIT_K_MIN = 4
 DEFAULT_M_TRUNC = 32
@@ -67,33 +66,25 @@ class KMBound:
 def fit_decay_radius(u, k_min: int = DEFAULT_FIT_K_MIN) -> RadiusFit:
     """Fit log|u_hat_k| = const - sigma_hat * |xi_k| over the usable band.
 
-    u is a field or its half spectrum `norms._spectrum(u)`, as every norm
-    takes, or a SpectralField, of which the modes k = 0 .. N/2 are read.
-    Modes below k_min encode bulk shape rather than tail decay and are
-    excluded, as are modes below ROUNDOFF_FLOOR relative to the spectral peak.
+    u is a RealField, a SpectralField or its reading `norms._spectrum(u)`,
+    as every norm takes; the modes k = 1 .. N/2 - 1 are fitted. Modes below
+    k_min encode bulk shape rather than tail decay and are excluded, as are
+    the modes the reading drops below its round-off floor.
     Raises InsufficientBandError with fewer than 8 usable modes.
     """
-    if isinstance(u, SpectralField):
-        amp_all = np.abs(u.coeffs[: u.grid.n_points // 2 + 1])
-        abs_xi = np.abs(u.grid.xi[: amp_all.size])
-    else:
-        abs_xi, _, amp_all = _spectrum(u)
-    peak = float(amp_all.max())
-    if peak == 0.0:
+    spectrum = _spectrum(u)
+    if spectrum.amp.size == 0:
         raise InsufficientBandError("cannot fit a decay rate to a zero spectrum")
-    ks = np.arange(1, amp_all.size - 1)
-    amp = amp_all[ks]
-    candidate = ks >= k_min
-    above_floor = amp > ROUNDOFF_FLOOR * peak
-    usable = candidate & above_floor
-    if int(np.sum(usable)) < MIN_FIT_MODES:
+    ks = np.flatnonzero(spectrum.kept)
+    first, stop = max(k_min, 1), spectrum.kept.size - 1
+    usable = (ks >= first) & (ks < stop)
+    count = int(np.count_nonzero(usable))
+    if count < MIN_FIT_MODES:
         raise InsufficientBandError(
-            f"only {int(np.sum(usable))} usable modes above k = {k_min}; "
-            f"need at least {MIN_FIT_MODES}"
+            f"only {count} usable modes above k = {k_min}; need at least {MIN_FIT_MODES}"
         )
-    floor_hit = bool(np.any(candidate & ~above_floor))
-    xs = abs_xi[ks[usable]]
-    ys = np.log(amp[usable])
+    floor_hit = count < stop - first
+    xs, ys = spectrum.abs_xi[usable], np.log(spectrum.amp[usable])
     slope, intercept = _line_fit(xs, ys)
     resid = ys - (slope * xs + intercept)
     ss_tot = float(np.sum((ys - ys.mean()) ** 2))

@@ -1,7 +1,7 @@
 """Command-line surface: run, norms, radius, taylor, bound.
 
 Exit codes: 0 success, 1 configuration problem (including usage errors),
-2 numerical blow-up, 3 I/O failure.
+2 numerical error (blow-up included), 3 I/O failure.
 """
 
 from __future__ import annotations
@@ -14,9 +14,9 @@ from pathlib import Path
 
 from . import __version__, analyticity, evolve, norms, scenarios, taylor
 from .errors import (
-    BlowupError,
     ConfigurationError,
     InsufficientBandError,
+    NumericalError,
     SnapshotError,
     TruncationError,
 )
@@ -131,11 +131,11 @@ def _cmd_taylor(args) -> int:
     cfg = _read_config(args.config)
     u0 = scenarios.build_initial(cfg)
     series = taylor.taylor_coeffs(u0, cfg.evolve.b, args.order)
-    print(f"computed {series.order + 1} coefficients (c_0 .. c_{series.order})")
-    for k, c in enumerate(series.coeffs):
-        print(f"  |c_{k}|_L2 = {norms.sobolev_norm(c, 0.0):.6g}")
+    lines = [f"computed {series.order + 1} coefficients (c_0 .. c_{series.order})"]
+    lines += [f"  |c_{k}|_L2 = {norms.sobolev_norm(c, 0.0):.6g}"
+              for k, c in enumerate(series.coeffs)]
     rho = taylor.time_radius_estimate(series)
-    print(f"temporal radius estimate = {rho:.6g}")
+    lines.append(f"temporal radius estimate = {rho:.6g}")
     t_check = 0.05 if math.isinf(rho) else min(rho / 4.0, 0.05)
     if t_check > 0:
         stepper_cfg = evolve.EvolveConfig(
@@ -150,7 +150,8 @@ def _cmd_taylor(args) -> int:
         )
         ref = norms.sobolev_norm(endpoint, 0.0)
         rel = diff / ref if ref > 0 else diff
-        print(f"stepper comparison at t = {t_check:g}: relative L2 difference = {rel:.3e}")
+        lines.append(f"stepper comparison at t = {t_check:g}: relative L2 difference = {rel:.3e}")
+    print("\n".join(lines))  # once whole, so an error prints no partial report
     return 0
 
 
@@ -175,7 +176,7 @@ _COMMANDS = {
 }
 
 
-_ERROR_PREFIXES = {1: "configuration error", 2: "numerical blow-up", 3: "io error"}
+_ERROR_PREFIXES = {1: "configuration error", 2: "numerical error", 3: "io error"}
 
 
 def main(argv=None) -> int:
@@ -188,7 +189,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigurationError, InsufficientBandError, BlowupError, OSError) as err:
+    except (ConfigurationError, InsufficientBandError, NumericalError, OSError) as err:
         code = scenarios.exit_code_for(err)
         print(f"{_ERROR_PREFIXES[code]}: {err}", file=sys.stderr)
         return code

@@ -12,34 +12,33 @@ The fields are real, so every sum runs over the half spectrum k = 0 .. N/2
 of one rfft, with pair weight p_k = 2 for the conjugate modes +-k and
 p_k = 1 for k = 0 and the Nyquist mode k = N/2.
 
-Factorially weighted sums are evaluated in log space (j! overflows doubles at
-j = 171), from one kernel returning log |d^j u|_{H^s} for a whole array of
-orders j. The log-sum-exp and the table of log j! are this module's own
-numpy code, so the package needs numpy alone. Modes whose amplitude sits
-below the round-off floor, |u_hat| below 1e-13 * max|u_hat|, are excluded
-from these sums: high-order spectral derivatives amplify round-off by
-|xi|^j and would otherwise masquerade as norm growth. The open-ended sums
-(hm_norm, km_radius_norm) take 32 orders per block and stop at the first
-run of three consecutive terms below 1e-16 of the running value.
-
-Each norm takes one rfft of its field. A caller that takes several norms of
-one state can take that transform once: every norm accepts the result of
-`_spectrum(u)` in place of u.
+All five norms read a state one way, `_spectrum(u)`: one rfft, the modes
+above the round-off floor |u_hat| > 1e-13 max|u_hat| (below it the weights
+(1+xi^2)^s, e^{2 sigma |xi|} and |xi|^{2j} turn round-off into norm growth),
+and the logs of L p |u_hat|^2, 1 + xi^2 and |xi| over those modes. Each sum
+is one log-sum-exp of log terms, as (1+xi^2)^s and j! overflow doubles, and
+a norm past the double range is inf. One kernel gives log |d^j u|_{H^s} for
+an array of orders j; the open-ended sums (hm_norm, km_radius_norm) take 32
+orders per block and stop at the first run of three consecutive terms below
+1e-16 of the running value. The log-sum-exp and log j! are this module's own
+numpy code. Every norm also accepts a reading `_spectrum(u)` in place of u.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigurationError, TruncationError, require_finite
-from .grid import RealField, _rfft
+from .grid import RealField, SpectralField, _rfft
 
 ROUNDOFF_FLOOR = 1e-13
 TAIL_RTOL = 1e-16
 _LOG_TAIL = math.log(TAIL_RTOL)
+_LOG_DOUBLE_MAX = math.log(sys.float_info.max)  # math.exp of it is finite, of the next double not
 DEFAULT_J_MAX = 200
 _ORDER_BLOCK = 32  # orders per (order, mode) array: bounds its memory when j_max is large
 _log_factorials = np.array([math.lgamma(j + 1.0) for j in range(DEFAULT_J_MAX + 1)])
@@ -53,33 +52,35 @@ class GevreyNorm(NamedTuple):
 
 
 class _Spectrum(NamedTuple):
-    """(|xi_k|, L p_k |u_hat_k|^2, |u_hat_k|) over the half spectrum k = 0 .. N/2."""
+    """`kept` marks the modes k = 0 .. N/2 above the round-off floor; the other fields
+    run over them: |xi|, |u_hat|, log L p |u_hat|^2, log(1 + xi^2), log|xi| (-inf at 0)."""
 
+    kept: np.ndarray
     abs_xi: np.ndarray
-    weight: np.ndarray
     amp: np.ndarray
+    log_weight: np.ndarray
+    log1p_xi2: np.ndarray
+    log_abs_xi: np.ndarray
 
 
 def _spectrum(u) -> _Spectrum:
-    """The half spectrum of u by one rfft; a _Spectrum passes through as it is."""
+    """The reading of a RealField (one rfft) or of a SpectralField (its modes
+    k = 0 .. N/2); a _Spectrum passes through as it is."""
     if isinstance(u, _Spectrum):
         return u
     grid = u.grid
-    spectrum = _rfft(u.samples, np.empty(grid.n_points // 2 + 1, dtype=complex))
-    amp = np.abs(spectrum) / grid.n_points
-    pair = np.full(amp.size, 2.0)
+    size = grid.n_points // 2 + 1
+    if isinstance(u, SpectralField):
+        amp = np.abs(u.coeffs[:size])
+    else:
+        amp = np.abs(_rfft(u.samples, np.empty(size, dtype=complex))) / grid.n_points
+    kept = amp > ROUNDOFF_FLOOR * np.maximum.reduce(amp)
+    pair = np.full(size, 2.0)
     pair[[0, -1]] = 1.0
-    return _Spectrum(np.abs(grid.xi[: amp.size]), grid.box_length * pair * amp**2, amp)
-
-
-def _resolved_spectrum(u: RealField):
-    """(|xi|, L p |u_hat|^2) over modes above the round-off floor; None if u == 0."""
-    abs_xi, weight, amp = _spectrum(u)
-    peak = float(amp.max())
-    if peak == 0.0:
-        return None
-    usable = amp > ROUNDOFF_FLOOR * peak
-    return abs_xi[usable], weight[usable]
+    amp, abs_xi = amp[kept], np.abs(grid.xi[:size])[kept]
+    weight = grid.box_length * pair[kept] * amp**2
+    log_abs_xi = np.log(abs_xi, out=np.full_like(abs_xi, -np.inf), where=abs_xi > 0)
+    return _Spectrum(kept, abs_xi, amp, np.log(weight), np.log1p(abs_xi**2), log_abs_xi)
 
 
 def _logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -89,13 +90,13 @@ def _logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
     enters through log1p (Blanchard, Higham and Higham, IMA J. Numer. Anal.
     41, 2021), which keeps the result within an ulp or so of the exact value.
     """
-    peak = np.max(a, axis=axis, keepdims=True)
+    peak = np.maximum.reduce(a, axis=axis, keepdims=True)
     top = a == peak
-    ties = np.count_nonzero(top, axis=axis, keepdims=True)
+    ties = np.add.reduce(top, axis=axis, keepdims=True, dtype=np.intp)
     # skipping the shift where a == peak keeps -inf - -inf (NaN) out of an all -inf row
     shifted = np.subtract(a, peak, out=np.full_like(a, -np.inf), where=~top)
-    rest = np.sum(np.exp(shifted), axis=axis, keepdims=True)
-    return np.squeeze(np.log1p(rest / ties) + np.log(ties) + peak, axis=axis)
+    rest = np.add.reduce(np.exp(shifted), axis=axis, keepdims=True)
+    return (np.log1p(rest / ties) + np.log(ties) + peak).squeeze(axis)
 
 
 # the name bench/tracing.py wraps to count log-sum-exp calls per norm
@@ -111,19 +112,38 @@ def _log_factorial(j: np.ndarray) -> np.ndarray:
     return _log_factorials[j]
 
 
-def _log_derivative_norms(spectrum, s: float, j: np.ndarray) -> np.ndarray:
+def _exp(log_value: float) -> float:
+    """e^log_value; inf past the double range."""
+    return math.inf if log_value > _LOG_DOUBLE_MAX else math.exp(log_value)
+
+
+def _log_sobolev_terms(spectrum: _Spectrum, s) -> np.ndarray:
+    """log L p (1+xi^2)^s |u_hat|^2 over the kept modes, a row per s of an (n, 1) s."""
+    return spectrum.log_weight + s * spectrum.log1p_xi2
+
+
+def _root_sums(log_terms: np.ndarray) -> list:
+    """( sum exp(row) )^{1/2} for each row of a 2-D array; 0 for empty rows."""
+    if log_terms.shape[1] == 0:
+        return [0.0] * log_terms.shape[0]
+    return [_exp(0.5 * v) for v in logsumexp(log_terms, axis=1).tolist()]
+
+
+def _sobolev_norms(u, orders) -> list:
+    """sobolev_norm(u, s) for each s in orders, from one log-sum-exp."""
+    return _root_sums(_log_sobolev_terms(_spectrum(u), np.reshape(orders, (-1, 1))))
+
+
+def _log_derivative_norms(spectrum: _Spectrum, s: float, j: np.ndarray) -> np.ndarray:
     """log |d^j u|_{H^s} for each order in the integer array j.
 
     One log-sum-exp over the (order, mode) array of log L p (1+xi^2)^s
     |xi|^{2j} |u_hat|^2; the xi = 0 mode counts for j = 0 only.
     """
-    abs_xi, weight = spectrum
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # log 0 = -inf at xi = 0, and 0 * -inf = NaN in the j = 0 row
-        power = 2.0 * j[:, None] * np.log(abs_xi)
-    power[j == 0] = 0.0
-    log_terms = (np.log(weight) + s * np.log1p(abs_xi**2)) + power
-    return 0.5 * logsumexp(log_terms, axis=1)
+    # 2 j log|xi|, left 0 in the j = 0 row, where 0 * log 0 would be NaN
+    power = np.multiply(2.0 * j[:, None], spectrum.log_abs_xi, where=j[:, None] > 0,
+                        out=np.zeros((j.size, spectrum.abs_xi.size)))
+    return 0.5 * logsumexp(_log_sobolev_terms(spectrum, s) + power, axis=1)
 
 
 def _truncated_sum(log_terms_of, j_max: int, accumulate):
@@ -156,8 +176,7 @@ def _require_sigma_below_inf(sigma: float) -> None:
 def sobolev_norm(u: RealField, s: float) -> float:
     """H^s norm, ( L sum_k (1+xi^2)^s |u_hat|^2 )^{1/2}."""
     require_finite("s", s)
-    abs_xi, weight, _ = _spectrum(u)
-    return float(np.sqrt(np.sum((1.0 + abs_xi**2) ** s * weight)))
+    return _sobolev_norms(u, (s,))[0]
 
 
 def gevrey_norm(u: RealField, sigma: float, s: float) -> GevreyNorm:
@@ -165,26 +184,16 @@ def gevrey_norm(u: RealField, sigma: float, s: float) -> GevreyNorm:
 
     A truncated mode sum is always finite, so divergence (sigma beyond the
     field's resolvable decay rate) is inferred structurally: the flag is set
-    when the weighted per-|k| terms grow over the last quarter of the
-    above-floor spectrum.
+    when the weighted per-|k| terms grow over the last quarter of the kept modes.
     """
     require_finite("sigma", sigma)
     require_finite("s", s)
     if sigma < 0:
         raise ConfigurationError(f"sigma must be >= 0, got {sigma}")
-    spectrum = _resolved_spectrum(u)
-    if spectrum is None:
-        return GevreyNorm(0.0, False)
-    abs_xi, weight = spectrum
-    sobolev_terms = (1.0 + abs_xi**2) ** s * weight
-    exponent = 2.0 * sigma * abs_xi
-    # e^{2 sigma |xi|} scaled by its largest value, so the sum cannot overflow;
-    # at sigma = 0 the sum is the Sobolev sum itself
-    shift = float(exponent.max())
-    total = np.sum(sobolev_terms * np.exp(exponent - shift))
-    with np.errstate(over="ignore"):
-        value = float(np.sqrt(total) * np.exp(0.5 * shift))
-    return GevreyNorm(value, _tail_growing(abs_xi, exponent + np.log(sobolev_terms)))
+    spectrum = _spectrum(u)
+    # at sigma = 0 the terms, and so the value, are sobolev_norm's bit for bit
+    log_terms = _log_sobolev_terms(spectrum, s) + 2.0 * sigma * spectrum.abs_xi
+    return GevreyNorm(_root_sums(log_terms[None])[0], _tail_growing(spectrum.abs_xi, log_terms))
 
 
 def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple:
@@ -222,8 +231,8 @@ def hm_norm(u: RealField, sigma: float, m: int, j_max: int = DEFAULT_J_MAX) -> f
         raise ConfigurationError(f"m must be an integer >= 2, got {m}")
     if j_max < 1:
         raise ConfigurationError(f"j_max must be >= 1, got {j_max}")
-    spectrum = _resolved_spectrum(u)
-    if spectrum is None:
+    spectrum = _spectrum(u)
+    if spectrum.amp.size == 0:
         return 0.0
     log_sigma = math.log(sigma)
 
@@ -237,7 +246,7 @@ def hm_norm(u: RealField, sigma: float, m: int, j_max: int = DEFAULT_J_MAX) -> f
             f"hm_norm terms have not decayed below {TAIL_RTOL:g} of the sup by j = {j_max}; "
             "sigma exceeds the decay rate resolvable on this grid"
         )
-    return math.exp(log_sup)
+    return _exp(log_sup)
 
 
 def _log_km_terms(spectrum, sigma: float, j: np.ndarray) -> np.ndarray:
@@ -257,10 +266,10 @@ def km_phi(u: RealField, sigma: float, m: int) -> float:
     _require_sigma_below_inf(sigma)
     if m < 0:
         raise ConfigurationError(f"m must be a non-negative integer, got {m}")
-    spectrum = _resolved_spectrum(u)
-    if spectrum is None:
+    spectrum = _spectrum(u)
+    if spectrum.amp.size == 0:
         return 0.0
-    return 0.5 * float(np.exp(logsumexp(_log_km_terms(spectrum, sigma, np.arange(m + 1)))))
+    return 0.5 * _exp(float(logsumexp(_log_km_terms(spectrum, sigma, np.arange(m + 1)))))
 
 
 def km_radius_norm(u: RealField, sigma: float, j_max: int = DEFAULT_J_MAX) -> float:
@@ -275,8 +284,8 @@ def km_radius_norm(u: RealField, sigma: float, j_max: int = DEFAULT_J_MAX) -> fl
     _require_sigma_below_inf(sigma)
     if j_max < 1:
         raise ConfigurationError(f"j_max must be >= 1, got {j_max}")
-    spectrum = _resolved_spectrum(u)
-    if spectrum is None:
+    spectrum = _spectrum(u)
+    if spectrum.amp.size == 0:
         return 0.0
     total = _truncated_sum(
         lambda j: _log_km_terms(spectrum, sigma, j), j_max, np.logaddexp.accumulate
@@ -285,4 +294,4 @@ def km_radius_norm(u: RealField, sigma: float, j_max: int = DEFAULT_J_MAX) -> fl
         raise TruncationError(
             f"km_radius_norm tail has not fallen below {TAIL_RTOL:g} by j = {j_max}"
         )
-    return float(np.exp(0.5 * total))
+    return _exp(0.5 * total)

@@ -28,9 +28,9 @@ import numpy as np
 
 from . import __version__, analyticity, dynamics, evolve, norms
 from .errors import (
-    BlowupError,
     ConfigurationError,
     InsufficientBandError,
+    NumericalError,
     SnapshotError,
     require_finite,
 )
@@ -427,10 +427,9 @@ def _sample_columns(u: RealField, k_min: int):
         fit = analyticity.fit_decay_radius(spectrum, k_min=k_min)
     except InsufficientBandError:
         fit = None
+    l2, h1, h2 = norms._sobolev_norms(spectrum, (0.0, 1.0, 2.0))
     columns = dict(
-        l2=norms.sobolev_norm(spectrum, 0.0),
-        h1=norms.sobolev_norm(spectrum, 1.0),
-        h2=norms.sobolev_norm(spectrum, 2.0),
+        l2=l2, h1=h1, h2=h2,
         mean_u=dynamics.conserved_mean(u),
         m_l1=dynamics.momentum_l1(u, m),
         m_min=dynamics.momentum_min(u, m),
@@ -507,8 +506,8 @@ def run_scenario(cfg: RunConfig) -> ScenarioResult:
 
 
 def exit_code_for(err: BaseException) -> int:
-    """CLI exit code: 2 for BlowupError, 3 for OSError (SnapshotError included),
-    and 1 for everything else, ConfigurationError and InsufficientBandError among it."""
-    if isinstance(err, BlowupError):
+    """CLI exit code: 2 for NumericalError (BlowupError among it), 3 for OSError
+    (SnapshotError among it), 1 for the rest (ConfigurationError, InsufficientBandError)."""
+    if isinstance(err, NumericalError):
         return 2
     return 3 if isinstance(err, OSError) else 1

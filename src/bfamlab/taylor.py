@@ -72,7 +72,7 @@ class TaylorSeries:
     def _radius(self) -> float:
         start = (self.order + 1) // 2
         # |c_k|_{L^2} by discrete Parseval, L sum_k p_k |c_hat_k|^2 = dx sum_x c_k(x)^2,
-        # which is sobolev_norm(c_k, 0) without its rfft
+        # which is sobolev_norm(c_k, 0) without its rfft and round-off floor
         squares = [np.dot(c.samples, c.samples) for c in self.coeffs[start:]]
         l2 = np.sqrt(self.grid.dx * np.array(squares))
         best = float(np.max(l2 ** (1.0 / np.arange(start, self.order + 1))))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from bfamlab import Snapshot, SpectralField, cli, make_grid, write_snapshot
+from bfamlab import RealField, Snapshot, SpectralField, cli, make_grid, write_snapshot
 from bfamlab.cli import main
 from bfamlab.grid import idft
 from bfamlab.scenarios import snapshot_of
@@ -26,6 +26,26 @@ width = 1.0
 
 [diagnostics]
 sigma_list = 0.2
+
+[output]
+dir = {outdir}
+"""
+
+
+SINE_CONFIG = """
+[grid]
+n_points = 64
+box_length = 6.283185307179586
+
+[run]
+b = 2.0
+t_final = 0.2
+dt_max = 0.02
+sample_interval = 0.1
+
+[init]
+family = sine
+amplitude = {amplitude}
 
 [output]
 dir = {outdir}
@@ -136,6 +156,16 @@ class TestNormsCommand:
         assert err.startswith("configuration error:")
         assert out == ""
 
+    def test_gevrey_at_sigma_zero_prints_the_sobolev_value(self, tmp_path, capsys):
+        grid = make_grid(4096, 80.0)
+        u = RealField(grid, 1.0 / np.cosh((grid.x - 40.0) / 0.9))
+        path = tmp_path / "sech.bgev"
+        write_snapshot(path, snapshot_of(u, t=0.0, b=2.0))
+        assert main(["norms", "--snapshot", str(path), "--sigma", "0", "--s", "10"]) == 0
+        lines = capsys.readouterr().out.splitlines()[1:]
+        values = {name.strip(): value for name, value in (line.split(" = ", 1) for line in lines)}
+        assert values["sobolev s=10"] == values["gevrey"]
+
     def test_divergent_sigma_noted(self, planted_snapshot, capsys):
         code = main([
             "norms", "--snapshot", str(planted_snapshot),
@@ -177,6 +207,25 @@ class TestTaylorCommand:
         out = capsys.readouterr().out
         assert "temporal radius estimate" in out
         assert "stepper comparison" in out
+
+    def test_numerical_error_exit_code(self, tmp_path, capsys):
+        # c_1 of a 1e7 sine passes the coefficient cap: no usable coefficient
+        path = tmp_path / "steep.ini"
+        path.write_text(SINE_CONFIG.format(amplitude=1e7, outdir=tmp_path / "out"))
+        with pytest.warns(UserWarning, match="series truncated at order 0"):
+            assert main(["taylor", "--config", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "numerical error: no usable Taylor coefficients beyond the datum\n"
+
+    def test_short_series_prints_nothing(self, tmp_path, capsys):
+        # the radius needs 6 coefficients; the table reaches stdout whole or not at all
+        path = tmp_path / "sine.ini"
+        path.write_text(SINE_CONFIG.format(amplitude=0.5, outdir=tmp_path / "out"))
+        assert main(["taylor", "--config", str(path), "--order", "4"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("configuration error: radius estimation needs")
 
 
 class TestBoundCommand:
