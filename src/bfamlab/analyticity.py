@@ -70,13 +70,16 @@ def fit_decay_radius(u, k_min: int = DEFAULT_FIT_K_MIN) -> RadiusFit:
     as every norm takes; the modes k = 1 .. N/2 - 1 are fitted. Modes below
     k_min encode bulk shape rather than tail decay and are excluded, as are
     the modes the reading drops below its round-off floor.
-    Raises InsufficientBandError with fewer than 8 usable modes.
+    Raises ConfigurationError unless k_min >= 1, and InsufficientBandError
+    with fewer than 8 usable modes.
     """
+    if k_min < 1:
+        raise ConfigurationError(f"k_min must be >= 1, got {k_min}")
     spectrum = _spectrum(u)
     if spectrum.amp.size == 0:
         raise InsufficientBandError("cannot fit a decay rate to a zero spectrum")
     ks = np.flatnonzero(spectrum.kept)
-    first, stop = max(k_min, 1), spectrum.kept.size - 1
+    first, stop = k_min, spectrum.kept.size - 1
     usable = (ks >= first) & (ks < stop)
     count = int(np.count_nonzero(usable))
     if count < MIN_FIT_MODES:

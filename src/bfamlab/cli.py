@@ -10,6 +10,7 @@ import argparse
 import functools
 import math
 import sys
+import warnings
 from pathlib import Path
 
 from . import __version__, analyticity, evolve, norms, scenarios, taylor
@@ -179,6 +180,12 @@ _COMMANDS = {
 _ERROR_PREFIXES = {1: "configuration error", 2: "numerical error", 3: "io error"}
 
 
+def _show_warning(message, *_):
+    """Print a library warning as one line, without the source line that the
+    default display adds; the warning filters still decide what is shown."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -187,12 +194,14 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return 1
-    try:
-        return _COMMANDS[args.command](args)
-    except (ConfigurationError, InsufficientBandError, NumericalError, OSError) as err:
-        code = scenarios.exit_code_for(err)
-        print(f"{_ERROR_PREFIXES[code]}: {err}", file=sys.stderr)
-        return code
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            return _COMMANDS[args.command](args)
+        except (ConfigurationError, InsufficientBandError, NumericalError, OSError) as err:
+            code = scenarios.exit_code_for(err)
+            print(f"{_ERROR_PREFIXES[code]}: {err}", file=sys.stderr)
+            return code
 
 
 if __name__ == "__main__":

@@ -7,17 +7,29 @@ The evolution law, in conservative form, is
 a one-parameter family containing Camassa-Holm (b = 2) and
 Degasperis-Procesi (b = 3). The squares u^2 and u_x^2 are formed in
 physical space and their spectra dealiased before any further multiplier
-is applied. On the band, -F is then A rfft(u^2) + B rfft(u_x^2) with
+is applied. On the band, the first m = grid.band_size modes of the half
+spectrum, -F is then A rfft(u^2) + B rfft(u_x^2) with
 
-    A = i xi (1/2 + (b/2) / (1 + xi^2)),    B = i xi ((3-b)/2) / (1 + xi^2),
+    A = i xi (1/2 + (b/2) / (1 + xi^2)),    B = i xi ((3-b)/2) / (1 + xi^2);
 
-built once per b by `_band_multipliers`; both vanish at xi = 0, so the mean
-of u never moves. One combine, `_rhs_from_products`, serves `rhs_F`, every
-RK4 stage of `evolve` and every order of the `taylor` recursion; b enters
-nowhere else. It returns the band of -F, so it ends on an add and no
-negation: callers subtract it, or divide it by a negative number, where
-they would have added F. With `band` given, a combine allocates nothing:
-4 numpy calls, one of them the grid's rfft kernel.
+both vanish at xi = 0, so the mean of u never moves.
+
+Every evaluation of F, in `rhs_F`, each RK4 stage of `evolve` and each
+order of the `taylor` recursion, goes through one layout, an `_Operator`
+built once per call, march or series from a datum u at b. It holds the band
+multipliers `A` and `B` (b enters nowhere else); the half spectra
+`spectra` = [f_hat, i xi f_hat] of a stage f, whose band `stage` the caller
+writes and whose modes above the band keep u's unless the caller zeroes
+them; the samples `fields` = [f, f_x], which `load()` refreshes from
+`stage` with one multiply and one stacked irfft; and the combine's work
+arrays `squares` and `product_spectra`. It starts loaded with u.
+
+The combine, `_rhs_from_products(op, squares, band)`, takes one stacked
+rfft of `squares` ([f^2, f_x^2] or their Cauchy sums) and writes the band
+of -F into `band`: 4 numpy calls, one of them the grid's rfft kernel, with
+no allocation and no view made. It returns -F, so it ends on an add:
+callers subtract it, or divide it by a negative number, where they would
+have added F.
 """
 
 from __future__ import annotations
@@ -27,43 +39,54 @@ from typing import Optional
 import numpy as np
 
 from .errors import require_finite
-from .grid import GridSpec, RealField, _irfft, _rfft
+from .grid import RealField, _irfft, _rfft
 from .norms import sobolev_norm
 
 
-def _band_multipliers(grid: GridSpec, b: float) -> np.ndarray:
-    """The pair [A, B] of band multipliers of -F at this b, a (2, band_size) array."""
-    nonlocal_, deriv = grid.band_nonlocal_multiplier, grid.half_deriv_multiplier[: grid.band_size]
-    return np.array([0.5 * (deriv + b * nonlocal_), (0.5 * (3.0 - b)) * nonlocal_])
+class _Operator:
+    """The layout of right-hand-side evaluations of the b-family at b,
+    loaded with the datum u (module docstring)."""
+
+    def __init__(self, u: RealField, b: float):
+        require_finite("b", b)
+        grid = u.grid
+        n, m = grid.n_points, grid.band_size
+        deriv = grid.half_deriv_multiplier
+        band_deriv = self._band_deriv = deriv[:m]
+        nonlocal_ = band_deriv * grid.helmholtz_inv_multiplier[:m]
+        self.A, self.B = 0.5 * (band_deriv + b * nonlocal_), (0.5 * (3.0 - b)) * nonlocal_
+        spectra = self.spectra = np.empty((2, n // 2 + 1), dtype=complex)
+        fields = self.fields = np.empty((2, n))
+        self.squares = np.empty((2, n))
+        products = self.product_spectra = np.empty_like(spectra)
+        self.stage, self._stage_deriv = spectra[0, :m], spectra[1, :m]
+        self._square_band, self._dsquare_band = products[0, :m], products[1, :m]
+        _rfft(u.samples, spectra[0])
+        np.multiply(deriv, spectra[0], out=spectra[1])
+        fields[0] = u.samples
+        _irfft(spectra[1], fields[1])
+
+    def load(self) -> np.ndarray:
+        """`fields` from `spectra` after a new `stage`; returns `fields`."""
+        np.multiply(self._band_deriv, self.stage, out=self._stage_deriv)
+        return _irfft(self.spectra, self.fields)
 
 
-def _rhs_from_products(multipliers, squares: np.ndarray, out: np.ndarray, band=None) -> np.ndarray:
-    """Band of A rfft(squares[0]) + B rfft(squares[1]), i.e. of -F.
-
-    `multipliers` is the pair [A, B] of `_band_multipliers`, and `squares`
-    the rows [u^2, u_x^2] or their Cauchy sums. One stacked rfft writes
-    their spectra into `out`, a complex (2, N/2+1) array whose row 1 then
-    serves as work space. The result, the first m = multipliers.shape[1]
-    entries of the unnormalised rfft of -F, is written into `band` when
-    given and returned; the irfft of -band to N points zero-pads it back to
-    the samples of F.
-    """
-    m = multipliers.shape[1]
-    spectra = _rfft(squares, out)
-    band = np.multiply(multipliers[0], spectra[0, :m], out=band)
-    dsquare = np.multiply(multipliers[1], spectra[1, :m], out=spectra[1, :m])
+def _rhs_from_products(op: _Operator, squares: np.ndarray, band: np.ndarray) -> np.ndarray:
+    """Write the band of -F, A rfft(squares[0]) + B rfft(squares[1]), into
+    `band` and return it; row 1 of `op.product_spectra` serves as work space.
+    The irfft of -band to N points zero-pads it back to the samples of F."""
+    _rfft(squares, op.product_spectra)
+    np.multiply(op.A, op._square_band, out=band)
+    dsquare = np.multiply(op.B, op._dsquare_band, out=op._dsquare_band)
     return np.add(band, dsquare, out=band)
 
 
 def rhs_F(u: RealField, b: float) -> RealField:
     """Evaluate F(u) pseudo-spectrally with dealiased quadratic products."""
-    require_finite("b", b)
-    grid = u.grid
-    n, u = grid.n_points, u.samples
-    spectra = np.empty((2, n // 2 + 1), dtype=complex)
-    ux = _irfft(grid.half_deriv_multiplier * _rfft(u, spectra[0]), np.empty(n))
-    band = _rhs_from_products(_band_multipliers(grid, b), np.array([u * u, ux * ux]), out=spectra)
-    return RealField(grid, _irfft(-band, np.empty(n)))
+    op = _Operator(u, b)
+    band = _rhs_from_products(op, np.multiply(op.fields, op.fields, out=op.squares), op.stage)
+    return RealField(u.grid, _irfft(np.negative(band, out=band), np.empty(u.grid.n_points)))
 
 
 def _helmholtz_half(u: RealField, apply) -> RealField:

@@ -6,24 +6,19 @@ stepper. Steps are clipped to land exactly on each sample time, so a run keeps
 the state at each sample time without interpolation; every per-sample reading
 is taken from those states after the march (`scenarios.compute_diagnostics`).
 
-A march carries the state's half spectrum rfft(u), and the samples of u and
-u_x, from step to step in work arrays allocated once. An RK4 stage is two
-calls of the grid's real-transform kernels (`grid._rfft`, `grid._irfft`):
-one stacked irfft gives u and u_x of the stage spectrum, one multiply
-squares them into one work array, and the combine
-(`dynamics._rhs_from_products`, with the band multipliers built once per
-march) gives the stage's band with one stacked rfft. Stage 1 reuses the u
-and u_x that closed the previous step, so a step is 16 real transforms in 8
-kernel calls. Only the dealiased band moves; modes above the cutoff keep
-their initial values. One reading per step, peak = max|u|, feeds the
-blow-up test and the next CFL step.
+A march holds one `dynamics._Operator` (the stage layout is described
+there) and the band of rfft(u) for the state. An RK4 stage writes its band
+into the operator's stage, loads the fields u and u_x with one stacked
+irfft, squares them, and combines the squares into its band of -F with one
+stacked rfft. Stage 1 reuses the fields that closed the previous step, so a
+step is 16 real transforms in 8 kernel calls. Only the dealiased band
+moves; modes above the cutoff keep their initial values. One reading per
+step, peak = max|u|, feeds the blow-up test and the next CFL step.
 
 A step allocates no array: every band operation writes with out= into the
 march's work arrays, 41 numpy calls per step, 8 of them FFTs. The step's
 coefficients and the constant 2 are read through complex 0-d views of one
-work array, so no band operation converts a Python float. The combine
-returns the band of -F, so each stage spectrum u_hat + c k_i is formed as
-u_hat - c (-k_i), with the same results: negation is exact.
+work array, so no band operation converts a Python float.
 """
 
 from __future__ import annotations
@@ -34,9 +29,9 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import _band_multipliers, _rhs_from_products, momentum
+from .dynamics import _Operator, _rhs_from_products, momentum
 from .errors import BlowupError, ConfigurationError, require_finite
-from .grid import RealField, _irfft, _rfft
+from .grid import RealField
 
 SIGN_TOL = 1e-10
 _VELOCITY_FLOOR = 1e-8
@@ -116,81 +111,65 @@ def cfl_dt(u: RealField, cfg: EvolveConfig) -> float:
 class _March:
     """The carried state of an RK4 march and its work arrays, allocated once.
 
-    `spectra` row 0 is the current stage's half spectrum: its band is
-    rewritten every stage, and its modes above the band are those of the
-    initial state, which never change. Row 1 is i xi times row 0. `u_hat` is
-    the band of rfft(u) for the state. `fields` holds the samples of u and
-    u_x at the current stage; after a step it holds those of the new state.
-    `squares` receives u^2 and u_x^2 for the combine, and `product_spectra`
-    their transforms. `bands` rows 0..3 receive the stages' bands of -F
-    (k1..k4 negated) and row 4 is band work space. `multipliers` is the
-    combine's pair [A, B] at b. `peak` is max|u| of the state.
+    `op` is the march's operator: its stage band is rewritten every stage,
+    its modes above the band are those of the initial state, which never
+    change, and after a step its fields hold u and u_x of the new state.
+    `u_hat` is the band of rfft(u) for the state. `bands` rows 0..3 receive
+    the stages' bands of -F (k1..k4 negated) and row 4 is band work space.
+    `peak` is max|u| of the state.
     """
 
     def __init__(self, u: RealField, b: float, blowup_threshold: float):
-        grid = self.grid = u.grid
-        n, m = grid.n_points, grid.band_size
+        self.grid = u.grid
         self.blowup_threshold = blowup_threshold
-        self.multipliers = _band_multipliers(grid, b)
-        u_hat = _rfft(u.samples, np.empty(n // 2 + 1, dtype=complex))
-        self.spectra = np.array([u_hat, grid.half_deriv_multiplier * u_hat])
-        self.fields = np.array([u.samples, _irfft(self.spectra[1], np.empty(n))])
-        self.squares = np.empty((2, n))
-        self.product_spectra = np.empty_like(self.spectra)
-        self.bands = k = np.empty((5, m), dtype=complex)
-        self.u_hat = u_hat[:m]
+        op = self.op = _Operator(u, b)
+        self.u_hat = op.stage.copy()
+        self.bands = k = np.empty((5, u.grid.band_size), dtype=complex)
         # the step's coefficients dt/2, dt/2, dt, dt/6 and the constant 2
         coefficients = np.array([0, 0, 0, 0, 2], dtype=complex)
         c = [coefficients[i, ...] for i in range(5)]
         self._coefficients, self._sixth, self._two = coefficients.real, c[3], c[4]
         self._stages = tuple((c[i], k[i], k[i + 1]) for i in range(3))
         self._k, self._middle, self._work = k[:4], k[1:3], k[4]
-        # views of the stage band and its derivative, and i xi on the band
-        self._stage, self._stage_deriv = self.spectra[0, :m], self.spectra[1, :m]
-        self._deriv = grid.half_deriv_multiplier[:m]
         self.peak = float(np.max(np.abs(u.samples)))
 
     def state(self) -> RealField:
         """The current state, with samples of its own (the work arrays are reused)."""
-        return RealField(self.grid, self.fields[0].copy())
+        return RealField(self.grid, self.op.fields[0].copy())
 
     def step(self, dt: float) -> None:
         """Advance the state by one classical four-stage Runge-Kutta step.
 
-        A stage squares `fields` and combines the squares into its band of
-        -F. The next stage spectrum u_hat + c k_i is formed as u_hat - c (-k_i)
-        in the stage band, and one stacked irfft of it and of i xi times it
-        (above the band, row 1 already holds i xi times the frozen modes)
-        loads `fields`. k2 and k3 are doubled in place and one add.reduce sums
-        k1 + 2 k2 + 2 k3 + k4 row by row, left to right, so a step allocates
-        no array. Raises BlowupError unless the new peak is at most
-        blowup_threshold, which a NaN peak fails too.
+        A stage squares the operator's fields and combines the squares into
+        its band of -F. The next stage spectrum u_hat + c k_i is formed as
+        u_hat - c (-k_i) in the stage band (negation is exact), from which
+        the operator loads the fields. k2 and k3 are doubled in place and one
+        add.reduce sums k1 + 2 k2 + 2 k3 + k4 row by row, left to right, so a
+        step allocates no array. Raises BlowupError unless the new peak is at
+        most blowup_threshold, which a NaN peak fails too.
         """
         multiply, subtract = np.multiply, np.subtract
-        irfft, combine, multipliers = _irfft, _rhs_from_products, self.multipliers
-        u_hat, spectra, fields, squares = self.u_hat, self.spectra, self.fields, self.squares
-        stage, stage_deriv, deriv = self._stage, self._stage_deriv, self._deriv
-        k, middle, work, product_spectra = self._k, self._middle, self._work, self.product_spectra
+        op, combine = self.op, _rhs_from_products
+        load, stage, fields, squares = op.load, op.stage, op.fields, op.squares
+        u_hat, k, middle, work = self.u_hat, self._k, self._middle, self._work
         coefficients = self._coefficients
         coefficients[0] = coefficients[1] = 0.5 * dt
         coefficients[2] = dt
         coefficients[3] = dt / 6.0
         multiply(fields, fields, out=squares)
-        combine(multipliers, squares, product_spectra, k[0])
+        combine(op, squares, k[0])
         for c, k_i, k_next in self._stages:
             multiply(c, k_i, out=work)
             subtract(u_hat, work, out=stage)
-            multiply(deriv, stage, out=stage_deriv)
-            irfft(spectra, fields)
+            load()
             multiply(fields, fields, out=squares)
-            combine(multipliers, squares, product_spectra, k_next)
+            combine(op, squares, k_next)
         multiply(self._two, middle, out=middle)
         np.add.reduce(k, axis=0, out=work)
         multiply(self._sixth, work, out=work)
         subtract(u_hat, work, out=u_hat)
         np.copyto(stage, u_hat)
-        multiply(deriv, stage, out=stage_deriv)
-        irfft(spectra, fields)
+        load()
         peak = float(np.maximum.reduce(np.abs(fields[0], out=squares[0])))
         if not peak <= self.blowup_threshold:
             raise BlowupError(
@@ -212,7 +191,6 @@ def rk4_step(
     """
     if not 0 < dt < math.inf:
         raise ConfigurationError(f"dt must be positive and finite, got {dt}")
-    require_finite("b", b)
     march = _March(u, b, blowup_threshold)
     march.step(dt)
     return march.state()

@@ -25,6 +25,7 @@ numpy.fft: folding their 1/N into the kernel's factor would change bits.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -45,10 +46,9 @@ class GridSpec:
     dealias_fraction: float = DEFAULT_DEALIAS_FRACTION
 
     def __post_init__(self):
-        if self.n_points % 2 != 0 or self.n_points < 8:
-            raise ConfigurationError(
-                f"n_points must be even and >= 8, got {self.n_points}"
-            )
+        n = self.n_points
+        if not isinstance(n, numbers.Integral) or n % 2 != 0 or n < 8:
+            raise ConfigurationError(f"n_points must be an even integer >= 8, got {n!r}")
         if not 0 < self.box_length < np.inf:
             raise ConfigurationError(
                 f"box_length must be positive and finite, got {self.box_length}"
@@ -100,11 +100,6 @@ class GridSpec:
         multiplier = 1j * self.xi[: self.n_points // 2 + 1]
         multiplier[-1] = 0.0
         return multiplier
-
-    @cached_property
-    def band_nonlocal_multiplier(self) -> np.ndarray:
-        """i xi / (1 + xi^2) on the dealiased band, k = 0 .. m-1."""
-        return self.half_deriv_multiplier[: self.band_size] * self.helmholtz_inv_multiplier[: self.band_size]
 
 
 def _checked(grid: GridSpec, values, dtype, kind: str, entries: str) -> np.ndarray:
@@ -175,7 +170,7 @@ def make_grid(
     box_length: float,
     dealias_fraction: float = DEFAULT_DEALIAS_FRACTION,
 ) -> GridSpec:
-    """Validated grid; n_points must be even and >= 8, box_length > 0."""
+    """Validated grid; n_points must be an even integer >= 8, box_length > 0."""
     return GridSpec(n_points, float(box_length), dealias_fraction)
 
 

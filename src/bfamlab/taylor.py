@@ -15,13 +15,11 @@ The coefficients c_k and derivatives d_x c_k are rows of two preallocated
 arrays, so each of the two Cauchy sums of an order is one contraction over
 the rows. Both sums are symmetric: they add the pairs i < j once, doubled,
 plus the middle term i = j when k is even; the conservative form needs no
-sum of c_i d_x c_j. Each order costs four real FFTs in two stacked calls of
-the grid's real-transform kernels: the two square transforms inside the
-shared combine, and the inverse transforms of the new coefficient's band
-and of i xi times that band, so d_x c_{k+1} never round-trips through the
-samples. The two sums are written into the rows of one squares array, the
-combine's band into the half spectrum that the stacked irfft reads, and
-every other step of an order into work arrays allocated once per series.
+sum of c_i d_x c_j. An order writes the two sums into the squares of one
+`dynamics._Operator` (the stage layout is described there), combines them
+into the operator's stage band and loads c_{k+1} and d_x c_{k+1} from it:
+four real FFTs in two stacked kernel calls, with d_x c_{k+1} never
+round-tripping through the samples.
 
 The temporal radius of convergence is estimated by a root test on the
 coefficient norms, once per series.
@@ -37,9 +35,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .dynamics import _band_multipliers, _rhs_from_products
+from .dynamics import _Operator, _rhs_from_products
 from .errors import ConfigurationError, NumericalError, require_finite
-from .grid import RealField, _irfft, _rfft
+from .grid import RealField
 
 COEFF_SUP_CAP = 1e12
 MIN_ORDER_FOR_RADIUS = 6
@@ -88,22 +86,16 @@ def taylor_coeffs(u0: RealField, b: float, order: int) -> TaylorSeries:
     """
     if isinstance(order, bool) or not isinstance(order, numbers.Integral) or order < 1:
         raise ConfigurationError(f"order must be an integer >= 1, got {order!r}")
-    require_finite("b", b)
     grid = u0.grid
     n, m = grid.n_points, grid.band_size
-    band_deriv = grid.half_deriv_multiplier[:m]
-    multipliers = _band_multipliers(grid, b)
+    op = _Operator(u0, b)
+    # c_{k+1} has no modes above the band; the fields are free work space
+    # until an order loads them
+    op.spectra[:, m:] = 0.0
+    squares, stage, pair = op.squares, op.stage, op.fields
     cs = np.empty((order + 1, n))
     dcs = np.empty((order + 1, n))  # d_x c_order comes with c_order, unused
-    cs[0] = u0.samples
-    u0_hat = _rfft(u0.samples, np.empty(n // 2 + 1, dtype=complex))
-    _irfft(grid.half_deriv_multiplier * u0_hat, dcs[0])
-    # work arrays: the combine's squares and their spectra, the half spectra of
-    # c_{k+1} and d_x c_{k+1} (zero above the band), and two rows of samples
-    squares = np.empty((2, n))
-    product_spectra = np.empty((2, n // 2 + 1), dtype=complex)
-    half = np.zeros_like(product_spectra)
-    band, pair = half[0, :m], np.empty((2, n))
+    cs[0], dcs[0] = op.fields
     kept = order + 1
     for k in range(order):
         pairs = (k + 1) // 2  # index pairs i < k - i
@@ -115,10 +107,9 @@ def taylor_coeffs(u0: RealField, b: float, order: int) -> TaylorSeries:
             np.multiply(dcs[k // 2], dcs[k // 2], out=pair[1])
             np.add(squares, pair, out=squares)
         # the combine gives the band of -F: dividing by -(k + 1) gives c_{k+1}'s
-        _rhs_from_products(multipliers, squares, out=product_spectra, band=band)
-        np.divide(band, -(k + 1), out=band)
-        np.multiply(band_deriv, band, out=half[1, :m])
-        cs[k + 1], dcs[k + 1] = _irfft(half, pair)
+        _rhs_from_products(op, squares, stage)
+        np.divide(stage, -(k + 1), out=stage)
+        cs[k + 1], dcs[k + 1] = op.load()
         sup = float(np.maximum.reduce(np.abs(pair[0], out=pair[1])))
         if not math.isfinite(sup):
             raise NumericalError(

@@ -1,5 +1,7 @@
 """Exit codes and output contracts of the command-line surface."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,20 @@ class TestRunCommand:
         assert "run complete" in out
         assert "gevrey norm at sigma = 0.2" in out
 
+    @pytest.mark.filterwarnings("default::UserWarning")
+    def test_library_warning_is_one_line(self, tmp_path, capsys):
+        # the decay fit warns on this entire datum at t = 0; stderr holds the
+        # message as one line, with no source line
+        text = CONFIG.replace("family = sech", "family = momentum_bump").replace(
+            "width = 1.0", "width = 8.0")
+        path = tmp_path / "bump.ini"
+        path.write_text(text.format(outdir=tmp_path / "out"))
+        assert main(["run", "--config", str(path)]) == 0
+        assert capsys.readouterr().err == (
+            "warning: spectral decay steepens with |xi| (super-exponential); the fitted "
+            "sigma_hat is a band average, the true radius is unbounded at this resolution\n"
+        )
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.ini"
         bad.write_text("[run]\nb = 2.0\n\n[init]\nfamily = nosuch\n")
@@ -116,6 +132,13 @@ class TestRadiusCommand:
 
     def test_missing_snapshot(self, tmp_path, capsys):
         assert main(["radius", "--snapshot", str(tmp_path / "none.bgev")]) == 3
+
+    @pytest.mark.parametrize("k_min", ["0", "-3"])
+    def test_k_min_below_one_rejected(self, planted_snapshot, capsys, k_min):
+        assert main(["radius", "--snapshot", str(planted_snapshot), "--k-min", k_min]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"configuration error: k_min must be >= 1, got {k_min}\n"
 
 
 class TestNormsCommand:
@@ -208,15 +231,18 @@ class TestTaylorCommand:
         assert "temporal radius estimate" in out
         assert "stepper comparison" in out
 
+    @pytest.mark.filterwarnings("default::UserWarning")
     def test_numerical_error_exit_code(self, tmp_path, capsys):
         # c_1 of a 1e7 sine passes the coefficient cap: no usable coefficient
         path = tmp_path / "steep.ini"
         path.write_text(SINE_CONFIG.format(amplitude=1e7, outdir=tmp_path / "out"))
-        with pytest.warns(UserWarning, match="series truncated at order 0"):
-            assert main(["taylor", "--config", str(path)]) == 2
+        assert main(["taylor", "--config", str(path)]) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == "numerical error: no usable Taylor coefficients beyond the datum\n"
+        warning, error = err.splitlines()
+        assert re.fullmatch(r"warning: Taylor coefficient c_1 reached sup norm \S+; "
+                            r"series truncated at order 0 to avoid overflow noise", warning)
+        assert error == "numerical error: no usable Taylor coefficients beyond the datum"
 
     def test_short_series_prints_nothing(self, tmp_path, capsys):
         # the radius needs 6 coefficients; the table reaches stdout whole or not at all

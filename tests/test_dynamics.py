@@ -17,7 +17,7 @@ from bfamlab import (
     sobolev_norm,
 )
 from bfamlab import evolve
-from bfamlab.dynamics import _band_multipliers, _rhs_from_products
+from bfamlab.dynamics import _Operator, _rhs_from_products
 from bfamlab.grid import deriv, dft, helmholtz_inv, idft
 from conftest import conservative_band, conservative_rhs, reference_derivative
 
@@ -102,10 +102,9 @@ class TestCombine:
     def test_band_matches_reference(self, random_field, b):
         grid = random_field.grid
         squares = self.squares(random_field.samples, grid.box_length)
-        spectra = np.empty((2, grid.n_points // 2 + 1), dtype=complex)
-        band = _rhs_from_products(_band_multipliers(grid, b), squares, out=spectra)
+        band = np.empty(grid.band_size, dtype=complex)
+        _rhs_from_products(_Operator(random_field, b), squares, band)
         expected = conservative_band(*squares, b, grid.box_length)
-        assert band.shape == (grid.band_size,)
         assert np.max(np.abs(band - expected[: grid.band_size])) <= 1e-14 * np.max(np.abs(expected))
 
     @pytest.mark.parametrize("b", B_VALUES)
@@ -118,14 +117,13 @@ class TestCombine:
     @pytest.mark.parametrize("b", B_VALUES)
     def test_caller_band_storage(self, random_field, b):
         grid = random_field.grid
+        m = grid.band_size
         squares = self.squares(random_field.samples, grid.box_length)
-        multipliers = _band_multipliers(grid, b)
-        spectra = np.empty((2, grid.n_points // 2 + 1), dtype=complex)
-        expected = _rhs_from_products(multipliers, squares, out=spectra)
-        band = np.empty(grid.band_size, dtype=complex)
-        got = _rhs_from_products(multipliers, squares, out=spectra, band=band)
-        assert got is band
-        assert band.tobytes() == expected.tobytes()
+        op = _Operator(random_field, b)
+        band = np.empty(m, dtype=complex)
+        assert _rhs_from_products(op, squares, band) is band
+        spectra = np.fft.rfft(squares)
+        assert band.tobytes() == (op.A * spectra[0, :m] + op.B * spectra[1, :m]).tobytes()
         # rhs_F is the irfft of -band
         n = grid.n_points
         assert np.array_equal(np.fft.irfft(-band, n), rhs_F(random_field, b).samples)
@@ -135,10 +133,11 @@ class TestCombine:
         # i xi_0 = 0, so both multipliers vanish at k = 0 and the band's mean
         # entry is zero whatever the squares
         grid = random_field.grid
-        assert np.all(_band_multipliers(grid, b)[:, 0] == 0.0)
+        op = _Operator(random_field, b)
+        assert op.A[0] == 0.0 and op.B[0] == 0.0
         squares = self.squares(random_field.samples + 2.5, grid.box_length)
-        spectra = np.empty((2, grid.n_points // 2 + 1), dtype=complex)
-        assert _rhs_from_products(_band_multipliers(grid, b), squares, out=spectra)[0] == 0.0
+        band = np.empty(grid.band_size, dtype=complex)
+        assert _rhs_from_products(op, squares, band)[0] == 0.0
 
     @pytest.mark.parametrize("b", [-1.0, 2.0, 3.0])
     def test_march_keeps_mean_mode(self, random_field, b):
