@@ -28,7 +28,6 @@ from .dynamics import (
     inverse_momentum,
     momentum,
     momentum_l1,
-    momentum_max,
     momentum_min,
     rhs_F,
 )
@@ -41,18 +40,7 @@ from .errors import (
     TruncationError,
 )
 from .evolve import EvolveConfig, Trajectory, cfl_dt, rk4_step, run
-from .grid import (
-    GridSpec,
-    RealField,
-    SpectralField,
-    dealias,
-    deriv,
-    dft,
-    helmholtz,
-    helmholtz_inv,
-    idft,
-    make_grid,
-)
+from .grid import GridSpec, RealField, make_grid
 from .norms import (
     GevreyNorm,
     gevrey_norm,

@@ -66,8 +66,8 @@ class KMBound:
 def fit_decay_radius(u, k_min: int = DEFAULT_FIT_K_MIN) -> RadiusFit:
     """Fit log|u_hat_k| = const - sigma_hat * |xi_k| over the usable band.
 
-    u is a RealField, a SpectralField or its reading `norms._spectrum(u)`,
-    as every norm takes; the modes k = 1 .. N/2 - 1 are fitted. Modes below
+    u is a RealField or its reading `norms._spectrum(u)`, as every norm
+    takes; the half-spectrum modes k = 1 .. N/2 - 1 are fitted. Modes below
     k_min encode bulk shape rather than tail decay and are excluded, as are
     the modes the reading drops below its round-off floor.
     Raises ConfigurationError unless k_min >= 1, and InsufficientBandError

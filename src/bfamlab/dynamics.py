@@ -144,7 +144,3 @@ def momentum_min(u: RealField, m: Optional[RealField] = None) -> float:
     m = momentum(u) if m is None else m
     return float(np.min(m.samples))
 
-
-def momentum_max(u: RealField) -> float:
-    """Grid maximum of the momentum density; sign certificate for m <= 0."""
-    return float(np.max(momentum(u).samples))

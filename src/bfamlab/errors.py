@@ -4,6 +4,7 @@ The CLI exit code of each exception comes from scenarios.exit_code_for.
 """
 
 import math
+import numbers
 
 
 class ConfigurationError(ValueError):
@@ -44,3 +45,9 @@ def require_finite(name, *values):
     for value in values:
         if value is not None and not math.isfinite(value):
             raise ConfigurationError(f"{name} must be finite, got {value}")
+
+
+def require_integer(name, value, least):
+    """Raise ConfigurationError unless value is an integer >= least; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ConfigurationError(f"{name} must be an integer >= {least}, got {value!r}")

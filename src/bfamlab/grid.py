@@ -1,26 +1,26 @@
-"""Periodic grid bookkeeping and Fourier-space primitives.
+"""Periodic grid bookkeeping and the package's real transforms.
 
 Conventions, fixed once for the whole package:
 
 * the box is [0, L) sampled at N equispaced nodes x_j = j*L/N;
-* mode k in [-N/2, N/2) carries the continuous frequency xi_k = 2*pi*k/L;
-* forward transform returns Fourier-series coefficients,
+* mode k carries the continuous frequency xi_k = 2*pi*k/L;
+* the Fourier-series coefficients of a field are
   u_hat[k] = (1/N) * sum_j u(x_j) exp(-i xi_k x_j),
   so Parseval reads  L * sum_k |u_hat[k]|^2 = integral of |u|^2 over the box.
 
-Coefficient arrays are stored in numpy FFT ordering
-(k = 0, 1, ..., N/2-1, -N/2, ..., -1).
+Fields are real, so every coefficient array of the package is a half
+spectrum: the modes k = 0 .. N/2 of an rfft, u_hat[-k] being the conjugate
+of u_hat[k]. `GridSpec.modes` and `GridSpec.xi` list k in [-N/2, N/2) in
+numpy FFT ordering (k = 0, 1, ..., N/2-1, -N/2, ..., -1); their first N/2+1
+entries are the half spectrum's, with the Nyquist mode entered as -N/2.
 
-Every real transform of the package goes through `_rfft` and `_irfft`, which
+Every transform of the package goes through `_rfft` and `_irfft`, which
 call numpy's pocketfft kernels directly and write into caller-given storage.
 They are the calls numpy.fft.rfft and numpy.fft.irfft end in, with the same
 arguments, so results are those of numpy.fft bit for bit, without about
 4 us of argument handling per call. Their scale factors, 1 and 1/N, are
 float64 0-d arrays made once per N, not Python floats converted per call.
 N is even on every grid, so the even-length forward kernel always applies.
-The complex `dft` and `idft`, and the `SpectralField` they return, are
-public API and the tests' reference path; no run takes them. They stay on
-numpy.fft: folding their 1/N into the kernel's factor would change bits.
 """
 
 from __future__ import annotations
@@ -102,18 +102,6 @@ class GridSpec:
         return multiplier
 
 
-def _checked(grid: GridSpec, values, dtype, kind: str, entries: str) -> np.ndarray:
-    """values as an array of dtype, checked to hold N finite entries."""
-    array = np.asarray(values, dtype=dtype)
-    if array.shape != (grid.n_points,):
-        raise ConfigurationError(
-            f"expected {grid.n_points} {entries}, got shape {array.shape}"
-        )
-    if not np.all(np.isfinite(array)):
-        raise NumericalError(f"{kind} {entries} are not all finite")
-    return array
-
-
 @dataclass(frozen=True)
 class RealField:
     """N real samples of a function on the grid; samples[j] = u(x_j)."""
@@ -122,27 +110,14 @@ class RealField:
     samples: np.ndarray
 
     def __post_init__(self):
-        samples = _checked(self.grid, self.samples, np.float64, "field", "samples")
+        samples = np.asarray(self.samples, dtype=np.float64)
+        if samples.shape != (self.grid.n_points,):
+            raise ConfigurationError(
+                f"expected {self.grid.n_points} samples, got shape {samples.shape}"
+            )
+        if not np.all(np.isfinite(samples)):
+            raise NumericalError("field samples are not all finite")
         object.__setattr__(self, "samples", samples)
-
-
-@dataclass(frozen=True)
-class SpectralField:
-    """Fourier coefficients of a field, in FFT ordering (see module docstring)."""
-
-    grid: GridSpec
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        coeffs = _checked(self.grid, self.coeffs, np.complex128, "spectral", "coefficients")
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def coeff(self, k: int) -> complex:
-        """Coefficient of integer mode k in [-N/2, N/2)."""
-        n = self.grid.n_points
-        if not -n // 2 <= k < n // 2:
-            raise ConfigurationError(f"mode {k} outside [-N/2, N/2) for N={n}")
-        return complex(self.coeffs[k % n])
 
 
 _UNIT_FACTOR = np.array(1.0)
@@ -173,50 +148,3 @@ def make_grid(
     """Validated grid; n_points must be an even integer >= 8, box_length > 0."""
     return GridSpec(n_points, float(box_length), dealias_fraction)
 
-
-def dft(f: RealField) -> SpectralField:
-    """Forward transform to series coefficients, u_hat = fft(u)/N."""
-    return SpectralField(f.grid, np.fft.fft(f.samples) / f.grid.n_points)
-
-
-def idft(F: SpectralField) -> RealField:
-    """Inverse of dft; imaginary residue of the ifft is discarded."""
-    return RealField(F.grid, (np.fft.ifft(F.coeffs) * F.grid.n_points).real)
-
-
-def deriv(F: SpectralField, order: int = 1) -> SpectralField:
-    """Spectral derivative: multiply by (i xi)^order.
-
-    The Nyquist mode k = -N/2 is sign-ambiguous on an even grid and is
-    zeroed for odd orders.
-    """
-    if order < 0:
-        raise ConfigurationError(f"derivative order must be >= 0, got {order}")
-    if order == 0:
-        return F
-    grid = F.grid
-    # (i xi)^order split into real/imaginary cases to avoid complex-power noise
-    magnitude = grid.xi**order
-    if order % 2 == 0:
-        multiplier = (-1) ** (order // 2) * magnitude
-    else:
-        multiplier = 1j * (-1) ** ((order - 1) // 2) * magnitude
-    coeffs = multiplier * F.coeffs
-    if order % 2 == 1:
-        coeffs[grid.n_points // 2] = 0.0
-    return SpectralField(grid, coeffs)
-
-
-def helmholtz(F: SpectralField) -> SpectralField:
-    """Apply 1 - d^2/dx^2, i.e. multiply by (1 + xi^2)."""
-    return SpectralField(F.grid, (1.0 + F.grid.xi**2) * F.coeffs)
-
-
-def helmholtz_inv(F: SpectralField) -> SpectralField:
-    """Invert 1 - d^2/dx^2 exactly: divide by (1 + xi^2)."""
-    return SpectralField(F.grid, F.grid.helmholtz_inv_multiplier * F.coeffs)
-
-
-def dealias(F: SpectralField) -> SpectralField:
-    """Zero every mode with |k| > dealias_fraction * N/2."""
-    return SpectralField(F.grid, np.where(F.grid.dealias_mask, F.coeffs, 0.0))

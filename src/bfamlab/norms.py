@@ -32,8 +32,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigurationError, TruncationError, require_finite
-from .grid import RealField, SpectralField, _rfft
+from .errors import ConfigurationError, TruncationError, require_finite, require_integer
+from .grid import RealField, _rfft
 
 ROUNDOFF_FLOOR = 1e-13
 TAIL_RTOL = 1e-16
@@ -64,16 +64,12 @@ class _Spectrum(NamedTuple):
 
 
 def _spectrum(u) -> _Spectrum:
-    """The reading of a RealField (one rfft) or of a SpectralField (its modes
-    k = 0 .. N/2); a _Spectrum passes through as it is."""
+    """The reading of a RealField, from one rfft; a _Spectrum passes through as it is."""
     if isinstance(u, _Spectrum):
         return u
     grid = u.grid
     size = grid.n_points // 2 + 1
-    if isinstance(u, SpectralField):
-        amp = np.abs(u.coeffs[:size])
-    else:
-        amp = np.abs(_rfft(u.samples, np.empty(size, dtype=complex))) / grid.n_points
+    amp = np.abs(_rfft(u.samples, np.empty(size, dtype=complex))) / grid.n_points
     kept = amp > ROUNDOFF_FLOOR * np.maximum.reduce(amp)
     pair = np.full(size, 2.0)
     pair[[0, -1]] = 1.0
@@ -227,10 +223,8 @@ def hm_norm(u: RealField, sigma: float, m: int, j_max: int = DEFAULT_J_MAX) -> f
     require_finite("sigma", sigma)
     if sigma <= 0:
         raise ConfigurationError(f"sigma must be > 0, got {sigma}")
-    if m < 2:
-        raise ConfigurationError(f"m must be an integer >= 2, got {m}")
-    if j_max < 1:
-        raise ConfigurationError(f"j_max must be >= 1, got {j_max}")
+    require_integer("m", m, 2)
+    require_integer("j_max", j_max, 1)
     spectrum = _spectrum(u)
     if spectrum.amp.size == 0:
         return 0.0
@@ -264,8 +258,7 @@ def km_phi(u: RealField, sigma: float, m: int) -> float:
     to half the squared H^2 norm as well.
     """
     _require_sigma_below_inf(sigma)
-    if m < 0:
-        raise ConfigurationError(f"m must be a non-negative integer, got {m}")
+    require_integer("m", m, 0)
     spectrum = _spectrum(u)
     if spectrum.amp.size == 0:
         return 0.0
@@ -282,8 +275,7 @@ def km_radius_norm(u: RealField, sigma: float, j_max: int = DEFAULT_J_MAX) -> fl
     as in km_phi.
     """
     _require_sigma_below_inf(sigma)
-    if j_max < 1:
-        raise ConfigurationError(f"j_max must be >= 1, got {j_max}")
+    require_integer("j_max", j_max, 1)
     spectrum = _spectrum(u)
     if spectrum.amp.size == 0:
         return 0.0

@@ -33,6 +33,7 @@ from .errors import (
     NumericalError,
     SnapshotError,
     require_finite,
+    require_integer,
 )
 from .grid import GridSpec, RealField, make_grid
 
@@ -60,8 +61,7 @@ class InitSpec:
             require_finite(name, getattr(self, name))
         if self.amplitude <= 0 or self.width <= 0:
             raise ConfigurationError("amplitude and width must be positive")
-        if self.mode < 1:
-            raise ConfigurationError(f"mode must be a positive integer, got {self.mode}")
+        require_integer("mode", self.mode, 1)
 
 
 @dataclass(frozen=True)
@@ -148,9 +148,9 @@ def _periodized(profile, x: np.ndarray, center: float, box_length: float) -> np.
 def initial_data(family: str, params: Mapping[str, float], grid: GridSpec) -> RealField:
     """Build the initial state for one of the supported datum families.
 
-    gaussian:       a * exp(-(x-c)^2 / w^2), periodized
-    sech:           a * sech((x-c)/w), periodized
-    sine:           a * sin(2 pi q x / L)
+    gaussian:       a * exp(-(x-c)^2 / w^2), periodized, c taken modulo L
+    sech:           a * sech((x-c)/w), periodized, c taken modulo L
+    sine:           a * sin(2 pi q x / L), q an integer >= 1
     momentum_bump:  u with momentum m = u - u_xx a non-negative periodized
                     gaussian bump (sign certificate holds by construction)
     """
@@ -168,7 +168,8 @@ def build_initial(cfg: RunConfig) -> RealField:
 def _initial_field(spec: InitSpec, grid: GridSpec) -> RealField:
     x = grid.x
     length = grid.box_length
-    center = spec.center if spec.center is not None else 0.5 * length
+    # _periodized adds the +-1 box images only, which cover a center in [0, L)
+    center = spec.center % length if spec.center is not None else 0.5 * length
     a, w = spec.amplitude, spec.width
     if spec.family == "gaussian":
         samples = _periodized(lambda y: a * np.exp(-(y / w) ** 2), x, center, length)

@@ -28,7 +28,6 @@ coefficient norms, once per series.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -36,7 +35,7 @@ from functools import cached_property
 import numpy as np
 
 from .dynamics import _Operator, _rhs_from_products
-from .errors import ConfigurationError, NumericalError, require_finite
+from .errors import ConfigurationError, NumericalError, require_finite, require_integer
 from .grid import RealField
 
 COEFF_SUP_CAP = 1e12
@@ -84,8 +83,7 @@ def taylor_coeffs(u0: RealField, b: float, order: int) -> TaylorSeries:
     radius at this resolution; the series is truncated there with a warning
     rather than allowed to overflow.
     """
-    if isinstance(order, bool) or not isinstance(order, numbers.Integral) or order < 1:
-        raise ConfigurationError(f"order must be an integer >= 1, got {order!r}")
+    require_integer("order", order, 1)
     grid = u0.grid
     n, m = grid.n_points, grid.band_size
     op = _Operator(u0, b)

@@ -10,7 +10,7 @@ import bfamlab.taylor
 from bfamlab import RealField, make_grid
 
 
-def _reference_wavenumbers(n, box_length):
+def reference_wavenumbers(n, box_length):
     """i xi_k for k = 0 .. N/2 (Nyquist zeroed), xi_k, and the 2/3 dealias mask."""
     k = np.arange(n // 2 + 1)
     xi = 2.0 * np.pi * k / box_length
@@ -29,7 +29,7 @@ def conservative_band(square, dsquare, b, box_length):
     rfft. A reference for the combine built on numpy.fft alone, in the
     squares' own precision.
     """
-    ixi, xi, keep = _reference_wavenumbers(square.shape[-1], box_length)
+    ixi, xi, keep = reference_wavenumbers(square.shape[-1], box_length)
     s_hat = np.fft.rfft(square) * keep
     d_hat = np.fft.rfft(dsquare) * keep
     return ixi * (0.5 * s_hat + (0.5 * b * s_hat + 0.5 * (3.0 - b) * d_hat) / (1.0 + xi**2))
@@ -37,8 +37,30 @@ def conservative_band(square, dsquare, b, box_length):
 
 def reference_derivative(u, box_length):
     """Samples of u_x, by an rfft round trip in u's own precision."""
-    ixi, _, _ = _reference_wavenumbers(u.shape[-1], box_length)
+    ixi, _, _ = reference_wavenumbers(u.shape[-1], box_length)
     return np.fft.irfft(ixi * np.fft.rfft(u), u.shape[-1])
+
+
+def planted_field(grid, coeffs):
+    """The RealField whose Fourier-series coefficients, in numpy FFT ordering,
+    are coeffs: N ifft(coeffs), with the imaginary round-off dropped."""
+    return RealField(grid, (np.fft.ifft(coeffs) * grid.n_points).real)
+
+
+def series_coefficients(u):
+    """Fourier-series coefficients of a RealField in numpy FFT ordering, fft(u)/N."""
+    return np.fft.fft(u.samples) / u.grid.n_points
+
+
+def derivative(grid, coeffs, order):
+    """The order-th derivative of planted_field(grid, coeffs): each mode times
+    (i xi)^order, with the sign-ambiguous Nyquist mode -N/2 zeroed for odd orders."""
+    magnitude = (-1) ** (order // 2) * grid.xi**order
+    if order % 2 == 0:
+        return planted_field(grid, magnitude * coeffs)
+    coeffs = 1j * magnitude * coeffs
+    coeffs[grid.n_points // 2] = 0.0
+    return planted_field(grid, coeffs)
 
 
 def conservative_rhs(u, b, box_length):

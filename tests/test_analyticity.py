@@ -11,7 +11,6 @@ from bfamlab import (
     InsufficientBandError,
     KMBound,
     RealField,
-    SpectralField,
     default_gamma,
     fit_decay_radius,
     km_bound_from_run,
@@ -22,13 +21,17 @@ from bfamlab import (
     make_grid,
     run,
 )
-from bfamlab.grid import dft
 from bfamlab.norms import _spectrum
 from bfamlab.scenarios import initial_data
+from conftest import planted_field, series_coefficients
 
 
-def planted_spectrum(grid, rate, prefactor=1.0):
-    return SpectralField(grid, prefactor * np.exp(-rate * np.abs(grid.xi)))
+def planted_spectrum(grid, rate, k_max=None):
+    """The real field with coefficients e^{-rate |xi_k|}, zero above |k| = k_max if given."""
+    coeffs = np.exp(-rate * np.abs(grid.xi))
+    if k_max is not None:
+        coeffs[np.abs(grid.modes) > k_max] = 0.0
+    return planted_field(grid, coeffs)
 
 
 class TestFitDecayRadius:
@@ -41,15 +44,19 @@ class TestFitDecayRadius:
     def test_shift_equivariance(self):
         grid = make_grid(256, 2 * np.pi)
         delta = 0.17
-        base = fit_decay_radius(planted_spectrum(grid, 0.4))
-        shifted = fit_decay_radius(planted_spectrum(grid, 0.4 + delta))
+        # the samples' round-off gives modes near the 1e-13 floor a relative error
+        # of about 1e-4, which moves sigma_hat by about 1e-7; planted on |k| <= 24,
+        # every fitted mode stays above 1e-6 of the peak
+        base = fit_decay_radius(planted_spectrum(grid, 0.4, k_max=24))
+        shifted = fit_decay_radius(planted_spectrum(grid, 0.4 + delta, k_max=24))
+        assert base.band == shifted.band == (4, 24)
         assert shifted.sigma_hat - base.sigma_hat == pytest.approx(delta, abs=1e-8)
 
     def test_periodized_sech(self):
         # the transform of sech decays at rate pi/2
         grid = make_grid(2048, 80.0)
         u = initial_data("sech", {"amplitude": 1.0, "width": 1.0}, grid)
-        fit = fit_decay_radius(dft(u))
+        fit = fit_decay_radius(u)
         assert fit.sigma_hat == pytest.approx(np.pi / 2, rel=0.02)
 
     def test_sech_transform_against_quadrature(self):
@@ -57,22 +64,14 @@ class TestFitDecayRadius:
         # quadrature of the transform integral at a few modes
         grid = make_grid(2048, 80.0)
         u = initial_data("sech", {"amplitude": 1.0, "width": 1.0}, grid)
-        F = dft(u)
+        u_hat = series_coefficients(u)
         x = np.linspace(-40.0, 40.0, 200001)
         for k in (10, 40, 120):
             xi = 2 * np.pi * k / 80.0
             integrand = (1.0 / np.cosh(x)) * np.exp(-1j * xi * x)
             oracle = abs(np.trapezoid(integrand, x)) / 80.0
-            assert abs(F.coeff(k)) == pytest.approx(oracle, rel=1e-6)
+            assert abs(u_hat[k]) == pytest.approx(oracle, rel=1e-6)
             assert oracle == pytest.approx(np.pi / 80.0 / np.cosh(np.pi * xi / 2), rel=1e-6)
-
-    @staticmethod
-    def assert_inputs_agree(u):
-        # the half spectrum and the complex transform differ by round-off only
-        half, full = fit_decay_radius(_spectrum(u)), fit_decay_radius(dft(u))
-        assert (half.band, half.floor_hit) == (full.band, full.floor_hit)
-        assert half.sigma_hat == pytest.approx(full.sigma_hat, rel=1e-5)
-        assert half.fit_quality == pytest.approx(full.fit_quality, abs=1e-6)
 
     @staticmethod
     def assert_matches_polyfit(u):
@@ -92,7 +91,6 @@ class TestFitDecayRadius:
     def test_half_spectrum_fit_agrees_on_sech(self):
         grid = make_grid(2048, 80.0)
         u = initial_data("sech", {"amplitude": 1.0, "width": 1.0}, grid)
-        self.assert_inputs_agree(u)
         self.assert_matches_polyfit(u)
         # a field is read through the same half spectrum
         assert fit_decay_radius(u) == fit_decay_radius(_spectrum(u))
@@ -103,14 +101,13 @@ class TestFitDecayRadius:
         u0 = initial_data("sech", {"amplitude": 0.05, "width": 1.0}, grid)
         cfg = EvolveConfig(b=b, t_final=10.0, dt_max=0.02, sample_interval=0.5)
         for _, u in run(u0, cfg).snapshots:
-            self.assert_inputs_agree(u)
             self.assert_matches_polyfit(u)
 
     def test_super_exponential_warns_and_flags_floor(self):
         grid = make_grid(1024, 80.0)
         u = initial_data("gaussian", {"amplitude": 1.0, "width": 5.0}, grid)
         with pytest.warns(UserWarning, match="super-exponential"):
-            fit = fit_decay_radius(dft(u))
+            fit = fit_decay_radius(u)
         assert fit.floor_hit
         assert fit.sigma_hat > np.pi  # far above any sech-type rate here
 
@@ -118,12 +115,12 @@ class TestFitDecayRadius:
         grid = make_grid(64, 2 * np.pi)
         u = RealField(grid, np.sin(grid.x))
         with pytest.raises(InsufficientBandError):
-            fit_decay_radius(dft(u))
+            fit_decay_radius(u)
 
     def test_zero_spectrum(self):
         grid = make_grid(64, 2 * np.pi)
         with pytest.raises(InsufficientBandError):
-            fit_decay_radius(SpectralField(grid, np.zeros(64, dtype=complex)))
+            fit_decay_radius(RealField(grid, np.zeros(64)))
 
     def test_band_respects_k_min(self):
         grid = make_grid(256, 2 * np.pi)

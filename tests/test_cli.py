@@ -5,10 +5,10 @@ import re
 import numpy as np
 import pytest
 
-from bfamlab import RealField, Snapshot, SpectralField, cli, make_grid, write_snapshot
+from bfamlab import RealField, Snapshot, cli, make_grid, write_snapshot
 from bfamlab.cli import main
-from bfamlab.grid import idft
 from bfamlab.scenarios import snapshot_of
+from conftest import planted_field
 
 CONFIG = """
 [grid]
@@ -64,7 +64,7 @@ def config_file(tmp_path):
 @pytest.fixture
 def planted_snapshot(tmp_path):
     grid = make_grid(256, 2 * np.pi)
-    u = idft(SpectralField(grid, np.exp(-0.5 * np.abs(grid.xi))))
+    u = planted_field(grid, np.exp(-0.5 * np.abs(grid.xi)))
     path = tmp_path / "planted.bgev"
     write_snapshot(path, snapshot_of(u, t=0.0, b=2.0))
     return path

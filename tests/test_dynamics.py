@@ -11,15 +11,19 @@ from bfamlab import (
     make_grid,
     momentum,
     momentum_l1,
-    momentum_max,
     momentum_min,
     rhs_F,
     sobolev_norm,
 )
 from bfamlab import evolve
 from bfamlab.dynamics import _Operator, _rhs_from_products
-from bfamlab.grid import deriv, dft, helmholtz_inv, idft
-from conftest import conservative_band, conservative_rhs, reference_derivative
+from conftest import (
+    conservative_band,
+    conservative_rhs,
+    derivative,
+    reference_derivative,
+    series_coefficients,
+)
 
 
 class TestRhs:
@@ -53,8 +57,8 @@ class TestRhs:
         expected = -u * ux - nonlocal_term
         out = rhs_F(RealField(grid, u), b)
         assert np.max(np.abs(out.samples - expected)) < 1e-12
-        q_hat = dft(RealField(grid, q))
-        rebuilt = idft(deriv(helmholtz_inv(q_hat), 1)).samples
+        q_hat = series_coefficients(RealField(grid, q))
+        rebuilt = derivative(grid, q_hat / (1.0 + grid.xi**2), 1).samples
         assert np.max(np.abs(rebuilt - nonlocal_term)) < 1e-13
 
     @pytest.mark.parametrize("alpha", [-2.0, 0.5, 3.0])
@@ -208,7 +212,7 @@ class TestFunctionals:
 
     def test_h1_energy_matches_quadrature(self, random_field):
         grid = random_field.grid
-        ux = idft(deriv(dft(random_field), 1)).samples
+        ux = derivative(grid, series_coefficients(random_field), 1).samples
         integrand = random_field.samples**2 + ux**2
         wrapped = np.concatenate([integrand, integrand[:1]])
         oracle = np.trapezoid(wrapped, dx=grid.dx)
@@ -241,7 +245,6 @@ class TestFunctionals:
         zero = RealField(grid_2pi, np.zeros(64))
         assert momentum_l1(zero) == 0.0
         assert momentum_min(zero) == 0.0
-        assert momentum_max(zero) == 0.0
 
     def test_l2_consistency(self, grid_2pi):
         u = RealField(grid_2pi, np.sin(grid_2pi.x))

@@ -17,7 +17,6 @@ import bfamlab
 from bfamlab import (
     ConfigurationError,
     RealField,
-    SpectralField,
     TruncationError,
     gevrey_norm,
     hm_norm,
@@ -27,7 +26,7 @@ from bfamlab import (
     sobolev_norm,
 )
 from bfamlab import norms
-from bfamlab.grid import deriv, dft, idft
+from conftest import derivative, planted_field, series_coefficients
 
 
 def sine(grid, k=1):
@@ -98,7 +97,7 @@ class TestGevrey:
 
     def test_divergence_flag_on_planted_spectrum(self):
         grid = make_grid(256, 2 * np.pi)
-        u = idft(SpectralField(grid, np.exp(-0.2 * np.abs(grid.xi))))
+        u = planted_field(grid, np.exp(-0.2 * np.abs(grid.xi)))
         assert gevrey_norm(u, 0.5, 0.0).diverged
         assert not gevrey_norm(u, 0.1, 0.0).diverged
 
@@ -139,7 +138,7 @@ class TestLineFit:
         # the verdicts on this module's Gevrey cases, with the closed-form line
         # and with np.polyfit in its place
         grid = make_grid(256, 2 * np.pi)
-        planted = idft(SpectralField(grid, np.exp(-0.2 * np.abs(grid.xi))))
+        planted = planted_field(grid, np.exp(-0.2 * np.abs(grid.xi)))
         cases = [(random_field, sigma, s)
                  for sigma in (0.0, 0.2, 0.3, 0.5, 1.0) for s in (0.0, 1.0, 1.5, 2.0)]
         cosine = RealField(grid_2pi, np.cos(grid_2pi.x))
@@ -174,14 +173,14 @@ class TestHimonasMisiolek:
         # for sigma * 4 * |du|/|u| < 1 the j = 0 term wins the sup
         u = random_field
         h4 = sobolev_norm(u, 4.0)
-        du = idft(deriv(dft(u), 1))
+        du = derivative(u.grid, series_coefficients(u), 1)
         ratio = sobolev_norm(du, 4.0) / h4
         sigma = 0.2 / (4.0 * ratio)
         assert hm_norm(u, sigma, 2) == pytest.approx(h4, rel=1e-12)
 
     def test_truncation_error_when_unresolvable(self):
         grid = make_grid(256, 2 * np.pi)
-        u = idft(SpectralField(grid, np.exp(-0.05 * np.abs(grid.xi))))
+        u = planted_field(grid, np.exp(-0.05 * np.abs(grid.xi)))
         with pytest.raises(TruncationError):
             hm_norm(u, 5.0, 2, j_max=40)
 
@@ -232,7 +231,7 @@ class TestKatoMasuda:
 
     def test_radius_norm_truncation_error(self):
         grid = make_grid(512, 2 * np.pi)
-        u = idft(SpectralField(grid, np.exp(-0.02 * np.abs(grid.xi))))
+        u = planted_field(grid, np.exp(-0.02 * np.abs(grid.xi)))
         with pytest.raises(TruncationError):
             km_radius_norm(u, 1.5, j_max=60)
 
@@ -278,6 +277,28 @@ class TestNonFiniteArguments:
             km_radius_norm(random_field, sigma)
 
 
+class TestIntegerOrders:
+    """m and j_max must be integers, as taylor_coeffs requires of its order: a
+    float, even an integral one, or a bool raises ConfigurationError."""
+
+    @pytest.mark.parametrize("m", [2.5, 3.0, True])
+    def test_km_phi_m(self, random_field, m):
+        with pytest.raises(ConfigurationError, match="m must be an integer"):
+            km_phi(random_field, 0.1, m)
+
+    @pytest.mark.parametrize("m", [2.5, 3.0])
+    def test_hm_norm_m(self, random_field, m):
+        with pytest.raises(ConfigurationError, match="m must be an integer"):
+            hm_norm(random_field, 0.5, m)
+
+    @pytest.mark.parametrize("j_max", [10.5, 40.0, True])
+    def test_j_max(self, random_field, j_max):
+        with pytest.raises(ConfigurationError, match="j_max must be an integer"):
+            hm_norm(random_field, 0.5, 2, j_max)
+        with pytest.raises(ConfigurationError, match="j_max must be an integer"):
+            km_radius_norm(random_field, 0.1, j_max)
+
+
 class TestNormAxioms:
     def test_triangle_inequality(self, grid_2pi, rng):
         u = RealField(grid_2pi, rng.standard_normal(64))
@@ -306,12 +327,13 @@ class TestNormAxioms:
 
 
 def _few_mode_field():
-    """Spectral field with modes +-1, +-2, +-3 only, all other coefficients exactly 0."""
+    """A grid and coefficients (FFT ordering) with modes +-1, +-2, +-3 only,
+    all other coefficients exactly 0."""
     grid = make_grid(32, 2 * np.pi)
     coeffs = np.zeros(32, dtype=complex)
     for k, c in ((1, 0.5), (2, 0.3 - 0.2j), (3, 0.1 + 0.05j)):
         coeffs[k], coeffs[-k] = c, np.conj(c)
-    return SpectralField(grid, coeffs)
+    return grid, coeffs
 
 
 def _enumerated(terms, accumulate):
@@ -331,12 +353,12 @@ class TestKernelOracle:
     sigma^j (j+1)^2/j! |d^j u|_{H^{2m}} and e^{2 sigma j}/(j!)^2 |d^j u|^2_{H^2},
     around the 32-order block boundary of the truncated sums."""
 
-    F = _few_mode_field()
-    u = idft(F)
+    grid, F = _few_mode_field()
+    u = planted_field(grid, F)
 
     @classmethod
     def derivative_norm(cls, j, s):
-        return sobolev_norm(idft(deriv(cls.F, j)), s)
+        return sobolev_norm(derivative(cls.grid, cls.F, j), s)
 
     @classmethod
     def hm_terms(cls, sigma, m, count=80):

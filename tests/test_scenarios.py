@@ -94,12 +94,28 @@ class TestInitialData:
 
     def test_sech_fitted_radius(self):
         from bfamlab import fit_decay_radius
-        from bfamlab.grid import dft
 
         grid = make_grid(2048, 80.0)
         u = initial_data("sech", {"amplitude": 1.0, "width": 1.0}, grid)
-        fit = fit_decay_radius(dft(u))
+        fit = fit_decay_radius(u)
         assert fit.sigma_hat == pytest.approx(np.pi / 2, rel=0.02)
+
+    @pytest.mark.parametrize("mode", [1.5, 2.0, True])
+    def test_sine_mode_must_be_an_integer(self, mode):
+        # sin(1.5 x) on L = 2 pi is not periodic: its extension has a kink at x = 0
+        grid = make_grid(64, 2 * np.pi)
+        with pytest.raises(ConfigurationError, match="mode must be an integer"):
+            initial_data("sine", {"mode": mode}, grid)
+
+    @pytest.mark.parametrize("family", ["gaussian", "sech", "momentum_bump"])
+    @pytest.mark.parametrize("shift", [3, -2])
+    def test_center_is_taken_modulo_the_box(self, family, shift):
+        # the periodized profiles carry only the +-1 box images
+        grid = make_grid(256, 80.0)
+        params = {"amplitude": 1.0, "width": 1.0}
+        inside = initial_data(family, {**params, "center": 40.0}, grid)
+        outside = initial_data(family, {**params, "center": 40.0 + shift * 80.0}, grid)
+        assert outside.samples.tobytes() == inside.samples.tobytes()
 
     def test_unknown_family(self):
         grid = make_grid(64, 2 * np.pi)
