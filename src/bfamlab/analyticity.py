@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, InsufficientBandError
+from .errors import ConfigurationError, InsufficientBandError, require_integer
 from .norms import _line_fit, _spectrum, km_phi, sobolev_norm
 
 DEFAULT_FIT_K_MIN = 4
@@ -70,11 +70,10 @@ def fit_decay_radius(u, k_min: int = DEFAULT_FIT_K_MIN) -> RadiusFit:
     takes; the half-spectrum modes k = 1 .. N/2 - 1 are fitted. Modes below
     k_min encode bulk shape rather than tail decay and are excluded, as are
     the modes the reading drops below its round-off floor.
-    Raises ConfigurationError unless k_min >= 1, and InsufficientBandError
-    with fewer than 8 usable modes.
+    Raises ConfigurationError unless k_min is an integer >= 1, and
+    InsufficientBandError with fewer than 8 usable modes.
     """
-    if k_min < 1:
-        raise ConfigurationError(f"k_min must be >= 1, got {k_min}")
+    require_integer("k_min", k_min, 1)
     spectrum = _spectrum(u)
     if spectrum.amp.size == 0:
         raise InsufficientBandError("cannot fit a decay rate to a zero spectrum")

@@ -95,11 +95,12 @@ def _cmd_norms(args) -> int:
     u = norms._spectrum(scenarios.field_of(snap))
     value, diverged = norms.gevrey_norm(u, args.sigma, args.s)
     note = " (diverged: sigma exceeds the resolvable decay rate)" if diverged else ""
+    l2, sobolev = norms._sobolev_norms(u, (0.0, args.s))
     lines = [
         f"snapshot: N = {snap.n_points}, L = {snap.box_length:g}, "
         f"t = {snap.t:g}, b = {snap.b:g}",
-        f"l2          = {norms.sobolev_norm(u, 0.0):.12g}",
-        f"sobolev s={args.s:g}  = {norms.sobolev_norm(u, args.s):.12g}",
+        f"l2          = {l2:.12g}",
+        f"sobolev s={args.s:g}  = {sobolev:.12g}",
         f"gevrey      = {value:.12g}{note}",
     ]
     try:

@@ -15,19 +15,26 @@ p_k = 1 for k = 0 and the Nyquist mode k = N/2.
 All five norms read a state one way, `_spectrum(u)`: one rfft, the modes
 above the round-off floor |u_hat| > 1e-13 max|u_hat| (below it the weights
 (1+xi^2)^s, e^{2 sigma |xi|} and |xi|^{2j} turn round-off into norm growth),
-and the logs of L p |u_hat|^2, 1 + xi^2 and |xi| over those modes. Each sum
-is one log-sum-exp of log terms, as (1+xi^2)^s and j! overflow doubles, and
-a norm past the double range is inf. One kernel gives log |d^j u|_{H^s} for
-an array of orders j; the open-ended sums (hm_norm, km_radius_norm) take 32
-orders per block and stop at the first run of three consecutive terms below
-1e-16 of the running value. The log-sum-exp and log j! are this module's own
-numpy code. Every norm also accepts a reading `_spectrum(u)` in place of u.
+and the logs of L p |u_hat|^2 and 1 + xi^2 over those modes. The Sobolev and
+Gevrey sums, and km_phi's sum over j, are each one log-sum-exp of log terms,
+as (1+xi^2)^s and j! overflow doubles, and a norm past the double range is
+inf. The derivative norms |d^j u|_{H^s} behind the factorial norms are a
+scaled power sum instead: every term is divided by the largest Sobolev term
+and by max|xi|^{2j}, so each lies in (0, 1] and the top mode's stays above
+e^{-61}; a block of up to 32 orders is then one exp over the modes and one
+matrix-vector product with a table of (|xi| / max|xi|)^{2i} built once per
+reading. The open-ended sums (hm_norm, km_radius_norm) take 32 orders per
+block and stop at the first run of three consecutive terms below 1e-16 of
+the running value. The log-sum-exp and log j! are this module's own numpy
+code. Every norm also accepts a reading `_spectrum(u)` in place of u.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -40,6 +47,7 @@ TAIL_RTOL = 1e-16
 _LOG_TAIL = math.log(TAIL_RTOL)
 _LOG_DOUBLE_MAX = math.log(sys.float_info.max)  # math.exp of it is finite, of the next double not
 DEFAULT_J_MAX = 200
+_LOG_TERM_FLOOR = -300.0  # exponent floor of the derivative-norm power sums
 _ORDER_BLOCK = 32  # orders per (order, mode) array: bounds its memory when j_max is large
 _log_factorials = np.array([math.lgamma(j + 1.0) for j in range(DEFAULT_J_MAX + 1)])
 
@@ -51,16 +59,31 @@ class GevreyNorm(NamedTuple):
     diverged: bool
 
 
-class _Spectrum(NamedTuple):
+@dataclass(frozen=True)
+class _Spectrum:
     """`kept` marks the modes k = 0 .. N/2 above the round-off floor; the other fields
-    run over them: |xi|, |u_hat|, log L p |u_hat|^2, log(1 + xi^2), log|xi| (-inf at 0)."""
+    run over them: |xi|, |u_hat|, log L p |u_hat|^2 and log(1 + xi^2). The derivative
+    norms' log ratios and power table are built on first use."""
 
     kept: np.ndarray
     abs_xi: np.ndarray
     amp: np.ndarray
     log_weight: np.ndarray
     log1p_xi2: np.ndarray
-    log_abs_xi: np.ndarray
+
+    @cached_property
+    def log_xi_ratio(self) -> np.ndarray:
+        """log(|xi| / max|xi|) when a mode with xi > 0 is kept, and _LOG_TERM_FLOOR / 2
+        at xi = 0, so that 2 i times it is at the floor for every i >= 1."""
+        ratio = self.abs_xi / self.abs_xi[-1]
+        return np.log(ratio, out=np.full_like(ratio, 0.5 * _LOG_TERM_FLOOR), where=ratio > 0)
+
+    @cached_property
+    def order_powers(self) -> np.ndarray:
+        """(|xi| / max|xi|)^{2i} for i = 0 .. _ORDER_BLOCK - 1, a row per i, with the
+        exponent raised to _LOG_TERM_FLOOR where it is below."""
+        power = np.multiply.outer(2.0 * np.arange(_ORDER_BLOCK), self.log_xi_ratio)
+        return np.exp(np.maximum(power, _LOG_TERM_FLOOR, out=power), out=power)
 
 
 def _spectrum(u) -> _Spectrum:
@@ -75,8 +98,7 @@ def _spectrum(u) -> _Spectrum:
     pair[[0, -1]] = 1.0
     amp, abs_xi = amp[kept], np.abs(grid.xi[:size])[kept]
     weight = grid.box_length * pair[kept] * amp**2
-    log_abs_xi = np.log(abs_xi, out=np.full_like(abs_xi, -np.inf), where=abs_xi > 0)
-    return _Spectrum(kept, abs_xi, amp, np.log(weight), np.log1p(abs_xi**2), log_abs_xi)
+    return _Spectrum(kept, abs_xi, amp, np.log(weight), np.log1p(abs_xi**2))
 
 
 def _logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -131,15 +153,42 @@ def _sobolev_norms(u, orders) -> list:
 
 
 def _log_derivative_norms(spectrum: _Spectrum, s: float, j: np.ndarray) -> np.ndarray:
-    """log |d^j u|_{H^s} for each order in the integer array j.
+    """log |d^j u|_{H^s} for the consecutive orders j = j_0, j_0 + 1, ...; needs s >= 0.
 
-    One log-sum-exp over the (order, mode) array of log L p (1+xi^2)^s
-    |xi|^{2j} |u_hat|^2; the xi = 0 mode counts for j = 0 only.
+    A scaled power sum: with c_k the log Sobolev terms, c* their max and
+    l* = log max|xi| over the kept modes, r_k = |xi_k| / max|xi| and i = j - j_0,
+
+        log |d^j u|^2_{H^s} = c* + 2 j l* + log sum_k r_k^{2i} e^{c_k - c* + 2 j_0 log r_k},
+
+    so each block of up to 32 orders is one exp over the modes and one
+    matrix-vector product with the reading's table of r^{2i}. Every exponent
+    is <= 0, so nothing overflows, and the sum cannot reach 0: the top mode
+    has r = 1 and e^{c - c*} >= e^{-61}, as every kept |u_hat| exceeds
+    1e-13 max|u_hat|, p falls at most from 2 to 1 and, for s >= 0,
+    (1+xi^2)^s grows with |xi|. Exponents below _LOG_TERM_FLOOR are raised to
+    it, as np.exp is slow where its result is subnormal. That adds at most
+    e^{-239} of the sum per mode, and keeps every product of the two factors
+    above e^{-600}, out of the subnormal range. The xi = 0 mode's log r is
+    half the floor: it counts in full for j = 0 and at the floor for j >= 1.
+    With no xi > 0 mode kept, the j >= 1 orders are -inf.
     """
-    # 2 j log|xi|, left 0 in the j = 0 row, where 0 * log 0 would be NaN
-    power = np.multiply(2.0 * j[:, None], spectrum.log_abs_xi, where=j[:, None] > 0,
-                        out=np.zeros((j.size, spectrum.abs_xi.size)))
-    return 0.5 * logsumexp(_log_sobolev_terms(spectrum, s) + power, axis=1)
+    log_terms = _log_sobolev_terms(spectrum, s)
+    if spectrum.abs_xi[-1] == 0:
+        return np.where(j == 0, 0.5 * log_terms[0], -np.inf)
+    peak = np.maximum.reduce(log_terms)
+    shifted = log_terms - peak
+    sums = np.empty(j.size)
+    for start in range(0, j.size, _ORDER_BLOCK):
+        block = sums[start:start + _ORDER_BLOCK]
+        # log e^{c_k - c*} r_k^{2 j_0} at the block's first order j_0
+        lead = shifted + (2.0 * (j[0] + start)) * spectrum.log_xi_ratio
+        np.maximum(lead, _LOG_TERM_FLOOR, out=lead)
+        # the product gives the same bits on every call with one BLAS thread
+        np.matmul(spectrum.order_powers[:block.size], np.exp(lead, out=lead), out=block)
+    # c* + 2 j l* in numpy's extended precision, where the platform has one: the rounding
+    # of l*, times 2 j, would otherwise enter every term of order j
+    offset = np.longdouble(peak) + j * (2 * np.log(np.longdouble(spectrum.abs_xi[-1])))
+    return 0.5 * (np.log(sums) + offset).astype(float)
 
 
 def _truncated_sum(log_terms_of, j_max: int, accumulate):

@@ -87,8 +87,8 @@ class DiagnosticsSpec:
             raise ConfigurationError(
                 f"gamma must be negative, got {self.gamma_override}"
             )
-        if self.fit_k_min < 1 or self.m_trunc < 0:
-            raise ConfigurationError("fit_k_min must be >= 1 and m_trunc >= 0")
+        require_integer("fit_k_min", self.fit_k_min, 1)
+        require_integer("m_trunc", self.m_trunc, 0)
 
 
 @dataclass(frozen=True)

@@ -127,6 +127,13 @@ class TestFitDecayRadius:
         fit = fit_decay_radius(planted_spectrum(grid, 0.3), k_min=10)
         assert fit.band[0] == 10
 
+    @pytest.mark.parametrize("k_min", [4.5, 4.0, True, 0])
+    def test_k_min_must_be_an_integer(self, k_min):
+        # k_min = 4.5 would fit from k = 5, and True from k = 1
+        grid = make_grid(256, 2 * np.pi)
+        with pytest.raises(ConfigurationError, match="k_min must be an integer >= 1"):
+            fit_decay_radius(planted_spectrum(grid, 0.3), k_min=k_min)
+
 
 class TestKmConstants:
     def test_paper_rate_a(self):

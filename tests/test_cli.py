@@ -138,7 +138,7 @@ class TestRadiusCommand:
         assert main(["radius", "--snapshot", str(planted_snapshot), "--k-min", k_min]) == 1
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == f"configuration error: k_min must be >= 1, got {k_min}\n"
+        assert err == f"configuration error: k_min must be an integer >= 1, got {k_min}\n"
 
 
 class TestNormsCommand:

@@ -486,18 +486,22 @@ class TestNumpyKernels:
         log_terms = (np.log(weight) + s * np.log1p(abs_xi**2)) + xlogy(2.0 * j[:, None], abs_xi)
         return 0.5 * logsumexp(log_terms, axis=1)
 
+    @staticmethod
+    def scipy_spectrum(u):
+        """(|xi|, L p |u_hat|^2) over the modes above the round-off floor."""
+        amp = np.abs(np.fft.rfft(u.samples)) / u.grid.n_points
+        pair = np.full(amp.size, 2.0)
+        pair[[0, -1]] = 1.0
+        above = amp > norms.ROUNDOFF_FLOOR * amp.max()
+        return (np.abs(u.grid.xi[: amp.size])[above],
+                u.grid.box_length * pair[above] * amp[above] ** 2)
+
     @classmethod
     def scipy_norms(cls, u, sigma, m):
         """(hm_norm, km_phi, km_radius_norm) with scipy's kernels in the terms."""
         from scipy.special import gammaln, logsumexp
 
-        # (|xi|, L p |u_hat|^2) over the modes above the round-off floor
-        amp = np.abs(np.fft.rfft(u.samples)) / u.grid.n_points
-        pair = np.full(amp.size, 2.0)
-        pair[[0, -1]] = 1.0
-        above = amp > norms.ROUNDOFF_FLOOR * amp.max()
-        spectrum = (np.abs(u.grid.xi[: amp.size])[above],
-                    u.grid.box_length * pair[above] * amp[above] ** 2)
+        spectrum = cls.scipy_spectrum(u)
 
         def hm_terms(j):
             return (j * math.log(sigma) + 2.0 * np.log(j + 1.0) - gammaln(j + 1)
@@ -544,6 +548,38 @@ class TestNumpyKernels:
                 else:
                     assert norm() == pytest.approx(expected, rel=1e-13)
             assert km_phi(u, sigma, 32) == pytest.approx(phi_ref, rel=1e-13)
+
+    @staticmethod
+    def floor_readings():
+        """Periodic sech readings whose modes reach down to the round-off floor,
+        and white noise, whose every mode, the Nyquist mode included, is excited."""
+        for n, width in ((256, 2.5), (1024, 1.0), (4096, 0.9)):
+            grid = make_grid(n, 80.0)
+            images = (1.0 / np.cosh((grid.x - 40.0 + shift) / width) for shift in (-80, 0, 80))
+            yield RealField(grid, sum(images))
+        grid = make_grid(256, 2 * np.pi)
+        yield RealField(grid, np.random.default_rng(3).standard_normal(256))
+
+    @pytest.mark.parametrize("s", [2.0, 4.0, 40.0, 2200.0])
+    def test_derivative_norms_to_high_order(self, s):
+        j = np.arange(201)
+        for u in self.floor_readings():
+            spectrum = norms._spectrum(u)
+            assert spectrum.abs_xi[0] == 0
+            ours = norms._log_derivative_norms(spectrum, s, j)
+            ref = self.scipy_log_derivative_norms(self.scipy_spectrum(u), s, j)
+            assert np.all(np.abs(ours - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref)))
+            # the sech readings drop their top modes, the noise keeps its Nyquist mode
+            assert spectrum.kept[-1] == (u.grid.box_length != 80.0)
+
+    def test_derivative_norms_of_the_zero_mode_alone(self):
+        grid = make_grid(64, 10.0)
+        spectrum = norms._spectrum(RealField(grid, np.full(64, -3.0)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            log_norms = norms._log_derivative_norms(spectrum, 2.0, np.arange(40))
+        assert log_norms[0] == pytest.approx(0.5 * math.log(9.0 * 10.0), rel=1e-15)
+        assert np.all(log_norms[1:] == -np.inf)
 
     def test_constant_field_no_warning(self):
         # only xi = 0 is resolved, so every order j >= 1 sums no terms

@@ -147,6 +147,15 @@ class TestParseConfig:
         text = MINIMAL + "\n[diagnostics]\ns = 1.0\n"
         assert parse_config(text).diagnostics.s == 1.0
 
+    @pytest.mark.parametrize("field, value", [
+        ("fit_k_min", 2.5), ("fit_k_min", 4.0), ("fit_k_min", True), ("fit_k_min", 0),
+        ("m_trunc", 2.5), ("m_trunc", 16.0), ("m_trunc", False), ("m_trunc", -1),
+    ])
+    def test_diagnostics_counts_must_be_integers(self, field, value):
+        # a fractional m_trunc would otherwise fail in km_phi only after the march
+        with pytest.raises(ConfigurationError, match=f"{field} must be an integer"):
+            scenarios.DiagnosticsSpec(**{field: value})
+
     def test_duplicate_key_rejected(self):
         text = "[run]\nb = 2.0\nb = 3.0\n\n[init]\nfamily = sine\n"
         with pytest.raises(ConfigurationError):
