@@ -188,7 +188,10 @@ def default_gamma(sigma_hat0: float) -> float:
     """Tie the certified initial strip to the measured one, clipped negative.
 
     gamma = min(-0.05, log(0.9 * min(1, sigma_hat0))), floored so that a
-    tiny measured radius cannot push gamma to -inf.
+    tiny measured radius cannot push gamma to -inf. A NaN sigma_hat0, the
+    reading of a spectrum with no usable fit, gives -0.05.
     """
+    if math.isnan(sigma_hat0):
+        return -0.05
     measured = min(1.0, max(float(sigma_hat0), 1e-8))
     return min(-0.05, math.log(0.9 * measured))

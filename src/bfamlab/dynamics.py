@@ -21,7 +21,8 @@ multipliers `A` and `B` (b enters nowhere else); the half spectra
 `spectra` = [f_hat, i xi f_hat] of a stage f, whose band `stage` the caller
 writes and whose modes above the band keep u's unless the caller zeroes
 them; the samples `fields` = [f, f_x], which `load()` refreshes from
-`stage` with one multiply and one stacked irfft; and the combine's work
+`stage` with one multiply and one stacked irfft (`load(out)` writes them
+into another (2, N) array instead); and the combine's work
 arrays `squares` and `product_spectra`. It starts loaded with u.
 
 The combine, `_rhs_from_products(op, squares, band)`, takes one stacked
@@ -66,10 +67,14 @@ class _Operator:
         fields[0] = u.samples
         _irfft(spectra[1], fields[1])
 
-    def load(self) -> np.ndarray:
-        """`fields` from `spectra` after a new `stage`; returns `fields`."""
+    def load(self, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """The samples [f, f_x] of a new `stage`, from `spectra`, written into
+        `out`, a (2, N) array that defaults to `fields`; returns `out`.
+
+        A caller that keeps every loaded stage, as the Taylor recursion keeps
+        each c_k and d_x c_k, passes the row it keeps them in."""
         np.multiply(self._band_deriv, self.stage, out=self._stage_deriv)
-        return _irfft(self.spectra, self.fields)
+        return _irfft(self.spectra, self.fields if out is None else out)
 
 
 def _rhs_from_products(op: _Operator, squares: np.ndarray, band: np.ndarray) -> np.ndarray:

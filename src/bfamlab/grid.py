@@ -115,7 +115,7 @@ class RealField:
             raise ConfigurationError(
                 f"expected {self.grid.n_points} samples, got shape {samples.shape}"
             )
-        if not np.all(np.isfinite(samples)):
+        if not np.isfinite(samples).all():
             raise NumericalError("field samples are not all finite")
         object.__setattr__(self, "samples", samples)
 

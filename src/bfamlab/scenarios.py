@@ -447,10 +447,8 @@ def compute_diagnostics(trajectory, diag: DiagnosticsSpec):
     fits = [fit for _, fit in readings]
     if diag.gamma_override is not None:
         gamma = diag.gamma_override
-    elif fits[0] is not None:
-        gamma = analyticity.default_gamma(fits[0].sigma_hat)
     else:
-        gamma = -0.05
+        gamma = analyticity.default_gamma(readings[0][0]["sigma_hat"])
     h2_norms = [columns["h2"] for columns, _ in readings]
     bound = analyticity.km_bound_from_run(trajectory, gamma, diag.m_trunc, h2_norms)
     rows = [

@@ -11,15 +11,21 @@ Cauchy-product recursion,
 with c_0 the initial datum, so c_1 equals the direct right-hand side
 evaluation exactly (shared code path).
 
-The coefficients c_k and derivatives d_x c_k are rows of two preallocated
-arrays, so each of the two Cauchy sums of an order is one contraction over
-the rows. Both sums are symmetric: they add the pairs i < j once, doubled,
-plus the middle term i = j when k is even; the conservative form needs no
-sum of c_i d_x c_j. An order writes the two sums into the squares of one
-`dynamics._Operator` (the stage layout is described there), combines them
-into the operator's stage band and loads c_{k+1} and d_x c_{k+1} from it:
-four real FFTs in two stacked kernel calls, with d_x c_{k+1} never
-round-tripping through the samples.
+Row k of one preallocated store holds c_k and d_x c_k side by side, so an
+order's two Cauchy sums, of c_i c_j and of d_x c_i d_x c_j, are a single
+contraction over the store's 2N-wide rows, written into the squares of one
+`dynamics._Operator` (the stage layout is described there); the
+conservative form needs no sum of c_i d_x c_j. Both sums are symmetric:
+the contraction adds the pairs i < j once, and for even k one half of the
+middle term i = j is added, which leaves half of each sum. The combine is
+linear, so it gives half the band of -F, and dividing that band by
+-(k+1)/2 gives c_{k+1}'s band; scaling by a power of two is exact, so this
+is the band the doubled sums would give, bit for bit. The operator then
+loads c_{k+1} and d_x c_{k+1} straight into row k + 1 of the store: an
+order costs four real FFTs in two stacked kernel calls, with d_x c_{k+1}
+never round-tripping through the samples. The series gets c_1 .. c_K as
+rows of their own block, allocated before the store and filled with one
+copy, so it keeps none of the derivative rows alive.
 
 The temporal radius of convergence is estimated by a root test on the
 coefficient norms, once per series.
@@ -47,7 +53,8 @@ class TaylorSeries:
     """Coefficient fields c_0 ... c_K; c_k has units of u per time^k.
 
     A series is immutable: its root-test radius is computed on first use
-    and kept for the life of the series.
+    and kept for the life of the series. Every coefficient lies on c_0's
+    grid and b is finite, or ConfigurationError is raised.
     """
 
     b: float
@@ -56,6 +63,13 @@ class TaylorSeries:
     def __post_init__(self):
         if len(self.coeffs) < 2:
             raise ConfigurationError("a Taylor series needs at least c_0 and c_1")
+        require_finite("b", self.b)
+        grid = self.coeffs[0].grid
+        for k, c in enumerate(self.coeffs):
+            if c.grid is not grid and c.grid != grid:
+                raise ConfigurationError(
+                    f"coefficient c_{k} lies on {c.grid}, c_0 on {grid}"
+                )
 
     @property
     def grid(self):
@@ -87,28 +101,32 @@ def taylor_coeffs(u0: RealField, b: float, order: int) -> TaylorSeries:
     grid = u0.grid
     n, m = grid.n_points, grid.band_size
     op = _Operator(u0, b)
-    # c_{k+1} has no modes above the band; the fields are free work space
-    # until an order loads them
+    # c_{k+1} has no modes above the band
     op.spectra[:, m:] = 0.0
-    squares, stage, pair = op.squares, op.stage, op.fields
-    cs = np.empty((order + 1, n))
-    dcs = np.empty((order + 1, n))  # d_x c_order comes with c_order, unused
-    cs[0], dcs[0] = op.fields
-    kept = order + 1
+    stage, sums = op.stage, op.squares.reshape(2 * n)
+    # orders load into the store, so the fields are free work space
+    work = op.fields.reshape(2 * n)
+    # c_1 .. c_K for the series, allocated first so that the store above it
+    # is released whole on return
+    coeffs = np.empty((order, n))
+    store = np.empty((order + 1, 2, n))  # d_x c_order comes with c_order, unused
+    store[0] = op.fields
+    rows = store.reshape(order + 1, 2 * n)
+    kept = order
     for k in range(order):
         pairs = (k + 1) // 2  # index pairs i < k - i
-        np.einsum("ij,ij->j", cs[:pairs], cs[k : k - pairs : -1], out=squares[0])
-        np.einsum("ij,ij->j", dcs[:pairs], dcs[k : k - pairs : -1], out=squares[1])
-        np.multiply(2.0, squares, out=squares)
+        np.einsum("ij,ij->j", rows[:pairs], rows[k : k - pairs : -1], out=sums)
         if k % 2 == 0:
-            np.multiply(cs[k // 2], cs[k // 2], out=pair[0])
-            np.multiply(dcs[k // 2], dcs[k // 2], out=pair[1])
-            np.add(squares, pair, out=squares)
-        # the combine gives the band of -F: dividing by -(k + 1) gives c_{k+1}'s
-        _rhs_from_products(op, squares, stage)
-        np.divide(stage, -(k + 1), out=stage)
-        cs[k + 1], dcs[k + 1] = op.load()
-        sup = float(np.maximum.reduce(np.abs(pair[0], out=pair[1])))
+            middle = rows[k // 2]
+            np.multiply(middle, middle, out=work)
+            np.multiply(work, 0.5, out=work)
+            np.add(sums, work, out=sums)
+        # the combine gives the band of -F of half the sums: dividing by
+        # -(k + 1)/2 gives c_{k+1}'s
+        _rhs_from_products(op, op.squares, stage)
+        np.divide(stage, -(k + 1) / 2, out=stage)
+        loaded = op.load(store[k + 1])
+        sup = float(np.maximum.reduce(np.abs(loaded[0], out=work[:n])))
         if not math.isfinite(sup):
             raise NumericalError(
                 f"non-finite Taylor coefficient c_{k + 1}; the temporal radius "
@@ -120,11 +138,13 @@ def taylor_coeffs(u0: RealField, b: float, order: int) -> TaylorSeries:
                 f"series truncated at order {k} to avoid overflow noise",
                 stacklevel=2,
             )
-            kept = k + 1
+            kept = k
             break
-    if kept < 2:
+    if kept < 1:
         raise NumericalError("no usable Taylor coefficients beyond the datum")
-    return TaylorSeries(b=b, coeffs=(u0,) + tuple(RealField(grid, c) for c in cs[1:kept]))
+    coeffs = coeffs[:kept]
+    coeffs[:] = store[1 : kept + 1, 0]
+    return TaylorSeries(b=b, coeffs=(u0,) + tuple(RealField(grid, c) for c in coeffs))
 
 
 def taylor_eval(series: TaylorSeries, t: float) -> RealField:
@@ -142,8 +162,9 @@ def taylor_eval(series: TaylorSeries, t: float) -> RealField:
                 stacklevel=2,
             )
     acc = series.coeffs[-1].samples.copy()
-    for k in range(series.order - 1, -1, -1):
-        acc = series.coeffs[k].samples + t * acc
+    for c in series.coeffs[-2::-1]:
+        np.multiply(t, acc, out=acc)
+        np.add(c.samples, acc, out=acc)
     return RealField(series.grid, acc)
 
 

@@ -289,6 +289,9 @@ class TestDefaultGamma:
     def test_small_measured_radius(self):
         assert default_gamma(0.5) == pytest.approx(math.log(0.45))
 
+    def test_nan_measured_radius_gives_the_missing_fit_fallback(self):
+        assert default_gamma(math.nan) == -0.05
+
     def test_zero_measured_radius_stays_finite(self):
         assert math.isfinite(default_gamma(0.0))
         assert default_gamma(0.0) < 0

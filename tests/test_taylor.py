@@ -1,6 +1,7 @@
 """Time-Taylor recursion, series evaluation, and temporal radius estimation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from bfamlab import (
     time_radius_estimate,
 )
 from bfamlab.scenarios import initial_data
-from conftest import conservative_band, reference_derivative
+from conftest import conservative_band, reference_derivative, reference_wavenumbers
 
 
 def loop_coeffs(u0, b, order, dtype=np.float64):
@@ -36,6 +37,35 @@ def loop_coeffs(u0, b, order, dtype=np.float64):
             square += cs[i] * cs[k - i]
             dsquare += dcs[i] * dcs[k - i]
         cs.append(np.fft.irfft(-conservative_band(square, dsquare, b, box_length), n) / (k + 1))
+    return cs
+
+
+def symmetric_coeffs(u0, b, order):
+    """The symmetric recursion in plain numpy and numpy.fft: c_k and d_x c_k
+    as rows of two arrays; each Cauchy sum one einsum over the pairs
+    i < k - i, doubled, plus the middle term i = k/2 for even k; the band of
+    -F as A rfft(sum of c c) + B rfft(sum of d_x c d_x c), divided by
+    -(k + 1); c_{k+1} and d_x c_{k+1} by irfft of that band and of i xi times
+    it. A and B are those of `_reference_march` in test_evolve."""
+    grid = u0.grid
+    n, m = grid.n_points, grid.band_size
+    ixi, xi, _ = reference_wavenumbers(n, grid.box_length)
+    nonlocal_ = ixi[:m] * (1.0 / (1.0 + xi[:m] ** 2))
+    A, B = 0.5 * (ixi[:m] + b * nonlocal_), (0.5 * (3.0 - b)) * nonlocal_
+    cs, dcs = np.empty((order + 1, n)), np.empty((order + 1, n))
+    cs[0] = u0.samples
+    dcs[0] = np.fft.irfft(ixi * np.fft.rfft(u0.samples), n)
+    for k in range(order):
+        pairs = (k + 1) // 2
+        square = 2.0 * np.einsum("ij,ij->j", cs[:pairs], cs[k : k - pairs : -1])
+        dsquare = 2.0 * np.einsum("ij,ij->j", dcs[:pairs], dcs[k : k - pairs : -1])
+        if k % 2 == 0:
+            square = square + cs[k // 2] * cs[k // 2]
+            dsquare = dsquare + dcs[k // 2] * dcs[k // 2]
+        spectrum = np.zeros(n // 2 + 1, dtype=complex)
+        spectrum[:m] = (A * np.fft.rfft(square)[:m] + B * np.fft.rfft(dsquare)[:m]) / -(k + 1)
+        cs[k + 1] = np.fft.irfft(spectrum, n)
+        dcs[k + 1] = np.fft.irfft(ixi * spectrum, n)
     return cs
 
 
@@ -145,6 +175,40 @@ class TestAgainstLoop:
         assert error <= 2.0 * loop_error
 
 
+class TestArithmetic:
+    @pytest.mark.parametrize("n", [64, 256])
+    @pytest.mark.parametrize("b", [-1.0, 0.0, 2.0, 3.0])
+    @pytest.mark.parametrize("order", [1, 2, 12])
+    def test_matches_symmetric_recursion_bit_for_bit(self, rng, n, b, order):
+        # a datum that fills every mode: any change to an order's arithmetic
+        # or its order of operations shows in the bytes
+        grid = make_grid(n, 2 * np.pi)
+        k = np.arange(n // 2 + 1)
+        coeffs = (rng.standard_normal(k.size) + 1j * rng.standard_normal(k.size)) / (1.0 + k) ** 2
+        samples = np.fft.irfft(coeffs, n)
+        u0 = RealField(grid, 0.5 * samples / np.max(np.abs(samples)))
+        series = taylor_coeffs(u0, b, order)
+        assert series.order == order
+        coefficients = np.array([c.samples for c in series.coeffs])
+        assert coefficients.tobytes() == symmetric_coeffs(u0, b, order).tobytes()
+
+    def test_series_keeps_no_derivative_rows(self):
+        # the series holds c_1 .. c_K and no more: K N float64 values, with
+        # room for its Python objects
+        grid = make_grid(1024, 8 * np.pi)
+        u = RealField(grid, 0.45 * np.sin(grid.x + 1.0))
+        taylor_coeffs(u, 2.0, 2)  # the grid builds its multipliers on first use
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            series = taylor_coeffs(u, 2.0, 32)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert series.order == 32
+        assert retained <= 1.1 * 32 * 1024 * 8
+
+
 class TestFftBudget:
     """Transform and combine counts of the recursion and of evaluation."""
 
@@ -172,6 +236,29 @@ class TestFftBudget:
         fft_counts.update(real=0, complex=0, calls=0, combine=0)
         time_radius_estimate(series)
         assert fft_counts == {"real": 0, "complex": 0, "calls": 0, "combine": 0}
+
+
+class TestSeriesValidation:
+    def test_coefficients_on_another_box_rejected(self, random_field):
+        wide = RealField(make_grid(64, 4 * np.pi), random_field.samples)
+        with pytest.raises(ConfigurationError, match="c_1 lies on"):
+            TaylorSeries(b=2.0, coeffs=(random_field,) + (wide,) * 8)
+
+    def test_coefficients_on_another_resolution_rejected(self, random_field):
+        fine = RealField(make_grid(128, 2 * np.pi), np.zeros(128))
+        with pytest.raises(ConfigurationError, match="c_2 lies on"):
+            TaylorSeries(b=2.0, coeffs=(random_field, random_field, fine))
+
+    def test_equal_grids_accepted(self, random_field):
+        twin = RealField(make_grid(64, 2 * np.pi), random_field.samples)
+        assert twin.grid is not random_field.grid
+        series = TaylorSeries(b=2.0, coeffs=(random_field, twin))
+        assert taylor_eval(series, 0.5).samples.tobytes() == (1.5 * random_field.samples).tobytes()
+
+    @pytest.mark.parametrize("b", [math.nan, math.inf])
+    def test_non_finite_b_rejected(self, random_field, b):
+        with pytest.raises(ConfigurationError, match="b must be finite"):
+            TaylorSeries(b=b, coeffs=(random_field, random_field))
 
 
 class TestEvaluation:
