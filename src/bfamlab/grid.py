@@ -120,6 +120,15 @@ class RealField:
         object.__setattr__(self, "samples", samples)
 
 
+def _finite_field(grid: GridSpec, samples: np.ndarray) -> RealField:
+    """A RealField of float64 samples of shape (N,) that the caller has already
+    shown to be finite; it is built without __post_init__'s checks and scan."""
+    field = object.__new__(RealField)
+    object.__setattr__(field, "grid", grid)
+    object.__setattr__(field, "samples", samples)
+    return field
+
+
 _UNIT_FACTOR = np.array(1.0)
 _inverse_lengths = {}  # N -> 1/N as a float64 0-d array, made on first use
 

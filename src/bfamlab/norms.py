@@ -21,12 +21,15 @@ as (1+xi^2)^s and j! overflow doubles, and a norm past the double range is
 inf. The derivative norms |d^j u|_{H^s} behind the factorial norms are a
 scaled power sum instead: every term is divided by the largest Sobolev term
 and by max|xi|^{2j}, so each lies in (0, 1] and the top mode's stays above
-e^{-61}; a block of up to 32 orders is then one exp over the modes and one
-matrix-vector product with a table of (|xi| / max|xi|)^{2i} built once per
-reading. The open-ended sums (hm_norm, km_radius_norm) take 32 orders per
-block and stop at the first run of three consecutive terms below 1e-16 of
-the running value. The log-sum-exp and log j! are this module's own numpy
-code. Every norm also accepts a reading `_spectrum(u)` in place of u.
+e^{-61}; a block of up to 32 orders is then one row of exponentials over
+the modes and one matrix-vector product with a 32-row table of
+(|xi| / max|xi|)^{2i} built once per reading. Up to 256 orders (8 blocks)
+are one pass: one exp over a (block, mode) array and one stacked matmul
+over the whole blocks. The open-ended sums (hm_norm, km_radius_norm) ask
+for 256 orders at a time, so memory stays bounded at any j_max, and stop
+at the first run of three consecutive terms below 1e-16 of the running
+value. The log-sum-exp and log j! are this module's own numpy code. Every
+norm also accepts a reading `_spectrum(u)` in place of u.
 """
 
 from __future__ import annotations
@@ -48,7 +51,8 @@ _LOG_TAIL = math.log(TAIL_RTOL)
 _LOG_DOUBLE_MAX = math.log(sys.float_info.max)  # math.exp of it is finite, of the next double not
 DEFAULT_J_MAX = 200
 _LOG_TERM_FLOOR = -300.0  # exponent floor of the derivative-norm power sums
-_ORDER_BLOCK = 32  # orders per (order, mode) array: bounds its memory when j_max is large
+_ORDER_BLOCK = 32  # rows of a reading's order_powers table: the orders one product covers
+_ORDER_CHUNK = 8 * _ORDER_BLOCK  # orders per pass: bounds the (block, mode) array at any j_max
 _log_factorials = np.array([math.lgamma(j + 1.0) for j in range(DEFAULT_J_MAX + 1)])
 
 
@@ -96,7 +100,8 @@ def _spectrum(u) -> _Spectrum:
     kept = amp > ROUNDOFF_FLOOR * np.maximum.reduce(amp)
     pair = np.full(size, 2.0)
     pair[[0, -1]] = 1.0
-    amp, abs_xi = amp[kept], np.abs(grid.xi[:size])[kept]
+    # |xi_k| for k = 0 .. N/2, bit for bit abs(grid.xi) there, without the full-N xi
+    amp, abs_xi = amp[kept], (2.0 * np.pi * np.arange(size) / grid.box_length)[kept]
     weight = grid.box_length * pair[kept] * amp**2
     return _Spectrum(kept, abs_xi, amp, np.log(weight), np.log1p(abs_xi**2))
 
@@ -160,8 +165,10 @@ def _log_derivative_norms(spectrum: _Spectrum, s: float, j: np.ndarray) -> np.nd
 
         log |d^j u|^2_{H^s} = c* + 2 j l* + log sum_k r_k^{2i} e^{c_k - c* + 2 j_0 log r_k},
 
-    so each block of up to 32 orders is one exp over the modes and one
-    matrix-vector product with the reading's table of r^{2i}. Every exponent
+    so each block of up to 32 orders is one row of exponentials over the
+    modes and one matrix-vector product with the reading's table of r^{2i}.
+    Up to 8 blocks (256 orders) are one pass: one exp over a (block, mode)
+    array and one stacked matmul over the whole blocks. Every exponent
     is <= 0, so nothing overflows, and the sum cannot reach 0: the top mode
     has r = 1 and e^{c - c*} >= e^{-61}, as every kept |u_hat| exceeds
     1e-13 max|u_hat|, p falls at most from 2 to 1 and, for s >= 0,
@@ -178,13 +185,23 @@ def _log_derivative_norms(spectrum: _Spectrum, s: float, j: np.ndarray) -> np.nd
     peak = np.maximum.reduce(log_terms)
     shifted = log_terms - peak
     sums = np.empty(j.size)
-    for start in range(0, j.size, _ORDER_BLOCK):
-        block = sums[start:start + _ORDER_BLOCK]
-        # log e^{c_k - c*} r_k^{2 j_0} at the block's first order j_0
-        lead = shifted + (2.0 * (j[0] + start)) * spectrum.log_xi_ratio
+    for start in range(0, j.size, _ORDER_CHUNK):
+        chunk = sums[start:start + _ORDER_CHUNK]
+        # log e^{c_k - c*} r_k^{2 j_0} at each block's first order j_0, a row per block
+        first = 2.0 * (j[0] + np.arange(start, start + chunk.size, _ORDER_BLOCK))
+        lead = np.multiply.outer(first, spectrum.log_xi_ratio)
+        np.add(lead, shifted, out=lead)
         np.maximum(lead, _LOG_TERM_FLOOR, out=lead)
-        # the product gives the same bits on every call with one BLAS thread
-        np.matmul(spectrum.order_powers[:block.size], np.exp(lead, out=lead), out=block)
+        np.exp(lead, out=lead)
+        # one matrix-vector product per block, the whole blocks stacked into one
+        # call; a part block takes only its rows of the table. BLAS sums a short
+        # table, or a matrix product, in another order, so this keeps the bits of
+        # a block-by-block evaluation, which repeat on every call with one BLAS thread
+        whole, part = divmod(chunk.size, _ORDER_BLOCK)
+        np.matmul(spectrum.order_powers, lead[:whole, :, None],
+                  out=chunk[:whole * _ORDER_BLOCK].reshape(whole, _ORDER_BLOCK, 1))
+        if part:
+            np.matmul(spectrum.order_powers[:part], lead[whole], out=chunk[-part:])
     # c* + 2 j l* in numpy's extended precision, where the platform has one: the rounding
     # of l*, times 2 j, would otherwise enter every term of order j
     offset = np.longdouble(peak) + j * (2 * np.log(np.longdouble(spectrum.abs_xi[-1])))
@@ -195,14 +212,17 @@ def _truncated_sum(log_terms_of, j_max: int, accumulate):
     """Running value of the log terms j = 0, 1, ..., j_max under `accumulate`.
 
     `accumulate` is np.maximum.accumulate (a sup) or np.logaddexp.accumulate
-    (a sum). Terms are evaluated 32 orders at a time; the value is returned
-    at the first run of three consecutive terms below TAIL_RTOL of the
-    running value, and None if no such run occurs by j = j_max.
+    (a sum). Terms are evaluated 256 orders at a time, one pass each; the
+    value is returned at the first run of three consecutive terms below
+    TAIL_RTOL of the running value, and None if no such run occurs by
+    j = j_max. The running value and the last two orders' small-term flags
+    carry across chunks, and the running value enters each accumulate first,
+    so the terms are accumulated left to right as in one pass over all orders.
     """
     running = -math.inf
     carry = np.zeros(0, dtype=bool)  # small-term flags of the last two orders so far
-    for start in range(0, j_max + 1, _ORDER_BLOCK):
-        terms = log_terms_of(np.arange(start, min(start + _ORDER_BLOCK, j_max + 1)))
+    for start in range(0, j_max + 1, _ORDER_CHUNK):
+        terms = log_terms_of(np.arange(start, min(start + _ORDER_CHUNK, j_max + 1)))
         values = accumulate(np.concatenate(([running], terms)))[1:]
         small = np.concatenate((carry, terms < values + _LOG_TAIL))
         three = small[:-2] & small[1:-1] & small[2:]

@@ -42,7 +42,7 @@ import numpy as np
 
 from .dynamics import _Operator, _rhs_from_products
 from .errors import ConfigurationError, NumericalError, require_finite, require_integer
-from .grid import RealField
+from .grid import RealField, _finite_field
 
 COEFF_SUP_CAP = 1e12
 MIN_ORDER_FOR_RADIUS = 6
@@ -144,7 +144,8 @@ def taylor_coeffs(u0: RealField, b: float, order: int) -> TaylorSeries:
         raise NumericalError("no usable Taylor coefficients beyond the datum")
     coeffs = coeffs[:kept]
     coeffs[:] = store[1 : kept + 1, 0]
-    return TaylorSeries(b=b, coeffs=(u0,) + tuple(RealField(grid, c) for c in coeffs))
+    # the sup check above showed every kept row finite
+    return TaylorSeries(b=b, coeffs=(u0,) + tuple(_finite_field(grid, c) for c in coeffs))
 
 
 def taylor_eval(series: TaylorSeries, t: float) -> RealField:

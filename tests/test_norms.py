@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -598,3 +599,145 @@ class TestNumpyKernels:
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True).stdout
         assert out.strip() == "[]"
+
+
+def _blockwise_log_derivative_norms(spectrum, s, j):
+    """norms._log_derivative_norms one 32-order block at a time: per block, one
+    exp over the modes and one matrix-vector product with the reading's table."""
+    log_terms = norms._log_sobolev_terms(spectrum, s)
+    if spectrum.abs_xi[-1] == 0:
+        return np.where(j == 0, 0.5 * log_terms[0], -np.inf)
+    peak = log_terms.max()
+    shifted = log_terms - peak
+    sums = np.empty(j.size)
+    for start in range(0, j.size, 32):
+        block = sums[start:start + 32]
+        lead = shifted + 2.0 * (j[0] + start) * spectrum.log_xi_ratio
+        lead = np.exp(np.maximum(lead, norms._LOG_TERM_FLOOR))
+        block[:] = spectrum.order_powers[:block.size] @ lead
+    offset = np.longdouble(peak) + j * (2 * np.log(np.longdouble(spectrum.abs_xi[-1])))
+    return 0.5 * (np.log(sums) + offset).astype(float)
+
+
+def _blockwise_truncated_sum(log_terms_of, j_max, accumulate):
+    """norms._truncated_sum asking for 32 orders per call."""
+    running, carry = -math.inf, np.zeros(0, dtype=bool)
+    for start in range(0, j_max + 1, 32):
+        terms = log_terms_of(np.arange(start, min(start + 32, j_max + 1)))
+        values = accumulate(np.concatenate(([running], terms)))[1:]
+        small = np.concatenate((carry, terms < values + norms._LOG_TAIL))
+        three = small[:-2] & small[1:-1] & small[2:]
+        if three.any():
+            return float(values[np.argmax(three) + 2 - carry.size])
+        running, carry = values[-1], small[-2:]
+    return None
+
+
+def _outcome(norm, *args):
+    try:
+        return norm(*args)
+    except TruncationError:
+        return TruncationError
+
+
+class TestOrderChunks:
+    """The factorial norms, whose orders are taken 256 at a time, against a
+    32-orders-per-call evaluation: below, near and past the strip of each
+    reading, at order budgets on and either side of the block and chunk edges."""
+
+    J_MAX = (1, 2, 31, 32, 33, 255, 256, 257, 1000)
+    # the sech strips pi w / 2 lie in [0.78, 3.9]; on a grid every sum stops in
+    # the end, at about e sigma max|xi| orders for hm, which sigma = 20 puts past 1000
+    HM_SIGMA = (0.2, 1.0, 1.6, 4.0, 20.0)
+    KM_SIGMA = (-0.5, 0.2, 0.5, 1.5, 20.0)  # km's terms fall off for e^sigma below the strip
+
+    @staticmethod
+    def readings():
+        for u in (*TestNumpyKernels.fields(), *TestNumpyKernels.floor_readings()):
+            yield norms._spectrum(u)
+
+    def test_chunks_match_blockwise_evaluation(self, monkeypatch):
+        outcomes = set()
+        for spectrum in self.readings():
+            for norm, sigmas, m in ((hm_norm, self.HM_SIGMA, (2,)),
+                                    (km_radius_norm, self.KM_SIGMA, ()),
+                                    (km_phi, self.KM_SIGMA, ())):
+                for sigma in sigmas:
+                    truncated = []
+                    for j_max in self.J_MAX:  # m for km_phi
+                        args = (spectrum, sigma, *m, j_max)
+                        with monkeypatch.context() as patch:
+                            patch.setattr(norms, "_log_derivative_norms",
+                                          _blockwise_log_derivative_norms)
+                            patch.setattr(norms, "_truncated_sum", _blockwise_truncated_sum)
+                            expected = _outcome(norm, *args)
+                        value = _outcome(norm, *args)
+                        where = (norm.__name__, sigma, j_max)
+                        if expected is TruncationError:
+                            assert value is TruncationError, where
+                        else:
+                            assert value is not TruncationError, where
+                            assert value == pytest.approx(expected, rel=1e-15, abs=0.0), where
+                        truncated.append(value is TruncationError)
+                    outcomes.add((truncated[-3], truncated[-1]))  # j_max = 256, 1000
+        # the cases reach every outcome: a stop in the first chunk, a stop carried
+        # across a chunk edge (unresolved at j_max = 256, resolved by 1000), and none
+        assert outcomes == {(False, False), (True, False), (True, True)}
+
+    @pytest.mark.parametrize("name, sigma, stop", [("hm", 46.5, 257), ("km", 4.05, 256)])
+    def test_stopping_run_across_the_chunk_edge(self, name, sigma, stop):
+        # on the few-mode field the first three small terms straddle orders 255 and 256,
+        # so the stop needs the running value and the small-term flags carried over
+        grid, coeffs, u = TestKernelOracle.grid, TestKernelOracle.F, TestKernelOracle.u
+        j = np.arange(300)
+        s = 4.0 if name == "hm" else 2.0
+        # |d^j u|^2_{H^s} = L sum over k = +-1, +-2, +-3 of (1 + k^2)^s k^{2j} |c_k|^2 (xi = k)
+        k = np.arange(1, 4)
+        log_modes = np.log(2 * grid.box_length * np.abs(coeffs[k]) ** 2) + s * np.log1p(k**2.0)
+        log_modes = log_modes + 2.0 * np.multiply.outer(j, np.log(k))
+        log_norms = 0.5 * np.logaddexp.reduce(log_modes, axis=1)
+        log_factorials = np.array([math.lgamma(i + 1.0) for i in j])
+        if name == "hm":
+            log_terms = j * math.log(sigma) + 2.0 * np.log(j + 1.0) - log_factorials + log_norms
+            power, accumulate = 1.0, max
+            norm = lambda j_max: hm_norm(u, sigma, 2, j_max)  # noqa: E731
+        else:
+            log_terms = 2.0 * (sigma * j - log_factorials + log_norms)
+            power, accumulate = 0.5, lambda a, b: a + b
+            norm = lambda j_max: km_radius_norm(u, sigma, j_max)  # noqa: E731
+        shift = log_terms.max()
+        scaled, found = _enumerated(np.exp(log_terms - shift), accumulate)
+        assert found == stop
+        with pytest.raises(TruncationError):
+            norm(stop - 1)
+        expected = math.exp(power * (math.log(scaled) + shift))
+        for j_max in (stop, 299):
+            assert norm(j_max) == pytest.approx(expected, rel=1e-12)
+
+    def test_memory_bounded_by_the_chunk(self):
+        grid = make_grid(1024, 80.0)
+        spectrum = norms._spectrum(RealField(grid, 1.0 / np.cosh(grid.x - 40.0)))
+        # built once per reading and per process, not per order
+        spectrum.order_powers
+        norms._log_factorial(np.array([100_000]))
+
+        def peak_bytes(j_max):
+            tracemalloc.start()
+            try:
+                # at sigma = 20 the sum cannot stop by any of these budgets
+                with pytest.raises(TruncationError):
+                    km_radius_norm(spectrum, 20.0, j_max=j_max)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak_bytes(100_000) < 1.5 * peak_bytes(1000)
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(even_grids)
+    def test_abs_xi_without_the_full_grid(self, case):
+        u = _white_noise(*case)
+        spectrum = norms._spectrum(u)
+        assert "xi" not in vars(u.grid) and "modes" not in vars(u.grid)
+        half = u.grid.n_points // 2 + 1
+        assert np.array_equal(spectrum.abs_xi, np.abs(u.grid.xi[:half])[spectrum.kept])
