@@ -98,7 +98,7 @@ def _helmholtz_half(u: RealField, apply) -> RealField:
     """u with its half spectrum divided (np.divide) or multiplied (np.multiply) by 1/(1 + xi^2)."""
     n = u.grid.n_points
     spectrum = _rfft(u.samples, np.empty(n // 2 + 1, dtype=complex))
-    apply(spectrum, u.grid.helmholtz_inv_multiplier[: n // 2 + 1], out=spectrum)
+    apply(spectrum, u.grid.helmholtz_inv_multiplier, out=spectrum)
     return RealField(u.grid, _irfft(spectrum, np.empty(n)))
 
 

@@ -10,9 +10,8 @@ Conventions, fixed once for the whole package:
 
 Fields are real, so every coefficient array of the package is a half
 spectrum: the modes k = 0 .. N/2 of an rfft, u_hat[-k] being the conjugate
-of u_hat[k]. `GridSpec.modes` and `GridSpec.xi` list k in [-N/2, N/2) in
-numpy FFT ordering (k = 0, 1, ..., N/2-1, -N/2, ..., -1); their first N/2+1
-entries are the half spectrum's, with the Nyquist mode entered as -N/2.
+of u_hat[k]. Every frequency array of `GridSpec` runs over those N/2 + 1
+modes, in that order.
 
 Every transform of the package goes through `_rfft` and `_irfft`, which
 call numpy's pocketfft kernels directly and write into caller-given storage.
@@ -68,36 +67,24 @@ class GridSpec:
         return np.arange(self.n_points) * self.dx
 
     @cached_property
-    def modes(self) -> np.ndarray:
-        """Integer mode numbers k in FFT ordering."""
-        return np.rint(np.fft.fftfreq(self.n_points) * self.n_points).astype(int)
-
-    @cached_property
     def xi(self) -> np.ndarray:
-        """Continuous frequencies xi_k = 2*pi*k/L in FFT ordering."""
-        return 2.0 * np.pi * self.modes / self.box_length
-
-    @cached_property
-    def dealias_mask(self) -> np.ndarray:
-        """True for modes kept by the 2/3-type rule: |k| <= fraction * N/2."""
-        return np.abs(self.modes) <= self.dealias_fraction * (self.n_points // 2)
+        """Continuous frequencies xi_k = 2*pi*k/L of the half spectrum, k = 0 .. N/2."""
+        return 2.0 * np.pi * np.arange(self.n_points // 2 + 1) / self.box_length
 
     @cached_property
     def helmholtz_inv_multiplier(self) -> np.ndarray:
-        """1 / (1 + xi^2); denominator is >= 1 for every mode."""
+        """1 / (1 + xi_k^2) for k = 0 .. N/2; the denominator is >= 1 for every mode."""
         return 1.0 / (1.0 + self.xi**2)
-
-    # Half-spectrum multipliers for rfft arrays, modes k = 0 .. N/2.
 
     @cached_property
     def band_size(self) -> int:
         """Number m of half-spectrum modes kept by the dealias rule, k <= fraction * N/2."""
-        return int(np.count_nonzero(self.dealias_mask[: self.n_points // 2 + 1]))
+        return int(self.dealias_fraction * (self.n_points // 2)) + 1
 
     @cached_property
     def half_deriv_multiplier(self) -> np.ndarray:
         """i xi_k for k = 0 .. N/2, with the sign-ambiguous Nyquist entry zeroed."""
-        multiplier = 1j * self.xi[: self.n_points // 2 + 1]
+        multiplier = 1j * self.xi
         multiplier[-1] = 0.0
         return multiplier
 

@@ -100,8 +100,7 @@ def _spectrum(u) -> _Spectrum:
     kept = amp > ROUNDOFF_FLOOR * np.maximum.reduce(amp)
     pair = np.full(size, 2.0)
     pair[[0, -1]] = 1.0
-    # |xi_k| for k = 0 .. N/2, bit for bit abs(grid.xi) there, without the full-N xi
-    amp, abs_xi = amp[kept], (2.0 * np.pi * np.arange(size) / grid.box_length)[kept]
+    amp, abs_xi = amp[kept], grid.xi[kept]
     weight = grid.box_length * pair[kept] * amp**2
     return _Spectrum(kept, abs_xi, amp, np.log(weight), np.log1p(abs_xi**2))
 
@@ -127,11 +126,14 @@ logsumexp = _logsumexp
 
 
 def _log_factorial(j: np.ndarray) -> np.ndarray:
-    """log j! for a non-negative integer array j, from a table grown on demand."""
+    """log j! for a non-negative integer array j, from a table grown on demand:
+    a growth computes only the new entries and appends them."""
     global _log_factorials
     if j.max() >= _log_factorials.size:
-        size = max(int(j.max()) + 1, 2 * _log_factorials.size)
-        _log_factorials = np.array([math.lgamma(k + 1.0) for k in range(size)])
+        old = _log_factorials.size
+        size = max(int(j.max()) + 1, 2 * old)
+        new = np.fromiter((math.lgamma(k + 1.0) for k in range(old, size)), float, size - old)
+        _log_factorials = np.concatenate((_log_factorials, new))
     return _log_factorials[j]
 
 

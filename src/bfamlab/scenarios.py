@@ -178,6 +178,12 @@ def _initial_field(spec: InitSpec, grid: GridSpec) -> RealField:
         samples = _periodized(lambda y: a / np.cosh(y / w), x, center, length)
         return RealField(grid, samples)
     if spec.family == "sine":
+        if spec.mode >= grid.band_size:
+            # the march freezes a mode above the band, and its aliased square drives the band
+            raise ConfigurationError(
+                f"sine mode {spec.mode} lies outside the dealiased band k = 0 .. "
+                f"{grid.band_size - 1} of N = {grid.n_points}"
+            )
         # phase built from node indices: x_j = j L / N makes L cancel exactly
         phase = (2.0 * np.pi * spec.mode / grid.n_points) * np.arange(grid.n_points)
         return RealField(grid, a * np.sin(phase))

@@ -41,6 +41,20 @@ def reference_derivative(u, box_length):
     return np.fft.irfft(ixi * np.fft.rfft(u), u.shape[-1])
 
 
+def fft_frequencies(grid):
+    """Integer modes k and frequencies xi_k = 2 pi k / L over the full spectrum of
+    a grid, in numpy FFT ordering (k = 0, 1, ..., N/2-1, -N/2, ..., -1), the
+    Nyquist mode entered as -N/2; the grid itself lists only k = 0 .. N/2."""
+    n = grid.n_points
+    k = np.rint(np.fft.fftfreq(n) * n).astype(int)
+    return k, 2.0 * np.pi * k / grid.box_length
+
+
+def fft_band(grid):
+    """The 2/3-rule band over fft_frequencies(grid): True where |k| <= (2/3) N/2."""
+    return np.abs(fft_frequencies(grid)[0]) <= (2.0 / 3.0) * (grid.n_points // 2)
+
+
 def planted_field(grid, coeffs):
     """The RealField whose Fourier-series coefficients, in numpy FFT ordering,
     are coeffs: N ifft(coeffs), with the imaginary round-off dropped."""
@@ -55,7 +69,7 @@ def series_coefficients(u):
 def derivative(grid, coeffs, order):
     """The order-th derivative of planted_field(grid, coeffs): each mode times
     (i xi)^order, with the sign-ambiguous Nyquist mode -N/2 zeroed for odd orders."""
-    magnitude = (-1) ** (order // 2) * grid.xi**order
+    magnitude = (-1) ** (order // 2) * fft_frequencies(grid)[1] ** order
     if order % 2 == 0:
         return planted_field(grid, magnitude * coeffs)
     coeffs = 1j * magnitude * coeffs

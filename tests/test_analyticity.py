@@ -23,14 +23,15 @@ from bfamlab import (
 )
 from bfamlab.norms import _spectrum
 from bfamlab.scenarios import initial_data
-from conftest import planted_field, series_coefficients
+from conftest import fft_frequencies, planted_field, series_coefficients
 
 
 def planted_spectrum(grid, rate, k_max=None):
     """The real field with coefficients e^{-rate |xi_k|}, zero above |k| = k_max if given."""
-    coeffs = np.exp(-rate * np.abs(grid.xi))
+    k, xi = fft_frequencies(grid)
+    coeffs = np.exp(-rate * np.abs(xi))
     if k_max is not None:
-        coeffs[np.abs(grid.modes) > k_max] = 0.0
+        coeffs[np.abs(k) > k_max] = 0.0
     return planted_field(grid, coeffs)
 
 
@@ -78,7 +79,7 @@ class TestFitDecayRadius:
         # the band, floor flag and slope of the same fit made with np.polyfit
         # on the whole half spectrum
         amp = np.abs(np.fft.rfft(u.samples)) / u.grid.n_points
-        abs_xi = np.abs(u.grid.xi[: amp.size])
+        abs_xi = np.abs(fft_frequencies(u.grid)[1][: amp.size])
         ks = np.arange(1, amp.size - 1)
         candidate, above = ks >= 4, amp[ks] > 1e-13 * amp.max()
         usable = ks[candidate & above]

@@ -1,5 +1,6 @@
 """Exit codes and output contracts of the command-line surface."""
 
+import json
 import re
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from bfamlab import RealField, Snapshot, cli, make_grid, write_snapshot
 from bfamlab.cli import main
 from bfamlab.scenarios import snapshot_of
-from conftest import planted_field
+from conftest import fft_frequencies, planted_field
 
 CONFIG = """
 [grid]
@@ -64,7 +65,7 @@ def config_file(tmp_path):
 @pytest.fixture
 def planted_snapshot(tmp_path):
     grid = make_grid(256, 2 * np.pi)
-    u = planted_field(grid, np.exp(-0.5 * np.abs(grid.xi)))
+    u = planted_field(grid, np.exp(-0.5 * np.abs(fft_frequencies(grid)[1])))
     path = tmp_path / "planted.bgev"
     write_snapshot(path, snapshot_of(u, t=0.0, b=2.0))
     return path
@@ -99,6 +100,15 @@ class TestRunCommand:
         bad.write_text("[run]\nb = 2.0\n\n[init]\nfamily = nosuch\n")
         assert main(["run", "--config", str(bad)]) == 1
         assert "configuration error" in capsys.readouterr().err
+
+    def test_sine_mode_outside_the_band_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "sine.ini"
+        # the mode key rides on the amplitude line of the sine config
+        path.write_text(SINE_CONFIG.format(amplitude="0.5\nmode = 40", outdir=tmp_path / "out"))
+        assert main(["run", "--config", str(path)]) == 1
+        assert "sine mode 40" in capsys.readouterr().err
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["exit_status"] == 1
 
     def test_missing_config_exit_code(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "none.ini")]) == 3

@@ -1,6 +1,8 @@
 """The grid, its real transforms and half-spectrum multipliers: series
 coefficients, the spectral derivative, the Helmholtz inverse, and the band cut."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,15 +14,24 @@ from bfamlab import (
     RealField,
     inverse_momentum,
     make_grid,
+    momentum,
 )
 from bfamlab.grid import _irfft, _rfft
-from conftest import derivative, reference_wavenumbers, series_coefficients
+from conftest import (
+    derivative,
+    fft_band,
+    fft_frequencies,
+    planted_field,
+    reference_wavenumbers,
+    series_coefficients,
+)
 
 
 class TestMakeGrid:
     def test_unit_frequencies_on_2pi_box(self):
         grid = make_grid(256, 2 * np.pi)
-        assert np.allclose(grid.xi, grid.modes)
+        assert grid.xi.shape == grid.helmholtz_inv_multiplier.shape == (129,)
+        assert np.allclose(grid.xi, np.arange(129))
         assert grid.xi[1] == pytest.approx(1.0)
 
     def test_frequency_scaling(self):
@@ -67,8 +78,8 @@ def helmholtz_pair(u):
     """The half spectrum of u and its image under 1 + xi^2 and then the grid's
     helmholtz_inv_multiplier, which should give it back."""
     u_hat = half_spectrum(u)
-    xi = u.grid.xi[: u_hat.size]
-    return u_hat, (u_hat * (1.0 + xi**2)) * u.grid.helmholtz_inv_multiplier[: u_hat.size]
+    grid = u.grid
+    return u_hat, (u_hat * (1.0 + grid.xi**2)) * grid.helmholtz_inv_multiplier
 
 
 class TestTransforms:
@@ -129,7 +140,7 @@ class TestDeriv:
         u_hat = np.zeros(9, dtype=complex)
         u_hat[8] = 1.0  # k = N/2
         assert (grid.half_deriv_multiplier * u_hat)[8] == 0.0
-        assert (u_hat / grid.helmholtz_inv_multiplier[:9])[8] != 0.0
+        assert (u_hat / grid.helmholtz_inv_multiplier)[8] != 0.0
 
     def test_linearity(self, random_field, rng):
         grid = random_field.grid
@@ -164,7 +175,7 @@ class TestHelmholtzInv:
     def test_commutes_with_deriv(self, random_field):
         grid = random_field.grid
         u_hat = half_spectrum(random_field)
-        deriv, inverse = grid.half_deriv_multiplier, grid.helmholtz_inv_multiplier[: u_hat.size]
+        deriv, inverse = grid.half_deriv_multiplier, grid.helmholtz_inv_multiplier
         a = deriv * (inverse * u_hat)
         b = inverse * (deriv * u_hat)
         assert np.max(np.abs(a - b)) < 1e-15
@@ -173,7 +184,7 @@ class TestHelmholtzInv:
         grid = random_field.grid
         g = RealField(grid, rng.standard_normal(grid.n_points))
         combined = RealField(grid, 3.0 * random_field.samples - 0.5 * g.samples)
-        inverse = grid.helmholtz_inv_multiplier[: grid.n_points // 2 + 1]
+        inverse = grid.helmholtz_inv_multiplier
         lhs = inverse * half_spectrum(combined)
         rhs = 3.0 * inverse * half_spectrum(random_field) - 0.5 * inverse * half_spectrum(g)
         assert np.max(np.abs(lhs - rhs)) < 1e-13
@@ -181,9 +192,10 @@ class TestHelmholtzInv:
 
 class TestDealias:
     def test_cutoff_arithmetic_n16(self):
+        # 2/3 of N/2 = 8 is 5.33: the band is k = 0 .. 5 of the half spectrum
         grid = make_grid(16, 2 * np.pi)
-        assert {int(k) for k in grid.modes[grid.dealias_mask]} == set(range(-5, 6))
-        assert grid.band_size == 6  # k = 0 .. 5 of the half spectrum
+        assert grid.band_size == 6
+        assert np.array_equal(grid.xi[: grid.band_size], np.arange(6.0))
 
     def test_band_limited_unchanged(self):
         # a spectrum with no modes above the band loses nothing to the band cut
@@ -222,6 +234,102 @@ class TestHalfSpectrum:
         expected_deriv = derivative(grid, series_coefficients(random_field), 1)
         expected = np.fft.rfft(expected_deriv.samples) / grid.n_points
         assert np.allclose(grid.half_deriv_multiplier * u_hat, expected, rtol=0, atol=1e-13)
+
+    # every even N from 8 to 598 and the powers of two 1024 .. 8192
+    PIN_N = (*range(8, 600, 2), 1024, 2048, 4096, 8192)
+    PIN_LENGTHS = (2 * np.pi, 80.0, 1.0, 7.3)
+    PIN_FRACTIONS = (2.0 / 3.0, *(q / 12 for q in range(1, 13)), 1e-3, 0.1, 0.999)
+
+    def test_properties_pin_the_full_spectrum_bytes(self):
+        # xi, the Helmholtz inverse, i xi and the band against their definitions over
+        # the full FFT-ordered spectrum, kept to the half spectrum's N/2 + 1 modes
+        for n in self.PIN_N:
+            half = n // 2 + 1
+            for box_length in self.PIN_LENGTHS:
+                grid = make_grid(n, box_length)
+                k, xi = fft_frequencies(grid)
+                deriv = 1j * xi[:half]
+                deriv[-1] = 0.0
+                assert grid.xi.tobytes() == np.abs(xi[:half]).tobytes()
+                inverse = (1.0 / (1.0 + xi**2))[:half]
+                assert grid.helmholtz_inv_multiplier.tobytes() == inverse.tobytes()
+                assert grid.half_deriv_multiplier.tobytes() == deriv.tobytes()
+            # the band does not depend on L
+            for fraction in self.PIN_FRACTIONS:
+                mask = np.abs(k) <= fraction * (n // 2)
+                band = make_grid(n, 1.0, fraction).band_size
+                assert band == np.count_nonzero(mask[:half]), (n, fraction)
+
+
+class TestRemovedOneLiners:
+    """Each numpy one-liner of the README's "Removed" table, run against the
+    test references: `u` a RealField, `g = u.grid`, `N = g.n_points`, `c` its
+    coefficients in numpy FFT ordering, `k` and `xi` its FFT-ordered modes."""
+
+    README = Path(__file__).resolve().parents[1] / "README.md"
+    FREQUENCIES = {"k": "np.rint(np.fft.fftfreq(N) * N)", "xi": "2 * np.pi * k / g.box_length"}
+    ROWS = {
+        "dft(u).coeffs": "np.fft.fft(u.samples) / N",
+        "idft(SpectralField(g, c))": "RealField(g, (np.fft.ifft(c) * N).real)",
+        "deriv(F, j).coeffs": "(1j * xi) ** j * c",
+        "helmholtz(F).coeffs": "(1 + xi**2) * c",
+        "helmholtz_inv(F).coeffs": "1 / (1 + xi**2) * c",
+        "dealias(F).coeffs": "np.where(np.abs(k) <= g.dealias_fraction * (N // 2), c, 0)",
+        "F.coeff(q)": "c[q % N]",
+        "momentum_max(u)": "float(np.max(momentum(u).samples))",
+        "GridSpec.modes": "k",
+        "GridSpec.dealias_mask": "np.abs(k) <= g.dealias_fraction * (N // 2)",
+        "GridSpec.xi": "xi",
+        "GridSpec.helmholtz_inv_multiplier": "1 / (1 + xi**2)",
+    }
+
+    def test_one_liners_match_the_references(self, random_field):
+        text = self.README.read_text()
+        rows = [line for line in text.splitlines() if line.startswith("| `")]
+        for name, expression in self.ROWS.items():
+            assert any(line.startswith(f"| `{name}`") and f"`{expression}`" in line
+                       for line in rows), name
+        for name, expression in self.FREQUENCIES.items():
+            assert f"`{name} = {expression}`" in text, name
+
+        u = random_field
+        g, n = u.grid, u.grid.n_points
+        scope = {"np": np, "RealField": RealField, "momentum": momentum,
+                 "u": u, "g": g, "N": n, "c": series_coefficients(u)}
+        for name, expression in self.FREQUENCIES.items():
+            scope[name] = eval(expression, scope)
+
+        def run(name, **extra):
+            return eval(self.ROWS[name], {**scope, **extra})
+
+        c, half = scope["c"], n // 2 + 1
+        k, xi = fft_frequencies(g)
+        assert np.array_equal(scope["k"], k) and scope["xi"].tobytes() == xi.tobytes()
+        assert run("dft(u).coeffs").tobytes() == c.tobytes()
+        planted = planted_field(g, c).samples
+        assert run("idft(SpectralField(g, c))").samples.tobytes() == planted.tobytes()
+        scale = np.max(np.abs(u.samples))
+        for j in (1, 2, 3):
+            coeffs = run("deriv(F, j).coeffs", j=j)
+            if j % 2:
+                coeffs[n // 2] = 0.0
+            error = planted_field(g, coeffs).samples - derivative(g, c, j).samples
+            assert np.max(np.abs(error)) <= 1e-10 * scale, j
+        u_xx = derivative(g, c, 2).samples
+        forward = series_coefficients(RealField(g, u.samples - u_xx))
+        assert np.allclose(run("helmholtz(F).coeffs"), forward, rtol=0, atol=1e-12)
+        inverse = series_coefficients(inverse_momentum(u))
+        assert np.allclose(run("helmholtz_inv(F).coeffs"), inverse, rtol=0, atol=1e-14)
+        assert np.array_equal(run("dealias(F).coeffs"), np.where(fft_band(g), c, 0))
+        assert run("F.coeff(q)", q=-3) == c[n - 3]
+        assert run("F.coeff(q)", q=-3) == pytest.approx(np.conj(c[3]), rel=1e-13)
+        assert run("momentum_max(u)") == pytest.approx(np.max(u.samples - u_xx), rel=1e-12)
+        assert np.array_equal(run("GridSpec.modes"), k)
+        assert np.array_equal(run("GridSpec.dealias_mask"), fft_band(g))
+        # the grid keeps the first N/2 + 1 entries, the Nyquist one as +N/2
+        assert np.abs(run("GridSpec.xi")[:half]).tobytes() == g.xi.tobytes()
+        inverse_multiplier = run("GridSpec.helmholtz_inv_multiplier")[:half]
+        assert inverse_multiplier.tobytes() == g.helmholtz_inv_multiplier.tobytes()
 
 
 random_grids = st.tuples(

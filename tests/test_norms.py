@@ -27,7 +27,7 @@ from bfamlab import (
     sobolev_norm,
 )
 from bfamlab import norms
-from conftest import derivative, planted_field, series_coefficients
+from conftest import derivative, fft_frequencies, planted_field, series_coefficients
 
 
 def sine(grid, k=1):
@@ -53,7 +53,7 @@ class TestSobolev:
         n, box, w, s = 4096, 80.0, 0.9, 10.0
         grid = make_grid(n, box)
         u = RealField(grid, 1.0 / np.cosh((grid.x - box / 2) / w))
-        xi = np.abs(grid.xi[: n // 2 + 1])
+        xi = np.abs(fft_frequencies(grid)[1][: n // 2 + 1])
         pair = np.full(xi.size, 2.0)
         pair[[0, -1]] = 1.0
         amp = (np.pi * w / box) / np.cosh(np.pi * w * xi / 2)
@@ -98,7 +98,7 @@ class TestGevrey:
 
     def test_divergence_flag_on_planted_spectrum(self):
         grid = make_grid(256, 2 * np.pi)
-        u = planted_field(grid, np.exp(-0.2 * np.abs(grid.xi)))
+        u = planted_field(grid, np.exp(-0.2 * np.abs(fft_frequencies(grid)[1])))
         assert gevrey_norm(u, 0.5, 0.0).diverged
         assert not gevrey_norm(u, 0.1, 0.0).diverged
 
@@ -139,7 +139,7 @@ class TestLineFit:
         # the verdicts on this module's Gevrey cases, with the closed-form line
         # and with np.polyfit in its place
         grid = make_grid(256, 2 * np.pi)
-        planted = planted_field(grid, np.exp(-0.2 * np.abs(grid.xi)))
+        planted = planted_field(grid, np.exp(-0.2 * np.abs(fft_frequencies(grid)[1])))
         cases = [(random_field, sigma, s)
                  for sigma in (0.0, 0.2, 0.3, 0.5, 1.0) for s in (0.0, 1.0, 1.5, 2.0)]
         cosine = RealField(grid_2pi, np.cos(grid_2pi.x))
@@ -181,7 +181,7 @@ class TestHimonasMisiolek:
 
     def test_truncation_error_when_unresolvable(self):
         grid = make_grid(256, 2 * np.pi)
-        u = planted_field(grid, np.exp(-0.05 * np.abs(grid.xi)))
+        u = planted_field(grid, np.exp(-0.05 * np.abs(fft_frequencies(grid)[1])))
         with pytest.raises(TruncationError):
             hm_norm(u, 5.0, 2, j_max=40)
 
@@ -232,7 +232,7 @@ class TestKatoMasuda:
 
     def test_radius_norm_truncation_error(self):
         grid = make_grid(512, 2 * np.pi)
-        u = planted_field(grid, np.exp(-0.02 * np.abs(grid.xi)))
+        u = planted_field(grid, np.exp(-0.02 * np.abs(fft_frequencies(grid)[1])))
         with pytest.raises(TruncationError):
             km_radius_norm(u, 1.5, j_max=60)
 
@@ -494,7 +494,7 @@ class TestNumpyKernels:
         pair = np.full(amp.size, 2.0)
         pair[[0, -1]] = 1.0
         above = amp > norms.ROUNDOFF_FLOOR * amp.max()
-        return (np.abs(u.grid.xi[: amp.size])[above],
+        return (np.abs(fft_frequencies(u.grid)[1][: amp.size])[above],
                 u.grid.box_length * pair[above] * amp[above] ** 2)
 
     @classmethod
@@ -733,11 +733,35 @@ class TestOrderChunks:
 
         assert peak_bytes(100_000) < 1.5 * peak_bytes(1000)
 
+    def test_log_factorial_growth_appends(self, monkeypatch):
+        # from the default table, a sum that cannot stop doubles the log j! table
+        # nine times on its way to j = 100 000; each growth computes only the new
+        # entries and appends them, so the peak stays near twice the final
+        # table's 0.8 MB (a rebuild through a Python list peaked at 4.6 MB)
+        grid = make_grid(1024, 80.0)
+        spectrum = norms._spectrum(RealField(grid, 1.0 / np.cosh(grid.x - 40.0)))
+        spectrum.order_powers
+        monkeypatch.setattr(norms, "_log_factorials",
+                            norms._log_factorials[: norms.DEFAULT_J_MAX + 1].copy())
+        tracemalloc.start()
+        try:
+            with pytest.raises(TruncationError):
+                km_radius_norm(spectrum, 20.0, j_max=100_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3_000_000
+        table = norms._log_factorials
+        assert table.size > 100_000
+        for k in (0, 1, 2, 200, 201, 202, 401, 402, 12_345, 99_999, table.size - 1):
+            assert table[k] == math.lgamma(k + 1.0), k
+
     @settings(derandomize=True, max_examples=30, deadline=None)
     @given(even_grids)
     def test_abs_xi_without_the_full_grid(self, case):
         u = _white_noise(*case)
         spectrum = norms._spectrum(u)
-        assert "xi" not in vars(u.grid) and "modes" not in vars(u.grid)
-        half = u.grid.n_points // 2 + 1
-        assert np.array_equal(spectrum.abs_xi, np.abs(u.grid.xi[:half])[spectrum.kept])
+        assert u.grid.xi.shape == (u.grid.n_points // 2 + 1,)
+        # the bytes of the full FFT-ordered |xi| on the half spectrum's modes
+        full = np.abs(fft_frequencies(u.grid)[1][: u.grid.xi.size])
+        assert spectrum.abs_xi.tobytes() == full[spectrum.kept].tobytes()

@@ -107,6 +107,20 @@ class TestInitialData:
         with pytest.raises(ConfigurationError, match="mode must be an integer"):
             initial_data("sine", {"mode": mode}, grid)
 
+    @pytest.mark.parametrize("mode", ["band", "nyquist", 40])
+    def test_sine_mode_outside_the_band_rejected(self, mode):
+        # the march freezes a mode above the band, and its aliased square then
+        # drives the band; mode 40 on N = 64 aliases onto k = 24, above k = 21
+        grid = make_grid(64, 2 * np.pi)
+        mode = {"band": grid.band_size, "nyquist": grid.n_points // 2}.get(mode, mode)
+        with pytest.raises(ConfigurationError, match=rf"sine mode {mode} .* 0 \.\. 21 of N = 64"):
+            initial_data("sine", {"mode": mode}, grid)
+
+    def test_sine_mode_at_the_band_edge_builds(self):
+        grid = make_grid(64, 2 * np.pi)
+        u = initial_data("sine", {"mode": grid.band_size - 1}, grid)
+        assert np.allclose(u.samples, np.sin(21 * grid.x))
+
     @pytest.mark.parametrize("family", ["gaussian", "sech", "momentum_bump"])
     @pytest.mark.parametrize("shift", [3, -2])
     def test_center_is_taken_modulo_the_box(self, family, shift):
