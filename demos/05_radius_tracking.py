@@ -30,7 +30,7 @@ for b in (0.0, 2.0):
         require_sign_certificate=True,
     )
     traj = run(u0, cfg)
-    rows, bound, fits = compute_diagnostics(traj, DiagnosticsSpec())
+    rows, bound = compute_diagnostics(traj, DiagnosticsSpec())
     print(f"b = {b:g}: mu = {bound.mu:.4f}, K = A(mu) = {bound.K_rate:.2f}, "
           f"gamma = {bound.gamma:.4f}, lambda = {bound.lam:.2f}")
     print(f"  {'t':>5} {'sigma_hat':>10} {'R^2':>8} {'bound r(t)':>12}")

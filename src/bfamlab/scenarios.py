@@ -4,11 +4,11 @@ A run is described by an INI-style config file with sections
 [grid], [run], [init], [diagnostics], [output]; the exact grammar and the
 default for every key are documented in the README. The parsed RunConfig is
 the one source of what a run uses: `simulate` runs the pipeline in memory and
-`run_scenario` persists it, into a run directory holding render_config(cfg) as
-config.ini, the diagnostics CSV (plus plot-ready two-column companions), the
-initial and final field snapshots, and a JSON manifest. Every diagnostics
-column is read from the sampled states after the march, one half spectrum
-and one momentum field per sample (`compute_diagnostics`).
+`run_scenario` persists it, into a run directory of five files:
+render_config(cfg) as config.ini, diagnostics.csv, the initial and final field
+snapshots, and a JSON manifest. Every diagnostics column is read from the
+sampled states after the march, one half spectrum and one momentum field per
+sample (`compute_diagnostics`).
 """
 
 from __future__ import annotations
@@ -130,7 +130,6 @@ class Snapshot:
     t: float
     b: float
     samples: np.ndarray
-    version: int = SNAPSHOT_VERSION
 
 
 # ---------------------------------------------------------------------------
@@ -330,9 +329,10 @@ def field_of(snap: Snapshot) -> RealField:
 
 
 def write_snapshot(path, snap: Snapshot) -> None:
+    """The snapshot in the binary format, always at SNAPSHOT_VERSION."""
     header = _HEADER.pack(
         SNAPSHOT_MAGIC,
-        snap.version,
+        SNAPSHOT_VERSION,
         snap.n_points,
         snap.box_length,
         snap.t,
@@ -368,10 +368,7 @@ def read_snapshot(path) -> Snapshot:
     samples = np.frombuffer(payload, dtype="<f8").astype(np.float64)
     if not np.all(np.isfinite(samples)):
         raise SnapshotError(f"{path}: payload holds non-finite samples")
-    return Snapshot(
-        n_points=n_points, box_length=box_length, t=t, b=b,
-        samples=samples, version=version,
-    )
+    return Snapshot(n_points=n_points, box_length=box_length, t=t, b=b, samples=samples)
 
 
 # ---------------------------------------------------------------------------
@@ -383,28 +380,32 @@ def _fmt(value: float) -> str:
 
 
 def emit_diagnostics(rows, path) -> None:
-    """CSV in DIAGNOSTIC_COLUMNS order at 17 significant digits, plus two
-    plot-ready companions <stem>_sigma_hat.dat and <stem>_km_bound.dat."""
-    path = Path(path)
+    """The diagnostics CSV: a header of DIAGNOSTIC_COLUMNS, then one line per
+    row, every value at 17 significant digits so that it parses back exactly."""
     lines = [",".join(DIAGNOSTIC_COLUMNS)]
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row.values()))
-    path.write_text("\n".join(lines) + "\n")
-
-    for suffix, column in (("sigma_hat", "sigma_hat"), ("km_bound", "km_sigma_bound")):
-        companion = path.with_name(f"{path.stem}_{suffix}.dat")
-        body = "\n".join(
-            f"{_fmt(row.t)} {_fmt(getattr(row, column))}" for row in rows
-        )
-        companion.write_text(body + "\n" if body else "")
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def parse_diagnostics(text: str):
-    """Inverse of emit_diagnostics for the CSV part."""
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines or lines[0] != ",".join(DIAGNOSTIC_COLUMNS):
+    """The rows of a diagnostics CSV, the inverse of emit_diagnostics. Blank
+    lines are skipped; a wrong header, a row whose field count is not the
+    header's, or a field that is not a float is a ConfigurationError."""
+    lines = [(number, line) for number, line in enumerate(text.splitlines(), 1)
+             if line.strip()]
+    if not lines or lines[0][1] != ",".join(DIAGNOSTIC_COLUMNS):
         raise ConfigurationError("diagnostics CSV header mismatch")
-    return [DiagnosticsRow(*(float(v) for v in line.split(","))) for line in lines[1:]]
+    rows = []
+    for number, line in lines[1:]:
+        values = line.split(",")
+        try:
+            if len(values) != len(DIAGNOSTIC_COLUMNS):
+                raise ValueError(f"{len(values)} fields, expected {len(DIAGNOSTIC_COLUMNS)}")
+            rows.append(DiagnosticsRow(*map(float, values)))
+        except ValueError as err:
+            raise ConfigurationError(f"diagnostics CSV line {number}: {err}") from err
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -413,16 +414,14 @@ def parse_diagnostics(text: str):
 
 @dataclass
 class ScenarioResult:
-    config: RunConfig
     trajectory: evolve.Trajectory
     rows: list
     bound: analyticity.KMBound
-    fits: list
 
 
-def _sample_columns(u: RealField, k_min: int):
-    """The columns of one sample that its state alone fixes, and its decay
-    fit (None with too few usable modes).
+def _sample_columns(u: RealField, k_min: int) -> dict:
+    """The columns of one sample that its state alone fixes; the fit columns
+    are NaN with too few usable modes.
 
     One half spectrum gives l2, h1, h2 and the fit, and one momentum field
     gives m_l1 and m_min: 3 real transforms per sample. The functions are
@@ -443,34 +442,32 @@ def _sample_columns(u: RealField, k_min: int):
         sigma_hat=fit.sigma_hat if fit else math.nan,
         fit_quality=fit.fit_quality if fit else math.nan,
     )
-    return columns, fit
+    return columns
 
 
 def compute_diagnostics(trajectory, diag: DiagnosticsSpec):
-    """Per-sample columns and radius fits of every snapshot, the strip bound,
-    and the assembled rows; mu comes from the samples' h2 column."""
+    """The rows of every snapshot and the strip bound, as (rows, bound); mu
+    comes from the samples' h2 column."""
     readings = [_sample_columns(u, diag.fit_k_min) for _, u in trajectory.snapshots]
-    fits = [fit for _, fit in readings]
     if diag.gamma_override is not None:
         gamma = diag.gamma_override
     else:
-        gamma = analyticity.default_gamma(readings[0][0]["sigma_hat"])
-    h2_norms = [columns["h2"] for columns, _ in readings]
+        gamma = analyticity.default_gamma(readings[0]["sigma_hat"])
+    h2_norms = [columns["h2"] for columns in readings]
     bound = analyticity.km_bound_from_run(trajectory, gamma, diag.m_trunc, h2_norms)
     rows = [
         DiagnosticsRow(
             t=t, **columns, km_sigma_bound=analyticity.km_bound_sigma(t, bound), dt_used=dt,
         )
-        for (t, _), dt, (columns, _) in zip(trajectory.snapshots, trajectory.dt_used, readings)
+        for (t, _), dt, columns in zip(trajectory.snapshots, trajectory.dt_used, readings)
     ]
-    return rows, bound, fits
+    return rows, bound
 
 
 def simulate(cfg: RunConfig) -> ScenarioResult:
     """The pipeline in memory: init -> evolve -> per-sample diagnostics -> strip bound."""
     trajectory = evolve.run(build_initial(cfg), cfg.evolve)
-    rows, bound, fits = compute_diagnostics(trajectory, cfg.diagnostics)
-    return ScenarioResult(cfg, trajectory, rows, bound, fits)
+    return ScenarioResult(trajectory, *compute_diagnostics(trajectory, cfg.diagnostics))
 
 
 def run_scenario(cfg: RunConfig) -> ScenarioResult:

@@ -101,7 +101,7 @@ def test_criterion_04_conservation_at_desk_scale():
         )
         start = time.perf_counter()
         traj = run(u0, cfg)
-        rows, _, _ = compute_diagnostics(traj, DiagnosticsSpec())
+        rows, _ = compute_diagnostics(traj, DiagnosticsSpec())
         elapsed = time.perf_counter() - start
         mean_drift = abs(rows[-1].mean_u - rows[0].mean_u) / abs(rows[0].mean_u)
         ml1_drift = max(abs(r.m_l1 - rows[0].m_l1) for r in rows) / rows[0].m_l1

@@ -81,6 +81,14 @@ class TestRunCommand:
         assert "run complete" in out
         assert "gevrey norm at sigma = 0.2" in out
 
+    def test_run_directory_holds_five_files(self, tmp_path):
+        path = tmp_path / "sine.ini"
+        path.write_text(SINE_CONFIG.format(amplitude=0.5, outdir=tmp_path / "sine_run"))
+        assert main(["run", "--config", str(path)]) == 0
+        assert sorted(p.name for p in (tmp_path / "sine_run").iterdir()) == [
+            "config.ini", "diagnostics.csv", "final.bgev", "initial.bgev", "manifest.json",
+        ]
+
     @pytest.mark.filterwarnings("default::UserWarning")
     def test_library_warning_is_one_line(self, tmp_path, capsys):
         # the decay fit warns on this entire datum at t = 0; stderr holds the

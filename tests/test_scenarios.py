@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import re
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,7 @@ from bfamlab import (
 from bfamlab import scenarios
 from bfamlab.scenarios import (
     DIAGNOSTIC_COLUMNS,
+    SNAPSHOT_VERSION,
     DiagnosticsRow,
     Snapshot,
     emit_diagnostics,
@@ -394,15 +396,21 @@ class TestSnapshotIO:
         with pytest.raises(SnapshotError, match="payload"):
             read_snapshot(path)
 
-    def test_unsupported_version(self, tmp_path):
-        grid = make_grid(64, 1.0)
+    def test_header_carries_the_format_version(self, tmp_path):
         path = tmp_path / "field.bgev"
-        snap = Snapshot(
-            n_points=64, box_length=1.0, t=0.0, b=2.0,
-            samples=np.zeros(64), version=99,
-        )
-        write_snapshot(path, snap)
-        with pytest.raises(SnapshotError, match="version"):
+        write_snapshot(path, Snapshot(n_points=64, box_length=1.0, t=0.0, b=2.0,
+                                      samples=np.zeros(64)))
+        assert struct.unpack_from("<I", path.read_bytes(), 4) == (SNAPSHOT_VERSION,)
+        assert read_snapshot(path).samples.tobytes() == np.zeros(64).tobytes()
+
+    def test_unsupported_version(self, tmp_path):
+        path = tmp_path / "field.bgev"
+        write_snapshot(path, Snapshot(n_points=64, box_length=1.0, t=0.0, b=2.0,
+                                      samples=np.zeros(64)))
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<I", raw, 4, 99)
+        path.write_bytes(raw)
+        with pytest.raises(SnapshotError, match="version 99"):
             read_snapshot(path)
 
 
@@ -434,14 +442,48 @@ class TestDiagnosticsCsv:
         for a, b in zip(rows, back):
             assert a.values() == b.values()
 
-    def test_companion_files(self, tmp_path):
+    @pytest.mark.parametrize("line, message", [
+        ("0.5,1.1", "line 3: 2 fields, expected 11"),
+        ("0.5" + ",1.1" * 11, "line 3: 12 fields, expected 11"),
+        ("0.5" + ",1.1" * 9 + ",x", "line 3: could not convert string to float: 'x'"),
+    ], ids=["short", "long", "not_a_float"])
+    def test_malformed_row_names_its_line(self, tmp_path, line, message):
         path = tmp_path / "diag.csv"
-        emit_diagnostics([self.row(0.0), self.row(0.5)], path)
-        sigma_dat = (tmp_path / "diag_sigma_hat.dat").read_text().splitlines()
-        bound_dat = (tmp_path / "diag_km_bound.dat").read_text().splitlines()
-        assert len(sigma_dat) == 2 and len(bound_dat) == 2
-        t, sigma = sigma_dat[1].split()
-        assert float(t) == 0.5 and float(sigma) == 1.5
+        emit_diagnostics([self.row()], path)
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            parse_diagnostics(path.read_text() + line + "\n")
+
+
+class TestRemovedCompanions:
+    """The README's one-liners rebuild the two .dat companions that runs used
+    to write beside diagnostics.csv, byte for byte."""
+
+    README = Path(__file__).resolve().parents[1] / "README.md"
+    COLUMNS = {"diagnostics_sigma_hat.dat": "sigma_hat",
+               "diagnostics_km_bound.dat": "km_sigma_bound"}
+
+    def one_liners(self):
+        found = {}
+        for line in self.README.read_text().splitlines():
+            for name in self.COLUMNS:
+                if line.startswith(f"| `{name}` | `"):
+                    found[name] = line.split("`")[3]
+        assert found.keys() == self.COLUMNS.keys()
+        return found
+
+    @pytest.mark.parametrize("n_rows", [1, 4])
+    def test_one_liners_rebuild_the_companions(self, tmp_path, monkeypatch, rng, n_rows):
+        rows = [DiagnosticsRow(*(float(v) for v in rng.standard_normal(11)))
+                for _ in range(n_rows)]
+        # the values a run writes where a fit fails and the bound saturates
+        rows[-1] = dataclasses.replace(rows[-1], sigma_hat=math.nan, km_sigma_bound=-math.inf)
+        emit_diagnostics(rows, tmp_path / "diagnostics.csv")
+        monkeypatch.chdir(tmp_path)
+        for name, code in self.one_liners().items():
+            exec(code, {"np": np})
+            column = self.COLUMNS[name]
+            expected = "".join(f"{row.t:.17g} {getattr(row, column):.17g}\n" for row in rows)
+            assert (tmp_path / name).read_bytes() == expected.encode(), name
 
 
 class TestSampleColumns:
@@ -458,8 +500,8 @@ class TestSampleColumns:
     def test_values_equal_the_direct_calls(self, states):
         # alternating states: each sample's transforms are its own
         for u in states + states[::-1]:
-            columns, fit = scenarios._sample_columns(u, 4)
-            assert columns == {
+            fit = fit_decay_radius(u)
+            assert scenarios._sample_columns(u, 4) == {
                 "l2": sobolev_norm(u, 0.0),
                 "h1": sobolev_norm(u, 1.0),
                 "h2": sobolev_norm(u, 2.0),
@@ -469,7 +511,6 @@ class TestSampleColumns:
                 "sigma_hat": fit.sigma_hat,
                 "fit_quality": fit.fit_quality,
             }
-            assert fit == fit_decay_radius(u)
 
 
 class TestRunScenario:
@@ -482,8 +523,6 @@ class TestRunScenario:
         for name in (
             "config.ini",
             "diagnostics.csv",
-            "diagnostics_sigma_hat.dat",
-            "diagnostics_km_bound.dat",
             "initial.bgev",
             "final.bgev",
             "manifest.json",
