@@ -35,8 +35,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 @functools.cache
-def _build_parser() -> _Parser:
-    """The one parser of this process; parse_args keeps no state between calls."""
+def _build_parser() -> tuple:
+    """The parsers of this process: the top-level one and a dict of one parser
+    per command. parse_args keeps no state between calls."""
     parser = _Parser(prog="bfamlab", description=__doc__)
     parser.add_argument("--version", action="version", version=f"bfamlab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -61,7 +62,7 @@ def _build_parser() -> _Parser:
 
     p_bound = sub.add_parser("bound", help="strip lower-bound table")
     p_bound.add_argument("--config", required=True)
-    return parser
+    return parser, sub.choices
 
 
 def _read_config(path) -> scenarios.RunConfig:
@@ -91,31 +92,27 @@ def _cmd_run(args) -> int:
 
 def _cmd_norms(args) -> int:
     snap = scenarios.read_snapshot(args.snapshot)
-    # one transform of the snapshot serves every norm below
-    u = norms._spectrum(scenarios.field_of(snap))
-    value, diverged = norms.gevrey_norm(u, args.sigma, args.s)
-    note = " (diverged: sigma exceeds the resolvable decay rate)" if diverged else ""
-    l2, sobolev = norms._sobolev_norms(u, (0.0, args.s))
-    lines = [
+    report = norms.report(scenarios.field_of(snap), args.sigma, args.s, args.m, args.j_max)
+    note = " (diverged: sigma exceeds the resolvable decay rate)" if report.gevrey.diverged else ""
+    if report.hm is None:
+        hm = "hm          = skipped (requires sigma > 0)"
+    elif isinstance(report.hm, TruncationError):
+        hm = f"hm          = not converged ({report.hm})"
+    else:
+        hm = f"hm m={args.m}      = {report.hm:.12g}"
+    km_radius = (f"not converged ({report.km_radius})"
+                 if isinstance(report.km_radius, TruncationError) else f"{report.km_radius:.12g}")
+    # printed once every norm is taken, so a configuration error prints nothing
+    print("\n".join([
         f"snapshot: N = {snap.n_points}, L = {snap.box_length:g}, "
         f"t = {snap.t:g}, b = {snap.b:g}",
-        f"l2          = {l2:.12g}",
-        f"sobolev s={args.s:g}  = {sobolev:.12g}",
-        f"gevrey      = {value:.12g}{note}",
-    ]
-    try:
-        hm = norms.hm_norm(u, args.sigma, args.m, args.j_max) if args.sigma > 0 else None
-        lines.append(f"hm m={args.m}      = {hm:.12g}" if hm is not None
-                     else "hm          = skipped (requires sigma > 0)")
-    except TruncationError as err:
-        lines.append(f"hm          = not converged ({err})")
-    lines.append(f"km_phi m=32 = {norms.km_phi(u, args.sigma, 32):.12g}")
-    try:
-        lines.append(f"km_radius   = {norms.km_radius_norm(u, args.sigma, args.j_max):.12g}")
-    except TruncationError as err:
-        lines.append(f"km_radius   = not converged ({err})")
-    # printed once every norm is taken, so a configuration error prints nothing
-    print("\n".join(lines))
+        f"l2          = {report.l2:.12g}",
+        f"sobolev s={args.s:g}  = {report.sobolev:.12g}",
+        f"gevrey      = {report.gevrey.value:.12g}{note}",
+        hm,
+        f"km_phi m={norms.REPORT_KM_PHI_M} = {report.km_phi:.12g}",
+        f"km_radius   = {km_radius}",
+    ]))
     return 0
 
 
@@ -188,9 +185,21 @@ def _show_warning(message, *_):
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    """Run one command line (sys.argv[1:] when argv is None); returns the exit code.
+
+    A command line that names a command is parsed once, by that command's
+    parser. Only the rest (no arguments, --help, --version, an unknown
+    command) goes through the top-level parser, whose usage line every usage
+    error prints.
+    """
+    argv = sys.argv[1:] if argv is None else argv
+    parser, commands = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        if argv and argv[0] in commands:
+            command, args = argv[0], commands[argv[0]].parse_args(argv[1:])
+        else:
+            args = parser.parse_args(argv)
+            command = args.command
     except _UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         parser.print_usage(sys.stderr)
@@ -198,7 +207,7 @@ def main(argv=None) -> int:
     with warnings.catch_warnings():
         warnings.showwarning = _show_warning
         try:
-            return _COMMANDS[args.command](args)
+            return _COMMANDS[command](args)
         except (ConfigurationError, InsufficientBandError, NumericalError, OSError) as err:
             code = scenarios.exit_code_for(err)
             print(f"{_ERROR_PREFIXES[code]}: {err}", file=sys.stderr)

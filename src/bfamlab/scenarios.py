@@ -328,8 +328,32 @@ def field_of(snap: Snapshot) -> RealField:
     return RealField(make_grid(snap.n_points, snap.box_length), snap.samples)
 
 
+def _snapshot_samples(path, n_points, box_length, t, b, payload: bytes) -> np.ndarray:
+    """The samples of a snapshot's header fields and payload bytes, as a read-only
+    little-endian view; SnapshotError unless they describe a field: a grid, a
+    finite t and b, and n_points finite samples. write_snapshot and read_snapshot
+    both check a snapshot here."""
+    try:
+        make_grid(n_points, box_length)
+    except ConfigurationError as err:
+        raise SnapshotError(f"{path}: header describes no grid: {err}") from err
+    if not (math.isfinite(t) and math.isfinite(b)):
+        raise SnapshotError(f"{path}: header holds a non-finite t = {t} or b = {b}")
+    if len(payload) != 8 * n_points:
+        raise SnapshotError(
+            f"{path}: payload holds {len(payload)} bytes, expected {8 * n_points}"
+        )
+    samples = np.frombuffer(payload, dtype="<f8")
+    if not np.all(np.isfinite(samples)):
+        raise SnapshotError(f"{path}: payload holds non-finite samples")
+    return samples
+
+
 def write_snapshot(path, snap: Snapshot) -> None:
-    """The snapshot in the binary format, always at SNAPSHOT_VERSION."""
+    """The snapshot in the binary format, always at SNAPSHOT_VERSION. A snapshot
+    that read_snapshot would reject raises SnapshotError, and no file is written."""
+    payload = np.ascontiguousarray(snap.samples, dtype="<f8").tobytes()
+    _snapshot_samples(path, snap.n_points, snap.box_length, snap.t, snap.b, payload)
     header = _HEADER.pack(
         SNAPSHOT_MAGIC,
         SNAPSHOT_VERSION,
@@ -338,7 +362,6 @@ def write_snapshot(path, snap: Snapshot) -> None:
         snap.t,
         snap.b,
     )
-    payload = np.ascontiguousarray(snap.samples, dtype="<f8").tobytes()
     with open(path, "wb") as handle:
         handle.write(header)
         handle.write(payload)
@@ -356,19 +379,9 @@ def read_snapshot(path) -> Snapshot:
         raise SnapshotError(
             f"{path}: unsupported snapshot version {version}, expected {SNAPSHOT_VERSION}"
         )
-    try:
-        make_grid(n_points, box_length)
-    except ConfigurationError as err:
-        raise SnapshotError(f"{path}: header describes no grid: {err}") from err
-    payload = raw[_HEADER.size :]
-    if len(payload) != 8 * n_points:
-        raise SnapshotError(
-            f"{path}: payload holds {len(payload)} bytes, expected {8 * n_points}"
-        )
-    samples = np.frombuffer(payload, dtype="<f8").astype(np.float64)
-    if not np.all(np.isfinite(samples)):
-        raise SnapshotError(f"{path}: payload holds non-finite samples")
-    return Snapshot(n_points=n_points, box_length=box_length, t=t, b=b, samples=samples)
+    samples = _snapshot_samples(path, n_points, box_length, t, b, raw[_HEADER.size :])
+    return Snapshot(n_points=n_points, box_length=box_length, t=t, b=b,
+                    samples=samples.astype(np.float64))
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,28 @@
 """Exit codes and output contracts of the command-line surface."""
 
+import argparse
 import json
 import re
+import struct
 
 import numpy as np
 import pytest
 
-from bfamlab import RealField, Snapshot, cli, make_grid, write_snapshot
+from bfamlab import (
+    RealField,
+    Snapshot,
+    TruncationError,
+    cli,
+    gevrey_norm,
+    hm_norm,
+    km_phi,
+    km_radius_norm,
+    make_grid,
+    sobolev_norm,
+    write_snapshot,
+)
 from bfamlab.cli import main
-from bfamlab.scenarios import snapshot_of
+from bfamlab.scenarios import SNAPSHOT_MAGIC, SNAPSHOT_VERSION, snapshot_of
 from conftest import fft_frequencies, planted_field
 
 CONFIG = """
@@ -216,13 +230,159 @@ class TestNormsCommand:
         assert "diverged" in capsys.readouterr().out
 
 
+def _report_lines(u, sigma, s, m, j_max):
+    """The lines `bfamlab norms` prints after its header, each from the public
+    function it names, called alone."""
+    value, diverged = gevrey_norm(u, sigma, s)
+    note = " (diverged: sigma exceeds the resolvable decay rate)" if diverged else ""
+    lines = [f"l2          = {sobolev_norm(u, 0.0):.12g}",
+             f"sobolev s={s:g}  = {sobolev_norm(u, s):.12g}",
+             f"gevrey      = {value:.12g}{note}"]
+    try:
+        lines.append(f"hm m={m}      = {hm_norm(u, sigma, m, j_max):.12g}" if sigma > 0
+                     else "hm          = skipped (requires sigma > 0)")
+    except TruncationError as err:
+        lines.append(f"hm          = not converged ({err})")
+    lines.append(f"km_phi m=32 = {km_phi(u, sigma, 32):.12g}")
+    try:
+        lines.append(f"km_radius   = {km_radius_norm(u, sigma, j_max):.12g}")
+    except TruncationError as err:
+        lines.append(f"km_radius   = not converged ({err})")
+    return lines
+
+
+class TestNormsReportPin:
+    """Every line of a `bfamlab norms` report equals, to its 12 printed digits,
+    the public function it names called alone on a fresh field: the report's
+    shared passes change no printed byte."""
+
+    # j_max on either side of the 32-order block and 256-order chunk edges
+    J_MAX = (1, 31, 32, 33, 200, 256, 300, 2000)
+
+    @staticmethod
+    def snapshots():
+        """(name, N, L, samples, sigmas): sech profiles at 0 and below, near and past
+        their strip half-width pi w / 2, and an entire sine at the bench's sigmas."""
+        for n, width in ((256, 1.0), (1024, 1.2), (4096, 0.9)):
+            x = np.arange(n) * (80.0 / n)
+            samples = 1.2 / np.cosh((x - 33.0) / width)
+            strip = np.pi * width / 2
+            yield f"sech{n}", n, 80.0, samples, [0.0] + [r * strip for r in (0.5, 1.0, 1.5)]
+        x = np.arange(256) * (2 * np.pi / 256)
+        yield "sine", 256, 2 * np.pi, 0.8 * np.sin(x + 0.4), [0.0, 0.3, 1.0, 1.5]
+
+    @pytest.mark.parametrize("s, m", [(2.0, 2), (3.0, 3)])
+    def test_lines_match_the_public_functions(self, tmp_path, capsys, s, m):
+        seen = set()
+        for name, n, box, samples, sigmas in self.snapshots():
+            path = tmp_path / f"{name}.bgev"
+            write_snapshot(path, Snapshot(n_points=n, box_length=box, t=0.0, b=2.0,
+                                          samples=samples))
+            for sigma in sigmas:
+                for j_max in self.J_MAX:
+                    argv = ["norms", "--snapshot", str(path), "--sigma", repr(sigma),
+                            "--s", repr(s), "--m", str(m), "--j-max", str(j_max)]
+                    assert main(argv) == 0
+                    header, *lines = capsys.readouterr().out.splitlines()
+                    assert header == f"snapshot: N = {n}, L = {box:g}, t = 0, b = 2"
+                    fresh = RealField(make_grid(n, box), samples.copy())
+                    assert lines == _report_lines(fresh, sigma, s, m, j_max), (name, sigma, j_max)
+                    seen.update(line.split(" = ", 1)[1].split(" (")[0] for line in lines
+                                if "not converged" in line or "skipped" in line)
+        # the cases reach the skipped hm line and both not-converged lines
+        assert seen == {"skipped", "not converged"}
+
+
+class TestParsePaths:
+    """A command line that names a command is parsed once, by that command's
+    parser; the rest goes through the top-level parser. Exit codes and output
+    are those of the single top-level parse before."""
+
+    USAGE = "usage: bfamlab [-h] [--version] {run,norms,radius,taylor,bound} ...\n"
+    TOP_HELP = (
+        USAGE + "\nCommand-line surface: run, norms, radius, taylor, bound. Exit codes: 0\n"
+        "success, 1 configuration problem (including usage errors), 2 numerical error\n"
+        "(blow-up included), 3 I/O failure.\n\npositional arguments:\n"
+        "  {run,norms,radius,taylor,bound}\n"
+        "    run                 full pipeline from a config file\n"
+        "    norms               print the norms of a snapshot\n"
+        "    radius              spectral decay fit of a snapshot\n"
+        "    taylor              time-Taylor series report\n"
+        "    bound               strip lower-bound table\n\noptions:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --version             show program's version number and exit\n"
+    )
+    NORMS_HELP = (
+        "usage: bfamlab norms [-h] --snapshot SNAPSHOT --sigma SIGMA --s S [--m M]\n"
+        "                     [--j-max J_MAX]\n\noptions:\n"
+        "  -h, --help           show this help message and exit\n"
+        "  --snapshot SNAPSHOT\n  --sigma SIGMA\n  --s S\n  --m M\n  --j-max J_MAX\n"
+    )
+
+    @pytest.fixture(autouse=True)
+    def columns(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        """The count of ArgumentParser.parse_known_args calls, one per parser run."""
+        calls = []
+        parse_known_args = argparse.ArgumentParser.parse_known_args
+
+        def counted(self, *args, **kwargs):
+            calls.append(self.prog)
+            return parse_known_args(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+        return calls
+
+    @pytest.mark.parametrize("argv, code, out, err, parser", [
+        ([], 1, "", "error: the following arguments are required: command\n" + USAGE, "bfamlab"),
+        (["--version"], 0, "bfamlab 0.1.0\n", "", "bfamlab"),
+        (["-h"], 0, TOP_HELP, "", "bfamlab"),
+        (["norms", "-h"], 0, NORMS_HELP, "", "bfamlab norms"),
+    ])
+    def test_recorded_output(self, capsys, parses, argv, code, out, err, parser):
+        assert TestCachedParser.invoke(capsys, argv) == (code, out, err)
+        assert parses == [parser]
+
+    def test_unknown_command(self, capsys, parses):
+        code, out, err = TestCachedParser.invoke(capsys, ["frobnicate"])
+        assert (code, out) == (1, "")
+        # the choices' quoting in this message differs between Python versions
+        assert err.startswith("error: argument command: invalid choice: 'frobnicate' (choose from ")
+        assert err.endswith(")\n" + self.USAGE)
+        assert parses == ["bfamlab"]
+
+    @pytest.mark.parametrize("options, message", [
+        (["--s", "2"], "the following arguments are required: --sigma"),
+        (["--sigma", "0.2", "--s", "2", "--m", "2.5"], "argument --m: invalid int value: '2.5'"),
+        (["--sigma", "0.2", "--s", "2", "--bogus"], "unrecognized arguments: --bogus"),
+    ])
+    def test_usage_errors(self, planted_snapshot, capsys, parses, options, message):
+        argv = ["norms", "--snapshot", str(planted_snapshot), *options]
+        assert TestCachedParser.invoke(capsys, argv) == (1, "", f"error: {message}\n" + self.USAGE)
+        assert parses == ["bfamlab norms"]
+
+    def test_abbreviated_option_parses(self, planted_snapshot, capsys, parses):
+        given = TestCachedParser.invoke(capsys, ["norms", "--snapshot", str(planted_snapshot),
+                                     "--sig", "0.2", "--s", "2"])
+        assert parses == ["bfamlab norms"]
+        full = TestCachedParser.invoke(capsys, ["norms", "--snapshot", str(planted_snapshot),
+                                    "--sigma", "0.2", "--s", "2"])
+        assert given == full and given[0] == 0 and "km_radius" in given[1]
+
+
 class TestMalformedSnapshot:
     """Snapshots that read back but describe no field: io error, exit 3."""
 
-    def write(self, tmp_path, n_points, box_length, samples):
+    def write(self, tmp_path, n_points, box_length, samples, t=0.0, b=2.0):
+        # write_snapshot refuses these snapshots, so the bytes are put together
+        # here: the "<4sIQddd" header (magic, version, N, L, t, b), then the payload
         path = tmp_path / "bad.bgev"
-        write_snapshot(path, Snapshot(n_points=n_points, box_length=box_length,
-                                      t=0.0, b=2.0, samples=samples))
+        header = struct.pack("<4sIQddd", SNAPSHOT_MAGIC, SNAPSHOT_VERSION, n_points,
+                             box_length, t, b)
+        path.write_bytes(header + np.asarray(samples, dtype="<f8").tobytes())
         return str(path)
 
     @pytest.mark.parametrize("command", ["norms", "radius"])
@@ -240,6 +400,14 @@ class TestMalformedSnapshot:
         path = self.write(tmp_path, n_points, box_length, np.zeros(n_points))
         assert main(["radius", "--snapshot", path]) == 3
         assert "io error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("t, b", [(np.nan, 2.0), (np.inf, 2.0), (0.0, np.nan), (0.0, -np.inf)])
+    def test_non_finite_time_or_b(self, tmp_path, capsys, t, b):
+        path = self.write(tmp_path, 64, 2 * np.pi, np.sin(make_grid(64, 2 * np.pi).x), t, b)
+        assert main(["norms", "--snapshot", path, "--sigma", "0.2", "--s", "2.0"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("io error:") and "non-finite t" in err
 
 
 class TestTaylorCommand:
@@ -335,7 +503,7 @@ class TestCachedParser:
     def invoke(capsys, argv):
         try:
             code = main(argv)
-        except SystemExit as exit_:  # --version exits through argparse
+        except SystemExit as exit_:  # --help and --version exit through argparse
             code = exit_.code
         captured = capsys.readouterr()
         return code, captured.out, captured.err

@@ -403,6 +403,32 @@ class TestSnapshotIO:
         assert struct.unpack_from("<I", path.read_bytes(), 4) == (SNAPSHOT_VERSION,)
         assert read_snapshot(path).samples.tobytes() == np.zeros(64).tobytes()
 
+    @pytest.mark.parametrize("change, message", [
+        ({"samples": np.zeros(63)}, "payload holds 504 bytes, expected 512"),
+        ({"samples": np.array([0.0] * 63 + [np.nan])}, "non-finite samples"),
+        ({"samples": np.array([np.inf] + [0.0] * 63)}, "non-finite samples"),
+        ({"n_points": 63, "samples": np.zeros(63)}, "header describes no grid"),
+        ({"n_points": 6, "samples": np.zeros(6)}, "header describes no grid"),
+        ({"box_length": 0.0}, "header describes no grid"),
+        ({"box_length": np.nan}, "header describes no grid"),
+        ({"t": np.nan}, "non-finite t"),
+        ({"b": -np.inf}, "non-finite t"),
+    ])
+    def test_writer_refuses_what_the_reader_rejects(self, tmp_path, change, message):
+        fields = dict(n_points=64, box_length=1.0, t=0.0, b=2.0, samples=np.zeros(64))
+        path = tmp_path / "field.bgev"
+        with pytest.raises(SnapshotError, match=message):
+            write_snapshot(path, Snapshot(**{**fields, **change}))
+        assert not path.exists()
+
+    @pytest.mark.parametrize("t, b", [(np.nan, 2.0), (np.inf, 2.0), (0.0, np.nan), (0.0, -np.inf)])
+    def test_non_finite_time_or_b(self, tmp_path, t, b):
+        path = tmp_path / "field.bgev"
+        header = struct.pack("<4sIQddd", b"BGEV", SNAPSHOT_VERSION, 64, 1.0, t, b)
+        path.write_bytes(header + np.zeros(64).tobytes())
+        with pytest.raises(SnapshotError, match="non-finite t"):
+            read_snapshot(path)
+
     def test_unsupported_version(self, tmp_path):
         path = tmp_path / "field.bgev"
         write_snapshot(path, Snapshot(n_points=64, box_length=1.0, t=0.0, b=2.0,
