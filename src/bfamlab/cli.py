@@ -92,27 +92,31 @@ def _cmd_run(args) -> int:
 
 def _cmd_norms(args) -> int:
     snap = scenarios.read_snapshot(args.snapshot)
-    report = norms.report(scenarios.field_of(snap), args.sigma, args.s, args.m, args.j_max)
-    note = " (diverged: sigma exceeds the resolvable decay rate)" if report.gevrey.diverged else ""
-    if report.hm is None:
-        hm = "hm          = skipped (requires sigma > 0)"
-    elif isinstance(report.hm, TruncationError):
-        hm = f"hm          = not converged ({report.hm})"
-    else:
-        hm = f"hm m={args.m}      = {report.hm:.12g}"
-    km_radius = (f"not converged ({report.km_radius})"
-                 if isinstance(report.km_radius, TruncationError) else f"{report.km_radius:.12g}")
-    # printed once every norm is taken, so a configuration error prints nothing
-    print("\n".join([
+    # one transform of the snapshot serves every norm below, and one
+    # log-sum-exp the gevrey, l2 and sobolev lines
+    u = norms._spectrum(scenarios.field_of(snap))
+    (value, diverged), (l2, sobolev) = norms._gevrey(u, args.sigma, args.s, (0.0, args.s))
+    note = " (diverged: sigma exceeds the resolvable decay rate)" if diverged else ""
+    lines = [
         f"snapshot: N = {snap.n_points}, L = {snap.box_length:g}, "
         f"t = {snap.t:g}, b = {snap.b:g}",
-        f"l2          = {report.l2:.12g}",
-        f"sobolev s={args.s:g}  = {report.sobolev:.12g}",
-        f"gevrey      = {report.gevrey.value:.12g}{note}",
-        hm,
-        f"km_phi m={norms.REPORT_KM_PHI_M} = {report.km_phi:.12g}",
-        f"km_radius   = {km_radius}",
-    ]))
+        f"l2          = {l2:.12g}",
+        f"sobolev s={args.s:g}  = {sobolev:.12g}",
+        f"gevrey      = {value:.12g}{note}",
+    ]
+    try:
+        hm = norms.hm_norm(u, args.sigma, args.m, args.j_max) if args.sigma > 0 else None
+        lines.append(f"hm m={args.m}      = {hm:.12g}" if hm is not None
+                     else "hm          = skipped (requires sigma > 0)")
+    except TruncationError as err:
+        lines.append(f"hm          = not converged ({err})")
+    lines.append(f"km_phi m=32 = {norms.km_phi(u, args.sigma, 32):.12g}")
+    try:
+        lines.append(f"km_radius   = {norms.km_radius_norm(u, args.sigma, args.j_max):.12g}")
+    except TruncationError as err:
+        lines.append(f"km_radius   = not converged ({err})")
+    # printed once every norm is taken, so a configuration error prints nothing
+    print("\n".join(lines))
     return 0
 
 

@@ -23,21 +23,18 @@ scaled power sum instead: every term is divided by the largest Sobolev term
 and by max|xi|^{2j}, so each lies in (0, 1] and the top mode's stays above
 e^{-61}; a block of up to 32 orders is then one row of exponentials over
 the modes and one matrix-vector product with a 32-row table of
-(|xi| / max|xi|)^{2i} built once per reading. A pass takes up to 256
-orders (8 blocks) of each of one or more orders s: one exp over a
-(block, mode) array and one stacked matmul over the whole blocks. The
-open-ended sums (hm_norm, km_radius_norm) ask for 256 orders at a time, so
-memory stays bounded at any j_max, and stop at the first run of three
-consecutive terms below 1e-16 of the running value. The log-sum-exp and
-log j! are this module's own numpy code. Every norm also accepts a reading
-`_spectrum(u)` in place of u.
+(|xi| / max|xi|)^{2i} built once per reading. Up to 256 orders (8 blocks)
+are one pass: one exp over a (block, mode) array and one stacked matmul
+over the whole blocks. The open-ended sums (hm_norm, km_radius_norm) ask
+for 256 orders at a time, so memory stays bounded at any j_max, and stop
+at the first run of three consecutive terms below 1e-16 of the running
+value. The log-sum-exp and log j! are this module's own numpy code. Every
+norm also accepts a reading `_spectrum(u)` in place of u.
 
-`report` takes the norms that `bfamlab norms` prints and does each piece of
-work once: l2, the H^s norm and the Gevrey norm, with its divergence flag,
-come from one log-sum-exp over one (3, mode) array, and one pass takes the
-first 256 orders of hm's and km_radius's sums together with km_phi's
-orders. The sums go on from there through the kernels of hm_norm and
-km_radius_norm, so every value is its public function's, bit for bit.
+`bfamlab norms` reads a state once and takes l2, the H^s norm and the Gevrey
+norm, with its divergence flag, from one log-sum-exp over one (3, mode)
+array (`_gevrey` with orders); its factorial norms are the public functions
+on that reading.
 """
 
 from __future__ import annotations
@@ -45,7 +42,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -167,9 +164,8 @@ def _sobolev_norms(u, orders) -> list:
     return _root_sums(_log_sobolev_terms(_spectrum(u), np.reshape(orders, (-1, 1))))
 
 
-def _derivative_norm_pass(spectrum: _Spectrum, requests) -> list:
-    """log |d^j u|_{H^s} for each (s, j) of requests, in one pass; j is up to
-    _ORDER_CHUNK consecutive orders j_0, j_0 + 1, ..., and s >= 0.
+def _log_derivative_norms(spectrum: _Spectrum, s: float, j: np.ndarray) -> np.ndarray:
+    """log |d^j u|_{H^s} for the consecutive orders j = j_0, j_0 + 1, ...; needs s >= 0.
 
     A scaled power sum: with c_k the log Sobolev terms, c* their max and
     l* = log max|xi| over the kept modes, r_k = |xi_k| / max|xi| and i = j - j_0,
@@ -178,7 +174,7 @@ def _derivative_norm_pass(spectrum: _Spectrum, requests) -> list:
 
     so each block of up to 32 orders is one row of exponentials over the
     modes and one matrix-vector product with the reading's table of r^{2i}.
-    The blocks of every request are one pass: one exp over a (block, mode)
+    Up to 8 blocks (256 orders) are one pass: one exp over a (block, mode)
     array and one stacked matmul over the whole blocks. Every exponent
     is <= 0, so nothing overflows, and the sum cannot reach 0: the top mode
     has r = 1 and e^{c - c*} >= e^{-61}, as every kept |u_hat| exceeds
@@ -190,58 +186,33 @@ def _derivative_norm_pass(spectrum: _Spectrum, requests) -> list:
     half the floor: it counts in full for j = 0 and at the floor for j >= 1.
     With no xi > 0 mode kept, the j >= 1 orders are -inf.
     """
+    log_terms = _log_sobolev_terms(spectrum, s)
     if spectrum.abs_xi[-1] == 0:
-        return [np.where(j == 0, 0.5 * _log_sobolev_terms(spectrum, s)[0], -np.inf)
-                for s, j in requests]
-    # the first order j_0 of every block: the whole blocks of all requests
-    # first, then the part blocks, one per request at most
-    blocks = [(int(j[0]), *divmod(j.size, _ORDER_BLOCK)) for _, j in requests]
-    first = []
-    for j_0, whole, _ in blocks:
-        first += range(j_0, j_0 + whole * _ORDER_BLOCK, _ORDER_BLOCK)
-    n_whole = len(first)
-    first += [j_0 + whole * _ORDER_BLOCK for j_0, whole, part in blocks if part]
-    # log e^{c_k - c*} r_k^{2 j_0} at each block's first order j_0, a row per block
-    lead = np.multiply.outer(np.multiply(2.0, first), spectrum.log_xi_ratio)
-    peaks, row, part_row = [], 0, n_whole
-    for (s, _), (_, whole, part) in zip(requests, blocks):
-        log_terms = _log_sobolev_terms(spectrum, s)
-        peaks.append(np.maximum.reduce(log_terms))
-        shifted = log_terms - peaks[-1]
-        np.add(lead[row:row + whole], shifted, out=lead[row:row + whole])
-        row += whole
+        return np.where(j == 0, 0.5 * log_terms[0], -np.inf)
+    peak = np.maximum.reduce(log_terms)
+    shifted = log_terms - peak
+    sums = np.empty(j.size)
+    for start in range(0, j.size, _ORDER_CHUNK):
+        chunk = sums[start:start + _ORDER_CHUNK]
+        # log e^{c_k - c*} r_k^{2 j_0} at each block's first order j_0, a row per block
+        first = 2.0 * (j[0] + np.arange(start, start + chunk.size, _ORDER_BLOCK))
+        lead = np.multiply.outer(first, spectrum.log_xi_ratio)
+        np.add(lead, shifted, out=lead)
+        np.maximum(lead, _LOG_TERM_FLOOR, out=lead)
+        np.exp(lead, out=lead)
+        # one matrix-vector product per block, the whole blocks stacked into one
+        # call; a part block takes only its rows of the table. BLAS sums a short
+        # table, or a matrix product, in another order, so this keeps the bits of
+        # a block-by-block evaluation, which repeat on every call with one BLAS thread
+        whole, part = divmod(chunk.size, _ORDER_BLOCK)
+        np.matmul(spectrum.order_powers, lead[:whole, :, None],
+                  out=chunk[:whole * _ORDER_BLOCK].reshape(whole, _ORDER_BLOCK, 1))
         if part:
-            np.add(lead[part_row], shifted, out=lead[part_row])
-            part_row += 1
-    np.maximum(lead, _LOG_TERM_FLOOR, out=lead)
-    np.exp(lead, out=lead)
-    # one matrix-vector product per block, the whole blocks stacked into one
-    # call; a part block takes only its rows of the table. BLAS sums a short
-    # table, or a matrix product, in another order, so this keeps the bits of
-    # a block-by-block evaluation, which repeat on every call with one BLAS thread
-    products = np.matmul(spectrum.order_powers, lead[:n_whole, :, None]).reshape(-1)
-    log_max_xi = 2 * np.log(np.longdouble(spectrum.abs_xi[-1]))
-    done, part_row, out = 0, n_whole, []
-    for (_, j), (_, whole, part), top in zip(requests, blocks, peaks):
-        sums = products[done:done + whole * _ORDER_BLOCK]
-        done += whole * _ORDER_BLOCK
-        if part:
-            sums = np.concatenate((sums, spectrum.order_powers[:part] @ lead[part_row]))
-            part_row += 1
-        # c* + 2 j l* in numpy's extended precision, where the platform has one: the
-        # rounding of l*, times 2 j, would otherwise enter every term of order j
-        out.append(0.5 * (np.log(sums) + (np.longdouble(top) + j * log_max_xi)).astype(float))
-    return out
-
-
-def _log_derivative_norms(spectrum: _Spectrum, s: float, j: np.ndarray) -> np.ndarray:
-    """log |d^j u|_{H^s} for the consecutive orders j = j_0, j_0 + 1, ..., one
-    _derivative_norm_pass per _ORDER_CHUNK orders, so memory stays bounded at any
-    j.size; needs s >= 0."""
-    if j.size <= _ORDER_CHUNK:
-        return _derivative_norm_pass(spectrum, [(s, j)])[0]
-    return np.concatenate([_derivative_norm_pass(spectrum, [(s, j[start:start + _ORDER_CHUNK])])[0]
-                           for start in range(0, j.size, _ORDER_CHUNK)])
+            np.matmul(spectrum.order_powers[:part], lead[whole], out=chunk[-part:])
+    # c* + 2 j l* in numpy's extended precision, where the platform has one: the rounding
+    # of l*, times 2 j, would otherwise enter every term of order j
+    offset = np.longdouble(peak) + j * (2 * np.log(np.longdouble(spectrum.abs_xi[-1])))
+    return 0.5 * (np.log(sums) + offset).astype(float)
 
 
 def _truncated_sum(log_terms_of, j_max: int, accumulate):
@@ -274,30 +245,29 @@ def _require_sigma_below_inf(sigma: float) -> None:
         raise ConfigurationError(f"sigma must be real or -inf, got {sigma}")
 
 
-def _require_gevrey_arguments(sigma: float, s: float) -> None:
-    """Admit a finite sigma >= 0 and a finite s; anything else raises ConfigurationError."""
-    require_finite("sigma", sigma)
-    require_finite("s", s)
-    if sigma < 0:
-        raise ConfigurationError(f"sigma must be >= 0, got {sigma}")
-
-
 def sobolev_norm(u: RealField, s: float) -> float:
     """H^s norm, ( L sum_k (1+xi^2)^s |u_hat|^2 )^{1/2}."""
     require_finite("s", s)
     return _sobolev_norms(u, (s,))[0]
 
 
-def _sobolev_gevrey(u, orders, sigma: float, s: float) -> tuple:
-    """([sobolev_norm(u, r) for r in orders], gevrey_norm(u, sigma, s)) from one
-    log-sum-exp over a row of log terms per order and the Gevrey row last, whose
-    terms also give the divergence flag."""
+def _gevrey(u, sigma: float, s: float, orders=()) -> tuple:
+    """(gevrey_norm(u, sigma, s), [sobolev_norm(u, r) for r in orders]), the
+    arguments checked as gevrey_norm checks them. The Gevrey row of log terms
+    and a row per order are one log-sum-exp; the Gevrey row's terms also give
+    the divergence flag."""
+    require_finite("sigma", sigma)
+    require_finite("s", s)
+    if sigma < 0:
+        raise ConfigurationError(f"sigma must be >= 0, got {sigma}")
     spectrum = _spectrum(u)
-    log_terms = _log_sobolev_terms(spectrum, np.array((*orders, s))[:, None])
-    # at sigma = 0 the Gevrey terms, and so the value, are sobolev_norm's bit for bit
-    log_terms[-1] += 2.0 * sigma * spectrum.abs_xi
-    *values, value = _root_sums(log_terms)
-    return values, GevreyNorm(value, _tail_growing(spectrum.abs_xi, log_terms[-1]))
+    # at sigma = 0 the terms, and so the value, are sobolev_norm's bit for bit
+    log_terms = _log_sobolev_terms(spectrum, s) + 2.0 * sigma * spectrum.abs_xi
+    rows = log_terms[None]
+    if orders:
+        rows = np.vstack((rows, _log_sobolev_terms(spectrum, np.reshape(orders, (-1, 1)))))
+    value, *values = _root_sums(rows)
+    return GevreyNorm(value, _tail_growing(spectrum.abs_xi, log_terms)), values
 
 
 def gevrey_norm(u: RealField, sigma: float, s: float) -> GevreyNorm:
@@ -307,8 +277,7 @@ def gevrey_norm(u: RealField, sigma: float, s: float) -> GevreyNorm:
     field's resolvable decay rate) is inferred structurally: the flag is set
     when the weighted per-|k| terms grow over the last quarter of the kept modes.
     """
-    _require_gevrey_arguments(sigma, s)
-    return _sobolev_gevrey(u, (), sigma, s)[1]
+    return _gevrey(u, sigma, s)[0]
 
 
 def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple:
@@ -332,61 +301,6 @@ def _tail_growing(abs_xi: np.ndarray, log_terms: np.ndarray) -> bool:
     return _line_fit(abs_xi[positive][start:], log_terms[positive][start:])[0] > 0
 
 
-def _log_hm_terms(log_sigma: float, j: np.ndarray, log_norms: np.ndarray) -> np.ndarray:
-    """log of sigma^j (j+1)^2 / j! |d^j u|_{H^{2m}} for each order in j, from the
-    log norms log |d^j u|_{H^{2m}}."""
-    return j * log_sigma + 2.0 * np.log(j + 1.0) - _log_factorial(j) + log_norms
-
-
-def _log_km_terms(sigma: float, j: np.ndarray, log_norms: np.ndarray) -> np.ndarray:
-    """log of e^{2 sigma j} / (j!)^2 |d^j u|^2_{H^2} for each order in j, from the
-    log norms log |d^j u|_{H^2}."""
-    # sigma j is 0 at j = 0 for every sigma: -inf * 0 would be NaN
-    weight = np.where(j > 0, sigma, 0.0) * j
-    return 2.0 * (weight - _log_factorial(j) + log_norms)
-
-
-def _open_sum(spectrum: _Spectrum, s: float, log_terms, j_max: int, accumulate, first=None):
-    """_truncated_sum of the terms log_terms(j, log |d^j u|_{H^s}); `first`, when
-    given, holds the log norms of the first chunk of orders, taken by a shared pass."""
-
-    def log_terms_of(j):
-        if first is not None and j[0] == 0:
-            return log_terms(j, first)
-        return log_terms(j, _log_derivative_norms(spectrum, s, j))
-
-    return _truncated_sum(log_terms_of, j_max, accumulate)
-
-
-def _hm_value(spectrum: _Spectrum, sigma: float, m: int, j_max: int, first=None) -> float:
-    """hm_norm of a reading with a kept mode; `first` as in _open_sum."""
-    log_sup = _open_sum(spectrum, 2.0 * m, partial(_log_hm_terms, math.log(sigma)),
-                        j_max, np.maximum.accumulate, first)
-    if log_sup is None:
-        raise TruncationError(
-            f"hm_norm terms have not decayed below {TAIL_RTOL:g} of the sup by j = {j_max}; "
-            "sigma exceeds the decay rate resolvable on this grid"
-        )
-    return _exp(log_sup)
-
-
-def _km_phi_value(sigma: float, log_norms: np.ndarray) -> float:
-    """km_phi at m = log_norms.size - 1, from the log norms log |d^j u|_{H^2}, j = 0 .. m."""
-    log_terms = _log_km_terms(sigma, np.arange(log_norms.size), log_norms)
-    return 0.5 * _exp(float(logsumexp(log_terms)))
-
-
-def _km_radius_value(spectrum: _Spectrum, sigma: float, j_max: int, first=None) -> float:
-    """km_radius_norm of a reading with a kept mode; `first` as in _open_sum."""
-    total = _open_sum(spectrum, 2.0, partial(_log_km_terms, sigma), j_max,
-                      np.logaddexp.accumulate, first)
-    if total is None:
-        raise TruncationError(
-            f"km_radius_norm tail has not fallen below {TAIL_RTOL:g} by j = {j_max}"
-        )
-    return _exp(0.5 * total)
-
-
 def hm_norm(u: RealField, sigma: float, m: int, j_max: int = DEFAULT_J_MAX) -> float:
     """sup over j of sigma^j (j+1)^2 / j! * |d^j u|_{H^{2m}}, in log space.
 
@@ -402,7 +316,26 @@ def hm_norm(u: RealField, sigma: float, m: int, j_max: int = DEFAULT_J_MAX) -> f
     spectrum = _spectrum(u)
     if spectrum.amp.size == 0:
         return 0.0
-    return _hm_value(spectrum, sigma, m, j_max)
+    log_sigma = math.log(sigma)
+
+    def log_terms_of(j):
+        return (j * log_sigma + 2.0 * np.log(j + 1.0) - _log_factorial(j)
+                + _log_derivative_norms(spectrum, 2.0 * m, j))
+
+    log_sup = _truncated_sum(log_terms_of, j_max, np.maximum.accumulate)
+    if log_sup is None:
+        raise TruncationError(
+            f"hm_norm terms have not decayed below {TAIL_RTOL:g} of the sup by j = {j_max}; "
+            "sigma exceeds the decay rate resolvable on this grid"
+        )
+    return _exp(log_sup)
+
+
+def _log_km_terms(spectrum, sigma: float, j: np.ndarray) -> np.ndarray:
+    """log of e^{2 sigma j} / (j!)^2 |d^j u|^2_{H^2} for each order in j."""
+    # sigma j is 0 at j = 0 for every sigma: -inf * 0 would be NaN
+    weight = np.where(j > 0, sigma, 0.0) * j
+    return 2.0 * (weight - _log_factorial(j) + _log_derivative_norms(spectrum, 2.0, j))
 
 
 def km_phi(u: RealField, sigma: float, m: int) -> float:
@@ -417,7 +350,7 @@ def km_phi(u: RealField, sigma: float, m: int) -> float:
     spectrum = _spectrum(u)
     if spectrum.amp.size == 0:
         return 0.0
-    return _km_phi_value(sigma, _log_derivative_norms(spectrum, 2.0, np.arange(m + 1)))
+    return 0.5 * _exp(float(logsumexp(_log_km_terms(spectrum, sigma, np.arange(m + 1)))))
 
 
 def km_radius_norm(u: RealField, sigma: float, j_max: int = DEFAULT_J_MAX) -> float:
@@ -434,60 +367,11 @@ def km_radius_norm(u: RealField, sigma: float, j_max: int = DEFAULT_J_MAX) -> fl
     spectrum = _spectrum(u)
     if spectrum.amp.size == 0:
         return 0.0
-    return _km_radius_value(spectrum, sigma, j_max)
-
-
-REPORT_KM_PHI_M = 32  # the m of the km_phi in a report
-
-
-class NormsReport(NamedTuple):
-    """The norms of one reading that `bfamlab norms` prints. hm is None at
-    sigma = 0, where hm_norm is not defined; hm and km_radius hold the
-    TruncationError that their function raises when its sum does not stop."""
-
-    l2: float
-    sobolev: float
-    gevrey: GevreyNorm
-    hm: float | TruncationError | None
-    km_phi: float
-    km_radius: float | TruncationError
-
-
-def _value_or_error(norm, *args):
-    """norm(*args), or the TruncationError it raises, without its traceback: the
-    traceback's frames would hold the report, and the arrays of the sum with it,
-    in a reference cycle that only the garbage collector frees."""
-    try:
-        return norm(*args)
-    except TruncationError as err:
-        return err.with_traceback(None)
-
-
-def report(u, sigma: float, s: float, m: int, j_max: int = DEFAULT_J_MAX) -> NormsReport:
-    """sobolev_norm(u, 0), sobolev_norm(u, s), gevrey_norm(u, sigma, s),
-    hm_norm(u, sigma, m, j_max) at sigma > 0, km_phi(u, sigma, REPORT_KM_PHI_M) and
-    km_radius_norm(u, sigma, j_max), each value as its function returns it, with
-    each piece of work done once.
-
-    The arguments are checked as those functions check them, in that order. The
-    Sobolev and Gevrey values come from one log-sum-exp over one (3, mode) array.
-    One _derivative_norm_pass takes the first chunk of orders of hm's and
-    km_radius's open-ended sums together with km_phi's orders; the sums go on
-    from there through the same kernels as hm_norm and km_radius_norm.
-    """
-    _require_gevrey_arguments(sigma, s)
-    if sigma > 0:
-        require_integer("m", m, 2)
-    require_integer("j_max", j_max, 1)
-    spectrum = _spectrum(u)
-    (l2, sobolev), gevrey = _sobolev_gevrey(spectrum, (0.0, s), sigma, s)
-    if spectrum.amp.size == 0:
-        return NormsReport(l2, sobolev, gevrey, 0.0 if sigma > 0 else None, 0.0, 0.0)
-    first = np.arange(min(j_max + 1, _ORDER_CHUNK))
-    requests = [(2.0, np.arange(REPORT_KM_PHI_M + 1)), (2.0, first)]
-    if sigma > 0:
-        requests.append((2.0 * m, first))
-    phi_norms, km_first, *hm_first = _derivative_norm_pass(spectrum, requests)
-    hm = _value_or_error(_hm_value, spectrum, sigma, m, j_max, *hm_first) if sigma > 0 else None
-    km_radius = _value_or_error(_km_radius_value, spectrum, sigma, j_max, km_first)
-    return NormsReport(l2, sobolev, gevrey, hm, _km_phi_value(sigma, phi_norms), km_radius)
+    total = _truncated_sum(
+        lambda j: _log_km_terms(spectrum, sigma, j), j_max, np.logaddexp.accumulate
+    )
+    if total is None:
+        raise TruncationError(
+            f"km_radius_norm tail has not fallen below {TAIL_RTOL:g} by j = {j_max}"
+        )
+    return _exp(0.5 * total)

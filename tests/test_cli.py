@@ -254,7 +254,7 @@ def _report_lines(u, sigma, s, m, j_max):
 class TestNormsReportPin:
     """Every line of a `bfamlab norms` report equals, to its 12 printed digits,
     the public function it names called alone on a fresh field: the report's
-    shared passes change no printed byte."""
+    shared log-sum-exp changes no printed byte."""
 
     # j_max on either side of the 32-order block and 256-order chunk edges
     J_MAX = (1, 31, 32, 33, 200, 256, 300, 2000)

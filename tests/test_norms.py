@@ -640,42 +640,20 @@ def _outcome(norm, *args):
         return TruncationError
 
 
-class TestReport:
-    """norms.report against each public function called alone: its shared
-    log-sum-exp and derivative-norm pass change no bit of any value."""
+class TestSharedLogSumExp:
+    """The Gevrey row and the Sobolev rows that `bfamlab norms` takes from one
+    log-sum-exp against each public function called alone: no bit moves."""
 
-    @staticmethod
-    def alone(u, sigma, s, m, j_max):
-        return (sobolev_norm(u, 0.0), sobolev_norm(u, s), gevrey_norm(u, sigma, s),
-                _outcome(hm_norm, u, sigma, m, j_max) if sigma > 0 else None,
-                km_phi(u, sigma, norms.REPORT_KM_PHI_M), _outcome(km_radius_norm, u, sigma, j_max))
-
-    def test_values_are_the_public_functions(self):
+    def test_rows_are_the_public_functions(self):
         grid = make_grid(64, 10.0)
         fields = [*TestNumpyKernels.fields(), *TestNumpyKernels.floor_readings(),
                   RealField(grid, np.full(64, -3.0)), RealField(grid, np.zeros(64))]
         for u in fields:
-            for sigma in (0.0, 0.3, 2.5, 20.0):
-                for m, j_max in ((2, 1), (3, 31), (2, 32), (3, 33), (2, 256), (3, 257)):
-                    report = norms.report(u, sigma, 2.0, m, j_max)
-                    got = tuple(TruncationError if isinstance(value, TruncationError) else value
-                                for value in report)
-                    assert got == self.alone(u, sigma, 2.0, m, j_max), (u.grid, sigma, m, j_max)
-
-    @pytest.mark.parametrize("sigma, s, m, j_max, message", [
-        (np.nan, 2.0, 2, 200, "sigma must be finite"),
-        (-1.0, 2.0, 2, 200, "sigma must be >= 0"),
-        (0.2, np.inf, 2, 200, "s must be finite"),
-        (0.2, 2.0, 1, 0, "m must be an integer >= 2"),
-        (0.2, 2.0, 2, 0, "j_max must be an integer >= 1"),
-        (0.0, 2.0, 1, 0, "j_max must be an integer >= 1"),
-    ])
-    def test_arguments_checked_as_the_functions_check_them(self, random_field, sigma, s, m,
-                                                           j_max, message):
-        # the first error of gevrey_norm, hm_norm (at sigma > 0) and km_radius_norm,
-        # called in that order; hm's m is not read at sigma = 0
-        with pytest.raises(ConfigurationError, match=message):
-            norms.report(random_field, sigma, s, m, j_max)
+            for sigma in (0.0, 0.05, 0.3, 2.5, 20.0):
+                for s in (0.0, 2.0, 3.5):
+                    got = norms._gevrey(u, sigma, s, (0.0, s))
+                    alone = (gevrey_norm(u, sigma, s), [sobolev_norm(u, 0.0), sobolev_norm(u, s)])
+                    assert got == alone, (u.grid, sigma, s)
 
 
 class TestOrderChunks:
