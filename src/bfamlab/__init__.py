@@ -24,7 +24,6 @@ from .analyticity import (
 )
 from .dynamics import (
     conserved_mean,
-    h1_energy,
     inverse_momentum,
     momentum,
     momentum_l1,
@@ -39,7 +38,7 @@ from .errors import (
     SnapshotError,
     TruncationError,
 )
-from .evolve import EvolveConfig, Trajectory, cfl_dt, rk4_step, run
+from .evolve import EvolveConfig, Trajectory, rk4_step, run
 from .grid import GridSpec, RealField, make_grid
 from .norms import (
     GevreyNorm,

@@ -14,14 +14,7 @@ import warnings
 from pathlib import Path
 
 from . import __version__, analyticity, evolve, norms, scenarios, taylor
-from .errors import (
-    ConfigurationError,
-    InsufficientBandError,
-    NumericalError,
-    SnapshotError,
-    TruncationError,
-)
-from .grid import RealField
+from .errors import PREFIXES, REPORTED, SnapshotError, TruncationError, exit_code
 
 
 class _UsageError(Exception):
@@ -135,7 +128,8 @@ def _cmd_taylor(args) -> int:
     u0 = scenarios.build_initial(cfg)
     series = taylor.taylor_coeffs(u0, cfg.evolve.b, args.order)
     lines = [f"computed {series.order + 1} coefficients (c_0 .. c_{series.order})"]
-    lines += [f"  |c_{k}|_L2 = {norms.sobolev_norm(c, 0.0):.6g}"
+    dx = series.grid.dx
+    lines += [f"  |c_{k}|_L2 = {taylor._l2_norm(c.samples, dx):.6g}"
               for k, c in enumerate(series.coeffs)]
     rho = taylor.time_radius_estimate(series)
     lines.append(f"temporal radius estimate = {rho:.6g}")
@@ -148,10 +142,8 @@ def _cmd_taylor(args) -> int:
         )
         endpoint = evolve.run(u0, stepper_cfg).final_state
         series_end = taylor.taylor_eval(series, t_check)
-        diff = norms.sobolev_norm(
-            RealField(u0.grid, series_end.samples - endpoint.samples), 0.0
-        )
-        ref = norms.sobolev_norm(endpoint, 0.0)
+        diff = taylor._l2_norm(series_end.samples - endpoint.samples, dx)
+        ref = taylor._l2_norm(endpoint.samples, dx)
         rel = diff / ref if ref > 0 else diff
         lines.append(f"stepper comparison at t = {t_check:g}: relative L2 difference = {rel:.3e}")
     print("\n".join(lines))  # once whole, so an error prints no partial report
@@ -179,9 +171,6 @@ _COMMANDS = {
 }
 
 
-_ERROR_PREFIXES = {1: "configuration error", 2: "numerical error", 3: "io error"}
-
-
 def _show_warning(message, *_):
     """Print a library warning as one line, without the source line that the
     default display adds; the warning filters still decide what is shown."""
@@ -194,7 +183,9 @@ def main(argv=None) -> int:
     A command line that names a command is parsed once, by that command's
     parser. Only the rest (no arguments, --help, --version, an unknown
     command) goes through the top-level parser, whose usage line every usage
-    error prints.
+    error prints. A command's exception of `errors.REPORTED` prints as one
+    line, prefixed by `errors.PREFIXES` of its `errors.exit_code`, which main
+    returns; an interrupt is not caught, so it ends the process by SIGINT.
     """
     argv = sys.argv[1:] if argv is None else argv
     parser, commands = _build_parser()
@@ -212,9 +203,9 @@ def main(argv=None) -> int:
         warnings.showwarning = _show_warning
         try:
             return _COMMANDS[command](args)
-        except (ConfigurationError, InsufficientBandError, NumericalError, OSError) as err:
-            code = scenarios.exit_code_for(err)
-            print(f"{_ERROR_PREFIXES[code]}: {err}", file=sys.stderr)
+        except REPORTED as err:
+            code = exit_code(err)
+            print(f"{PREFIXES[code]}: {err}", file=sys.stderr)
             return code
 
 

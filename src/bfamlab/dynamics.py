@@ -31,6 +31,12 @@ of -F into `band`: 4 numpy calls, one of them the grid's rfft kernel, with
 no allocation and no view made. It returns -F, so it ends on an add:
 callers subtract it, or divide it by a negative number, where they would
 have added F.
+
+The monitored functionals here are the ones the state's samples or its
+momentum give: the mean, |m|_L1 and min m. The H^1 norm is
+`norms.sobolev_norm(u, 1.0)`, the `h1` column of a run's diagnostics; its
+square, the integral of u^2 + u_x^2, is conserved only at b = 2. This module
+imports only `grid` and `errors`.
 """
 
 from __future__ import annotations
@@ -41,7 +47,6 @@ import numpy as np
 
 from .errors import require_finite
 from .grid import RealField, _irfft, _rfft
-from .norms import sobolev_norm
 
 
 class _Operator:
@@ -119,14 +124,6 @@ def conserved_mean(u: RealField) -> float:
     term is -(u^2/2)_x), so this functional is conserved for every b.
     """
     return u.grid.box_length * float(np.mean(u.samples))
-
-
-def h1_energy(u: RealField) -> float:
-    """Integral of u^2 + u_x^2: L * sum_k (1 + xi_k^2) |u_hat[k]|^2.
-
-    Conserved by the flow only at b = 2.
-    """
-    return sobolev_norm(u, 1.0) ** 2
 
 
 def momentum_l1(u: RealField, m: Optional[RealField] = None) -> float:

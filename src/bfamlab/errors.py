@@ -1,6 +1,10 @@
-"""Exception taxonomy shared across the package.
+"""Exception taxonomy shared across the package, and its exit codes.
 
-The CLI exit code of each exception comes from scenarios.exit_code_for.
+`EXIT_CODES` maps an exception to its exit code, `exit_code` applies it,
+`PREFIXES` gives the CLI's message prefix of each code and `REPORTED` the
+classes the CLI reports as one line; the manifest of a run records
+`exit_code` of whatever ended it. An interrupt is not reported: the CLI
+lets it end the process by SIGINT, which a shell shows as 130.
 """
 
 import math
@@ -51,3 +55,15 @@ def require_integer(name, value, least):
     """Raise ConfigurationError unless value is an integer >= least; a bool is not one."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
         raise ConfigurationError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+# the first matching class gives the code; anything else is 1
+EXIT_CODES = {NumericalError: 2, OSError: 3, KeyboardInterrupt: 130}
+PREFIXES = {1: "configuration error", 2: "numerical error", 3: "io error"}
+REPORTED = (ConfigurationError, InsufficientBandError, NumericalError, OSError)
+
+
+def exit_code(err: BaseException) -> int:
+    """The exit code of err: 2 for NumericalError (BlowupError among it), 3 for
+    OSError (SnapshotError among it), 130 for KeyboardInterrupt, else 1."""
+    return next((code for cls, code in EXIT_CODES.items() if isinstance(err, cls)), 1)

@@ -90,10 +90,6 @@ class Trajectory:
         self.dt_max = dt if self.dt_max is None else max(self.dt_max, dt)
 
     @property
-    def times(self) -> np.ndarray:
-        return np.array([t for t, _ in self.snapshots])
-
-    @property
     def final_state(self) -> RealField:
         return self.snapshots[-1][1]
 
@@ -101,11 +97,6 @@ class Trajectory:
 def _cfl_step(peak: float, dx: float, cfg: EvolveConfig) -> float:
     """dt = min(dt_max, cfl_safety * dx / max(peak, velocity floor))."""
     return min(cfg.dt_max, cfg.cfl_safety * dx / max(peak, _VELOCITY_FLOOR))
-
-
-def cfl_dt(u: RealField, cfg: EvolveConfig) -> float:
-    """dt = min(dt_max, cfl_safety * dx / max|u|), with a velocity floor."""
-    return _cfl_step(float(np.max(np.abs(u.samples))), u.grid.dx, cfg)
 
 
 class _March:

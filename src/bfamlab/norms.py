@@ -110,7 +110,7 @@ def _spectrum(u) -> _Spectrum:
     return _Spectrum(kept, abs_xi, amp, np.log(weight), np.log1p(abs_xi**2))
 
 
-def _logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
+def logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
     """log sum exp(a) along axis; -inf where every term is -inf.
 
     The largest term (with its ties) is taken out of the sum and the rest
@@ -124,10 +124,6 @@ def _logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
     shifted = np.subtract(a, peak, out=np.full_like(a, -np.inf), where=~top)
     rest = np.add.reduce(np.exp(shifted), axis=axis, keepdims=True)
     return (np.log1p(rest / ties) + np.log(ties) + peak).squeeze(axis)
-
-
-# the name bench/tracing.py wraps to count log-sum-exp calls per norm
-logsumexp = _logsumexp
 
 
 def _log_factorial(j: np.ndarray) -> np.ndarray:

@@ -30,8 +30,8 @@ from . import __version__, analyticity, dynamics, evolve, norms
 from .errors import (
     ConfigurationError,
     InsufficientBandError,
-    NumericalError,
     SnapshotError,
+    exit_code,
     require_finite,
     require_integer,
 )
@@ -489,8 +489,9 @@ def run_scenario(cfg: RunConfig) -> ScenarioResult:
     import hashlib  # here, so that importing the package does not load it
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "config.ini").write_text(render_config(cfg))
-    config_sha256 = hashlib.sha256((out / "config.ini").read_bytes()).hexdigest()
+    config = render_config(cfg).encode()
+    (out / "config.ini").write_bytes(config)
+    config_sha256 = hashlib.sha256(config).hexdigest()
     started = time.time()
     status, trajectory = 0, None
     try:
@@ -502,7 +503,7 @@ def run_scenario(cfg: RunConfig) -> ScenarioResult:
             write_snapshot(out / f"{name}.bgev", snapshot_of(u, t, cfg.evolve.b))
         return result
     except BaseException as err:
-        status = exit_code_for(err)
+        status = exit_code(err)
         trajectory = getattr(err, "trajectory", None) or trajectory
         raise
     finally:
@@ -518,11 +519,3 @@ def run_scenario(cfg: RunConfig) -> ScenarioResult:
             manifest.update(steps=trajectory.steps, dt_min=trajectory.dt_min,
                             dt_max=trajectory.dt_max)
         (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
-
-
-def exit_code_for(err: BaseException) -> int:
-    """CLI exit code: 2 for NumericalError (BlowupError among it), 3 for OSError
-    (SnapshotError among it), 1 for the rest (ConfigurationError, InsufficientBandError)."""
-    if isinstance(err, NumericalError):
-        return 2
-    return 3 if isinstance(err, OSError) else 1

@@ -28,7 +28,10 @@ rows of their own block, allocated before the store and filled with one
 copy, so it keeps none of the derivative rows alive.
 
 The temporal radius of convergence is estimated by a root test on the
-coefficient norms, once per series.
+coefficient norms of the tail half, once per series. Every coefficient norm
+of this module and of `bfamlab taylor`, the radius's, the report's
+|c_k|_L2 lines and its stepper check, is `_l2_norm`: sqrt(dx sum_x f(x)^2)
+from the samples, by discrete Parseval, with no FFT.
 """
 
 from __future__ import annotations
@@ -82,12 +85,17 @@ class TaylorSeries:
     @cached_property
     def _radius(self) -> float:
         start = (self.order + 1) // 2
-        # |c_k|_{L^2} by discrete Parseval, L sum_k p_k |c_hat_k|^2 = dx sum_x c_k(x)^2,
-        # which is sobolev_norm(c_k, 0) without its rfft and round-off floor
-        squares = [np.dot(c.samples, c.samples) for c in self.coeffs[start:]]
-        l2 = np.sqrt(self.grid.dx * np.array(squares))
+        dx = self.grid.dx
+        l2 = np.array([_l2_norm(c.samples, dx) for c in self.coeffs[start:]])
         best = float(np.max(l2 ** (1.0 / np.arange(start, self.order + 1))))
         return math.inf if best == 0.0 else 1.0 / best
+
+
+def _l2_norm(samples: np.ndarray, dx: float) -> float:
+    """|f|_{L^2} = sqrt(dx sum_x f(x)^2) from the samples of f, by discrete
+    Parseval L sum_k p_k |f_hat_k|^2 = dx sum_x f(x)^2: sobolev_norm(f, 0)
+    without its rfft and round-off floor."""
+    return math.sqrt(dx * np.dot(samples, samples))
 
 
 def taylor_coeffs(u0: RealField, b: float, order: int) -> TaylorSeries:

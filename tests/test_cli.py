@@ -13,12 +13,14 @@ from bfamlab import (
     Snapshot,
     TruncationError,
     cli,
+    evolve,
     gevrey_norm,
     hm_norm,
     km_phi,
     km_radius_norm,
     make_grid,
     sobolev_norm,
+    taylor,
     write_snapshot,
 )
 from bfamlab.cli import main
@@ -131,6 +133,17 @@ class TestRunCommand:
         assert "sine mode 40" in capsys.readouterr().err
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["exit_status"] == 1
+
+    def test_interrupt_is_recorded_as_130(self, config_file, tmp_path, monkeypatch):
+        # the manifest records the code a shell shows for a run ended by SIGINT
+        def interrupted(u0, cfg):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(evolve, "run", interrupted)
+        with pytest.raises(KeyboardInterrupt):  # the CLI does not catch it
+            main(["run", "--config", str(config_file)])
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["exit_status"] == 130
 
     def test_missing_config_exit_code(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "none.ini")]) == 3
@@ -438,6 +451,68 @@ class TestTaylorCommand:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("configuration error: radius estimation needs")
+
+
+class TestTaylorReportPin:
+    """Each |c_k|_L2 line of `bfamlab taylor` is sobolev_norm(c_k, 0) at 6
+    digits, and its stepper line is the ratio of sobolev_norm of the series'
+    and the stepper's difference to sobolev_norm of the stepper's state."""
+
+    FAMILIES = {
+        "sine": ("6.283185307179586", "amplitude = 0.5"),
+        "gaussian": ("80.0", "amplitude = 0.5\nwidth = 4.0"),
+        "sech": ("80.0", "amplitude = 0.25\nwidth = 1.0"),
+        "momentum_bump": ("80.0", "amplitude = 0.5\nwidth = 8.0"),
+    }
+
+    # the sine series at N = 512 reaches the coefficient cap before order 64
+    @pytest.mark.filterwarnings("ignore:Taylor coefficient c_:UserWarning")
+    @pytest.mark.parametrize("n", [64, 256, 512])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_lines_match_sobolev_norm(self, tmp_path, capsys, monkeypatch, family, n):
+        box_length, init = self.FAMILIES[family]
+        seen, marches = {}, {}
+        build, march, evaluate = taylor.taylor_coeffs, evolve.run, taylor.taylor_eval
+
+        def spy_coeffs(u0, b, order):
+            seen["series"] = build(u0, b, order)
+            return seen["series"]
+
+        def spy_run(u0, cfg):  # the march depends on b and t alone: one per b
+            key = (cfg.b, cfg.t_final)
+            if key not in marches:
+                marches[key] = march(u0, cfg)
+            seen["endpoint"] = marches[key].final_state
+            return marches[key]
+
+        def spy_eval(series, t):
+            seen["series_end"] = evaluate(series, t)
+            return seen["series_end"]
+
+        monkeypatch.setattr(taylor, "taylor_coeffs", spy_coeffs)
+        monkeypatch.setattr(evolve, "run", spy_run)
+        monkeypatch.setattr(taylor, "taylor_eval", spy_eval)
+        path = tmp_path / "taylor.ini"
+        for b in (-1.0, 0.0, 2.0, 3.0):
+            path.write_text(
+                f"[grid]\nn_points = {n}\nbox_length = {box_length}\n\n"
+                f"[run]\nb = {b}\nt_final = 0.2\ndt_max = 0.02\nsample_interval = 0.1\n\n"
+                f"[init]\nfamily = {family}\n{init}\n"
+            )
+            for order in (8, 16, 64):
+                seen.clear()
+                assert main(["taylor", "--config", str(path), "--order", str(order)]) == 0
+                lines = capsys.readouterr().out.splitlines()
+                series = seen["series"]
+                assert lines[1 : series.order + 2] == [
+                    f"  |c_{k}|_L2 = {sobolev_norm(c, 0.0):.6g}"
+                    for k, c in enumerate(series.coeffs)
+                ], (b, order)
+                endpoint, series_end = seen["endpoint"], seen["series_end"]
+                diff = sobolev_norm(RealField(endpoint.grid, series_end.samples - endpoint.samples), 0.0)
+                ref = sobolev_norm(endpoint, 0.0)
+                rel = diff / ref if ref > 0 else diff
+                assert lines[-1].endswith(f" relative L2 difference = {rel:.3e}"), (b, order)
 
 
 class TestBoundCommand:

@@ -6,7 +6,6 @@ import pytest
 from bfamlab import (
     RealField,
     conserved_mean,
-    h1_energy,
     inverse_momentum,
     make_grid,
     momentum,
@@ -26,6 +25,12 @@ from conftest import (
     reference_derivative,
     series_coefficients,
 )
+
+
+def h1_energy(u):
+    """The integral of u^2 + u_x^2, by the README's one-liner for the removed
+    `dynamics.h1_energy`."""
+    return sobolev_norm(u, 1.0) ** 2
 
 
 class TestRhs:

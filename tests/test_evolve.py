@@ -12,13 +12,12 @@ from bfamlab import (
     ConfigurationError,
     EvolveConfig,
     RealField,
-    cfl_dt,
     conserved_mean,
-    h1_energy,
     make_grid,
     rhs_F,
     rk4_step,
     run,
+    sobolev_norm,
 )
 from bfamlab import dynamics, evolve
 from bfamlab import grid as grid_module
@@ -31,25 +30,30 @@ def bump_datum(n=512, length=80.0, amplitude=0.5, width=8.0):
     return initial_data("momentum_bump", {"amplitude": amplitude, "width": width}, grid)
 
 
+def cfl_step(u, cfg):
+    """The march's CFL step for the state u, whose peak the march carries."""
+    return evolve._cfl_step(float(np.max(np.abs(u.samples))), u.grid.dx, cfg)
+
+
 class TestCflDt:
     def test_zero_field_hits_dt_max(self):
         grid = make_grid(64, 2 * np.pi)
         cfg = EvolveConfig(b=2.0, t_final=1.0, dt_max=0.05, sample_interval=0.5)
-        assert cfl_dt(RealField(grid, np.zeros(64)), cfg) == 0.05
+        assert cfl_step(RealField(grid, np.zeros(64)), cfg) == 0.05
 
     def test_velocity_limited_formula(self):
         grid = make_grid(256, 2 * np.pi)
         cfg = EvolveConfig(b=2.0, t_final=1.0, dt_max=1.0, sample_interval=0.5)
         u = RealField(grid, 2.0 * np.sin(grid.x))
         expected = 0.2 * (2 * np.pi / 256) / 2.0
-        assert cfl_dt(u, cfg) == pytest.approx(expected, rel=1e-12)
+        assert cfl_step(u, cfg) == pytest.approx(expected, rel=1e-12)
 
     def test_doubling_n_halves_dt(self):
         cfg = EvolveConfig(b=2.0, t_final=1.0, dt_max=1.0, sample_interval=0.5)
         dts = []
         for n in (256, 512):
             grid = make_grid(n, 2 * np.pi)
-            dts.append(cfl_dt(RealField(grid, 2.0 * np.sin(grid.x)), cfg))
+            dts.append(cfl_step(RealField(grid, 2.0 * np.sin(grid.x)), cfg))
         assert dts[0] == pytest.approx(2 * dts[1], rel=1e-12)
 
 
@@ -300,13 +304,13 @@ class TestRun:
         u0 = bump_datum(n=128)
         cfg = EvolveConfig(b=2.0, t_final=1.0, dt_max=0.013, sample_interval=0.25)
         traj = run(u0, cfg)
-        assert np.allclose(traj.times, [0.0, 0.25, 0.5, 0.75, 1.0], atol=1e-12)
+        assert np.allclose([t for t, _ in traj.snapshots], [0.0, 0.25, 0.5, 0.75, 1.0], atol=1e-12)
 
     def test_final_time_not_multiple_of_cadence(self):
         u0 = bump_datum(n=128)
         cfg = EvolveConfig(b=2.0, t_final=0.9, dt_max=0.02, sample_interval=0.4)
         traj = run(u0, cfg)
-        assert np.allclose(traj.times, [0.0, 0.4, 0.8, 0.9], atol=1e-12)
+        assert np.allclose([t for t, _ in traj.snapshots], [0.0, 0.4, 0.8, 0.9], atol=1e-12)
 
     def test_determinism(self):
         u0 = bump_datum(n=256)
@@ -337,7 +341,7 @@ class TestRun:
         u0 = bump_datum()
         cfg = EvolveConfig(b=2.0, t_final=2.0, dt_max=0.01, sample_interval=1.0)
         traj = run(u0, cfg)
-        values = [h1_energy(u) for _, u in traj.snapshots]
+        values = [sobolev_norm(u, 1.0) ** 2 for _, u in traj.snapshots]
         assert abs(values[-1] - values[0]) / values[0] < 1e-6
 
     def test_sine_steady_run(self):
@@ -364,7 +368,7 @@ class TestRun:
             require_sign_certificate=True,
         )
         traj = run(u0, cfg)
-        assert traj.times[-1] == pytest.approx(0.1)
+        assert traj.snapshots[-1][0] == pytest.approx(0.1)
 
     def test_blowup_carries_partial_trajectory(self):
         # the b = 3 bump's sup grows past 1.2 around t ~ 3.2

@@ -10,11 +10,14 @@ from hypothesis import strategies as st
 
 from bfamlab import (
     ConfigurationError,
+    EvolveConfig,
     NumericalError,
     RealField,
+    evolve,
     inverse_momentum,
     make_grid,
     momentum,
+    sobolev_norm,
 )
 from bfamlab.grid import _irfft, _rfft
 from conftest import (
@@ -264,7 +267,8 @@ class TestHalfSpectrum:
 class TestRemovedOneLiners:
     """Each numpy one-liner of the README's "Removed" table, run against the
     test references: `u` a RealField, `g = u.grid`, `N = g.n_points`, `c` its
-    coefficients in numpy FFT ordering, `k` and `xi` its FFT-ordered modes."""
+    coefficients in numpy FFT ordering, `k` and `xi` its FFT-ordered modes,
+    `cfg` an EvolveConfig and `traj` a Trajectory."""
 
     README = Path(__file__).resolve().parents[1] / "README.md"
     FREQUENCIES = {"k": "np.rint(np.fft.fftfreq(N) * N)", "xi": "2 * np.pi * k / g.box_length"}
@@ -281,6 +285,16 @@ class TestRemovedOneLiners:
         "GridSpec.dealias_mask": "np.abs(k) <= g.dealias_fraction * (N // 2)",
         "GridSpec.xi": "xi",
         "GridSpec.helmholtz_inv_multiplier": "1 / (1 + xi**2)",
+        "cfl_dt(u, cfg)": "min(cfg.dt_max, cfg.cfl_safety * u.grid.dx / max(np.max(np.abs(u.samples)), 1e-8))",
+        "h1_energy(u)": "sobolev_norm(u, 1.0) ** 2",
+        "Trajectory.times": "np.array([t for t, _ in traj.snapshots])",
+    }
+    # the removed functions as they were defined, each over one more input
+    REMOVED = {
+        "cfl_dt(u, cfg)": lambda u, cfg, traj: evolve._cfl_step(
+            float(np.max(np.abs(u.samples))), u.grid.dx, cfg),
+        "h1_energy(u)": lambda u, cfg, traj: sobolev_norm(u, 1.0) ** 2,
+        "Trajectory.times": lambda u, cfg, traj: np.array([t for t, _ in traj.snapshots]),
     }
 
     def test_one_liners_match_the_references(self, random_field):
@@ -295,7 +309,8 @@ class TestRemovedOneLiners:
         u = random_field
         g, n = u.grid, u.grid.n_points
         scope = {"np": np, "RealField": RealField, "momentum": momentum,
-                 "u": u, "g": g, "N": n, "c": series_coefficients(u)}
+                 "sobolev_norm": sobolev_norm, "u": u, "g": g, "N": n,
+                 "c": series_coefficients(u)}
         for name, expression in self.FREQUENCIES.items():
             scope[name] = eval(expression, scope)
 
@@ -330,6 +345,19 @@ class TestRemovedOneLiners:
         assert np.abs(run("GridSpec.xi")[:half]).tobytes() == g.xi.tobytes()
         inverse_multiplier = run("GridSpec.helmholtz_inv_multiplier")[:half]
         assert inverse_multiplier.tobytes() == g.helmholtz_inv_multiplier.tobytes()
+
+        # bit for bit against the removed functions, on u and on a zero field
+        # (the velocity floor)
+        cfg = scope["cfg"] = EvolveConfig(b=2.0, t_final=0.02, dt_max=0.05, sample_interval=0.01)
+        traj = scope["traj"] = evolve.run(u, cfg)
+        zero = RealField(g, np.zeros(n))
+        for name, removed in self.REMOVED.items():
+            for field in (u, zero):
+                got = np.asarray(run(name, u=field))
+                want = np.asarray(removed(field, cfg, traj))
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+        assert run("cfl_dt(u, cfg)", u=zero) == 0.05
+        assert run("Trajectory.times", traj=traj).tolist() == [0.0, 0.01, 0.02]
 
 
 random_grids = st.tuples(

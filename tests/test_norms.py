@@ -460,14 +460,14 @@ class TestNumpyKernels:
         from scipy.special import logsumexp
 
         for a in self.arrays():
-            ours, ref = norms._logsumexp(a, axis=1), logsumexp(a, axis=1)
+            ours, ref = norms.logsumexp(a, axis=1), logsumexp(a, axis=1)
             assert ours.shape == ref.shape
             assert ours[1] == -np.inf
             finite = np.isfinite(ref)
             assert np.array_equal(finite, np.isfinite(ours))
             tol = 1e-15 * np.maximum(1.0, np.abs(ref[finite]))
             assert np.all(np.abs(ours[finite] - ref[finite]) <= tol)
-            assert abs(norms._logsumexp(a[0]) - logsumexp(a[0])) <= 1e-15 * max(1.0, abs(ref[0]))
+            assert abs(norms.logsumexp(a[0]) - logsumexp(a[0])) <= 1e-15 * max(1.0, abs(ref[0]))
 
     def test_log_factorial_table_grows(self, monkeypatch):
         from scipy.special import gammaln
