@@ -22,15 +22,22 @@ multipliers `A` and `B` (b enters nowhere else); the half spectra
 writes and whose modes above the band keep u's unless the caller zeroes
 them; the samples `fields` = [f, f_x], which `load()` refreshes from
 `stage` with one multiply and one stacked irfft (`load(out)` writes them
-into another (2, N) array instead); and the combine's work
+into another array shaped like `fields` instead); and the combine's work
 arrays `squares` and `product_spectra`. It starts loaded with u.
+
+At b = 3 (Degasperis-Procesi) B is exactly 0, and the operator decides
+once, from b, to hold one row: `B` is None, `spectra` = [f_hat],
+`fields` = [f] and `squares` = [f^2], so `load()` is one irfft with no
+multiply and no f_x is ever formed. Callers read the row count from the
+shapes of these arrays and nothing else. No value changes: at b = 3 the
+B term only ever added +-0 to the band.
 
 The combine, `_rhs_from_products(op, squares, band)`, takes one stacked
 rfft of `squares` ([f^2, f_x^2] or their Cauchy sums) and writes the band
 of -F into `band`: 4 numpy calls, one of them the grid's rfft kernel, with
-no allocation and no view made. It returns -F, so it ends on an add:
-callers subtract it, or divide it by a negative number, where they would
-have added F.
+no allocation and no view made; at b = 3 it is one rfft of [f^2] and one
+multiply by A, 2 numpy calls. It returns -F, so callers subtract it, or
+divide it by a negative number, where they would have added F.
 
 The monitored functionals here are the ones the state's samples or its
 momentum give: the mean, |m|_L1 and min m. The H^1 norm is
@@ -57,37 +64,46 @@ class _Operator:
         require_finite("b", b)
         grid = u.grid
         n, m = grid.n_points, grid.band_size
+        # B = ((3 - b)/2) i xi/(1 + xi^2) vanishes at b = 3: no row for f_x
+        rows = 1 if b == 3.0 else 2
         deriv = grid.half_deriv_multiplier
         band_deriv = self._band_deriv = deriv[:m]
         nonlocal_ = band_deriv * grid.helmholtz_inv_multiplier[:m]
-        self.A, self.B = 0.5 * (band_deriv + b * nonlocal_), (0.5 * (3.0 - b)) * nonlocal_
-        spectra = self.spectra = np.empty((2, n // 2 + 1), dtype=complex)
-        fields = self.fields = np.empty((2, n))
-        self.squares = np.empty((2, n))
+        self.A = 0.5 * (band_deriv + b * nonlocal_)
+        self.B = None if rows == 1 else (0.5 * (3.0 - b)) * nonlocal_
+        spectra = self.spectra = np.empty((rows, n // 2 + 1), dtype=complex)
+        fields = self.fields = np.empty((rows, n))
+        self.squares = np.empty((rows, n))
         products = self.product_spectra = np.empty_like(spectra)
-        self.stage, self._stage_deriv = spectra[0, :m], spectra[1, :m]
-        self._square_band, self._dsquare_band = products[0, :m], products[1, :m]
+        self.stage, self._square_band = spectra[0, :m], products[0, :m]
         _rfft(u.samples, spectra[0])
-        np.multiply(deriv, spectra[0], out=spectra[1])
         fields[0] = u.samples
-        _irfft(spectra[1], fields[1])
+        if rows == 2:
+            self._stage_deriv, self._dsquare_band = spectra[1, :m], products[1, :m]
+            np.multiply(deriv, spectra[0], out=spectra[1])
+            _irfft(spectra[1], fields[1])
 
     def load(self, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """The samples [f, f_x] of a new `stage`, from `spectra`, written into
-        `out`, a (2, N) array that defaults to `fields`; returns `out`.
+        """The samples [f, f_x] ([f] at b = 3) of a new `stage`, from
+        `spectra`, written into `out`, an array shaped like `fields` that
+        defaults to `fields`; returns `out`.
 
         A caller that keeps every loaded stage, as the Taylor recursion keeps
         each c_k and d_x c_k, passes the row it keeps them in."""
-        np.multiply(self._band_deriv, self.stage, out=self._stage_deriv)
+        if self.B is not None:
+            np.multiply(self._band_deriv, self.stage, out=self._stage_deriv)
         return _irfft(self.spectra, self.fields if out is None else out)
 
 
 def _rhs_from_products(op: _Operator, squares: np.ndarray, band: np.ndarray) -> np.ndarray:
     """Write the band of -F, A rfft(squares[0]) + B rfft(squares[1]), into
     `band` and return it; row 1 of `op.product_spectra` serves as work space.
+    At b = 3 `squares` has one row and the band is A rfft(squares[0]).
     The irfft of -band to N points zero-pads it back to the samples of F."""
     _rfft(squares, op.product_spectra)
     np.multiply(op.A, op._square_band, out=band)
+    if op.B is None:
+        return band
     dsquare = np.multiply(op.B, op._dsquare_band, out=op._dsquare_band)
     return np.add(band, dsquare, out=band)
 

@@ -11,14 +11,16 @@ there) and the band of rfft(u) for the state. An RK4 stage writes its band
 into the operator's stage, loads the fields u and u_x with one stacked
 irfft, squares them, and combines the squares into its band of -F with one
 stacked rfft. Stage 1 reuses the fields that closed the previous step, so a
-step is 16 real transforms in 8 kernel calls. Only the dealiased band
-moves; modes above the cutoff keep their initial values. One reading per
-step, peak = max|u|, feeds the blow-up test and the next CFL step.
+step is 16 real transforms in 8 kernel calls. At b = 3 the operator holds
+u alone, with no u_x row, and a step is 8 real transforms in 8 calls. Only
+the dealiased band moves; modes above the cutoff keep their initial values.
+One reading per step, peak = max|u|, feeds the blow-up test and the next
+CFL step.
 
 A step allocates no array: every band operation writes with out= into the
-march's work arrays, 41 numpy calls per step, 8 of them FFTs. The step's
-coefficients and the constant 2 are read through complex 0-d views of one
-work array, so no band operation converts a Python float.
+march's work arrays, 41 numpy calls per step (29 at b = 3), 8 of them FFTs.
+The step's coefficients and the constant 2 are read through complex 0-d
+views of one work array, so no band operation converts a Python float.
 """
 
 from __future__ import annotations
@@ -104,7 +106,8 @@ class _March:
 
     `op` is the march's operator: its stage band is rewritten every stage,
     its modes above the band are those of the initial state, which never
-    change, and after a step its fields hold u and u_x of the new state.
+    change, and after a step its fields hold u and u_x (u alone at b = 3)
+    of the new state.
     `u_hat` is the band of rfft(u) for the state. `bands` rows 0..3 receive
     the stages' bands of -F (k1..k4 negated) and row 4 is band work space.
     `peak` is max|u| of the state.
@@ -200,9 +203,11 @@ def _sample_times(cfg: EvolveConfig) -> list:
 
 
 def _check_sign_certificate(u0: RealField) -> bool:
+    """True when the momentum of u0 keeps one sign on the grid, up to
+    SIGN_TOL * max|m|, relative at every amplitude; m = 0 passes."""
     m = momentum(u0).samples
     m_min, m_max = float(np.min(m)), float(np.max(m))
-    scale = max(abs(m_min), abs(m_max), 1.0)
+    scale = max(abs(m_min), abs(m_max))
     return m_min >= -SIGN_TOL * scale or m_max <= SIGN_TOL * scale
 
 

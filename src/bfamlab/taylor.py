@@ -23,9 +23,11 @@ linear, so it gives half the band of -F, and dividing that band by
 is the band the doubled sums would give, bit for bit. The operator then
 loads c_{k+1} and d_x c_{k+1} straight into row k + 1 of the store: an
 order costs four real FFTs in two stacked kernel calls, with d_x c_{k+1}
-never round-tripping through the samples. The series gets c_1 .. c_K as
-rows of their own block, allocated before the store and filled with one
-copy, so it keeps none of the derivative rows alive.
+never round-tripping through the samples. At b = 3 the operator holds one
+row, so row k is c_k alone, N wide: an order is one Cauchy sum and two
+real FFTs in two kernel calls. The series gets c_1 .. c_K as rows of their
+own block, allocated before the store and filled with one copy, so it keeps
+none of the derivative rows alive.
 
 The temporal radius of convergence is estimated by a root test on the
 coefficient norms of the tail half, once per series. Every coefficient norm
@@ -111,15 +113,16 @@ def taylor_coeffs(u0: RealField, b: float, order: int) -> TaylorSeries:
     op = _Operator(u0, b)
     # c_{k+1} has no modes above the band
     op.spectra[:, m:] = 0.0
-    stage, sums = op.stage, op.squares.reshape(2 * n)
+    stage, sums = op.stage, op.squares.reshape(-1)
     # orders load into the store, so the fields are free work space
-    work = op.fields.reshape(2 * n)
+    work = op.fields.reshape(-1)
     # c_1 .. c_K for the series, allocated first so that the store above it
     # is released whole on return
     coeffs = np.empty((order, n))
-    store = np.empty((order + 1, 2, n))  # d_x c_order comes with c_order, unused
+    # row k holds c_k and d_x c_k (c_k alone at b = 3); d_x c_order is unused
+    store = np.empty((order + 1,) + op.fields.shape)
     store[0] = op.fields
-    rows = store.reshape(order + 1, 2 * n)
+    rows = store.reshape(order + 1, -1)
     kept = order
     for k in range(order):
         pairs = (k + 1) // 2  # index pairs i < k - i

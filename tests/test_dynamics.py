@@ -112,10 +112,13 @@ class TestCombine:
 
     @pytest.mark.parametrize("b", B_VALUES)
     def test_band_matches_reference(self, random_field, b):
+        # the operator takes the rows it holds, [u^2] alone at b = 3; the
+        # reference takes both squares at every b
         grid = random_field.grid
         squares = self.squares(random_field.samples, grid.box_length)
         band = np.empty(grid.band_size, dtype=complex)
-        _rhs_from_products(_Operator(random_field, b), squares, band)
+        op = _Operator(random_field, b)
+        _rhs_from_products(op, squares[: len(op.squares)], band)
         expected = conservative_band(*squares, b, grid.box_length)
         assert np.max(np.abs(band - expected[: grid.band_size])) <= 1e-14 * np.max(np.abs(expected))
 
@@ -133,9 +136,12 @@ class TestCombine:
         squares = self.squares(random_field.samples, grid.box_length)
         op = _Operator(random_field, b)
         band = np.empty(m, dtype=complex)
-        assert _rhs_from_products(op, squares, band) is band
+        assert _rhs_from_products(op, squares[: len(op.squares)], band) is band
         spectra = np.fft.rfft(squares)
-        assert band.tobytes() == (op.A * spectra[0, :m] + op.B * spectra[1, :m]).tobytes()
+        expected = op.A * spectra[0, :m]
+        if op.B is not None:
+            expected = expected + op.B * spectra[1, :m]
+        assert band.tobytes() == expected.tobytes()
         # rhs_F is the irfft of -band
         n = grid.n_points
         assert np.array_equal(np.fft.irfft(-band, n), rhs_F(random_field, b).samples)
@@ -146,10 +152,10 @@ class TestCombine:
         # entry is zero whatever the squares
         grid = random_field.grid
         op = _Operator(random_field, b)
-        assert op.A[0] == 0.0 and op.B[0] == 0.0
+        assert op.A[0] == 0.0 and (op.B is None or op.B[0] == 0.0)
         squares = self.squares(random_field.samples + 2.5, grid.box_length)
         band = np.empty(grid.band_size, dtype=complex)
-        assert _rhs_from_products(op, squares, band)[0] == 0.0
+        assert _rhs_from_products(op, squares[: len(op.squares)], band)[0] == 0.0
 
     @pytest.mark.parametrize("b", [-1.0, 2.0, 3.0])
     def test_march_keeps_mean_mode(self, random_field, b):
@@ -162,6 +168,52 @@ class TestCombine:
             march.step(1e-3)
         assert march.u_hat[0].tobytes() == mean
         assert np.max(np.abs(march.state().samples - u.samples)) > 1e-6
+
+
+class TestRowCount:
+    """At b = 3 the u_x^2 multiplier B is zero and the operator holds one row."""
+
+    @pytest.mark.parametrize("b", [2.0, np.nextafter(3.0, 2.0), np.nextafter(3.0, 4.0)])
+    def test_two_rows_away_from_b3(self, random_field, b):
+        op = _Operator(random_field, b)
+        n = random_field.grid.n_points
+        assert op.B is not None
+        assert op.fields.shape == op.squares.shape == (2, n)
+        assert op.spectra.shape == op.product_spectra.shape == (2, n // 2 + 1)
+
+    @pytest.mark.parametrize("b", [3.0, 3, np.float64(3.0)], ids=["float", "int", "float64"])
+    def test_one_row_at_b3(self, random_field, b):
+        op = _Operator(random_field, b)
+        n = random_field.grid.n_points
+        assert op.B is None
+        assert op.fields.shape == op.squares.shape == (1, n)
+        assert op.spectra.shape == op.product_spectra.shape == (1, n // 2 + 1)
+        assert op.fields[0].tobytes() == random_field.samples.tobytes()
+        # load() refreshes u alone from the stage
+        op.stage[:] = np.fft.rfft(2.0 * random_field.samples)[: random_field.grid.band_size]
+        np.testing.assert_allclose(op.load()[0], 2.0 * random_field.samples, rtol=0, atol=1e-13)
+
+    def test_rhs_next_to_b3_agrees_with_b3(self, random_field):
+        # the smallest b above 3 keeps the u_x^2 row, whose multiplier is
+        # then about 1e-16: F moves by round-off only
+        b = np.nextafter(3.0, 4.0)
+        assert _Operator(random_field, b).B is not None
+        at_b3 = rhs_F(random_field, 3.0).samples
+        gap = np.max(np.abs(rhs_F(random_field, b).samples - at_b3))
+        assert gap <= 1e-14 * np.max(np.abs(at_b3))
+
+    def test_band_equals_the_two_row_formula(self, random_field):
+        # the one-row combine is the two-row one, with B formed at b = 3,
+        # value for value
+        grid, b = random_field.grid, 3.0
+        m = grid.band_size
+        op = _Operator(random_field, b)
+        squares = TestCombine.squares(random_field.samples, grid.box_length)
+        band = _rhs_from_products(op, squares[:1], np.empty(m, dtype=complex))
+        spectra = np.fft.rfft(squares)
+        nonlocal_ = grid.half_deriv_multiplier[:m] * grid.helmholtz_inv_multiplier[:m]
+        B = (0.5 * (3.0 - b)) * nonlocal_
+        assert np.array_equal(band, op.A * spectra[0, :m] + B * spectra[1, :m])
 
 
 class TestMomentum:

@@ -177,6 +177,23 @@ class TestFftBudget:
         rhs_F(u, 2.0)
         assert fft_counts == {"real": 5, "complex": 0, "calls": 4, "combine": 1}
 
+    def test_rk4_step_budget_at_b3(self, u, fft_counts):
+        # at b = 3 the operator holds u alone: rfft(u) to start the march,
+        # then one 8-transform step
+        rk4_step(u, 0.01, 3.0)
+        assert fft_counts == {"real": 9, "complex": 0, "calls": 9, "combine": 4}
+
+    def test_run_step_budget_at_b3(self, u, fft_counts):
+        cfg = EvolveConfig(b=3.0, t_final=0.1, dt_max=0.01, sample_interval=0.05)
+        traj = run(u, cfg)
+        assert traj.steps == 10
+        # 1 transform starts the march; each step is 8 in 8
+        assert fft_counts == {"real": 1 + 8 * 10, "complex": 0, "calls": 1 + 8 * 10, "combine": 4 * 10}
+
+    def test_rhs_budget_at_b3(self, u, fft_counts):
+        rhs_F(u, 3.0)
+        assert fft_counts == {"real": 3, "complex": 0, "calls": 3, "combine": 1}
+
     def test_sign_certificate_budget(self, u, fft_counts):
         # both extremes of the verdict come from one momentum field
         evolve._check_sign_certificate(u)
@@ -253,21 +270,31 @@ class TestStepArithmetic:
         assert np.all(np.isfinite(fields))
         assert np.max(np.abs(fields[0] - u0.samples)) > 1e-3
         assert march.u_hat.tobytes() == u_hat.tobytes()
-        assert march.op.fields.tobytes() == fields.tobytes()
+        # at b = 3 the march holds u alone: the reference's u_x row, whose
+        # u_x^2 term it multiplies by zero, has no counterpart
+        assert march.op.fields.tobytes() == fields[: len(march.op.fields)].tobytes()
 
 
 class TestStepCalls:
-    def test_step_makes_at_most_41_numpy_calls(self, monkeypatch):
+    @staticmethod
+    def step_calls(monkeypatch, b):
         # every numpy function, ufunc and ufunc method the step and its
         # combines call, and the 8 pocketfft kernel calls
         grid = make_grid(256, 80.0)
-        march = evolve._March(RealField(grid, np.exp(-(((grid.x - 40.0) / 3.0) ** 2))), 2.0, 1e6)
+        march = evolve._March(RealField(grid, np.exp(-(((grid.x - 40.0) / 3.0) ** 2))), b, 1e6)
         tally = {"calls": 0}
         for module in (evolve, dynamics):
             monkeypatch.setattr(module, "np", _CountingProxy(np, tally))
         monkeypatch.setattr(grid_module, "_pocketfft", _CountingProxy(grid_module._pocketfft, tally))
         march.step(0.01)
-        assert 0 < tally["calls"] <= 41
+        return tally["calls"]
+
+    def test_step_makes_at_most_41_numpy_calls(self, monkeypatch):
+        assert 0 < self.step_calls(monkeypatch, 2.0) <= 41
+
+    def test_degasperis_procesi_step_makes_at_most_29_numpy_calls(self, monkeypatch):
+        # no u_x row: no derivative multiply in a load, no u_x^2 product or add
+        assert 0 < self.step_calls(monkeypatch, 3.0) <= 29
 
 
 class TestStepAllocation:
@@ -360,6 +387,22 @@ class TestRun:
         )
         with pytest.raises(ConfigurationError):
             run(u0, cfg)
+
+    def test_sign_certificate_is_relative_below_unit_momentum(self):
+        # momentum 2e-11 sin x changes sign however small it is; the
+        # tolerance scales with max|m| alone
+        grid = make_grid(128, 2 * np.pi)
+        cfg = EvolveConfig(
+            b=2.0, t_final=0.1, dt_max=0.01, sample_interval=0.1,
+            require_sign_certificate=True,
+        )
+        u0 = RealField(grid, 1e-11 * np.sin(grid.x))
+        assert not evolve._check_sign_certificate(u0)
+        with pytest.raises(ConfigurationError):
+            run(u0, cfg)
+        # a small one-signed momentum and m = 0 still pass
+        assert evolve._check_sign_certificate(RealField(grid, 1e-11 * (3.0 + np.sin(grid.x))))
+        assert evolve._check_sign_certificate(RealField(grid, np.zeros(128)))
 
     def test_sign_certificate_accepts_bump(self):
         u0 = bump_datum(n=128)

@@ -222,6 +222,12 @@ class TestFftBudget:
         assert taylor_coeffs(u, 2.0, order).order == order
         assert fft_counts == {"real": 4 * order + 2, "complex": 0, "calls": 2 * order + 2, "combine": order}
 
+    @pytest.mark.parametrize("order", [1, 2, 16])
+    def test_coeffs_budget_at_b3(self, u, fft_counts, order):
+        # rfft(c_0), then 2 per order: at b = 3 no d_x c_k is formed
+        assert taylor_coeffs(u, 3.0, order).order == order
+        assert fft_counts == {"real": 2 * order + 1, "complex": 0, "calls": 2 * order + 1, "combine": order}
+
     def test_eval_reuses_radius(self, u, fft_counts):
         series = taylor_coeffs(u, 2.0, 8)
         radius = time_radius_estimate(series)
