@@ -135,10 +135,11 @@ def _cmd_taylor(args) -> int:
     lines.append(f"temporal radius estimate = {rho:.6g}")
     t_check = 0.05 if math.isinf(rho) else min(rho / 4.0, 0.05)
     if t_check > 0:
+        # RK4: the default stepper sums this same series, so it checks nothing
         stepper_cfg = evolve.EvolveConfig(
             b=cfg.evolve.b, t_final=t_check, dt_max=t_check / 2000.0,
             sample_interval=t_check, cfl_safety=1.0,
-            blowup_threshold=cfg.evolve.blowup_threshold,
+            blowup_threshold=cfg.evolve.blowup_threshold, stepper="rk4",
         )
         endpoint = evolve.run(u0, stepper_cfg).final_state
         series_end = taylor.taylor_eval(series, t_check)

@@ -1,26 +1,47 @@
-"""Explicit RK4 time marching with CFL step control and sampled states.
+"""Time marching by the time-Taylor series or by RK4, with sampled states.
 
-The nonlocal term's multiplier |xi|/(1+xi^2) is bounded by 1/2, so advection
-dominates stability and an advective CFL condition suffices for the explicit
-stepper. Steps are clipped to land exactly on each sample time, so a run keeps
-the state at each sample time without interpolation; every per-sample reading
-is taken from those states after the march (`scenarios.compute_diagnostics`).
+`run` is the one driver: it clips every step to land exactly on each sample
+time, so a run keeps the state at each sample time without interpolation,
+counts the steps in the `Trajectory`, refuses a step that does not advance t
+and diagnoses a blow-up. It drives one of two steppers, chosen by
+`EvolveConfig.stepper`, and both answer the same three calls: `propose(cfg)`
+gives the step the stepper would take from its state, `step(dt)` advances the
+state by dt, and `state()` gives it. Every per-sample reading is taken from
+the sampled states after the march (`scenarios.compute_diagnostics`).
 
-A march holds one `dynamics._Operator` (the stage layout is described
-there) and the band of rfft(u) for the state. An RK4 stage writes its band
-into the operator's stage, loads the fields u and u_x with one stacked
-irfft, squares them, and combines the squares into its band of -F with one
-stacked rfft. Stage 1 reuses the fields that closed the previous step, so a
-step is 16 real transforms in 8 kernel calls. At b = 3 the operator holds
-u alone, with no u_x row, and a step is 8 real transforms in 8 calls. Only
-the dealiased band moves; modes above the cutoff keep their initial values.
-One reading per step, peak = max|u|, feeds the blow-up test and the next
-CFL step.
+The default stepper, `taylor`, sums the local power series of the solution
+(`taylor`). Each step builds c_0 .. c_K of the state, K = TAYLOR_ORDER, and
+proposes h = min over j in {K-1, K} of (TAYLOR_TOL |u| / |c_j|)^{1/j}, every
+norm `taylor._l2_norm` (Jorba and Zou, Experiment. Math. 14, 2005); the new
+state is the series summed at the clipped h in Horner form. A series the
+recursion cut at COEFF_SUP_CAP steps with the order it has, and one cut below
+order 2 is a blow-up. Where every tail coefficient vanishes, h is infinite
+and the step lands on the next sample time. A step costs the K orders of the
+recursion: 4K + 2 real transforms in 2K + 2 kernel calls, 2K + 1 in 2K + 1
+at b = 3.
 
-A step allocates no array: every band operation writes with out= into the
-march's work arrays, 41 numpy calls per step (29 at b = 3), 8 of them FFTs.
-The step's coefficients and the constant 2 are read through complex 0-d
-views of one work array, so no band operation converts a Python float.
+The `rk4` stepper is explicit RK4 with advective CFL step control. The
+nonlocal term's multiplier |xi|/(1+xi^2) is bounded by 1/2, so advection
+dominates stability and an advective CFL condition suffices; `dt_max` and
+`cfl_safety` bound its steps, and only its steps. Its march holds one
+`dynamics._Operator` (the stage layout is described there) and the band of
+rfft(u) for the state. An RK4 stage writes its band into the operator's
+stage, loads the fields u and u_x with one stacked irfft, squares them, and
+combines the squares into its band of -F with one stacked rfft. Stage 1
+reuses the fields that closed the previous step, so a step is 16 real
+transforms in 8 kernel calls. At b = 3 the operator holds u alone, with no
+u_x row, and a step is 8 real transforms in 8 calls.
+
+Only the dealiased band moves: under RK4 the modes above the cutoff keep
+their initial values exactly, and under the series, whose c_1 .. c_K have
+no modes there, up to the round-off of the Horner sum on the samples. One
+reading per step, peak = max|u|, feeds the blow-up test and, under RK4, the
+next CFL step.
+
+An RK4 step allocates no array: every band operation writes with out= into
+the march's work arrays, 41 numpy calls per step (29 at b = 3), 8 of them
+FFTs. The step's coefficients and the constant 2 are read through complex
+0-d views of one work array, so no band operation converts a Python float.
 """
 
 from __future__ import annotations
@@ -33,10 +54,14 @@ import numpy as np
 
 from .dynamics import _Operator, _rhs_from_products, momentum
 from .errors import BlowupError, ConfigurationError, require_finite
-from .grid import RealField
+from .grid import RealField, _finite_field
+from .taylor import COEFF_SUP_CAP, _horner, _l2_norm, _recursion
 
 SIGN_TOL = 1e-10
 _VELOCITY_FLOOR = 1e-8
+STEPPERS = ("taylor", "rk4")
+TAYLOR_ORDER = 16
+TAYLOR_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -48,6 +73,7 @@ class EvolveConfig:
     cfl_safety: float = 0.2
     blowup_threshold: float = 1e6
     require_sign_certificate: bool = False
+    stepper: str = "taylor"
 
     def __post_init__(self):
         for name in ("b", "t_final", "dt_max", "sample_interval", "blowup_threshold"):
@@ -66,6 +92,10 @@ class EvolveConfig:
             )
         if self.blowup_threshold <= 0:
             raise ConfigurationError("blowup_threshold must be positive")
+        if self.stepper not in STEPPERS:
+            raise ConfigurationError(
+                f"stepper must be one of {STEPPERS}, got {self.stepper!r}"
+            )
 
 
 @dataclass
@@ -74,9 +104,9 @@ class Trajectory:
 
     snapshots[i] is (t_i, field) with strictly increasing t_i, starting at the
     initial datum, and dt_used[i] is the size of the step that landed on t_i
-    (0 for the initial datum). steps counts the completed RK4 steps, and
-    dt_min and dt_max are the smallest and largest of their step sizes (None
-    before the first step).
+    (0 for the initial datum). steps counts the completed steps of the
+    stepper, series steps or RK4 steps, and dt_min and dt_max are the
+    smallest and largest of their sizes (None before the first step).
     """
 
     b: float
@@ -99,6 +129,18 @@ class Trajectory:
 def _cfl_step(peak: float, dx: float, cfg: EvolveConfig) -> float:
     """dt = min(dt_max, cfl_safety * dx / max(peak, velocity floor))."""
     return min(cfg.dt_max, cfg.cfl_safety * dx / max(peak, _VELOCITY_FLOOR))
+
+
+def _checked_peak(peak: float, blowup_threshold: float, stepper: str) -> float:
+    """peak, unless it exceeds blowup_threshold, which a NaN peak does too:
+    then BlowupError."""
+    if not peak <= blowup_threshold:
+        raise BlowupError(
+            f"sup norm {peak:.3e} exceeded blow-up threshold {blowup_threshold:.3e}"
+            if math.isfinite(peak)
+            else f"non-finite state after {stepper} step: field samples are not all finite"
+        )
+    return peak
 
 
 class _March:
@@ -126,6 +168,10 @@ class _March:
         self._stages = tuple((c[i], k[i], k[i + 1]) for i in range(3))
         self._k, self._middle, self._work = k[:4], k[1:3], k[4]
         self.peak = float(np.max(np.abs(u.samples)))
+
+    def propose(self, cfg: EvolveConfig) -> float:
+        """The CFL step of the state, bounded by dt_max."""
+        return _cfl_step(self.peak, self.grid.dx, cfg)
 
     def state(self) -> RealField:
         """The current state, with samples of its own (the work arrays are reused)."""
@@ -165,13 +211,52 @@ class _March:
         np.copyto(stage, u_hat)
         load()
         peak = float(np.maximum.reduce(np.abs(fields[0], out=squares[0])))
-        if not peak <= self.blowup_threshold:
+        self.peak = _checked_peak(peak, self.blowup_threshold, "RK4")
+
+
+class _TaylorMarch:
+    """The carried state of a time-Taylor march (module docstring).
+
+    `u` holds the samples of the state, at first the datum's; a step replaces
+    it with a new array and never writes into one. `coeffs` holds c_1 .. c_K
+    of the series `propose` built at the state.
+    """
+
+    def __init__(self, u: RealField, b: float, blowup_threshold: float):
+        self.grid, self.b, self.blowup_threshold = u.grid, b, blowup_threshold
+        self.u, self.coeffs = u.samples, None
+
+    def propose(self, cfg: EvolveConfig) -> float:
+        """Build the series of the state and return its step h (inf when
+        c_{K-1} and c_K both vanish); cfg's dt_max and cfl_safety bound RK4
+        steps only. Raises BlowupError when the series is cut below order 2."""
+        coeffs, sup = _recursion(_finite_field(self.grid, self.u), self.b, TAYLOR_ORDER)
+        order = len(coeffs)
+        if order < 2:
             raise BlowupError(
-                f"sup norm {peak:.3e} exceeded blow-up threshold {self.blowup_threshold:.3e}"
-                if math.isfinite(peak)
-                else "non-finite state after RK4 step: field samples are not all finite"
+                f"the Taylor series of the state stops at order {order}: c_{order + 1} "
+                f"has sup norm {sup:.3e}, above the cap {COEFF_SUP_CAP:.0e}, so the "
+                "temporal radius is effectively zero at this resolution"
             )
-        self.peak = peak
+        dx = self.grid.dx
+        size, h = _l2_norm(self.u, dx), math.inf
+        for j in (order - 1, order):
+            norm = _l2_norm(coeffs[j - 1], dx)
+            if norm > 0.0:
+                h = min(h, (TAYLOR_TOL * size / norm) ** (1.0 / j))
+        self.coeffs = coeffs
+        return h
+
+    def step(self, dt: float) -> None:
+        """Advance the state to the series of the last `propose` summed at dt.
+        Raises BlowupError unless the new peak is at most blowup_threshold."""
+        u = _horner([self.u, *self.coeffs], dt)
+        _checked_peak(float(np.max(np.abs(u))), self.blowup_threshold, "Taylor")
+        self.u = u
+
+    def state(self) -> RealField:
+        """The current state (finite: its peak passed the blow-up test)."""
+        return _finite_field(self.grid, self.u)
 
 
 def rk4_step(
@@ -215,8 +300,9 @@ def run(u0: RealField, cfg: EvolveConfig) -> Trajectory:
     """March from 0 to t_final, recording a snapshot at t = 0 and every
     sample_interval (plus t_final itself).
 
-    Deterministic for a given (u0, cfg). On blow-up the partial trajectory
-    and abort time are attached to the raised BlowupError.
+    Deterministic for a given (u0, cfg). On blow-up, and on a proposed step
+    that does not advance t, the partial trajectory and abort time are
+    attached to the raised BlowupError.
     """
     if cfg.require_sign_certificate and not _check_sign_certificate(u0):
         raise ConfigurationError(
@@ -231,19 +317,22 @@ def run(u0: RealField, cfg: EvolveConfig) -> Trajectory:
         traj.dt_used.append(dt_used)
 
     record(0.0, u0, 0.0)
-    march = _March(u0, cfg.b, cfg.blowup_threshold)
+    stepper = _TaylorMarch if cfg.stepper == "taylor" else _March
+    march = stepper(u0, cfg.b, cfg.blowup_threshold)
     t = 0.0
     eps = 1e-12 * max(1.0, cfg.t_final)
     for t_target in _sample_times(cfg):
         dt = 0.0
         while t_target - t > eps:
-            dt_cfl = _cfl_step(march.peak, u0.grid.dx, cfg)
-            remaining = t_target - t
-            if dt_cfl >= remaining - eps:
-                dt, t_next = remaining, t_target
-            else:
-                dt, t_next = dt_cfl, t + dt_cfl
             try:
+                proposed = march.propose(cfg)
+                remaining = t_target - t
+                if proposed >= remaining - eps:
+                    dt, t_next = remaining, t_target
+                else:
+                    dt, t_next = proposed, t + proposed
+                if not t_next > t:
+                    raise BlowupError(f"the proposed step {proposed:.3e} does not advance t")
                 march.step(dt)
             except BlowupError as err:
                 raise _diagnose_blowup(err, u0, t, traj) from err

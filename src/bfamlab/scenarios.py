@@ -223,6 +223,7 @@ CONFIG_SCHEMA = (
     ConfigKey("run", "cfl_safety", "evolve", "cfl_safety", float),
     ConfigKey("run", "blowup_threshold", "evolve", "blowup_threshold", float),
     ConfigKey("run", "require_sign_certificate", "evolve", "require_sign_certificate", bool),
+    ConfigKey("run", "stepper", "evolve", "stepper", str),
     ConfigKey("init", "family", "init", "family", str, _REQUIRED),
     ConfigKey("init", "amplitude", "init", "amplitude", float),
     ConfigKey("init", "width", "init", "width", float),
@@ -514,6 +515,7 @@ def run_scenario(cfg: RunConfig) -> ScenarioResult:
             "versions": {"bfamlab": __version__, "numpy": np.__version__,
                          "python": platform.python_version()},
             "config_sha256": config_sha256,
+            "stepper": cfg.evolve.stepper,
         }
         if trajectory is not None:
             manifest.update(steps=trajectory.steps, dt_min=trajectory.dt_min,

@@ -29,11 +29,17 @@ real FFTs in two kernel calls. The series gets c_1 .. c_K as rows of their
 own block, allocated before the store and filled with one copy, so it keeps
 none of the derivative rows alive.
 
+The recursion itself, `_recursion`, stops at the first coefficient that is
+not finite or exceeds COEFF_SUP_CAP and neither warns nor raises:
+`taylor_coeffs` warns or raises there, and the Taylor march of `evolve`,
+which builds the series of every state, steps with the order it has.
+
 The temporal radius of convergence is estimated by a root test on the
 coefficient norms of the tail half, once per series. Every coefficient norm
-of this module and of `bfamlab taylor`, the radius's, the report's
-|c_k|_L2 lines and its stepper check, is `_l2_norm`: sqrt(dx sum_x f(x)^2)
-from the samples, by discrete Parseval, with no FFT.
+of this module, of `bfamlab taylor` and of the Taylor march, the radius's,
+the report's |c_k|_L2 lines, its check against RK4 and the march's step
+rule, is `_l2_norm`: sqrt(dx sum_x f(x)^2) from the samples, by discrete
+Parseval, with no FFT.
 """
 
 from __future__ import annotations
@@ -108,6 +114,32 @@ def taylor_coeffs(u0: RealField, b: float, order: int) -> TaylorSeries:
     rather than allowed to overflow.
     """
     require_integer("order", order, 1)
+    coeffs, sup = _recursion(u0, b, order)
+    kept = len(coeffs)
+    if sup is not None:
+        if not math.isfinite(sup):
+            raise NumericalError(
+                f"non-finite Taylor coefficient c_{kept + 1}; the temporal radius "
+                "is effectively zero at this resolution"
+            )
+        warnings.warn(
+            f"Taylor coefficient c_{kept + 1} reached sup norm {sup:.3e}; "
+            f"series truncated at order {kept} to avoid overflow noise",
+            stacklevel=2,
+        )
+    if kept < 1:
+        raise NumericalError("no usable Taylor coefficients beyond the datum")
+    # the recursion showed every kept row finite
+    grid = u0.grid
+    return TaylorSeries(b=b, coeffs=(u0,) + tuple(_finite_field(grid, c) for c in coeffs))
+
+
+def _recursion(u0: RealField, b: float, order: int) -> tuple:
+    """The samples of c_1 .. c_kept as the rows of one (kept, N) block, and
+    the sup norm of c_{kept + 1}, the first coefficient that is not finite or
+    exceeds COEFF_SUP_CAP, where the recursion stops (None when kept ==
+    order). It warns and raises nothing: `taylor_coeffs` and the Taylor
+    march of `evolve` each decide what a short series means."""
     grid = u0.grid
     n, m = grid.n_points, grid.band_size
     op = _Operator(u0, b)
@@ -123,7 +155,7 @@ def taylor_coeffs(u0: RealField, b: float, order: int) -> TaylorSeries:
     store = np.empty((order + 1,) + op.fields.shape)
     store[0] = op.fields
     rows = store.reshape(order + 1, -1)
-    kept = order
+    kept, sup = order, None
     for k in range(order):
         pairs = (k + 1) // 2  # index pairs i < k - i
         np.einsum("ij,ij->j", rows[:pairs], rows[k : k - pairs : -1], out=sums)
@@ -137,26 +169,13 @@ def taylor_coeffs(u0: RealField, b: float, order: int) -> TaylorSeries:
         _rhs_from_products(op, op.squares, stage)
         np.divide(stage, -(k + 1) / 2, out=stage)
         loaded = op.load(store[k + 1])
-        sup = float(np.maximum.reduce(np.abs(loaded[0], out=work[:n])))
-        if not math.isfinite(sup):
-            raise NumericalError(
-                f"non-finite Taylor coefficient c_{k + 1}; the temporal radius "
-                "is effectively zero at this resolution"
-            )
-        if sup > COEFF_SUP_CAP:
-            warnings.warn(
-                f"Taylor coefficient c_{k + 1} reached sup norm {sup:.3e}; "
-                f"series truncated at order {k} to avoid overflow noise",
-                stacklevel=2,
-            )
-            kept = k
+        peak = float(np.maximum.reduce(np.abs(loaded[0], out=work[:n])))
+        if not peak <= COEFF_SUP_CAP:
+            kept, sup = k, peak
             break
-    if kept < 1:
-        raise NumericalError("no usable Taylor coefficients beyond the datum")
     coeffs = coeffs[:kept]
     coeffs[:] = store[1 : kept + 1, 0]
-    # the sup check above showed every kept row finite
-    return TaylorSeries(b=b, coeffs=(u0,) + tuple(_finite_field(grid, c) for c in coeffs))
+    return coeffs, sup
 
 
 def taylor_eval(series: TaylorSeries, t: float) -> RealField:
@@ -173,11 +192,16 @@ def taylor_eval(series: TaylorSeries, t: float) -> RealField:
                 f"radius {radius:.4g}",
                 stacklevel=2,
             )
-    acc = series.coeffs[-1].samples.copy()
-    for c in series.coeffs[-2::-1]:
+    return RealField(series.grid, _horner([c.samples for c in series.coeffs], t))
+
+
+def _horner(rows, t: float) -> np.ndarray:
+    """sum_k rows[k] t^k in Horner form, as a new array."""
+    acc = rows[-1].copy()
+    for c in rows[-2::-1]:
         np.multiply(t, acc, out=acc)
-        np.add(c.samples, acc, out=acc)
-    return RealField(series.grid, acc)
+        np.add(c, acc, out=acc)
+    return acc
 
 
 def time_radius_estimate(series: TaylorSeries) -> float:

@@ -153,7 +153,8 @@ def test_criterion_06_taylor_stepper_equivalence():
     for b in (2.0, 3.0):
         series = taylor_coeffs(u0, b, 16)
         cfg = EvolveConfig(
-            b=b, t_final=t, dt_max=t / 2000, sample_interval=t, cfl_safety=1.0
+            b=b, t_final=t, dt_max=t / 2000, sample_interval=t, cfl_safety=1.0,
+            stepper="rk4",
         )
         endpoint = run(u0, cfg).final_state
         approx = taylor_eval(series, t)
@@ -166,7 +167,8 @@ def test_criterion_06_taylor_stepper_equivalence():
     s0 = initial_data("sine", {"amplitude": 1.0, "mode": 1}, sine_grid)
     sine_series = taylor_coeffs(s0, -1.0, 16)
     sine_taylor = float(np.max(np.abs(taylor_eval(sine_series, t).samples - s0.samples)))
-    cfg = EvolveConfig(b=-1.0, t_final=t, dt_max=t / 2000, sample_interval=t, cfl_safety=1.0)
+    cfg = EvolveConfig(b=-1.0, t_final=t, dt_max=t / 2000, sample_interval=t, cfl_safety=1.0,
+                       stepper="rk4")
     sine_stepper = float(np.max(np.abs(run(s0, cfg).final_state.samples - s0.samples)))
     ok = worst < 1e-8 and sine_taylor < 1e-12 and sine_stepper < 1e-12
     report(

@@ -157,10 +157,56 @@ class TestRunCommand:
         assert main(["run", "--config", str(path)]) == 2
         assert "blow-up" in capsys.readouterr().err
 
+    def test_taylor_blowup_exit_code(self, tmp_path, capsys):
+        # the default stepper: the first series step passes the threshold
+        text = CONFIG.replace("sample_interval = 0.1",
+                              "sample_interval = 0.1\nblowup_threshold = 0.01")
+        path = tmp_path / "blow.ini"
+        path.write_text(text.format(outdir=tmp_path / "out"))
+        assert main(["run", "--config", str(path)]) == 2
+        assert "exceeded blow-up threshold" in capsys.readouterr().err
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert (manifest["exit_status"], manifest["stepper"]) == (2, "taylor")
+
+    def test_cut_series_exit_code(self, tmp_path, capsys):
+        # c_1 of the 1e7 sech passes the coefficient cap: the series stops at
+        # order 0, with no warning printed
+        text = CONFIG.replace("amplitude = 0.25", "amplitude = 1e7")
+        path = tmp_path / "cut.ini"
+        path.write_text(text.format(outdir=tmp_path / "out"))
+        assert main(["run", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: aborted at t = 0: the Taylor series "
+                              "of the state stops at order 0")
+        assert "warning" not in err
+
+    def test_stalled_step_exit_code(self, tmp_path, capsys, monkeypatch):
+        # a step too small to move t ends the run instead of looping forever
+        propose, proposed = evolve._TaylorMarch.propose, []
+
+        def shrinking(march, cfg):  # the march's own first step, then 1e-300
+            proposed.append(propose(march, cfg) if not proposed else 1e-300)
+            return proposed[-1]
+
+        monkeypatch.setattr(evolve._TaylorMarch, "propose", shrinking)
+        text = CONFIG
+        path = tmp_path / "stall.ini"
+        path.write_text(text.format(outdir=tmp_path / "out"))
+        assert main(["run", "--config", str(path)]) == 2
+        assert "does not advance t" in capsys.readouterr().err
+
+    def test_unknown_stepper_exit_code(self, tmp_path, capsys):
+        text = CONFIG.replace("[run]", "[run]\nstepper = euler")
+        path = tmp_path / "euler.ini"
+        path.write_text(text.format(outdir=tmp_path / "out"))
+        assert main(["run", "--config", str(path)]) == 1
+        assert "stepper must be one of" in capsys.readouterr().err
+
     def test_non_finite_state_exit_code(self, tmp_path, capsys):
         # u^2 overflows in the first stage and the state turns NaN
         text = CONFIG.replace("amplitude = 0.25", "amplitude = 1e200").replace(
-            "sample_interval = 0.1", "sample_interval = 0.1\nblowup_threshold = 1e300")
+            "sample_interval = 0.1",
+            "sample_interval = 0.1\nblowup_threshold = 1e300\nstepper = rk4")
         path = tmp_path / "nan.ini"
         path.write_text(text.format(outdir=tmp_path / "out"))
         with np.errstate(over="ignore", invalid="ignore"):

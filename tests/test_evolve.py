@@ -1,4 +1,4 @@
-"""CFL control, RK4 stepping, blow-up handling, and conservation monitoring."""
+"""CFL control, RK4 and Taylor stepping, blow-up handling, and conservation monitoring."""
 
 import math
 import tracemalloc
@@ -18,8 +18,10 @@ from bfamlab import (
     rk4_step,
     run,
     sobolev_norm,
+    taylor_coeffs,
+    taylor_eval,
 )
-from bfamlab import dynamics, evolve
+from bfamlab import dynamics, evolve, taylor
 from bfamlab import grid as grid_module
 from bfamlab.scenarios import initial_data
 from conftest import fft_band, fft_frequencies
@@ -167,7 +169,8 @@ class TestFftBudget:
 
     def test_run_step_budget(self, u, fft_counts):
         # dt_max = 0.01 is far below the CFL step 0.2 dx / max|u| = 0.0625
-        cfg = EvolveConfig(b=2.0, t_final=0.1, dt_max=0.01, sample_interval=0.05)
+        cfg = EvolveConfig(b=2.0, t_final=0.1, dt_max=0.01, sample_interval=0.05,
+                           stepper="rk4")
         traj = run(u, cfg)
         assert traj.steps == 10
         # 2 transforms in 2 calls start the march; each step is 16 in 8
@@ -184,7 +187,8 @@ class TestFftBudget:
         assert fft_counts == {"real": 9, "complex": 0, "calls": 9, "combine": 4}
 
     def test_run_step_budget_at_b3(self, u, fft_counts):
-        cfg = EvolveConfig(b=3.0, t_final=0.1, dt_max=0.01, sample_interval=0.05)
+        cfg = EvolveConfig(b=3.0, t_final=0.1, dt_max=0.01, sample_interval=0.05,
+                           stepper="rk4")
         traj = run(u, cfg)
         assert traj.steps == 10
         # 1 transform starts the march; each step is 8 in 8
@@ -472,7 +476,7 @@ class TestRunMarch:
         grid = make_grid(64, 2 * np.pi)
         u0 = RealField(grid, 1e200 * np.sin(grid.x))
         cfg = EvolveConfig(b=2.0, t_final=1.0, dt_max=0.01, sample_interval=0.05,
-                           blowup_threshold=1e300)
+                           blowup_threshold=1e300, stepper="rk4")
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
             BlowupError, match="non-finite state after RK4 step"
         ) as excinfo:
@@ -485,7 +489,7 @@ class TestRunMarch:
     def test_abort_time_is_the_last_completed_step(self):
         u0 = bump_datum(n=256, amplitude=1.0, width=5.0)
         cfg = EvolveConfig(b=3.0, t_final=5.0, dt_max=0.02, sample_interval=0.5,
-                           blowup_threshold=1.2)
+                           blowup_threshold=1.2, stepper="rk4")
         with pytest.raises(BlowupError) as excinfo:
             run(u0, cfg)
         err = excinfo.value
@@ -498,7 +502,8 @@ class TestRunMarch:
     def test_matches_a_loop_of_rk4_step(self, monkeypatch):
         # CFL-limited: 0.2 dx / max|u| is about 0.08, below dt_max
         u0 = bump_datum(n=256, amplitude=0.8, width=5.0)
-        cfg = EvolveConfig(b=2.0, t_final=1.0, dt_max=0.2, sample_interval=0.25)
+        cfg = EvolveConfig(b=2.0, t_final=1.0, dt_max=0.2, sample_interval=0.25,
+                           stepper="rk4")
         dts = []
         step = evolve._March.step
 
@@ -518,7 +523,8 @@ class TestRunMarch:
     def test_steps_and_dt_range_recorded(self):
         # dt_max = 0.01 is far below the CFL step 0.2 dx / max|u| ~ 0.25
         u0 = bump_datum(n=128)
-        cfg = EvolveConfig(b=2.0, t_final=1.0, dt_max=0.01, sample_interval=0.5)
+        cfg = EvolveConfig(b=2.0, t_final=1.0, dt_max=0.01, sample_interval=0.5,
+                           stepper="rk4")
         traj = run(u0, cfg)
         assert traj.steps == math.ceil(cfg.t_final / cfg.dt_max)
         assert traj.dt_max == pytest.approx(cfg.dt_max, rel=1e-9)
@@ -535,6 +541,210 @@ class TestRunMarch:
         states = [u.samples for _, u in run(u0, cfg).snapshots]
         assert all(not np.shares_memory(a, b) for i, a in enumerate(states) for b in states[i + 1:])
         assert all(np.max(np.abs(a - b)) > 0 for a, b in zip(states, states[1:]))
+
+
+class TestTaylorMarch:
+    """run's default stepper: the time-Taylor series of each state, summed at
+    a step from its last two coefficients, clipped to the sample times."""
+
+    def test_taylor_is_the_default(self):
+        cfg = EvolveConfig(b=2.0, t_final=1.0, dt_max=0.01, sample_interval=0.5)
+        assert cfg.stepper == "taylor"
+
+    @pytest.mark.parametrize("stepper", ["Taylor", "rk2", ""])
+    def test_unknown_stepper_rejected(self, stepper):
+        with pytest.raises(ConfigurationError, match="stepper must be one of"):
+            EvolveConfig(b=2.0, t_final=1.0, dt_max=0.01, sample_interval=0.5, stepper=stepper)
+
+    def test_sample_times_and_dt_used_exact(self, monkeypatch):
+        u0 = bump_datum(n=128)
+        cfg = EvolveConfig(b=2.0, t_final=0.9, dt_max=0.02, sample_interval=0.4)
+        dts, step = [], evolve._TaylorMarch.step
+
+        def logged(march, dt):
+            dts.append(dt)
+            return step(march, dt)
+
+        monkeypatch.setattr(evolve._TaylorMarch, "step", logged)
+        traj = run(u0, cfg)
+        # clipping lands each sample on its time exactly
+        assert [t for t, _ in traj.snapshots] == [0.0, 0.4, 0.8, 0.9]
+        assert traj.steps == len(dts)
+        assert (traj.dt_min, traj.dt_max) == (min(dts), max(dts))
+        # dt_used is the step that landed on the sample, and the steps of
+        # each interval add up to it
+        t, landed = 0.0, []
+        for dt in dts:
+            t += dt
+            if any(abs(t - t_s) < 1e-12 for t_s, _ in traj.snapshots[1:]):
+                landed.append(dt)
+        assert traj.dt_used == [0.0] + landed
+        # the series' steps are far longer than dt_max allows RK4
+        assert traj.dt_max > 10 * cfg.dt_max
+
+    def test_step_rule(self):
+        # h = min over j in {K-1, K} of (tol |u| / |c_j|)^{1/j}, every norm _l2_norm
+        u0 = bump_datum(n=256)
+        cfg = EvolveConfig(b=2.0, t_final=1.0, dt_max=0.01, sample_interval=1.0)
+        march = evolve._TaylorMarch(u0, 2.0, 1e6)
+        h = march.propose(cfg)
+        series = taylor_coeffs(u0, 2.0, evolve.TAYLOR_ORDER)
+        dx = u0.grid.dx
+        size = taylor._l2_norm(u0.samples, dx)
+        expected = min(
+            (evolve.TAYLOR_TOL * size / taylor._l2_norm(series.coeffs[j].samples, dx)) ** (1.0 / j)
+            for j in (evolve.TAYLOR_ORDER - 1, evolve.TAYLOR_ORDER)
+        )
+        assert h == expected
+        march.step(0.5 * h)
+        assert march.state().samples.tobytes() == taylor_eval(series, 0.5 * h).samples.tobytes()
+
+    @pytest.mark.parametrize("b", [-1.0, 0.0, 2.0, 3.0])
+    @pytest.mark.parametrize("datum", ["criterion_04", "criterion_09"])
+    def test_matches_fine_rk4_at_every_sample(self, datum, b):
+        # criterion 04's bump to t = 5 and criterion 09's sech to t = 10, every
+        # sample within 1e-12 of max|u| of RK4 at dt_max = 0.0025
+        if datum == "criterion_04":
+            u0, t_final = bump_datum(), 5.0
+        else:
+            u0 = initial_data("sech", {"amplitude": 0.05, "width": 1.0}, make_grid(1024, 80.0))
+            t_final = 10.0
+        taylor_run = run(u0, EvolveConfig(b=b, t_final=t_final, dt_max=0.01, sample_interval=0.5))
+        rk4_run = run(u0, EvolveConfig(b=b, t_final=t_final, dt_max=0.0025,
+                                       sample_interval=0.5, stepper="rk4"))
+        assert len(taylor_run.snapshots) == len(rk4_run.snapshots) == 2 * int(t_final) + 1
+        for (t_a, a), (t_b, ref) in zip(taylor_run.snapshots, rk4_run.snapshots):
+            assert t_a == t_b
+            scale = np.max(np.abs(ref.samples))
+            assert np.max(np.abs(a.samples - ref.samples)) <= 1e-12 * scale, t_a
+        # a handful of series steps where RK4 takes hundreds
+        assert taylor_run.steps <= 4 * len(taylor_run.snapshots)
+
+    @pytest.mark.parametrize("n", [64, 128, 256])
+    def test_sine_fixed_point(self, n):
+        # at b = -1 sin x is steady: its coefficients beyond c_0 are round-off,
+        # which sets the step, and the march keeps the state within 1e-12
+        grid = make_grid(n, 2 * np.pi)
+        u0 = RealField(grid, np.sin(grid.x))
+        cfg = EvolveConfig(b=-1.0, t_final=2.0, dt_max=0.005, sample_interval=0.5)
+        traj = run(u0, cfg)
+        for _, u in traj.snapshots:
+            assert np.max(np.abs(u.samples - u0.samples)) < 1e-12
+        assert traj.steps < 40
+
+    def test_vanishing_tail_gives_an_infinite_step(self):
+        # the zero state: every coefficient is exactly 0
+        grid = make_grid(64, 2 * np.pi)
+        cfg = EvolveConfig(b=2.0, t_final=1.0, dt_max=0.01, sample_interval=0.5)
+        march = evolve._TaylorMarch(RealField(grid, np.zeros(64)), 2.0, 1e6)
+        assert march.propose(cfg) == math.inf
+        traj = run(RealField(grid, np.zeros(64)), cfg)
+        assert (traj.steps, traj.dt_min, traj.dt_max) == (2, 0.5, 0.5)
+
+    def test_cut_series_steps_with_its_order_and_no_warning(self):
+        # the series of 10 sin x reaches the coefficient cap at c_11: each
+        # step uses c_0 .. c_10, and neither warning of the taylor module fires
+        grid = make_grid(64, 2 * np.pi)
+        u0 = RealField(grid, 10.0 * np.sin(grid.x))
+        coeffs, sup = taylor._recursion(u0, 2.0, evolve.TAYLOR_ORDER)
+        assert len(coeffs) == 10 and sup > taylor.COEFF_SUP_CAP
+        cfg = EvolveConfig(b=2.0, t_final=0.01, dt_max=0.01, sample_interval=0.005)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = run(u0, cfg)
+        reference = run(u0, EvolveConfig(b=2.0, t_final=0.01, dt_max=2e-5,
+                                         sample_interval=0.005, stepper="rk4"))
+        assert traj.steps > 2
+        for (_, a), (_, ref) in zip(traj.snapshots, reference.snapshots):
+            assert np.max(np.abs(a.samples - ref.samples)) <= 1e-12 * 10.0
+
+    @pytest.mark.parametrize("amplitude", [1e5, 1e7])
+    def test_series_cut_below_order_two_is_a_blowup(self, amplitude):
+        # c_2 (1e5) or c_1 (1e7) of the sine passes the coefficient cap
+        grid = make_grid(64, 2 * np.pi)
+        u0 = RealField(grid, amplitude * np.sin(grid.x))
+        cfg = EvolveConfig(b=2.0, t_final=1.0, dt_max=0.01, sample_interval=0.5,
+                           blowup_threshold=1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BlowupError, match="Taylor series of the state stops") as excinfo:
+                run(u0, cfg)
+        err = excinfo.value
+        assert (err.time, err.trajectory.steps) == (0.0, 0)
+        assert [t for t, _ in err.trajectory.snapshots] == [0.0]
+        assert "blow-up may be genuine" in str(err)
+
+    def test_non_finite_coefficient_is_a_blowup(self):
+        # u^2 overflows in c_1: the series stops at order 0
+        grid = make_grid(64, 2 * np.pi)
+        u0 = RealField(grid, 1e200 * np.sin(grid.x))
+        cfg = EvolveConfig(b=2.0, t_final=1.0, dt_max=0.01, sample_interval=0.05,
+                           blowup_threshold=1e300)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            BlowupError, match="stops at order 0"
+        ) as excinfo:
+            run(u0, cfg)
+        assert excinfo.value.trajectory.snapshots[0][1] is u0
+
+    def test_non_finite_peak_is_a_blowup(self):
+        # a step far outside the series' disk overflows the Horner sum
+        grid = make_grid(64, 2 * np.pi)
+        cfg = EvolveConfig(b=2.0, t_final=1.0, dt_max=0.01, sample_interval=0.5)
+        march = evolve._TaylorMarch(RealField(grid, np.sin(grid.x)), 2.0, 1e300)
+        march.propose(cfg)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            BlowupError, match="non-finite state after Taylor step"
+        ):
+            march.step(1e300)
+
+    def test_peak_above_threshold_is_a_blowup(self):
+        # the same b = 3 bump as the RK4 blow-up test: sup|u| passes 1.2
+        u0 = bump_datum(n=256, amplitude=1.0, width=5.0)
+        cfg = EvolveConfig(b=3.0, t_final=5.0, dt_max=0.02, sample_interval=0.5,
+                           blowup_threshold=1.2)
+        with pytest.raises(BlowupError, match="exceeded blow-up threshold") as excinfo:
+            run(u0, cfg)
+        err = excinfo.value
+        assert 0.0 < err.time < 5.0
+        assert err.trajectory.steps > 0
+        assert err.time >= err.trajectory.snapshots[-1][0]
+        assert "not expected" in str(err)
+
+    def test_step_that_does_not_advance_t_is_refused(self, monkeypatch):
+        # a proposed step below the spacing of doubles at t ends the march
+        # instead of looping forever
+        propose = evolve._TaylorMarch.propose
+        calls = []
+
+        def shrinking(march, cfg):
+            calls.append(propose(march, cfg))
+            return calls[-1] if len(calls) == 1 else 1e-300
+
+        monkeypatch.setattr(evolve._TaylorMarch, "propose", shrinking)
+        cfg = EvolveConfig(b=2.0, t_final=1.0, dt_max=0.01, sample_interval=0.5)
+        with pytest.raises(BlowupError, match="does not advance t") as excinfo:
+            run(bump_datum(n=128), cfg)
+        err = excinfo.value
+        assert err.trajectory.steps == 1
+        # the first step, clipped to the sample at 0.5, is the last completed
+        assert err.time == min(calls[0], 0.5) > 0.0
+
+    def test_run_step_budget(self, fft_counts):
+        # one step, clipped to t_final: the datum load (2 transforms in 2
+        # calls) and 16 orders of 4 transforms in 2 calls and one combine
+        grid = make_grid(256, 80.0)
+        u = RealField(grid, np.exp(-(((grid.x - 40.0) / 3.0) ** 2)))
+        traj = run(u, EvolveConfig(b=2.0, t_final=0.01, dt_max=0.01, sample_interval=0.01))
+        assert traj.steps == 1
+        assert fft_counts == {"real": 2 + 4 * 16, "complex": 0, "calls": 2 + 2 * 16, "combine": 16}
+
+    def test_run_step_budget_at_b3(self, fft_counts):
+        # one row: the datum load is 1 transform, an order 2 in 2 calls
+        grid = make_grid(256, 80.0)
+        u = RealField(grid, np.exp(-(((grid.x - 40.0) / 3.0) ** 2)))
+        traj = run(u, EvolveConfig(b=3.0, t_final=0.01, dt_max=0.01, sample_interval=0.01))
+        assert traj.steps == 1
+        assert fft_counts == {"real": 1 + 2 * 16, "complex": 0, "calls": 1 + 2 * 16, "combine": 16}
 
 
 class TestOrderOfAccuracy:

@@ -355,7 +355,8 @@ class TestAgainstStepper:
         series = taylor_coeffs(u0, b, 12)
         t = 0.01
         cfg = EvolveConfig(
-            b=b, t_final=t, dt_max=t / 2000, sample_interval=t, cfl_safety=1.0
+            b=b, t_final=t, dt_max=t / 2000, sample_interval=t, cfl_safety=1.0,
+            stepper="rk4",
         )
         endpoint = run(u0, cfg).final_state
         approx = taylor_eval(series, t)
@@ -371,7 +372,8 @@ class TestAgainstStepper:
         rho = time_radius_estimate(series)
         t = rho / 4
         cfg = EvolveConfig(
-            b=2.0, t_final=t, dt_max=t / 4000, sample_interval=t, cfl_safety=1.0
+            b=2.0, t_final=t, dt_max=t / 4000, sample_interval=t, cfl_safety=1.0,
+            stepper="rk4",
         )
         endpoint = run(u0, cfg).final_state
         approx = taylor_eval(series, t)
