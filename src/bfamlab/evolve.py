@@ -4,10 +4,14 @@
 time, so a run keeps the state at each sample time without interpolation,
 counts the steps in the `Trajectory`, refuses a step that does not advance t
 and diagnoses a blow-up. It drives one of two steppers, chosen by
-`EvolveConfig.stepper`, and both answer the same three calls: `propose(cfg)`
+`EvolveConfig.stepper`, and both answer the same three calls: `propose()`
 gives the step the stepper would take from its state, `step(dt)` advances the
 state by dt, and `state()` gives it. Every per-sample reading is taken from
 the sampled states after the march (`scenarios.compute_diagnostics`).
+
+The stepper is not a config key: every `bfamlab run` uses the series. RK4 is
+the reference march that `bfamlab taylor`, acceptance criterion 06 and demo
+04 compare the series with, so they set `stepper="rk4"` in code.
 
 The default stepper, `taylor`, sums the local power series of the solution
 (`taylor`). Each step builds c_0 .. c_K of the state, K = TAYLOR_ORDER, and
@@ -23,14 +27,15 @@ at b = 3.
 The `rk4` stepper is explicit RK4 with advective CFL step control. The
 nonlocal term's multiplier |xi|/(1+xi^2) is bounded by 1/2, so advection
 dominates stability and an advective CFL condition suffices; `dt_max` and
-`cfl_safety` bound its steps, and only its steps. Its march holds one
-`dynamics._Operator` (the stage layout is described there) and the band of
-rfft(u) for the state. An RK4 stage writes its band into the operator's
-stage, loads the fields u and u_x with one stacked irfft, squares them, and
-combines the squares into its band of -F with one stacked rfft. Stage 1
-reuses the fields that closed the previous step, so a step is 16 real
-transforms in 8 kernel calls. At b = 3 the operator holds u alone, with no
-u_x row, and a step is 8 real transforms in 8 calls.
+`cfl_safety`, given to the march when it is built, bound its steps, and only
+its steps. Its march holds one `dynamics._Operator` (the stage layout is
+described there) and the band of rfft(u) for the state. An RK4 stage writes
+its band into the operator's stage, loads the fields u and u_x with one
+stacked irfft, squares them, and combines the squares into its band of -F
+with one stacked rfft. Stage 1 reuses the fields that closed the previous
+step, so a step is 16 real transforms in 8 kernel calls. At b = 3 the
+operator holds u alone, with no u_x row, and a step is 8 real transforms in
+8 calls.
 
 Only the dealiased band moves: under RK4 the modes above the cutoff keep
 their initial values exactly, and under the series, whose c_1 .. c_K have
@@ -73,6 +78,8 @@ class EvolveConfig:
     cfl_safety: float = 0.2
     blowup_threshold: float = 1e6
     require_sign_certificate: bool = False
+    # no config key sets it: "rk4" is the reference march (module docstring),
+    # and dt_max and cfl_safety bound its steps only
     stepper: str = "taylor"
 
     def __post_init__(self):
@@ -126,9 +133,9 @@ class Trajectory:
         return self.snapshots[-1][1]
 
 
-def _cfl_step(peak: float, dx: float, cfg: EvolveConfig) -> float:
+def _cfl_step(peak: float, dx: float, dt_max: float, cfl_safety: float) -> float:
     """dt = min(dt_max, cfl_safety * dx / max(peak, velocity floor))."""
-    return min(cfg.dt_max, cfg.cfl_safety * dx / max(peak, _VELOCITY_FLOOR))
+    return min(dt_max, cfl_safety * dx / max(peak, _VELOCITY_FLOOR))
 
 
 def _checked_peak(peak: float, blowup_threshold: float, stepper: str) -> float:
@@ -152,12 +159,15 @@ class _March:
     of the new state.
     `u_hat` is the band of rfft(u) for the state. `bands` rows 0..3 receive
     the stages' bands of -F (k1..k4 negated) and row 4 is band work space.
-    `peak` is max|u| of the state.
+    `peak` is max|u| of the state. `dt_max` and `cfl_safety` bound the step
+    `propose` gives; a march that is only stepped (`rk4_step`) needs neither.
     """
 
-    def __init__(self, u: RealField, b: float, blowup_threshold: float):
+    def __init__(self, u: RealField, b: float, blowup_threshold: float,
+                 dt_max: float = math.inf, cfl_safety: float = 1.0):
         self.grid = u.grid
         self.blowup_threshold = blowup_threshold
+        self.dt_max, self.cfl_safety = dt_max, cfl_safety
         op = self.op = _Operator(u, b)
         self.u_hat = op.stage.copy()
         self.bands = k = np.empty((5, u.grid.band_size), dtype=complex)
@@ -169,9 +179,9 @@ class _March:
         self._k, self._middle, self._work = k[:4], k[1:3], k[4]
         self.peak = float(np.max(np.abs(u.samples)))
 
-    def propose(self, cfg: EvolveConfig) -> float:
+    def propose(self) -> float:
         """The CFL step of the state, bounded by dt_max."""
-        return _cfl_step(self.peak, self.grid.dx, cfg)
+        return _cfl_step(self.peak, self.grid.dx, self.dt_max, self.cfl_safety)
 
     def state(self) -> RealField:
         """The current state, with samples of its own (the work arrays are reused)."""
@@ -226,10 +236,10 @@ class _TaylorMarch:
         self.grid, self.b, self.blowup_threshold = u.grid, b, blowup_threshold
         self.u, self.coeffs = u.samples, None
 
-    def propose(self, cfg: EvolveConfig) -> float:
+    def propose(self) -> float:
         """Build the series of the state and return its step h (inf when
-        c_{K-1} and c_K both vanish); cfg's dt_max and cfl_safety bound RK4
-        steps only. Raises BlowupError when the series is cut below order 2."""
+        c_{K-1} and c_K both vanish). Raises BlowupError when the series is
+        cut below order 2."""
         coeffs, sup = _recursion(_finite_field(self.grid, self.u), self.b, TAYLOR_ORDER)
         order = len(coeffs)
         if order < 2:
@@ -317,15 +327,17 @@ def run(u0: RealField, cfg: EvolveConfig) -> Trajectory:
         traj.dt_used.append(dt_used)
 
     record(0.0, u0, 0.0)
-    stepper = _TaylorMarch if cfg.stepper == "taylor" else _March
-    march = stepper(u0, cfg.b, cfg.blowup_threshold)
+    if cfg.stepper == "taylor":
+        march = _TaylorMarch(u0, cfg.b, cfg.blowup_threshold)
+    else:
+        march = _March(u0, cfg.b, cfg.blowup_threshold, cfg.dt_max, cfg.cfl_safety)
     t = 0.0
     eps = 1e-12 * max(1.0, cfg.t_final)
     for t_target in _sample_times(cfg):
         dt = 0.0
         while t_target - t > eps:
             try:
-                proposed = march.propose(cfg)
+                proposed = march.propose()
                 remaining = t_target - t
                 if proposed >= remaining - eps:
                     dt, t_next = remaining, t_target

@@ -223,7 +223,6 @@ CONFIG_SCHEMA = (
     ConfigKey("run", "cfl_safety", "evolve", "cfl_safety", float),
     ConfigKey("run", "blowup_threshold", "evolve", "blowup_threshold", float),
     ConfigKey("run", "require_sign_certificate", "evolve", "require_sign_certificate", bool),
-    ConfigKey("run", "stepper", "evolve", "stepper", str),
     ConfigKey("init", "family", "init", "family", str, _REQUIRED),
     ConfigKey("init", "amplitude", "init", "amplitude", float),
     ConfigKey("init", "width", "init", "width", float),

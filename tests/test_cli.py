@@ -1,6 +1,7 @@
 """Exit codes and output contracts of the command-line surface."""
 
 import argparse
+import dataclasses
 import json
 import re
 import struct
@@ -184,8 +185,8 @@ class TestRunCommand:
         # a step too small to move t ends the run instead of looping forever
         propose, proposed = evolve._TaylorMarch.propose, []
 
-        def shrinking(march, cfg):  # the march's own first step, then 1e-300
-            proposed.append(propose(march, cfg) if not proposed else 1e-300)
+        def shrinking(march):  # the march's own first step, then 1e-300
+            proposed.append(propose(march) if not proposed else 1e-300)
             return proposed[-1]
 
         monkeypatch.setattr(evolve._TaylorMarch, "propose", shrinking)
@@ -195,18 +196,21 @@ class TestRunCommand:
         assert main(["run", "--config", str(path)]) == 2
         assert "does not advance t" in capsys.readouterr().err
 
-    def test_unknown_stepper_exit_code(self, tmp_path, capsys):
-        text = CONFIG.replace("[run]", "[run]\nstepper = euler")
-        path = tmp_path / "euler.ini"
+    def test_stepper_is_not_a_config_key(self, tmp_path, capsys):
+        # every run uses the series; RK4 is set in code, for reference marches
+        text = CONFIG.replace("[run]", "[run]\nstepper = rk4")
+        path = tmp_path / "rk4.ini"
         path.write_text(text.format(outdir=tmp_path / "out"))
         assert main(["run", "--config", str(path)]) == 1
-        assert "stepper must be one of" in capsys.readouterr().err
+        assert "unknown key 'stepper' in section [run]" in capsys.readouterr().err
 
-    def test_non_finite_state_exit_code(self, tmp_path, capsys):
-        # u^2 overflows in the first stage and the state turns NaN
+    def test_non_finite_state_exit_code(self, tmp_path, capsys, monkeypatch):
+        # under RK4, u^2 overflows in the first stage and the state turns NaN
+        march = evolve.run
+        monkeypatch.setattr(evolve, "run", lambda u0, cfg: march(
+            u0, dataclasses.replace(cfg, stepper="rk4")))
         text = CONFIG.replace("amplitude = 0.25", "amplitude = 1e200").replace(
-            "sample_interval = 0.1",
-            "sample_interval = 0.1\nblowup_threshold = 1e300\nstepper = rk4")
+            "sample_interval = 0.1", "sample_interval = 0.1\nblowup_threshold = 1e300")
         path = tmp_path / "nan.ini"
         path.write_text(text.format(outdir=tmp_path / "out"))
         with np.errstate(over="ignore", invalid="ignore"):

@@ -34,7 +34,8 @@ def bump_datum(n=512, length=80.0, amplitude=0.5, width=8.0):
 
 def cfl_step(u, cfg):
     """The march's CFL step for the state u, whose peak the march carries."""
-    return evolve._cfl_step(float(np.max(np.abs(u.samples))), u.grid.dx, cfg)
+    return evolve._cfl_step(float(np.max(np.abs(u.samples))), u.grid.dx, cfg.dt_max,
+                            cfg.cfl_safety)
 
 
 class TestCflDt:
@@ -585,9 +586,8 @@ class TestTaylorMarch:
     def test_step_rule(self):
         # h = min over j in {K-1, K} of (tol |u| / |c_j|)^{1/j}, every norm _l2_norm
         u0 = bump_datum(n=256)
-        cfg = EvolveConfig(b=2.0, t_final=1.0, dt_max=0.01, sample_interval=1.0)
         march = evolve._TaylorMarch(u0, 2.0, 1e6)
-        h = march.propose(cfg)
+        h = march.propose()
         series = taylor_coeffs(u0, 2.0, evolve.TAYLOR_ORDER)
         dx = u0.grid.dx
         size = taylor._l2_norm(u0.samples, dx)
@@ -637,7 +637,7 @@ class TestTaylorMarch:
         grid = make_grid(64, 2 * np.pi)
         cfg = EvolveConfig(b=2.0, t_final=1.0, dt_max=0.01, sample_interval=0.5)
         march = evolve._TaylorMarch(RealField(grid, np.zeros(64)), 2.0, 1e6)
-        assert march.propose(cfg) == math.inf
+        assert march.propose() == math.inf
         traj = run(RealField(grid, np.zeros(64)), cfg)
         assert (traj.steps, traj.dt_min, traj.dt_max) == (2, 0.5, 0.5)
 
@@ -689,9 +689,8 @@ class TestTaylorMarch:
     def test_non_finite_peak_is_a_blowup(self):
         # a step far outside the series' disk overflows the Horner sum
         grid = make_grid(64, 2 * np.pi)
-        cfg = EvolveConfig(b=2.0, t_final=1.0, dt_max=0.01, sample_interval=0.5)
         march = evolve._TaylorMarch(RealField(grid, np.sin(grid.x)), 2.0, 1e300)
-        march.propose(cfg)
+        march.propose()
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
             BlowupError, match="non-finite state after Taylor step"
         ):
@@ -716,8 +715,8 @@ class TestTaylorMarch:
         propose = evolve._TaylorMarch.propose
         calls = []
 
-        def shrinking(march, cfg):
-            calls.append(propose(march, cfg))
+        def shrinking(march):
+            calls.append(propose(march))
             return calls[-1] if len(calls) == 1 else 1e-300
 
         monkeypatch.setattr(evolve._TaylorMarch, "propose", shrinking)

@@ -292,7 +292,7 @@ class TestRemovedOneLiners:
     # the removed functions as they were defined, each over one more input
     REMOVED = {
         "cfl_dt(u, cfg)": lambda u, cfg, traj: evolve._cfl_step(
-            float(np.max(np.abs(u.samples))), u.grid.dx, cfg),
+            float(np.max(np.abs(u.samples))), u.grid.dx, cfg.dt_max, cfg.cfl_safety),
         "h1_energy(u)": lambda u, cfg, traj: sobolev_norm(u, 1.0) ** 2,
         "Trajectory.times": lambda u, cfg, traj: np.array([t for t, _ in traj.snapshots]),
     }

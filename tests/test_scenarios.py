@@ -68,6 +68,11 @@ dir = {outdir}
 """
 
 
+def rk4(cfg):
+    """cfg marching with the RK4 reference stepper, which no config key sets."""
+    return dataclasses.replace(cfg, evolve=dataclasses.replace(cfg.evolve, stepper="rk4"))
+
+
 class TestInitialData:
     def test_sine_exact_at_nodes(self):
         grid = make_grid(64, 2 * np.pi)
@@ -219,7 +224,6 @@ NON_DEFAULT = {
     ("run", "cfl_safety"): ("0.5", "evolve.cfl_safety"),
     ("run", "blowup_threshold"): ("1e3", "evolve.blowup_threshold"),
     ("run", "require_sign_certificate"): ("true", "evolve.require_sign_certificate"),
-    ("run", "stepper"): ("rk4", "evolve.stepper"),
     ("init", "family"): ("gaussian", "init.family"),
     ("init", "amplitude"): ("0.1", "init.amplitude"),
     ("init", "width"): ("2.0", "init.width"),
@@ -249,7 +253,6 @@ sample_interval = 0.1
 cfl_safety = 0.25
 blowup_threshold = 1e4
 require_sign_certificate = true
-stepper = rk4
 
 [init]
 family = gaussian
@@ -273,7 +276,7 @@ GOLDEN_RENDER = (
     "[grid]\nn_points = 256\nbox_length = 80\ndealias_fraction = 0.5\n\n"
     "[run]\nb = -1.5\nt_final = 0.29999999999999999\ndt_max = 0.01\n"
     "sample_interval = 0.10000000000000001\ncfl_safety = 0.25\n"
-    "blowup_threshold = 10000\nrequire_sign_certificate = true\nstepper = rk4\n\n"
+    "blowup_threshold = 10000\nrequire_sign_certificate = true\n\n"
     "[init]\nfamily = gaussian\namplitude = 0.10000000000000001\nwidth = 1.5\n"
     "mode = 2\ncenter = 30\n\n"
     "[diagnostics]\nsigma_list = \ns = 2.5\nfit_k_min = 6\nm_trunc = 16\n"
@@ -575,8 +578,7 @@ class TestRunScenario:
         import json
 
         out = tmp_path / "run"
-        text = SMALL_RUN.format(outdir=out).replace("[run]", "[run]\nstepper = rk4")
-        run_scenario(parse_config(text))
+        run_scenario(rk4(parse_config(SMALL_RUN.format(outdir=out))))
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["exit_status"] == 0
         assert manifest["stepper"] == "rk4"
@@ -597,11 +599,11 @@ class TestRunScenario:
         assert manifest["steps"] == result.trajectory.steps
         # two series steps at most per sample interval of 0.1, where RK4 takes 5
         assert 2 <= manifest["steps"] <= 4
-        assert "stepper = taylor\n" in (out / "config.ini").read_text()
+        assert "stepper" not in (out / "config.ini").read_text()
 
-    def test_unknown_stepper_rejected(self):
-        with pytest.raises(ConfigurationError, match="stepper must be one of"):
-            parse_config(MINIMAL.replace("[run]", "[run]\nstepper = rk45"))
+    def test_stepper_is_not_a_config_key(self):
+        with pytest.raises(ConfigurationError, match="unknown key 'stepper'"):
+            parse_config(MINIMAL.replace("[run]", "[run]\nstepper = rk4"))
 
     def test_manifest_reports_blowup(self, tmp_path):
         import json
@@ -655,8 +657,7 @@ class TestRunScenario:
         assert analyticity.km_bound_from_run(bare, result.bound.gamma).mu == result.bound.mu
 
     def test_transform_budget(self, tmp_path, fft_counts):
-        text = SMALL_RUN.format(outdir=tmp_path).replace("[run]", "[run]\nstepper = rk4")
-        result = scenarios.simulate(parse_config(text))
+        result = scenarios.simulate(rk4(parse_config(SMALL_RUN.format(outdir=tmp_path))))
         steps, samples = result.trajectory.steps, len(result.rows)
         assert (steps, samples) == (10, 3)
         # the march: 2 to set up and 16 per step; 3 per sample; 1 for the
