@@ -42,11 +42,6 @@ their initial values exactly, and under the series, whose c_1 .. c_K have
 no modes there, up to the round-off of the Horner sum on the samples. One
 reading per step, peak = max|u|, feeds the blow-up test and, under RK4, the
 next CFL step.
-
-An RK4 step allocates no array: every band operation writes with out= into
-the march's work arrays, 41 numpy calls per step (29 at b = 3), 8 of them
-FFTs. The step's coefficients and the constant 2 are read through complex
-0-d views of one work array, so no band operation converts a Python float.
 """
 
 from __future__ import annotations
@@ -151,16 +146,15 @@ def _checked_peak(peak: float, blowup_threshold: float, stepper: str) -> float:
 
 
 class _March:
-    """The carried state of an RK4 march and its work arrays, allocated once.
+    """The carried state of an RK4 march.
 
     `op` is the march's operator: its stage band is rewritten every stage,
     its modes above the band are those of the initial state, which never
     change, and after a step its fields hold u and u_x (u alone at b = 3)
     of the new state.
-    `u_hat` is the band of rfft(u) for the state. `bands` rows 0..3 receive
-    the stages' bands of -F (k1..k4 negated) and row 4 is band work space.
-    `peak` is max|u| of the state. `dt_max` and `cfl_safety` bound the step
-    `propose` gives; a march that is only stepped (`rk4_step`) needs neither.
+    `u_hat` is the band of rfft(u) for the state, and `peak` is max|u|.
+    `dt_max` and `cfl_safety` bound the step `propose` gives; a march that is
+    only stepped (`rk4_step`) needs neither.
     """
 
     def __init__(self, u: RealField, b: float, blowup_threshold: float,
@@ -168,15 +162,8 @@ class _March:
         self.grid = u.grid
         self.blowup_threshold = blowup_threshold
         self.dt_max, self.cfl_safety = dt_max, cfl_safety
-        op = self.op = _Operator(u, b)
-        self.u_hat = op.stage.copy()
-        self.bands = k = np.empty((5, u.grid.band_size), dtype=complex)
-        # the step's coefficients dt/2, dt/2, dt, dt/6 and the constant 2
-        coefficients = np.array([0, 0, 0, 0, 2], dtype=complex)
-        c = [coefficients[i, ...] for i in range(5)]
-        self._coefficients, self._sixth, self._two = coefficients.real, c[3], c[4]
-        self._stages = tuple((c[i], k[i], k[i + 1]) for i in range(3))
-        self._k, self._middle, self._work = k[:4], k[1:3], k[4]
+        self.op = _Operator(u, b)
+        self.u_hat = self.op.stage.copy()
         self.peak = float(np.max(np.abs(u.samples)))
 
     def propose(self) -> float:
@@ -184,43 +171,35 @@ class _March:
         return _cfl_step(self.peak, self.grid.dx, self.dt_max, self.cfl_safety)
 
     def state(self) -> RealField:
-        """The current state, with samples of its own (the work arrays are reused)."""
+        """The current state, with samples of its own (the operator's are reused)."""
         return RealField(self.grid, self.op.fields[0].copy())
+
+    def _minus_f(self, band: Optional[np.ndarray] = None) -> np.ndarray:
+        """The band of -F at the stage whose band is `band`, loaded into the
+        operator first; None takes the fields the operator holds."""
+        op = self.op
+        if band is not None:
+            op.stage[...] = band
+            op.load()
+        squares = np.multiply(op.fields, op.fields, out=op.squares)
+        return _rhs_from_products(op, squares, np.empty_like(self.u_hat))
 
     def step(self, dt: float) -> None:
         """Advance the state by one classical four-stage Runge-Kutta step.
 
-        A stage squares the operator's fields and combines the squares into
-        its band of -F. The next stage spectrum u_hat + c k_i is formed as
-        u_hat - c (-k_i) in the stage band (negation is exact), from which
-        the operator loads the fields. k2 and k3 are doubled in place and one
-        add.reduce sums k1 + 2 k2 + 2 k3 + k4 row by row, left to right, so a
-        step allocates no array. Raises BlowupError unless the new peak is at
+        Each stage spectrum u_hat + c k_i is formed as u_hat - c (-k_i)
+        (negation is exact). Raises BlowupError unless the new peak is at
         most blowup_threshold, which a NaN peak fails too.
         """
-        multiply, subtract = np.multiply, np.subtract
-        op, combine = self.op, _rhs_from_products
-        load, stage, fields, squares = op.load, op.stage, op.fields, op.squares
-        u_hat, k, middle, work = self.u_hat, self._k, self._middle, self._work
-        coefficients = self._coefficients
-        coefficients[0] = coefficients[1] = 0.5 * dt
-        coefficients[2] = dt
-        coefficients[3] = dt / 6.0
-        multiply(fields, fields, out=squares)
-        combine(op, squares, k[0])
-        for c, k_i, k_next in self._stages:
-            multiply(c, k_i, out=work)
-            subtract(u_hat, work, out=stage)
-            load()
-            multiply(fields, fields, out=squares)
-            combine(op, squares, k_next)
-        multiply(self._two, middle, out=middle)
-        np.add.reduce(k, axis=0, out=work)
-        multiply(self._sixth, work, out=work)
-        subtract(u_hat, work, out=u_hat)
-        np.copyto(stage, u_hat)
-        load()
-        peak = float(np.maximum.reduce(np.abs(fields[0], out=squares[0])))
+        u_hat = self.u_hat
+        k1 = self._minus_f()
+        k2 = self._minus_f(u_hat - (0.5 * dt) * k1)
+        k3 = self._minus_f(u_hat - (0.5 * dt) * k2)
+        k4 = self._minus_f(u_hat - dt * k3)
+        self.u_hat = u_hat = u_hat - (dt / 6.0) * (((k1 + 2.0 * k2) + 2.0 * k3) + k4)
+        self.op.stage[...] = u_hat
+        self.op.load()
+        peak = float(np.max(np.abs(self.op.fields[0])))
         self.peak = _checked_peak(peak, self.blowup_threshold, "RK4")
 
 

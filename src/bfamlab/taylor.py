@@ -215,6 +215,6 @@ def time_radius_estimate(series: TaylorSeries) -> float:
     K = series.order
     if K < MIN_ORDER_FOR_RADIUS:
         raise ConfigurationError(
-            f"radius estimation needs at least {MIN_ORDER_FOR_RADIUS} coefficients, got {K}"
+            f"radius estimation needs order at least {MIN_ORDER_FOR_RADIUS}, got order {K}"
         )
     return series._radius

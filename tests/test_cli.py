@@ -494,13 +494,14 @@ class TestTaylorCommand:
         assert error == "numerical error: no usable Taylor coefficients beyond the datum"
 
     def test_short_series_prints_nothing(self, tmp_path, capsys):
-        # the radius needs 6 coefficients; the table reaches stdout whole or not at all
+        # the radius needs order 6 (c_0 .. c_6); the table reaches stdout whole
+        # or not at all
         path = tmp_path / "sine.ini"
         path.write_text(SINE_CONFIG.format(amplitude=0.5, outdir=tmp_path / "out"))
         assert main(["taylor", "--config", str(path), "--order", "4"]) == 1
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.startswith("configuration error: radius estimation needs")
+        assert err == "configuration error: radius estimation needs order at least 6, got order 4\n"
 
 
 class TestTaylorReportPin:

@@ -326,8 +326,9 @@ class TestRadiusEstimate:
         assert time_radius_estimate(series) == pytest.approx(r, rel=0.05)
 
     def test_too_few_coefficients_rejected(self, random_field):
-        series = taylor_coeffs(random_field, 2.0, 4)
-        with pytest.raises(ConfigurationError):
+        # order 5 holds c_0 .. c_5, six coefficients, and is still one short
+        series = taylor_coeffs(random_field, 2.0, 5)
+        with pytest.raises(ConfigurationError, match=r"needs order at least 6, got order 5$"):
             time_radius_estimate(series)
 
     @pytest.mark.parametrize("order", [6, 16, 64])
