@@ -135,13 +135,11 @@ def _cmd_taylor(args) -> int:
     lines.append(f"temporal radius estimate = {rho:.6g}")
     t_check = 0.05 if math.isinf(rho) else min(rho / 4.0, 0.05)
     if t_check > 0:
-        # RK4: the default stepper sums this same series, so it checks nothing
-        stepper_cfg = evolve.EvolveConfig(
-            b=cfg.evolve.b, t_final=t_check, dt_max=t_check / 2000.0,
-            sample_interval=t_check, cfl_safety=1.0,
-            blowup_threshold=cfg.evolve.blowup_threshold, stepper="rk4",
-        )
-        endpoint = evolve.run(u0, stepper_cfg).final_state
+        # the RK4 reference march: `run` sums this same series, so it would be no check
+        march = evolve._March(u0, cfg.evolve.b, cfg.evolve.blowup_threshold)
+        for _ in range(2000):
+            march.step(t_check / 2000)
+        endpoint = march.state()
         series_end = taylor.taylor_eval(series, t_check)
         diff = taylor._l2_norm(series_end.samples - endpoint.samples, dx)
         ref = taylor._l2_norm(endpoint.samples, dx)

@@ -1,47 +1,36 @@
-"""Time marching by the time-Taylor series or by RK4, with sampled states.
+"""Time marching by the time-Taylor series, with sampled states.
 
-`run` is the one driver: it clips every step to land exactly on each sample
-time, so a run keeps the state at each sample time without interpolation,
-counts the steps in the `Trajectory`, refuses a step that does not advance t
-and diagnoses a blow-up. It drives one of two steppers, chosen by
-`EvolveConfig.stepper`, and both answer the same three calls: `propose()`
-gives the step the stepper would take from its state, `step(dt)` advances the
-state by dt, and `state()` gives it. Every per-sample reading is taken from
-the sampled states after the march (`scenarios.compute_diagnostics`).
-
-The stepper is not a config key: every `bfamlab run` uses the series. RK4 is
-the reference march that `bfamlab taylor`, acceptance criterion 06 and demo
-04 compare the series with, so they set `stepper="rk4"` in code.
-
-The default stepper, `taylor`, sums the local power series of the solution
-(`taylor`). Each step builds c_0 .. c_K of the state, K = TAYLOR_ORDER, and
-proposes h = min over j in {K-1, K} of (TAYLOR_TOL |u| / |c_j|)^{1/j}, every
-norm `taylor._l2_norm` (Jorba and Zou, Experiment. Math. 14, 2005); the new
-state is the series summed at the clipped h in Horner form. A series the
+`run` marches with the local power series of the solution (`taylor`). Each
+step builds c_0 .. c_K of the state, K = TAYLOR_ORDER, and proposes
+h = min over j in {K-1, K} of (TAYLOR_TOL |u| / |c_j|)^{1/j}, every norm
+`taylor._l2_norm` (Jorba and Zou, Experiment. Math. 14, 2005). `run` clips
+every step to land exactly on each sample time, so a run keeps the state at
+each sample time without interpolation; the new state is the series summed at
+the clipped h in Horner form. `run` counts the steps in the `Trajectory`,
+refuses a step that does not advance t and diagnoses a blow-up. A series the
 recursion cut at COEFF_SUP_CAP steps with the order it has, and one cut below
 order 2 is a blow-up. Where every tail coefficient vanishes, h is infinite
 and the step lands on the next sample time. A step costs the K orders of the
 recursion: 4K + 2 real transforms in 2K + 2 kernel calls, 2K + 1 in 2K + 1
-at b = 3.
+at b = 3. Every per-sample reading is taken from the sampled states after
+the march (`scenarios.compute_diagnostics`).
 
-The `rk4` stepper is explicit RK4 with advective CFL step control. The
-nonlocal term's multiplier |xi|/(1+xi^2) is bounded by 1/2, so advection
-dominates stability and an advective CFL condition suffices; `dt_max` and
-`cfl_safety`, given to the march when it is built, bound its steps, and only
-its steps. Its march holds one `dynamics._Operator` (the stage layout is
-described there) and the band of rfft(u) for the state. An RK4 stage writes
-its band into the operator's stage, loads the fields u and u_x with one
-stacked irfft, squares them, and combines the squares into its band of -F
-with one stacked rfft. Stage 1 reuses the fields that closed the previous
-step, so a step is 16 real transforms in 8 kernel calls. At b = 3 the
-operator holds u alone, with no u_x row, and a step is 8 real transforms in
-8 calls.
+RK4 is the reference march that `bfamlab taylor`, acceptance criterion 06
+and the tests compare the series with, because it does not sum the series:
+one `_March` stepped n times at t/n, or `rk4_step` in a loop. No option of
+`run` selects it, and `dt_max` and `cfl_safety` bound no step. The march
+holds one `dynamics._Operator` (the stage layout is described there) and the
+band of rfft(u) for the state. An RK4 stage writes its band into the
+operator's stage, loads the fields u and u_x with one stacked irfft, squares
+them, and combines the squares into its band of -F with one stacked rfft.
+Stage 1 reuses the fields that closed the previous step, so a step is 16
+real transforms in 8 kernel calls. At b = 3 the operator holds u alone, with
+no u_x row, and a step is 8 real transforms in 8 calls.
 
 Only the dealiased band moves: under RK4 the modes above the cutoff keep
 their initial values exactly, and under the series, whose c_1 .. c_K have
 no modes there, up to the round-off of the Horner sum on the samples. One
-reading per step, peak = max|u|, feeds the blow-up test and, under RK4, the
-next CFL step.
+reading per step, peak = max|u|, feeds the blow-up test.
 """
 
 from __future__ import annotations
@@ -58,8 +47,7 @@ from .grid import RealField, _finite_field
 from .taylor import COEFF_SUP_CAP, _horner, _l2_norm, _recursion
 
 SIGN_TOL = 1e-10
-_VELOCITY_FLOOR = 1e-8
-STEPPERS = ("taylor", "rk4")
+MAX_SAMPLES = 1e6
 TAYLOR_ORDER = 16
 TAYLOR_TOL = 1e-14
 
@@ -73,9 +61,6 @@ class EvolveConfig:
     cfl_safety: float = 0.2
     blowup_threshold: float = 1e6
     require_sign_certificate: bool = False
-    # no config key sets it: "rk4" is the reference march (module docstring),
-    # and dt_max and cfl_safety bound its steps only
-    stepper: str = "taylor"
 
     def __post_init__(self):
         for name in ("b", "t_final", "dt_max", "sample_interval", "blowup_threshold"):
@@ -88,16 +73,18 @@ class EvolveConfig:
             raise ConfigurationError(
                 f"sample_interval must be positive, got {self.sample_interval}"
             )
+        # each sample keeps a state of N doubles
+        if not self.t_final / self.sample_interval <= MAX_SAMPLES:
+            raise ConfigurationError(
+                f"t_final / sample_interval must be at most {MAX_SAMPLES:.0e}, got "
+                f"{self.t_final / self.sample_interval:.3g}"
+            )
         if not 0 < self.cfl_safety <= 1:
             raise ConfigurationError(
                 f"cfl_safety must lie in (0, 1], got {self.cfl_safety}"
             )
         if self.blowup_threshold <= 0:
             raise ConfigurationError("blowup_threshold must be positive")
-        if self.stepper not in STEPPERS:
-            raise ConfigurationError(
-                f"stepper must be one of {STEPPERS}, got {self.stepper!r}"
-            )
 
 
 @dataclass
@@ -106,9 +93,9 @@ class Trajectory:
 
     snapshots[i] is (t_i, field) with strictly increasing t_i, starting at the
     initial datum, and dt_used[i] is the size of the step that landed on t_i
-    (0 for the initial datum). steps counts the completed steps of the
-    stepper, series steps or RK4 steps, and dt_min and dt_max are the
-    smallest and largest of their sizes (None before the first step).
+    (0 for the initial datum). steps counts the completed series steps, and
+    dt_min and dt_max are the smallest and largest of their sizes (None
+    before the first step).
     """
 
     b: float
@@ -128,47 +115,33 @@ class Trajectory:
         return self.snapshots[-1][1]
 
 
-def _cfl_step(peak: float, dx: float, dt_max: float, cfl_safety: float) -> float:
-    """dt = min(dt_max, cfl_safety * dx / max(peak, velocity floor))."""
-    return min(dt_max, cfl_safety * dx / max(peak, _VELOCITY_FLOOR))
-
-
-def _checked_peak(peak: float, blowup_threshold: float, stepper: str) -> float:
-    """peak, unless it exceeds blowup_threshold, which a NaN peak does too:
-    then BlowupError."""
+def _check_peak(u: np.ndarray, blowup_threshold: float, stepper: str) -> None:
+    """Raise BlowupError when max|u| exceeds blowup_threshold, which a NaN
+    peak does too."""
+    peak = float(np.max(np.abs(u)))
     if not peak <= blowup_threshold:
         raise BlowupError(
             f"sup norm {peak:.3e} exceeded blow-up threshold {blowup_threshold:.3e}"
             if math.isfinite(peak)
             else f"non-finite state after {stepper} step: field samples are not all finite"
         )
-    return peak
 
 
 class _March:
-    """The carried state of an RK4 march.
+    """The carried state of the RK4 reference march (module docstring).
 
     `op` is the march's operator: its stage band is rewritten every stage,
     its modes above the band are those of the initial state, which never
     change, and after a step its fields hold u and u_x (u alone at b = 3)
     of the new state.
-    `u_hat` is the band of rfft(u) for the state, and `peak` is max|u|.
-    `dt_max` and `cfl_safety` bound the step `propose` gives; a march that is
-    only stepped (`rk4_step`) needs neither.
+    `u_hat` is the band of rfft(u) for the state.
     """
 
-    def __init__(self, u: RealField, b: float, blowup_threshold: float,
-                 dt_max: float = math.inf, cfl_safety: float = 1.0):
+    def __init__(self, u: RealField, b: float, blowup_threshold: float):
         self.grid = u.grid
         self.blowup_threshold = blowup_threshold
-        self.dt_max, self.cfl_safety = dt_max, cfl_safety
         self.op = _Operator(u, b)
         self.u_hat = self.op.stage.copy()
-        self.peak = float(np.max(np.abs(u.samples)))
-
-    def propose(self) -> float:
-        """The CFL step of the state, bounded by dt_max."""
-        return _cfl_step(self.peak, self.grid.dx, self.dt_max, self.cfl_safety)
 
     def state(self) -> RealField:
         """The current state, with samples of its own (the operator's are reused)."""
@@ -199,8 +172,7 @@ class _March:
         self.u_hat = u_hat = u_hat - (dt / 6.0) * (((k1 + 2.0 * k2) + 2.0 * k3) + k4)
         self.op.stage[...] = u_hat
         self.op.load()
-        peak = float(np.max(np.abs(self.op.fields[0])))
-        self.peak = _checked_peak(peak, self.blowup_threshold, "RK4")
+        _check_peak(self.op.fields[0], self.blowup_threshold, "RK4")
 
 
 class _TaylorMarch:
@@ -240,7 +212,7 @@ class _TaylorMarch:
         """Advance the state to the series of the last `propose` summed at dt.
         Raises BlowupError unless the new peak is at most blowup_threshold."""
         u = _horner([self.u, *self.coeffs], dt)
-        _checked_peak(float(np.max(np.abs(u))), self.blowup_threshold, "Taylor")
+        _check_peak(u, self.blowup_threshold, "Taylor")
         self.u = u
 
     def state(self) -> RealField:
@@ -253,7 +225,7 @@ def rk4_step(
 ) -> RealField:
     """One classical four-stage Runge-Kutta step of the b-family flow.
 
-    The step of `run`'s march, taken once from u: only the band
+    The step of the reference march, taken once from u: only the band
     k < grid.band_size is updated, and modes above the cutoff keep their
     values.
     """
@@ -306,10 +278,7 @@ def run(u0: RealField, cfg: EvolveConfig) -> Trajectory:
         traj.dt_used.append(dt_used)
 
     record(0.0, u0, 0.0)
-    if cfg.stepper == "taylor":
-        march = _TaylorMarch(u0, cfg.b, cfg.blowup_threshold)
-    else:
-        march = _March(u0, cfg.b, cfg.blowup_threshold, cfg.dt_max, cfg.cfl_safety)
+    march = _TaylorMarch(u0, cfg.b, cfg.blowup_threshold)
     t = 0.0
     eps = 1e-12 * max(1.0, cfg.t_final)
     for t_target in _sample_times(cfg):

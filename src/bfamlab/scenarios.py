@@ -514,7 +514,7 @@ def run_scenario(cfg: RunConfig) -> ScenarioResult:
             "versions": {"bfamlab": __version__, "numpy": np.__version__,
                          "python": platform.python_version()},
             "config_sha256": config_sha256,
-            "stepper": cfg.evolve.stepper,
+            "stepper": "taylor",
         }
         if trajectory is not None:
             manifest.update(steps=trajectory.steps, dt_min=trajectory.dt_min,

@@ -77,6 +77,17 @@ def derivative(grid, coeffs, order):
     return planted_field(grid, coeffs)
 
 
+def rk4_states(u0, b, dt, steps, samples=1):
+    """The RK4 reference march from u0 at b: one evolve._March, read after
+    each of `samples` runs of `steps` steps of size dt."""
+    march, states = bfamlab.evolve._March(u0, b, 1e6), []
+    for _ in range(samples):
+        for _ in range(steps):
+            march.step(dt)
+        states.append(march.state())
+    return states
+
+
 def conservative_rhs(u, b, box_length):
     """Samples of F(u) from `conservative_band`."""
     ux = reference_derivative(u, box_length)

@@ -35,7 +35,7 @@ from bfamlab import (
 )
 from bfamlab.grid import _irfft, _rfft
 from bfamlab.scenarios import DiagnosticsSpec, compute_diagnostics
-from conftest import fft_frequencies, planted_field
+from conftest import fft_frequencies, planted_field, rk4_states
 
 
 def report(number, ok, detail):
@@ -152,11 +152,8 @@ def test_criterion_06_taylor_stepper_equivalence():
     worst = 0.0
     for b in (2.0, 3.0):
         series = taylor_coeffs(u0, b, 16)
-        cfg = EvolveConfig(
-            b=b, t_final=t, dt_max=t / 2000, sample_interval=t, cfl_safety=1.0,
-            stepper="rk4",
-        )
-        endpoint = run(u0, cfg).final_state
+        # the RK4 reference march: 2000 steps of t / 2000
+        endpoint = rk4_states(u0, b, t / 2000, 2000)[0]
         approx = taylor_eval(series, t)
         rel = sobolev_norm(
             RealField(grid, approx.samples - endpoint.samples), 0.0
@@ -167,15 +164,13 @@ def test_criterion_06_taylor_stepper_equivalence():
     s0 = initial_data("sine", {"amplitude": 1.0, "mode": 1}, sine_grid)
     sine_series = taylor_coeffs(s0, -1.0, 16)
     sine_taylor = float(np.max(np.abs(taylor_eval(sine_series, t).samples - s0.samples)))
-    cfg = EvolveConfig(b=-1.0, t_final=t, dt_max=t / 2000, sample_interval=t, cfl_safety=1.0,
-                       stepper="rk4")
-    sine_stepper = float(np.max(np.abs(run(s0, cfg).final_state.samples - s0.samples)))
-    ok = worst < 1e-8 and sine_taylor < 1e-12 and sine_stepper < 1e-12
+    sine_rk4 = float(np.max(np.abs(rk4_states(s0, -1.0, t / 2000, 2000)[0].samples - s0.samples)))
+    ok = worst < 1e-8 and sine_taylor < 1e-12 and sine_rk4 < 1e-12
     report(
         6,
         ok,
         f"gaussian rel diff {worst:.2e}; sine fixed point "
-        f"taylor {sine_taylor:.2e} stepper {sine_stepper:.2e}",
+        f"taylor {sine_taylor:.2e} rk4 {sine_rk4:.2e}",
     )
 
 

@@ -1,8 +1,8 @@
 """Exit codes and output contracts of the command-line surface."""
 
 import argparse
-import dataclasses
 import json
+import math
 import re
 import struct
 
@@ -197,7 +197,7 @@ class TestRunCommand:
         assert "does not advance t" in capsys.readouterr().err
 
     def test_stepper_is_not_a_config_key(self, tmp_path, capsys):
-        # every run uses the series; RK4 is set in code, for reference marches
+        # every run uses the series; RK4 is the reference march, built in code
         text = CONFIG.replace("[run]", "[run]\nstepper = rk4")
         path = tmp_path / "rk4.ini"
         path.write_text(text.format(outdir=tmp_path / "out"))
@@ -205,12 +205,12 @@ class TestRunCommand:
         assert "unknown key 'stepper' in section [run]" in capsys.readouterr().err
 
     def test_non_finite_state_exit_code(self, tmp_path, capsys, monkeypatch):
-        # under RK4, u^2 overflows in the first stage and the state turns NaN
-        march = evolve.run
-        monkeypatch.setattr(evolve, "run", lambda u0, cfg: march(
-            u0, dataclasses.replace(cfg, stepper="rk4")))
-        text = CONFIG.replace("amplitude = 0.25", "amplitude = 1e200").replace(
-            "sample_interval = 0.1", "sample_interval = 0.1\nblowup_threshold = 1e300")
+        # a step far outside the series' disk overflows the Horner sum, and
+        # the state is not finite
+        propose = evolve._TaylorMarch.propose
+        monkeypatch.setattr(evolve._TaylorMarch, "propose", lambda march: propose(march) * math.inf)
+        text = CONFIG.replace("t_final = 0.2", "t_final = 1e300").replace(
+            "sample_interval = 0.1", "sample_interval = 1e300\nblowup_threshold = 1e300")
         path = tmp_path / "nan.ini"
         path.write_text(text.format(outdir=tmp_path / "out"))
         with np.errstate(over="ignore", invalid="ignore"):
@@ -507,7 +507,8 @@ class TestTaylorCommand:
 class TestTaylorReportPin:
     """Each |c_k|_L2 line of `bfamlab taylor` is sobolev_norm(c_k, 0) at 6
     digits, and its stepper line is the ratio of sobolev_norm of the series'
-    and the stepper's difference to sobolev_norm of the stepper's state."""
+    and the reference march's difference to sobolev_norm of the reference
+    march's state."""
 
     FAMILIES = {
         "sine": ("6.283185307179586", "amplitude = 0.5"),
@@ -523,25 +524,38 @@ class TestTaylorReportPin:
     def test_lines_match_sobolev_norm(self, tmp_path, capsys, monkeypatch, family, n):
         box_length, init = self.FAMILIES[family]
         seen, marches = {}, {}
-        build, march, evaluate = taylor.taylor_coeffs, evolve.run, taylor.taylor_eval
+        build, march, evaluate = taylor.taylor_coeffs, evolve._March, taylor.taylor_eval
 
         def spy_coeffs(u0, b, order):
             seen["series"] = build(u0, b, order)
             return seen["series"]
 
-        def spy_run(u0, cfg):  # the march depends on b and t alone: one per b
-            key = (cfg.b, cfg.t_final)
-            if key not in marches:
-                marches[key] = march(u0, cfg)
-            seen["endpoint"] = marches[key].final_state
-            return marches[key]
+        class SpyMarch:
+            """The reference march, stepped for real once per b and list of
+            steps: the datum does not change within a test."""
+
+            def __init__(self, u0, b, blowup_threshold):
+                self.args, self.dts = (u0, b, blowup_threshold), []
+
+            def step(self, dt):
+                self.dts.append(dt)
+
+            def state(self):
+                key = (self.args[1], tuple(self.dts))
+                if key not in marches:
+                    reference = march(*self.args)
+                    for dt in self.dts:
+                        reference.step(dt)
+                    marches[key] = reference.state()
+                seen["endpoint"] = marches[key]
+                return marches[key]
 
         def spy_eval(series, t):
             seen["series_end"] = evaluate(series, t)
             return seen["series_end"]
 
         monkeypatch.setattr(taylor, "taylor_coeffs", spy_coeffs)
-        monkeypatch.setattr(evolve, "run", spy_run)
+        monkeypatch.setattr(evolve, "_March", SpyMarch)
         monkeypatch.setattr(taylor, "taylor_eval", spy_eval)
         path = tmp_path / "taylor.ini"
         for b in (-1.0, 0.0, 2.0, 3.0):
@@ -586,6 +600,20 @@ class TestUsage:
 
 
 class TestNonFiniteRunParameters:
+    def test_sample_count_out_of_range(self, tmp_path, capsys):
+        # t_final / sample_interval overflows; the run is refused before its
+        # directory or any sample is made
+        text = CONFIG.replace("t_final = 0.2", "t_final = 1e300").replace(
+            "sample_interval = 0.1", "sample_interval = 1e-300")
+        path = tmp_path / "samples.ini"
+        path.write_text(text.format(outdir=tmp_path / "out"))
+        assert main(["run", "--config", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("configuration error: t_final / sample_interval must be at most")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("line", [
         "t_final = nan", "t_final = inf", "dt_max = nan",
         "sample_interval = nan", "blowup_threshold = nan",

@@ -1,4 +1,4 @@
-"""CFL control, RK4 and Taylor stepping, blow-up handling, and conservation monitoring."""
+"""The Taylor march of `run`, the RK4 reference march, blow-up handling, and conservation."""
 
 import math
 import warnings
@@ -22,40 +22,12 @@ from bfamlab import (
 )
 from bfamlab import evolve, taylor
 from bfamlab.scenarios import initial_data
-from conftest import fft_band, fft_frequencies
+from conftest import fft_band, fft_frequencies, rk4_states
 
 
 def bump_datum(n=512, length=80.0, amplitude=0.5, width=8.0):
     grid = make_grid(n, length)
     return initial_data("momentum_bump", {"amplitude": amplitude, "width": width}, grid)
-
-
-def cfl_step(u, cfg):
-    """The march's CFL step for the state u, whose peak the march carries."""
-    return evolve._cfl_step(float(np.max(np.abs(u.samples))), u.grid.dx, cfg.dt_max,
-                            cfg.cfl_safety)
-
-
-class TestCflDt:
-    def test_zero_field_hits_dt_max(self):
-        grid = make_grid(64, 2 * np.pi)
-        cfg = EvolveConfig(b=2.0, t_final=1.0, dt_max=0.05, sample_interval=0.5)
-        assert cfl_step(RealField(grid, np.zeros(64)), cfg) == 0.05
-
-    def test_velocity_limited_formula(self):
-        grid = make_grid(256, 2 * np.pi)
-        cfg = EvolveConfig(b=2.0, t_final=1.0, dt_max=1.0, sample_interval=0.5)
-        u = RealField(grid, 2.0 * np.sin(grid.x))
-        expected = 0.2 * (2 * np.pi / 256) / 2.0
-        assert cfl_step(u, cfg) == pytest.approx(expected, rel=1e-12)
-
-    def test_doubling_n_halves_dt(self):
-        cfg = EvolveConfig(b=2.0, t_final=1.0, dt_max=1.0, sample_interval=0.5)
-        dts = []
-        for n in (256, 512):
-            grid = make_grid(n, 2 * np.pi)
-            dts.append(cfl_step(RealField(grid, 2.0 * np.sin(grid.x)), cfg))
-        assert dts[0] == pytest.approx(2 * dts[1], rel=1e-12)
 
 
 class TestRk4Step:
@@ -92,7 +64,9 @@ class TestRk4Step:
     def test_overflow_in_a_stage_is_blowup(self):
         grid = make_grid(64, 2 * np.pi)
         u = RealField(grid, 1e200 * np.sin(grid.x))
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(BlowupError):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            BlowupError, match="non-finite state after RK4 step"
+        ):
             rk4_step(u, 0.01, 2.0, blowup_threshold=1e300)
 
 
@@ -154,7 +128,8 @@ class TestRk4AgainstComplexFft:
 
 
 class TestFftBudget:
-    """Transform and combine counts of the stepping hot path."""
+    """Transform and combine counts of rk4_step, the RK4 reference march,
+    rhs_F and the sign certificate."""
 
     @pytest.fixture
     def u(self):
@@ -167,11 +142,10 @@ class TestFftBudget:
         assert fft_counts == {"real": 18, "complex": 0, "calls": 10, "combine": 4}
 
     def test_run_step_budget(self, u, fft_counts):
-        # dt_max = 0.01 is far below the CFL step 0.2 dx / max|u| = 0.0625
-        cfg = EvolveConfig(b=2.0, t_final=0.1, dt_max=0.01, sample_interval=0.05,
-                           stepper="rk4")
-        traj = run(u, cfg)
-        assert traj.steps == 10
+        # ten steps of the reference march
+        march = evolve._March(u, 2.0, 1e6)
+        for _ in range(10):
+            march.step(0.01)
         # 2 transforms in 2 calls start the march; each step is 16 in 8
         assert fft_counts == {"real": 2 + 16 * 10, "complex": 0, "calls": 2 + 8 * 10, "combine": 4 * 10}
 
@@ -186,10 +160,9 @@ class TestFftBudget:
         assert fft_counts == {"real": 9, "complex": 0, "calls": 9, "combine": 4}
 
     def test_run_step_budget_at_b3(self, u, fft_counts):
-        cfg = EvolveConfig(b=3.0, t_final=0.1, dt_max=0.01, sample_interval=0.05,
-                           stepper="rk4")
-        traj = run(u, cfg)
-        assert traj.steps == 10
+        march = evolve._March(u, 3.0, 1e6)
+        for _ in range(10):
+            march.step(0.01)
         # 1 transform starts the march; each step is 8 in 8
         assert fft_counts == {"real": 1 + 8 * 10, "complex": 0, "calls": 1 + 8 * 10, "combine": 4 * 10}
 
@@ -385,6 +358,17 @@ class TestRun:
         with pytest.raises(ConfigurationError):
             EvolveConfig(b=2.0, t_final=1.0, dt_max=0.01, sample_interval=0.1, cfl_safety=1.5)
 
+    @pytest.mark.parametrize("t_final, sample_interval", [
+        (1e300, 1e-300),  # the count overflows to inf
+        (1e7, 1.0),
+        (1.0, np.nextafter(1e-6, 0.0)),
+    ])
+    def test_sample_count_bounded(self, t_final, sample_interval):
+        # every sample keeps a state, so the count is refused before a list is
+        # built; the limit itself is accepted
+        with pytest.raises(ConfigurationError, match="t_final / sample_interval must be at most"):
+            EvolveConfig(b=2.0, t_final=t_final, dt_max=0.01, sample_interval=sample_interval)
+        EvolveConfig(b=2.0, t_final=evolve.MAX_SAMPLES, dt_max=0.01, sample_interval=1.0)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize("name", ["b", "t_final", "dt_max", "sample_interval", "blowup_threshold"])
@@ -396,7 +380,8 @@ class TestRun:
 
 
 class TestRunMarch:
-    """run's carried-spectrum march: blow-up, agreement with rk4_step, step counts."""
+    """run's march loop: blow-up, abort time, step counts; and the RK4
+    reference march against a loop of rk4_step."""
 
     def test_threshold_overflow_aborts_with_partial_trajectory(self):
         # the first step's sup|u| is about 1, above the threshold
@@ -412,15 +397,17 @@ class TestRunMarch:
         assert [t for t, _ in err.trajectory.snapshots] == [0.0]
         assert "blow-up may be genuine" in str(err)
 
-    def test_nan_state_aborts_with_partial_trajectory(self):
-        # u^2 overflows in the first stage, so the new state is NaN; the
-        # threshold test must still refuse it
+    def test_nan_state_aborts_with_partial_trajectory(self, monkeypatch):
+        # a step far outside the series' disk overflows the Horner sum, so the
+        # new state is not finite; the threshold test must still refuse it
+        propose = evolve._TaylorMarch.propose
+        monkeypatch.setattr(evolve._TaylorMarch, "propose", lambda march: propose(march) * math.inf)
         grid = make_grid(64, 2 * np.pi)
-        u0 = RealField(grid, 1e200 * np.sin(grid.x))
-        cfg = EvolveConfig(b=2.0, t_final=1.0, dt_max=0.01, sample_interval=0.05,
-                           blowup_threshold=1e300, stepper="rk4")
+        u0 = RealField(grid, np.sin(grid.x))
+        cfg = EvolveConfig(b=2.0, t_final=1e300, dt_max=0.01, sample_interval=1e300,
+                           blowup_threshold=1e300)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-            BlowupError, match="non-finite state after RK4 step"
+            BlowupError, match="non-finite state after Taylor step"
         ) as excinfo:
             run(u0, cfg)
         err = excinfo.value
@@ -428,78 +415,76 @@ class TestRunMarch:
         assert err.trajectory.snapshots[0][1] is u0
         assert err.trajectory.steps == 0
 
-    def test_abort_time_is_the_last_completed_step(self):
+    def test_abort_time_is_the_last_completed_step(self, monkeypatch):
         u0 = bump_datum(n=256, amplitude=1.0, width=5.0)
         cfg = EvolveConfig(b=3.0, t_final=5.0, dt_max=0.02, sample_interval=0.5,
-                           blowup_threshold=1.2, stepper="rk4")
+                           blowup_threshold=1.2)
+        completed, step = [], evolve._TaylorMarch.step
+
+        def logged(march, dt):
+            step(march, dt)
+            completed.append(dt)
+
+        monkeypatch.setattr(evolve._TaylorMarch, "step", logged)
         with pytest.raises(BlowupError) as excinfo:
             run(u0, cfg)
         err = excinfo.value
         traj = err.trajectory
-        # the march aborts after its last completed step, at t ~ steps * dt_max
-        assert traj.steps > 0
+        # the march aborts after its last completed step
+        assert traj.steps == len(completed) > 0
         assert err.time >= traj.snapshots[-1][0]
-        assert err.time == pytest.approx(traj.steps * 0.02, abs=0.02)
+        assert err.time == pytest.approx(math.fsum(completed), abs=1e-12)
 
-    def test_matches_a_loop_of_rk4_step(self, monkeypatch):
-        # CFL-limited: 0.2 dx / max|u| is about 0.08, below dt_max
+    def test_matches_a_loop_of_rk4_step(self):
+        # n steps of one reference march, which carries its band, against n
+        # chained rk4_step calls, each from the samples; steps of three sizes
         u0 = bump_datum(n=256, amplitude=0.8, width=5.0)
-        cfg = EvolveConfig(b=2.0, t_final=1.0, dt_max=0.2, sample_interval=0.25,
-                           stepper="rk4")
-        dts = []
-        step = evolve._March.step
+        dts = [(0.08, 0.05, 0.03)[i % 3] for i in range(15)]
+        march, u = evolve._March(u0, 2.0, 1e6), u0
+        for dt in dts:
+            march.step(dt)
+            u = rk4_step(u, dt, 2.0)
+        final = march.state().samples
+        assert np.max(np.abs(final - u0.samples)) > 1e-3
+        assert np.max(np.abs(u.samples - final)) / np.max(np.abs(final)) <= 1e-13
+
+    def test_steps_and_dt_range_recorded(self, monkeypatch):
+        # every step is counted, and a sample interval bounds the largest
+        u0 = bump_datum(n=128)
+        cfg = EvolveConfig(b=2.0, t_final=1.0, dt_max=0.01, sample_interval=0.25)
+        dts, step = [], evolve._TaylorMarch.step
 
         def logged(march, dt):
             dts.append(dt)
             return step(march, dt)
 
-        monkeypatch.setattr(evolve._March, "step", logged)
-        final = run(u0, cfg).final_state.samples
-        monkeypatch.undo()
-        assert len(set(dts)) > 4
-        u = u0
-        for dt in dts:
-            u = rk4_step(u, dt, cfg.b)
-        assert np.max(np.abs(u.samples - final)) / np.max(np.abs(final)) <= 1e-13
-
-    def test_steps_and_dt_range_recorded(self):
-        # dt_max = 0.01 is far below the CFL step 0.2 dx / max|u| ~ 0.25
-        u0 = bump_datum(n=128)
-        cfg = EvolveConfig(b=2.0, t_final=1.0, dt_max=0.01, sample_interval=0.5,
-                           stepper="rk4")
+        monkeypatch.setattr(evolve._TaylorMarch, "step", logged)
         traj = run(u0, cfg)
-        assert traj.steps == math.ceil(cfg.t_final / cfg.dt_max)
-        assert traj.dt_max == pytest.approx(cfg.dt_max, rel=1e-9)
-        assert traj.dt_min == pytest.approx(cfg.dt_max, rel=1e-9)
+        assert traj.steps == len(dts) >= 4
+        assert (traj.dt_min, traj.dt_max) == (min(dts), max(dts))
+        assert traj.dt_max <= cfg.sample_interval
 
     def test_zero_horizon_takes_no_step(self):
         cfg = EvolveConfig(b=2.0, t_final=0.0, dt_max=0.01, sample_interval=0.5)
         traj = run(bump_datum(n=128), cfg)
         assert (traj.steps, traj.dt_min, traj.dt_max) == (0, None, None)
 
-    @pytest.mark.parametrize("stepper", ["taylor", "rk4"])
-    def test_snapshots_own_their_samples(self, stepper):
+    @pytest.mark.parametrize("march", ["taylor", "rk4"])
+    def test_snapshots_own_their_samples(self, march):
         # under RK4 the state's samples are the operator's reused fields
         u0 = bump_datum(n=128)
-        cfg = EvolveConfig(b=2.0, t_final=0.3, dt_max=0.01, sample_interval=0.1,
-                           stepper=stepper)
-        states = [u.samples for _, u in run(u0, cfg).snapshots]
+        if march == "taylor":
+            cfg = EvolveConfig(b=2.0, t_final=0.3, dt_max=0.01, sample_interval=0.1)
+            states = [u.samples for _, u in run(u0, cfg).snapshots]
+        else:
+            states = [u0.samples] + [u.samples for u in rk4_states(u0, 2.0, 0.01, 10, samples=3)]
         assert all(not np.shares_memory(a, b) for i, a in enumerate(states) for b in states[i + 1:])
         assert all(np.max(np.abs(a - b)) > 0 for a, b in zip(states, states[1:]))
 
 
 class TestTaylorMarch:
-    """run's default stepper: the time-Taylor series of each state, summed at
-    a step from its last two coefficients, clipped to the sample times."""
-
-    def test_taylor_is_the_default(self):
-        cfg = EvolveConfig(b=2.0, t_final=1.0, dt_max=0.01, sample_interval=0.5)
-        assert cfg.stepper == "taylor"
-
-    @pytest.mark.parametrize("stepper", ["Taylor", "rk2", ""])
-    def test_unknown_stepper_rejected(self, stepper):
-        with pytest.raises(ConfigurationError, match="stepper must be one of"):
-            EvolveConfig(b=2.0, t_final=1.0, dt_max=0.01, sample_interval=0.5, stepper=stepper)
+    """run's march: the time-Taylor series of each state, summed at a step
+    from its last two coefficients, clipped to the sample times."""
 
     def test_sample_times_and_dt_used_exact(self, monkeypatch):
         u0 = bump_datum(n=128)
@@ -524,7 +509,7 @@ class TestTaylorMarch:
             if any(abs(t - t_s) < 1e-12 for t_s, _ in traj.snapshots[1:]):
                 landed.append(dt)
         assert traj.dt_used == [0.0] + landed
-        # the series' steps are far longer than dt_max allows RK4
+        # the series' steps are far longer than dt_max
         assert traj.dt_max > 10 * cfg.dt_max
 
     def test_step_rule(self):
@@ -547,20 +532,18 @@ class TestTaylorMarch:
     @pytest.mark.parametrize("datum", ["criterion_04", "criterion_09"])
     def test_matches_fine_rk4_at_every_sample(self, datum, b):
         # criterion 04's bump to t = 5 and criterion 09's sech to t = 10, every
-        # sample within 1e-12 of max|u| of RK4 at dt_max = 0.0025
+        # sample within 1e-12 of max|u| of the RK4 reference march at dt = 0.0025
         if datum == "criterion_04":
             u0, t_final = bump_datum(), 5.0
         else:
             u0 = initial_data("sech", {"amplitude": 0.05, "width": 1.0}, make_grid(1024, 80.0))
             t_final = 10.0
         taylor_run = run(u0, EvolveConfig(b=b, t_final=t_final, dt_max=0.01, sample_interval=0.5))
-        rk4_run = run(u0, EvolveConfig(b=b, t_final=t_final, dt_max=0.0025,
-                                       sample_interval=0.5, stepper="rk4"))
-        assert len(taylor_run.snapshots) == len(rk4_run.snapshots) == 2 * int(t_final) + 1
-        for (t_a, a), (t_b, ref) in zip(taylor_run.snapshots, rk4_run.snapshots):
-            assert t_a == t_b
+        references = [u0] + rk4_states(u0, b, 0.0025, 200, samples=2 * int(t_final))
+        assert len(taylor_run.snapshots) == len(references) == 2 * int(t_final) + 1
+        for (t, a), ref in zip(taylor_run.snapshots, references):
             scale = np.max(np.abs(ref.samples))
-            assert np.max(np.abs(a.samples - ref.samples)) <= 1e-12 * scale, t_a
+            assert np.max(np.abs(a.samples - ref.samples)) <= 1e-12 * scale, t
         # a handful of series steps where RK4 takes hundreds
         assert taylor_run.steps <= 4 * len(taylor_run.snapshots)
 
@@ -596,10 +579,9 @@ class TestTaylorMarch:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             traj = run(u0, cfg)
-        reference = run(u0, EvolveConfig(b=2.0, t_final=0.01, dt_max=2e-5,
-                                         sample_interval=0.005, stepper="rk4"))
-        assert traj.steps > 2
-        for (_, a), (_, ref) in zip(traj.snapshots, reference.snapshots):
+        references = [u0] + rk4_states(u0, 2.0, 2e-5, 250, samples=2)
+        assert traj.steps > 2 and len(traj.snapshots) == 3
+        for (_, a), ref in zip(traj.snapshots, references):
             assert np.max(np.abs(a.samples - ref.samples)) <= 1e-12 * 10.0
 
     @pytest.mark.parametrize("amplitude", [1e5, 1e7])
@@ -641,7 +623,7 @@ class TestTaylorMarch:
             march.step(1e300)
 
     def test_peak_above_threshold_is_a_blowup(self):
-        # the same b = 3 bump as the RK4 blow-up test: sup|u| passes 1.2
+        # the same b = 3 bump as the abort-time test: sup|u| passes 1.2
         u0 = bump_datum(n=256, amplitude=1.0, width=5.0)
         cfg = EvolveConfig(b=3.0, t_final=5.0, dt_max=0.02, sample_interval=0.5,
                            blowup_threshold=1.2)

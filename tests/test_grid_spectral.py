@@ -1,6 +1,7 @@
 """The grid, its real transforms and half-spectrum multipliers: series
 coefficients, the spectral derivative, the Helmholtz inverse, and the band cut."""
 
+import functools
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from bfamlab import (
     inverse_momentum,
     make_grid,
     momentum,
+    rk4_step,
     sobolev_norm,
 )
 from bfamlab.grid import _irfft, _rfft
@@ -26,6 +28,7 @@ from conftest import (
     fft_frequencies,
     planted_field,
     reference_wavenumbers,
+    rk4_states,
     series_coefficients,
 )
 
@@ -268,7 +271,8 @@ class TestRemovedOneLiners:
     """Each numpy one-liner of the README's "Removed" table, run against the
     test references: `u` a RealField, `g = u.grid`, `N = g.n_points`, `c` its
     coefficients in numpy FFT ordering, `k` and `xi` its FFT-ordered modes,
-    `cfg` an EvolveConfig and `traj` a Trajectory."""
+    `cfg` an EvolveConfig, `traj` a Trajectory, and `u0`, `b`, `t` and `n` a
+    datum, b, a horizon and a step count."""
 
     README = Path(__file__).resolve().parents[1] / "README.md"
     FREQUENCIES = {"k": "np.rint(np.fft.fftfreq(N) * N)", "xi": "2 * np.pi * k / g.box_length"}
@@ -288,11 +292,13 @@ class TestRemovedOneLiners:
         "cfl_dt(u, cfg)": "min(cfg.dt_max, cfg.cfl_safety * u.grid.dx / max(np.max(np.abs(u.samples)), 1e-8))",
         "h1_energy(u)": "sobolev_norm(u, 1.0) ** 2",
         "Trajectory.times": "np.array([t for t, _ in traj.snapshots])",
+        'run(u0, EvolveConfig(..., stepper="rk4")).final_state':
+            "functools.reduce(lambda u, _: rk4_step(u, t / n, b), range(n), u0)",
     }
     # the removed functions as they were defined, each over one more input
     REMOVED = {
-        "cfl_dt(u, cfg)": lambda u, cfg, traj: evolve._cfl_step(
-            float(np.max(np.abs(u.samples))), u.grid.dx, cfg.dt_max, cfg.cfl_safety),
+        "cfl_dt(u, cfg)": lambda u, cfg, traj: min(
+            cfg.dt_max, cfg.cfl_safety * u.grid.dx / max(float(np.max(np.abs(u.samples))), 1e-8)),
         "h1_energy(u)": lambda u, cfg, traj: sobolev_norm(u, 1.0) ** 2,
         "Trajectory.times": lambda u, cfg, traj: np.array([t for t, _ in traj.snapshots]),
     }
@@ -309,7 +315,8 @@ class TestRemovedOneLiners:
         u = random_field
         g, n = u.grid, u.grid.n_points
         scope = {"np": np, "RealField": RealField, "momentum": momentum,
-                 "sobolev_norm": sobolev_norm, "u": u, "g": g, "N": n,
+                 "sobolev_norm": sobolev_norm, "functools": functools, "rk4_step": rk4_step,
+                 "u": u, "g": g, "N": n,
                  "c": series_coefficients(u)}
         for name, expression in self.FREQUENCIES.items():
             scope[name] = eval(expression, scope)
@@ -358,6 +365,14 @@ class TestRemovedOneLiners:
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
         assert run("cfl_dt(u, cfg)", u=zero) == 0.05
         assert run("Trajectory.times", traj=traj).tolist() == [0.0, 0.01, 0.02]
+
+        # the RK4 run of the removed stepper option, n steps of t / n when
+        # dt_max = t / n, against the reference march: one march stepped n times
+        rk4_run = 'run(u0, EvolveConfig(..., stepper="rk4")).final_state'
+        got = run(rk4_run, u0=u, b=2.0, t=0.02, n=10).samples
+        want = rk4_states(u, 2.0, 0.02 / 10, 10)[0].samples
+        assert np.max(np.abs(got - u.samples)) > 1e-3
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 random_grids = st.tuples(

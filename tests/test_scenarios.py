@@ -68,11 +68,6 @@ dir = {outdir}
 """
 
 
-def rk4(cfg):
-    """cfg marching with the RK4 reference stepper, which no config key sets."""
-    return dataclasses.replace(cfg, evolve=dataclasses.replace(cfg.evolve, stepper="rk4"))
-
-
 class TestInitialData:
     def test_sine_exact_at_nodes(self):
         grid = make_grid(64, 2 * np.pi)
@@ -578,15 +573,13 @@ class TestRunScenario:
         import json
 
         out = tmp_path / "run"
-        run_scenario(rk4(parse_config(SMALL_RUN.format(outdir=out))))
+        traj = run_scenario(parse_config(SMALL_RUN.format(outdir=out))).trajectory
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["exit_status"] == 0
-        assert manifest["stepper"] == "rk4"
         assert manifest["finished_unix"] >= manifest["started_unix"]
-        # t_final = 0.2 at dt_max = 0.02, which the CFL step does not limit
-        assert manifest["steps"] == 10
-        assert manifest["dt_min"] == pytest.approx(0.02, rel=1e-9)
-        assert manifest["dt_max"] == pytest.approx(0.02, rel=1e-9)
+        assert (manifest["steps"], manifest["dt_min"], manifest["dt_max"]) == (
+            traj.steps, traj.dt_min, traj.dt_max)
+        assert 0.0 < traj.dt_min <= traj.dt_max <= 0.1
         self.assert_provenance(manifest, out)
 
     def test_manifest_records_the_default_stepper(self, tmp_path):
@@ -657,12 +650,12 @@ class TestRunScenario:
         assert analyticity.km_bound_from_run(bare, result.bound.gamma).mu == result.bound.mu
 
     def test_transform_budget(self, tmp_path, fft_counts):
-        result = scenarios.simulate(rk4(parse_config(SMALL_RUN.format(outdir=tmp_path))))
+        result = scenarios.simulate(parse_config(SMALL_RUN.format(outdir=tmp_path)))
         steps, samples = result.trajectory.steps, len(result.rows)
-        assert (steps, samples) == (10, 3)
-        # the march: 2 to set up and 16 per step; 3 per sample; 1 for the
-        # bound's phi0; no complex transform anywhere
-        assert fft_counts["real"] == 2 + 16 * steps + 3 * samples + 1
+        assert samples == 3 and 2 <= steps <= 4
+        # the march: per step, the datum load (2) and 16 orders of 4; 3 per
+        # sample; 1 for the bound's phi0; no complex transform anywhere
+        assert fft_counts["real"] == (2 + 4 * 16) * steps + 3 * samples + 1
         assert fft_counts["complex"] == 0
 
     def test_sparse_spectrum_yields_nan_fit_columns(self, tmp_path):

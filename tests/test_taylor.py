@@ -8,19 +8,17 @@ import pytest
 
 from bfamlab import (
     ConfigurationError,
-    EvolveConfig,
     RealField,
     TaylorSeries,
     make_grid,
     rhs_F,
-    run,
     sobolev_norm,
     taylor_coeffs,
     taylor_eval,
     time_radius_estimate,
 )
 from bfamlab.scenarios import initial_data
-from conftest import conservative_band, reference_derivative, reference_wavenumbers
+from conftest import conservative_band, reference_derivative, reference_wavenumbers, rk4_states
 
 
 def loop_coeffs(u0, b, order, dtype=np.float64):
@@ -355,11 +353,7 @@ class TestAgainstStepper:
         u0 = initial_data("gaussian", {"amplitude": 1.0, "width": 5.0}, grid)
         series = taylor_coeffs(u0, b, 12)
         t = 0.01
-        cfg = EvolveConfig(
-            b=b, t_final=t, dt_max=t / 2000, sample_interval=t, cfl_safety=1.0,
-            stepper="rk4",
-        )
-        endpoint = run(u0, cfg).final_state
+        endpoint = rk4_states(u0, b, t / 2000, 2000)[0]
         approx = taylor_eval(series, t)
         rel = sobolev_norm(
             RealField(grid, approx.samples - endpoint.samples), 0.0
@@ -372,11 +366,7 @@ class TestAgainstStepper:
         series = taylor_coeffs(u0, 2.0, 16)
         rho = time_radius_estimate(series)
         t = rho / 4
-        cfg = EvolveConfig(
-            b=2.0, t_final=t, dt_max=t / 4000, sample_interval=t, cfl_safety=1.0,
-            stepper="rk4",
-        )
-        endpoint = run(u0, cfg).final_state
+        endpoint = rk4_states(u0, 2.0, t / 4000, 4000)[0]
         approx = taylor_eval(series, t)
         rel = sobolev_norm(
             RealField(grid, approx.samples - endpoint.samples), 0.0
