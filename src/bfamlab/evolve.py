@@ -3,17 +3,31 @@
 `run` marches with the local power series of the solution (`taylor`). Each
 step builds c_0 .. c_K of the state, K = TAYLOR_ORDER, and proposes
 h = min over j in {K-1, K} of (TAYLOR_TOL |u| / |c_j|)^{1/j}, every norm
-`taylor._l2_norm` (Jorba and Zou, Experiment. Math. 14, 2005). `run` clips
-every step to land exactly on each sample time, so a run keeps the state at
-each sample time without interpolation; the new state is the series summed at
-the clipped h in Horner form. `run` counts the steps in the `Trajectory`,
-refuses a step that does not advance t and diagnoses a blow-up. A series the
-recursion cut at COEFF_SUP_CAP steps with the order it has, and one cut below
-order 2 is a blow-up. Where every tail coefficient vanishes, h is infinite
-and the step lands on the next sample time. A step costs the K orders of the
-recursion: 4K + 2 real transforms in 2K + 2 kernel calls, 2K + 1 in 2K + 1
-at b = 3. Every per-sample reading is taken from the sampled states after
-the march (`scenarios.compute_diagnostics`).
+`taylor._l2_norm` (Jorba and Zou, Experiment. Math. 14, 2005). The step
+covers [t, t + min(h, t_final - t)], and a proposal within the landing
+tolerance of t_final lands on it. Sample times are dense output: every
+sample time in the step's window is read from the series already built,
+summed at t_s - t in Horner form, and the state then advances by the whole
+step, the series summed at the step's span, unless the window reached
+t_final, which ends the run. So the steps depend on the state and t_final
+alone, not on sample_interval. `run` counts the steps in the `Trajectory`,
+refuses a step that does not advance t and diagnoses a blow-up. Every
+sample read and every new state passes the blow-up test. A series the
+recursion cut at COEFF_SUP_CAP steps with the order it has, and one cut
+below order 2 is a blow-up. Where every tail coefficient vanishes, h is
+infinite and one series gives every remaining sample. A step costs the K
+orders of the recursion: 4K + 2 real transforms in 2K + 2 kernel calls,
+2K + 1 in 2K + 1 at b = 3; a sample read takes none. Every per-sample
+reading is taken from the sampled states after the march
+(`scenarios.compute_diagnostics`).
+
+The `Trajectory` records the march by these rules. `steps` counts the series
+used, and `dt_min` and `dt_max` are the smallest and largest of their spans;
+the last span ends at t_final. `dt_used[i]` is the span of the step whose
+series sample i was read from, and 0 for the datum alone. The time of an
+abort is the latest time whose state passed the checks: the end of the last
+completed step, or the last sample read from the failing step where that is
+later, so it is never before the last snapshot's time.
 
 RK4 is the reference march that `bfamlab taylor`, acceptance criterion 06
 and the tests compare the series with, because it does not sum the series:
@@ -29,8 +43,8 @@ no u_x row, and a step is 8 real transforms in 8 calls.
 
 Only the dealiased band moves: under RK4 the modes above the cutoff keep
 their initial values exactly, and under the series, whose c_1 .. c_K have
-no modes there, up to the round-off of the Horner sum on the samples. One
-reading per step, peak = max|u|, feeds the blow-up test.
+no modes there, up to the round-off of the Horner sum. One reading per
+sample and per new state, peak = max|u|, feeds the blow-up test.
 """
 
 from __future__ import annotations
@@ -92,10 +106,10 @@ class Trajectory:
     """Sampled states of one run.
 
     snapshots[i] is (t_i, field) with strictly increasing t_i, starting at the
-    initial datum, and dt_used[i] is the size of the step that landed on t_i
-    (0 for the initial datum). steps counts the completed series steps, and
-    dt_min and dt_max are the smallest and largest of their sizes (None
-    before the first step).
+    initial datum, and dt_used[i] is the span of the step whose series gave
+    t_i's state (0 for the initial datum). steps counts the completed series
+    steps, and dt_min and dt_max are the smallest and largest of their spans
+    (None before the first step); the module docstring gives the rules.
     """
 
     b: float
@@ -208,16 +222,16 @@ class _TaylorMarch:
         self.coeffs = coeffs
         return h
 
-    def step(self, dt: float) -> None:
-        """Advance the state to the series of the last `propose` summed at dt.
-        Raises BlowupError unless the new peak is at most blowup_threshold."""
+    def read(self, dt: float) -> RealField:
+        """The series of the last `propose` summed at dt, with samples of its
+        own. Raises BlowupError unless its peak is at most blowup_threshold."""
         u = _horner([self.u, *self.coeffs], dt)
         _check_peak(u, self.blowup_threshold, "Taylor")
-        self.u = u
+        return _finite_field(self.grid, u)
 
-    def state(self) -> RealField:
-        """The current state (finite: its peak passed the blow-up test)."""
-        return _finite_field(self.grid, self.u)
+    def step(self, dt: float) -> None:
+        """Advance the state to `read(dt)`."""
+        self.u = self.read(dt).samples
 
 
 def rk4_step(
@@ -261,6 +275,8 @@ def run(u0: RealField, cfg: EvolveConfig) -> Trajectory:
     """March from 0 to t_final, recording a snapshot at t = 0 and every
     sample_interval (plus t_final itself).
 
+    Each sample is read from the series of the step whose window holds it,
+    so the steps do not depend on sample_interval (module docstring).
     Deterministic for a given (u0, cfg). On blow-up, and on a proposed step
     that does not advance t, the partial trajectory and abort time are
     attached to the raised BlowupError.
@@ -279,27 +295,28 @@ def run(u0: RealField, cfg: EvolveConfig) -> Trajectory:
 
     record(0.0, u0, 0.0)
     march = _TaylorMarch(u0, cfg.b, cfg.blowup_threshold)
-    t = 0.0
+    times, i = _sample_times(cfg), 0
+    t = t_passed = 0.0  # t_passed: the latest time whose state passed the checks
     eps = 1e-12 * max(1.0, cfg.t_final)
-    for t_target in _sample_times(cfg):
-        dt = 0.0
-        while t_target - t > eps:
-            try:
-                proposed = march.propose()
-                remaining = t_target - t
-                if proposed >= remaining - eps:
-                    dt, t_next = remaining, t_target
-                else:
-                    dt, t_next = proposed, t + proposed
-                if not t_next > t:
-                    raise BlowupError(f"the proposed step {proposed:.3e} does not advance t")
+    while t < cfg.t_final:
+        try:
+            proposed = march.propose()
+            remaining = cfg.t_final - t
+            if proposed >= remaining - eps:
+                dt, t_next = remaining, cfg.t_final
+            else:
+                dt, t_next = proposed, t + proposed
+            if not t_next > t:
+                raise BlowupError(f"the proposed step {proposed:.3e} does not advance t")
+            while i < len(times) and times[i] <= t_next:
+                record(times[i], march.read(times[i] - t), dt)
+                t_passed, i = times[i], i + 1
+            if t_next < cfg.t_final:
                 march.step(dt)
-            except BlowupError as err:
-                raise _diagnose_blowup(err, u0, t, traj) from err
-            traj._count_step(dt)
-            t = t_next
-        t = t_target
-        record(t, march.state(), dt)
+        except BlowupError as err:
+            raise _diagnose_blowup(err, u0, t_passed, traj) from err
+        traj._count_step(dt)
+        t = t_passed = t_next
     return traj
 
 

@@ -190,7 +190,8 @@ class TestRunCommand:
             return proposed[-1]
 
         monkeypatch.setattr(evolve._TaylorMarch, "propose", shrinking)
-        text = CONFIG
+        # the first series spans about 1.04, so t_final = 2 needs a second
+        text = CONFIG.replace("t_final = 0.2", "t_final = 2.0")
         path = tmp_path / "stall.ini"
         path.write_text(text.format(outdir=tmp_path / "out"))
         assert main(["run", "--config", str(path)]) == 2

@@ -449,7 +449,8 @@ class TestRunMarch:
         assert np.max(np.abs(u.samples - final)) / np.max(np.abs(final)) <= 1e-13
 
     def test_steps_and_dt_range_recorded(self, monkeypatch):
-        # every step is counted, and a sample interval bounds the largest
+        # every step is counted, the last one too, which ends the run at
+        # t_final without advancing the state; t_final bounds the largest
         u0 = bump_datum(n=128)
         cfg = EvolveConfig(b=2.0, t_final=1.0, dt_max=0.01, sample_interval=0.25)
         dts, step = [], evolve._TaylorMarch.step
@@ -460,9 +461,10 @@ class TestRunMarch:
 
         monkeypatch.setattr(evolve._TaylorMarch, "step", logged)
         traj = run(u0, cfg)
-        assert traj.steps == len(dts) >= 4
-        assert (traj.dt_min, traj.dt_max) == (min(dts), max(dts))
-        assert traj.dt_max <= cfg.sample_interval
+        spans = dts + [cfg.t_final - math.fsum(dts)]
+        assert traj.steps == len(spans) >= 2
+        assert (traj.dt_min, traj.dt_max) == (min(spans), max(spans))
+        assert traj.dt_max <= cfg.t_final
 
     def test_zero_horizon_takes_no_step(self):
         cfg = EvolveConfig(b=2.0, t_final=0.0, dt_max=0.01, sample_interval=0.5)
@@ -484,7 +486,8 @@ class TestRunMarch:
 
 class TestTaylorMarch:
     """run's march: the time-Taylor series of each state, summed at a step
-    from its last two coefficients, clipped to the sample times."""
+    from its last two coefficients, with every sample time in a step read
+    from that step's series."""
 
     def test_sample_times_and_dt_used_exact(self, monkeypatch):
         u0 = bump_datum(n=128)
@@ -497,18 +500,19 @@ class TestTaylorMarch:
 
         monkeypatch.setattr(evolve._TaylorMarch, "step", logged)
         traj = run(u0, cfg)
-        # clipping lands each sample on its time exactly
+        # each sample is read at its own time
         assert [t for t, _ in traj.snapshots] == [0.0, 0.4, 0.8, 0.9]
-        assert traj.steps == len(dts)
-        assert (traj.dt_min, traj.dt_max) == (min(dts), max(dts))
-        # dt_used is the step that landed on the sample, and the steps of
-        # each interval add up to it
-        t, landed = 0.0, []
-        for dt in dts:
-            t += dt
-            if any(abs(t - t_s) < 1e-12 for t_s, _ in traj.snapshots[1:]):
-                landed.append(dt)
-        assert traj.dt_used == [0.0] + landed
+        # the last step ends the run at t_final and advances no state
+        spans = dts + [cfg.t_final - math.fsum(dts)]
+        assert traj.steps == len(spans)
+        assert (traj.dt_min, traj.dt_max) == (min(spans), max(spans))
+        # dt_used is the span of the step whose window holds the sample
+        ends = np.cumsum(spans)
+        ends[-1] = cfg.t_final
+        holding = [spans[int(np.searchsorted(ends, t_s))] for t_s, _ in traj.snapshots[1:]]
+        assert traj.dt_used == [0.0] + holding
+        # one series gives more than one sample here
+        assert traj.steps < len(traj.snapshots) - 1
         # the series' steps are far longer than dt_max
         assert traj.dt_max > 10 * cfg.dt_max
 
@@ -526,7 +530,7 @@ class TestTaylorMarch:
         )
         assert h == expected
         march.step(0.5 * h)
-        assert march.state().samples.tobytes() == taylor_eval(series, 0.5 * h).samples.tobytes()
+        assert march.u.tobytes() == taylor_eval(series, 0.5 * h).samples.tobytes()
 
     @pytest.mark.parametrize("b", [-1.0, 0.0, 2.0, 3.0])
     @pytest.mark.parametrize("datum", ["criterion_04", "criterion_09"])
@@ -565,8 +569,10 @@ class TestTaylorMarch:
         cfg = EvolveConfig(b=2.0, t_final=1.0, dt_max=0.01, sample_interval=0.5)
         march = evolve._TaylorMarch(RealField(grid, np.zeros(64)), 2.0, 1e6)
         assert march.propose() == math.inf
+        # one series spans the run and gives every sample
         traj = run(RealField(grid, np.zeros(64)), cfg)
-        assert (traj.steps, traj.dt_min, traj.dt_max) == (2, 0.5, 0.5)
+        assert (traj.steps, traj.dt_min, traj.dt_max) == (1, 1.0, 1.0)
+        assert traj.dt_used == [0.0, 1.0, 1.0]
 
     def test_cut_series_steps_with_its_order_and_no_warning(self):
         # the series of 10 sin x reaches the coefficient cap at c_11: each
@@ -646,13 +652,18 @@ class TestTaylorMarch:
             return calls[-1] if len(calls) == 1 else 1e-300
 
         monkeypatch.setattr(evolve._TaylorMarch, "propose", shrinking)
-        cfg = EvolveConfig(b=2.0, t_final=1.0, dt_max=0.01, sample_interval=0.5)
+        # t_final lies beyond the first step, so a second series is needed
+        cfg = EvolveConfig(b=2.0, t_final=2.0, dt_max=0.01, sample_interval=0.25)
         with pytest.raises(BlowupError, match="does not advance t") as excinfo:
             run(bump_datum(n=128), cfg)
         err = excinfo.value
         assert err.trajectory.steps == 1
-        # the first step, clipped to the sample at 0.5, is the last completed
-        assert err.time == min(calls[0], 0.5) > 0.0
+        # the first step is the last completed, and it read every sample in
+        # its window
+        assert 0.0 < calls[0] < cfg.t_final
+        assert err.time == calls[0]
+        assert [t for t, _ in err.trajectory.snapshots] == [
+            0.25 * k for k in range(int(calls[0] / 0.25) + 1)]
 
     def test_run_step_budget(self, fft_counts):
         # one step, clipped to t_final: the datum load (2 transforms in 2
@@ -670,6 +681,94 @@ class TestTaylorMarch:
         traj = run(u, EvolveConfig(b=3.0, t_final=0.01, dt_max=0.01, sample_interval=0.01))
         assert traj.steps == 1
         assert fft_counts == {"real": 1 + 2 * 16, "complex": 0, "calls": 1 + 2 * 16, "combine": 16}
+
+
+class TestDenseOutput:
+    """Sample times are read from the series of the step whose window holds
+    them; the steps depend on the state and t_final alone."""
+
+    @staticmethod
+    def logged_spans(monkeypatch):
+        spans, count = [], evolve.Trajectory._count_step
+
+        def logged(traj, dt):
+            spans.append(dt)
+            return count(traj, dt)
+
+        monkeypatch.setattr(evolve.Trajectory, "_count_step", logged)
+        return spans
+
+    def test_steps_do_not_depend_on_the_sample_grid(self):
+        u0 = bump_datum(n=256)
+        runs = [run(u0, EvolveConfig(b=2.0, t_final=2.0, dt_max=0.01, sample_interval=si))
+                for si in (0.5, 1.0)]
+        fine, coarse = ({t: u.samples.tobytes() for t, u in r.snapshots} for r in runs)
+        assert list(coarse) == [0.0, 1.0, 2.0]
+        assert all(fine[t] == coarse[t] for t in (1.0, 2.0))
+        assert runs[0].steps == runs[1].steps
+        assert (runs[0].dt_min, runs[0].dt_max) == (runs[1].dt_min, runs[1].dt_max)
+
+    def test_sample_read_is_the_series_summed_at_its_offset(self):
+        # the datum's first step spans about 0.597: samples 0.25 and 0.5 are
+        # read from the datum's series, 0.75 from the next step's
+        u0 = bump_datum(n=128)
+        h = evolve._TaylorMarch(u0, 2.0, 1e6).propose()
+        assert 0.5 < h < 0.75
+        traj = run(u0, EvolveConfig(b=2.0, t_final=1.0, dt_max=0.01, sample_interval=0.25))
+        states = {t: u.samples.tobytes() for t, u in traj.snapshots}
+        series = taylor_coeffs(u0, 2.0, evolve.TAYLOR_ORDER)
+        for t_s in (0.25, 0.5):
+            assert states[t_s] == taylor_eval(series, t_s).samples.tobytes()
+        step_end = taylor_eval(series, h)
+        later = taylor_coeffs(step_end, 2.0, evolve.TAYLOR_ORDER)
+        assert states[0.75] == taylor_eval(later, 0.75 - h).samples.tobytes()
+
+    def test_dt_used_are_step_spans_adding_up_to_t_final(self, monkeypatch):
+        spans = self.logged_spans(monkeypatch)
+        cfg = EvolveConfig(b=2.0, t_final=2.0, dt_max=0.01, sample_interval=0.25)
+        traj = run(bump_datum(n=128), cfg)
+        assert traj.steps == len(spans) >= 2
+        assert (traj.dt_min, traj.dt_max) == (min(spans), max(spans))
+        assert traj.dt_used[0] == 0.0
+        assert all(dt in spans for dt in traj.dt_used[1:])
+        assert math.fsum(spans) == pytest.approx(cfg.t_final, abs=1e-12)
+
+    def test_blowup_after_a_sample_read_keeps_the_sample(self, monkeypatch):
+        # the b = 3 bump's sup|u| grows: the step from about 2.989 to 3.096
+        # reads the sample at 3.0 (sup about 1.170), and its end state (about
+        # 1.179) passes the threshold 1.175
+        spans = self.logged_spans(monkeypatch)
+        u0 = bump_datum(n=256, amplitude=1.0, width=5.0)
+        cfg = EvolveConfig(b=3.0, t_final=5.0, dt_max=0.02, sample_interval=0.5,
+                           blowup_threshold=1.175)
+        with pytest.raises(BlowupError, match="exceeded blow-up threshold") as excinfo:
+            run(u0, cfg)
+        err = excinfo.value
+        t_last, u_last = err.trajectory.snapshots[-1]
+        assert t_last == err.time == 3.0
+        assert np.max(np.abs(u_last.samples)) <= cfg.blowup_threshold
+        # the completed steps end before the sample, so the step that read it
+        # is the one whose end state failed
+        assert err.trajectory.steps == len(spans)
+        assert math.fsum(spans) < err.time
+        assert "aborted at t = 3:" in str(err)
+
+    def test_one_series_gives_several_samples_on_criterion_09(self):
+        u0 = initial_data("sech", {"amplitude": 0.05, "width": 1.0}, make_grid(1024, 80.0))
+        traj = run(u0, EvolveConfig(b=2.0, t_final=10.0, dt_max=0.01, sample_interval=0.5))
+        assert traj.steps < len(traj.snapshots) - 1
+
+    def test_horizon_below_the_landing_tolerance_takes_a_step(self):
+        # t_final = 1e-13 lies below the landing tolerance 1e-12, and its one
+        # sample is still a read of the datum's series
+        grid = make_grid(64, 2 * np.pi)
+        u0 = RealField(grid, 0.5 * np.sin(grid.x))
+        traj = run(u0, EvolveConfig(b=2.0, t_final=1e-13, dt_max=0.01, sample_interval=1e-13))
+        assert traj.steps >= 1
+        assert [t for t, _ in traj.snapshots] == [0.0, 1e-13]
+        assert all(dt > 0 for dt in traj.dt_used[1:])
+        series = taylor_coeffs(u0, 2.0, evolve.TAYLOR_ORDER)
+        assert traj.final_state.samples.tobytes() == taylor_eval(series, 1e-13).samples.tobytes()
 
 
 class TestOrderOfAccuracy:

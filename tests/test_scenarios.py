@@ -579,7 +579,7 @@ class TestRunScenario:
         assert manifest["finished_unix"] >= manifest["started_unix"]
         assert (manifest["steps"], manifest["dt_min"], manifest["dt_max"]) == (
             traj.steps, traj.dt_min, traj.dt_max)
-        assert 0.0 < traj.dt_min <= traj.dt_max <= 0.1
+        assert 0.0 < traj.dt_min <= traj.dt_max <= 0.2
         self.assert_provenance(manifest, out)
 
     def test_manifest_records_the_default_stepper(self, tmp_path):
@@ -590,8 +590,9 @@ class TestRunScenario:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["stepper"] == "taylor"
         assert manifest["steps"] == result.trajectory.steps
-        # two series steps at most per sample interval of 0.1, where RK4 takes 5
-        assert 2 <= manifest["steps"] <= 4
+        # the datum's first series proposes h of about 1.04, past t_final =
+        # 0.2, so one series gives both samples, where RK4 takes 10 steps
+        assert manifest["steps"] == 1
         assert "stepper" not in (out / "config.ini").read_text()
 
     def test_stepper_is_not_a_config_key(self):
@@ -652,7 +653,7 @@ class TestRunScenario:
     def test_transform_budget(self, tmp_path, fft_counts):
         result = scenarios.simulate(parse_config(SMALL_RUN.format(outdir=tmp_path)))
         steps, samples = result.trajectory.steps, len(result.rows)
-        assert samples == 3 and 2 <= steps <= 4
+        assert samples == 3 and steps == 1
         # the march: per step, the datum load (2) and 16 orders of 4; 3 per
         # sample; 1 for the bound's phi0; no complex transform anywhere
         assert fft_counts["real"] == (2 + 4 * 16) * steps + 3 * samples + 1
