@@ -26,7 +26,7 @@ print(f"initial datum: max|u| = {np.max(np.abs(u0.samples)):.4f}, "
 
 for b in (0.0, 2.0, 3.0):
     cfg = EvolveConfig(
-        b=b, t_final=5.0, dt_max=0.01, sample_interval=1.0,
+        b=b, t_final=5.0, sample_interval=1.0,
         require_sign_certificate=True,
     )
     traj = run(u0, cfg)

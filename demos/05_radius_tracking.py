@@ -26,7 +26,7 @@ print("datum: 0.05 sech(x - 40); spectrum decays at rate pi/2 = 1.5708\n")
 
 for b in (0.0, 2.0):
     cfg = EvolveConfig(
-        b=b, t_final=10.0, dt_max=0.02, sample_interval=2.0,
+        b=b, t_final=10.0, sample_interval=2.0,
         require_sign_certificate=True,
     )
     traj = run(u0, cfg)

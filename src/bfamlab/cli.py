@@ -14,7 +14,7 @@ import warnings
 from pathlib import Path
 
 from . import __version__, analyticity, evolve, norms, scenarios, taylor
-from .errors import PREFIXES, REPORTED, SnapshotError, TruncationError, exit_code
+from .errors import PREFIXES, REPORTED, NumericalError, SnapshotError, TruncationError, exit_code
 
 
 class _UsageError(Exception):
@@ -127,6 +127,10 @@ def _cmd_taylor(args) -> int:
     cfg = _read_config(args.config)
     u0 = scenarios.build_initial(cfg)
     series = taylor.taylor_coeffs(u0, cfg.evolve.b, args.order)
+    if series.order < taylor.MIN_ORDER_FOR_RADIUS <= args.order:
+        raise NumericalError(f"the coefficient cap cut the Taylor series at order "
+                             f"{series.order}; the radius estimate needs order at least "
+                             f"{taylor.MIN_ORDER_FOR_RADIUS}")
     lines = [f"computed {series.order + 1} coefficients (c_0 .. c_{series.order})"]
     dx = series.grid.dx
     lines += [f"  |c_{k}|_L2 = {taylor._l2_norm(c.samples, dx):.6g}"

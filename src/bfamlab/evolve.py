@@ -32,14 +32,14 @@ later, so it is never before the last snapshot's time.
 RK4 is the reference march that `bfamlab taylor`, acceptance criterion 06
 and the tests compare the series with, because it does not sum the series:
 one `_March` stepped n times at t/n, or `rk4_step` in a loop. No option of
-`run` selects it, and `dt_max` and `cfl_safety` bound no step. The march
-holds one `dynamics._Operator` (the stage layout is described there) and the
-band of rfft(u) for the state. An RK4 stage writes its band into the
-operator's stage, loads the fields u and u_x with one stacked irfft, squares
-them, and combines the squares into its band of -F with one stacked rfft.
-Stage 1 reuses the fields that closed the previous step, so a step is 16
-real transforms in 8 kernel calls. At b = 3 the operator holds u alone, with
-no u_x row, and a step is 8 real transforms in 8 calls.
+`run` selects it, and no `EvolveConfig` field bounds a step. The march holds
+one `dynamics._Operator` (the stage layout is described there) and the band
+of rfft(u) for the state. An RK4 stage writes its band into the operator's
+stage, loads the fields u and u_x with one stacked irfft, squares them, and
+combines the squares into its band of -F with one stacked rfft. Stage 1
+reuses the fields that closed the previous step, so a step is 16 real
+transforms in 8 kernel calls. At b = 3 the operator holds u alone, with no
+u_x row, and a step is 8 real transforms in 8 calls.
 
 Only the dealiased band moves: under RK4 the modes above the cutoff keep
 their initial values exactly, and under the series, whose c_1 .. c_K have
@@ -66,23 +66,19 @@ TAYLOR_ORDER = 16
 TAYLOR_TOL = 1e-14
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class EvolveConfig:
     b: float
     t_final: float
-    dt_max: float
     sample_interval: float
-    cfl_safety: float = 0.2
     blowup_threshold: float = 1e6
     require_sign_certificate: bool = False
 
     def __post_init__(self):
-        for name in ("b", "t_final", "dt_max", "sample_interval", "blowup_threshold"):
+        for name in ("b", "t_final", "sample_interval", "blowup_threshold"):
             require_finite(name, getattr(self, name))
         if self.t_final < 0:
             raise ConfigurationError(f"t_final must be >= 0, got {self.t_final}")
-        if self.dt_max <= 0:
-            raise ConfigurationError(f"dt_max must be positive, got {self.dt_max}")
         if self.sample_interval <= 0:
             raise ConfigurationError(
                 f"sample_interval must be positive, got {self.sample_interval}"
@@ -92,10 +88,6 @@ class EvolveConfig:
             raise ConfigurationError(
                 f"t_final / sample_interval must be at most {MAX_SAMPLES:.0e}, got "
                 f"{self.t_final / self.sample_interval:.3g}"
-            )
-        if not 0 < self.cfl_safety <= 1:
-            raise ConfigurationError(
-                f"cfl_safety must lie in (0, 1], got {self.cfl_safety}"
             )
         if self.blowup_threshold <= 0:
             raise ConfigurationError("blowup_threshold must be positive")

@@ -200,7 +200,8 @@ class ConfigKey(NamedTuple):
     """One config key and the RunConfig field it sets ("" part: RunConfig itself).
 
     `default` applies only where the field's dataclass has none; None leaves
-    the dataclass default in force.
+    the dataclass default in force. A key of part None sets no field: it is
+    parsed and checked, then dropped.
     """
 
     section: str
@@ -218,9 +219,8 @@ CONFIG_SCHEMA = (
     ConfigKey("grid", "dealias_fraction", "grid", "dealias_fraction", float),
     ConfigKey("run", "b", "evolve", "b", float, _REQUIRED),
     ConfigKey("run", "t_final", "evolve", "t_final", float, 1.0),
-    ConfigKey("run", "dt_max", "evolve", "dt_max", float, 0.02),
+    ConfigKey("run", "dt_max", None, "dt_max", float),
     ConfigKey("run", "sample_interval", "evolve", "sample_interval", float, 0.1),
-    ConfigKey("run", "cfl_safety", "evolve", "cfl_safety", float),
     ConfigKey("run", "blowup_threshold", "evolve", "blowup_threshold", float),
     ConfigKey("run", "require_sign_certificate", "evolve", "require_sign_certificate", bool),
     ConfigKey("init", "family", "init", "family", str, _REQUIRED),
@@ -272,7 +272,7 @@ def parse_config(text: str) -> RunConfig:
             if key not in keys:
                 raise ConfigurationError(f"unknown key {key!r} in section [{section}]")
 
-    values = {part: {} for part in ("", "grid", "evolve", "init", "diagnostics")}
+    values = {part: {} for part in (None, "", "grid", "evolve", "init", "diagnostics")}
     for row in CONFIG_SCHEMA:
         if parser.has_option(row.section, row.key):
             try:
@@ -289,6 +289,10 @@ def parse_config(text: str) -> RunConfig:
         else:
             value = row.default
         values[row.part][row.field] = value
+    dt_max = values[None].get("dt_max")
+    require_finite("dt_max", dt_max)
+    if dt_max is not None and dt_max <= 0:
+        raise ConfigurationError(f"dt_max must be positive, got {dt_max}")
     return RunConfig(
         grid=GridSpec(**values["grid"]),
         evolve=evolve.EvolveConfig(**values["evolve"]),
@@ -301,7 +305,7 @@ def parse_config(text: str) -> RunConfig:
 def render_config(cfg: RunConfig) -> str:
     """Serialize a RunConfig back to config-file text; parse_config inverts this."""
     parser = configparser.ConfigParser()
-    for row in CONFIG_SCHEMA:
+    for row in (row for row in CONFIG_SCHEMA if row.part is not None):
         value = getattr(getattr(cfg, row.part) if row.part else cfg, row.field)
         if value is not None:
             parser.read_dict({row.section: {row.key: _render(row.kind, value)}})
@@ -514,7 +518,6 @@ def run_scenario(cfg: RunConfig) -> ScenarioResult:
             "versions": {"bfamlab": __version__, "numpy": np.__version__,
                          "python": platform.python_version()},
             "config_sha256": config_sha256,
-            "stepper": "taylor",
         }
         if trajectory is not None:
             manifest.update(steps=trajectory.steps, dt_min=trajectory.dt_min,

@@ -100,7 +100,7 @@ class TestFitDecayRadius:
     def test_half_spectrum_fit_agrees_on_criterion_09_states(self, b):
         grid = make_grid(1024, 80.0)
         u0 = initial_data("sech", {"amplitude": 0.05, "width": 1.0}, grid)
-        cfg = EvolveConfig(b=b, t_final=10.0, dt_max=0.02, sample_interval=0.5)
+        cfg = EvolveConfig(b=b, t_final=10.0, sample_interval=0.5)
         for _, u in run(u0, cfg).snapshots:
             self.assert_matches_polyfit(u)
 
@@ -248,7 +248,7 @@ class TestKmBoundFromRun:
     def test_zero_trajectory_degenerates(self):
         grid = make_grid(64, 2 * np.pi)
         u0 = RealField(grid, np.zeros(64))
-        cfg = EvolveConfig(b=2.0, t_final=0.2, dt_max=0.05, sample_interval=0.1)
+        cfg = EvolveConfig(b=2.0, t_final=0.2, sample_interval=0.1)
         trajectory = run(u0, cfg)
         bound = km_bound_from_run(trajectory, gamma=-0.2)
         assert bound.mu == 1.0
@@ -261,7 +261,7 @@ class TestKmBoundFromRun:
 
         grid = make_grid(128, 2 * np.pi)
         u0 = RealField(grid, 0.5 * np.sin(grid.x))
-        cfg = EvolveConfig(b=2.0, t_final=0.0, dt_max=0.05, sample_interval=0.1)
+        cfg = EvolveConfig(b=2.0, t_final=0.0, sample_interval=0.1)
         trajectory = run(u0, cfg)
         bound = km_bound_from_run(trajectory, gamma=-0.1)
         assert bound.mu == pytest.approx(1.0 + sobolev_norm(u0, 2.0), rel=1e-13)
@@ -269,7 +269,7 @@ class TestKmBoundFromRun:
     def test_given_h2_norms(self):
         grid = make_grid(64, 2 * np.pi)
         u0 = RealField(grid, 0.5 * np.sin(grid.x))
-        cfg = EvolveConfig(b=2.0, t_final=0.2, dt_max=0.05, sample_interval=0.1)
+        cfg = EvolveConfig(b=2.0, t_final=0.2, sample_interval=0.1)
         trajectory = run(u0, cfg)
         assert km_bound_from_run(trajectory, -0.1, h2_norms=[1.0, 4.0, 2.0]).mu == 5.0
         with pytest.raises(ConfigurationError):
@@ -277,7 +277,7 @@ class TestKmBoundFromRun:
 
     def test_gamma_validation(self):
         grid = make_grid(64, 2 * np.pi)
-        cfg = EvolveConfig(b=2.0, t_final=0.0, dt_max=0.05, sample_interval=0.1)
+        cfg = EvolveConfig(b=2.0, t_final=0.0, sample_interval=0.1)
         trajectory = run(RealField(grid, np.zeros(64)), cfg)
         with pytest.raises(ConfigurationError):
             km_bound_from_run(trajectory, gamma=0.0)

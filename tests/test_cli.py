@@ -167,7 +167,8 @@ class TestRunCommand:
         assert main(["run", "--config", str(path)]) == 2
         assert "exceeded blow-up threshold" in capsys.readouterr().err
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-        assert (manifest["exit_status"], manifest["stepper"]) == (2, "taylor")
+        # the series is the one march, so the manifest names none
+        assert manifest["exit_status"] == 2 and "stepper" not in manifest
 
     def test_cut_series_exit_code(self, tmp_path, capsys):
         # c_1 of the 1e7 sech passes the coefficient cap: the series stops at
@@ -204,6 +205,42 @@ class TestRunCommand:
         path.write_text(text.format(outdir=tmp_path / "out"))
         assert main(["run", "--config", str(path)]) == 1
         assert "unknown key 'stepper' in section [run]" in capsys.readouterr().err
+
+    def test_dt_max_is_accepted_and_dropped(self, tmp_path):
+        # configs written for the RK4 march set dt_max; it bounds no step
+        runs = {}
+        for name, line in (("without", ""), ("with", "dt_max = 0.01\n")):
+            text = "".join(part for part in CONFIG.splitlines(keepends=True)
+                           if not part.startswith("dt_max")).replace("[run]\n", "[run]\n" + line)
+            path = tmp_path / f"{name}.ini"
+            path.write_text(text.format(outdir=tmp_path / name))
+            assert main(["run", "--config", str(path)]) == 0
+            assert not re.search("^dt_max", (tmp_path / name / "config.ini").read_text(), re.M)
+            runs[name] = [(tmp_path / name / file).read_bytes()
+                          for file in ("diagnostics.csv", "initial.bgev", "final.bgev")]
+        assert runs["with"] == runs["without"]
+
+    @pytest.mark.parametrize("value, message", [
+        ("nan", "dt_max must be finite, got nan"),
+        ("inf", "dt_max must be finite, got inf"),
+        ("0", "dt_max must be positive, got 0.0"),
+        ("-1", "dt_max must be positive, got -1.0"),
+        ("abc", "cannot parse run.dt_max = 'abc': could not convert string to float: 'abc'"),
+    ])
+    def test_dt_max_rejected_as_before(self, tmp_path, capsys, value, message):
+        path = tmp_path / "dt.ini"
+        path.write_text(CONFIG.replace("dt_max = 0.02", f"dt_max = {value}").format(
+            outdir=tmp_path / "out"))
+        assert main(["run", "--config", str(path)]) == 1
+        assert capsys.readouterr() == ("", f"configuration error: {message}\n")
+
+    def test_cfl_safety_is_not_a_config_key(self, tmp_path, capsys):
+        path = tmp_path / "cfl.ini"
+        path.write_text(CONFIG.replace("[run]", "[run]\ncfl_safety = 0.2").format(
+            outdir=tmp_path / "out"))
+        assert main(["run", "--config", str(path)]) == 1
+        assert capsys.readouterr() == (
+            "", "configuration error: unknown key 'cfl_safety' in section [run]\n")
 
     def test_non_finite_state_exit_code(self, tmp_path, capsys, monkeypatch):
         # a step far outside the series' disk overflows the Horner sum, and
@@ -493,6 +530,21 @@ class TestTaylorCommand:
         assert re.fullmatch(r"warning: Taylor coefficient c_1 reached sup norm \S+; "
                             r"series truncated at order 0 to avoid overflow noise", warning)
         assert error == "numerical error: no usable Taylor coefficients beyond the datum"
+
+    @pytest.mark.filterwarnings("default::UserWarning")
+    def test_cut_series_is_a_numerical_error(self, tmp_path, capsys):
+        # the cap cuts the series of a 3000 sine at order 2, below the 6 the
+        # radius needs, though the command line asked for 16
+        path = tmp_path / "cut.ini"
+        path.write_text(SINE_CONFIG.format(amplitude=3000.0, outdir=tmp_path / "out").replace(
+            "n_points = 64", "n_points = 256"))
+        assert main(["taylor", "--config", str(path), "--order", "16"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        warning, error = err.splitlines()
+        assert warning.startswith("warning: Taylor coefficient c_3 reached sup norm ")
+        assert error == ("numerical error: the coefficient cap cut the Taylor series at "
+                         "order 2; the radius estimate needs order at least 6")
 
     def test_short_series_prints_nothing(self, tmp_path, capsys):
         # the radius needs order 6 (c_0 .. c_6); the table reaches stdout whole

@@ -1,5 +1,6 @@
 """The Taylor march of `run`, the RK4 reference march, blow-up handling, and conservation."""
 
+import dataclasses
 import math
 import warnings
 
@@ -239,7 +240,7 @@ class TestStepArithmetic:
 class TestRun:
     def test_zero_horizon_returns_single_snapshot(self):
         u0 = bump_datum(n=128)
-        cfg = EvolveConfig(b=2.0, t_final=0.0, dt_max=0.01, sample_interval=0.5)
+        cfg = EvolveConfig(b=2.0, t_final=0.0, sample_interval=0.5)
         traj = run(u0, cfg)
         assert len(traj.snapshots) == 1
         t0, state = traj.snapshots[0]
@@ -248,19 +249,19 @@ class TestRun:
 
     def test_sample_times_exact(self):
         u0 = bump_datum(n=128)
-        cfg = EvolveConfig(b=2.0, t_final=1.0, dt_max=0.013, sample_interval=0.25)
+        cfg = EvolveConfig(b=2.0, t_final=1.0, sample_interval=0.25)
         traj = run(u0, cfg)
         assert np.allclose([t for t, _ in traj.snapshots], [0.0, 0.25, 0.5, 0.75, 1.0], atol=1e-12)
 
     def test_final_time_not_multiple_of_cadence(self):
         u0 = bump_datum(n=128)
-        cfg = EvolveConfig(b=2.0, t_final=0.9, dt_max=0.02, sample_interval=0.4)
+        cfg = EvolveConfig(b=2.0, t_final=0.9, sample_interval=0.4)
         traj = run(u0, cfg)
         assert np.allclose([t for t, _ in traj.snapshots], [0.0, 0.4, 0.8, 0.9], atol=1e-12)
 
     def test_determinism(self):
         u0 = bump_datum(n=256)
-        cfg = EvolveConfig(b=3.0, t_final=0.5, dt_max=0.01, sample_interval=0.25)
+        cfg = EvolveConfig(b=3.0, t_final=0.5, sample_interval=0.25)
         a = run(u0, cfg)
         b = run(u0, cfg)
         for (ta, ua), (tb, ub) in zip(a.snapshots, b.snapshots):
@@ -269,7 +270,7 @@ class TestRun:
 
     def test_dt_used_recorded(self):
         u0 = bump_datum(n=128)
-        cfg = EvolveConfig(b=2.0, t_final=0.2, dt_max=0.01, sample_interval=0.1)
+        cfg = EvolveConfig(b=2.0, t_final=0.2, sample_interval=0.1)
         traj = run(u0, cfg)
         assert len(traj.dt_used) == len(traj.snapshots) == 3
         assert traj.dt_used[0] == 0.0
@@ -278,14 +279,14 @@ class TestRun:
     @pytest.mark.parametrize("b", [-1.0, 0.0, 2.0, 3.0])
     def test_mean_conserved(self, b):
         u0 = bump_datum()
-        cfg = EvolveConfig(b=b, t_final=1.0, dt_max=0.01, sample_interval=0.5)
+        cfg = EvolveConfig(b=b, t_final=1.0, sample_interval=0.5)
         traj = run(u0, cfg)
         means = [conserved_mean(u) for _, u in traj.snapshots]
         assert abs(means[-1] - means[0]) / abs(means[0]) < 1e-10
 
     def test_h1_conserved_at_b2(self):
         u0 = bump_datum()
-        cfg = EvolveConfig(b=2.0, t_final=2.0, dt_max=0.01, sample_interval=1.0)
+        cfg = EvolveConfig(b=2.0, t_final=2.0, sample_interval=1.0)
         traj = run(u0, cfg)
         values = [sobolev_norm(u, 1.0) ** 2 for _, u in traj.snapshots]
         assert abs(values[-1] - values[0]) / values[0] < 1e-6
@@ -293,7 +294,7 @@ class TestRun:
     def test_sine_steady_run(self):
         grid = make_grid(128, 2 * np.pi)
         u0 = RealField(grid, np.sin(grid.x))
-        cfg = EvolveConfig(b=-1.0, t_final=0.5, dt_max=0.005, sample_interval=0.25)
+        cfg = EvolveConfig(b=-1.0, t_final=0.5, sample_interval=0.25)
         traj = run(u0, cfg)
         assert np.max(np.abs(traj.final_state.samples - u0.samples)) < 1e-12
 
@@ -301,7 +302,7 @@ class TestRun:
         grid = make_grid(128, 2 * np.pi)
         u0 = RealField(grid, np.sin(grid.x))  # momentum 2 sin x changes sign
         cfg = EvolveConfig(
-            b=2.0, t_final=0.1, dt_max=0.01, sample_interval=0.1,
+            b=2.0, t_final=0.1, sample_interval=0.1,
             require_sign_certificate=True,
         )
         with pytest.raises(ConfigurationError):
@@ -312,7 +313,7 @@ class TestRun:
         # tolerance scales with max|m| alone
         grid = make_grid(128, 2 * np.pi)
         cfg = EvolveConfig(
-            b=2.0, t_final=0.1, dt_max=0.01, sample_interval=0.1,
+            b=2.0, t_final=0.1, sample_interval=0.1,
             require_sign_certificate=True,
         )
         u0 = RealField(grid, 1e-11 * np.sin(grid.x))
@@ -326,7 +327,7 @@ class TestRun:
     def test_sign_certificate_accepts_bump(self):
         u0 = bump_datum(n=128)
         cfg = EvolveConfig(
-            b=2.0, t_final=0.1, dt_max=0.01, sample_interval=0.1,
+            b=2.0, t_final=0.1, sample_interval=0.1,
             require_sign_certificate=True,
         )
         traj = run(u0, cfg)
@@ -336,7 +337,7 @@ class TestRun:
         # the b = 3 bump's sup grows past 1.2 around t ~ 3.2
         u0 = bump_datum(n=256, amplitude=1.0, width=5.0)
         cfg = EvolveConfig(
-            b=3.0, t_final=5.0, dt_max=0.02, sample_interval=0.5,
+            b=3.0, t_final=5.0, sample_interval=0.5,
             blowup_threshold=1.2,
         )
         with pytest.raises(BlowupError) as excinfo:
@@ -352,11 +353,25 @@ class TestRun:
 
     def test_invalid_config(self):
         with pytest.raises(ConfigurationError):
-            EvolveConfig(b=2.0, t_final=-1.0, dt_max=0.01, sample_interval=0.1)
+            EvolveConfig(b=2.0, t_final=-1.0, sample_interval=0.1)
         with pytest.raises(ConfigurationError):
-            EvolveConfig(b=2.0, t_final=1.0, dt_max=0.0, sample_interval=0.1)
+            EvolveConfig(b=2.0, t_final=1.0, sample_interval=0.0)
         with pytest.raises(ConfigurationError):
-            EvolveConfig(b=2.0, t_final=1.0, dt_max=0.01, sample_interval=0.1, cfl_safety=1.5)
+            EvolveConfig(b=2.0, t_final=1.0, sample_interval=0.1, blowup_threshold=0.0)
+
+    def test_fields_are_what_the_march_reads(self):
+        fields = dataclasses.fields(EvolveConfig)
+        assert [f.name for f in fields] == [
+            "b", "t_final", "sample_interval", "blowup_threshold", "require_sign_certificate"]
+        assert all(f.kw_only for f in fields)
+
+    def test_positional_call_is_refused(self):
+        # a call written for the old order (b, t_final, dt_max, sample_interval)
+        # would pass dt_max as sample_interval
+        with pytest.raises(TypeError):
+            EvolveConfig(2.0, 1.0, 0.01, 0.1)
+        with pytest.raises(TypeError):
+            EvolveConfig(2.0, t_final=1.0, sample_interval=0.1)
 
     @pytest.mark.parametrize("t_final, sample_interval", [
         (1e300, 1e-300),  # the count overflows to inf
@@ -367,13 +382,13 @@ class TestRun:
         # every sample keeps a state, so the count is refused before a list is
         # built; the limit itself is accepted
         with pytest.raises(ConfigurationError, match="t_final / sample_interval must be at most"):
-            EvolveConfig(b=2.0, t_final=t_final, dt_max=0.01, sample_interval=sample_interval)
-        EvolveConfig(b=2.0, t_final=evolve.MAX_SAMPLES, dt_max=0.01, sample_interval=1.0)
+            EvolveConfig(b=2.0, t_final=t_final, sample_interval=sample_interval)
+        EvolveConfig(b=2.0, t_final=evolve.MAX_SAMPLES, sample_interval=1.0)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
-    @pytest.mark.parametrize("name", ["b", "t_final", "dt_max", "sample_interval", "blowup_threshold"])
+    @pytest.mark.parametrize("name", ["b", "t_final", "sample_interval", "blowup_threshold"])
     def test_non_finite_config_rejected(self, name, value):
-        fields = dict(b=2.0, t_final=1.0, dt_max=0.01, sample_interval=0.1, blowup_threshold=1e6)
+        fields = dict(b=2.0, t_final=1.0, sample_interval=0.1, blowup_threshold=1e6)
         fields[name] = value
         with pytest.raises(ConfigurationError, match=f"{name} must be finite"):
             EvolveConfig(**fields)
@@ -387,7 +402,7 @@ class TestRunMarch:
         # the first step's sup|u| is about 1, above the threshold
         grid = make_grid(64, 2 * np.pi)
         u0 = RealField(grid, np.sin(grid.x))
-        cfg = EvolveConfig(b=2.0, t_final=1.0, dt_max=0.01, sample_interval=0.05,
+        cfg = EvolveConfig(b=2.0, t_final=1.0, sample_interval=0.05,
                            blowup_threshold=0.5)
         with pytest.raises(BlowupError, match="exceeded blow-up threshold") as excinfo:
             run(u0, cfg)
@@ -404,7 +419,7 @@ class TestRunMarch:
         monkeypatch.setattr(evolve._TaylorMarch, "propose", lambda march: propose(march) * math.inf)
         grid = make_grid(64, 2 * np.pi)
         u0 = RealField(grid, np.sin(grid.x))
-        cfg = EvolveConfig(b=2.0, t_final=1e300, dt_max=0.01, sample_interval=1e300,
+        cfg = EvolveConfig(b=2.0, t_final=1e300, sample_interval=1e300,
                            blowup_threshold=1e300)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
             BlowupError, match="non-finite state after Taylor step"
@@ -417,7 +432,7 @@ class TestRunMarch:
 
     def test_abort_time_is_the_last_completed_step(self, monkeypatch):
         u0 = bump_datum(n=256, amplitude=1.0, width=5.0)
-        cfg = EvolveConfig(b=3.0, t_final=5.0, dt_max=0.02, sample_interval=0.5,
+        cfg = EvolveConfig(b=3.0, t_final=5.0, sample_interval=0.5,
                            blowup_threshold=1.2)
         completed, step = [], evolve._TaylorMarch.step
 
@@ -452,7 +467,7 @@ class TestRunMarch:
         # every step is counted, the last one too, which ends the run at
         # t_final without advancing the state; t_final bounds the largest
         u0 = bump_datum(n=128)
-        cfg = EvolveConfig(b=2.0, t_final=1.0, dt_max=0.01, sample_interval=0.25)
+        cfg = EvolveConfig(b=2.0, t_final=1.0, sample_interval=0.25)
         dts, step = [], evolve._TaylorMarch.step
 
         def logged(march, dt):
@@ -467,7 +482,7 @@ class TestRunMarch:
         assert traj.dt_max <= cfg.t_final
 
     def test_zero_horizon_takes_no_step(self):
-        cfg = EvolveConfig(b=2.0, t_final=0.0, dt_max=0.01, sample_interval=0.5)
+        cfg = EvolveConfig(b=2.0, t_final=0.0, sample_interval=0.5)
         traj = run(bump_datum(n=128), cfg)
         assert (traj.steps, traj.dt_min, traj.dt_max) == (0, None, None)
 
@@ -476,7 +491,7 @@ class TestRunMarch:
         # under RK4 the state's samples are the operator's reused fields
         u0 = bump_datum(n=128)
         if march == "taylor":
-            cfg = EvolveConfig(b=2.0, t_final=0.3, dt_max=0.01, sample_interval=0.1)
+            cfg = EvolveConfig(b=2.0, t_final=0.3, sample_interval=0.1)
             states = [u.samples for _, u in run(u0, cfg).snapshots]
         else:
             states = [u0.samples] + [u.samples for u in rk4_states(u0, 2.0, 0.01, 10, samples=3)]
@@ -491,7 +506,7 @@ class TestTaylorMarch:
 
     def test_sample_times_and_dt_used_exact(self, monkeypatch):
         u0 = bump_datum(n=128)
-        cfg = EvolveConfig(b=2.0, t_final=0.9, dt_max=0.02, sample_interval=0.4)
+        cfg = EvolveConfig(b=2.0, t_final=0.9, sample_interval=0.4)
         dts, step = [], evolve._TaylorMarch.step
 
         def logged(march, dt):
@@ -513,8 +528,8 @@ class TestTaylorMarch:
         assert traj.dt_used == [0.0] + holding
         # one series gives more than one sample here
         assert traj.steps < len(traj.snapshots) - 1
-        # the series' steps are far longer than dt_max
-        assert traj.dt_max > 10 * cfg.dt_max
+        # the series' steps are far longer than an RK4 step of 0.02
+        assert traj.dt_max > 10 * 0.02
 
     def test_step_rule(self):
         # h = min over j in {K-1, K} of (tol |u| / |c_j|)^{1/j}, every norm _l2_norm
@@ -542,7 +557,7 @@ class TestTaylorMarch:
         else:
             u0 = initial_data("sech", {"amplitude": 0.05, "width": 1.0}, make_grid(1024, 80.0))
             t_final = 10.0
-        taylor_run = run(u0, EvolveConfig(b=b, t_final=t_final, dt_max=0.01, sample_interval=0.5))
+        taylor_run = run(u0, EvolveConfig(b=b, t_final=t_final, sample_interval=0.5))
         references = [u0] + rk4_states(u0, b, 0.0025, 200, samples=2 * int(t_final))
         assert len(taylor_run.snapshots) == len(references) == 2 * int(t_final) + 1
         for (t, a), ref in zip(taylor_run.snapshots, references):
@@ -557,7 +572,7 @@ class TestTaylorMarch:
         # which sets the step, and the march keeps the state within 1e-12
         grid = make_grid(n, 2 * np.pi)
         u0 = RealField(grid, np.sin(grid.x))
-        cfg = EvolveConfig(b=-1.0, t_final=2.0, dt_max=0.005, sample_interval=0.5)
+        cfg = EvolveConfig(b=-1.0, t_final=2.0, sample_interval=0.5)
         traj = run(u0, cfg)
         for _, u in traj.snapshots:
             assert np.max(np.abs(u.samples - u0.samples)) < 1e-12
@@ -566,7 +581,7 @@ class TestTaylorMarch:
     def test_vanishing_tail_gives_an_infinite_step(self):
         # the zero state: every coefficient is exactly 0
         grid = make_grid(64, 2 * np.pi)
-        cfg = EvolveConfig(b=2.0, t_final=1.0, dt_max=0.01, sample_interval=0.5)
+        cfg = EvolveConfig(b=2.0, t_final=1.0, sample_interval=0.5)
         march = evolve._TaylorMarch(RealField(grid, np.zeros(64)), 2.0, 1e6)
         assert march.propose() == math.inf
         # one series spans the run and gives every sample
@@ -581,7 +596,7 @@ class TestTaylorMarch:
         u0 = RealField(grid, 10.0 * np.sin(grid.x))
         coeffs, sup = taylor._recursion(u0, 2.0, evolve.TAYLOR_ORDER)
         assert len(coeffs) == 10 and sup > taylor.COEFF_SUP_CAP
-        cfg = EvolveConfig(b=2.0, t_final=0.01, dt_max=0.01, sample_interval=0.005)
+        cfg = EvolveConfig(b=2.0, t_final=0.01, sample_interval=0.005)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             traj = run(u0, cfg)
@@ -595,7 +610,7 @@ class TestTaylorMarch:
         # c_2 (1e5) or c_1 (1e7) of the sine passes the coefficient cap
         grid = make_grid(64, 2 * np.pi)
         u0 = RealField(grid, amplitude * np.sin(grid.x))
-        cfg = EvolveConfig(b=2.0, t_final=1.0, dt_max=0.01, sample_interval=0.5,
+        cfg = EvolveConfig(b=2.0, t_final=1.0, sample_interval=0.5,
                            blowup_threshold=1e300)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -610,7 +625,7 @@ class TestTaylorMarch:
         # u^2 overflows in c_1: the series stops at order 0
         grid = make_grid(64, 2 * np.pi)
         u0 = RealField(grid, 1e200 * np.sin(grid.x))
-        cfg = EvolveConfig(b=2.0, t_final=1.0, dt_max=0.01, sample_interval=0.05,
+        cfg = EvolveConfig(b=2.0, t_final=1.0, sample_interval=0.05,
                            blowup_threshold=1e300)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
             BlowupError, match="stops at order 0"
@@ -631,7 +646,7 @@ class TestTaylorMarch:
     def test_peak_above_threshold_is_a_blowup(self):
         # the same b = 3 bump as the abort-time test: sup|u| passes 1.2
         u0 = bump_datum(n=256, amplitude=1.0, width=5.0)
-        cfg = EvolveConfig(b=3.0, t_final=5.0, dt_max=0.02, sample_interval=0.5,
+        cfg = EvolveConfig(b=3.0, t_final=5.0, sample_interval=0.5,
                            blowup_threshold=1.2)
         with pytest.raises(BlowupError, match="exceeded blow-up threshold") as excinfo:
             run(u0, cfg)
@@ -653,7 +668,7 @@ class TestTaylorMarch:
 
         monkeypatch.setattr(evolve._TaylorMarch, "propose", shrinking)
         # t_final lies beyond the first step, so a second series is needed
-        cfg = EvolveConfig(b=2.0, t_final=2.0, dt_max=0.01, sample_interval=0.25)
+        cfg = EvolveConfig(b=2.0, t_final=2.0, sample_interval=0.25)
         with pytest.raises(BlowupError, match="does not advance t") as excinfo:
             run(bump_datum(n=128), cfg)
         err = excinfo.value
@@ -670,7 +685,7 @@ class TestTaylorMarch:
         # calls) and 16 orders of 4 transforms in 2 calls and one combine
         grid = make_grid(256, 80.0)
         u = RealField(grid, np.exp(-(((grid.x - 40.0) / 3.0) ** 2)))
-        traj = run(u, EvolveConfig(b=2.0, t_final=0.01, dt_max=0.01, sample_interval=0.01))
+        traj = run(u, EvolveConfig(b=2.0, t_final=0.01, sample_interval=0.01))
         assert traj.steps == 1
         assert fft_counts == {"real": 2 + 4 * 16, "complex": 0, "calls": 2 + 2 * 16, "combine": 16}
 
@@ -678,7 +693,7 @@ class TestTaylorMarch:
         # one row: the datum load is 1 transform, an order 2 in 2 calls
         grid = make_grid(256, 80.0)
         u = RealField(grid, np.exp(-(((grid.x - 40.0) / 3.0) ** 2)))
-        traj = run(u, EvolveConfig(b=3.0, t_final=0.01, dt_max=0.01, sample_interval=0.01))
+        traj = run(u, EvolveConfig(b=3.0, t_final=0.01, sample_interval=0.01))
         assert traj.steps == 1
         assert fft_counts == {"real": 1 + 2 * 16, "complex": 0, "calls": 1 + 2 * 16, "combine": 16}
 
@@ -700,7 +715,7 @@ class TestDenseOutput:
 
     def test_steps_do_not_depend_on_the_sample_grid(self):
         u0 = bump_datum(n=256)
-        runs = [run(u0, EvolveConfig(b=2.0, t_final=2.0, dt_max=0.01, sample_interval=si))
+        runs = [run(u0, EvolveConfig(b=2.0, t_final=2.0, sample_interval=si))
                 for si in (0.5, 1.0)]
         fine, coarse = ({t: u.samples.tobytes() for t, u in r.snapshots} for r in runs)
         assert list(coarse) == [0.0, 1.0, 2.0]
@@ -714,7 +729,7 @@ class TestDenseOutput:
         u0 = bump_datum(n=128)
         h = evolve._TaylorMarch(u0, 2.0, 1e6).propose()
         assert 0.5 < h < 0.75
-        traj = run(u0, EvolveConfig(b=2.0, t_final=1.0, dt_max=0.01, sample_interval=0.25))
+        traj = run(u0, EvolveConfig(b=2.0, t_final=1.0, sample_interval=0.25))
         states = {t: u.samples.tobytes() for t, u in traj.snapshots}
         series = taylor_coeffs(u0, 2.0, evolve.TAYLOR_ORDER)
         for t_s in (0.25, 0.5):
@@ -725,7 +740,7 @@ class TestDenseOutput:
 
     def test_dt_used_are_step_spans_adding_up_to_t_final(self, monkeypatch):
         spans = self.logged_spans(monkeypatch)
-        cfg = EvolveConfig(b=2.0, t_final=2.0, dt_max=0.01, sample_interval=0.25)
+        cfg = EvolveConfig(b=2.0, t_final=2.0, sample_interval=0.25)
         traj = run(bump_datum(n=128), cfg)
         assert traj.steps == len(spans) >= 2
         assert (traj.dt_min, traj.dt_max) == (min(spans), max(spans))
@@ -739,7 +754,7 @@ class TestDenseOutput:
         # 1.179) passes the threshold 1.175
         spans = self.logged_spans(monkeypatch)
         u0 = bump_datum(n=256, amplitude=1.0, width=5.0)
-        cfg = EvolveConfig(b=3.0, t_final=5.0, dt_max=0.02, sample_interval=0.5,
+        cfg = EvolveConfig(b=3.0, t_final=5.0, sample_interval=0.5,
                            blowup_threshold=1.175)
         with pytest.raises(BlowupError, match="exceeded blow-up threshold") as excinfo:
             run(u0, cfg)
@@ -755,7 +770,7 @@ class TestDenseOutput:
 
     def test_one_series_gives_several_samples_on_criterion_09(self):
         u0 = initial_data("sech", {"amplitude": 0.05, "width": 1.0}, make_grid(1024, 80.0))
-        traj = run(u0, EvolveConfig(b=2.0, t_final=10.0, dt_max=0.01, sample_interval=0.5))
+        traj = run(u0, EvolveConfig(b=2.0, t_final=10.0, sample_interval=0.5))
         assert traj.steps < len(traj.snapshots) - 1
 
     def test_horizon_below_the_landing_tolerance_takes_a_step(self):
@@ -763,7 +778,7 @@ class TestDenseOutput:
         # sample is still a read of the datum's series
         grid = make_grid(64, 2 * np.pi)
         u0 = RealField(grid, 0.5 * np.sin(grid.x))
-        traj = run(u0, EvolveConfig(b=2.0, t_final=1e-13, dt_max=0.01, sample_interval=1e-13))
+        traj = run(u0, EvolveConfig(b=2.0, t_final=1e-13, sample_interval=1e-13))
         assert traj.steps >= 1
         assert [t for t, _ in traj.snapshots] == [0.0, 1e-13]
         assert all(dt > 0 for dt in traj.dt_used[1:])

@@ -3,6 +3,7 @@ coefficients, the spectral derivative, the Helmholtz inverse, and the band cut."
 
 import functools
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -271,8 +272,9 @@ class TestRemovedOneLiners:
     """Each numpy one-liner of the README's "Removed" table, run against the
     test references: `u` a RealField, `g = u.grid`, `N = g.n_points`, `c` its
     coefficients in numpy FFT ordering, `k` and `xi` its FFT-ordered modes,
-    `cfg` an EvolveConfig, `traj` a Trajectory, and `u0`, `b`, `t` and `n` a
-    datum, b, a horizon and a step count."""
+    `dt_max` and `cfl_safety` the numbers the removed EvolveConfig fields held,
+    `traj` a Trajectory, and `u0`, `b`, `t` and `n` a datum, b, a horizon and
+    a step count."""
 
     README = Path(__file__).resolve().parents[1] / "README.md"
     FREQUENCIES = {"k": "np.rint(np.fft.fftfreq(N) * N)", "xi": "2 * np.pi * k / g.box_length"}
@@ -289,13 +291,14 @@ class TestRemovedOneLiners:
         "GridSpec.dealias_mask": "np.abs(k) <= g.dealias_fraction * (N // 2)",
         "GridSpec.xi": "xi",
         "GridSpec.helmholtz_inv_multiplier": "1 / (1 + xi**2)",
-        "cfl_dt(u, cfg)": "min(cfg.dt_max, cfg.cfl_safety * u.grid.dx / max(np.max(np.abs(u.samples)), 1e-8))",
+        "cfl_dt(u, cfg)": "min(dt_max, cfl_safety * u.grid.dx / max(np.max(np.abs(u.samples)), 1e-8))",
         "h1_energy(u)": "sobolev_norm(u, 1.0) ** 2",
         "Trajectory.times": "np.array([t for t, _ in traj.snapshots])",
         'run(u0, EvolveConfig(..., stepper="rk4")).final_state':
             "functools.reduce(lambda u, _: rk4_step(u, t / n, b), range(n), u0)",
     }
-    # the removed functions as they were defined, each over one more input
+    # the removed functions as they were defined, each over one more input;
+    # `cfg` stands for an EvolveConfig as it was, with its dt_max and cfl_safety
     REMOVED = {
         "cfl_dt(u, cfg)": lambda u, cfg, traj: min(
             cfg.dt_max, cfg.cfl_safety * u.grid.dx / max(float(np.max(np.abs(u.samples))), 1e-8)),
@@ -355,8 +358,10 @@ class TestRemovedOneLiners:
 
         # bit for bit against the removed functions, on u and on a zero field
         # (the velocity floor)
-        cfg = scope["cfg"] = EvolveConfig(b=2.0, t_final=0.02, dt_max=0.05, sample_interval=0.01)
-        traj = scope["traj"] = evolve.run(u, cfg)
+        cfg = SimpleNamespace(dt_max=0.05, cfl_safety=0.2)
+        scope.update(dt_max=cfg.dt_max, cfl_safety=cfg.cfl_safety)
+        traj = scope["traj"] = evolve.run(
+            u, EvolveConfig(b=2.0, t_final=0.02, sample_interval=0.01))
         zero = RealField(g, np.zeros(n))
         for name, removed in self.REMOVED.items():
             for field in (u, zero):
@@ -366,8 +371,9 @@ class TestRemovedOneLiners:
         assert run("cfl_dt(u, cfg)", u=zero) == 0.05
         assert run("Trajectory.times", traj=traj).tolist() == [0.0, 0.01, 0.02]
 
-        # the RK4 run of the removed stepper option, n steps of t / n when
-        # dt_max = t / n, against the reference march: one march stepped n times
+        # the RK4 run of the removed stepper option, n steps of t / n when the
+        # removed dt_max was t / n, against the reference march: one march
+        # stepped n times
         rk4_run = 'run(u0, EvolveConfig(..., stepper="rk4")).final_state'
         got = run(rk4_run, u0=u, b=2.0, t=0.02, n=10).samples
         want = rk4_states(u, 2.0, 0.02 / 10, 10)[0].samples

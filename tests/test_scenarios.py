@@ -150,7 +150,7 @@ class TestParseConfig:
         assert cfg.grid.n_points == 512
         assert cfg.grid.box_length == pytest.approx(2 * math.pi)
         assert cfg.evolve.b == 2.0
-        assert cfg.evolve.cfl_safety == 0.2
+        assert cfg.evolve.blowup_threshold == 1e6
         assert cfg.diagnostics.s == 2.0
         assert cfg.init.family == "sine"
 
@@ -206,17 +206,45 @@ class TestParseConfig:
             parse_config(text)
 
 
+class TestDtMaxKey:
+    """[run] dt_max bounds no step: it is parsed and checked as it was when
+    the RK4 march read it, then dropped, so configs that set it still run."""
+
+    @pytest.mark.parametrize("value", ["0.01", "1e-300", "5"])
+    def test_accepted_and_dropped(self, value):
+        cfg = parse_config(MINIMAL.replace("[run]", f"[run]\ndt_max = {value}"))
+        assert cfg == parse_config(MINIMAL)
+        assert "dt_max" not in render_config(cfg)
+        assert parse_config(render_config(cfg)) == cfg
+
+    @pytest.mark.parametrize("value, message", [
+        ("nan", "dt_max must be finite, got nan"),
+        ("inf", "dt_max must be finite, got inf"),
+        ("0", "dt_max must be positive, got 0.0"),
+        ("-1", "dt_max must be positive, got -1.0"),
+        ("abc", "cannot parse run.dt_max = 'abc': could not convert string to float: 'abc'"),
+    ])
+    def test_rejected_as_before(self, value, message):
+        with pytest.raises(ConfigurationError) as err:
+            parse_config(MINIMAL.replace("[run]", f"[run]\ndt_max = {value}"))
+        assert str(err.value) == message
+
+    def test_cfl_safety_is_not_a_config_key(self):
+        text = MINIMAL.replace("[run]", "[run]\ncfl_safety = 0.2")
+        with pytest.raises(ConfigurationError, match=r"^unknown key 'cfl_safety' in section"):
+            parse_config(text)
+
+
 # a valid value for every key, different from its default, and the
-# RunConfig field it sets
+# RunConfig field it sets (None: the key sets no field)
 NON_DEFAULT = {
     ("grid", "n_points"): ("64", "grid.n_points"),
     ("grid", "box_length"): ("10.0", "grid.box_length"),
     ("grid", "dealias_fraction"): ("0.5", "grid.dealias_fraction"),
     ("run", "b"): ("-1.5", "evolve.b"),
     ("run", "t_final"): ("0.5", "evolve.t_final"),
-    ("run", "dt_max"): ("0.01", "evolve.dt_max"),
+    ("run", "dt_max"): ("0.01", None),
     ("run", "sample_interval"): ("0.05", "evolve.sample_interval"),
-    ("run", "cfl_safety"): ("0.5", "evolve.cfl_safety"),
     ("run", "blowup_threshold"): ("1e3", "evolve.blowup_threshold"),
     ("run", "require_sign_certificate"): ("true", "evolve.require_sign_certificate"),
     ("init", "family"): ("gaussian", "init.family"),
@@ -233,7 +261,8 @@ NON_DEFAULT = {
 }
 
 # every key set, center and gamma included; the text render_config wrote
-# before the config schema became one table
+# before the config schema became one table, less its cfl_safety line (no
+# key now) and, in GOLDEN_RENDER, its dt_max line (accepted and dropped)
 GOLDEN_CONFIG = """
 [grid]
 n_points = 256
@@ -245,7 +274,6 @@ b = -1.5
 t_final = 0.3
 dt_max = 0.01
 sample_interval = 0.1
-cfl_safety = 0.25
 blowup_threshold = 1e4
 require_sign_certificate = true
 
@@ -269,8 +297,8 @@ dir = golden_run
 
 GOLDEN_RENDER = (
     "[grid]\nn_points = 256\nbox_length = 80\ndealias_fraction = 0.5\n\n"
-    "[run]\nb = -1.5\nt_final = 0.29999999999999999\ndt_max = 0.01\n"
-    "sample_interval = 0.10000000000000001\ncfl_safety = 0.25\n"
+    "[run]\nb = -1.5\nt_final = 0.29999999999999999\n"
+    "sample_interval = 0.10000000000000001\n"
     "blowup_threshold = 10000\nrequire_sign_certificate = true\n\n"
     "[init]\nfamily = gaussian\namplitude = 0.10000000000000001\nwidth = 1.5\n"
     "mode = 2\ncenter = 30\n\n"
@@ -317,7 +345,8 @@ class TestConfigSchema:
 
     def test_schema_rows_match_the_field_map(self):
         assert [
-            (row.section, row.key, f"{row.part}.{row.field}".lstrip("."))
+            (row.section, row.key,
+             None if row.part is None else f"{row.part}.{row.field}".lstrip("."))
             for row in scenarios.CONFIG_SCHEMA
         ] == [(section, key, field) for (section, key), (_, field) in NON_DEFAULT.items()]
 
@@ -330,7 +359,7 @@ class TestConfigSchema:
         cfg = parse_config(_config_text(sections))
         before, after = _flat_fields(base), _flat_fields(cfg)
         changed = {name for name in before if before[name] != after[name]}
-        assert changed == {field}
+        assert changed == {field} - {None}
         assert parse_config(render_config(cfg)) == cfg
 
     def test_readme_table_matches_schema(self):
@@ -346,7 +375,7 @@ class TestConfigSchema:
             if match:
                 assert defaults[field] == float(match.group(1)), (section, key)
                 checked += 1
-        assert checked == 12
+        assert checked == 10
 
 
 class TestNonFiniteSpecs:
@@ -588,7 +617,8 @@ class TestRunScenario:
         out = tmp_path / "run"
         result = run_scenario(parse_config(SMALL_RUN.format(outdir=out)))
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["stepper"] == "taylor"
+        # the series is the one march, so the manifest names none
+        assert "stepper" not in manifest
         assert manifest["steps"] == result.trajectory.steps
         # the datum's first series proposes h of about 1.04, past t_final =
         # 0.2, so one series gives both samples, where RK4 takes 10 steps
