@@ -140,10 +140,7 @@ def _cmd_taylor(args) -> int:
     t_check = 0.05 if math.isinf(rho) else min(rho / 4.0, 0.05)
     if t_check > 0:
         # the RK4 reference march: `run` sums this same series, so it would be no check
-        march = evolve._March(u0, cfg.evolve.b, cfg.evolve.blowup_threshold)
-        for _ in range(2000):
-            march.step(t_check / 2000)
-        endpoint = march.state()
+        endpoint = evolve.rk4_march(u0, cfg.evolve.b, t_check, 2000, cfg.evolve.blowup_threshold)
         series_end = taylor.taylor_eval(series, t_check)
         diff = taylor._l2_norm(series_end.samples - endpoint.samples, dx)
         ref = taylor._l2_norm(endpoint.samples, dx)

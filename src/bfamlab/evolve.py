@@ -31,20 +31,24 @@ later, so it is never before the last snapshot's time.
 
 RK4 is the reference march that `bfamlab taylor`, acceptance criterion 06
 and the tests compare the series with, because it does not sum the series:
-one `_March` stepped n times at t/n, or `rk4_step` in a loop. No option of
-`run` selects it, and no `EvolveConfig` field bounds a step. The march holds
-one `dynamics._Operator` (the stage layout is described there) and the band
-of rfft(u) for the state. An RK4 stage writes its band into the operator's
-stage, loads the fields u and u_x with one stacked irfft, squares them, and
-combines the squares into its band of -F with one stacked rfft. Stage 1
-reuses the fields that closed the previous step, so a step is 16 real
-transforms in 8 kernel calls. At b = 3 the operator holds u alone, with no
-u_x row, and a step is 8 real transforms in 8 calls.
+`rk4_march(u0, b, t, n)` takes n steps of t/n and returns the samples of
+the last state. No option of `run` selects it, and no `EvolveConfig` field
+bounds a step. The march holds one `dynamics._Operator` (the stage layout
+is described there) and carries the band of rfft(u) from step to step, so
+the datum's samples are transformed once, to start the march. An RK4 stage
+writes its band into the operator's stage, loads the fields u and u_x with
+one stacked irfft, squares them, and combines the squares into its band of
+-F with one stacked rfft. Stage 1 reuses the fields that closed the
+previous step, so a step is 16 real transforms in 8 kernel calls. At b = 3
+the operator holds u alone, with no u_x row, and a step is 8 real
+transforms in 8 calls.
 
-Only the dealiased band moves: under RK4 the modes above the cutoff keep
-their initial values exactly, and under the series, whose c_1 .. c_K have
-no modes there, up to the round-off of the Horner sum. One reading per
-sample and per new state, peak = max|u|, feeds the blow-up test.
+Only the dealiased band moves. Under RK4 the modes above the cutoff keep
+their initial values exactly in the carried spectrum, and in the returned
+samples up to the round-off of one irfft; under the series, whose
+c_1 .. c_K have no modes there, up to the round-off of the Horner sum. One
+reading per sample and per new state, peak = max|u|, feeds the blow-up
+test.
 """
 
 from __future__ import annotations
@@ -56,7 +60,7 @@ from typing import Optional
 import numpy as np
 
 from .dynamics import _Operator, _rhs_from_products, momentum
-from .errors import BlowupError, ConfigurationError, require_finite
+from .errors import BlowupError, ConfigurationError, require_finite, require_integer
 from .grid import RealField, _finite_field
 from .taylor import COEFF_SUP_CAP, _horner, _l2_norm, _recursion
 
@@ -133,54 +137,6 @@ def _check_peak(u: np.ndarray, blowup_threshold: float, stepper: str) -> None:
         )
 
 
-class _March:
-    """The carried state of the RK4 reference march (module docstring).
-
-    `op` is the march's operator: its stage band is rewritten every stage,
-    its modes above the band are those of the initial state, which never
-    change, and after a step its fields hold u and u_x (u alone at b = 3)
-    of the new state.
-    `u_hat` is the band of rfft(u) for the state.
-    """
-
-    def __init__(self, u: RealField, b: float, blowup_threshold: float):
-        self.grid = u.grid
-        self.blowup_threshold = blowup_threshold
-        self.op = _Operator(u, b)
-        self.u_hat = self.op.stage.copy()
-
-    def state(self) -> RealField:
-        """The current state, with samples of its own (the operator's are reused)."""
-        return RealField(self.grid, self.op.fields[0].copy())
-
-    def _minus_f(self, band: Optional[np.ndarray] = None) -> np.ndarray:
-        """The band of -F at the stage whose band is `band`, loaded into the
-        operator first; None takes the fields the operator holds."""
-        op = self.op
-        if band is not None:
-            op.stage[...] = band
-            op.load()
-        squares = np.multiply(op.fields, op.fields, out=op.squares)
-        return _rhs_from_products(op, squares, np.empty_like(self.u_hat))
-
-    def step(self, dt: float) -> None:
-        """Advance the state by one classical four-stage Runge-Kutta step.
-
-        Each stage spectrum u_hat + c k_i is formed as u_hat - c (-k_i)
-        (negation is exact). Raises BlowupError unless the new peak is at
-        most blowup_threshold, which a NaN peak fails too.
-        """
-        u_hat = self.u_hat
-        k1 = self._minus_f()
-        k2 = self._minus_f(u_hat - (0.5 * dt) * k1)
-        k3 = self._minus_f(u_hat - (0.5 * dt) * k2)
-        k4 = self._minus_f(u_hat - dt * k3)
-        self.u_hat = u_hat = u_hat - (dt / 6.0) * (((k1 + 2.0 * k2) + 2.0 * k3) + k4)
-        self.op.stage[...] = u_hat
-        self.op.load()
-        _check_peak(self.op.fields[0], self.blowup_threshold, "RK4")
-
-
 class _TaylorMarch:
     """The carried state of a time-Taylor march (module docstring).
 
@@ -226,20 +182,42 @@ class _TaylorMarch:
         self.u = self.read(dt).samples
 
 
-def rk4_step(
-    u: RealField, dt: float, b: float, blowup_threshold: float = 1e6
+def rk4_march(
+    u0: RealField, b: float, t: float, n: int, blowup_threshold: float = 1e6
 ) -> RealField:
-    """One classical four-stage Runge-Kutta step of the b-family flow.
+    """The RK4 reference march: n classical four-stage Runge-Kutta steps of
+    t/n from u0 (module docstring), with samples of its own.
 
-    The step of the reference march, taken once from u: only the band
-    k < grid.band_size is updated, and modes above the cutoff keep their
-    values.
+    Each stage spectrum u_hat + c k_i is formed as u_hat - c (-k_i)
+    (negation is exact). Raises BlowupError unless every new peak is at most
+    blowup_threshold, which a NaN peak fails too.
     """
-    if not 0 < dt < math.inf:
-        raise ConfigurationError(f"dt must be positive and finite, got {dt}")
-    march = _March(u, b, blowup_threshold)
-    march.step(dt)
-    return march.state()
+    if not 0 < t < math.inf:
+        raise ConfigurationError(f"t must be positive and finite, got {t}")
+    require_integer("n", n, 1)
+    dt = t / n
+    op = _Operator(u0, b)
+    u_hat = op.stage.copy()
+
+    def minus_f(band: Optional[np.ndarray] = None) -> np.ndarray:
+        # the band of -F at the stage whose band is `band`, loaded into the
+        # operator first; None takes the fields the operator holds
+        if band is not None:
+            op.stage[...] = band
+            op.load()
+        squares = np.multiply(op.fields, op.fields, out=op.squares)
+        return _rhs_from_products(op, squares, np.empty_like(u_hat))
+
+    for _ in range(n):
+        k1 = minus_f()
+        k2 = minus_f(u_hat - (0.5 * dt) * k1)
+        k3 = minus_f(u_hat - (0.5 * dt) * k2)
+        k4 = minus_f(u_hat - dt * k3)
+        u_hat = u_hat - (dt / 6.0) * (((k1 + 2.0 * k2) + 2.0 * k3) + k4)
+        op.stage[...] = u_hat
+        op.load()
+        _check_peak(op.fields[0], blowup_threshold, "RK4")
+    return RealField(u0.grid, op.fields[0].copy())
 
 
 def _sample_times(cfg: EvolveConfig) -> list:

@@ -77,15 +77,51 @@ def derivative(grid, coeffs, order):
     return planted_field(grid, coeffs)
 
 
-def rk4_states(u0, b, dt, steps, samples=1):
-    """The RK4 reference march from u0 at b: one evolve._March, read after
-    each of `samples` runs of `steps` steps of size dt."""
-    march, states = bfamlab.evolve._March(u0, b, 1e6), []
+def rk4_states(u0, b, t, steps, samples=1):
+    """The RK4 reference march from u0 at b at times t, 2 t, .., samples t:
+    one rk4_march of `steps` steps per span, each from the state the one
+    before returned."""
+    states = []
     for _ in range(samples):
-        for _ in range(steps):
-            march.step(dt)
-        states.append(march.state())
+        u0 = bfamlab.rk4_march(u0, b, t, steps)
+        states.append(u0)
     return states
+
+
+def reference_march(u0, b, t, n):
+    """The samples of u after n steps of t/n from u0: classical RK4 on the
+    band of rfft(u), written with plain numpy operators and numpy.fft, each
+    stage spectrum u_hat - c (-k_i) and the sum ((k1 + 2 k2) + 2 k3) + k4
+    formed as rk4_march forms them; modes above the band keep the datum's
+    values. The band of -F is A rfft(u^2) + B rfft(u_x^2) with
+    A = (i xi + b i xi / (1 + xi^2)) / 2 and B = ((3 - b)/2) i xi / (1 + xi^2)."""
+    grid = u0.grid
+    size, m = grid.n_points, grid.band_size
+    xi = 2.0 * np.pi * np.arange(size // 2 + 1) / grid.box_length
+    ixi = 1j * xi
+    ixi[-1] = 0.0
+    nonlocal_ = ixi[:m] * (1.0 / (1.0 + xi[:m] ** 2))
+    A, B = 0.5 * (ixi[:m] + b * nonlocal_), (0.5 * (3.0 - b)) * nonlocal_
+    spectrum = np.fft.rfft(u0.samples)
+
+    def fields_of(band):
+        spectrum[:m] = band
+        return np.fft.irfft(np.array([spectrum, ixi * spectrum]), size)
+
+    def minus_f(fields):
+        squares = np.fft.rfft(fields * fields)
+        return A * squares[0, :m] + B * squares[1, :m]
+
+    dt, u_hat = t / n, spectrum[:m].copy()
+    fields = np.array([u0.samples, np.fft.irfft(ixi * spectrum, size)])
+    for _ in range(n):
+        k1 = minus_f(fields)
+        k2 = minus_f(fields_of(u_hat - (0.5 * dt) * k1))
+        k3 = minus_f(fields_of(u_hat - (0.5 * dt) * k2))
+        k4 = minus_f(fields_of(u_hat - dt * k3))
+        u_hat = u_hat - (dt / 6.0) * (((k1 + 2.0 * k2) + 2.0 * k3) + k4)
+        fields = fields_of(u_hat)
+    return fields[0]
 
 
 def conservative_rhs(u, b, box_length):

@@ -27,7 +27,7 @@ from bfamlab import (
     make_grid,
     momentum,
     rhs_F,
-    rk4_step,
+    rk4_march,
     run,
     sobolev_norm,
     taylor_coeffs,
@@ -35,7 +35,7 @@ from bfamlab import (
 )
 from bfamlab.grid import _irfft, _rfft
 from bfamlab.scenarios import DiagnosticsSpec, compute_diagnostics
-from conftest import fft_frequencies, planted_field, rk4_states
+from conftest import fft_frequencies, planted_field
 
 
 def report(number, ok, detail):
@@ -127,16 +127,10 @@ def test_criterion_05_rk4_self_convergence():
     grid = make_grid(256, 80.0)
     u0 = initial_data("gaussian", {"amplitude": 1.0, "width": 5.0}, grid)
 
-    def advance(u, dt, steps):
-        for _ in range(steps):
-            u = rk4_step(u, dt, 2.0)
-        return u
-
     n0 = 10
-    dt0 = 0.5 / n0
-    coarse = advance(u0, dt0, n0)
-    medium = advance(u0, dt0 / 2, 2 * n0)
-    reference = advance(u0, dt0 / 8, 8 * n0)
+    coarse = rk4_march(u0, 2.0, 0.5, n0)
+    medium = rk4_march(u0, 2.0, 0.5, 2 * n0)
+    reference = rk4_march(u0, 2.0, 0.5, 8 * n0)
     ratio = float(
         np.linalg.norm(coarse.samples - reference.samples)
         / np.linalg.norm(medium.samples - reference.samples)
@@ -153,7 +147,7 @@ def test_criterion_06_taylor_stepper_equivalence():
     for b in (2.0, 3.0):
         series = taylor_coeffs(u0, b, 16)
         # the RK4 reference march: 2000 steps of t / 2000
-        endpoint = rk4_states(u0, b, t / 2000, 2000)[0]
+        endpoint = rk4_march(u0, b, t, 2000)
         approx = taylor_eval(series, t)
         rel = sobolev_norm(
             RealField(grid, approx.samples - endpoint.samples), 0.0
@@ -164,7 +158,7 @@ def test_criterion_06_taylor_stepper_equivalence():
     s0 = initial_data("sine", {"amplitude": 1.0, "mode": 1}, sine_grid)
     sine_series = taylor_coeffs(s0, -1.0, 16)
     sine_taylor = float(np.max(np.abs(taylor_eval(sine_series, t).samples - s0.samples)))
-    sine_rk4 = float(np.max(np.abs(rk4_states(s0, -1.0, t / 2000, 2000)[0].samples - s0.samples)))
+    sine_rk4 = float(np.max(np.abs(rk4_march(s0, -1.0, t, 2000).samples - s0.samples)))
     ok = worst < 1e-8 and sine_taylor < 1e-12 and sine_rk4 < 1e-12
     report(
         6,

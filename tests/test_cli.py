@@ -577,38 +577,26 @@ class TestTaylorReportPin:
     def test_lines_match_sobolev_norm(self, tmp_path, capsys, monkeypatch, family, n):
         box_length, init = self.FAMILIES[family]
         seen, marches = {}, {}
-        build, march, evaluate = taylor.taylor_coeffs, evolve._March, taylor.taylor_eval
+        build, march, evaluate = taylor.taylor_coeffs, evolve.rk4_march, taylor.taylor_eval
 
         def spy_coeffs(u0, b, order):
             seen["series"] = build(u0, b, order)
             return seen["series"]
 
-        class SpyMarch:
-            """The reference march, stepped for real once per b and list of
-            steps: the datum does not change within a test."""
-
-            def __init__(self, u0, b, blowup_threshold):
-                self.args, self.dts = (u0, b, blowup_threshold), []
-
-            def step(self, dt):
-                self.dts.append(dt)
-
-            def state(self):
-                key = (self.args[1], tuple(self.dts))
-                if key not in marches:
-                    reference = march(*self.args)
-                    for dt in self.dts:
-                        reference.step(dt)
-                    marches[key] = reference.state()
-                seen["endpoint"] = marches[key]
-                return marches[key]
+        def spy_march(u0, b, t, n, blowup_threshold):
+            # marched once per (b, t, n): the datum does not change within a test
+            key = (b, t, n)
+            if key not in marches:
+                marches[key] = march(u0, b, t, n, blowup_threshold)
+            seen["endpoint"] = marches[key]
+            return marches[key]
 
         def spy_eval(series, t):
             seen["series_end"] = evaluate(series, t)
             return seen["series_end"]
 
         monkeypatch.setattr(taylor, "taylor_coeffs", spy_coeffs)
-        monkeypatch.setattr(evolve, "_March", SpyMarch)
+        monkeypatch.setattr(evolve, "rk4_march", spy_march)
         monkeypatch.setattr(taylor, "taylor_eval", spy_eval)
         path = tmp_path / "taylor.ini"
         for b in (-1.0, 0.0, 2.0, 3.0):

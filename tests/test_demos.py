@@ -1,6 +1,7 @@
 """Each narrative demo runs to completion against the package in src/."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,11 +12,27 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
-def test_demo_exits_zero(demo, tmp_path):
+def run_demo(demo, cwd):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=env,
+    return subprocess.run(
+        [sys.executable, str(demo)], cwd=cwd, env=env,
         capture_output=True, text=True, timeout=300,
     )
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
+def test_demo_exits_zero(demo, tmp_path):
+    proc = run_demo(demo, tmp_path)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_time_taylor_demo_agrees_with_rk4(tmp_path):
+    # the series against 2000 steps of one RK4 march: at radius/8 only
+    # round-off is left, at radius/4 the 16-term series' truncation shows
+    proc = run_demo(ROOT / "demos" / "04_time_taylor_series.py", tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    found = re.findall(r"\(= radius/(\d+)\): relative L2 difference (\S+)$", proc.stdout, re.M)
+    differences = {int(fraction): float(value) for fraction, value in found}
+    assert sorted(differences) == [4, 8], proc.stdout
+    assert differences[8] <= 1e-14
+    assert differences[4] <= 1e-10

@@ -15,7 +15,7 @@ from bfamlab import (
     conserved_mean,
     make_grid,
     rhs_F,
-    rk4_step,
+    rk4_march,
     run,
     sobolev_norm,
     taylor_coeffs,
@@ -23,7 +23,7 @@ from bfamlab import (
 )
 from bfamlab import evolve, taylor
 from bfamlab.scenarios import initial_data
-from conftest import fft_band, fft_frequencies, rk4_states
+from conftest import fft_band, fft_frequencies, reference_march, rk4_states
 
 
 def bump_datum(n=512, length=80.0, amplitude=0.5, width=8.0):
@@ -34,33 +34,40 @@ def bump_datum(n=512, length=80.0, amplitude=0.5, width=8.0):
 class TestRk4Step:
     def test_zero_stays_zero(self):
         grid = make_grid(64, 2 * np.pi)
-        out = rk4_step(RealField(grid, np.zeros(64)), 0.01, 2.0)
+        out = rk4_march(RealField(grid, np.zeros(64)), 2.0, 0.01, 1)
         assert np.max(np.abs(out.samples)) == 0.0
 
     def test_sine_steady_at_b_minus_one(self):
         grid = make_grid(64, 2 * np.pi)
         u = RealField(grid, np.sin(grid.x))
-        out = rk4_step(u, 0.005, -1.0)
+        out = rk4_march(u, -1.0, 0.005, 1)
         assert np.max(np.abs(out.samples - u.samples)) < 1e-12
 
     def test_blowup_threshold(self):
         grid = make_grid(64, 2 * np.pi)
         u = RealField(grid, 1e5 * np.sin(grid.x))
         with pytest.raises(BlowupError):
-            rk4_step(u, 0.5, 2.0, blowup_threshold=1e6)
+            rk4_march(u, 2.0, 0.5, 1, blowup_threshold=1e6)
 
     def test_nonpositive_dt_rejected(self):
         grid = make_grid(64, 2 * np.pi)
-        with pytest.raises(ConfigurationError):
-            rk4_step(RealField(grid, np.zeros(64)), 0.0, 2.0)
+        for t in (0.0, -1.0):
+            with pytest.raises(ConfigurationError, match="t must be positive and finite"):
+                rk4_march(RealField(grid, np.zeros(64)), 2.0, t, 1)
 
     @pytest.mark.parametrize("dt", [math.nan, math.inf])
     def test_non_finite_dt_rejected(self, dt):
         grid = make_grid(64, 2 * np.pi)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ConfigurationError, match="dt must be positive and finite"):
-                rk4_step(RealField(grid, np.sin(grid.x)), dt, 2.0)
+            with pytest.raises(ConfigurationError, match="t must be positive and finite"):
+                rk4_march(RealField(grid, np.sin(grid.x)), 2.0, dt, 1)
+
+    @pytest.mark.parametrize("n", [0, 1.5, True])
+    def test_step_count_must_be_a_positive_integer(self, n):
+        grid = make_grid(64, 2 * np.pi)
+        with pytest.raises(ConfigurationError, match="n must be an integer >= 1"):
+            rk4_march(RealField(grid, np.sin(grid.x)), 2.0, 0.01, n)
 
     def test_overflow_in_a_stage_is_blowup(self):
         grid = make_grid(64, 2 * np.pi)
@@ -68,7 +75,7 @@ class TestRk4Step:
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
             BlowupError, match="non-finite state after RK4 step"
         ):
-            rk4_step(u, 0.01, 2.0, blowup_threshold=1e300)
+            rk4_march(u, 2.0, 0.01, 1, blowup_threshold=1e300)
 
 
 def _complex_fft_rhs(u, b, xi, keep):
@@ -93,7 +100,7 @@ def _complex_fft_rk4(u, dt, b, xi, keep):
 
 
 class TestRk4AgainstComplexFft:
-    """rk4_step against an independent complex-FFT step on a field that fills
+    """rk4_march against an independent complex-FFT step on a field that fills
     every mode, including those above the dealias cutoff."""
 
     @pytest.fixture
@@ -110,15 +117,17 @@ class TestRk4AgainstComplexFft:
         grid = u.grid
         dt = 1e-3
         expected = _complex_fft_rk4(u.samples, dt, b, fft_frequencies(grid)[1], fft_band(grid))
-        out = rk4_step(u, dt, b)
+        out = rk4_march(u, b, dt, 1)
         scale = np.max(np.abs(expected))
         assert np.max(np.abs(out.samples - expected)) / scale <= 1e-13
 
     @pytest.mark.parametrize("b", [-1.0, 2.0, 3.0])
     def test_modes_above_cutoff_stay_frozen(self, full_spectrum_field, b):
+        # 2000 steps in one march: the modes above the band pass through one
+        # irfft, not one round trip per step
         u = full_spectrum_field
         grid = u.grid
-        out = rk4_step(u, 1e-2, b)
+        out = rk4_march(u, b, 0.2, 2000)
         u_hat = np.fft.fft(u.samples) / grid.n_points
         out_hat = np.fft.fft(out.samples) / grid.n_points
         above = ~fft_band(grid)
@@ -129,7 +138,7 @@ class TestRk4AgainstComplexFft:
 
 
 class TestFftBudget:
-    """Transform and combine counts of rk4_step, the RK4 reference march,
+    """Transform and combine counts of rk4_march, the RK4 reference march,
     rhs_F and the sign certificate."""
 
     @pytest.fixture
@@ -137,16 +146,14 @@ class TestFftBudget:
         grid = make_grid(256, 80.0)
         return RealField(grid, np.exp(-(((grid.x - 40.0) / 3.0) ** 2)))
 
-    def test_rk4_step_budget(self, u, fft_counts):
+    def test_one_step_budget(self, u, fft_counts):
         # rfft(u) and u_x to start the march, then one 16-transform step
-        rk4_step(u, 0.01, 2.0)
+        rk4_march(u, 2.0, 0.01, 1)
         assert fft_counts == {"real": 18, "complex": 0, "calls": 10, "combine": 4}
 
     def test_run_step_budget(self, u, fft_counts):
         # ten steps of the reference march
-        march = evolve._March(u, 2.0, 1e6)
-        for _ in range(10):
-            march.step(0.01)
+        rk4_march(u, 2.0, 0.1, 10)
         # 2 transforms in 2 calls start the march; each step is 16 in 8
         assert fft_counts == {"real": 2 + 16 * 10, "complex": 0, "calls": 2 + 8 * 10, "combine": 4 * 10}
 
@@ -154,16 +161,14 @@ class TestFftBudget:
         rhs_F(u, 2.0)
         assert fft_counts == {"real": 5, "complex": 0, "calls": 4, "combine": 1}
 
-    def test_rk4_step_budget_at_b3(self, u, fft_counts):
+    def test_one_step_budget_at_b3(self, u, fft_counts):
         # at b = 3 the operator holds u alone: rfft(u) to start the march,
         # then one 8-transform step
-        rk4_step(u, 0.01, 3.0)
+        rk4_march(u, 3.0, 0.01, 1)
         assert fft_counts == {"real": 9, "complex": 0, "calls": 9, "combine": 4}
 
     def test_run_step_budget_at_b3(self, u, fft_counts):
-        march = evolve._March(u, 3.0, 1e6)
-        for _ in range(10):
-            march.step(0.01)
+        rk4_march(u, 3.0, 0.1, 10)
         # 1 transform starts the march; each step is 8 in 8
         assert fft_counts == {"real": 1 + 8 * 10, "complex": 0, "calls": 1 + 8 * 10, "combine": 4 * 10}
 
@@ -177,64 +182,22 @@ class TestFftBudget:
         assert fft_counts == {"real": 2, "complex": 0, "calls": 2, "combine": 0}
 
 
-def _reference_march(u0, b, dts):
-    """The band of rfft(u) and the samples [u, u_x] after steps of the sizes
-    dts: classical RK4 on the band, written with plain numpy operators and
-    numpy.fft, each stage spectrum u_hat - c (-k_i) and the sum
-    ((k1 + 2 k2) + 2 k3) + k4 formed as the march forms them; modes above the
-    band keep the datum's values. The band of -F is A rfft(u^2) + B rfft(u_x^2)
-    with A = (i xi + b i xi / (1 + xi^2)) / 2 and B = ((3 - b)/2) i xi / (1 + xi^2)."""
-    grid = u0.grid
-    n, m = grid.n_points, grid.band_size
-    xi = 2.0 * np.pi * np.arange(n // 2 + 1) / grid.box_length
-    ixi = 1j * xi
-    ixi[-1] = 0.0
-    nonlocal_ = ixi[:m] * (1.0 / (1.0 + xi[:m] ** 2))
-    A, B = 0.5 * (ixi[:m] + b * nonlocal_), (0.5 * (3.0 - b)) * nonlocal_
-    spectrum = np.fft.rfft(u0.samples)
-
-    def fields_of(band):
-        spectrum[:m] = band
-        return np.fft.irfft(np.array([spectrum, ixi * spectrum]), n)
-
-    def minus_f(fields):
-        squares = np.fft.rfft(fields * fields)
-        return A * squares[0, :m] + B * squares[1, :m]
-
-    u_hat = spectrum[:m].copy()
-    fields = np.array([u0.samples, np.fft.irfft(ixi * spectrum, n)])
-    for dt in dts:
-        k1 = minus_f(fields)
-        k2 = minus_f(fields_of(u_hat - (0.5 * dt) * k1))
-        k3 = minus_f(fields_of(u_hat - (0.5 * dt) * k2))
-        k4 = minus_f(fields_of(u_hat - dt * k3))
-        u_hat = u_hat - (dt / 6.0) * (((k1 + 2.0 * k2) + 2.0 * k3) + k4)
-        fields = fields_of(u_hat)
-    return u_hat, fields
-
-
 class TestStepArithmetic:
     @pytest.mark.parametrize("b", [-1.0, 0.0, 2.0, 3.0])
     def test_march_matches_plain_rk4_bit_for_bit(self, rng, b):
         # a datum that fills every mode, those above the band included, and
-        # 40 steps of three sizes: any change to the step's arithmetic, its
-        # order of operations or its frozen modes shows in the bytes
+        # 40 steps: any change to the step's arithmetic, its order of
+        # operations or its frozen modes shows in the bytes
         grid = make_grid(256, 2 * np.pi)
         k = np.arange(129)
         coeffs = (rng.standard_normal(129) + 1j * rng.standard_normal(129)) / (1.0 + k) ** 2
         samples = np.fft.irfft(coeffs, 256)
         u0 = RealField(grid, 0.5 * samples / np.max(np.abs(samples)))
-        dts = [(0.02, 0.013, 0.007)[i % 3] for i in range(40)]
-        march = evolve._March(u0, b, 1e6)
-        for dt in dts:
-            march.step(dt)
-        u_hat, fields = _reference_march(u0, b, dts)
-        assert np.all(np.isfinite(fields))
-        assert np.max(np.abs(fields[0] - u0.samples)) > 1e-3
-        assert march.u_hat.tobytes() == u_hat.tobytes()
-        # at b = 3 the march holds u alone: the reference's u_x row, whose
-        # u_x^2 term it multiplies by zero, has no counterpart
-        assert march.op.fields.tobytes() == fields[: len(march.op.fields)].tobytes()
+        out = rk4_march(u0, b, 0.4, 40).samples
+        want = reference_march(u0, b, 0.4, 40)
+        assert np.all(np.isfinite(want))
+        assert np.max(np.abs(want - u0.samples)) > 1e-3
+        assert out.tobytes() == want.tobytes()
 
 
 class TestRun:
@@ -396,7 +359,7 @@ class TestRun:
 
 class TestRunMarch:
     """run's march loop: blow-up, abort time, step counts; and the RK4
-    reference march against a loop of rk4_step."""
+    reference march split in two against one march."""
 
     def test_threshold_overflow_aborts_with_partial_trajectory(self):
         # the first step's sup|u| is about 1, above the threshold
@@ -450,18 +413,14 @@ class TestRunMarch:
         assert err.time >= traj.snapshots[-1][0]
         assert err.time == pytest.approx(math.fsum(completed), abs=1e-12)
 
-    def test_matches_a_loop_of_rk4_step(self):
-        # n steps of one reference march, which carries its band, against n
-        # chained rk4_step calls, each from the samples; steps of three sizes
+    def test_split_horizon_matches_one_march(self):
+        # two marches of 6 and 9 steps, the second from the samples the first
+        # returned, against one march of 15 steps of the same size
         u0 = bump_datum(n=256, amplitude=0.8, width=5.0)
-        dts = [(0.08, 0.05, 0.03)[i % 3] for i in range(15)]
-        march, u = evolve._March(u0, 2.0, 1e6), u0
-        for dt in dts:
-            march.step(dt)
-            u = rk4_step(u, dt, 2.0)
-        final = march.state().samples
-        assert np.max(np.abs(final - u0.samples)) > 1e-3
-        assert np.max(np.abs(u.samples - final)) / np.max(np.abs(final)) <= 1e-13
+        whole = rk4_march(u0, 2.0, 0.75, 15).samples
+        split = rk4_march(rk4_march(u0, 2.0, 0.3, 6), 2.0, 0.45, 9).samples
+        assert np.max(np.abs(whole - u0.samples)) > 1e-3
+        assert np.max(np.abs(split - whole)) / np.max(np.abs(whole)) <= 1e-13
 
     def test_steps_and_dt_range_recorded(self, monkeypatch):
         # every step is counted, the last one too, which ends the run at
@@ -488,13 +447,13 @@ class TestRunMarch:
 
     @pytest.mark.parametrize("march", ["taylor", "rk4"])
     def test_snapshots_own_their_samples(self, march):
-        # under RK4 the state's samples are the operator's reused fields
+        # rk4_march returns a copy of the operator's reused fields
         u0 = bump_datum(n=128)
         if march == "taylor":
             cfg = EvolveConfig(b=2.0, t_final=0.3, sample_interval=0.1)
             states = [u.samples for _, u in run(u0, cfg).snapshots]
         else:
-            states = [u0.samples] + [u.samples for u in rk4_states(u0, 2.0, 0.01, 10, samples=3)]
+            states = [u0.samples] + [u.samples for u in rk4_states(u0, 2.0, 0.1, 10, samples=3)]
         assert all(not np.shares_memory(a, b) for i, a in enumerate(states) for b in states[i + 1:])
         assert all(np.max(np.abs(a - b)) > 0 for a, b in zip(states, states[1:]))
 
@@ -558,7 +517,7 @@ class TestTaylorMarch:
             u0 = initial_data("sech", {"amplitude": 0.05, "width": 1.0}, make_grid(1024, 80.0))
             t_final = 10.0
         taylor_run = run(u0, EvolveConfig(b=b, t_final=t_final, sample_interval=0.5))
-        references = [u0] + rk4_states(u0, b, 0.0025, 200, samples=2 * int(t_final))
+        references = [u0] + rk4_states(u0, b, 0.5, 200, samples=2 * int(t_final))
         assert len(taylor_run.snapshots) == len(references) == 2 * int(t_final) + 1
         for (t, a), ref in zip(taylor_run.snapshots, references):
             scale = np.max(np.abs(ref.samples))
@@ -600,7 +559,7 @@ class TestTaylorMarch:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             traj = run(u0, cfg)
-        references = [u0] + rk4_states(u0, 2.0, 2e-5, 250, samples=2)
+        references = [u0] + rk4_states(u0, 2.0, 0.005, 250, samples=2)
         assert traj.steps > 2 and len(traj.snapshots) == 3
         for (_, a), ref in zip(traj.snapshots, references):
             assert np.max(np.abs(a.samples - ref.samples)) <= 1e-12 * 10.0
@@ -792,16 +751,10 @@ class TestOrderOfAccuracy:
         grid = make_grid(256, 80.0)
         u0 = initial_data("gaussian", {"amplitude": 1.0, "width": 5.0}, grid)
 
-        def advance(u, dt, steps):
-            for _ in range(steps):
-                u = rk4_step(u, dt, 2.0)
-            return u
-
         n0 = 10
-        dt0 = 0.5 / n0
-        coarse = advance(u0, dt0, n0)
-        medium = advance(u0, dt0 / 2, 2 * n0)
-        reference = advance(u0, dt0 / 8, 8 * n0)
+        coarse = rk4_march(u0, 2.0, 0.5, n0)
+        medium = rk4_march(u0, 2.0, 0.5, 2 * n0)
+        reference = rk4_march(u0, 2.0, 0.5, 8 * n0)
         e_coarse = np.linalg.norm(coarse.samples - reference.samples)
         e_medium = np.linalg.norm(medium.samples - reference.samples)
         assert 14.0 <= e_coarse / e_medium <= 18.0

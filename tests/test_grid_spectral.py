@@ -1,7 +1,6 @@
 """The grid, its real transforms and half-spectrum multipliers: series
 coefficients, the spectral derivative, the Helmholtz inverse, and the band cut."""
 
-import functools
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -19,7 +18,7 @@ from bfamlab import (
     inverse_momentum,
     make_grid,
     momentum,
-    rk4_step,
+    rk4_march,
     sobolev_norm,
 )
 from bfamlab.grid import _irfft, _rfft
@@ -28,8 +27,8 @@ from conftest import (
     fft_band,
     fft_frequencies,
     planted_field,
+    reference_march,
     reference_wavenumbers,
-    rk4_states,
     series_coefficients,
 )
 
@@ -273,8 +272,8 @@ class TestRemovedOneLiners:
     test references: `u` a RealField, `g = u.grid`, `N = g.n_points`, `c` its
     coefficients in numpy FFT ordering, `k` and `xi` its FFT-ordered modes,
     `dt_max` and `cfl_safety` the numbers the removed EvolveConfig fields held,
-    `traj` a Trajectory, and `u0`, `b`, `t` and `n` a datum, b, a horizon and
-    a step count."""
+    `traj` a Trajectory, `u0`, `b`, `t` and `n` a datum, b, a horizon and a
+    step count, and `dt` a step."""
 
     README = Path(__file__).resolve().parents[1] / "README.md"
     FREQUENCIES = {"k": "np.rint(np.fft.fftfreq(N) * N)", "xi": "2 * np.pi * k / g.box_length"}
@@ -294,8 +293,8 @@ class TestRemovedOneLiners:
         "cfl_dt(u, cfg)": "min(dt_max, cfl_safety * u.grid.dx / max(np.max(np.abs(u.samples)), 1e-8))",
         "h1_energy(u)": "sobolev_norm(u, 1.0) ** 2",
         "Trajectory.times": "np.array([t for t, _ in traj.snapshots])",
-        'run(u0, EvolveConfig(..., stepper="rk4")).final_state':
-            "functools.reduce(lambda u, _: rk4_step(u, t / n, b), range(n), u0)",
+        'run(u0, EvolveConfig(..., stepper="rk4")).final_state': "rk4_march(u0, b, t, n)",
+        "rk4_step(u, dt, b)": "rk4_march(u, b, dt, 1)",
     }
     # the removed functions as they were defined, each over one more input;
     # `cfg` stands for an EvolveConfig as it was, with its dt_max and cfl_safety
@@ -318,7 +317,7 @@ class TestRemovedOneLiners:
         u = random_field
         g, n = u.grid, u.grid.n_points
         scope = {"np": np, "RealField": RealField, "momentum": momentum,
-                 "sobolev_norm": sobolev_norm, "functools": functools, "rk4_step": rk4_step,
+                 "sobolev_norm": sobolev_norm, "rk4_march": rk4_march,
                  "u": u, "g": g, "N": n,
                  "c": series_coefficients(u)}
         for name, expression in self.FREQUENCIES.items():
@@ -372,13 +371,14 @@ class TestRemovedOneLiners:
         assert run("Trajectory.times", traj=traj).tolist() == [0.0, 0.01, 0.02]
 
         # the RK4 run of the removed stepper option, n steps of t / n when the
-        # removed dt_max was t / n, against the reference march: one march
-        # stepped n times
+        # removed dt_max was t / n, and the removed single step, bit for bit
+        # against the plain-numpy reference march
         rk4_run = 'run(u0, EvolveConfig(..., stepper="rk4")).final_state'
         got = run(rk4_run, u0=u, b=2.0, t=0.02, n=10).samples
-        want = rk4_states(u, 2.0, 0.02 / 10, 10)[0].samples
         assert np.max(np.abs(got - u.samples)) > 1e-3
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        assert got.tobytes() == reference_march(u, 2.0, 0.02, 10).tobytes()
+        got = run("rk4_step(u, dt, b)", b=2.0, dt=0.002).samples
+        assert got.tobytes() == reference_march(u, 2.0, 0.002, 1).tobytes()
 
 
 random_grids = st.tuples(

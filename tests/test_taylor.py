@@ -12,13 +12,14 @@ from bfamlab import (
     TaylorSeries,
     make_grid,
     rhs_F,
+    rk4_march,
     sobolev_norm,
     taylor_coeffs,
     taylor_eval,
     time_radius_estimate,
 )
 from bfamlab.scenarios import initial_data
-from conftest import conservative_band, reference_derivative, reference_wavenumbers, rk4_states
+from conftest import conservative_band, reference_derivative, reference_wavenumbers
 
 
 def loop_coeffs(u0, b, order, dtype=np.float64):
@@ -44,7 +45,7 @@ def symmetric_coeffs(u0, b, order):
     i < k - i, doubled, plus the middle term i = k/2 for even k; the band of
     -F as A rfft(sum of c c) + B rfft(sum of d_x c d_x c), divided by
     -(k + 1); c_{k+1} and d_x c_{k+1} by irfft of that band and of i xi times
-    it. A and B are those of `_reference_march` in test_evolve."""
+    it. A and B are those of `reference_march` in conftest."""
     grid = u0.grid
     n, m = grid.n_points, grid.band_size
     ixi, xi, _ = reference_wavenumbers(n, grid.box_length)
@@ -353,7 +354,7 @@ class TestAgainstStepper:
         u0 = initial_data("gaussian", {"amplitude": 1.0, "width": 5.0}, grid)
         series = taylor_coeffs(u0, b, 12)
         t = 0.01
-        endpoint = rk4_states(u0, b, t / 2000, 2000)[0]
+        endpoint = rk4_march(u0, b, t, 2000)
         approx = taylor_eval(series, t)
         rel = sobolev_norm(
             RealField(grid, approx.samples - endpoint.samples), 0.0
@@ -366,7 +367,7 @@ class TestAgainstStepper:
         series = taylor_coeffs(u0, 2.0, 16)
         rho = time_radius_estimate(series)
         t = rho / 4
-        endpoint = rk4_states(u0, 2.0, t / 4000, 4000)[0]
+        endpoint = rk4_march(u0, 2.0, t, 4000)
         approx = taylor_eval(series, t)
         rel = sobolev_norm(
             RealField(grid, approx.samples - endpoint.samples), 0.0
