@@ -10,7 +10,7 @@ sample time in the step's window is read from the series already built,
 summed at t_s - t in Horner form, and the state then advances by the whole
 step, the series summed at the step's span, unless the window reached
 t_final, which ends the run. So the steps depend on the state and t_final
-alone, not on sample_interval. `run` counts the steps in the `Trajectory`,
+alone, not on sample_interval. `run` records the steps in the `Trajectory`,
 refuses a step that does not advance t and diagnoses a blow-up. Every
 sample read and every new state passes the blow-up test. A series the
 recursion cut at COEFF_SUP_CAP steps with the order it has, and one cut
@@ -21,13 +21,14 @@ orders of the recursion: 4K + 2 real transforms in 2K + 2 kernel calls,
 reading is taken from the sampled states after the march
 (`scenarios.compute_diagnostics`).
 
-The `Trajectory` records the march by these rules. `steps` counts the series
-used, and `dt_min` and `dt_max` are the smallest and largest of their spans;
-the last span ends at t_final. `dt_used[i]` is the span of the step whose
-series sample i was read from, and 0 for the datum alone. The time of an
-abort is the latest time whose state passed the checks: the end of the last
-completed step, or the last sample read from the failing step where that is
-later, so it is never before the last snapshot's time.
+The `Trajectory` records the march by these rules. `spans` holds the span
+of each completed series step, in order: a step that fails is not in it,
+and the last span of a completed run ends at t_final. `dt_used[i]` is the
+span of the step whose series sample i was read from, and 0 for the datum
+alone. The time of an abort is the latest time whose state passed the
+checks: the end of the last completed step, or the last sample read from
+the failing step where that is later, so it is never before the last
+snapshot's time.
 
 RK4 is the reference march that `bfamlab taylor`, acceptance criterion 06
 and the tests compare the series with, because it does not sum the series:
@@ -103,22 +104,14 @@ class Trajectory:
 
     snapshots[i] is (t_i, field) with strictly increasing t_i, starting at the
     initial datum, and dt_used[i] is the span of the step whose series gave
-    t_i's state (0 for the initial datum). steps counts the completed series
-    steps, and dt_min and dt_max are the smallest and largest of their spans
-    (None before the first step); the module docstring gives the rules.
+    t_i's state (0 for the initial datum). spans lists the span of each
+    completed series step, in order; the module docstring gives the rules.
     """
 
     b: float
     snapshots: list = field(default_factory=list)
     dt_used: list = field(default_factory=list)
-    steps: int = 0
-    dt_min: Optional[float] = None
-    dt_max: Optional[float] = None
-
-    def _count_step(self, dt: float) -> None:
-        self.steps += 1
-        self.dt_min = dt if self.dt_min is None else min(self.dt_min, dt)
-        self.dt_max = dt if self.dt_max is None else max(self.dt_max, dt)
+    spans: list = field(default_factory=list)
 
     @property
     def final_state(self) -> RealField:
@@ -285,7 +278,7 @@ def run(u0: RealField, cfg: EvolveConfig) -> Trajectory:
                 march.step(dt)
         except BlowupError as err:
             raise _diagnose_blowup(err, u0, t_passed, traj) from err
-        traj._count_step(dt)
+        traj.spans.append(dt)
         t = t_passed = t_next
     return traj
 

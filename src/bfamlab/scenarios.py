@@ -520,6 +520,7 @@ def run_scenario(cfg: RunConfig) -> ScenarioResult:
             "config_sha256": config_sha256,
         }
         if trajectory is not None:
-            manifest.update(steps=trajectory.steps, dt_min=trajectory.dt_min,
-                            dt_max=trajectory.dt_max)
+            spans = trajectory.spans
+            manifest.update(steps=len(spans), dt_min=min(spans, default=None),
+                            dt_max=max(spans, default=None))
         (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")

@@ -273,6 +273,22 @@ class TestRadiusCommand:
         assert out == ""
         assert err == f"configuration error: k_min must be an integer >= 1, got {k_min}\n"
 
+    @pytest.mark.parametrize("top, message", [
+        (0, "cannot fit a decay rate to a zero spectrum"),
+        # modes 4 .. 10 of the fit band, one fewer than the fit needs
+        (10, "only 7 usable modes above k = 4; need at least 8"),
+    ])
+    def test_spectrum_it_cannot_fit(self, tmp_path, capsys, top, message):
+        grid = make_grid(64, 2 * np.pi)
+        u = sum((np.exp(-0.5 * k) * np.cos(k * grid.x) for k in range(1, top + 1)),
+                np.zeros(64))
+        path = tmp_path / "few.bgev"
+        write_snapshot(path, snapshot_of(RealField(grid, u), t=0.0, b=2.0))
+        assert main(["radius", "--snapshot", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"configuration error: {message}\n"
+
 
 class TestNormsCommand:
     def test_prints_norm_table(self, planted_snapshot, capsys):

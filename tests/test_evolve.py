@@ -1,6 +1,7 @@
 """The Taylor march of `run`, the RK4 reference march, blow-up handling, and conservation."""
 
 import dataclasses
+import itertools
 import math
 import warnings
 
@@ -358,7 +359,7 @@ class TestRun:
 
 
 class TestRunMarch:
-    """run's march loop: blow-up, abort time, step counts; and the RK4
+    """run's march loop: blow-up, abort time, step spans; and the RK4
     reference march split in two against one march."""
 
     def test_threshold_overflow_aborts_with_partial_trajectory(self):
@@ -371,7 +372,7 @@ class TestRunMarch:
             run(u0, cfg)
         err = excinfo.value
         assert err.time == 0.0
-        assert err.trajectory.steps == 0
+        assert err.trajectory.spans == []
         assert [t for t, _ in err.trajectory.snapshots] == [0.0]
         assert "blow-up may be genuine" in str(err)
 
@@ -391,27 +392,20 @@ class TestRunMarch:
         err = excinfo.value
         assert err.time == 0.0
         assert err.trajectory.snapshots[0][1] is u0
-        assert err.trajectory.steps == 0
+        assert err.trajectory.spans == []
 
-    def test_abort_time_is_the_last_completed_step(self, monkeypatch):
+    def test_abort_time_is_the_last_completed_step(self):
         u0 = bump_datum(n=256, amplitude=1.0, width=5.0)
         cfg = EvolveConfig(b=3.0, t_final=5.0, sample_interval=0.5,
                            blowup_threshold=1.2)
-        completed, step = [], evolve._TaylorMarch.step
-
-        def logged(march, dt):
-            step(march, dt)
-            completed.append(dt)
-
-        monkeypatch.setattr(evolve._TaylorMarch, "step", logged)
         with pytest.raises(BlowupError) as excinfo:
             run(u0, cfg)
         err = excinfo.value
         traj = err.trajectory
-        # the march aborts after its last completed step
-        assert traj.steps == len(completed) > 0
+        # the march aborts at the end of its last completed step
+        assert len(traj.spans) > 0
         assert err.time >= traj.snapshots[-1][0]
-        assert err.time == pytest.approx(math.fsum(completed), abs=1e-12)
+        assert err.time == pytest.approx(math.fsum(traj.spans), abs=1e-12)
 
     def test_split_horizon_matches_one_march(self):
         # two marches of 6 and 9 steps, the second from the samples the first
@@ -423,27 +417,31 @@ class TestRunMarch:
         assert np.max(np.abs(split - whole)) / np.max(np.abs(whole)) <= 1e-13
 
     def test_steps_and_dt_range_recorded(self, monkeypatch):
-        # every step is counted, the last one too, which ends the run at
-        # t_final without advancing the state; t_final bounds the largest
+        # the one witness of traj.spans that does not read it: every step
+        # that advances the state is logged, and the last span, which ends
+        # the run at t_final without advancing the state, is t_final less
+        # the left-to-right sum of the others, as run accumulates t (not
+        # sum(), whose float sum is compensated from Python 3.12 on)
         u0 = bump_datum(n=128)
         cfg = EvolveConfig(b=2.0, t_final=1.0, sample_interval=0.25)
-        dts, step = [], evolve._TaylorMarch.step
+        logged, step = [], evolve._TaylorMarch.step
 
-        def logged(march, dt):
-            dts.append(dt)
+        def logging(march, dt):
+            logged.append(dt)
             return step(march, dt)
 
-        monkeypatch.setattr(evolve._TaylorMarch, "step", logged)
+        monkeypatch.setattr(evolve._TaylorMarch, "step", logging)
         traj = run(u0, cfg)
-        spans = dts + [cfg.t_final - math.fsum(dts)]
-        assert traj.steps == len(spans) >= 2
-        assert (traj.dt_min, traj.dt_max) == (min(spans), max(spans))
-        assert traj.dt_max <= cfg.t_final
+        assert len(traj.spans) >= 2
+        assert traj.spans[:-1] == logged
+        *_, t = itertools.accumulate(traj.spans[:-1], initial=0.0)
+        assert traj.spans[-1] == cfg.t_final - t
+        assert max(traj.spans) <= cfg.t_final
 
     def test_zero_horizon_takes_no_step(self):
         cfg = EvolveConfig(b=2.0, t_final=0.0, sample_interval=0.5)
         traj = run(bump_datum(n=128), cfg)
-        assert (traj.steps, traj.dt_min, traj.dt_max) == (0, None, None)
+        assert traj.spans == []
 
     @pytest.mark.parametrize("march", ["taylor", "rk4"])
     def test_snapshots_own_their_samples(self, march):
@@ -463,32 +461,22 @@ class TestTaylorMarch:
     from its last two coefficients, with every sample time in a step read
     from that step's series."""
 
-    def test_sample_times_and_dt_used_exact(self, monkeypatch):
+    def test_sample_times_and_dt_used_exact(self):
         u0 = bump_datum(n=128)
         cfg = EvolveConfig(b=2.0, t_final=0.9, sample_interval=0.4)
-        dts, step = [], evolve._TaylorMarch.step
-
-        def logged(march, dt):
-            dts.append(dt)
-            return step(march, dt)
-
-        monkeypatch.setattr(evolve._TaylorMarch, "step", logged)
         traj = run(u0, cfg)
+        spans = traj.spans
         # each sample is read at its own time
         assert [t for t, _ in traj.snapshots] == [0.0, 0.4, 0.8, 0.9]
-        # the last step ends the run at t_final and advances no state
-        spans = dts + [cfg.t_final - math.fsum(dts)]
-        assert traj.steps == len(spans)
-        assert (traj.dt_min, traj.dt_max) == (min(spans), max(spans))
         # dt_used is the span of the step whose window holds the sample
         ends = np.cumsum(spans)
         ends[-1] = cfg.t_final
         holding = [spans[int(np.searchsorted(ends, t_s))] for t_s, _ in traj.snapshots[1:]]
         assert traj.dt_used == [0.0] + holding
         # one series gives more than one sample here
-        assert traj.steps < len(traj.snapshots) - 1
+        assert len(spans) < len(traj.snapshots) - 1
         # the series' steps are far longer than an RK4 step of 0.02
-        assert traj.dt_max > 10 * 0.02
+        assert max(spans) > 10 * 0.02
 
     def test_step_rule(self):
         # h = min over j in {K-1, K} of (tol |u| / |c_j|)^{1/j}, every norm _l2_norm
@@ -523,7 +511,7 @@ class TestTaylorMarch:
             scale = np.max(np.abs(ref.samples))
             assert np.max(np.abs(a.samples - ref.samples)) <= 1e-12 * scale, t
         # a handful of series steps where RK4 takes hundreds
-        assert taylor_run.steps <= 4 * len(taylor_run.snapshots)
+        assert len(taylor_run.spans) <= 4 * len(taylor_run.snapshots)
 
     @pytest.mark.parametrize("n", [64, 128, 256])
     def test_sine_fixed_point(self, n):
@@ -535,7 +523,7 @@ class TestTaylorMarch:
         traj = run(u0, cfg)
         for _, u in traj.snapshots:
             assert np.max(np.abs(u.samples - u0.samples)) < 1e-12
-        assert traj.steps < 40
+        assert len(traj.spans) < 40
 
     def test_vanishing_tail_gives_an_infinite_step(self):
         # the zero state: every coefficient is exactly 0
@@ -545,7 +533,7 @@ class TestTaylorMarch:
         assert march.propose() == math.inf
         # one series spans the run and gives every sample
         traj = run(RealField(grid, np.zeros(64)), cfg)
-        assert (traj.steps, traj.dt_min, traj.dt_max) == (1, 1.0, 1.0)
+        assert traj.spans == [1.0]
         assert traj.dt_used == [0.0, 1.0, 1.0]
 
     def test_cut_series_steps_with_its_order_and_no_warning(self):
@@ -560,7 +548,7 @@ class TestTaylorMarch:
             warnings.simplefilter("error")
             traj = run(u0, cfg)
         references = [u0] + rk4_states(u0, 2.0, 0.005, 250, samples=2)
-        assert traj.steps > 2 and len(traj.snapshots) == 3
+        assert len(traj.spans) > 2 and len(traj.snapshots) == 3
         for (_, a), ref in zip(traj.snapshots, references):
             assert np.max(np.abs(a.samples - ref.samples)) <= 1e-12 * 10.0
 
@@ -576,7 +564,7 @@ class TestTaylorMarch:
             with pytest.raises(BlowupError, match="Taylor series of the state stops") as excinfo:
                 run(u0, cfg)
         err = excinfo.value
-        assert (err.time, err.trajectory.steps) == (0.0, 0)
+        assert (err.time, err.trajectory.spans) == (0.0, [])
         assert [t for t, _ in err.trajectory.snapshots] == [0.0]
         assert "blow-up may be genuine" in str(err)
 
@@ -611,7 +599,7 @@ class TestTaylorMarch:
             run(u0, cfg)
         err = excinfo.value
         assert 0.0 < err.time < 5.0
-        assert err.trajectory.steps > 0
+        assert len(err.trajectory.spans) > 0
         assert err.time >= err.trajectory.snapshots[-1][0]
         assert "not expected" in str(err)
 
@@ -631,7 +619,7 @@ class TestTaylorMarch:
         with pytest.raises(BlowupError, match="does not advance t") as excinfo:
             run(bump_datum(n=128), cfg)
         err = excinfo.value
-        assert err.trajectory.steps == 1
+        assert err.trajectory.spans == [calls[0]]
         # the first step is the last completed, and it read every sample in
         # its window
         assert 0.0 < calls[0] < cfg.t_final
@@ -645,7 +633,7 @@ class TestTaylorMarch:
         grid = make_grid(256, 80.0)
         u = RealField(grid, np.exp(-(((grid.x - 40.0) / 3.0) ** 2)))
         traj = run(u, EvolveConfig(b=2.0, t_final=0.01, sample_interval=0.01))
-        assert traj.steps == 1
+        assert len(traj.spans) == 1
         assert fft_counts == {"real": 2 + 4 * 16, "complex": 0, "calls": 2 + 2 * 16, "combine": 16}
 
     def test_run_step_budget_at_b3(self, fft_counts):
@@ -653,24 +641,13 @@ class TestTaylorMarch:
         grid = make_grid(256, 80.0)
         u = RealField(grid, np.exp(-(((grid.x - 40.0) / 3.0) ** 2)))
         traj = run(u, EvolveConfig(b=3.0, t_final=0.01, sample_interval=0.01))
-        assert traj.steps == 1
+        assert len(traj.spans) == 1
         assert fft_counts == {"real": 1 + 2 * 16, "complex": 0, "calls": 1 + 2 * 16, "combine": 16}
 
 
 class TestDenseOutput:
     """Sample times are read from the series of the step whose window holds
     them; the steps depend on the state and t_final alone."""
-
-    @staticmethod
-    def logged_spans(monkeypatch):
-        spans, count = [], evolve.Trajectory._count_step
-
-        def logged(traj, dt):
-            spans.append(dt)
-            return count(traj, dt)
-
-        monkeypatch.setattr(evolve.Trajectory, "_count_step", logged)
-        return spans
 
     def test_steps_do_not_depend_on_the_sample_grid(self):
         u0 = bump_datum(n=256)
@@ -679,8 +656,7 @@ class TestDenseOutput:
         fine, coarse = ({t: u.samples.tobytes() for t, u in r.snapshots} for r in runs)
         assert list(coarse) == [0.0, 1.0, 2.0]
         assert all(fine[t] == coarse[t] for t in (1.0, 2.0))
-        assert runs[0].steps == runs[1].steps
-        assert (runs[0].dt_min, runs[0].dt_max) == (runs[1].dt_min, runs[1].dt_max)
+        assert runs[0].spans == runs[1].spans
 
     def test_sample_read_is_the_series_summed_at_its_offset(self):
         # the datum's first step spans about 0.597: samples 0.25 and 0.5 are
@@ -697,21 +673,19 @@ class TestDenseOutput:
         later = taylor_coeffs(step_end, 2.0, evolve.TAYLOR_ORDER)
         assert states[0.75] == taylor_eval(later, 0.75 - h).samples.tobytes()
 
-    def test_dt_used_are_step_spans_adding_up_to_t_final(self, monkeypatch):
-        spans = self.logged_spans(monkeypatch)
+    def test_dt_used_are_step_spans_adding_up_to_t_final(self):
         cfg = EvolveConfig(b=2.0, t_final=2.0, sample_interval=0.25)
         traj = run(bump_datum(n=128), cfg)
-        assert traj.steps == len(spans) >= 2
-        assert (traj.dt_min, traj.dt_max) == (min(spans), max(spans))
+        spans = traj.spans
+        assert len(spans) >= 2
         assert traj.dt_used[0] == 0.0
         assert all(dt in spans for dt in traj.dt_used[1:])
         assert math.fsum(spans) == pytest.approx(cfg.t_final, abs=1e-12)
 
-    def test_blowup_after_a_sample_read_keeps_the_sample(self, monkeypatch):
+    def test_blowup_after_a_sample_read_keeps_the_sample(self):
         # the b = 3 bump's sup|u| grows: the step from about 2.989 to 3.096
         # reads the sample at 3.0 (sup about 1.170), and its end state (about
         # 1.179) passes the threshold 1.175
-        spans = self.logged_spans(monkeypatch)
         u0 = bump_datum(n=256, amplitude=1.0, width=5.0)
         cfg = EvolveConfig(b=3.0, t_final=5.0, sample_interval=0.5,
                            blowup_threshold=1.175)
@@ -722,15 +696,14 @@ class TestDenseOutput:
         assert t_last == err.time == 3.0
         assert np.max(np.abs(u_last.samples)) <= cfg.blowup_threshold
         # the completed steps end before the sample, so the step that read it
-        # is the one whose end state failed
-        assert err.trajectory.steps == len(spans)
-        assert math.fsum(spans) < err.time
+        # is the one whose end state failed and is not in spans
+        assert math.fsum(err.trajectory.spans) < err.time == 3.0
         assert "aborted at t = 3:" in str(err)
 
     def test_one_series_gives_several_samples_on_criterion_09(self):
         u0 = initial_data("sech", {"amplitude": 0.05, "width": 1.0}, make_grid(1024, 80.0))
         traj = run(u0, EvolveConfig(b=2.0, t_final=10.0, sample_interval=0.5))
-        assert traj.steps < len(traj.snapshots) - 1
+        assert len(traj.spans) < len(traj.snapshots) - 1
 
     def test_horizon_below_the_landing_tolerance_takes_a_step(self):
         # t_final = 1e-13 lies below the landing tolerance 1e-12, and its one
@@ -738,7 +711,7 @@ class TestDenseOutput:
         grid = make_grid(64, 2 * np.pi)
         u0 = RealField(grid, 0.5 * np.sin(grid.x))
         traj = run(u0, EvolveConfig(b=2.0, t_final=1e-13, sample_interval=1e-13))
-        assert traj.steps >= 1
+        assert len(traj.spans) >= 1
         assert [t for t, _ in traj.snapshots] == [0.0, 1e-13]
         assert all(dt > 0 for dt in traj.dt_used[1:])
         series = taylor_coeffs(u0, 2.0, evolve.TAYLOR_ORDER)

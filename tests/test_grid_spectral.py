@@ -293,6 +293,9 @@ class TestRemovedOneLiners:
         "cfl_dt(u, cfg)": "min(dt_max, cfl_safety * u.grid.dx / max(np.max(np.abs(u.samples)), 1e-8))",
         "h1_energy(u)": "sobolev_norm(u, 1.0) ** 2",
         "Trajectory.times": "np.array([t for t, _ in traj.snapshots])",
+        "Trajectory.steps": "len(traj.spans)",
+        "Trajectory.dt_min": "min(traj.spans, default=None)",
+        "Trajectory.dt_max": "max(traj.spans, default=None)",
         'run(u0, EvolveConfig(..., stepper="rk4")).final_state': "rk4_march(u0, b, t, n)",
         "rk4_step(u, dt, b)": "rk4_march(u, b, dt, 1)",
     }
@@ -369,6 +372,18 @@ class TestRemovedOneLiners:
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
         assert run("cfl_dt(u, cfg)", u=zero) == 0.05
         assert run("Trajectory.times", traj=traj).tolist() == [0.0, 0.01, 0.02]
+
+        # the removed step counters, kept as the removed Trajectory._count_step
+        # kept them, on a record of three steps and on one of none
+        counters = ("Trajectory.steps", "Trajectory.dt_min", "Trajectory.dt_max")
+        for spans in ([0.3, 0.1, 0.2], []):
+            steps, dt_min, dt_max = 0, None, None
+            for dt in spans:
+                steps += 1
+                dt_min = dt if dt_min is None else min(dt_min, dt)
+                dt_max = dt if dt_max is None else max(dt_max, dt)
+            record = evolve.Trajectory(b=2.0, spans=spans)
+            assert [run(name, traj=record) for name in counters] == [steps, dt_min, dt_max]
 
         # the RK4 run of the removed stepper option, n steps of t / n when the
         # removed dt_max was t / n, and the removed single step, bit for bit

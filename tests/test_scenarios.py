@@ -607,8 +607,8 @@ class TestRunScenario:
         assert manifest["exit_status"] == 0
         assert manifest["finished_unix"] >= manifest["started_unix"]
         assert (manifest["steps"], manifest["dt_min"], manifest["dt_max"]) == (
-            traj.steps, traj.dt_min, traj.dt_max)
-        assert 0.0 < traj.dt_min <= traj.dt_max <= 0.2
+            len(traj.spans), min(traj.spans), max(traj.spans))
+        assert 0.0 < min(traj.spans) <= max(traj.spans) <= 0.2
         self.assert_provenance(manifest, out)
 
     def test_manifest_records_the_default_stepper(self, tmp_path):
@@ -619,7 +619,7 @@ class TestRunScenario:
         manifest = json.loads((out / "manifest.json").read_text())
         # the series is the one march, so the manifest names none
         assert "stepper" not in manifest
-        assert manifest["steps"] == result.trajectory.steps
+        assert manifest["steps"] == len(result.trajectory.spans)
         # the datum's first series proposes h of about 1.04, past t_final =
         # 0.2, so one series gives both samples, where RK4 takes 10 steps
         assert manifest["steps"] == 1
@@ -640,6 +640,40 @@ class TestRunScenario:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["exit_status"] == 2
         assert (manifest["steps"], manifest["dt_min"], manifest["dt_max"]) == (0, None, None)
+        self.assert_provenance(manifest, out)
+
+    def test_manifest_reports_a_blowup_after_completed_steps(self, tmp_path):
+        # the b = 3 bump passes sup|u| = 1.2 after several series steps: the
+        # manifest reads the steps that completed, not the one that failed
+        import json
+
+        out = tmp_path / "run"
+        text = f"""
+[grid]
+n_points = 256
+box_length = 80.0
+
+[run]
+b = 3.0
+t_final = 5.0
+sample_interval = 0.5
+blowup_threshold = 1.2
+
+[init]
+family = momentum_bump
+amplitude = 1.0
+width = 5.0
+
+[output]
+dir = {out}
+"""
+        with pytest.raises(BlowupError) as excinfo:
+            run_scenario(parse_config(text))
+        spans = excinfo.value.trajectory.spans
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["exit_status"] == 2
+        assert manifest["steps"] == len(spans) > 0
+        assert (manifest["dt_min"], manifest["dt_max"]) == (min(spans), max(spans))
         self.assert_provenance(manifest, out)
 
     @staticmethod
@@ -682,7 +716,7 @@ class TestRunScenario:
 
     def test_transform_budget(self, tmp_path, fft_counts):
         result = scenarios.simulate(parse_config(SMALL_RUN.format(outdir=tmp_path)))
-        steps, samples = result.trajectory.steps, len(result.rows)
+        steps, samples = len(result.trajectory.spans), len(result.rows)
         assert samples == 3 and steps == 1
         # the march: per step, the datum load (2) and 16 orders of 4; 3 per
         # sample; 1 for the bound's phi0; no complex transform anywhere
