@@ -16,14 +16,18 @@ both vanish at xi = 0, so the mean of u never moves.
 
 Every evaluation of F, in `rhs_F`, each RK4 stage of `evolve` and each
 order of the `taylor` recursion, goes through one layout, an `_Operator`
-built once per call, march or series from a datum u at b. It holds the band
+built from a datum u at b once per series march and once per `rhs_F`,
+`rk4_march` or `taylor_coeffs` call. It holds its `grid`, the band
 multipliers `A` and `B` (b enters nowhere else); the half spectra
 `spectra` = [f_hat, i xi f_hat] of a stage f, whose band `stage` the caller
 writes and whose modes above the band keep u's unless the caller zeroes
 them; the samples `fields` = [f, f_x], which `load()` refreshes from
 `stage` with one multiply and one stacked irfft (`load(out)` writes them
 into another array shaped like `fields` instead); and the combine's work
-arrays `squares` and `product_spectra`. It starts loaded with u.
+arrays `squares` and `product_spectra`. It starts loaded with u, and
+`reset(samples)` loads another datum on its grid into the same arrays: one
+rfft of the whole half spectrum, then the samples, then, where f_x is held,
+one multiply and one irfft.
 
 At b = 3 (Degasperis-Procesi) B is exactly 0, and the operator decides
 once, from b, to hold one row: `B` is None, `spectra` = [f_hat],
@@ -62,26 +66,31 @@ class _Operator:
 
     def __init__(self, u: RealField, b: float):
         require_finite("b", b)
-        grid = u.grid
+        grid = self.grid = u.grid
         n, m = grid.n_points, grid.band_size
         # B = ((3 - b)/2) i xi/(1 + xi^2) vanishes at b = 3: no row for f_x
         rows = 1 if b == 3.0 else 2
-        deriv = grid.half_deriv_multiplier
-        band_deriv = self._band_deriv = deriv[:m]
+        band_deriv = self._band_deriv = grid.half_deriv_multiplier[:m]
         nonlocal_ = band_deriv * grid.helmholtz_inv_multiplier[:m]
         self.A = 0.5 * (band_deriv + b * nonlocal_)
         self.B = None if rows == 1 else (0.5 * (3.0 - b)) * nonlocal_
         spectra = self.spectra = np.empty((rows, n // 2 + 1), dtype=complex)
-        fields = self.fields = np.empty((rows, n))
+        self.fields = np.empty((rows, n))
         self.squares = np.empty((rows, n))
         products = self.product_spectra = np.empty_like(spectra)
         self.stage, self._square_band = spectra[0, :m], products[0, :m]
-        _rfft(u.samples, spectra[0])
-        fields[0] = u.samples
         if rows == 2:
             self._stage_deriv, self._dsquare_band = spectra[1, :m], products[1, :m]
-            np.multiply(deriv, spectra[0], out=spectra[1])
-            _irfft(spectra[1], fields[1])
+        self.reset(u.samples)
+
+    def reset(self, samples: np.ndarray) -> None:
+        """Load the datum with these samples into the arrays the operator
+        holds: its whole half spectrum, not the band alone, and its fields."""
+        _rfft(samples, self.spectra[0])
+        self.fields[0] = samples
+        if self.B is not None:
+            np.multiply(self.grid.half_deriv_multiplier, self.spectra[0], out=self.spectra[1])
+            _irfft(self.spectra[1], self.fields[1])
 
     def load(self, out: Optional[np.ndarray] = None) -> np.ndarray:
         """The samples [f, f_x] ([f] at b = 3) of a new `stage`, from

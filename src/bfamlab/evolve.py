@@ -17,9 +17,12 @@ recursion cut at COEFF_SUP_CAP steps with the order it has, and one cut
 below order 2 is a blow-up. Where every tail coefficient vanishes, h is
 infinite and one series gives every remaining sample. A step costs the K
 orders of the recursion: 4K + 2 real transforms in 2K + 2 kernel calls,
-2K + 1 in 2K + 1 at b = 3; a sample read takes none. Every per-sample
-reading is taken from the sampled states after the march
-(`scenarios.compute_diagnostics`).
+2K + 1 in 2K + 1 at b = 3; a sample read takes none. The march builds one
+`dynamics._Operator` and one coefficient store for the whole run: the state
+is the operator's fields[0], a step loads the new state into it with
+`reset` in place of a new operator's load, and each series is written into
+the store. Every per-sample reading is taken from the sampled states after
+the march (`scenarios.compute_diagnostics`).
 
 The `Trajectory` records the march by these rules. `spans` holds the span
 of each completed series step, in order: a step that fails is not in it,
@@ -133,20 +136,21 @@ def _check_peak(u: np.ndarray, blowup_threshold: float, stepper: str) -> None:
 class _TaylorMarch:
     """The carried state of a time-Taylor march (module docstring).
 
-    `u` holds the samples of the state, at first the datum's; a step replaces
-    it with a new array and never writes into one. `coeffs` holds c_1 .. c_K
-    of the series `propose` built at the state.
+    `op` is the one operator of the march and `op.fields[0]` the samples of
+    the state, at first the datum's; a step loads the new state into it.
+    `coeffs` holds c_1 .. c_K of the series `propose` built at the state,
+    as rows of the march's one store, valid until the next `propose`.
     """
 
     def __init__(self, u: RealField, b: float, blowup_threshold: float):
-        self.grid, self.b, self.blowup_threshold = u.grid, b, blowup_threshold
-        self.u, self.coeffs = u.samples, None
+        self.op, self.blowup_threshold, self.coeffs = _Operator(u, b), blowup_threshold, None
+        self.store = np.empty((TAYLOR_ORDER + 2,) + self.op.fields.shape)
 
     def propose(self) -> float:
         """Build the series of the state and return its step h (inf when
         c_{K-1} and c_K both vanish). Raises BlowupError when the series is
         cut below order 2."""
-        coeffs, sup = _recursion(_finite_field(self.grid, self.u), self.b, TAYLOR_ORDER)
+        coeffs, sup = _recursion(self.op, self.store)
         order = len(coeffs)
         if order < 2:
             raise BlowupError(
@@ -154,8 +158,8 @@ class _TaylorMarch:
                 f"has sup norm {sup:.3e}, above the cap {COEFF_SUP_CAP:.0e}, so the "
                 "temporal radius is effectively zero at this resolution"
             )
-        dx = self.grid.dx
-        size, h = _l2_norm(self.u, dx), math.inf
+        dx = self.op.grid.dx
+        size, h = _l2_norm(self.op.fields[0], dx), math.inf
         for j in (order - 1, order):
             norm = _l2_norm(coeffs[j - 1], dx)
             if norm > 0.0:
@@ -166,13 +170,13 @@ class _TaylorMarch:
     def read(self, dt: float) -> RealField:
         """The series of the last `propose` summed at dt, with samples of its
         own. Raises BlowupError unless its peak is at most blowup_threshold."""
-        u = _horner([self.u, *self.coeffs], dt)
+        u = _horner([self.op.fields[0], *self.coeffs], dt)
         _check_peak(u, self.blowup_threshold, "Taylor")
-        return _finite_field(self.grid, u)
+        return _finite_field(self.op.grid, u)
 
     def step(self, dt: float) -> None:
         """Advance the state to `read(dt)`."""
-        self.u = self.read(dt).samples
+        self.op.reset(self.read(dt).samples)
 
 
 def rk4_march(

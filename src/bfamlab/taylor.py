@@ -11,7 +11,7 @@ Cauchy-product recursion,
 with c_0 the initial datum, so c_1 equals the direct right-hand side
 evaluation exactly (shared code path).
 
-Row k of one preallocated store holds c_k and d_x c_k side by side, so an
+Row k of one store holds c_k and d_x c_k side by side, so an
 order's two Cauchy sums, of c_i c_j and of d_x c_i d_x c_j, are a single
 contraction over the store's 2N-wide rows, written into the squares of one
 `dynamics._Operator` (the stage layout is described there); the
@@ -25,9 +25,16 @@ loads c_{k+1} and d_x c_{k+1} straight into row k + 1 of the store: an
 order costs four real FFTs in two stacked kernel calls, with d_x c_{k+1}
 never round-tripping through the samples. At b = 3 the operator holds one
 row, so row k is c_k alone, N wide: an order is one Cauchy sum and two
-real FFTs in two kernel calls. The series gets c_1 .. c_K as rows of their
-own block, allocated before the store and filled with one copy, so it keeps
-none of the derivative rows alive.
+real FFTs in two kernel calls. The store has one row more, the recursion's
+work space, so the operator's fields keep c_0 and d_x c_0.
+
+`_recursion(op, store)` is the order loop alone: the caller builds the
+operator, loaded with c_0, and the store, and the recursion allocates no
+array. `taylor_coeffs` builds both for one series and copies the kept
+c_1 .. c_K out in one block, so the series keeps none of the derivative
+rows alive; the block is allocated before the store, so that the freed
+store leaves no hole in the heap below it, and a cut series shrinks it to
+the kept rows. The Taylor march of `evolve` builds both once per march.
 
 The recursion itself, `_recursion`, stops at the first coefficient that is
 not finite or exceeds COEFF_SUP_CAP and neither warns nor raises:
@@ -114,7 +121,11 @@ def taylor_coeffs(u0: RealField, b: float, order: int) -> TaylorSeries:
     rather than allowed to overflow.
     """
     require_integer("order", order, 1)
-    coeffs, sup = _recursion(u0, b, order)
+    op = _Operator(u0, b)
+    # the series' rows, allocated before the store so that the store is
+    # freed at the top of the heap and returned, not left as a hole below them
+    block = np.empty((order, u0.grid.n_points))
+    coeffs, sup = _recursion(op, np.empty((order + 2,) + op.fields.shape))
     kept = len(coeffs)
     if sup is not None:
         if not math.isfinite(sup):
@@ -129,32 +140,30 @@ def taylor_coeffs(u0: RealField, b: float, order: int) -> TaylorSeries:
         )
     if kept < 1:
         raise NumericalError("no usable Taylor coefficients beyond the datum")
-    # the recursion showed every kept row finite
-    grid = u0.grid
-    return TaylorSeries(b=b, coeffs=(u0,) + tuple(_finite_field(grid, c) for c in coeffs))
+    # the kept rows in one block of their own, so the series keeps no
+    # derivative row and no row past a cut alive; the recursion showed every
+    # kept row finite
+    block.resize(coeffs.shape, refcheck=False)
+    block[...] = coeffs
+    return TaylorSeries(b=b, coeffs=(u0,) + tuple(_finite_field(u0.grid, c) for c in block))
 
 
-def _recursion(u0: RealField, b: float, order: int) -> tuple:
-    """The samples of c_1 .. c_kept as the rows of one (kept, N) block, and
-    the sup norm of c_{kept + 1}, the first coefficient that is not finite or
-    exceeds COEFF_SUP_CAP, where the recursion stops (None when kept ==
-    order). It warns and raises nothing: `taylor_coeffs` and the Taylor
-    march of `evolve` each decide what a short series means."""
-    grid = u0.grid
-    n, m = grid.n_points, grid.band_size
-    op = _Operator(u0, b)
+def _recursion(op: _Operator, store: np.ndarray) -> tuple:
+    """The samples of c_1 .. c_kept of the datum `op` holds, as rows of
+    `store`, and the sup norm of c_{kept + 1}, the first coefficient that is
+    not finite or exceeds COEFF_SUP_CAP, where the recursion stops (None
+    when kept == order). `store` has shape (order + 2,) + op.fields.shape:
+    row k takes c_k and d_x c_k (c_k alone at b = 3), and the last row is
+    work space, so `op.fields` keep the datum's. It warns and raises
+    nothing: `taylor_coeffs` and the Taylor march of `evolve` each decide
+    what a short series means."""
+    order = len(store) - 2
+    n, m = op.grid.n_points, op.grid.band_size
     # c_{k+1} has no modes above the band
     op.spectra[:, m:] = 0.0
     stage, sums = op.stage, op.squares.reshape(-1)
-    # orders load into the store, so the fields are free work space
-    work = op.fields.reshape(-1)
-    # c_1 .. c_K for the series, allocated first so that the store above it
-    # is released whole on return
-    coeffs = np.empty((order, n))
-    # row k holds c_k and d_x c_k (c_k alone at b = 3); d_x c_order is unused
-    store = np.empty((order + 1,) + op.fields.shape)
     store[0] = op.fields
-    rows = store.reshape(order + 1, -1)
+    rows, work = store.reshape(order + 2, -1), store[-1].reshape(-1)
     kept, sup = order, None
     for k in range(order):
         pairs = (k + 1) // 2  # index pairs i < k - i
@@ -173,9 +182,7 @@ def _recursion(u0: RealField, b: float, order: int) -> tuple:
         if not peak <= COEFF_SUP_CAP:
             kept, sup = k, peak
             break
-    coeffs = coeffs[:kept]
-    coeffs[:] = store[1 : kept + 1, 0]
-    return coeffs, sup
+    return store[1 : kept + 1, 0], sup
 
 
 def taylor_eval(series: TaylorSeries, t: float) -> RealField:

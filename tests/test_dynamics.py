@@ -16,6 +16,7 @@ from bfamlab import (
     sobolev_norm,
 )
 from bfamlab.dynamics import _Operator, _rhs_from_products
+from bfamlab.taylor import _recursion
 from conftest import (
     conservative_band,
     conservative_rhs,
@@ -211,6 +212,20 @@ class TestRowCount:
         nonlocal_ = grid.half_deriv_multiplier[:m] * grid.helmholtz_inv_multiplier[:m]
         B = (0.5 * (3.0 - b)) * nonlocal_
         assert np.array_equal(band, op.A * spectra[0, :m] + B * spectra[1, :m])
+
+
+class TestReset:
+    @pytest.mark.parametrize("b", [-1.0, 2.0, 3.0])
+    def test_reset_matches_a_fresh_build(self, random_field, b):
+        # an operator that has served a recursion, reset to another datum,
+        # holds what an operator built from that datum holds
+        op = _Operator(random_field, b)
+        _recursion(op, np.empty((6,) + op.fields.shape))
+        v = RealField(random_field.grid, 0.5 * random_field.samples[::-1] + 0.25)
+        op.reset(v.samples)
+        fresh = _Operator(v, b)
+        assert op.spectra.tobytes() == fresh.spectra.tobytes()
+        assert op.fields.tobytes() == fresh.fields.tobytes()
 
 
 class TestMomentum:

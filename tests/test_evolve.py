@@ -23,6 +23,7 @@ from bfamlab import (
     taylor_eval,
 )
 from bfamlab import evolve, taylor
+from bfamlab.dynamics import _Operator
 from bfamlab.scenarios import initial_data
 from conftest import fft_band, fft_frequencies, reference_march, rk4_states
 
@@ -492,7 +493,7 @@ class TestTaylorMarch:
         )
         assert h == expected
         march.step(0.5 * h)
-        assert march.u.tobytes() == taylor_eval(series, 0.5 * h).samples.tobytes()
+        assert march.op.fields[0].tobytes() == taylor_eval(series, 0.5 * h).samples.tobytes()
 
     @pytest.mark.parametrize("b", [-1.0, 0.0, 2.0, 3.0])
     @pytest.mark.parametrize("datum", ["criterion_04", "criterion_09"])
@@ -541,8 +542,12 @@ class TestTaylorMarch:
         # step uses c_0 .. c_10, and neither warning of the taylor module fires
         grid = make_grid(64, 2 * np.pi)
         u0 = RealField(grid, 10.0 * np.sin(grid.x))
-        coeffs, sup = taylor._recursion(u0, 2.0, evolve.TAYLOR_ORDER)
+        K = evolve.TAYLOR_ORDER
+        coeffs, sup = taylor._recursion(_Operator(u0, 2.0), np.empty((K + 2, 2, 64)))
         assert len(coeffs) == 10 and sup > taylor.COEFF_SUP_CAP
+        march = evolve._TaylorMarch(u0, 2.0, 1e6)
+        march.propose()
+        assert len(march.coeffs) == 10
         cfg = EvolveConfig(b=2.0, t_final=0.01, sample_interval=0.005)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -626,6 +631,37 @@ class TestTaylorMarch:
         assert err.time == calls[0]
         assert [t for t, _ in err.trajectory.snapshots] == [
             0.25 * k for k in range(int(calls[0] / 0.25) + 1)]
+
+    @pytest.mark.parametrize("b", [2.0, 3.0])
+    def test_one_operator_per_run(self, monkeypatch, b):
+        # criterion 04's bump: every step loads its state into the operator
+        # the march built for the datum; both modules that build operators
+        # are counted
+        built = []
+
+        def counted(*args):
+            built.append(args)
+            return _Operator(*args)
+
+        for module in (evolve, taylor):
+            monkeypatch.setattr(module, "_Operator", counted)
+        traj = run(bump_datum(), EvolveConfig(b=b, t_final=5.0, sample_interval=0.5))
+        assert len(traj.spans) >= 4
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("b", [2.0, 3.0])
+    def test_propose_is_repeatable(self, b):
+        # a second propose at one state gives the same step and rows, and
+        # leaves the operator holding the state as a fresh build would
+        u0 = bump_datum(n=256)
+        march = evolve._TaylorMarch(u0, b, 1e6)
+        march.step(0.5 * march.propose())
+        h = march.propose()
+        rows = np.array(march.coeffs)
+        assert march.propose() == h
+        assert np.array(march.coeffs).tobytes() == rows.tobytes()
+        state = RealField(u0.grid, march.op.fields[0].copy())
+        assert march.op.fields.tobytes() == _Operator(state, b).fields.tobytes()
 
     def test_run_step_budget(self, fft_counts):
         # one step, clipped to t_final: the datum load (2 transforms in 2

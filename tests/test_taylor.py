@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -206,6 +207,20 @@ class TestArithmetic:
             tracemalloc.stop()
         assert series.order == 32
         assert retained <= 1.1 * 32 * 1024 * 8
+
+    @pytest.mark.parametrize("amplitude, order", [(10.0, 10), (0.5, 16)])
+    def test_kept_rows_share_one_block(self, amplitude, order):
+        # 10 sin x reaches the coefficient cap at c_11: its c_1 .. c_10 are
+        # one (10, N) block, with no row beyond the cut kept alive
+        grid = make_grid(64, 2 * np.pi)
+        u = RealField(grid, amplitude * np.sin(grid.x))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            series = taylor_coeffs(u, 2.0, 16)
+        assert series.order == order
+        block = series.coeffs[1].samples.base
+        assert block.shape == (order, 64) and block.flags.c_contiguous
+        assert all(c.samples.base is block for c in series.coeffs[1:])
 
 
 class TestFftBudget:
