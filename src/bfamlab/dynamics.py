@@ -27,7 +27,9 @@ into another array shaped like `fields` instead); and the combine's work
 arrays `squares` and `product_spectra`. It starts loaded with u, and
 `reset(samples)` loads another datum on its grid into the same arrays: one
 rfft of the whole half spectrum, then the samples, then, where f_x is held,
-one multiply and one irfft.
+one multiply and one irfft. The series march's resolution guard
+(`evolve._check_resolved`) reads the band of that rfft from `stage` before
+the recursion overwrites it, at b = 3 too, where nothing else reads it.
 
 At b = 3 (Degasperis-Procesi) B is exactly 0, and the operator decides
 once, from b, to hold one row: `B` is None, `spectra` = [f_hat],

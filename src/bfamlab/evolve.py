@@ -24,6 +24,18 @@ is the operator's fields[0], a step loads the new state into it with
 the store. Every per-sample reading is taken from the sampled states after
 the march (`scenarios.compute_diagnostics`).
 
+Every state the march loads, the datum and each new state, also passes the
+resolution guard before its series is built: its tail fraction, the energy
+sum |u_hat_k|^2 over the top third of the band (k >= 2m // 3 of the m band
+modes) over the same sum over the whole band, must not exceed TAIL_TOL. The
+guard reads the band of rfft(state) that loading the state left in the
+operator's stage, so it costs two dot products and no transform; a zero
+state passes. A state above it is unresolved: the solution's analyticity
+strip has narrowed below what the grid holds, as past Camassa-Holm wave
+breaking (Constantin and Escher, Acta Math. 181, 1998), and the run ends
+with BlowupError there, at t = 0 for an unresolved datum. On the acceptance
+suite's data every state reads at most about 2.4e-15.
+
 The `Trajectory` records the march by these rules. `spans` holds the span
 of each completed series step, in order: a step that fails is not in it,
 and the last span of a completed run ends at t_final. `dt_used[i]` is the
@@ -31,7 +43,8 @@ span of the step whose series sample i was read from, and 0 for the datum
 alone. The time of an abort is the latest time whose state passed the
 checks: the end of the last completed step, or the last sample read from
 the failing step where that is later, so it is never before the last
-snapshot's time.
+snapshot's time. An unresolved datum aborts at t = 0, with no span and the
+datum as the only snapshot.
 
 RK4 is the reference march that `bfamlab taylor`, acceptance criterion 06
 and the tests compare the series with, because it does not sum the series:
@@ -52,7 +65,7 @@ their initial values exactly in the carried spectrum, and in the returned
 samples up to the round-off of one irfft; under the series, whose
 c_1 .. c_K have no modes there, up to the round-off of the Horner sum. One
 reading per sample and per new state, peak = max|u|, feeds the blow-up
-test.
+test, and one per loaded state, the tail fraction, the resolution guard.
 """
 
 from __future__ import annotations
@@ -72,6 +85,7 @@ SIGN_TOL = 1e-10
 MAX_SAMPLES = 1e6
 TAYLOR_ORDER = 16
 TAYLOR_TOL = 1e-14
+TAIL_TOL = 1e-10
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -121,6 +135,21 @@ class Trajectory:
         return self.snapshots[-1][1]
 
 
+def _check_resolved(op: _Operator) -> None:
+    """Raise BlowupError when the tail fraction of the state `op` has just
+    loaded, the energy of its band's top third over the band's, exceeds
+    TAIL_TOL. `op.stage` must still hold the band of rfft(state); a zero
+    state passes."""
+    band = op.stage
+    top = band[2 * len(band) // 3 :]  # the top third: k >= 2m // 3 of the m modes
+    tail, total = np.vdot(top, top).real, np.vdot(band, band).real
+    if tail > TAIL_TOL * total:
+        raise BlowupError(
+            f"the state is unresolved: band tail fraction {tail / total:.1e} exceeds "
+            f"{TAIL_TOL:.0e}; raise n_points"
+        )
+
+
 def _check_peak(u: np.ndarray, blowup_threshold: float, stepper: str) -> None:
     """Raise BlowupError when max|u| exceeds blowup_threshold, which a NaN
     peak does too."""
@@ -138,12 +167,15 @@ class _TaylorMarch:
 
     `op` is the one operator of the march and `op.fields[0]` the samples of
     the state, at first the datum's; a step loads the new state into it.
-    `coeffs` holds c_1 .. c_K of the series `propose` built at the state,
-    as rows of the march's one store, valid until the next `propose`.
+    Each load, the datum's in `__init__` and each step's, passes the
+    resolution guard or raises BlowupError. `coeffs` holds c_1 .. c_K of
+    the series `propose` built at the state, as rows of the march's one
+    store, valid until the next `propose`.
     """
 
     def __init__(self, u: RealField, b: float, blowup_threshold: float):
         self.op, self.blowup_threshold, self.coeffs = _Operator(u, b), blowup_threshold, None
+        _check_resolved(self.op)
         self.store = np.empty((TAYLOR_ORDER + 2,) + self.op.fields.shape)
 
     def propose(self) -> float:
@@ -175,8 +207,10 @@ class _TaylorMarch:
         return _finite_field(self.op.grid, u)
 
     def step(self, dt: float) -> None:
-        """Advance the state to `read(dt)`."""
+        """Advance the state to `read(dt)`. Raises BlowupError unless the new
+        state is resolved."""
         self.op.reset(self.read(dt).samples)
+        _check_resolved(self.op)
 
 
 def rk4_march(
@@ -244,9 +278,10 @@ def run(u0: RealField, cfg: EvolveConfig) -> Trajectory:
 
     Each sample is read from the series of the step whose window holds it,
     so the steps do not depend on sample_interval (module docstring).
-    Deterministic for a given (u0, cfg). On blow-up, and on a proposed step
-    that does not advance t, the partial trajectory and abort time are
-    attached to the raised BlowupError.
+    Deterministic for a given (u0, cfg). On blow-up, on an unresolved state
+    (u0 included) and on a proposed step that does not advance t, the
+    partial trajectory and abort time are attached to the raised
+    BlowupError.
     """
     if cfg.require_sign_certificate and not _check_sign_certificate(u0):
         raise ConfigurationError(
@@ -261,12 +296,12 @@ def run(u0: RealField, cfg: EvolveConfig) -> Trajectory:
         traj.dt_used.append(dt_used)
 
     record(0.0, u0, 0.0)
-    march = _TaylorMarch(u0, cfg.b, cfg.blowup_threshold)
     times, i = _sample_times(cfg), 0
     t = t_passed = 0.0  # t_passed: the latest time whose state passed the checks
     eps = 1e-12 * max(1.0, cfg.t_final)
-    while t < cfg.t_final:
-        try:
+    try:
+        march = _TaylorMarch(u0, cfg.b, cfg.blowup_threshold)
+        while t < cfg.t_final:
             proposed = march.propose()
             remaining = cfg.t_final - t
             if proposed >= remaining - eps:
@@ -280,10 +315,10 @@ def run(u0: RealField, cfg: EvolveConfig) -> Trajectory:
                 t_passed, i = times[i], i + 1
             if t_next < cfg.t_final:
                 march.step(dt)
-        except BlowupError as err:
-            raise _diagnose_blowup(err, u0, t_passed, traj) from err
-        traj.spans.append(dt)
-        t = t_passed = t_next
+            traj.spans.append(dt)
+            t = t_passed = t_next
+    except BlowupError as err:
+        raise _diagnose_blowup(err, u0, t_passed, traj) from err
     return traj
 
 

@@ -30,7 +30,7 @@ from conftest import fft_frequencies, planted_field
 
 CONFIG = """
 [grid]
-n_points = 128
+n_points = 512
 box_length = 80.0
 
 [run]
@@ -156,7 +156,7 @@ class TestRunCommand:
         path = tmp_path / "blow.ini"
         path.write_text(text.format(outdir=tmp_path / "out"))
         assert main(["run", "--config", str(path)]) == 2
-        assert "blow-up" in capsys.readouterr().err
+        assert "exceeded blow-up threshold" in capsys.readouterr().err
 
     def test_taylor_blowup_exit_code(self, tmp_path, capsys):
         # the default stepper: the first series step passes the threshold
@@ -191,12 +191,32 @@ class TestRunCommand:
             return proposed[-1]
 
         monkeypatch.setattr(evolve._TaylorMarch, "propose", shrinking)
-        # the first series spans about 1.04, so t_final = 2 needs a second
+        # the first series spans about 0.39, so t_final = 2 needs a second
         text = CONFIG.replace("t_final = 0.2", "t_final = 2.0")
         path = tmp_path / "stall.ini"
         path.write_text(text.format(outdir=tmp_path / "out"))
         assert main(["run", "--config", str(path)]) == 2
         assert "does not advance t" in capsys.readouterr().err
+
+    def test_breaking_run_aborts_unresolved(self, tmp_path, capsys):
+        # Camassa-Holm wave breaking from sin x, the bench's breaking run: the
+        # band's top third passes TAIL_TOL at t ~ 0.90, and the run aborts at
+        # the end of its 10th series step, before its first diagnostics row
+        text = SINE_CONFIG.format(amplitude=1.0, outdir=tmp_path / "out")
+        for old, new in (("n_points = 64", "n_points = 256"), ("t_final = 0.2", "t_final = 3.0"),
+                         ("sample_interval = 0.1", "sample_interval = 0.5")):
+            text = text.replace(old, new)
+        path = tmp_path / "breaking.ini"
+        path.write_text(text)
+        assert main(["run", "--config", str(path)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        abort = re.fullmatch(r"numerical error: aborted at t = (\S+): the state is unresolved: "
+                             r"band tail fraction \S+ exceeds 1e-10; raise n_points \(.*\)", line)
+        assert abort and 0.8 < float(abort.group(1)) < 0.9
+        out = tmp_path / "out"
+        assert sorted(p.name for p in out.iterdir()) == ["config.ini", "manifest.json"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (manifest["exit_status"], manifest["steps"]) == (2, 10)
 
     def test_stepper_is_not_a_config_key(self, tmp_path, capsys):
         # every run uses the series; RK4 is the reference march, built in code

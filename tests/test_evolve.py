@@ -300,7 +300,7 @@ class TestRun:
 
     def test_blowup_carries_partial_trajectory(self):
         # the b = 3 bump's sup grows past 1.2 around t ~ 3.2
-        u0 = bump_datum(n=256, amplitude=1.0, width=5.0)
+        u0 = bump_datum(n=1024, amplitude=1.0, width=5.0)
         cfg = EvolveConfig(
             b=3.0, t_final=5.0, sample_interval=0.5,
             blowup_threshold=1.2,
@@ -396,7 +396,7 @@ class TestRunMarch:
         assert err.trajectory.spans == []
 
     def test_abort_time_is_the_last_completed_step(self):
-        u0 = bump_datum(n=256, amplitude=1.0, width=5.0)
+        u0 = bump_datum(n=1024, amplitude=1.0, width=5.0)
         cfg = EvolveConfig(b=3.0, t_final=5.0, sample_interval=0.5,
                            blowup_threshold=1.2)
         with pytest.raises(BlowupError) as excinfo:
@@ -597,7 +597,7 @@ class TestTaylorMarch:
 
     def test_peak_above_threshold_is_a_blowup(self):
         # the same b = 3 bump as the abort-time test: sup|u| passes 1.2
-        u0 = bump_datum(n=256, amplitude=1.0, width=5.0)
+        u0 = bump_datum(n=1024, amplitude=1.0, width=5.0)
         cfg = EvolveConfig(b=3.0, t_final=5.0, sample_interval=0.5,
                            blowup_threshold=1.2)
         with pytest.raises(BlowupError, match="exceeded blow-up threshold") as excinfo:
@@ -719,22 +719,22 @@ class TestDenseOutput:
         assert math.fsum(spans) == pytest.approx(cfg.t_final, abs=1e-12)
 
     def test_blowup_after_a_sample_read_keeps_the_sample(self):
-        # the b = 3 bump's sup|u| grows: the step from about 2.989 to 3.096
-        # reads the sample at 3.0 (sup about 1.170), and its end state (about
-        # 1.179) passes the threshold 1.175
-        u0 = bump_datum(n=256, amplitude=1.0, width=5.0)
+        # the b = 3 bump's sup|u| grows: the step from about 2.447 to 2.538
+        # reads the sample at 2.5 (sup about 1.088), and its end state (about
+        # 1.094) passes the threshold 1.09
+        u0 = bump_datum(n=1024, amplitude=1.0, width=5.0)
         cfg = EvolveConfig(b=3.0, t_final=5.0, sample_interval=0.5,
-                           blowup_threshold=1.175)
+                           blowup_threshold=1.09)
         with pytest.raises(BlowupError, match="exceeded blow-up threshold") as excinfo:
             run(u0, cfg)
         err = excinfo.value
         t_last, u_last = err.trajectory.snapshots[-1]
-        assert t_last == err.time == 3.0
+        assert t_last == err.time == 2.5
         assert np.max(np.abs(u_last.samples)) <= cfg.blowup_threshold
         # the completed steps end before the sample, so the step that read it
         # is the one whose end state failed and is not in spans
-        assert math.fsum(err.trajectory.spans) < err.time == 3.0
-        assert "aborted at t = 3:" in str(err)
+        assert math.fsum(err.trajectory.spans) < err.time == 2.5
+        assert "aborted at t = 2.5:" in str(err)
 
     def test_one_series_gives_several_samples_on_criterion_09(self):
         u0 = initial_data("sech", {"amplitude": 0.05, "width": 1.0}, make_grid(1024, 80.0))
@@ -752,6 +752,98 @@ class TestDenseOutput:
         assert all(dt > 0 for dt in traj.dt_used[1:])
         series = taylor_coeffs(u0, 2.0, evolve.TAYLOR_ORDER)
         assert traj.final_state.samples.tobytes() == taylor_eval(series, 1e-13).samples.tobytes()
+
+
+class TestResolutionGuard:
+    """Each state the march loads, the datum and every new state, passes
+    unless the band's top third holds more than TAIL_TOL of its energy."""
+
+    def test_unresolved_datum_aborts_at_t0(self):
+        # sech of width 1 at N = 128 on L = 80 keeps 2.1e-3 of its band
+        # energy in the top third
+        u0 = initial_data("sech", {"amplitude": 0.25, "width": 1.0}, make_grid(128, 80.0))
+        cfg = EvolveConfig(b=2.0, t_final=0.2, sample_interval=0.1)
+        with pytest.raises(BlowupError) as excinfo:
+            run(u0, cfg)
+        err = excinfo.value
+        assert str(err).startswith(
+            "aborted at t = 0: the state is unresolved: band tail fraction 2.1e-03 exceeds "
+            "1e-10; raise n_points")
+        assert err.time == 0.0
+        assert err.trajectory.spans == []
+        assert err.trajectory.snapshots == [(0.0, u0)]
+
+    def test_breaking_run_aborts_after_its_last_resolved_step(self):
+        # Camassa-Holm wave breaking from sin x: the state at t ~ 0.90 is the
+        # first unresolved one, and the 10 steps before it complete
+        u0 = initial_data("sine", {"amplitude": 1.0}, make_grid(256, 2 * np.pi))
+        cfg = EvolveConfig(b=2.0, t_final=3.0, sample_interval=0.5)
+        with pytest.raises(BlowupError, match="the state is unresolved") as excinfo:
+            run(u0, cfg)
+        err = excinfo.value
+        assert len(err.trajectory.spans) == 10
+        assert err.time == pytest.approx(math.fsum(err.trajectory.spans), abs=1e-12)
+        assert 0.8 < err.time < 0.9
+        assert [t for t, _ in err.trajectory.snapshots] == [0.0, 0.5]
+        assert "blow-up may be genuine" in str(err)
+
+    @pytest.mark.parametrize("family, params, t_final, aborted_by", [
+        ("sech", {"amplitude": 0.5, "width": 1.0}, 10.0, 3.0),
+        ("momentum_bump", {"amplitude": 0.5, "width": 8.0}, 20.0, 13.0),
+    ])
+    def test_global_runs_abort_once_the_strip_outgrows_the_grid(
+            self, family, params, t_final, aborted_by):
+        # global b = 2 solutions whose strip shrinks until N = 1024 no longer
+        # resolves it, at t ~ 2.5 and t ~ 12.5
+        u0 = initial_data(family, params, make_grid(1024, 80.0))
+        cfg = EvolveConfig(b=2.0, t_final=t_final, sample_interval=0.5,
+                           require_sign_certificate=True)
+        with pytest.raises(BlowupError, match="the state is unresolved") as excinfo:
+            run(u0, cfg)
+        assert 0.0 < excinfo.value.time < aborted_by
+        assert "blow-up is not expected" in str(excinfo.value)
+
+    @pytest.mark.parametrize("b", [-1.0, 0.0, 2.0, 3.0])
+    def test_acceptance_data_clear_the_guard_by_three_decades(self, b, monkeypatch):
+        # the criterion-04 and criterion-09 runs complete under a tolerance
+        # three decades tighter, so every state they load reads at most 1e-13
+        monkeypatch.setattr(evolve, "TAIL_TOL", 1e-13)
+        for n, family, params, t_final in (
+                (512, "momentum_bump", {"amplitude": 0.5, "width": 8.0}, 5.0),
+                (1024, "sech", {"amplitude": 0.05, "width": 1.0}, 10.0)):
+            u0 = initial_data(family, params, make_grid(n, 80.0))
+            traj = run(u0, EvolveConfig(b=b, t_final=t_final, sample_interval=0.5))
+            assert traj.snapshots[-1][0] == t_final
+
+    def test_zero_state_is_resolved_at_any_tolerance(self, monkeypatch):
+        # the comparison is tail > TAIL_TOL * total, so a zero band passes
+        # where a tolerance of 0 refuses the round-off tail of sin x
+        monkeypatch.setattr(evolve, "TAIL_TOL", 0.0)
+        grid = make_grid(64, 2 * np.pi)
+        zero = RealField(grid, np.zeros(64))
+        traj = run(zero, EvolveConfig(b=2.0, t_final=1.0, sample_interval=0.5))
+        assert traj.final_state.samples.tobytes() == zero.samples.tobytes()
+        with pytest.raises(BlowupError, match="aborted at t = 0: the state is unresolved"):
+            run(RealField(grid, np.sin(grid.x)), EvolveConfig(b=2.0, t_final=1.0, sample_interval=0.5))
+
+    def test_guard_reads_the_band_of_each_loaded_state(self, monkeypatch):
+        # the datum and every new state, before the recursion overwrites the
+        # band: the reading is the band of rfft(state)
+        u0 = initial_data("sech", {"amplitude": 0.05, "width": 1.0}, make_grid(1024, 80.0))
+        read, check = [], evolve._check_resolved
+
+        def logged(op):
+            m = op.grid.band_size
+            expected = np.fft.rfft(op.fields[0])[:m]
+            assert np.array_equal(op.stage, expected)
+            read.append(op.fields[0].copy())
+            check(op)
+
+        monkeypatch.setattr(evolve, "_check_resolved", logged)
+        traj = run(u0, EvolveConfig(b=2.0, t_final=10.0, sample_interval=0.5))
+        # one reading per series: the datum's and each new state's
+        assert len(read) == len(traj.spans)
+        assert read[0].tobytes() == u0.samples.tobytes()
 
 
 class TestOrderOfAccuracy:

@@ -50,7 +50,7 @@ family = sine
 SMALL_RUN = """
 [grid]
 n_points = 128
-box_length = 80.0
+box_length = 20.0
 
 [run]
 b = 2.0
@@ -620,7 +620,7 @@ class TestRunScenario:
         # the series is the one march, so the manifest names none
         assert "stepper" not in manifest
         assert manifest["steps"] == len(result.trajectory.spans)
-        # the datum's first series proposes h of about 1.04, past t_final =
+        # the datum's first series proposes h of about 0.39, past t_final =
         # 0.2, so one series gives both samples, where RK4 takes 10 steps
         assert manifest["steps"] == 1
         assert "stepper" not in (out / "config.ini").read_text()
@@ -650,7 +650,7 @@ class TestRunScenario:
         out = tmp_path / "run"
         text = f"""
 [grid]
-n_points = 256
+n_points = 1024
 box_length = 80.0
 
 [run]
@@ -667,7 +667,7 @@ width = 5.0
 [output]
 dir = {out}
 """
-        with pytest.raises(BlowupError) as excinfo:
+        with pytest.raises(BlowupError, match="exceeded blow-up threshold") as excinfo:
             run_scenario(parse_config(text))
         spans = excinfo.value.trajectory.spans
         manifest = json.loads((out / "manifest.json").read_text())
@@ -694,7 +694,8 @@ dir = {out}
     def test_mu_reads_the_h2_column(self, tmp_path, monkeypatch):
         from bfamlab import analyticity, evolve, norms
 
-        text = SMALL_RUN.format(outdir=tmp_path).replace("t_final = 0.2", "t_final = 1.0")
+        text = SMALL_RUN.format(outdir=tmp_path).replace("t_final = 0.2", "t_final = 0.5").replace(
+            "sample_interval = 0.1", "sample_interval = 0.05")
         h2_norms = []
         sobolev_norms = norms._sobolev_norms
 
