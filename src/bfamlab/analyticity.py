@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, InsufficientBandError, require_integer
-from .norms import _line_fit, _spectrum, km_phi, sobolev_norm
+from .norms import _line_fit, _mean, _spectrum, km_phi, sobolev_norm
 
 DEFAULT_FIT_K_MIN = 4
 DEFAULT_M_TRUNC = 32
@@ -78,33 +78,43 @@ def fit_decay_radius(u, k_min: int = DEFAULT_FIT_K_MIN) -> RadiusFit:
     if spectrum.amp.size == 0:
         raise InsufficientBandError("cannot fit a decay rate to a zero spectrum")
     ks = np.flatnonzero(spectrum.kept)
-    first, stop = k_min, spectrum.kept.size - 1
-    usable = (ks >= first) & (ks < stop)
-    count = int(np.count_nonzero(usable))
+    stop = spectrum.kept.size - 1
+    usable = (ks >= k_min) & (ks < stop)
+    xs, ys = spectrum.abs_xi[usable], np.log(spectrum.amp[usable])
+    sigma_hat, fit_quality, floor_hit = _fit(xs, ys, k_min, stop - k_min)
+    return RadiusFit(
+        sigma_hat=sigma_hat,
+        fit_quality=fit_quality,
+        band=(int(ks[usable][0]), int(ks[usable][-1])),
+        floor_hit=floor_hit,
+    )
+
+
+def _fit(xs: np.ndarray, ys: np.ndarray, k_min: int, band_modes: int) -> tuple:
+    """(sigma_hat, fit_quality, floor_hit) of the line through the usable modes'
+    points (|xi|, log|u_hat|), with sigma_hat and fit_quality clamped as
+    RadiusFit holds them; band_modes counts the modes k_min <= k < N/2, so
+    floor_hit is set when the round-off floor dropped one of them. Raises
+    InsufficientBandError with fewer than MIN_FIT_MODES points, and warns
+    when the decay steepens with |xi| past the floor."""
+    count = xs.size
     if count < MIN_FIT_MODES:
         raise InsufficientBandError(
             f"only {count} usable modes above k = {k_min}; need at least {MIN_FIT_MODES}"
         )
-    floor_hit = count < stop - first
-    xs, ys = spectrum.abs_xi[usable], np.log(spectrum.amp[usable])
+    floor_hit = count < band_modes
     slope, intercept = _line_fit(xs, ys)
     resid = ys - (slope * xs + intercept)
-    ss_tot = float(np.sum((ys - ys.mean()) ** 2))
-    r2 = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0 else 1.0
-    sigma_hat = max(0.0, -slope)
+    ss_tot = float(np.add.reduce((ys - _mean(ys)) ** 2))
+    r2 = 1.0 - float(np.add.reduce(resid**2)) / ss_tot if ss_tot > 0 else 1.0
     if floor_hit and _decay_accelerating(xs, ys):
         warnings.warn(
             "spectral decay steepens with |xi| (super-exponential); the fitted "
             "sigma_hat is a band average, the true radius is unbounded at this "
             "resolution",
-            stacklevel=2,
+            stacklevel=3,
         )
-    return RadiusFit(
-        sigma_hat=sigma_hat,
-        fit_quality=min(1.0, max(0.0, r2)),
-        band=(int(ks[usable][0]), int(ks[usable][-1])),
-        floor_hit=floor_hit,
-    )
+    return max(0.0, -slope), min(1.0, max(0.0, r2)), floor_hit
 
 
 def _decay_accelerating(xs: np.ndarray, ys: np.ndarray) -> bool:

@@ -153,23 +153,19 @@ def conserved_mean(u: RealField) -> float:
     return u.grid.box_length * float(np.mean(u.samples))
 
 
-def momentum_l1(u: RealField, m: Optional[RealField] = None) -> float:
+def momentum_l1(u: RealField) -> float:
     """Periodic trapezoid quadrature of |m|, m = u - u_xx.
 
-    Conserved by the flow whenever m never changes sign. A caller that
-    already holds momentum(u) passes it as m.
+    Conserved by the flow whenever m never changes sign.
     """
-    m = momentum(u) if m is None else m
-    return u.grid.dx * float(np.sum(np.abs(m.samples)))
+    return u.grid.dx * float(np.sum(np.abs(momentum(u).samples)))
 
 
-def momentum_min(u: RealField, m: Optional[RealField] = None) -> float:
+def momentum_min(u: RealField) -> float:
     """Grid minimum of the momentum density; sign certificate for m >= 0.
 
     Spectral data cannot certify pointwise sign between nodes; treat values
-    above roughly -1e-10 * max|m| as non-negative. A caller that already
-    holds momentum(u) passes it as m.
+    above roughly -1e-10 * max|m| as non-negative.
     """
-    m = momentum(u) if m is None else m
-    return float(np.min(m.samples))
+    return float(np.min(momentum(u).samples))
 

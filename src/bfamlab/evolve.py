@@ -1,50 +1,56 @@
 """Time marching by the time-Taylor series, with sampled states.
 
 `run` marches with the local power series of the solution (`taylor`). Each
-step builds c_0 .. c_K of the state, K = TAYLOR_ORDER, and proposes
-h = min over j in {K-1, K} of (TAYLOR_TOL |u| / |c_j|)^{1/j}, every norm
+step builds c_0 .. c_K of the state, K = TAYLOR_ORDER, and proposes h = min
+over j in {K-1, K} of (TAYLOR_TOL |u| / |c_j|)^{1/j}, every norm
 `taylor._l2_norm` (Jorba and Zou, Experiment. Math. 14, 2005). The step
 covers [t, t + min(h, t_final - t)], and a proposal within the landing
-tolerance of t_final lands on it. Sample times are dense output: every
-sample time in the step's window is read from the series already built,
-summed at t_s - t in Horner form, and the state then advances by the whole
-step, the series summed at the step's span, unless the window reached
-t_final, which ends the run. So the steps depend on the state and t_final
-alone, not on sample_interval. `run` records the steps in the `Trajectory`,
-refuses a step that does not advance t and diagnoses a blow-up. Every
-sample read and every new state passes the blow-up test. A series the
-recursion cut at COEFF_SUP_CAP steps with the order it has, and one cut
-below order 2 is a blow-up. Where every tail coefficient vanishes, h is
-infinite and one series gives every remaining sample. A step costs the K
-orders of the recursion: 4K + 2 real transforms in 2K + 2 kernel calls,
-2K + 1 in 2K + 1 at b = 3; a sample read takes none. The march builds one
-`dynamics._Operator` and one coefficient store for the whole run: the state
-is the operator's fields[0], a step loads the new state into it with
-`reset` in place of a new operator's load, and each series is written into
-the store. Every per-sample reading is taken from the sampled states after
-the march (`scenarios.compute_diagnostics`).
+tolerance of t_final lands on it. Sample times are dense output: the state
+advances by the whole step, the series summed at the step's span, and every
+sample time in the step's window is then read from the series already
+built, summed at t_s - t in Horner form; a sample at the window's end is
+the new state itself. The step whose window reaches t_final ends the run.
+So the steps depend on the state and t_final alone, not on sample_interval.
+`run` records the steps in the `Trajectory`, refuses a step that does not
+advance t and diagnoses a blow-up. Every sample read and every new state
+passes the blow-up test. A series the recursion cut at COEFF_SUP_CAP steps
+with the order it has, and one cut below order 2 is a blow-up. Where every
+tail coefficient vanishes, h is infinite and one series gives every
+remaining sample. A step costs the K orders of the recursion: 4K + 2 real
+transforms in 2K + 2 kernel calls, 2K + 1 in 2K + 1 at b = 3; a sample read
+takes none. The march builds one `dynamics._Operator` and one coefficient
+store for the whole run: the state is the operator's fields[0], a step
+loads the new state into it with `reset` in place of a new operator's load,
+and each series is written into the store. Every per-sample reading is
+taken from the sampled states after the march
+(`scenarios.compute_diagnostics`).
 
-Every state the march loads, the datum and each new state, also passes the
-resolution guard before its series is built: its tail fraction, the energy
-sum |u_hat_k|^2 over the top third of the band (k >= 2m // 3 of the m band
-modes) over the same sum over the whole band, must not exceed TAIL_TOL. The
-guard reads the band of rfft(state) that loading the state left in the
-operator's stage, so it costs two dot products and no transform; a zero
-state passes. A state above it is unresolved: the solution's analyticity
-strip has narrowed below what the grid holds, as past Camassa-Holm wave
-breaking (Constantin and Escher, Acta Math. 181, 1998), and the run ends
-with BlowupError there, at t = 0 for an unresolved datum. On the acceptance
-suite's data every state reads at most about 2.4e-15.
+Every state the march loads, the datum and the end state of each step, the
+state at t_final included, also passes the resolution guard: its tail
+fraction, the energy sum |u_hat_k|^2 over the top third of the band
+(k >= 2m // 3 of the m band modes) over the same sum over the whole band,
+must not exceed TAIL_TOL. The guard reads the band of rfft(state) that loading
+the state left in the operator's stage, so it costs two dot products and no
+transform; a zero state passes. A state above it is unresolved: the
+solution's analyticity strip has narrowed below what the grid holds, as
+past Camassa-Holm wave breaking (Constantin and Escher, Acta Math. 181,
+1998), and the run ends with BlowupError there, at t = 0 for an unresolved
+datum. A step's samples are recorded once its end state has passed. Where
+the end state fails, the samples of the step's window are loaded and
+guarded one at a time, up to the first that fails, so every recorded state
+has passed the guard too. A resolved run loads one state more than it
+builds series at, the state at t_final. On the acceptance suite's data
+every state reads at most about 2.4e-15.
 
 The `Trajectory` records the march by these rules. `spans` holds the span
 of each completed series step, in order: a step that fails is not in it,
 and the last span of a completed run ends at t_final. `dt_used[i]` is the
 span of the step whose series sample i was read from, and 0 for the datum
 alone. The time of an abort is the latest time whose state passed the
-checks: the end of the last completed step, or the last sample read from
-the failing step where that is later, so it is never before the last
-snapshot's time. An unresolved datum aborts at t = 0, with no span and the
-datum as the only snapshot.
+checks: the end of the last completed step, or the last sample of the
+failing step's window that passed where that is later, so it is never
+before the last snapshot's time. An unresolved datum aborts at t = 0, with
+no span and the datum as the only snapshot.
 
 RK4 is the reference march that `bfamlab taylor`, acceptance criterion 06
 and the tests compare the series with, because it does not sum the series:
@@ -170,7 +176,8 @@ class _TaylorMarch:
     Each load, the datum's in `__init__` and each step's, passes the
     resolution guard or raises BlowupError. `coeffs` holds c_1 .. c_K of
     the series `propose` built at the state, as rows of the march's one
-    store, valid until the next `propose`.
+    store, whose row 0 holds c_0; they stay valid until the next `propose`,
+    so the series can still be read once a step has loaded its end state.
     """
 
     def __init__(self, u: RealField, b: float, blowup_threshold: float):
@@ -202,15 +209,17 @@ class _TaylorMarch:
     def read(self, dt: float) -> RealField:
         """The series of the last `propose` summed at dt, with samples of its
         own. Raises BlowupError unless its peak is at most blowup_threshold."""
-        u = _horner([self.op.fields[0], *self.coeffs], dt)
+        u = _horner([self.store[0, 0], *self.coeffs], dt)
         _check_peak(u, self.blowup_threshold, "Taylor")
         return _finite_field(self.op.grid, u)
 
-    def step(self, dt: float) -> None:
-        """Advance the state to `read(dt)`. Raises BlowupError unless the new
-        state is resolved."""
-        self.op.reset(self.read(dt).samples)
+    def step(self, dt: float) -> RealField:
+        """Advance the state to `read(dt)` and return it. Raises BlowupError
+        unless the new state is resolved."""
+        u = self.read(dt)
+        self.op.reset(u.samples)
         _check_resolved(self.op)
+        return u
 
 
 def rk4_march(
@@ -310,11 +319,21 @@ def run(u0: RealField, cfg: EvolveConfig) -> Trajectory:
                 dt, t_next = proposed, t + proposed
             if not t_next > t:
                 raise BlowupError(f"the proposed step {proposed:.3e} does not advance t")
+            first = i
             while i < len(times) and times[i] <= t_next:
-                record(times[i], march.read(times[i] - t), dt)
-                t_passed, i = times[i], i + 1
-            if t_next < cfg.t_final:
-                march.step(dt)
+                i += 1
+            window = times[first:i]
+            try:
+                end = march.step(dt)
+            except BlowupError:
+                # each sample of the window in turn, up to the first that fails
+                for t_s in window:
+                    record(t_s, march.step(t_s - t), dt)
+                    t_passed = t_s
+                raise
+            for t_s in window:
+                record(t_s, end if t_s - t == dt else march.read(t_s - t), dt)
+                t_passed = t_s
             traj.spans.append(dt)
             t = t_passed = t_next
     except BlowupError as err:

@@ -100,14 +100,29 @@ def _spectrum(u) -> _Spectrum:
     if isinstance(u, _Spectrum):
         return u
     grid = u.grid
-    size = grid.n_points // 2 + 1
-    amp = np.abs(_rfft(u.samples, np.empty(size, dtype=complex))) / grid.n_points
-    kept = amp > ROUNDOFF_FLOOR * np.maximum.reduce(amp)
-    pair = np.full(size, 2.0)
+    spectrum = _rfft(u.samples, np.empty(grid.n_points // 2 + 1, dtype=complex))
+    return _reading(grid, *_amplitudes(grid, spectrum))
+
+
+def _amplitudes(grid, spectra: np.ndarray) -> tuple:
+    """(|u_hat|, kept, log L p |u_hat|^2) of half spectra, a row per state of any
+    leading shape: kept marks each row's modes above its round-off floor, and
+    the log is taken over those alone (the other entries of that array are
+    not logs)."""
+    amp = np.abs(spectra)
+    np.divide(amp, grid.n_points, out=amp)
+    kept = amp > ROUNDOFF_FLOOR * np.maximum.reduce(amp, axis=-1, keepdims=True)
+    pair = np.full(amp.shape[-1], 2.0)
     pair[[0, -1]] = 1.0
-    amp, abs_xi = amp[kept], grid.xi[kept]
-    weight = grid.box_length * pair[kept] * amp**2
-    return _Spectrum(kept, abs_xi, amp, np.log(weight), np.log1p(abs_xi**2))
+    weight = np.square(amp)
+    np.multiply(grid.box_length * pair, weight, out=weight)
+    return amp, kept, np.log(weight, out=weight, where=kept)
+
+
+def _reading(grid, amp: np.ndarray, kept: np.ndarray, log_weight: np.ndarray) -> _Spectrum:
+    """The reading of one state from its row of each `_amplitudes` array."""
+    abs_xi = grid.xi[kept]
+    return _Spectrum(kept, abs_xi, amp[kept], log_weight[kept], np.log1p(abs_xi**2))
 
 
 def logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -157,7 +172,7 @@ def _root_sums(log_terms: np.ndarray) -> list:
 
 def _sobolev_norms(u, orders) -> list:
     """sobolev_norm(u, s) for each s in orders, from one log-sum-exp."""
-    return _root_sums(_log_sobolev_terms(_spectrum(u), np.reshape(orders, (-1, 1))))
+    return _root_sums(_log_sobolev_terms(_spectrum(u), np.array(orders)[:, None]))
 
 
 def _log_derivative_norms(spectrum: _Spectrum, s: float, j: np.ndarray) -> np.ndarray:
@@ -261,7 +276,7 @@ def _gevrey(u, sigma: float, s: float, orders=()) -> tuple:
     log_terms = _log_sobolev_terms(spectrum, s) + 2.0 * sigma * spectrum.abs_xi
     rows = log_terms[None]
     if orders:
-        rows = np.vstack((rows, _log_sobolev_terms(spectrum, np.reshape(orders, (-1, 1)))))
+        rows = np.vstack((rows, _log_sobolev_terms(spectrum, np.array(orders)[:, None])))
     value, *values = _root_sums(rows)
     return GevreyNorm(value, _tail_growing(spectrum.abs_xi, log_terms)), values
 
@@ -276,13 +291,19 @@ def gevrey_norm(u: RealField, sigma: float, s: float) -> GevreyNorm:
     return _gevrey(u, sigma, s)[0]
 
 
+def _mean(a: np.ndarray) -> float:
+    """a.mean() of a 1-D float array, bit for bit, without its Python-level
+    argument handling."""
+    return float(np.add.reduce(a)) / a.size
+
+
 def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple:
     """(slope, intercept) of the least-squares line through the points (x, y),
     in centred closed form: no Vandermonde matrix and no lstsq call."""
-    x_mean, y_mean = x.mean(), y.mean()
+    x_mean, y_mean = _mean(x), _mean(y)
     dx = x - x_mean
     slope = float(np.dot(dx, y - y_mean) / np.dot(dx, dx))
-    return slope, float(y_mean) - slope * float(x_mean)
+    return slope, y_mean - slope * x_mean
 
 
 def _tail_growing(abs_xi: np.ndarray, log_terms: np.ndarray) -> bool:

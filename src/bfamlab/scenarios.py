@@ -7,8 +7,11 @@ the one source of what a run uses: `simulate` runs the pipeline in memory and
 `run_scenario` persists it, into a run directory of five files:
 render_config(cfg) as config.ini, diagnostics.csv, the initial and final field
 snapshots, and a JSON manifest. Every diagnostics column is read from the
-sampled states after the march, one half spectrum and one momentum field per
-sample (`compute_diagnostics`).
+sampled states after the march, which has guarded each of them
+(`evolve.run`). `compute_diagnostics` reads all S of them as one (S, N)
+block: one stacked rfft gives every half spectrum and one stacked irfft
+every momentum field, 2 transform calls in all, and the strip bound's phi0
+takes one more.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .errors import (
     require_finite,
     require_integer,
 )
-from .grid import GridSpec, RealField, make_grid
+from .grid import GridSpec, RealField, _irfft, _rfft, make_grid
 
 INIT_FAMILIES = ("gaussian", "sech", "sine", "momentum_bump")
 
@@ -436,36 +439,53 @@ class ScenarioResult:
     bound: analyticity.KMBound
 
 
-def _sample_columns(u: RealField, k_min: int) -> dict:
-    """The columns of one sample that its state alone fixes; the fit columns
-    are NaN with too few usable modes.
+def _sample_columns(states, k_min: int) -> list:
+    """The columns of each sampled state that the state alone fixes, a dict
+    per state; the fit columns are NaN where a state has too few usable modes.
 
-    One half spectrum gives l2, h1, h2 and the fit, and one momentum field
-    gives m_l1 and m_min: 3 real transforms per sample. The functions are
-    looked up in their modules per call, so a patched one is used.
+    The states are read as one (S, N) block. One stacked rfft gives every
+    half spectrum, and the same spectra divided by 1/(1 + xi^2) give the
+    momentum fields of m_l1 and m_min in one stacked irfft: 2 transform
+    calls of S rows each. |u_hat|, the round-off floor, the logs and the
+    mean and momentum columns are whole-array operations. Each row is then
+    compressed to its kept modes for the one log-sum-exp of l2, h1 and h2
+    and for the decay fit, so every column has the bits of sobolev_norm,
+    fit_decay_radius and the dynamics functionals on that state alone.
+    `norms._sobolev_norms` is looked up in its module per row, so a patched
+    one is used.
     """
-    spectrum = norms._spectrum(u)
-    m = dynamics.momentum(u)
-    try:
-        fit = analyticity.fit_decay_radius(spectrum, k_min=k_min)
-    except InsufficientBandError:
-        fit = None
-    l2, h1, h2 = norms._sobolev_norms(spectrum, (0.0, 1.0, 2.0))
-    columns = dict(
-        l2=l2, h1=h1, h2=h2,
-        mean_u=dynamics.conserved_mean(u),
-        m_l1=dynamics.momentum_l1(u, m),
-        m_min=dynamics.momentum_min(u, m),
-        sigma_hat=fit.sigma_hat if fit else math.nan,
-        fit_quality=fit.fit_quality if fit else math.nan,
-    )
-    return columns
+    grid = states[0].grid
+    samples = np.stack([u.samples for u in states])
+    spectra = _rfft(samples, np.empty((len(states), grid.n_points // 2 + 1), dtype=complex))
+    amp, kept, log_weight = norms._amplitudes(grid, spectra)
+    mean_u = grid.box_length * np.mean(samples, axis=1)
+    momenta = _irfft(np.divide(spectra, grid.helmholtz_inv_multiplier, out=spectra), samples)
+    del spectra  # log_amp takes its memory
+    log_amp = np.log(amp, out=np.empty_like(amp), where=kept)
+    m_min = np.minimum.reduce(momenta, axis=1)
+    m_l1 = grid.dx * np.add.reduce(np.abs(momenta, out=momenta), axis=1)
+    stop = amp.shape[-1] - 1  # the Nyquist mode is not fitted
+    in_band = np.zeros(amp.shape[-1], dtype=bool)
+    in_band[k_min:stop] = True
+    readings = []
+    for row, (mean, l1, low) in enumerate(zip(mean_u.tolist(), m_l1.tolist(), m_min.tolist())):
+        spectrum = norms._reading(grid, amp[row], kept[row], log_weight[row])
+        l2, h1, h2 = norms._sobolev_norms(spectrum, (0.0, 1.0, 2.0))
+        usable = kept[row] & in_band
+        try:
+            sigma_hat, fit_quality, _ = analyticity._fit(
+                grid.xi[usable], log_amp[row, usable], k_min, stop - k_min)
+        except InsufficientBandError:
+            sigma_hat = fit_quality = math.nan
+        readings.append(dict(l2=l2, h1=h1, h2=h2, mean_u=mean, m_l1=l1, m_min=low,
+                             sigma_hat=sigma_hat, fit_quality=fit_quality))
+    return readings
 
 
 def compute_diagnostics(trajectory, diag: DiagnosticsSpec):
     """The rows of every snapshot and the strip bound, as (rows, bound); mu
     comes from the samples' h2 column."""
-    readings = [_sample_columns(u, diag.fit_k_min) for _, u in trajectory.snapshots]
+    readings = _sample_columns([u for _, u in trajectory.snapshots], diag.fit_k_min)
     if diag.gamma_override is not None:
         gamma = diag.gamma_override
     else:

@@ -419,10 +419,10 @@ class TestRunMarch:
 
     def test_steps_and_dt_range_recorded(self, monkeypatch):
         # the one witness of traj.spans that does not read it: every step
-        # that advances the state is logged, and the last span, which ends
-        # the run at t_final without advancing the state, is t_final less
-        # the left-to-right sum of the others, as run accumulates t (not
-        # sum(), whose float sum is compensated from Python 3.12 on)
+        # that advances the state is logged, the last one, which loads the
+        # state at t_final, too, and the last span is t_final less the
+        # left-to-right sum of the others, as run accumulates t (not sum(),
+        # whose float sum is compensated from Python 3.12 on)
         u0 = bump_datum(n=128)
         cfg = EvolveConfig(b=2.0, t_final=1.0, sample_interval=0.25)
         logged, step = [], evolve._TaylorMarch.step
@@ -434,7 +434,7 @@ class TestRunMarch:
         monkeypatch.setattr(evolve._TaylorMarch, "step", logging)
         traj = run(u0, cfg)
         assert len(traj.spans) >= 2
-        assert traj.spans[:-1] == logged
+        assert traj.spans == logged
         *_, t = itertools.accumulate(traj.spans[:-1], initial=0.0)
         assert traj.spans[-1] == cfg.t_final - t
         assert max(traj.spans) <= cfg.t_final
@@ -665,20 +665,23 @@ class TestTaylorMarch:
 
     def test_run_step_budget(self, fft_counts):
         # one step, clipped to t_final: the datum load (2 transforms in 2
-        # calls) and 16 orders of 4 transforms in 2 calls and one combine
+        # calls), 16 orders of 4 transforms in 2 calls and one combine, and
+        # the load of the state at t_final (2 in 2), which the guard reads
         grid = make_grid(256, 80.0)
         u = RealField(grid, np.exp(-(((grid.x - 40.0) / 3.0) ** 2)))
         traj = run(u, EvolveConfig(b=2.0, t_final=0.01, sample_interval=0.01))
         assert len(traj.spans) == 1
-        assert fft_counts == {"real": 2 + 4 * 16, "complex": 0, "calls": 2 + 2 * 16, "combine": 16}
+        assert fft_counts == {"real": 2 + 4 * 16 + 2, "complex": 0, "calls": 2 + 2 * 16 + 2,
+                              "combine": 16}
 
     def test_run_step_budget_at_b3(self, fft_counts):
-        # one row: the datum load is 1 transform, an order 2 in 2 calls
+        # one row: a load is 1 transform, an order 2 in 2 calls
         grid = make_grid(256, 80.0)
         u = RealField(grid, np.exp(-(((grid.x - 40.0) / 3.0) ** 2)))
         traj = run(u, EvolveConfig(b=3.0, t_final=0.01, sample_interval=0.01))
         assert len(traj.spans) == 1
-        assert fft_counts == {"real": 1 + 2 * 16, "complex": 0, "calls": 1 + 2 * 16, "combine": 16}
+        assert fft_counts == {"real": 1 + 2 * 16 + 1, "complex": 0, "calls": 1 + 2 * 16 + 1,
+                              "combine": 16}
 
 
 class TestDenseOutput:
@@ -787,6 +790,33 @@ class TestResolutionGuard:
         assert [t for t, _ in err.trajectory.snapshots] == [0.0, 0.5]
         assert "blow-up may be genuine" in str(err)
 
+    @pytest.mark.parametrize("t_final, sample_interval", [(0.9, 0.5), (0.95, 0.02)])
+    def test_every_recorded_state_is_resolved(self, t_final, sample_interval):
+        # the same breaking sin x: the state at t_final = 0.9 (8.6e-10) and
+        # the samples at 0.88 (2.5e-10) and 0.90 read from the series of the
+        # step that ends unresolved are above TAIL_TOL, so the first run
+        # aborts where the longer one does and the second records 0.86 last
+        grid = make_grid(256, 2 * np.pi)
+        u0 = initial_data("sine", {"amplitude": 1.0}, grid)
+        cfg = EvolveConfig(b=2.0, t_final=t_final, sample_interval=sample_interval)
+        with pytest.raises(BlowupError, match="the state is unresolved") as excinfo:
+            run(u0, cfg)
+        err = excinfo.value
+        m = grid.band_size
+        for _, u in err.trajectory.snapshots:
+            band = np.fft.rfft(u.samples)[:m]
+            top = band[2 * m // 3:]
+            assert np.vdot(top, top).real <= evolve.TAIL_TOL * np.vdot(band, band).real
+        # the abort time is the latest time whose state passed: the end of
+        # the 10th step, or a later sample read from the 11th
+        assert len(err.trajectory.spans) == 10
+        *_, end = itertools.accumulate(err.trajectory.spans)
+        last = err.trajectory.snapshots[-1][0]
+        if sample_interval == 0.5:
+            assert (err.time, last) == (end, 0.5)
+        else:
+            assert err.time == last == 43 * sample_interval > end
+
     @pytest.mark.parametrize("family, params, t_final, aborted_by", [
         ("sech", {"amplitude": 0.5, "width": 1.0}, 10.0, 3.0),
         ("momentum_bump", {"amplitude": 0.5, "width": 8.0}, 20.0, 13.0),
@@ -827,8 +857,9 @@ class TestResolutionGuard:
             run(RealField(grid, np.sin(grid.x)), EvolveConfig(b=2.0, t_final=1.0, sample_interval=0.5))
 
     def test_guard_reads_the_band_of_each_loaded_state(self, monkeypatch):
-        # the datum and every new state, before the recursion overwrites the
-        # band: the reading is the band of rfft(state)
+        # the datum and every new state, the state at t_final included,
+        # before the recursion overwrites the band: the reading is the band
+        # of rfft(state)
         u0 = initial_data("sech", {"amplitude": 0.05, "width": 1.0}, make_grid(1024, 80.0))
         read, check = [], evolve._check_resolved
 
@@ -841,9 +872,10 @@ class TestResolutionGuard:
 
         monkeypatch.setattr(evolve, "_check_resolved", logged)
         traj = run(u0, EvolveConfig(b=2.0, t_final=10.0, sample_interval=0.5))
-        # one reading per series: the datum's and each new state's
-        assert len(read) == len(traj.spans)
+        # the datum's reading and one per series, of the state it ends at
+        assert len(read) == 1 + len(traj.spans)
         assert read[0].tobytes() == u0.samples.tobytes()
+        assert read[-1].tobytes() == traj.final_state.samples.tobytes()
 
 
 class TestOrderOfAccuracy:

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import re
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 from bfamlab import (
     BlowupError,
     ConfigurationError,
+    InsufficientBandError,
     RealField,
     SnapshotError,
     conserved_mean,
@@ -544,28 +546,54 @@ class TestRemovedCompanions:
 class TestSampleColumns:
     @pytest.fixture
     def states(self):
+        # alternating sech states, a sine with too few usable modes for the
+        # decay fit and a gaussian whose fit warns (super-exponential decay)
         grid = make_grid(256, 80.0)
-        return [RealField(grid, 0.5 / np.cosh(grid.x - c)) for c in (30.0, 45.0)]
+        sech = [RealField(grid, 0.5 / np.cosh(grid.x - c)) for c in (30.0, 45.0)]
+        sine = RealField(grid, 0.5 * np.sin(2.0 * np.pi * grid.x / grid.box_length))
+        gaussian = RealField(grid, np.exp(-(((grid.x - 40.0) / 3.0) ** 2)))
+        return sech + [sine, gaussian] + sech[::-1]
 
+    @pytest.mark.filterwarnings("ignore:spectral decay steepens with:UserWarning")
     def test_one_spectrum_and_one_momentum_per_sample(self, states, fft_counts):
-        scenarios._sample_columns(states[0], 4)
-        # rfft for l2, h1, h2 and the fit; rfft + irfft for the momentum of m_l1 and m_min
-        assert fft_counts == {"real": 3, "complex": 0, "calls": 3, "combine": 0}
+        scenarios._sample_columns(states, 4)
+        # one stacked rfft gives every spectrum, for l2, h1, h2 and the fit, and
+        # one stacked irfft every momentum field, for m_l1 and m_min
+        assert fft_counts == {"real": 2 * len(states), "complex": 0, "calls": 2, "combine": 0}
 
     def test_values_equal_the_direct_calls(self, states):
-        # alternating states: each sample's transforms are its own
-        for u in states + states[::-1]:
-            fit = fit_decay_radius(u)
-            assert scenarios._sample_columns(u, 4) == {
+        with warnings.catch_warnings(record=True) as batch_warnings:
+            warnings.simplefilter("always")
+            readings = scenarios._sample_columns(states, 4)
+        assert len(readings) == len(states)
+        fitted, warned = [], []
+        for u, columns in zip(states, readings):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    fit = fit_decay_radius(u)
+                except InsufficientBandError:
+                    fit = None
+            fitted.append(fit is not None)
+            warned.append([str(w.message) for w in caught])
+            if fit is None:
+                assert math.isnan(columns.pop("sigma_hat"))
+                assert math.isnan(columns.pop("fit_quality"))
+            else:
+                assert (columns.pop("sigma_hat"), columns.pop("fit_quality")) == (
+                    fit.sigma_hat, fit.fit_quality)
+            assert columns == {
                 "l2": sobolev_norm(u, 0.0),
                 "h1": sobolev_norm(u, 1.0),
                 "h2": sobolev_norm(u, 2.0),
                 "mean_u": conserved_mean(u),
                 "m_l1": momentum_l1(u),
                 "m_min": momentum_min(u),
-                "sigma_hat": fit.sigma_hat,
-                "fit_quality": fit.fit_quality,
             }
+        assert fitted == [True, True, False, True, True, True]
+        # the gaussian's row alone warns, once, with its direct fit's message
+        assert [len(messages) for messages in warned] == [0, 0, 0, 1, 0, 0]
+        assert [str(w.message) for w in batch_warnings] == warned[3]
 
 
 class TestRunScenario:
@@ -716,13 +744,22 @@ dir = {out}
         assert analyticity.km_bound_from_run(bare, result.bound.gamma).mu == result.bound.mu
 
     def test_transform_budget(self, tmp_path, fft_counts):
-        result = scenarios.simulate(parse_config(SMALL_RUN.format(outdir=tmp_path)))
-        steps, samples = len(result.trajectory.spans), len(result.rows)
+        from bfamlab import evolve
+
+        cfg = parse_config(SMALL_RUN.format(outdir=tmp_path))
+        trajectory = evolve.run(scenarios.build_initial(cfg), cfg.evolve)
+        steps, samples = len(trajectory.spans), len(trajectory.snapshots)
         assert samples == 3 and steps == 1
-        # the march: per step, the datum load (2) and 16 orders of 4; 3 per
-        # sample; 1 for the bound's phi0; no complex transform anywhere
-        assert fft_counts["real"] == (2 + 4 * 16) * steps + 3 * samples + 1
-        assert fft_counts["complex"] == 0
+        # the march: per step, the load of the state it starts from (2
+        # transforms in 2 calls) and 16 orders of 4 in 2, then the load of
+        # the state at t_final; no complex transform anywhere
+        assert fft_counts == {"real": (2 + 4 * 16) * steps + 2, "complex": 0,
+                              "calls": (2 + 2 * 16) * steps + 2, "combine": 16 * steps}
+        fft_counts.update(dict.fromkeys(fft_counts, 0))
+        scenarios.compute_diagnostics(trajectory, cfg.diagnostics)
+        # the diagnostics: one stacked rfft and one stacked irfft of a row per
+        # sample, and one rfft for the bound's phi0
+        assert fft_counts == {"real": 2 * samples + 1, "complex": 0, "calls": 3, "combine": 0}
 
     def test_sparse_spectrum_yields_nan_fit_columns(self, tmp_path):
         # a pure sine never has enough usable modes for the decay fit; the
