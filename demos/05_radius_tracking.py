@@ -30,16 +30,17 @@ for b in (0.0, 2.0):
         require_sign_certificate=True,
     )
     traj = run(u0, cfg)
-    rows, bound = compute_diagnostics(traj, DiagnosticsSpec())
+    table, bound = compute_diagnostics(traj, DiagnosticsSpec())
     print(f"b = {b:g}: mu = {bound.mu:.4f}, K = A(mu) = {bound.K_rate:.2f}, "
           f"gamma = {bound.gamma:.4f}, lambda = {bound.lam:.2f}")
     print(f"  {'t':>5} {'sigma_hat':>10} {'R^2':>8} {'bound r(t)':>12}")
-    for row in rows:
-        r_bound = km_bound_radius(row.t, bound)
-        print(f"  {row.t:>5.1f} {row.sigma_hat:>10.4f} {row.fit_quality:>8.4f} "
-              f"{r_bound:>12.4e}")
+    rows = list(zip(table["t"].tolist(), table["sigma_hat"].tolist(),
+                    table["fit_quality"].tolist()))
+    for t, sigma_hat, fit_quality in rows:
+        r_bound = km_bound_radius(t, bound)
+        print(f"  {t:>5.1f} {sigma_hat:>10.4f} {fit_quality:>8.4f} {r_bound:>12.4e}")
     ok = all(
-        row.sigma_hat > 0 and row.sigma_hat >= km_bound_radius(row.t, bound)
-        for row in rows
+        sigma_hat > 0 and sigma_hat >= km_bound_radius(t, bound)
+        for t, sigma_hat, _ in rows
     )
     print(f"  measured radius stayed positive and above the bound: {ok}\n")

@@ -49,7 +49,6 @@ from .norms import (
     sobolev_norm,
 )
 from .scenarios import (
-    DiagnosticsRow,
     InitSpec,
     RunConfig,
     Snapshot,

@@ -148,17 +148,22 @@ def km_lambda(b: float, mu: float, phi0: float) -> float:
     return 2.0 * b_val / a_val
 
 
-def km_bound_sigma(t: float, bound: KMBound) -> float:
-    """sigma(t) = gamma - lambda (e^{K t / 2} - 1).
+def km_bound_sigma(t, bound: KMBound):
+    """sigma(t) = gamma - lambda (e^{K t / 2} - 1), a float at a float t and
+    an array over an array of times, each element with the float call's bits.
 
     Saturates to -inf once e^{K t / 2} overflows double precision; the true
     value is below the representable range there.
     """
-    if t < 0:
-        raise ConfigurationError(f"t must be >= 0, got {t}")
-    with np.errstate(over="ignore"):
-        growth = float(np.expm1(0.5 * bound.K_rate * t))
-        return bound.gamma - bound.lam * growth if bound.lam > 0 else bound.gamma
+    times = np.asarray(t, dtype=float)
+    if np.any(times < 0):
+        raise ConfigurationError(f"t must be >= 0, got {float(times.min())}")
+    if bound.lam == 0:
+        sigma = np.full_like(times, bound.gamma)
+    else:
+        with np.errstate(over="ignore"):
+            sigma = bound.gamma - bound.lam * np.expm1(0.5 * bound.K_rate * times)
+    return float(sigma) if sigma.ndim == 0 else sigma
 
 
 def km_bound_radius(t: float, bound: KMBound) -> float:

@@ -69,12 +69,13 @@ def _read_config(path) -> scenarios.RunConfig:
 def _cmd_run(args) -> int:
     cfg = _read_config(args.config)
     result = scenarios.run_scenario(cfg)
-    final = result.rows[-1]
-    print(f"run complete: b = {cfg.evolve.b:g}, {len(result.rows)} samples, "
-          f"t_final = {final.t:g}")
+    table = result.table
+    print(f"run complete: b = {cfg.evolve.b:g}, {len(table['t'])} samples, "
+          f"t_final = {table['t'][-1]:g}")
     print(f"outputs in {cfg.output_dir}")
-    print(f"final sigma_hat = {final.sigma_hat:.6g} (fit quality {final.fit_quality:.4f}), "
-          f"strip bound sigma = {final.km_sigma_bound:.6g}")
+    print(f"final sigma_hat = {table['sigma_hat'][-1]:.6g} "
+          f"(fit quality {table['fit_quality'][-1]:.4f}), "
+          f"strip bound sigma = {table['km_sigma_bound'][-1]:.6g}")
     final_spectrum = norms._spectrum(result.trajectory.final_state)
     for sigma in cfg.diagnostics.sigma_list:
         value, diverged = norms.gevrey_norm(final_spectrum, sigma, cfg.diagnostics.s)
@@ -152,13 +153,13 @@ def _cmd_taylor(args) -> int:
 
 def _cmd_bound(args) -> int:
     result = scenarios.simulate(_read_config(args.config))
-    bound = result.bound
+    table, bound = result.table, result.bound
     print(f"mu = {bound.mu:.6g}, K = {bound.K_rate:.6g}, gamma = {bound.gamma:.6g}, "
           f"lambda = {bound.lam:.6g}, phi0 = {bound.phi0:.6g}")
     print(f"{'t':>12} {'sigma(t)':>16} {'r(t)':>16}")
-    for row in result.rows:
-        radius = analyticity.km_bound_radius(row.t, bound)
-        print(f"{row.t:>12.6g} {row.km_sigma_bound:>16.6g} {radius:>16.6g}")
+    for t, sigma in zip(table["t"].tolist(), table["km_sigma_bound"].tolist()):
+        radius = analyticity.km_bound_radius(t, bound)
+        print(f"{t:>12.6g} {sigma:>16.6g} {radius:>16.6g}")
     return 0
 
 

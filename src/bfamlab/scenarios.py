@@ -6,12 +6,15 @@ default for every key are documented in the README. The parsed RunConfig is
 the one source of what a run uses: `simulate` runs the pipeline in memory and
 `run_scenario` persists it, into a run directory of five files:
 render_config(cfg) as config.ini, diagnostics.csv, the initial and final field
-snapshots, and a JSON manifest. Every diagnostics column is read from the
-sampled states after the march, which has guarded each of them
-(`evolve.run`). `compute_diagnostics` reads all S of them as one (S, N)
-block: one stacked rfft gives every half spectrum and one stacked irfft
-every momentum field, 2 transform calls in all, and the strip bound's phi0
-takes one more.
+snapshots, and a JSON manifest, which holds the strip bound's constants.
+A run's diagnostics are one table, a dict from each name of
+DIAGNOSTIC_COLUMNS to an array of one value per sample, which
+emit_diagnostics writes and parse_diagnostics reads back. Every column is
+read from the sampled states after the march, which has guarded each of
+them (`evolve.run`). `compute_diagnostics` reads all S of them as one
+(S, N) block: one stacked rfft gives every half spectrum and one stacked
+irfft every momentum field, 2 transform calls in all, and the strip bound's
+phi0 takes one more. The bound column is one call over the t column.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import math
 import platform
 import struct
 import time
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Mapping, NamedTuple, Optional
 
@@ -103,27 +106,9 @@ class RunConfig:
     output_dir: str
 
 
-@dataclass(frozen=True)
-class DiagnosticsRow:
-    """One sampling instant; the field order is the CSV column order."""
-
-    t: float
-    l2: float
-    h1: float
-    h2: float
-    mean_u: float
-    m_l1: float
-    m_min: float
-    sigma_hat: float
-    fit_quality: float
-    km_sigma_bound: float
-    dt_used: float
-
-    def values(self) -> tuple:
-        return tuple(getattr(self, name) for name in DIAGNOSTIC_COLUMNS)
-
-
-DIAGNOSTIC_COLUMNS = tuple(column.name for column in fields(DiagnosticsRow))
+# the diagnostics CSV columns, in order; a run's table maps each to an array
+DIAGNOSTIC_COLUMNS = ("t", "l2", "h1", "h2", "mean_u", "m_l1", "m_min", "sigma_hat",
+                      "fit_quality", "km_sigma_bound", "dt_used")
 
 
 @dataclass(frozen=True)
@@ -399,33 +384,34 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
-def emit_diagnostics(rows, path) -> None:
-    """The diagnostics CSV: a header of DIAGNOSTIC_COLUMNS, then one line per
-    row, every value at 17 significant digits so that it parses back exactly."""
-    lines = [",".join(DIAGNOSTIC_COLUMNS)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row.values()))
+def emit_diagnostics(table, path) -> None:
+    """The diagnostics CSV of a table: a header of DIAGNOSTIC_COLUMNS, then one
+    line per sample, every value at 17 significant digits so that it parses
+    back exactly."""
+    rows = zip(*(table[name].tolist() for name in DIAGNOSTIC_COLUMNS))
+    lines = [",".join(DIAGNOSTIC_COLUMNS), *(",".join(map(_fmt, row)) for row in rows)]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def parse_diagnostics(text: str):
-    """The rows of a diagnostics CSV, the inverse of emit_diagnostics. Blank
+def parse_diagnostics(text: str) -> dict:
+    """The table of a diagnostics CSV, the inverse of emit_diagnostics. Blank
     lines are skipped; a wrong header, a row whose field count is not the
     header's, or a field that is not a float is a ConfigurationError."""
     lines = [(number, line) for number, line in enumerate(text.splitlines(), 1)
              if line.strip()]
     if not lines or lines[0][1] != ",".join(DIAGNOSTIC_COLUMNS):
         raise ConfigurationError("diagnostics CSV header mismatch")
-    rows = []
+    values = []
     for number, line in lines[1:]:
-        values = line.split(",")
+        fields = line.split(",")
         try:
-            if len(values) != len(DIAGNOSTIC_COLUMNS):
-                raise ValueError(f"{len(values)} fields, expected {len(DIAGNOSTIC_COLUMNS)}")
-            rows.append(DiagnosticsRow(*map(float, values)))
+            if len(fields) != len(DIAGNOSTIC_COLUMNS):
+                raise ValueError(f"{len(fields)} fields, expected {len(DIAGNOSTIC_COLUMNS)}")
+            values.extend(map(float, fields))
         except ValueError as err:
             raise ConfigurationError(f"diagnostics CSV line {number}: {err}") from err
-    return rows
+    columns = np.array(values).reshape(-1, len(DIAGNOSTIC_COLUMNS)).T.copy()
+    return dict(zip(DIAGNOSTIC_COLUMNS, columns))
 
 
 # ---------------------------------------------------------------------------
@@ -435,13 +421,14 @@ def parse_diagnostics(text: str):
 @dataclass
 class ScenarioResult:
     trajectory: evolve.Trajectory
-    rows: list
+    table: dict
     bound: analyticity.KMBound
 
 
-def _sample_columns(states, k_min: int) -> list:
-    """The columns of each sampled state that the state alone fixes, a dict
-    per state; the fit columns are NaN where a state has too few usable modes.
+def _sample_columns(states, k_min: int) -> dict:
+    """The columns that each sampled state alone fixes, an array each with
+    one value per state; the fit columns are NaN where a state has too few
+    usable modes.
 
     The states are read as one (S, N) block. One stacked rfft gives every
     half spectrum, and the same spectra divided by 1/(1 + xi^2) give the
@@ -467,38 +454,35 @@ def _sample_columns(states, k_min: int) -> list:
     stop = amp.shape[-1] - 1  # the Nyquist mode is not fitted
     in_band = np.zeros(amp.shape[-1], dtype=bool)
     in_band[k_min:stop] = True
-    readings = []
-    for row, (mean, l1, low) in enumerate(zip(mean_u.tolist(), m_l1.tolist(), m_min.tolist())):
+    l2, h1, h2, sigma_hat, fit_quality = np.empty((5, len(states)))
+    for row in range(len(states)):
         spectrum = norms._reading(grid, amp[row], kept[row], log_weight[row])
-        l2, h1, h2 = norms._sobolev_norms(spectrum, (0.0, 1.0, 2.0))
+        l2[row], h1[row], h2[row] = norms._sobolev_norms(spectrum, (0.0, 1.0, 2.0))
         usable = kept[row] & in_band
         try:
-            sigma_hat, fit_quality, _ = analyticity._fit(
+            sigma_hat[row], fit_quality[row], _ = analyticity._fit(
                 grid.xi[usable], log_amp[row, usable], k_min, stop - k_min)
         except InsufficientBandError:
-            sigma_hat = fit_quality = math.nan
-        readings.append(dict(l2=l2, h1=h1, h2=h2, mean_u=mean, m_l1=l1, m_min=low,
-                             sigma_hat=sigma_hat, fit_quality=fit_quality))
-    return readings
+            sigma_hat[row] = fit_quality[row] = math.nan
+    return dict(l2=l2, h1=h1, h2=h2, mean_u=mean_u, m_l1=m_l1, m_min=m_min,
+                sigma_hat=sigma_hat, fit_quality=fit_quality)
 
 
 def compute_diagnostics(trajectory, diag: DiagnosticsSpec):
-    """The rows of every snapshot and the strip bound, as (rows, bound); mu
-    comes from the samples' h2 column."""
-    readings = _sample_columns([u for _, u in trajectory.snapshots], diag.fit_k_min)
+    """The diagnostics table of every snapshot and the strip bound, as
+    (table, bound). The table maps each name of DIAGNOSTIC_COLUMNS, in order,
+    to an array of one value per snapshot; mu comes from its h2 column and
+    km_sigma_bound is the bound over its t column."""
+    times = np.array([t for t, _ in trajectory.snapshots], dtype=float)
+    columns = _sample_columns([u for _, u in trajectory.snapshots], diag.fit_k_min)
     if diag.gamma_override is not None:
         gamma = diag.gamma_override
     else:
-        gamma = analyticity.default_gamma(readings[0]["sigma_hat"])
-    h2_norms = [columns["h2"] for columns in readings]
-    bound = analyticity.km_bound_from_run(trajectory, gamma, diag.m_trunc, h2_norms)
-    rows = [
-        DiagnosticsRow(
-            t=t, **columns, km_sigma_bound=analyticity.km_bound_sigma(t, bound), dt_used=dt,
-        )
-        for (t, _), dt, columns in zip(trajectory.snapshots, trajectory.dt_used, readings)
-    ]
-    return rows, bound
+        gamma = analyticity.default_gamma(columns["sigma_hat"][0])
+    bound = analyticity.km_bound_from_run(trajectory, gamma, diag.m_trunc, columns["h2"].tolist())
+    columns.update(t=times, km_sigma_bound=analyticity.km_bound_sigma(times, bound),
+                   dt_used=np.array(trajectory.dt_used, dtype=float))
+    return {name: columns[name] for name in DIAGNOSTIC_COLUMNS}, bound
 
 
 def simulate(cfg: RunConfig) -> ScenarioResult:
@@ -517,11 +501,11 @@ def run_scenario(cfg: RunConfig) -> ScenarioResult:
     (out / "config.ini").write_bytes(config)
     config_sha256 = hashlib.sha256(config).hexdigest()
     started = time.time()
-    status, trajectory = 0, None
+    status, trajectory, bound = 0, None, None
     try:
         result = simulate(cfg)
-        trajectory = result.trajectory
-        emit_diagnostics(result.rows, out / "diagnostics.csv")
+        trajectory, bound = result.trajectory, result.bound
+        emit_diagnostics(result.table, out / "diagnostics.csv")
         snapshots = trajectory.snapshots
         for name, (t, u) in (("initial", snapshots[0]), ("final", snapshots[-1])):
             write_snapshot(out / f"{name}.bgev", snapshot_of(u, t, cfg.evolve.b))
@@ -543,4 +527,6 @@ def run_scenario(cfg: RunConfig) -> ScenarioResult:
             spans = trajectory.spans
             manifest.update(steps=len(spans), dt_min=min(spans, default=None),
                             dt_max=max(spans, default=None))
+        if bound is not None:
+            manifest["bound"] = asdict(bound)
         (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")

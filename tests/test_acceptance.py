@@ -101,12 +101,13 @@ def test_criterion_04_conservation_at_desk_scale():
         )
         start = time.perf_counter()
         traj = run(u0, cfg)
-        rows, _ = compute_diagnostics(traj, DiagnosticsSpec())
+        table, _ = compute_diagnostics(traj, DiagnosticsSpec())
         elapsed = time.perf_counter() - start
-        mean_drift = abs(rows[-1].mean_u - rows[0].mean_u) / abs(rows[0].mean_u)
-        ml1_drift = max(abs(r.m_l1 - rows[0].m_l1) for r in rows) / rows[0].m_l1
+        mean, m_l1 = table["mean_u"], table["m_l1"]
+        mean_drift = abs(mean[-1] - mean[0]) / abs(mean[0])
+        ml1_drift = max(abs(m_l1 - m_l1[0])) / m_l1[0]
         m_inf = max(np.max(np.abs(momentum(u).samples)) for _, u in traj.snapshots)
-        m_min_worst = min(r.m_min for r in rows)
+        m_min_worst = min(table["m_min"])
         checks = {
             "mean": mean_drift < 1e-10,
             "m_l1": ml1_drift < 1e-4,
@@ -114,7 +115,8 @@ def test_criterion_04_conservation_at_desk_scale():
             "time": elapsed < 120.0,
         }
         if b == 2.0:
-            h1_drift = abs(rows[-1].h1 - rows[0].h1) / rows[0].h1
+            h1 = table["h1"]
+            h1_drift = abs(h1[-1] - h1[0]) / h1[0]
             checks["h1"] = h1_drift < 1e-6
             details.append(f"b=2 h1 drift {h1_drift:.2e}")
         details.append(f"b={b:g} mean {mean_drift:.1e} mL1 {ml1_drift:.1e} {elapsed:.1f}s")

@@ -204,6 +204,15 @@ class TestKmLambda:
         assert abs(y[0] - closed) / abs(closed) < 1e-6
 
 
+def assert_column_is_the_scalar_calls(ts, bound):
+    """km_bound_sigma over an array of times has the bits of one float call per time."""
+    column = km_bound_sigma(np.array(ts, dtype=float), bound)
+    scalars = [km_bound_sigma(t, bound) for t in ts]
+    assert all(type(value) is float for value in scalars)
+    assert column.tobytes() == np.array(scalars).tobytes()
+    return column
+
+
 class TestKmBound:
     def bound(self, gamma=-0.1):
         return KMBound(b=2.0, mu=1.0, K_rate=128.0, gamma=gamma, lam=12.0, phi0=1.0)
@@ -224,6 +233,8 @@ class TestKmBound:
         ts = np.linspace(0.0, 0.2, 40)
         sigmas = [km_bound_sigma(t, bound) for t in ts]
         assert all(b < a for a, b in zip(sigmas, sigmas[1:]))
+        column = assert_column_is_the_scalar_calls(ts.tolist(), bound)
+        assert np.all(np.diff(column) < 0)
 
     def test_radius_in_unit_interval(self):
         bound = self.bound()
@@ -234,10 +245,15 @@ class TestKmBound:
         bound = self.bound()
         assert km_bound_sigma(1e3, bound) == -math.inf
         assert km_bound_radius(1e3, bound) == 0.0
+        # a column that crosses the overflow of lam * e^{K t/2} and of e^{K t/2}
+        column = assert_column_is_the_scalar_calls([0.0, 0.5, 10.9, 11.09, 11.2, 1e3], bound)
+        assert np.isfinite(column[:3]).all() and np.all(column[3:] == -math.inf)
 
     def test_negative_time_rejected(self):
         with pytest.raises(ConfigurationError):
             km_bound_sigma(-1.0, self.bound())
+        with pytest.raises(ConfigurationError):
+            km_bound_sigma(np.array([0.0, 0.5, -1e-300]), self.bound())
 
     def test_gamma_must_be_negative(self):
         with pytest.raises(ConfigurationError):
@@ -255,6 +271,9 @@ class TestKmBoundFromRun:
         assert bound.phi0 == 0.0
         assert bound.lam == 0.0
         assert km_bound_sigma(5.0, bound) == pytest.approx(-0.2)
+        # where e^{K t/2} overflows too, gamma and not lam * inf = NaN
+        column = assert_column_is_the_scalar_calls([0.0, 5.0, 1e4], bound)
+        assert np.all(column == bound.gamma)
 
     def test_single_snapshot_mu(self):
         from bfamlab import sobolev_norm

@@ -14,11 +14,13 @@ from bfamlab import (
     BlowupError,
     ConfigurationError,
     InsufficientBandError,
+    KMBound,
     RealField,
     SnapshotError,
     conserved_mean,
     fit_decay_radius,
     initial_data,
+    km_bound_sigma,
     make_grid,
     momentum,
     momentum_l1,
@@ -34,7 +36,6 @@ from bfamlab import scenarios
 from bfamlab.scenarios import (
     DIAGNOSTIC_COLUMNS,
     SNAPSHOT_VERSION,
-    DiagnosticsRow,
     Snapshot,
     emit_diagnostics,
     parse_diagnostics,
@@ -471,33 +472,42 @@ class TestSnapshotIO:
             read_snapshot(path)
 
 
+def random_table(rng, n_rows):
+    """A diagnostics table of n_rows samples of standard normal values."""
+    return dict(zip(DIAGNOSTIC_COLUMNS, rng.standard_normal((n_rows, 11)).T.copy()))
+
+
 class TestDiagnosticsCsv:
-    def row(self, t=0.5):
-        return DiagnosticsRow(
-            t=t, l2=1.1, h1=2.2, h2=3.3, mean_u=0.1, m_l1=4.4, m_min=-1e-12,
-            sigma_hat=1.5, fit_quality=0.999, km_sigma_bound=-0.7, dt_used=0.01,
-        )
+    def table(self, t=0.5):
+        values = (t, 1.1, 2.2, 3.3, 0.1, 4.4, -1e-12, 1.5, 0.999, -0.7, 0.01)
+        return {name: np.array([value]) for name, value in zip(DIAGNOSTIC_COLUMNS, values)}
 
     def test_empty_rows_header_only(self, tmp_path):
         path = tmp_path / "diag.csv"
-        emit_diagnostics([], path)
+        emit_diagnostics({name: np.empty(0) for name in DIAGNOSTIC_COLUMNS}, path)
         assert path.read_text() == ",".join(DIAGNOSTIC_COLUMNS) + "\n"
 
     def test_one_row_two_lines(self, tmp_path):
         path = tmp_path / "diag.csv"
-        emit_diagnostics([self.row()], path)
+        emit_diagnostics(self.table(), path)
         assert len(path.read_text().strip().splitlines()) == 2
 
     def test_round_trip_bit_identical(self, tmp_path, rng):
-        rows = [
-            DiagnosticsRow(*(float(v) for v in rng.standard_normal(11)))
-            for _ in range(5)
-        ]
+        # the values a run writes where a fit fails and the bound saturates
+        special = random_table(rng, 3)
+        special["sigma_hat"][1] = special["fit_quality"][1] = math.nan
+        special["km_sigma_bound"][1:] = -math.inf
         path = tmp_path / "diag.csv"
-        emit_diagnostics(rows, path)
-        back = parse_diagnostics(path.read_text())
-        for a, b in zip(rows, back):
-            assert a.values() == b.values()
+        for table in (random_table(rng, 5), random_table(rng, 0), special):
+            emit_diagnostics(table, path)
+            text = path.read_text()
+            back = parse_diagnostics(text)
+            assert list(back) == list(DIAGNOSTIC_COLUMNS)
+            for name in DIAGNOSTIC_COLUMNS:
+                assert back[name].dtype == np.float64
+                assert back[name].tobytes() == table[name].tobytes(), name
+            emit_diagnostics(back, path)
+            assert path.read_text() == text
 
     @pytest.mark.parametrize("line, message", [
         ("0.5,1.1", "line 3: 2 fields, expected 11"),
@@ -506,7 +516,7 @@ class TestDiagnosticsCsv:
     ], ids=["short", "long", "not_a_float"])
     def test_malformed_row_names_its_line(self, tmp_path, line, message):
         path = tmp_path / "diag.csv"
-        emit_diagnostics([self.row()], path)
+        emit_diagnostics(self.table(), path)
         with pytest.raises(ConfigurationError, match=re.escape(message)):
             parse_diagnostics(path.read_text() + line + "\n")
 
@@ -530,16 +540,15 @@ class TestRemovedCompanions:
 
     @pytest.mark.parametrize("n_rows", [1, 4])
     def test_one_liners_rebuild_the_companions(self, tmp_path, monkeypatch, rng, n_rows):
-        rows = [DiagnosticsRow(*(float(v) for v in rng.standard_normal(11)))
-                for _ in range(n_rows)]
+        table = random_table(rng, n_rows)
         # the values a run writes where a fit fails and the bound saturates
-        rows[-1] = dataclasses.replace(rows[-1], sigma_hat=math.nan, km_sigma_bound=-math.inf)
-        emit_diagnostics(rows, tmp_path / "diagnostics.csv")
+        table["sigma_hat"][-1], table["km_sigma_bound"][-1] = math.nan, -math.inf
+        emit_diagnostics(table, tmp_path / "diagnostics.csv")
         monkeypatch.chdir(tmp_path)
         for name, code in self.one_liners().items():
             exec(code, {"np": np})
-            column = self.COLUMNS[name]
-            expected = "".join(f"{row.t:.17g} {getattr(row, column):.17g}\n" for row in rows)
+            column = zip(table["t"].tolist(), table[self.COLUMNS[name]].tolist())
+            expected = "".join(f"{t:.17g} {value:.17g}\n" for t, value in column)
             assert (tmp_path / name).read_bytes() == expected.encode(), name
 
 
@@ -564,10 +573,11 @@ class TestSampleColumns:
     def test_values_equal_the_direct_calls(self, states):
         with warnings.catch_warnings(record=True) as batch_warnings:
             warnings.simplefilter("always")
-            readings = scenarios._sample_columns(states, 4)
-        assert len(readings) == len(states)
+            columns = scenarios._sample_columns(states, 4)
+        assert all(column.shape == (len(states),) and column.dtype == np.float64
+                   for column in columns.values())
         fitted, warned = [], []
-        for u, columns in zip(states, readings):
+        for row, u in enumerate(states):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 try:
@@ -576,13 +586,14 @@ class TestSampleColumns:
                     fit = None
             fitted.append(fit is not None)
             warned.append([str(w.message) for w in caught])
+            reading = {name: column[row] for name, column in columns.items()}
             if fit is None:
-                assert math.isnan(columns.pop("sigma_hat"))
-                assert math.isnan(columns.pop("fit_quality"))
+                assert math.isnan(reading.pop("sigma_hat"))
+                assert math.isnan(reading.pop("fit_quality"))
             else:
-                assert (columns.pop("sigma_hat"), columns.pop("fit_quality")) == (
+                assert (reading.pop("sigma_hat"), reading.pop("fit_quality")) == (
                     fit.sigma_hat, fit.fit_quality)
-            assert columns == {
+            assert reading == {
                 "l2": sobolev_norm(u, 0.0),
                 "h1": sobolev_norm(u, 1.0),
                 "h2": sobolev_norm(u, 2.0),
@@ -612,9 +623,10 @@ class TestRunScenario:
         ):
             assert (out / name).exists(), name
 
-        ts = [row.t for row in result.rows]
+        assert list(result.table) == list(DIAGNOSTIC_COLUMNS)
+        ts = result.table["t"].tolist()
         assert ts == sorted(ts)
-        assert all(np.isfinite(row.values()).all() for row in result.rows)
+        assert all(np.isfinite(column).all() for column in result.table.values())
 
         # reproducibility from the persisted copy, modulo the output dir
         persisted = (out / "config.ini").read_text()
@@ -638,6 +650,42 @@ class TestRunScenario:
             len(traj.spans), min(traj.spans), max(traj.spans))
         assert 0.0 < min(traj.spans) <= max(traj.spans) <= 0.2
         self.assert_provenance(manifest, out)
+
+    # the momentum bump's spectrum decays faster than exponentially
+    @pytest.mark.filterwarnings("ignore:spectral decay steepens with:UserWarning")
+    def test_manifest_bound_rebuilds_the_bound_column(self, tmp_path):
+        import json
+
+        out = tmp_path / "run"
+        text = f"""
+[grid]
+n_points = 512
+box_length = 80.0
+
+[run]
+b = -1.0
+t_final = 2.0
+sample_interval = 0.5
+
+[init]
+family = momentum_bump
+amplitude = 0.5
+width = 8.0
+
+[output]
+dir = {out}
+"""
+        result = run_scenario(parse_config(text))
+        manifest = json.loads((out / "manifest.json").read_text())
+        # m_trunc stays in config.ini alone
+        assert list(manifest["bound"]) == ["b", "mu", "K_rate", "gamma", "lam", "phi0"]
+        bound = KMBound(**manifest["bound"])
+        assert bound == result.bound
+        table = parse_diagnostics((out / "diagnostics.csv").read_text())
+        column = table["km_sigma_bound"]
+        # the column runs from gamma at t = 0 to the -inf of an overflow
+        assert column[0] == bound.gamma and column[-1] == -math.inf
+        assert km_bound_sigma(table["t"], bound).tobytes() == column.tobytes()
 
     def test_manifest_records_the_default_stepper(self, tmp_path):
         import json
@@ -736,9 +784,9 @@ dir = {out}
         # which the bound imports by name
         monkeypatch.setattr(norms, "_sobolev_norms", counted)
         result = scenarios.simulate(parse_config(text))
-        assert len(result.rows) == 11
+        assert len(result.table["h2"]) == 11
         assert len(h2_norms) == 11
-        assert result.bound.mu == 1.0 + max(row.h2 for row in result.rows)
+        assert result.bound.mu == 1.0 + max(result.table["h2"].tolist())
         # without the h2 column the snapshots give the same mu, bit for bit
         bare = evolve.Trajectory(b=result.trajectory.b, snapshots=result.trajectory.snapshots)
         assert analyticity.km_bound_from_run(bare, result.bound.gamma).mu == result.bound.mu
@@ -781,10 +829,10 @@ family = sine
 dir = {outdir}
 """.format(outdir=tmp_path / "sine_run")
         result = run_scenario(parse_config(text))
-        assert all(math.isnan(row.sigma_hat) for row in result.rows)
-        assert all(math.isnan(row.fit_quality) for row in result.rows)
+        assert np.isnan(result.table["sigma_hat"]).all()
+        assert np.isnan(result.table["fit_quality"]).all()
         assert result.bound.gamma == -0.05
-        assert all(np.isfinite(row.km_sigma_bound) for row in result.rows)
+        assert np.isfinite(result.table["km_sigma_bound"]).all()
 
 
 class TestRunConfigIsTheOnlySource:
