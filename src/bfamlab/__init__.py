@@ -38,7 +38,7 @@ from .errors import (
     SnapshotError,
     TruncationError,
 )
-from .evolve import EvolveConfig, Trajectory, rk4_march, run
+from .evolve import EvolveConfig, Trajectory, run
 from .grid import GridSpec, RealField, make_grid
 from .norms import (
     GevreyNorm,

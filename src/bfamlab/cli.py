@@ -13,7 +13,9 @@ import sys
 import warnings
 from pathlib import Path
 
-from . import __version__, analyticity, evolve, norms, scenarios, taylor
+import numpy as np
+
+from . import __version__, analyticity, dynamics, norms, scenarios, taylor
 from .errors import PREFIXES, REPORTED, NumericalError, SnapshotError, TruncationError, exit_code
 
 
@@ -140,13 +142,14 @@ def _cmd_taylor(args) -> int:
     lines.append(f"temporal radius estimate = {rho:.6g}")
     t_check = 0.05 if math.isinf(rho) else min(rho / 4.0, 0.05)
     if t_check > 0:
-        # the RK4 reference march: `run` sums this same series, so it would be no check
-        endpoint = evolve.rk4_march(u0, cfg.evolve.b, t_check, 2000, cfg.evolve.blowup_threshold)
-        series_end = taylor.taylor_eval(series, t_check)
-        diff = taylor._l2_norm(series_end.samples - endpoint.samples, dx)
-        ref = taylor._l2_norm(endpoint.samples, dx)
-        rel = diff / ref if ref > 0 else diff
-        lines.append(f"stepper comparison at t = {t_check:g}: relative L2 difference = {rel:.3e}")
+        # the series' own defect t |p' - F(p)|, scaled by |p|: it tests the series
+        # against the evolution law, where `run`, which sums this same series, would not
+        p = taylor.taylor_eval(series, t_check)
+        dp = taylor._horner([k * c.samples for k, c in enumerate(series.coeffs)][1:], t_check)
+        defect = t_check * taylor._l2_norm(dp - dynamics.rhs_F(p, cfg.evolve.b).samples, dx)
+        size = taylor._l2_norm(p.samples, dx)
+        lines.append(f"series check at t = {t_check:g}: scaled L2 defect = "
+                     f"{defect / size if size > 0 else defect:.3e}")
     print("\n".join(lines))  # once whole, so an error prints no partial report
     return 0
 
@@ -157,9 +160,10 @@ def _cmd_bound(args) -> int:
     print(f"mu = {bound.mu:.6g}, K = {bound.K_rate:.6g}, gamma = {bound.gamma:.6g}, "
           f"lambda = {bound.lam:.6g}, phi0 = {bound.phi0:.6g}")
     print(f"{'t':>12} {'sigma(t)':>16} {'r(t)':>16}")
-    for t, sigma in zip(table["t"].tolist(), table["km_sigma_bound"].tolist()):
-        radius = analyticity.km_bound_radius(t, bound)
-        print(f"{t:>12.6g} {sigma:>16.6g} {radius:>16.6g}")
+    sigma = table["km_sigma_bound"]
+    # r(t) = e^{sigma(t)}, 0 where sigma saturated to -inf
+    for t, s, r in zip(table["t"].tolist(), sigma.tolist(), np.exp(sigma).tolist()):
+        print(f"{t:>12.6g} {s:>16.6g} {r:>16.6g}")
     return 0
 
 

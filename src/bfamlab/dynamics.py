@@ -14,26 +14,26 @@ spectrum, -F is then A rfft(u^2) + B rfft(u_x^2) with
 
 both vanish at xi = 0, so the mean of u never moves.
 
-Every evaluation of F, in `rhs_F`, each RK4 stage of `evolve` and each
-order of the `taylor` recursion, goes through one layout, an `_Operator`
-built from a datum u at b once per series march and once per `rhs_F`,
-`rk4_march` or `taylor_coeffs` call. It holds its `grid`, the band
-multipliers `A` and `B` (b enters nowhere else); the half spectra
-`spectra` = [f_hat, i xi f_hat] of a stage f, whose band `stage` the caller
-writes and whose modes above the band keep u's unless the caller zeroes
-them; the samples `fields` = [f, f_x], which `load()` refreshes from
-`stage` with one multiply and one stacked irfft (`load(out)` writes them
-into another array shaped like `fields` instead); and the combine's work
-arrays `squares` and `product_spectra`. It starts loaded with u, and
-`reset(samples)` loads another datum on its grid into the same arrays: one
-rfft of the whole half spectrum, then the samples, then, where f_x is held,
-one multiply and one irfft. The series march's resolution guard
-(`evolve._check_resolved`) reads the band of that rfft from `stage` before
-the recursion overwrites it, at b = 3 too, where nothing else reads it.
+Every evaluation of F, in `rhs_F` and each order of the `taylor`
+recursion, goes through one layout, an `_Operator` built from a datum u at
+b once per series march and once per `rhs_F` or `taylor_coeffs` call. It
+holds its `grid`, the band multipliers `A` and `B` (b enters nowhere
+else); the half spectra `spectra` = [f_hat, i xi f_hat] of a stage f, whose
+band `stage` the caller writes and whose modes above the band keep u's
+unless the caller zeroes them; the samples `fields` = [f, f_x] of the
+datum; and the combine's work arrays `squares` and `product_spectra`.
+`load(out)` writes the samples [f, f_x] of a new `stage` into `out`, an
+array shaped like `fields`, with one multiply and one stacked irfft. It
+starts loaded with u, and `reset(samples)` loads another datum on its grid
+into the same arrays: one rfft of the whole half spectrum, then the
+samples, then, where f_x is held, one multiply and one irfft. The series
+march's resolution guard (`evolve._check_resolved`) reads the band of that
+rfft from `stage` before the recursion overwrites it, at b = 3 too, where
+nothing else reads it.
 
 At b = 3 (Degasperis-Procesi) B is exactly 0, and the operator decides
 once, from b, to hold one row: `B` is None, `spectra` = [f_hat],
-`fields` = [f] and `squares` = [f^2], so `load()` is one irfft with no
+`fields` = [f] and `squares` = [f^2], so `load(out)` is one irfft with no
 multiply and no f_x is ever formed. Callers read the row count from the
 shapes of these arrays and nothing else. No value changes: at b = 3 the
 B term only ever added +-0 to the band.
@@ -53,8 +53,6 @@ imports only `grid` and `errors`.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 import numpy as np
 
@@ -94,16 +92,14 @@ class _Operator:
             np.multiply(self.grid.half_deriv_multiplier, self.spectra[0], out=self.spectra[1])
             _irfft(self.spectra[1], self.fields[1])
 
-    def load(self, out: Optional[np.ndarray] = None) -> np.ndarray:
+    def load(self, out: np.ndarray) -> np.ndarray:
         """The samples [f, f_x] ([f] at b = 3) of a new `stage`, from
-        `spectra`, written into `out`, an array shaped like `fields` that
-        defaults to `fields`; returns `out`.
-
-        A caller that keeps every loaded stage, as the Taylor recursion keeps
-        each c_k and d_x c_k, passes the row it keeps them in."""
+        `spectra`, written into `out`, an array shaped like `fields`;
+        returns `out`. The Taylor recursion passes the store row it keeps
+        c_k and d_x c_k in."""
         if self.B is not None:
             np.multiply(self._band_deriv, self.stage, out=self._stage_deriv)
-        return _irfft(self.spectra, self.fields if out is None else out)
+        return _irfft(self.spectra, out)
 
 
 def _rhs_from_products(op: _Operator, squares: np.ndarray, band: np.ndarray) -> np.ndarray:

@@ -52,38 +52,23 @@ failing step's window that passed where that is later, so it is never
 before the last snapshot's time. An unresolved datum aborts at t = 0, with
 no span and the datum as the only snapshot.
 
-RK4 is the reference march that `bfamlab taylor`, acceptance criterion 06
-and the tests compare the series with, because it does not sum the series:
-`rk4_march(u0, b, t, n)` takes n steps of t/n and returns the samples of
-the last state. No option of `run` selects it, and no `EvolveConfig` field
-bounds a step. The march holds one `dynamics._Operator` (the stage layout
-is described there) and carries the band of rfft(u) from step to step, so
-the datum's samples are transformed once, to start the march. An RK4 stage
-writes its band into the operator's stage, loads the fields u and u_x with
-one stacked irfft, squares them, and combines the squares into its band of
--F with one stacked rfft. Stage 1 reuses the fields that closed the
-previous step, so a step is 16 real transforms in 8 kernel calls. At b = 3
-the operator holds u alone, with no u_x row, and a step is 8 real
-transforms in 8 calls.
-
-Only the dealiased band moves. Under RK4 the modes above the cutoff keep
-their initial values exactly in the carried spectrum, and in the returned
-samples up to the round-off of one irfft; under the series, whose
-c_1 .. c_K have no modes there, up to the round-off of the Horner sum. One
-reading per sample and per new state, peak = max|u|, feeds the blow-up
-test, and one per loaded state, the tail fraction, the resolution guard.
+Only the dealiased band moves: c_1 .. c_K have no modes above the cutoff,
+so those modes keep their initial values up to the round-off of the Horner
+sum. No option of `run` selects another march, and no `EvolveConfig` field
+bounds a step. One reading per sample and per new state, peak = max|u|,
+feeds the blow-up test, and one per loaded state, the tail fraction, the
+resolution guard.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
-from .dynamics import _Operator, _rhs_from_products, momentum
-from .errors import BlowupError, ConfigurationError, require_finite, require_integer
+from .dynamics import _Operator, momentum
+from .errors import BlowupError, ConfigurationError, require_finite
 from .grid import RealField, _finite_field
 from .taylor import COEFF_SUP_CAP, _horner, _l2_norm, _recursion
 
@@ -156,7 +141,7 @@ def _check_resolved(op: _Operator) -> None:
         )
 
 
-def _check_peak(u: np.ndarray, blowup_threshold: float, stepper: str) -> None:
+def _check_peak(u: np.ndarray, blowup_threshold: float) -> None:
     """Raise BlowupError when max|u| exceeds blowup_threshold, which a NaN
     peak does too."""
     peak = float(np.max(np.abs(u)))
@@ -164,7 +149,7 @@ def _check_peak(u: np.ndarray, blowup_threshold: float, stepper: str) -> None:
         raise BlowupError(
             f"sup norm {peak:.3e} exceeded blow-up threshold {blowup_threshold:.3e}"
             if math.isfinite(peak)
-            else f"non-finite state after {stepper} step: field samples are not all finite"
+            else "non-finite state after Taylor step: field samples are not all finite"
         )
 
 
@@ -210,7 +195,7 @@ class _TaylorMarch:
         """The series of the last `propose` summed at dt, with samples of its
         own. Raises BlowupError unless its peak is at most blowup_threshold."""
         u = _horner([self.store[0, 0], *self.coeffs], dt)
-        _check_peak(u, self.blowup_threshold, "Taylor")
+        _check_peak(u, self.blowup_threshold)
         return _finite_field(self.op.grid, u)
 
     def step(self, dt: float) -> RealField:
@@ -220,44 +205,6 @@ class _TaylorMarch:
         self.op.reset(u.samples)
         _check_resolved(self.op)
         return u
-
-
-def rk4_march(
-    u0: RealField, b: float, t: float, n: int, blowup_threshold: float = 1e6
-) -> RealField:
-    """The RK4 reference march: n classical four-stage Runge-Kutta steps of
-    t/n from u0 (module docstring), with samples of its own.
-
-    Each stage spectrum u_hat + c k_i is formed as u_hat - c (-k_i)
-    (negation is exact). Raises BlowupError unless every new peak is at most
-    blowup_threshold, which a NaN peak fails too.
-    """
-    if not 0 < t < math.inf:
-        raise ConfigurationError(f"t must be positive and finite, got {t}")
-    require_integer("n", n, 1)
-    dt = t / n
-    op = _Operator(u0, b)
-    u_hat = op.stage.copy()
-
-    def minus_f(band: Optional[np.ndarray] = None) -> np.ndarray:
-        # the band of -F at the stage whose band is `band`, loaded into the
-        # operator first; None takes the fields the operator holds
-        if band is not None:
-            op.stage[...] = band
-            op.load()
-        squares = np.multiply(op.fields, op.fields, out=op.squares)
-        return _rhs_from_products(op, squares, np.empty_like(u_hat))
-
-    for _ in range(n):
-        k1 = minus_f()
-        k2 = minus_f(u_hat - (0.5 * dt) * k1)
-        k3 = minus_f(u_hat - (0.5 * dt) * k2)
-        k4 = minus_f(u_hat - dt * k3)
-        u_hat = u_hat - (dt / 6.0) * (((k1 + 2.0 * k2) + 2.0 * k3) + k4)
-        op.stage[...] = u_hat
-        op.load()
-        _check_peak(op.fields[0], blowup_threshold, "RK4")
-    return RealField(u0.grid, op.fields[0].copy())
 
 
 def _sample_times(cfg: EvolveConfig) -> list:

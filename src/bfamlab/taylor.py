@@ -44,7 +44,7 @@ which builds the series of every state, steps with the order it has.
 The temporal radius of convergence is estimated by a root test on the
 coefficient norms of the tail half, once per series. Every coefficient norm
 of this module, of `bfamlab taylor` and of the Taylor march, the radius's,
-the report's |c_k|_L2 lines, its check against RK4 and the march's step
+the report's |c_k|_L2 lines and its defect check, and the march's step
 rule, is `_l2_norm`: sqrt(dx sum_x f(x)^2) from the samples, by discrete
 Parseval, with no FFT.
 """

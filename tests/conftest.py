@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import bfamlab.dynamics
-import bfamlab.evolve
 import bfamlab.grid
 import bfamlab.taylor
 from bfamlab import RealField, make_grid
@@ -79,11 +78,11 @@ def derivative(grid, coeffs, order):
 
 def rk4_states(u0, b, t, steps, samples=1):
     """The RK4 reference march from u0 at b at times t, 2 t, .., samples t:
-    one rk4_march of `steps` steps per span, each from the state the one
-    before returned."""
+    one reference_march of `steps` steps per span, each from the state the
+    one before returned."""
     states = []
     for _ in range(samples):
-        u0 = bfamlab.rk4_march(u0, b, t, steps)
+        u0 = RealField(u0.grid, reference_march(u0, b, t, steps))
         states.append(u0)
     return states
 
@@ -91,9 +90,12 @@ def rk4_states(u0, b, t, steps, samples=1):
 def reference_march(u0, b, t, n):
     """The samples of u after n steps of t/n from u0: classical RK4 on the
     band of rfft(u), written with plain numpy operators and numpy.fft, each
-    stage spectrum u_hat - c (-k_i) and the sum ((k1 + 2 k2) + 2 k3) + k4
-    formed as rk4_march forms them; modes above the band keep the datum's
-    values. The band of -F is A rfft(u^2) + B rfft(u_x^2) with
+    stage spectrum formed as u_hat - c (-k_i) (negation is exact) and the
+    increments summed as ((k1 + 2 k2) + 2 k3) + k4; modes above the band
+    keep the datum's values. The tests check the series of `run` and
+    `taylor_coeffs` against it, and test_evolve.py checks it against an
+    independent complex-FFT step.
+    The band of -F is A rfft(u^2) + B rfft(u_x^2) with
     A = (i xi + b i xi / (1 + xi^2)) / 2 and B = ((3 - b)/2) i xi / (1 + xi^2)."""
     grid = u0.grid
     size, m = grid.n_points, grid.band_size
@@ -190,7 +192,7 @@ def fft_counts(monkeypatch):
         tally["combine"] += 1
         return combine(*args, **kwargs)
 
-    # the stepper and the recursion import the combine by name, so patch every binding
-    for module in (bfamlab.dynamics, bfamlab.evolve, bfamlab.taylor):
+    # rhs_F and the recursion reach the combine by name, so patch every binding
+    for module in (bfamlab.dynamics, bfamlab.taylor):
         monkeypatch.setattr(module, "_rhs_from_products", counted_combine)
     return tally

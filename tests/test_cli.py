@@ -1,6 +1,7 @@
 """Exit codes and output contracts of the command-line surface."""
 
 import argparse
+import dataclasses
 import json
 import math
 import re
@@ -20,6 +21,7 @@ from bfamlab import (
     km_phi,
     km_radius_norm,
     make_grid,
+    rhs_F,
     sobolev_norm,
     taylor,
     write_snapshot,
@@ -552,7 +554,30 @@ class TestTaylorCommand:
         assert main(["taylor", "--config", str(config_file), "--order", "8"]) == 0
         out = capsys.readouterr().out
         assert "temporal radius estimate" in out
-        assert "stepper comparison" in out
+        assert re.search(r"^series check at t = \S+: scaled L2 defect = \S+$", out, re.M)
+
+    def test_check_line_sees_a_perturbed_coefficient(self, tmp_path, capsys, monkeypatch):
+        # c_5 of the N = 64 sine series at b = 2 scaled by 1 + 1e-6: the
+        # series' defect grows about 2.4e3-fold
+        path = tmp_path / "sine.ini"
+        path.write_text(SINE_CONFIG.format(amplitude=0.5, outdir=tmp_path / "out"))
+        build = taylor.taylor_coeffs
+
+        def perturbed(u0, b, order):
+            series = build(u0, b, order)
+            coeffs = list(series.coeffs)
+            coeffs[5] = RealField(series.grid, coeffs[5].samples * (1.0 + 1e-6))
+            return dataclasses.replace(series, coeffs=tuple(coeffs))
+
+        def check_value():
+            assert main(["taylor", "--config", str(path), "--order", "16"]) == 0
+            last = capsys.readouterr().out.splitlines()[-1]
+            return float(re.fullmatch(r"series check at t = 0\.05: scaled L2 defect = (\S+)",
+                                      last).group(1))
+
+        clean = check_value()
+        monkeypatch.setattr(taylor, "taylor_coeffs", perturbed)
+        assert check_value() >= 1e3 * clean > 0.0
 
     @pytest.mark.filterwarnings("default::UserWarning")
     def test_numerical_error_exit_code(self, tmp_path, capsys):
@@ -595,9 +620,10 @@ class TestTaylorCommand:
 
 class TestTaylorReportPin:
     """Each |c_k|_L2 line of `bfamlab taylor` is sobolev_norm(c_k, 0) at 6
-    digits, and its stepper line is the ratio of sobolev_norm of the series'
-    and the reference march's difference to sobolev_norm of the reference
-    march's state."""
+    digits, and its check line is the series' scaled defect at t,
+    t |p' - F(p)| / |p| at 3 digits, with p the series summed at t, p' its
+    derivative sum_k k c_k t^{k-1} summed at t, and every norm
+    sobolev_norm(., 0)."""
 
     FAMILIES = {
         "sine": ("6.283185307179586", "amplitude = 0.5"),
@@ -606,33 +632,32 @@ class TestTaylorReportPin:
         "momentum_bump": ("80.0", "amplitude = 0.5\nwidth = 8.0"),
     }
 
+    @staticmethod
+    def derivative_sum(series, t):
+        """sum_k k c_k t^{k-1} in Horner form."""
+        acc = np.zeros(series.grid.n_points)
+        for k in range(series.order, 0, -1):
+            acc = acc * t + k * series.coeffs[k].samples
+        return acc
+
     # the sine series at N = 512 reaches the coefficient cap before order 64
     @pytest.mark.filterwarnings("ignore:Taylor coefficient c_:UserWarning")
     @pytest.mark.parametrize("n", [64, 256, 512])
     @pytest.mark.parametrize("family", FAMILIES)
     def test_lines_match_sobolev_norm(self, tmp_path, capsys, monkeypatch, family, n):
         box_length, init = self.FAMILIES[family]
-        seen, marches = {}, {}
-        build, march, evaluate = taylor.taylor_coeffs, evolve.rk4_march, taylor.taylor_eval
+        seen = {}
+        build, evaluate = taylor.taylor_coeffs, taylor.taylor_eval
 
         def spy_coeffs(u0, b, order):
             seen["series"] = build(u0, b, order)
             return seen["series"]
 
-        def spy_march(u0, b, t, n, blowup_threshold):
-            # marched once per (b, t, n): the datum does not change within a test
-            key = (b, t, n)
-            if key not in marches:
-                marches[key] = march(u0, b, t, n, blowup_threshold)
-            seen["endpoint"] = marches[key]
-            return marches[key]
-
         def spy_eval(series, t):
-            seen["series_end"] = evaluate(series, t)
+            seen["t"], seen["series_end"] = t, evaluate(series, t)
             return seen["series_end"]
 
         monkeypatch.setattr(taylor, "taylor_coeffs", spy_coeffs)
-        monkeypatch.setattr(evolve, "rk4_march", spy_march)
         monkeypatch.setattr(taylor, "taylor_eval", spy_eval)
         path = tmp_path / "taylor.ini"
         for b in (-1.0, 0.0, 2.0, 3.0):
@@ -650,11 +675,13 @@ class TestTaylorReportPin:
                     f"  |c_{k}|_L2 = {sobolev_norm(c, 0.0):.6g}"
                     for k, c in enumerate(series.coeffs)
                 ], (b, order)
-                endpoint, series_end = seen["endpoint"], seen["series_end"]
-                diff = sobolev_norm(RealField(endpoint.grid, series_end.samples - endpoint.samples), 0.0)
-                ref = sobolev_norm(endpoint, 0.0)
-                rel = diff / ref if ref > 0 else diff
-                assert lines[-1].endswith(f" relative L2 difference = {rel:.3e}"), (b, order)
+                t, p = seen["t"], seen["series_end"]
+                residual = self.derivative_sum(series, t) - rhs_F(p, b).samples
+                defect = t * sobolev_norm(RealField(p.grid, residual), 0.0)
+                size = sobolev_norm(p, 0.0)
+                value = defect / size if size > 0 else defect
+                assert lines[-1] == f"series check at t = {t:g}: scaled L2 defect = {value:.3e}", (
+                    b, order)
 
 
 class TestBoundCommand:

@@ -27,12 +27,12 @@ def test_demo_exits_zero(demo, tmp_path):
 
 
 def test_time_taylor_demo_agrees_with_rk4(tmp_path):
-    # the series against 2000 steps of one RK4 march: at radius/8 only
-    # round-off is left, at radius/4 the 16-term series' truncation shows
+    # the series' scaled defect: at radius/8 only round-off is left, at
+    # radius/4 the 16-term series' truncation shows
     proc = run_demo(ROOT / "demos" / "04_time_taylor_series.py", tmp_path)
     assert proc.returncode == 0, proc.stderr
-    found = re.findall(r"\(= radius/(\d+)\): relative L2 difference (\S+)$", proc.stdout, re.M)
-    differences = {int(fraction): float(value) for fraction, value in found}
-    assert sorted(differences) == [4, 8], proc.stdout
-    assert differences[8] <= 1e-14
-    assert differences[4] <= 1e-10
+    found = re.findall(r"\(= radius/(\d+)\): scaled L2 defect (\S+)$", proc.stdout, re.M)
+    defects = {int(fraction): float(value) for fraction, value in found}
+    assert sorted(defects) == [4, 8], proc.stdout
+    assert defects[8] <= 1e-14
+    assert defects[4] <= 1e-9

@@ -1,4 +1,4 @@
-"""The Taylor march of `run`, the RK4 reference march, blow-up handling, and conservation."""
+"""The Taylor march of `run`, the tests' RK4 reference march, blow-up handling, and conservation."""
 
 import dataclasses
 import itertools
@@ -16,7 +16,6 @@ from bfamlab import (
     conserved_mean,
     make_grid,
     rhs_F,
-    rk4_march,
     run,
     sobolev_norm,
     taylor_coeffs,
@@ -34,50 +33,19 @@ def bump_datum(n=512, length=80.0, amplitude=0.5, width=8.0):
 
 
 class TestRk4Step:
+    """The tests' RK4 reference march, `conftest.reference_march`, on two
+    states it must keep."""
+
     def test_zero_stays_zero(self):
         grid = make_grid(64, 2 * np.pi)
-        out = rk4_march(RealField(grid, np.zeros(64)), 2.0, 0.01, 1)
-        assert np.max(np.abs(out.samples)) == 0.0
+        out = reference_march(RealField(grid, np.zeros(64)), 2.0, 0.01, 1)
+        assert np.max(np.abs(out)) == 0.0
 
     def test_sine_steady_at_b_minus_one(self):
         grid = make_grid(64, 2 * np.pi)
         u = RealField(grid, np.sin(grid.x))
-        out = rk4_march(u, -1.0, 0.005, 1)
-        assert np.max(np.abs(out.samples - u.samples)) < 1e-12
-
-    def test_blowup_threshold(self):
-        grid = make_grid(64, 2 * np.pi)
-        u = RealField(grid, 1e5 * np.sin(grid.x))
-        with pytest.raises(BlowupError):
-            rk4_march(u, 2.0, 0.5, 1, blowup_threshold=1e6)
-
-    def test_nonpositive_dt_rejected(self):
-        grid = make_grid(64, 2 * np.pi)
-        for t in (0.0, -1.0):
-            with pytest.raises(ConfigurationError, match="t must be positive and finite"):
-                rk4_march(RealField(grid, np.zeros(64)), 2.0, t, 1)
-
-    @pytest.mark.parametrize("dt", [math.nan, math.inf])
-    def test_non_finite_dt_rejected(self, dt):
-        grid = make_grid(64, 2 * np.pi)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ConfigurationError, match="t must be positive and finite"):
-                rk4_march(RealField(grid, np.sin(grid.x)), 2.0, dt, 1)
-
-    @pytest.mark.parametrize("n", [0, 1.5, True])
-    def test_step_count_must_be_a_positive_integer(self, n):
-        grid = make_grid(64, 2 * np.pi)
-        with pytest.raises(ConfigurationError, match="n must be an integer >= 1"):
-            rk4_march(RealField(grid, np.sin(grid.x)), 2.0, 0.01, n)
-
-    def test_overflow_in_a_stage_is_blowup(self):
-        grid = make_grid(64, 2 * np.pi)
-        u = RealField(grid, 1e200 * np.sin(grid.x))
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-            BlowupError, match="non-finite state after RK4 step"
-        ):
-            rk4_march(u, 2.0, 0.01, 1, blowup_threshold=1e300)
+        out = reference_march(u, -1.0, 0.005, 1)
+        assert np.max(np.abs(out - u.samples)) < 1e-12
 
 
 def _complex_fft_rhs(u, b, xi, keep):
@@ -102,8 +70,8 @@ def _complex_fft_rk4(u, dt, b, xi, keep):
 
 
 class TestRk4AgainstComplexFft:
-    """rk4_march against an independent complex-FFT step on a field that fills
-    every mode, including those above the dealias cutoff."""
+    """The tests' reference march against an independent complex-FFT step on
+    a field that fills every mode, including those above the dealias cutoff."""
 
     @pytest.fixture
     def full_spectrum_field(self, rng):
@@ -119,9 +87,9 @@ class TestRk4AgainstComplexFft:
         grid = u.grid
         dt = 1e-3
         expected = _complex_fft_rk4(u.samples, dt, b, fft_frequencies(grid)[1], fft_band(grid))
-        out = rk4_march(u, b, dt, 1)
+        out = reference_march(u, b, dt, 1)
         scale = np.max(np.abs(expected))
-        assert np.max(np.abs(out.samples - expected)) / scale <= 1e-13
+        assert np.max(np.abs(out - expected)) / scale <= 1e-13
 
     @pytest.mark.parametrize("b", [-1.0, 2.0, 3.0])
     def test_modes_above_cutoff_stay_frozen(self, full_spectrum_field, b):
@@ -129,9 +97,9 @@ class TestRk4AgainstComplexFft:
         # irfft, not one round trip per step
         u = full_spectrum_field
         grid = u.grid
-        out = rk4_march(u, b, 0.2, 2000)
+        out = reference_march(u, b, 0.2, 2000)
         u_hat = np.fft.fft(u.samples) / grid.n_points
-        out_hat = np.fft.fft(out.samples) / grid.n_points
+        out_hat = np.fft.fft(out) / grid.n_points
         above = ~fft_band(grid)
         assert np.max(np.abs(u_hat[above])) > 1e-3 * np.max(np.abs(u_hat))
         assert np.max(np.abs(out_hat[above] - u_hat[above])) <= 1e-15 * np.max(np.abs(u_hat))
@@ -140,39 +108,16 @@ class TestRk4AgainstComplexFft:
 
 
 class TestFftBudget:
-    """Transform and combine counts of rk4_march, the RK4 reference march,
-    rhs_F and the sign certificate."""
+    """Transform and combine counts of rhs_F and the sign certificate."""
 
     @pytest.fixture
     def u(self):
         grid = make_grid(256, 80.0)
         return RealField(grid, np.exp(-(((grid.x - 40.0) / 3.0) ** 2)))
 
-    def test_one_step_budget(self, u, fft_counts):
-        # rfft(u) and u_x to start the march, then one 16-transform step
-        rk4_march(u, 2.0, 0.01, 1)
-        assert fft_counts == {"real": 18, "complex": 0, "calls": 10, "combine": 4}
-
-    def test_run_step_budget(self, u, fft_counts):
-        # ten steps of the reference march
-        rk4_march(u, 2.0, 0.1, 10)
-        # 2 transforms in 2 calls start the march; each step is 16 in 8
-        assert fft_counts == {"real": 2 + 16 * 10, "complex": 0, "calls": 2 + 8 * 10, "combine": 4 * 10}
-
     def test_rhs_budget(self, u, fft_counts):
         rhs_F(u, 2.0)
         assert fft_counts == {"real": 5, "complex": 0, "calls": 4, "combine": 1}
-
-    def test_one_step_budget_at_b3(self, u, fft_counts):
-        # at b = 3 the operator holds u alone: rfft(u) to start the march,
-        # then one 8-transform step
-        rk4_march(u, 3.0, 0.01, 1)
-        assert fft_counts == {"real": 9, "complex": 0, "calls": 9, "combine": 4}
-
-    def test_run_step_budget_at_b3(self, u, fft_counts):
-        rk4_march(u, 3.0, 0.1, 10)
-        # 1 transform starts the march; each step is 8 in 8
-        assert fft_counts == {"real": 1 + 8 * 10, "complex": 0, "calls": 1 + 8 * 10, "combine": 4 * 10}
 
     def test_rhs_budget_at_b3(self, u, fft_counts):
         rhs_F(u, 3.0)
@@ -182,24 +127,6 @@ class TestFftBudget:
         # both extremes of the verdict come from one momentum field
         evolve._check_sign_certificate(u)
         assert fft_counts == {"real": 2, "complex": 0, "calls": 2, "combine": 0}
-
-
-class TestStepArithmetic:
-    @pytest.mark.parametrize("b", [-1.0, 0.0, 2.0, 3.0])
-    def test_march_matches_plain_rk4_bit_for_bit(self, rng, b):
-        # a datum that fills every mode, those above the band included, and
-        # 40 steps: any change to the step's arithmetic, its order of
-        # operations or its frozen modes shows in the bytes
-        grid = make_grid(256, 2 * np.pi)
-        k = np.arange(129)
-        coeffs = (rng.standard_normal(129) + 1j * rng.standard_normal(129)) / (1.0 + k) ** 2
-        samples = np.fft.irfft(coeffs, 256)
-        u0 = RealField(grid, 0.5 * samples / np.max(np.abs(samples)))
-        out = rk4_march(u0, b, 0.4, 40).samples
-        want = reference_march(u0, b, 0.4, 40)
-        assert np.all(np.isfinite(want))
-        assert np.max(np.abs(want - u0.samples)) > 1e-3
-        assert out.tobytes() == want.tobytes()
 
 
 class TestRun:
@@ -360,8 +287,7 @@ class TestRun:
 
 
 class TestRunMarch:
-    """run's march loop: blow-up, abort time, step spans; and the RK4
-    reference march split in two against one march."""
+    """run's march loop: blow-up, abort time, step spans."""
 
     def test_threshold_overflow_aborts_with_partial_trajectory(self):
         # the first step's sup|u| is about 1, above the threshold
@@ -408,15 +334,6 @@ class TestRunMarch:
         assert err.time >= traj.snapshots[-1][0]
         assert err.time == pytest.approx(math.fsum(traj.spans), abs=1e-12)
 
-    def test_split_horizon_matches_one_march(self):
-        # two marches of 6 and 9 steps, the second from the samples the first
-        # returned, against one march of 15 steps of the same size
-        u0 = bump_datum(n=256, amplitude=0.8, width=5.0)
-        whole = rk4_march(u0, 2.0, 0.75, 15).samples
-        split = rk4_march(rk4_march(u0, 2.0, 0.3, 6), 2.0, 0.45, 9).samples
-        assert np.max(np.abs(whole - u0.samples)) > 1e-3
-        assert np.max(np.abs(split - whole)) / np.max(np.abs(whole)) <= 1e-13
-
     def test_steps_and_dt_range_recorded(self, monkeypatch):
         # the one witness of traj.spans that does not read it: every step
         # that advances the state is logged, the last one, which loads the
@@ -444,15 +361,10 @@ class TestRunMarch:
         traj = run(bump_datum(n=128), cfg)
         assert traj.spans == []
 
-    @pytest.mark.parametrize("march", ["taylor", "rk4"])
-    def test_snapshots_own_their_samples(self, march):
-        # rk4_march returns a copy of the operator's reused fields
+    def test_snapshots_own_their_samples(self):
         u0 = bump_datum(n=128)
-        if march == "taylor":
-            cfg = EvolveConfig(b=2.0, t_final=0.3, sample_interval=0.1)
-            states = [u.samples for _, u in run(u0, cfg).snapshots]
-        else:
-            states = [u0.samples] + [u.samples for u in rk4_states(u0, 2.0, 0.1, 10, samples=3)]
+        cfg = EvolveConfig(b=2.0, t_final=0.3, sample_interval=0.1)
+        states = [u.samples for _, u in run(u0, cfg).snapshots]
         assert all(not np.shares_memory(a, b) for i, a in enumerate(states) for b in states[i + 1:])
         assert all(np.max(np.abs(a - b)) > 0 for a, b in zip(states, states[1:]))
 
@@ -885,9 +797,9 @@ class TestOrderOfAccuracy:
         u0 = initial_data("gaussian", {"amplitude": 1.0, "width": 5.0}, grid)
 
         n0 = 10
-        coarse = rk4_march(u0, 2.0, 0.5, n0)
-        medium = rk4_march(u0, 2.0, 0.5, 2 * n0)
-        reference = rk4_march(u0, 2.0, 0.5, 8 * n0)
-        e_coarse = np.linalg.norm(coarse.samples - reference.samples)
-        e_medium = np.linalg.norm(medium.samples - reference.samples)
+        coarse = reference_march(u0, 2.0, 0.5, n0)
+        medium = reference_march(u0, 2.0, 0.5, 2 * n0)
+        reference = reference_march(u0, 2.0, 0.5, 8 * n0)
+        e_coarse = np.linalg.norm(coarse - reference)
+        e_medium = np.linalg.norm(medium - reference)
         assert 14.0 <= e_coarse / e_medium <= 18.0

@@ -18,7 +18,6 @@ from bfamlab import (
     inverse_momentum,
     make_grid,
     momentum,
-    rk4_march,
     sobolev_norm,
 )
 from bfamlab.grid import _irfft, _rfft
@@ -296,8 +295,10 @@ class TestRemovedOneLiners:
         "Trajectory.steps": "len(traj.spans)",
         "Trajectory.dt_min": "min(traj.spans, default=None)",
         "Trajectory.dt_max": "max(traj.spans, default=None)",
-        'run(u0, EvolveConfig(..., stepper="rk4")).final_state': "rk4_march(u0, b, t, n)",
-        "rk4_step(u, dt, b)": "rk4_march(u, b, dt, 1)",
+        'run(u0, EvolveConfig(..., stepper="rk4")).final_state':
+            "RealField(u0.grid, reference_march(u0, b, t, n))",
+        "rk4_step(u, dt, b)": "RealField(u.grid, reference_march(u, b, dt, 1))",
+        "rk4_march(u0, b, t, n)": "RealField(u0.grid, reference_march(u0, b, t, n))",
     }
     # the removed functions as they were defined, each over one more input;
     # `cfg` stands for an EvolveConfig as it was, with its dt_max and cfl_safety
@@ -320,7 +321,7 @@ class TestRemovedOneLiners:
         u = random_field
         g, n = u.grid, u.grid.n_points
         scope = {"np": np, "RealField": RealField, "momentum": momentum,
-                 "sobolev_norm": sobolev_norm, "rk4_march": rk4_march,
+                 "sobolev_norm": sobolev_norm, "reference_march": reference_march,
                  "u": u, "g": g, "N": n,
                  "c": series_coefficients(u)}
         for name, expression in self.FREQUENCIES.items():
@@ -388,14 +389,16 @@ class TestRemovedOneLiners:
             assert [run(name, traj=record) for name in counters] == [steps, dt_min, dt_max]
 
         # the RK4 run of the removed stepper option, n steps of t / n when the
-        # removed dt_max was t / n, and the removed single step, bit for bit
-        # against the plain-numpy reference march
+        # removed dt_max was t / n, the removed single step and the removed
+        # RK4 march, bit for bit against the plain-numpy reference march
         rk4_run = 'run(u0, EvolveConfig(..., stepper="rk4")).final_state'
         got = run(rk4_run, u0=u, b=2.0, t=0.02, n=10).samples
         assert np.max(np.abs(got - u.samples)) > 1e-3
         assert got.tobytes() == reference_march(u, 2.0, 0.02, 10).tobytes()
         got = run("rk4_step(u, dt, b)", b=2.0, dt=0.002).samples
         assert got.tobytes() == reference_march(u, 2.0, 0.002, 1).tobytes()
+        got = run("rk4_march(u0, b, t, n)", u0=u, b=3.0, t=0.02, n=10).samples
+        assert got.tobytes() == reference_march(u, 3.0, 0.02, 10).tobytes()
 
 
 random_grids = st.tuples(

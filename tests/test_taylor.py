@@ -13,14 +13,18 @@ from bfamlab import (
     TaylorSeries,
     make_grid,
     rhs_F,
-    rk4_march,
     sobolev_norm,
     taylor_coeffs,
     taylor_eval,
     time_radius_estimate,
 )
 from bfamlab.scenarios import initial_data
-from conftest import conservative_band, reference_derivative, reference_wavenumbers
+from conftest import (
+    conservative_band,
+    reference_derivative,
+    reference_march,
+    reference_wavenumbers,
+)
 
 
 def loop_coeffs(u0, b, order, dtype=np.float64):
@@ -369,7 +373,7 @@ class TestAgainstStepper:
         u0 = initial_data("gaussian", {"amplitude": 1.0, "width": 5.0}, grid)
         series = taylor_coeffs(u0, b, 12)
         t = 0.01
-        endpoint = rk4_march(u0, b, t, 2000)
+        endpoint = RealField(grid, reference_march(u0, b, t, 2000))
         approx = taylor_eval(series, t)
         rel = sobolev_norm(
             RealField(grid, approx.samples - endpoint.samples), 0.0
@@ -382,7 +386,7 @@ class TestAgainstStepper:
         series = taylor_coeffs(u0, 2.0, 16)
         rho = time_radius_estimate(series)
         t = rho / 4
-        endpoint = rk4_march(u0, 2.0, t, 4000)
+        endpoint = RealField(grid, reference_march(u0, 2.0, t, 4000))
         approx = taylor_eval(series, t)
         rel = sobolev_norm(
             RealField(grid, approx.samples - endpoint.samples), 0.0
