@@ -17,19 +17,11 @@ from .analyticity import (
     default_gamma,
     fit_decay_radius,
     km_bound_from_run,
-    km_bound_radius,
     km_bound_sigma,
     km_constants,
     km_lambda,
 )
-from .dynamics import (
-    conserved_mean,
-    inverse_momentum,
-    momentum,
-    momentum_l1,
-    momentum_min,
-    rhs_F,
-)
+from .dynamics import inverse_momentum, momentum, rhs_F
 from .errors import (
     BlowupError,
     ConfigurationError,

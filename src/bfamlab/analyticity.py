@@ -3,7 +3,12 @@
 Two complementary views of the spatial analyticity radius:
 
 * empirical: the exponential decay rate of the Fourier coefficients,
-  recovered by a log-linear fit over the resolved part of the half spectrum;
+  recovered by a log-linear fit over the resolved part of the half spectrum.
+  `_fit` is its one implementation: it takes a reading (`norms._Spectrum`)
+  and k_min, and owns the mode window, the logs, the line fit, the band and
+  floor_hit. `fit_decay_radius` wraps its result in a RadiusFit, and each
+  row of a run's diagnostics (`scenarios._sample_columns`) calls it on the
+  reading that the row already holds;
 * theoretical: the a-priori strip lower bound r(t) = e^{sigma(t)},
   sigma(t) = gamma - lambda (e^{A(mu) t / 2} - 1), driven by the explicit
   rates A(p) = (32 + 16|b| + 64|3-b|) p and
@@ -11,6 +16,9 @@ Two complementary views of the spatial analyticity radius:
   with mu = 1 + max over the run of the H^2 norm, gamma < 0 fixed, and
   lambda = 2 B(mu, phi0) / A(mu) obtained by integrating the comparison
   system  dPhi/dt = A(mu) Phi,  dsigma/dt = -B(mu, Phi)  in closed form.
+  `km_bound_sigma` gives sigma(t); r(t) is its exponential, as `bfamlab
+  bound` prints it. `km_bound_from_run` takes the H^2 norms from its
+  caller, the run's h2 column, and computes none.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, InsufficientBandError, require_integer
-from .norms import _line_fit, _mean, _spectrum, km_phi, sobolev_norm
+from .norms import _line_fit, _mean, _spectrum, _Spectrum, km_phi
 
 DEFAULT_FIT_K_MIN = 4
 DEFAULT_M_TRUNC = 32
@@ -67,42 +75,42 @@ def fit_decay_radius(u, k_min: int = DEFAULT_FIT_K_MIN) -> RadiusFit:
     """Fit log|u_hat_k| = const - sigma_hat * |xi_k| over the usable band.
 
     u is a RealField or its reading `norms._spectrum(u)`, as every norm
-    takes; the half-spectrum modes k = 1 .. N/2 - 1 are fitted. Modes below
-    k_min encode bulk shape rather than tail decay and are excluded, as are
-    the modes the reading drops below its round-off floor.
-    Raises ConfigurationError unless k_min is an integer >= 1, and
+    takes; the modes are chosen and fitted by `_fit`. Raises
+    ConfigurationError unless k_min is an integer >= 1, and
     InsufficientBandError with fewer than 8 usable modes.
     """
     require_integer("k_min", k_min, 1)
-    spectrum = _spectrum(u)
+    sigma_hat, fit_quality, modes, floor_hit = _fit(_spectrum(u), k_min)
+    return RadiusFit(sigma_hat, fit_quality, (int(modes[0]), int(modes[-1])), floor_hit)
+
+
+def _fit(spectrum: _Spectrum, k_min: int) -> tuple:
+    """(sigma_hat, fit_quality, modes, floor_hit) of the decay fit of a reading,
+    the one implementation of the fit: `fit_decay_radius` and each row of a
+    run's diagnostics call it.
+
+    The modes fitted are the half-spectrum modes k_min <= k < N/2 that the
+    reading keeps above its round-off floor: those below k_min encode bulk
+    shape rather than tail decay, and the Nyquist mode is not fitted.
+    sigma_hat is minus the slope of the least-squares line through their
+    points (|xi|, log|u_hat|), clamped at 0, and fit_quality its R^2, clamped
+    to [0, 1]. modes lists the fitted mode numbers, and floor_hit is set when
+    the round-off floor dropped one of the modes k_min <= k < N/2. Raises
+    InsufficientBandError with fewer than MIN_FIT_MODES modes, and warns when
+    the decay steepens with |xi| past the floor.
+    """
     if spectrum.amp.size == 0:
         raise InsufficientBandError("cannot fit a decay rate to a zero spectrum")
-    ks = np.flatnonzero(spectrum.kept)
-    stop = spectrum.kept.size - 1
-    usable = (ks >= k_min) & (ks < stop)
-    xs, ys = spectrum.abs_xi[usable], np.log(spectrum.amp[usable])
-    sigma_hat, fit_quality, floor_hit = _fit(xs, ys, k_min, stop - k_min)
-    return RadiusFit(
-        sigma_hat=sigma_hat,
-        fit_quality=fit_quality,
-        band=(int(ks[usable][0]), int(ks[usable][-1])),
-        floor_hit=floor_hit,
-    )
-
-
-def _fit(xs: np.ndarray, ys: np.ndarray, k_min: int, band_modes: int) -> tuple:
-    """(sigma_hat, fit_quality, floor_hit) of the line through the usable modes'
-    points (|xi|, log|u_hat|), with sigma_hat and fit_quality clamped as
-    RadiusFit holds them; band_modes counts the modes k_min <= k < N/2, so
-    floor_hit is set when the round-off floor dropped one of them. Raises
-    InsufficientBandError with fewer than MIN_FIT_MODES points, and warns
-    when the decay steepens with |xi| past the floor."""
+    kept, stop = spectrum.kept, spectrum.kept.size - 1
+    # the kept modes run in ascending k, so the window is one slice of them
+    lo, hi = np.count_nonzero(kept[:k_min]), np.count_nonzero(kept[:stop])
+    xs, ys = spectrum.abs_xi[lo:hi], np.log(spectrum.amp[lo:hi])
     count = xs.size
     if count < MIN_FIT_MODES:
         raise InsufficientBandError(
             f"only {count} usable modes above k = {k_min}; need at least {MIN_FIT_MODES}"
         )
-    floor_hit = count < band_modes
+    floor_hit = count < stop - k_min
     slope, intercept = _line_fit(xs, ys)
     resid = ys - (slope * xs + intercept)
     ss_tot = float(np.add.reduce((ys - _mean(ys)) ** 2))
@@ -114,7 +122,8 @@ def _fit(xs: np.ndarray, ys: np.ndarray, k_min: int, band_modes: int) -> tuple:
             "resolution",
             stacklevel=3,
         )
-    return max(0.0, -slope), min(1.0, max(0.0, r2)), floor_hit
+    modes = k_min + np.flatnonzero(kept[k_min:stop])
+    return max(0.0, -slope), min(1.0, max(0.0, r2)), modes, floor_hit
 
 
 def _decay_accelerating(xs: np.ndarray, ys: np.ndarray) -> bool:
@@ -166,37 +175,27 @@ def km_bound_sigma(t, bound: KMBound):
     return float(sigma) if sigma.ndim == 0 else sigma
 
 
-def km_bound_radius(t: float, bound: KMBound) -> float:
-    """r(t) = e^{sigma(t)}; in (0, 1) for gamma < 0, lambda > 0."""
-    sigma = km_bound_sigma(t, bound)
-    return float(np.exp(sigma)) if math.isfinite(sigma) else 0.0
-
-
 def km_bound_from_run(
-    trajectory, gamma: float, m_trunc: int = DEFAULT_M_TRUNC, h2_norms=None
+    trajectory, gamma: float, h2_norms, m_trunc: int = DEFAULT_M_TRUNC
 ) -> KMBound:
     """Populate the bound constants from a sampled trajectory.
 
-    mu is the sampled maximum of 1 + |u|_{H^2} (under-sampling can
-    under-estimate it). h2_norms, when given, are the H^2 norms of the
-    snapshots in order, as a caller that already took them passes them;
-    otherwise they are computed from the snapshots. phi0 evaluates the
-    strip functional of the initial state at sigma = gamma, matching the
-    ODE initial condition.
+    h2_norms are the H^2 norms of the snapshots in order, the `h2` column of
+    the run's diagnostics; mu is 1 + their maximum (under-sampling can
+    under-estimate it). phi0 evaluates the strip functional of the initial
+    state at sigma = gamma, matching the ODE initial condition.
     """
     if not trajectory.snapshots:
         raise ConfigurationError("trajectory has no snapshots")
-    if h2_norms is None:
-        h2_norms = [sobolev_norm(u, 2.0) for _, u in trajectory.snapshots]
-    elif len(h2_norms) != len(trajectory.snapshots):
+    if len(h2_norms) != len(trajectory.snapshots):
         raise ConfigurationError(
             f"{len(h2_norms)} H^2 norms for {len(trajectory.snapshots)} snapshots"
         )
     mu = 1.0 + max(h2_norms)
     phi0 = km_phi(trajectory.snapshots[0][1], gamma, m_trunc)
-    lam = km_lambda(trajectory.b, mu, phi0)
-    k_rate, _ = km_constants(trajectory.b, mu, phi0)
-    return KMBound(b=trajectory.b, mu=mu, K_rate=k_rate, gamma=gamma, lam=lam, phi0=phi0)
+    k_rate, b_val = km_constants(trajectory.b, mu, phi0)
+    return KMBound(b=trajectory.b, mu=mu, K_rate=k_rate, gamma=gamma,
+                   lam=2.0 * b_val / k_rate, phi0=phi0)
 
 
 def default_gamma(sigma_hat0: float) -> float:

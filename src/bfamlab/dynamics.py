@@ -45,11 +45,15 @@ no allocation and no view made; at b = 3 it is one rfft of [f^2] and one
 multiply by A, 2 numpy calls. It returns -F, so callers subtract it, or
 divide it by a negative number, where they would have added F.
 
-The monitored functionals here are the ones the state's samples or its
-momentum give: the mean, |m|_L1 and min m. The H^1 norm is
-`norms.sobolev_norm(u, 1.0)`, the `h1` column of a run's diagnostics; its
-square, the integral of u^2 + u_x^2, is conserved only at b = 2. This module
-imports only `grid` and `errors`.
+The monitored functionals are columns of a run's diagnostics, computed for
+all sampled states at once by `scenarios._sample_columns` and nowhere else:
+`mean_u`, the integral of u, conserved for every b as both terms of F are
+exact x-derivatives; `m_l1`, the trapezoid sum of |m| for the momentum
+m = u - u_xx of `momentum`, conserved while m keeps its sign; `m_min`, the
+grid minimum of m, the sign certificate; and `h1`, `norms.sobolev_norm(u, 1.0)`,
+whose square, the integral of u^2 + u_x^2, is conserved only at b = 2. A
+single state's values are `_sample_columns([u], k_min)`. This module imports
+only `grid` and `errors`.
 """
 
 from __future__ import annotations
@@ -138,30 +142,3 @@ def momentum(u: RealField) -> RealField:
 def inverse_momentum(m: RealField) -> RealField:
     """The u with momentum(u) = m; smoothing inverse of the Helmholtz operator."""
     return _helmholtz_half(m, np.multiply)
-
-
-def conserved_mean(u: RealField) -> float:
-    """Exact spectral quadrature of the integral of u over the box, L*u_hat[0].
-
-    Both terms of the evolution law are exact x-derivatives (the advective
-    term is -(u^2/2)_x), so this functional is conserved for every b.
-    """
-    return u.grid.box_length * float(np.mean(u.samples))
-
-
-def momentum_l1(u: RealField) -> float:
-    """Periodic trapezoid quadrature of |m|, m = u - u_xx.
-
-    Conserved by the flow whenever m never changes sign.
-    """
-    return u.grid.dx * float(np.sum(np.abs(momentum(u).samples)))
-
-
-def momentum_min(u: RealField) -> float:
-    """Grid minimum of the momentum density; sign certificate for m >= 0.
-
-    Spectral data cannot certify pointwise sign between nodes; treat values
-    above roughly -1e-10 * max|m| as non-negative.
-    """
-    return float(np.min(momentum(u).samples))
-

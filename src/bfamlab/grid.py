@@ -52,9 +52,10 @@ class GridSpec:
             raise ConfigurationError(
                 f"box_length must be positive and finite, got {self.box_length}"
             )
-        if not 0 < self.dealias_fraction <= 1:
+        if not 0 < self.dealias_fraction <= DEFAULT_DEALIAS_FRACTION:
+            # above 2/3 the products of the top band modes alias onto the band
             raise ConfigurationError(
-                f"dealias_fraction must lie in (0, 1], got {self.dealias_fraction}"
+                f"dealias_fraction must lie in (0, 2/3], got {self.dealias_fraction}"
             )
 
     @cached_property
@@ -78,8 +79,12 @@ class GridSpec:
 
     @cached_property
     def band_size(self) -> int:
-        """Number m of half-spectrum modes kept by the dealias rule, k <= fraction * N/2."""
-        return int(self.dealias_fraction * (self.n_points // 2)) + 1
+        """Number m of half-spectrum modes kept by the dealias rule: k <= fraction * N/2
+        and 3 k < N (Orszag's two-thirds rule), so that the square of a band mode K,
+        at 2 K, aliases to N - 2 K > K, above the band. Where 3 divides N and the
+        fraction is 2/3, this drops k = N/3, whose square aliases back onto it."""
+        n = self.n_points
+        return min(int(self.dealias_fraction * (n // 2)), (n - 1) // 3) + 1
 
     @cached_property
     def half_deriv_multiplier(self) -> np.ndarray:

@@ -45,6 +45,8 @@ from .grid import GridSpec, RealField, _irfft, _rfft, make_grid
 
 INIT_FAMILIES = ("gaussian", "sech", "sine", "momentum_bump")
 
+MAX_BOX_IMAGES = 64  # box images per side that a periodized datum may sum
+
 SNAPSHOT_MAGIC = b"BGEV"
 SNAPSHOT_VERSION = 1
 _HEADER = struct.Struct("<4sIQddd")  # magic, version, N, L, t, b
@@ -125,9 +127,26 @@ class Snapshot:
 
 
 def _periodized(profile, x: np.ndarray, center: float, box_length: float) -> np.ndarray:
-    # +-1 box images restore periodicity to machine precision for L >= 40*width
+    """The sum of profile(x - center + n L) over the box images n = -M .. M, for
+    a profile that peaks at 0 and decays with |y|, and x and center in [0, L).
+
+    Every omitted image lies more than M L from its center, so M is the least
+    count for which profile(M L) is below the round-off of the peak, eps
+    profile(0): one image per side where L is about 6 widths (gaussian) or 37
+    widths (sech) or more. A profile that needs more than MAX_BOX_IMAGES per
+    side is a ConfigurationError.
+    """
+    with np.errstate(over="ignore"):  # cosh overflows far out, where the image is 0
+        images = next((m for m in range(1, MAX_BOX_IMAGES + 1)
+                       if profile(m * box_length) <= np.finfo(float).eps * profile(0.0)), None)
+    if images is None:
+        raise ConfigurationError(
+            f"the datum decays too slowly to be periodized on a box of length "
+            f"{box_length:g}: it needs more than {MAX_BOX_IMAGES} box images per side; "
+            f"use a smaller width"
+        )
     out = np.zeros_like(x)
-    for shift in (-1.0, 0.0, 1.0):
+    for shift in range(-images, images + 1):
         out += profile(x - center + shift * box_length)
     return out
 
@@ -155,7 +174,7 @@ def build_initial(cfg: RunConfig) -> RealField:
 def _initial_field(spec: InitSpec, grid: GridSpec) -> RealField:
     x = grid.x
     length = grid.box_length
-    # _periodized adds the +-1 box images only, which cover a center in [0, L)
+    # _periodized counts its box images from a center in [0, L)
     center = spec.center % length if spec.center is not None else 0.5 * length
     a, w = spec.amplitude, spec.width
     if spec.family == "gaussian":
@@ -428,16 +447,19 @@ class ScenarioResult:
 def _sample_columns(states, k_min: int) -> dict:
     """The columns that each sampled state alone fixes, an array each with
     one value per state; the fit columns are NaN where a state has too few
-    usable modes.
+    usable modes. This is the one implementation of every one of them: a
+    single state's values are `_sample_columns([u], k_min)`, with the bits of
+    its row in any batch.
 
     The states are read as one (S, N) block. One stacked rfft gives every
     half spectrum, and the same spectra divided by 1/(1 + xi^2) give the
-    momentum fields of m_l1 and m_min in one stacked irfft: 2 transform
-    calls of S rows each. |u_hat|, the round-off floor, the logs and the
-    mean and momentum columns are whole-array operations. Each row is then
-    compressed to its kept modes for the one log-sum-exp of l2, h1 and h2
-    and for the decay fit, so every column has the bits of sobolev_norm,
-    fit_decay_radius and the dynamics functionals on that state alone.
+    momentum fields m = u - u_xx in one stacked irfft: 2 transform calls of
+    S rows each. |u_hat|, the round-off floor and the columns mean_u (the
+    integral of u, L times the mean sample), m_l1 (the trapezoid sum of |m|)
+    and m_min (the grid minimum of m) are whole-array operations. Each row's
+    reading (`norms._reading`) then gives l2, h1 and h2 from one log-sum-exp
+    and the decay fit from `analyticity._fit`, so those columns have the bits
+    of sobolev_norm and fit_decay_radius on that state alone.
     `norms._sobolev_norms` is looked up in its module per row, so a patched
     one is used.
     """
@@ -447,21 +469,14 @@ def _sample_columns(states, k_min: int) -> dict:
     amp, kept, log_weight = norms._amplitudes(grid, spectra)
     mean_u = grid.box_length * np.mean(samples, axis=1)
     momenta = _irfft(np.divide(spectra, grid.helmholtz_inv_multiplier, out=spectra), samples)
-    del spectra  # log_amp takes its memory
-    log_amp = np.log(amp, out=np.empty_like(amp), where=kept)
     m_min = np.minimum.reduce(momenta, axis=1)
     m_l1 = grid.dx * np.add.reduce(np.abs(momenta, out=momenta), axis=1)
-    stop = amp.shape[-1] - 1  # the Nyquist mode is not fitted
-    in_band = np.zeros(amp.shape[-1], dtype=bool)
-    in_band[k_min:stop] = True
     l2, h1, h2, sigma_hat, fit_quality = np.empty((5, len(states)))
     for row in range(len(states)):
         spectrum = norms._reading(grid, amp[row], kept[row], log_weight[row])
         l2[row], h1[row], h2[row] = norms._sobolev_norms(spectrum, (0.0, 1.0, 2.0))
-        usable = kept[row] & in_band
         try:
-            sigma_hat[row], fit_quality[row], _ = analyticity._fit(
-                grid.xi[usable], log_amp[row, usable], k_min, stop - k_min)
+            sigma_hat[row], fit_quality[row], _, _ = analyticity._fit(spectrum, k_min)
         except InsufficientBandError:
             sigma_hat[row] = fit_quality[row] = math.nan
     return dict(l2=l2, h1=h1, h2=h2, mean_u=mean_u, m_l1=m_l1, m_min=m_min,
@@ -479,7 +494,7 @@ def compute_diagnostics(trajectory, diag: DiagnosticsSpec):
         gamma = diag.gamma_override
     else:
         gamma = analyticity.default_gamma(columns["sigma_hat"][0])
-    bound = analyticity.km_bound_from_run(trajectory, gamma, diag.m_trunc, columns["h2"].tolist())
+    bound = analyticity.km_bound_from_run(trajectory, gamma, columns["h2"].tolist(), diag.m_trunc)
     columns.update(t=times, km_sigma_bound=analyticity.km_bound_sigma(times, bound),
                    dt_used=np.array(trajectory.dt_used, dtype=float))
     return {name: columns[name] for name in DIAGNOSTIC_COLUMNS}, bound

@@ -10,12 +10,13 @@ from bfamlab import RealField, make_grid
 
 
 def reference_wavenumbers(n, box_length):
-    """i xi_k for k = 0 .. N/2 (Nyquist zeroed), xi_k, and the 2/3 dealias mask."""
+    """i xi_k for k = 0 .. N/2 (Nyquist zeroed), xi_k, and the 2/3 dealias mask,
+    3 k < N (Orszag's two-thirds rule)."""
     k = np.arange(n // 2 + 1)
     xi = 2.0 * np.pi * k / box_length
     ixi = 1j * xi
     ixi[-1] = 0.0
-    return ixi, xi, k <= (2.0 / 3.0) * (n // 2)
+    return ixi, xi, 3 * k < n
 
 
 def conservative_band(square, dsquare, b, box_length):
@@ -24,7 +25,7 @@ def conservative_band(square, dsquare, b, box_length):
 
         -F = d/dx [ u^2/2 + (1 - d^2/dx^2)^{-1} ((b/2) u^2 + ((3-b)/2) u_x^2) ],
 
-    with both spectra cut to |k| <= (2/3) N/2; unnormalised, like numpy's
+    with both spectra cut to 3 |k| < N; unnormalised, like numpy's
     rfft. A reference for the combine built on numpy.fft alone, in the
     squares' own precision.
     """
@@ -50,8 +51,8 @@ def fft_frequencies(grid):
 
 
 def fft_band(grid):
-    """The 2/3-rule band over fft_frequencies(grid): True where |k| <= (2/3) N/2."""
-    return np.abs(fft_frequencies(grid)[0]) <= (2.0 / 3.0) * (grid.n_points // 2)
+    """The 2/3-rule band over fft_frequencies(grid): True where 3 |k| < N."""
+    return 3 * np.abs(fft_frequencies(grid)[0]) < grid.n_points
 
 
 def planted_field(grid, coeffs):

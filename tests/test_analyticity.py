@@ -14,12 +14,12 @@ from bfamlab import (
     default_gamma,
     fit_decay_radius,
     km_bound_from_run,
-    km_bound_radius,
     km_bound_sigma,
     km_constants,
     km_lambda,
     make_grid,
     run,
+    sobolev_norm,
 )
 from bfamlab.norms import _spectrum
 from bfamlab.scenarios import initial_data
@@ -204,6 +204,11 @@ class TestKmLambda:
         assert abs(y[0] - closed) / abs(closed) < 1e-6
 
 
+def h2_column(trajectory):
+    """The H^2 norms of a trajectory's snapshots, as the run's h2 column holds them."""
+    return [sobolev_norm(u, 2.0) for _, u in trajectory.snapshots]
+
+
 def assert_column_is_the_scalar_calls(ts, bound):
     """km_bound_sigma over an array of times has the bits of one float call per time."""
     column = km_bound_sigma(np.array(ts, dtype=float), bound)
@@ -220,8 +225,9 @@ class TestKmBound:
     def test_at_time_zero(self):
         bound = self.bound(gamma=-0.3)
         assert km_bound_sigma(0.0, bound) == pytest.approx(-0.3)
-        assert km_bound_radius(0.0, bound) == pytest.approx(math.exp(-0.3))
-        assert km_bound_radius(0.0, bound) < 1.0
+        # r(t) = e^{sigma(t)}, as `bfamlab bound` prints it
+        assert np.exp(km_bound_sigma(0.0, bound)) == pytest.approx(math.exp(-0.3))
+        assert np.exp(km_bound_sigma(0.0, bound)) < 1.0
 
     def test_formula_value(self):
         # gamma - lambda (e^{K t/2} - 1) at t = 0.01, K = 128, lambda = 12
@@ -239,12 +245,12 @@ class TestKmBound:
     def test_radius_in_unit_interval(self):
         bound = self.bound()
         for t in (0.0, 0.05, 0.5):
-            assert 0.0 <= km_bound_radius(t, bound) < 1.0
+            assert 0.0 <= np.exp(km_bound_sigma(t, bound)) < 1.0
 
     def test_overflow_saturates(self):
         bound = self.bound()
         assert km_bound_sigma(1e3, bound) == -math.inf
-        assert km_bound_radius(1e3, bound) == 0.0
+        assert np.exp(km_bound_sigma(1e3, bound)) == 0.0
         # a column that crosses the overflow of lam * e^{K t/2} and of e^{K t/2}
         column = assert_column_is_the_scalar_calls([0.0, 0.5, 10.9, 11.09, 11.2, 1e3], bound)
         assert np.isfinite(column[:3]).all() and np.all(column[3:] == -math.inf)
@@ -266,7 +272,7 @@ class TestKmBoundFromRun:
         u0 = RealField(grid, np.zeros(64))
         cfg = EvolveConfig(b=2.0, t_final=0.2, sample_interval=0.1)
         trajectory = run(u0, cfg)
-        bound = km_bound_from_run(trajectory, gamma=-0.2)
+        bound = km_bound_from_run(trajectory, -0.2, h2_column(trajectory))
         assert bound.mu == 1.0
         assert bound.phi0 == 0.0
         assert bound.lam == 0.0
@@ -276,13 +282,11 @@ class TestKmBoundFromRun:
         assert np.all(column == bound.gamma)
 
     def test_single_snapshot_mu(self):
-        from bfamlab import sobolev_norm
-
         grid = make_grid(128, 2 * np.pi)
         u0 = RealField(grid, 0.5 * np.sin(grid.x))
         cfg = EvolveConfig(b=2.0, t_final=0.0, sample_interval=0.1)
         trajectory = run(u0, cfg)
-        bound = km_bound_from_run(trajectory, gamma=-0.1)
+        bound = km_bound_from_run(trajectory, -0.1, h2_column(trajectory))
         assert bound.mu == pytest.approx(1.0 + sobolev_norm(u0, 2.0), rel=1e-13)
 
     def test_given_h2_norms(self):
@@ -293,13 +297,16 @@ class TestKmBoundFromRun:
         assert km_bound_from_run(trajectory, -0.1, h2_norms=[1.0, 4.0, 2.0]).mu == 5.0
         with pytest.raises(ConfigurationError):
             km_bound_from_run(trajectory, -0.1, h2_norms=[1.0, 4.0])
+        # the norms are the caller's: the bound takes none of its own
+        with pytest.raises(TypeError):
+            km_bound_from_run(trajectory, -0.1)
 
     def test_gamma_validation(self):
         grid = make_grid(64, 2 * np.pi)
         cfg = EvolveConfig(b=2.0, t_final=0.0, sample_interval=0.1)
         trajectory = run(RealField(grid, np.zeros(64)), cfg)
         with pytest.raises(ConfigurationError):
-            km_bound_from_run(trajectory, gamma=0.0)
+            km_bound_from_run(trajectory, 0.0, h2_column(trajectory))
 
 
 class TestDefaultGamma:

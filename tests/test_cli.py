@@ -277,6 +277,27 @@ class TestRunCommand:
             assert main(["run", "--config", str(path)]) == 2
         assert "non-finite state" in capsys.readouterr().err
 
+    def test_dealias_fraction_above_two_thirds_exit_code(self, tmp_path, capsys):
+        # at fraction 1 every product of two band modes aliases onto the band
+        path = tmp_path / "full.ini"
+        path.write_text(SINE_CONFIG.replace("[run]", "dealias_fraction = 1.0\n\n[run]").format(
+            amplitude=0.5, outdir=tmp_path / "out"))
+        assert main(["run", "--config", str(path)]) == 1
+        assert capsys.readouterr() == (
+            "", "configuration error: dealias_fraction must lie in (0, 2/3], got 1.0\n")
+
+    def test_default_box_sech_reads_its_strip(self, tmp_path, capsys):
+        # the minimal sech config, on L = 2 pi: its datum must be the periodic
+        # sech, whose spectrum decays at the strip half-width pi/2
+        path = tmp_path / "sech.ini"
+        path.write_text(
+            f"[run]\nb = 2.0\n[init]\nfamily = sech\n[output]\ndir = {tmp_path / 'out'}\n")
+        assert main(["run", "--config", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["radius", "--snapshot", str(tmp_path / "out" / "initial.bgev")]) == 0
+        sigma = float(capsys.readouterr().out.splitlines()[0].split("=")[1])
+        assert sigma == pytest.approx(np.pi / 2, rel=0.02)
+
 
 class TestRadiusCommand:
     def test_planted_spectrum_report(self, planted_snapshot, capsys):

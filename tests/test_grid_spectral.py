@@ -1,6 +1,8 @@
 """The grid, its real transforms and half-spectrum multipliers: series
 coefficients, the spectral derivative, the Helmholtz inverse, and the band cut."""
 
+import math
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -12,12 +14,17 @@ from hypothesis import strategies as st
 from bfamlab import (
     ConfigurationError,
     EvolveConfig,
+    KMBound,
     NumericalError,
     RealField,
     evolve,
     inverse_momentum,
+    km_bound_from_run,
+    km_bound_sigma,
     make_grid,
     momentum,
+    rhs_F,
+    scenarios,
     sobolev_norm,
 )
 from bfamlab.grid import _irfft, _rfft
@@ -226,11 +233,30 @@ class TestDealias:
             assert abs(product[k] - reference[k]) < 1e-14
 
 
+    @pytest.mark.parametrize("b", [0.0, 2.0, 3.0])
+    def test_top_mode_square_leaves_the_band_when_3_divides_n(self, b):
+        # F of a small cos(K x) is 0 once dealiased: its squares hold modes 0 and
+        # 2 K alone, and both multipliers vanish at 0. A top mode K = N/3 = 256
+        # has its square's mode 2 K = N - K alias back onto K, where F read up
+        # to 1.1e-4 (1.2e-16 at N = 512, which 3 does not divide)
+        grid = make_grid(768, 2 * np.pi)
+        top = grid.band_size - 1
+        assert top == 255 and 3 * top < grid.n_points
+        u = RealField(grid, 1e-3 * np.cos(top * grid.x))
+        assert np.max(np.abs(rhs_F(u, b).samples)) <= 1e-15
+
+
 class TestHalfSpectrum:
-    @pytest.mark.parametrize("fraction, band", [(2.0 / 3.0, 6), (0.5, 5), (1.0, 9)])
+    @pytest.mark.parametrize("fraction, band", [(2.0 / 3.0, 6), (0.5, 5), (1.0 / 3.0, 3)])
     def test_band_size_n16(self, fraction, band):
-        # 2/3 of N/2 = 8 keeps k = 0..5; fraction 1 keeps the Nyquist mode too
+        # 2/3 of N/2 = 8 keeps k = 0..5; a third of it keeps k = 0..2
         assert make_grid(16, 2 * np.pi, fraction).band_size == band
+
+    @pytest.mark.parametrize("fraction", [2.0 / 3.0 + 1e-15, 0.7, 0.999, 1.0])
+    def test_fraction_above_two_thirds_rejected(self, fraction):
+        # above 2/3 the square of a top band mode aliases onto the band
+        with pytest.raises(ConfigurationError, match=r"dealias_fraction must lie in \(0, 2/3\]"):
+            make_grid(16, 2 * np.pi, fraction)
 
     def test_multipliers_match_full_spectrum_operators(self, random_field):
         grid = random_field.grid
@@ -259,9 +285,14 @@ class TestHalfSpectrum:
                 inverse = (1.0 / (1.0 + xi**2))[:half]
                 assert grid.helmholtz_inv_multiplier.tobytes() == inverse.tobytes()
                 assert grid.half_deriv_multiplier.tobytes() == deriv.tobytes()
-            # the band does not depend on L
+            # the band does not depend on L; it keeps k <= fraction * N/2 and
+            # 3 k < N, so a band mode's square never aliases onto the band
             for fraction in self.PIN_FRACTIONS:
-                mask = np.abs(k) <= fraction * (n // 2)
+                if fraction > 2.0 / 3.0:
+                    with pytest.raises(ConfigurationError):
+                        make_grid(n, 1.0, fraction)
+                    continue
+                mask = (np.abs(k) <= fraction * (n // 2)) & (3 * np.abs(k) < n)
                 band = make_grid(n, 1.0, fraction).band_size
                 assert band == np.count_nonzero(mask[:half]), (n, fraction)
 
@@ -272,7 +303,7 @@ class TestRemovedOneLiners:
     coefficients in numpy FFT ordering, `k` and `xi` its FFT-ordered modes,
     `dt_max` and `cfl_safety` the numbers the removed EvolveConfig fields held,
     `traj` a Trajectory, `u0`, `b`, `t` and `n` a datum, b, a horizon and a
-    step count, and `dt` a step."""
+    step count, `dt` a step, and `bound` a KMBound with anchor `gamma`."""
 
     README = Path(__file__).resolve().parents[1] / "README.md"
     FREQUENCIES = {"k": "np.rint(np.fft.fftfreq(N) * N)", "xi": "2 * np.pi * k / g.box_length"}
@@ -282,11 +313,11 @@ class TestRemovedOneLiners:
         "deriv(F, j).coeffs": "(1j * xi) ** j * c",
         "helmholtz(F).coeffs": "(1 + xi**2) * c",
         "helmholtz_inv(F).coeffs": "1 / (1 + xi**2) * c",
-        "dealias(F).coeffs": "np.where(np.abs(k) <= g.dealias_fraction * (N // 2), c, 0)",
+        "dealias(F).coeffs": "np.where(np.abs(k) < g.band_size, c, 0)",
         "F.coeff(q)": "c[q % N]",
         "momentum_max(u)": "float(np.max(momentum(u).samples))",
         "GridSpec.modes": "k",
-        "GridSpec.dealias_mask": "np.abs(k) <= g.dealias_fraction * (N // 2)",
+        "GridSpec.dealias_mask": "np.abs(k) < g.band_size",
         "GridSpec.xi": "xi",
         "GridSpec.helmholtz_inv_multiplier": "1 / (1 + xi**2)",
         "cfl_dt(u, cfg)": "min(dt_max, cfl_safety * u.grid.dx / max(np.max(np.abs(u.samples)), 1e-8))",
@@ -299,7 +330,16 @@ class TestRemovedOneLiners:
             "RealField(u0.grid, reference_march(u0, b, t, n))",
         "rk4_step(u, dt, b)": "RealField(u.grid, reference_march(u, b, dt, 1))",
         "rk4_march(u0, b, t, n)": "RealField(u0.grid, reference_march(u0, b, t, n))",
+        "conserved_mean(u)": "u.grid.box_length * float(np.mean(u.samples))",
+        "momentum_l1(u)": "u.grid.dx * float(np.sum(np.abs(momentum(u).samples)))",
+        "momentum_min(u)": "float(np.min(momentum(u).samples))",
+        "km_bound_radius(t, bound)": "float(np.exp(km_bound_sigma(t, bound)))",
+        "km_bound_from_run(traj, gamma)":
+            "km_bound_from_run(traj, gamma, [sobolev_norm(u, 2.0) for _, u in traj.snapshots])",
     }
+    # the diagnostics column that each removed single-state functional gave
+    COLUMNS = {"conserved_mean(u)": "mean_u", "momentum_l1(u)": "m_l1",
+               "momentum_min(u)": "m_min"}
     # the removed functions as they were defined, each over one more input;
     # `cfg` stands for an EvolveConfig as it was, with its dt_max and cfl_safety
     REMOVED = {
@@ -322,6 +362,7 @@ class TestRemovedOneLiners:
         g, n = u.grid, u.grid.n_points
         scope = {"np": np, "RealField": RealField, "momentum": momentum,
                  "sobolev_norm": sobolev_norm, "reference_march": reference_march,
+                 "km_bound_sigma": km_bound_sigma, "km_bound_from_run": km_bound_from_run,
                  "u": u, "g": g, "N": n,
                  "c": series_coefficients(u)}
         for name, expression in self.FREQUENCIES.items():
@@ -399,6 +440,30 @@ class TestRemovedOneLiners:
         assert got.tobytes() == reference_march(u, 2.0, 0.002, 1).tobytes()
         got = run("rk4_march(u0, b, t, n)", u0=u, b=3.0, t=0.02, n=10).samples
         assert got.tobytes() == reference_march(u, 3.0, 0.02, 10).tobytes()
+
+        # the single-state functionals, bit for bit against the row of each
+        # state in the diagnostics columns that replace them
+        states = [u, zero, *(state for _, state in traj.snapshots)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the decay fit's, not under test here
+            columns = scenarios._sample_columns(states, 4)
+        for name, column in self.COLUMNS.items():
+            got = np.array([run(name, u=state) for state in states])
+            assert got.tobytes() == columns[column].tobytes(), name
+
+        # r(t) against the exponential of the km_sigma_bound column, as `bfamlab
+        # bound` prints it, and against the removed function, past saturation too;
+        # the bound without h2_norms against the bound of the run's diagnostics
+        table, bound = scenarios.compute_diagnostics(traj, scenarios.DiagnosticsSpec())
+        radii = [run("km_bound_radius(t, bound)", t=t, bound=bound) for t in table["t"].tolist()]
+        assert np.array(radii).tobytes() == np.exp(table["km_sigma_bound"]).tobytes()
+        steep = KMBound(b=2.0, mu=1.0, K_rate=128.0, gamma=-0.1, lam=12.0, phi0=1.0)
+        for t in (0.0, 0.05, 0.5, 11.09, 1e3):
+            sigma = km_bound_sigma(t, steep)
+            removed = float(np.exp(sigma)) if math.isfinite(sigma) else 0.0
+            got = run("km_bound_radius(t, bound)", t=t, bound=steep)
+            assert type(got) is float and np.float64(got).tobytes() == np.float64(removed).tobytes()
+        assert run("km_bound_from_run(traj, gamma)", gamma=bound.gamma) == bound
 
 
 random_grids = st.tuples(

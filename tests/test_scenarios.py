@@ -17,14 +17,12 @@ from bfamlab import (
     KMBound,
     RealField,
     SnapshotError,
-    conserved_mean,
     fit_decay_radius,
     initial_data,
+    inverse_momentum,
     km_bound_sigma,
     make_grid,
     momentum,
-    momentum_l1,
-    momentum_min,
     parse_config,
     read_snapshot,
     render_config,
@@ -90,7 +88,7 @@ class TestInitialData:
         target += np.exp(-(((grid.x + 40.0) / 5.0) ** 2))
         m = momentum(u)
         assert np.max(np.abs(m.samples - target)) < 1e-12
-        assert momentum_min(u) >= -1e-12
+        assert np.min(m.samples) >= -1e-12
 
     def test_gaussian_periodization_is_smooth_at_seam(self):
         grid = make_grid(512, 80.0)
@@ -104,6 +102,39 @@ class TestInitialData:
         u = initial_data("sech", {"amplitude": 1.0, "width": 1.0}, grid)
         fit = fit_decay_radius(u)
         assert fit.sigma_hat == pytest.approx(np.pi / 2, rel=0.02)
+
+    def test_default_box_sech_is_periodic_to_round_off(self):
+        # on L = 2 pi a sech of width 1 is e^{-9.4} = 1.6e-4 high at the third
+        # box image, which a sum over the +-1 images left out
+        grid = make_grid(512, 2 * np.pi)
+        u = initial_data("sech", {"amplitude": 1.0, "width": 1.0}, grid)
+        images = np.arange(-60, 61)[:, None] * grid.box_length
+        periodic = np.sum(1.0 / np.cosh(grid.x - np.pi + images), axis=0)
+        assert np.max(np.abs(u.samples - periodic)) <= 1e-15 * np.max(np.abs(periodic))
+        assert fit_decay_radius(u).sigma_hat == pytest.approx(np.pi / 2, rel=0.02)
+
+    @pytest.mark.parametrize("family, length, width", [
+        ("sech", 80.0, 1.0), ("sech", 80.0, 1.1), ("gaussian", 80.0, 8.0),
+        ("momentum_bump", 80.0, 8.8), ("gaussian", 2 * np.pi, 1.0)])
+    def test_one_image_per_side_where_the_profile_has_decayed(self, family, length, width):
+        # the widths of the benchmark's and the acceptance suite's data: the
+        # first omitted image is below round-off, so the +-1 images are the sum
+        grid = make_grid(256, length)
+        u = initial_data(family, {"amplitude": 0.5, "width": width}, grid)
+        profile = (lambda y: 0.5 / np.cosh(y / width)) if family == "sech" else (
+            lambda y: 0.5 * np.exp(-(y / width) ** 2))
+        three = np.zeros(256)
+        for shift in (-1.0, 0.0, 1.0):
+            three += profile(grid.x - 0.5 * length + shift * length)
+        if family == "momentum_bump":
+            three = inverse_momentum(RealField(grid, three)).samples
+        assert u.samples.tobytes() == three.tobytes()
+
+    @pytest.mark.parametrize("family, width", [("sech", 20.0), ("gaussian", 100.0)])
+    def test_width_beyond_the_image_cap_rejected(self, family, width):
+        grid = make_grid(64, 2 * np.pi)
+        with pytest.raises(ConfigurationError, match="more than 64 box images"):
+            initial_data(family, {"width": width}, grid)
 
     @pytest.mark.parametrize("mode", [1.5, 2.0, True])
     def test_sine_mode_must_be_an_integer(self, mode):
@@ -129,7 +160,7 @@ class TestInitialData:
     @pytest.mark.parametrize("family", ["gaussian", "sech", "momentum_bump"])
     @pytest.mark.parametrize("shift", [3, -2])
     def test_center_is_taken_modulo_the_box(self, family, shift):
-        # the periodized profiles carry only the +-1 box images
+        # the periodized profiles count their box images from a center in [0, L)
         grid = make_grid(256, 80.0)
         params = {"amplitude": 1.0, "width": 1.0}
         inside = initial_data(family, {**params, "center": 40.0}, grid)
@@ -593,18 +624,29 @@ class TestSampleColumns:
             else:
                 assert (reading.pop("sigma_hat"), reading.pop("fit_quality")) == (
                     fit.sigma_hat, fit.fit_quality)
-            assert reading == {
+            assert {name: reading[name] for name in ("l2", "h1", "h2")} == {
                 "l2": sobolev_norm(u, 0.0),
                 "h1": sobolev_norm(u, 1.0),
                 "h2": sobolev_norm(u, 2.0),
-                "mean_u": conserved_mean(u),
-                "m_l1": momentum_l1(u),
-                "m_min": momentum_min(u),
             }
         assert fitted == [True, True, False, True, True, True]
         # the gaussian's row alone warns, once, with its direct fit's message
         assert [len(messages) for messages in warned] == [0, 0, 0, 1, 0, 0]
         assert [str(w.message) for w in batch_warnings] == warned[3]
+
+    def test_one_state_is_its_row_of_the_batch(self, states):
+        # a state read alone, as a one-row batch, has every column's bits of
+        # its row in the six-row batch: the columns have no second implementation
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            batch = scenarios._sample_columns(states, 4)
+            alone = [scenarios._sample_columns([u], 4) for u in states]
+        assert set(batch) == {"l2", "h1", "h2", "mean_u", "m_l1", "m_min",
+                              "sigma_hat", "fit_quality"}
+        for row, columns in enumerate(alone):
+            for name, column in batch.items():
+                assert columns[name].shape == (1,)
+                assert columns[name].tobytes() == column[row:row + 1].tobytes(), (row, name)
 
 
 class TestRunScenario:
@@ -780,16 +822,17 @@ dir = {out}
                 h2_norms.append(u)
             return sobolev_norms(u, orders)
 
-        # every H^2 norm goes through it: the sample columns' and sobolev_norm's,
-        # which the bound imports by name
+        # every H^2 norm goes through it, the sample columns' and sobolev_norm's;
+        # the bound takes none of its own
         monkeypatch.setattr(norms, "_sobolev_norms", counted)
         result = scenarios.simulate(parse_config(text))
         assert len(result.table["h2"]) == 11
         assert len(h2_norms) == 11
         assert result.bound.mu == 1.0 + max(result.table["h2"].tolist())
-        # without the h2 column the snapshots give the same mu, bit for bit
+        # the H^2 norms of the snapshots, taken one at a time, give the same mu, bit for bit
         bare = evolve.Trajectory(b=result.trajectory.b, snapshots=result.trajectory.snapshots)
-        assert analyticity.km_bound_from_run(bare, result.bound.gamma).mu == result.bound.mu
+        h2 = [sobolev_norm(u, 2.0) for _, u in bare.snapshots]
+        assert analyticity.km_bound_from_run(bare, result.bound.gamma, h2).mu == result.bound.mu
 
     def test_transform_budget(self, tmp_path, fft_counts):
         from bfamlab import evolve
