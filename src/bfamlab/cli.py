@@ -145,7 +145,7 @@ def _cmd_taylor(args) -> int:
         # the series' own defect t |p' - F(p)|, scaled by |p|: it tests the series
         # against the evolution law, where `run`, which sums this same series, would not
         p = taylor.taylor_eval(series, t_check)
-        dp = taylor._horner([k * c.samples for k, c in enumerate(series.coeffs)][1:], t_check)
+        dp = taylor._series_sum(np.stack([c.samples for c in series.coeffs]), [t_check], True)[0]
         defect = t_check * taylor._l2_norm(dp - dynamics.rhs_F(p, cfg.evolve.b).samples, dx)
         size = taylor._l2_norm(p.samples, dx)
         lines.append(f"series check at t = {t_check:g}: scaled L2 defect = "

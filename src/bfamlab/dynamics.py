@@ -22,8 +22,9 @@ else); the half spectra `spectra` = [f_hat, i xi f_hat] of a stage f, whose
 band `stage` the caller writes and whose modes above the band keep u's
 unless the caller zeroes them; the samples `fields` = [f, f_x] of the
 datum; and the combine's work arrays `squares` and `product_spectra`.
-`load(out)` writes the samples [f, f_x] of a new `stage` into `out`, an
-array shaped like `fields`, with one multiply and one stacked irfft. It
+`load(out, factor)` writes the samples [f, f_x] of a new `stage`, scaled
+by N factor where a factor is given, into `out`, an array shaped like
+`fields`, with one multiply and one stacked irfft. It
 starts loaded with u, and `reset(samples)` loads another datum on its grid
 into the same arrays: one rfft of the whole half spectrum, then the
 samples, then, where f_x is held, one multiply and one irfft. The series
@@ -43,7 +44,7 @@ rfft of `squares` ([f^2, f_x^2] or their Cauchy sums) and writes the band
 of -F into `band`: 4 numpy calls, one of them the grid's rfft kernel, with
 no allocation and no view made; at b = 3 it is one rfft of [f^2] and one
 multiply by A, 2 numpy calls. It returns -F, so callers subtract it, or
-divide it by a negative number, where they would have added F.
+scale it by a negative number, where they would have added F.
 
 The monitored functionals are columns of a run's diagnostics, computed for
 all sampled states at once by `scenarios._sample_columns` and nowhere else:
@@ -96,14 +97,15 @@ class _Operator:
             np.multiply(self.grid.half_deriv_multiplier, self.spectra[0], out=self.spectra[1])
             _irfft(self.spectra[1], self.fields[1])
 
-    def load(self, out: np.ndarray) -> np.ndarray:
+    def load(self, out: np.ndarray, factor: np.ndarray = None) -> np.ndarray:
         """The samples [f, f_x] ([f] at b = 3) of a new `stage`, from
         `spectra`, written into `out`, an array shaped like `fields`;
-        returns `out`. The Taylor recursion passes the store row it keeps
-        c_k and d_x c_k in."""
+        returns `out`. With a 0-d `factor`, the stage times N factor is
+        loaded instead (`grid._irfft`). The Taylor recursion passes the
+        store row it keeps c_k and d_x c_k in, and its order's factor."""
         if self.B is not None:
             np.multiply(self._band_deriv, self.stage, out=self._stage_deriv)
-        return _irfft(self.spectra, out)
+        return _irfft(self.spectra, out, factor)
 
 
 def _rhs_from_products(op: _Operator, squares: np.ndarray, band: np.ndarray) -> np.ndarray:

@@ -7,9 +7,10 @@ over j in {K-1, K} of (TAYLOR_TOL |u| / |c_j|)^{1/j}, every norm
 covers [t, t + min(h, t_final - t)], and a proposal within the landing
 tolerance of t_final lands on it. Sample times are dense output: the state
 advances by the whole step, the series summed at the step's span, and every
-sample time in the step's window is then read from the series already
-built, summed at t_s - t in Horner form; a sample at the window's end is
-the new state itself. The step whose window reaches t_final ends the run.
+sample time in the step's window is read from the same series, summed at
+t_s - t; the window's states and the new state are one `taylor._series_sum`
+and their peaks one reduction. The step whose window reaches t_final ends
+the run.
 So the steps depend on the state and t_final alone, not on sample_interval.
 `run` records the steps in the `Trajectory`, refuses a step that does not
 advance t and diagnoses a blow-up. Every sample read and every new state
@@ -27,20 +28,21 @@ taken from the sampled states after the march
 
 Every state the march loads, the datum and the end state of each step, the
 state at t_final included, also passes the resolution guard: its tail
-fraction, the energy sum |u_hat_k|^2 over the top third of the band
-(k >= 2m // 3 of the m band modes) over the same sum over the whole band,
-must not exceed TAIL_TOL. The guard reads the band of rfft(state) that loading
-the state left in the operator's stage, so it costs two dot products and no
-transform; a zero state passes. A state above it is unresolved: the
+fraction, the energy sum |u_hat_k|^2 over the top third of the band (k >=
+2m // 3 of the m band modes) over the same sum over the whole band, must
+not exceed TAIL_TOL. The guard reads the band of rfft(state) that loading
+the state left in the operator's stage, so it costs two dot products and
+no transform; a zero state passes. A state above it is unresolved: the
 solution's analyticity strip has narrowed below what the grid holds, as
 past Camassa-Holm wave breaking (Constantin and Escher, Acta Math. 181,
 1998), and the run ends with BlowupError there, at t = 0 for an unresolved
-datum. A step's samples are recorded once its end state has passed. Where
-the end state fails, the samples of the step's window are loaded and
-guarded one at a time, up to the first that fails, so every recorded state
-has passed the guard too. A resolved run loads one state more than it
-builds series at, the state at t_final. On the acceptance suite's data
-every state reads at most about 2.4e-15.
+datum. A step's samples are recorded once its end state has passed, each
+after its peak, in time order. Where the end state fails, the samples of
+the step's window are read again, loaded and guarded one at a time, up to
+the first that fails, so every recorded state has passed the guard too. A
+resolved run loads one state more than it builds series at, the state at
+t_final. On the acceptance suite's data every state reads at most about
+2.4e-15.
 
 The `Trajectory` records the march by these rules. `spans` holds the span
 of each completed series step, in order: a step that fails is not in it,
@@ -53,7 +55,7 @@ before the last snapshot's time. An unresolved datum aborts at t = 0, with
 no span and the datum as the only snapshot.
 
 Only the dealiased band moves: c_1 .. c_K have no modes above the cutoff,
-so those modes keep their initial values up to the round-off of the Horner
+so those modes keep their initial values up to the round-off of the series
 sum. No option of `run` selects another march, and no `EvolveConfig` field
 bounds a step. One reading per sample and per new state, peak = max|u|,
 feeds the blow-up test, and one per loaded state, the tail fraction, the
@@ -70,7 +72,7 @@ import numpy as np
 from .dynamics import _Operator, momentum
 from .errors import BlowupError, ConfigurationError, require_finite
 from .grid import RealField, _finite_field
-from .taylor import COEFF_SUP_CAP, _horner, _l2_norm, _recursion
+from .taylor import COEFF_SUP_CAP, _l2_norm, _recursion, _series_sum
 
 SIGN_TOL = 1e-10
 MAX_SAMPLES = 1e6
@@ -141,10 +143,9 @@ def _check_resolved(op: _Operator) -> None:
         )
 
 
-def _check_peak(u: np.ndarray, blowup_threshold: float) -> None:
-    """Raise BlowupError when max|u| exceeds blowup_threshold, which a NaN
-    peak does too."""
-    peak = float(np.max(np.abs(u)))
+def _check_peak(peak: float, blowup_threshold: float) -> None:
+    """Raise BlowupError when a state's peak max|u| exceeds blowup_threshold,
+    which a NaN peak does too."""
     if not peak <= blowup_threshold:
         raise BlowupError(
             f"sup norm {peak:.3e} exceeded blow-up threshold {blowup_threshold:.3e}"
@@ -182,29 +183,28 @@ class _TaylorMarch:
                 f"has sup norm {sup:.3e}, above the cap {COEFF_SUP_CAP:.0e}, so the "
                 "temporal radius is effectively zero at this resolution"
             )
-        dx = self.op.grid.dx
-        size, h = _l2_norm(self.op.fields[0], dx), math.inf
+        size, h = _l2_norm(self.op.fields[0], self.op.grid.dx), math.inf
         for j in (order - 1, order):
-            norm = _l2_norm(coeffs[j - 1], dx)
+            norm = _l2_norm(coeffs[j - 1], self.op.grid.dx)
             if norm > 0.0:
                 h = min(h, (TAYLOR_TOL * size / norm) ** (1.0 / j))
         self.coeffs = coeffs
         return h
 
-    def read(self, dt: float) -> RealField:
-        """The series of the last `propose` summed at dt, with samples of its
-        own. Raises BlowupError unless its peak is at most blowup_threshold."""
-        u = _horner([self.store[0, 0], *self.coeffs], dt)
-        _check_peak(u, self.blowup_threshold)
-        return _finite_field(self.op.grid, u)
+    def read(self, offsets) -> tuple:
+        """The series of the last `propose` summed at each of offsets, as the
+        rows of a new array, and their peaks max|u| in one reduction."""
+        states = _series_sum(self.store[: len(self.coeffs) + 1, 0], offsets)
+        return states, np.maximum.reduce(np.abs(states), axis=1)
 
-    def step(self, dt: float) -> RealField:
-        """Advance the state to `read(dt)` and return it. Raises BlowupError
-        unless the new state is resolved."""
-        u = self.read(dt)
-        self.op.reset(u.samples)
+    def load(self, u: np.ndarray, peak: float) -> RealField:
+        """Make u, a state read with peak max|u|, the march's state and
+        return it. Raises BlowupError unless the peak is at most
+        blowup_threshold and the state is resolved."""
+        _check_peak(peak, self.blowup_threshold)
+        self.op.reset(u)
         _check_resolved(self.op)
-        return u
+        return _finite_field(self.op.grid, u)
 
 
 def _sample_times(cfg: EvolveConfig) -> list:
@@ -270,16 +270,20 @@ def run(u0: RealField, cfg: EvolveConfig) -> Trajectory:
             while i < len(times) and times[i] <= t_next:
                 i += 1
             window = times[first:i]
+            offsets = [t_s - t for t_s in window]
             try:
-                end = march.step(dt)
+                # the window's states and the end state in one read; the end is loaded first
+                states, peaks = march.read([*offsets, dt])
+                march.load(states[-1], peaks[-1])
             except BlowupError:
                 # each sample of the window in turn, up to the first that fails
-                for t_s in window:
-                    record(t_s, march.step(t_s - t), dt)
+                for t_s, u, peak in zip(window, *march.read(offsets)):
+                    record(t_s, march.load(u, peak), dt)
                     t_passed = t_s
                 raise
-            for t_s in window:
-                record(t_s, end if t_s - t == dt else march.read(t_s - t), dt)
+            for t_s, u, peak in zip(window, states, peaks):
+                _check_peak(peak, cfg.blowup_threshold)
+                record(t_s, _finite_field(u0.grid, u), dt)
                 t_passed = t_s
             traj.spans.append(dt)
             t = t_passed = t_next

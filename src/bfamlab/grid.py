@@ -18,7 +18,9 @@ call numpy's pocketfft kernels directly and write into caller-given storage.
 They are the calls numpy.fft.rfft and numpy.fft.irfft end in, with the same
 arguments, so results are those of numpy.fft bit for bit, without about
 4 us of argument handling per call. Their scale factors, 1 and 1/N, are
-float64 0-d arrays made once per N, not Python floats converted per call.
+float64 0-d arrays made once per N, not Python floats converted per call;
+a caller may pass `_irfft` a factor of its own, made the same way, to scale
+the rows inside the transform.
 N is even on every grid, so the even-length forward kernel always applies.
 """
 
@@ -131,11 +133,13 @@ def _rfft(samples: np.ndarray, out: np.ndarray) -> np.ndarray:
     return _pocketfft.rfft_n_even(samples, _UNIT_FACTOR, out=(out,))
 
 
-def _irfft(spectrum: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _irfft(spectrum: np.ndarray, out: np.ndarray, factor: np.ndarray = None) -> np.ndarray:
     """numpy.fft.irfft of the rows of spectrum to out's last-axis length N,
-    written into out; returns out. Rows shorter than N/2+1 are zero-padded."""
+    written into out; returns out. Rows shorter than N/2+1 are zero-padded.
+    A float64 0-d `factor` replaces the scale 1/N: the rows are then
+    numpy.fft.irfft(spectrum, N, norm="forward") * factor, in the same call."""
     n = out.shape[-1]
-    factor = _inverse_lengths.get(n)
+    factor = _inverse_lengths.get(n) if factor is None else factor
     if factor is None:
         factor = _inverse_lengths[n] = np.array(1.0 / n)
     return _pocketfft.irfft(spectrum, factor, out=(out,))

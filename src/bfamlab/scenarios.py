@@ -139,15 +139,15 @@ def _periodized(profile, x: np.ndarray, center: float, box_length: float) -> np.
     with np.errstate(over="ignore"):  # cosh overflows far out, where the image is 0
         images = next((m for m in range(1, MAX_BOX_IMAGES + 1)
                        if profile(m * box_length) <= np.finfo(float).eps * profile(0.0)), None)
-    if images is None:
-        raise ConfigurationError(
-            f"the datum decays too slowly to be periodized on a box of length "
-            f"{box_length:g}: it needs more than {MAX_BOX_IMAGES} box images per side; "
-            f"use a smaller width"
-        )
-    out = np.zeros_like(x)
-    for shift in range(-images, images + 1):
-        out += profile(x - center + shift * box_length)
+        if images is None:
+            raise ConfigurationError(
+                f"the datum decays too slowly to be periodized on a box of length "
+                f"{box_length:g}: it needs more than {MAX_BOX_IMAGES} box images per side; "
+                f"use a smaller width"
+            )
+        out = np.zeros_like(x)
+        for shift in range(-images, images + 1):
+            out += profile(x - center + shift * box_length)
     return out
 
 

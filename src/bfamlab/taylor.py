@@ -18,12 +18,13 @@ contraction over the store's 2N-wide rows, written into the squares of one
 conservative form needs no sum of c_i d_x c_j. Both sums are symmetric:
 the contraction adds the pairs i < j once, and for even k one half of the
 middle term i = j is added, which leaves half of each sum. The combine is
-linear, so it gives half the band of -F, and dividing that band by
--(k+1)/2 gives c_{k+1}'s band; scaling by a power of two is exact, so this
-is the band the doubled sums would give, bit for bit. The operator then
-loads c_{k+1} and d_x c_{k+1} straight into row k + 1 of the store: an
-order costs four real FFTs in two stacked kernel calls, with d_x c_{k+1}
-never round-tripping through the samples. At b = 3 the operator holds one
+linear, so it gives half the band of -F. The operator then loads c_{k+1}
+and d_x c_{k+1} straight into row k + 1 of the store, the stacked irfft
+scaling both rows by -2/((k+1) N) in place of its 1/N, so no pass of its
+own divides them; scaling by a power of two is exact, so these are the
+doubled sums' rows scaled by -1/((k+1) N), bit for bit. An order costs
+four real FFTs in two stacked kernel calls, with d_x c_{k+1} never
+round-tripping through the samples. At b = 3 the operator holds one
 row, so row k is c_k alone, N wide: an order is one Cauchy sum and two
 real FFTs in two kernel calls. The store has one row more, the recursion's
 work space, so the operator's fields keep c_0 and d_x c_0.
@@ -36,10 +37,19 @@ rows alive; the block is allocated before the store, so that the freed
 store leaves no hole in the heap below it, and a cut series shrinks it to
 the kept rows. The Taylor march of `evolve` builds both once per march.
 
-The recursion itself, `_recursion`, stops at the first coefficient that is
-not finite or exceeds COEFF_SUP_CAP and neither warns nor raises:
-`taylor_coeffs` warns or raises there, and the Taylor march of `evolve`,
-which builds the series of every state, steps with the order it has.
+The recursion itself, `_recursion`, runs its K orders with floating-point
+warnings off and then reads the cap once for the whole series, with one
+row-wise max and one min: the series is cut before the first coefficient
+that is not finite or exceeds COEFF_SUP_CAP, and the recursion neither
+warns nor raises there. `taylor_coeffs` warns or raises, and the Taylor
+march of `evolve`, which builds the series of every state, steps with the
+order it has.
+
+Every sum of a series, `taylor_eval`, the report's p and p' of
+`bfamlab taylor` and every state the Taylor march reads, is `_series_sum`:
+the one-row product of the powers tau^k (k tau^(k-1) for the derivative)
+with the coefficient rows, a stacked matmul whose sums do not depend on
+how many are taken at once.
 
 The temporal radius of convergence is estimated by a root test on the
 coefficient norms of the tail half, once per series. Every coefficient norm
@@ -151,12 +161,13 @@ def taylor_coeffs(u0: RealField, b: float, order: int) -> TaylorSeries:
 def _recursion(op: _Operator, store: np.ndarray) -> tuple:
     """The samples of c_1 .. c_kept of the datum `op` holds, as rows of
     `store`, and the sup norm of c_{kept + 1}, the first coefficient that is
-    not finite or exceeds COEFF_SUP_CAP, where the recursion stops (None
-    when kept == order). `store` has shape (order + 2,) + op.fields.shape:
-    row k takes c_k and d_x c_k (c_k alone at b = 3), and the last row is
-    work space, so `op.fields` keep the datum's. It warns and raises
-    nothing: `taylor_coeffs` and the Taylor march of `evolve` each decide
-    what a short series means."""
+    not finite or exceeds COEFF_SUP_CAP (None when kept == order). `store`
+    has shape (order + 2,) + op.fields.shape: row k takes c_k and d_x c_k
+    (c_k alone at b = 3), and the last row is work space, so `op.fields`
+    keep the datum's. Every order is computed, with no floating-point
+    warning, and the cap is read once, after the last; rows past a cut are
+    never read. It warns and raises nothing: `taylor_coeffs` and the Taylor
+    march of `evolve` each decide what a short series means."""
     order = len(store) - 2
     n, m = op.grid.n_points, op.grid.band_size
     # c_{k+1} has no modes above the band
@@ -164,29 +175,34 @@ def _recursion(op: _Operator, store: np.ndarray) -> tuple:
     stage, sums = op.stage, op.squares.reshape(-1)
     store[0] = op.fields
     rows, work = store.reshape(order + 2, -1), store[-1].reshape(-1)
-    kept, sup = order, None
-    for k in range(order):
-        pairs = (k + 1) // 2  # index pairs i < k - i
-        np.einsum("ij,ij->j", rows[:pairs], rows[k : k - pairs : -1], out=sums)
-        if k % 2 == 0:
-            middle = rows[k // 2]
-            np.multiply(middle, middle, out=work)
-            np.multiply(work, 0.5, out=work)
-            np.add(sums, work, out=sums)
-        # the combine gives the band of -F of half the sums: dividing by
-        # -(k + 1)/2 gives c_{k+1}'s
-        _rhs_from_products(op, op.squares, stage)
-        np.divide(stage, -(k + 1) / 2, out=stage)
-        loaded = op.load(store[k + 1])
-        peak = float(np.maximum.reduce(np.abs(loaded[0], out=work[:n])))
-        if not peak <= COEFF_SUP_CAP:
-            kept, sup = k, peak
-            break
-    return store[1 : kept + 1, 0], sup
+    # -2/((k + 1) N) for each order k, as float64 0-d arrays made once per (N, K)
+    factors = _order_factors.get((n, order))
+    if factors is None:
+        factors = _order_factors[n, order] = [np.array(-2.0 / ((k + 1) * n)) for k in range(order)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(order):
+            pairs = (k + 1) // 2  # index pairs i < k - i
+            np.einsum("ij,ij->j", rows[:pairs], rows[k : k - pairs : -1], out=sums)
+            if k % 2 == 0:
+                np.multiply(rows[k // 2], rows[k // 2], out=work)
+                np.multiply(work, 0.5, out=work)
+                np.add(sums, work, out=sums)
+            # the combine gives the band of -F of half the sums: the load
+            # scales it by -2/(k + 1) with the irfft's 1/N
+            _rhs_from_products(op, op.squares, stage)
+            op.load(store[k + 1], factors[k])
+    coeffs = store[1 : order + 1, 0]
+    # max|c_k| of every row; a NaN anywhere in a row makes its sup NaN
+    sups = np.maximum(np.maximum.reduce(coeffs, axis=1), -np.minimum.reduce(coeffs, axis=1))
+    kept = int(np.argmin(sups <= COEFF_SUP_CAP))  # the first row above the cap, else 0
+    return (coeffs, None) if sups[kept] <= COEFF_SUP_CAP else (coeffs[:kept], float(sups[kept]))
+
+
+_order_factors = {}  # (N, K) -> the K loads' factors of `_recursion`, made on first use
 
 
 def taylor_eval(series: TaylorSeries, t: float) -> RealField:
-    """Horner evaluation of the series at time t.
+    """The series summed at time t, by `_series_sum`.
 
     Warns (does not fail) when |t| exceeds the estimated temporal radius.
     """
@@ -199,16 +215,23 @@ def taylor_eval(series: TaylorSeries, t: float) -> RealField:
                 f"radius {radius:.4g}",
                 stacklevel=2,
             )
-    return RealField(series.grid, _horner([c.samples for c in series.coeffs], t))
+    return RealField(series.grid, _series_sum(np.stack([c.samples for c in series.coeffs]), [t])[0])
 
 
-def _horner(rows, t: float) -> np.ndarray:
-    """sum_k rows[k] t^k in Horner form, as a new array."""
-    acc = rows[-1].copy()
-    for c in rows[-2::-1]:
-        np.multiply(t, acc, out=acc)
-        np.add(c, acc, out=acc)
-    return acc
+def _series_sum(rows: np.ndarray, taus, derivative: bool = False) -> np.ndarray:
+    """sum_k rows[k] tau^k, or with `derivative` sum_k k rows[k] tau^(k-1),
+    at each tau of taus, as the rows of a new (len(taus), N) array.
+
+    Each sum is a one-row product of its own, the stacked matmul of the row
+    of powers with `rows`: numpy takes a stacked product one matrix at a
+    time, so a sum's bits do not depend on the other taus, where a 2-D
+    product of two or more rows takes another BLAS kernel and other last
+    bits. So a state the march reads in a window equals `taylor_eval` at
+    its offset bit for bit."""
+    k = np.arange(len(rows), dtype=float)
+    taus = np.asarray(taus, dtype=float)[:, None]
+    powers = k[1:] * taus ** k[:-1] if derivative else taus**k
+    return np.matmul(powers[:, None, :], rows[1:] if derivative else rows)[:, 0]
 
 
 def time_radius_estimate(series: TaylorSeries) -> float:

@@ -342,13 +342,13 @@ class TestRunMarch:
         # whose float sum is compensated from Python 3.12 on)
         u0 = bump_datum(n=128)
         cfg = EvolveConfig(b=2.0, t_final=1.0, sample_interval=0.25)
-        logged, step = [], evolve._TaylorMarch.step
+        logged, read = [], evolve._TaylorMarch.read
 
-        def logging(march, dt):
-            logged.append(dt)
-            return step(march, dt)
+        def logging(march, offsets):
+            logged.append(offsets[-1])  # a step reads its end state last
+            return read(march, offsets)
 
-        monkeypatch.setattr(evolve._TaylorMarch, "step", logging)
+        monkeypatch.setattr(evolve._TaylorMarch, "read", logging)
         traj = run(u0, cfg)
         assert len(traj.spans) >= 2
         assert traj.spans == logged
@@ -367,6 +367,13 @@ class TestRunMarch:
         states = [u.samples for _, u in run(u0, cfg).snapshots]
         assert all(not np.shares_memory(a, b) for i, a in enumerate(states) for b in states[i + 1:])
         assert all(np.max(np.abs(a - b)) > 0 for a, b in zip(states, states[1:]))
+
+
+def advance(march, dt):
+    """Load the series of the march's last propose summed at dt, as a step
+    with an empty window does."""
+    states, peaks = march.read([dt])
+    return march.load(states[0], peaks[0])
 
 
 class TestTaylorMarch:
@@ -404,7 +411,7 @@ class TestTaylorMarch:
             for j in (evolve.TAYLOR_ORDER - 1, evolve.TAYLOR_ORDER)
         )
         assert h == expected
-        march.step(0.5 * h)
+        advance(march, 0.5 * h)
         assert march.op.fields[0].tobytes() == taylor_eval(series, 0.5 * h).samples.tobytes()
 
     @pytest.mark.parametrize("b", [-1.0, 0.0, 2.0, 3.0])
@@ -505,7 +512,7 @@ class TestTaylorMarch:
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
             BlowupError, match="non-finite state after Taylor step"
         ):
-            march.step(1e300)
+            advance(march, 1e300)
 
     def test_peak_above_threshold_is_a_blowup(self):
         # the same b = 3 bump as the abort-time test: sup|u| passes 1.2
@@ -567,7 +574,7 @@ class TestTaylorMarch:
         # leaves the operator holding the state as a fresh build would
         u0 = bump_datum(n=256)
         march = evolve._TaylorMarch(u0, b, 1e6)
-        march.step(0.5 * march.propose())
+        advance(march, 0.5 * march.propose())
         h = march.propose()
         rows = np.array(march.coeffs)
         assert march.propose() == h
@@ -594,6 +601,25 @@ class TestTaylorMarch:
         assert len(traj.spans) == 1
         assert fft_counts == {"real": 1 + 2 * 16 + 1, "complex": 0, "calls": 1 + 2 * 16 + 1,
                               "combine": 16}
+
+
+class TestWindowRead:
+    @pytest.mark.parametrize("n", [128, 4096])
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 5])
+    def test_window_states_equal_single_reads(self, n, size):
+        # the march reads a window's states in one product: each equals
+        # taylor_eval at its offset bit for bit, whatever the window's size
+        grid = make_grid(n, 80.0)
+        u0 = RealField(grid, 0.5 * np.exp(-(((grid.x - 40.0) / 6.0) ** 2)))
+        march = evolve._TaylorMarch(u0, 2.0, 1e6)
+        h = march.propose()
+        series = taylor_coeffs(u0, 2.0, evolve.TAYLOR_ORDER)
+        offsets = [h * (j + 1) / size for j in range(size)]
+        states, peaks = march.read(offsets)
+        for tau, state, peak in zip(offsets, states, peaks):
+            single = taylor_eval(series, tau).samples
+            assert state.tobytes() == single.tobytes()
+            assert peak == np.max(np.abs(single))
 
 
 class TestDenseOutput:

@@ -553,3 +553,16 @@ class TestRealTransformKernels:
         out = np.empty(rows + (n,))
         assert _irfft(spectrum, out) is out
         assert out.tobytes() == np.fft.irfft(spectrum, n).tobytes()
+
+
+class TestScaledInverse:
+    @pytest.mark.parametrize("n", [8, 64, 1024])
+    @pytest.mark.parametrize("rows", [1, 2])
+    def test_factor_scales_the_unnormalized_irfft(self, rng, n, rows):
+        spectrum = rng.standard_normal((rows, n // 2 + 1)) + 1j * rng.standard_normal((rows, n // 2 + 1))
+        factor = np.array(-2.0 / (3 * n))
+        out = np.empty((rows, n))
+        assert _irfft(spectrum, out, factor) is out
+        expected = np.fft.irfft(spectrum, n, norm="forward") * factor
+        assert out.tobytes() == expected.tobytes()
+

@@ -95,6 +95,13 @@ class TestInitialData:
         u = initial_data("gaussian", {"amplitude": 1.0, "width": 1.5}, grid)
         assert abs(u.samples[0] - u.samples[-1]) < 1e-14
 
+    def test_narrow_sech_builds_without_a_warning(self):
+        # cosh(y / w) overflows far from the center, where the image is 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            u = initial_data("sech", {"amplitude": 1.0, "width": 0.12}, make_grid(8192, 80.0))
+        assert np.isfinite(u.samples).all()
+
     def test_sech_fitted_radius(self):
         from bfamlab import fit_decay_radius
 

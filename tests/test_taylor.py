@@ -18,7 +18,9 @@ from bfamlab import (
     taylor_eval,
     time_radius_estimate,
 )
+from bfamlab.dynamics import _Operator
 from bfamlab.scenarios import initial_data
+from bfamlab.taylor import _recursion
 from conftest import (
     conservative_band,
     reference_derivative,
@@ -48,9 +50,10 @@ def symmetric_coeffs(u0, b, order):
     """The symmetric recursion in plain numpy and numpy.fft: c_k and d_x c_k
     as rows of two arrays; each Cauchy sum one einsum over the pairs
     i < k - i, doubled, plus the middle term i = k/2 for even k; the band of
-    -F as A rfft(sum of c c) + B rfft(sum of d_x c d_x c), divided by
-    -(k + 1); c_{k+1} and d_x c_{k+1} by irfft of that band and of i xi times
-    it. A and B are those of `reference_march` in conftest."""
+    -F as A rfft(sum of c c) + B rfft(sum of d_x c d_x c); c_{k+1} and
+    d_x c_{k+1} by the unscaled irfft of that band and of i xi times it,
+    times -1/((k + 1) n). A and B are those of `reference_march` in
+    conftest."""
     grid = u0.grid
     n, m = grid.n_points, grid.band_size
     ixi, xi, _ = reference_wavenumbers(n, grid.box_length)
@@ -67,9 +70,10 @@ def symmetric_coeffs(u0, b, order):
             square = square + cs[k // 2] * cs[k // 2]
             dsquare = dsquare + dcs[k // 2] * dcs[k // 2]
         spectrum = np.zeros(n // 2 + 1, dtype=complex)
-        spectrum[:m] = (A * np.fft.rfft(square)[:m] + B * np.fft.rfft(dsquare)[:m]) / -(k + 1)
-        cs[k + 1] = np.fft.irfft(spectrum, n)
-        dcs[k + 1] = np.fft.irfft(ixi * spectrum, n)
+        spectrum[:m] = A * np.fft.rfft(square)[:m] + B * np.fft.rfft(dsquare)[:m]
+        factor = -1 / ((k + 1) * n)
+        cs[k + 1] = np.fft.irfft(spectrum, n, norm="forward") * factor
+        dcs[k + 1] = np.fft.irfft(ixi * spectrum, n, norm="forward") * factor
     return cs
 
 
@@ -225,6 +229,35 @@ class TestArithmetic:
         block = series.coeffs[1].samples.base
         assert block.shape == (order, 64) and block.flags.c_contiguous
         assert all(c.samples.base is block for c in series.coeffs[1:])
+
+
+class TestCap:
+    def test_overflow_past_the_cap_is_silent(self):
+        # 1e5 sin x passes the cap at c_2 and its later orders overflow to
+        # inf and NaN: the recursion computes them with no RuntimeWarning
+        grid = make_grid(64, 2 * np.pi)
+        u = RealField(grid, 1e5 * np.sin(grid.x))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            warnings.filterwarnings("ignore", "Taylor coefficient c_", UserWarning)
+            series = taylor_coeffs(u, 2.0, 40)
+        assert series.order == 1
+
+    def test_cut_of_ten_sin_x_is_pinned(self):
+        # 10 sin x is cut at c_11: the kept rows are the symmetric
+        # recursion's bit for bit, and the sup of c_11 is the one a check of
+        # max|c_k| after each order read, 4762659194631.113, to round-off
+        grid = make_grid(64, 2 * np.pi)
+        u = RealField(grid, 10.0 * np.sin(grid.x))
+        with pytest.warns(UserWarning, match="c_11 reached sup norm") as record:
+            series = taylor_coeffs(u, 2.0, 16)
+        assert series.order == 10
+        kept = np.array([c.samples for c in series.coeffs])
+        assert kept.tobytes() == symmetric_coeffs(u, 2.0, 10).tobytes()
+        coeffs, sup = _recursion(_Operator(u, 2.0), np.empty((18, 2, 64)))
+        assert len(coeffs) == 10
+        assert sup == pytest.approx(4762659194631.113, rel=1e-15)
+        assert f"{sup:.3e}" in str(record[0].message)
 
 
 class TestFftBudget:
