@@ -39,7 +39,7 @@ for t in (rho / 8, rho / 4):
     p = taylor_eval(series, t)
     dp = np.zeros(grid.n_points)  # sum_k k c_k t^(k-1) in Horner form
     for k in range(series.order, 0, -1):
-        dp = dp * t + k * series.coeffs[k].samples
+        dp = dp * t + k * series.rows[k]
     defect = sobolev_norm(RealField(grid, dp - rhs_F(p, b).samples), 0.0)
     scaled = t * defect / sobolev_norm(p, 0.0)
     print(f"  t = {t:.4f} (= radius/{rho / t:.0f}): scaled L2 defect {scaled:.2e}")
@@ -49,5 +49,5 @@ for t in (rho / 8, rho / 4):
 sine_grid = make_grid(64, 2 * np.pi)
 s0 = initial_data("sine", {"amplitude": 1.0, "mode": 1}, sine_grid)
 steady = taylor_coeffs(s0, -1.0, 8)
-worst = max(np.max(np.abs(c.samples)) for c in steady.coeffs[1:])
+worst = np.max(np.abs(steady.rows[1:]))
 print(f"\nb = -1, sin(x) datum: max |c_k| for k >= 1 is {worst:.2e} (steady state)")

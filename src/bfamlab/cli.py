@@ -16,7 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, analyticity, dynamics, norms, scenarios, taylor
-from .errors import PREFIXES, REPORTED, NumericalError, SnapshotError, TruncationError, exit_code
+from .errors import (PREFIXES, REPORTED, NumericalError, SnapshotError, TruncationError, exit_code,
+                     require_integer)
 
 
 class _UsageError(Exception):
@@ -127,17 +128,17 @@ def _cmd_radius(args) -> int:
 
 
 def _cmd_taylor(args) -> int:
+    require_integer("--order", args.order, taylor.MIN_ORDER_FOR_RADIUS)
     cfg = _read_config(args.config)
     u0 = scenarios.build_initial(cfg)
     series = taylor.taylor_coeffs(u0, cfg.evolve.b, args.order)
-    if series.order < taylor.MIN_ORDER_FOR_RADIUS <= args.order:
+    if series.order < taylor.MIN_ORDER_FOR_RADIUS:
         raise NumericalError(f"the coefficient cap cut the Taylor series at order "
                              f"{series.order}; the radius estimate needs order at least "
                              f"{taylor.MIN_ORDER_FOR_RADIUS}")
     lines = [f"computed {series.order + 1} coefficients (c_0 .. c_{series.order})"]
-    dx = series.grid.dx
-    lines += [f"  |c_{k}|_L2 = {taylor._l2_norm(c.samples, dx):.6g}"
-              for k, c in enumerate(series.coeffs)]
+    rows, dx = series.rows, series.grid.dx
+    lines += [f"  |c_{k}|_L2 = {taylor._l2_norm(row, dx):.6g}" for k, row in enumerate(rows)]
     rho = taylor.time_radius_estimate(series)
     lines.append(f"temporal radius estimate = {rho:.6g}")
     t_check = 0.05 if math.isinf(rho) else min(rho / 4.0, 0.05)
@@ -145,7 +146,7 @@ def _cmd_taylor(args) -> int:
         # the series' own defect t |p' - F(p)|, scaled by |p|: it tests the series
         # against the evolution law, where `run`, which sums this same series, would not
         p = taylor.taylor_eval(series, t_check)
-        dp = taylor._series_sum(np.stack([c.samples for c in series.coeffs]), [t_check], True)[0]
+        dp = taylor._series_sum(rows, [t_check], True)[0]
         defect = t_check * taylor._l2_norm(dp - dynamics.rhs_F(p, cfg.evolve.b).samples, dx)
         size = taylor._l2_norm(p.samples, dx)
         lines.append(f"series check at t = {t_check:g}: scaled L2 defect = "

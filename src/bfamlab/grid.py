@@ -114,13 +114,18 @@ class RealField:
         object.__setattr__(self, "samples", samples)
 
 
+def _unchecked(cls, **fields):
+    """An instance of the frozen dataclass cls holding fields that the caller
+    has already shown valid, built without __post_init__'s checks and scans."""
+    instance = object.__new__(cls)
+    vars(instance).update(fields)
+    return instance
+
+
 def _finite_field(grid: GridSpec, samples: np.ndarray) -> RealField:
     """A RealField of float64 samples of shape (N,) that the caller has already
     shown to be finite; it is built without __post_init__'s checks and scan."""
-    field = object.__new__(RealField)
-    object.__setattr__(field, "grid", grid)
-    object.__setattr__(field, "samples", samples)
-    return field
+    return _unchecked(RealField, grid=grid, samples=samples)
 
 
 _UNIT_FACTOR = np.array(1.0)

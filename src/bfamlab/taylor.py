@@ -31,11 +31,12 @@ work space, so the operator's fields keep c_0 and d_x c_0.
 
 `_recursion(op, store)` is the order loop alone: the caller builds the
 operator, loaded with c_0, and the store, and the recursion allocates no
-array. `taylor_coeffs` builds both for one series and copies the kept
-c_1 .. c_K out in one block, so the series keeps none of the derivative
-rows alive; the block is allocated before the store, so that the freed
-store leaves no hole in the heap below it, and a cut series shrinks it to
-the kept rows. The Taylor march of `evolve` builds both once per march.
+array. The Taylor march of `evolve` builds both once per march.
+`taylor_coeffs` builds both for one series and copies c_0 and the kept
+c_1 .. c_K into one read-only (K + 1, N) block, the series' `rows`, so the
+series keeps none of the derivative rows alive; the block is allocated
+before the store, so that the freed store leaves no hole in the heap below
+it, and a cut series shrinks it to c_0 and the kept rows.
 
 The recursion itself, `_recursion`, runs its K orders with floating-point
 warnings off and then reads the cap once for the whole series, with one
@@ -70,7 +71,7 @@ import numpy as np
 
 from .dynamics import _Operator, _rhs_from_products
 from .errors import ConfigurationError, NumericalError, require_finite, require_integer
-from .grid import RealField, _finite_field
+from .grid import GridSpec, RealField, _finite_field, _unchecked
 
 COEFF_SUP_CAP = 1e12
 MIN_ORDER_FOR_RADIUS = 6
@@ -78,40 +79,46 @@ MIN_ORDER_FOR_RADIUS = 6
 
 @dataclass(frozen=True)
 class TaylorSeries:
-    """Coefficient fields c_0 ... c_K; c_k has units of u per time^k.
+    """Coefficients c_0 ... c_K on `grid`, as the rows of one read-only
+    (K + 1, N) float64 block `rows`, c_0 in row 0; c_k has units of u per
+    time^k.
 
-    A series is immutable: its root-test radius is computed on first use
-    and kept for the life of the series. Every coefficient lies on c_0's
-    grid and b is finite, or ConfigurationError is raised.
+    A series is immutable: the constructor keeps a read-only copy of the
+    rows it is given, and the root-test radius is computed on first use and
+    kept for the life of the series. The rows must be finite, of shape
+    (K + 1, grid.n_points) with K >= 1, and b finite, or ConfigurationError
+    is raised. `taylor_coeffs` builds its series without these checks, from
+    rows the recursion has already shown to be finite.
     """
 
     b: float
-    coeffs: tuple
+    grid: GridSpec
+    rows: np.ndarray
 
     def __post_init__(self):
-        if len(self.coeffs) < 2:
-            raise ConfigurationError("a Taylor series needs at least c_0 and c_1")
         require_finite("b", self.b)
-        grid = self.coeffs[0].grid
-        for k, c in enumerate(self.coeffs):
-            if c.grid is not grid and c.grid != grid:
-                raise ConfigurationError(
-                    f"coefficient c_{k} lies on {c.grid}, c_0 on {grid}"
-                )
-
-    @property
-    def grid(self):
-        return self.coeffs[0].grid
+        rows = np.array(self.rows, dtype=np.float64)
+        if rows.shape[1:] != (self.grid.n_points,) or len(rows) < 2 or not np.isfinite(rows).all():
+            raise ConfigurationError(
+                f"a Taylor series needs finite rows of shape (K + 1, {self.grid.n_points}) "
+                f"with K >= 1, got rows of shape {rows.shape}"
+            )
+        rows.flags.writeable = False
+        object.__setattr__(self, "rows", rows)
 
     @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.rows) - 1
+
+    @property
+    def coeffs(self) -> tuple:
+        """c_0 ... c_K as RealFields, each a view of its row."""
+        return tuple(_finite_field(self.grid, row) for row in self.rows)
 
     @cached_property
     def _radius(self) -> float:
         start = (self.order + 1) // 2
-        dx = self.grid.dx
-        l2 = np.array([_l2_norm(c.samples, dx) for c in self.coeffs[start:]])
+        l2 = np.array([_l2_norm(row, self.grid.dx) for row in self.rows[start:]])
         best = float(np.max(l2 ** (1.0 / np.arange(start, self.order + 1))))
         return math.inf if best == 0.0 else 1.0 / best
 
@@ -134,7 +141,7 @@ def taylor_coeffs(u0: RealField, b: float, order: int) -> TaylorSeries:
     op = _Operator(u0, b)
     # the series' rows, allocated before the store so that the store is
     # freed at the top of the heap and returned, not left as a hole below them
-    block = np.empty((order, u0.grid.n_points))
+    block = np.empty((order + 1, u0.grid.n_points))
     coeffs, sup = _recursion(op, np.empty((order + 2,) + op.fields.shape))
     kept = len(coeffs)
     if sup is not None:
@@ -150,12 +157,13 @@ def taylor_coeffs(u0: RealField, b: float, order: int) -> TaylorSeries:
         )
     if kept < 1:
         raise NumericalError("no usable Taylor coefficients beyond the datum")
-    # the kept rows in one block of their own, so the series keeps no
+    # c_0 and the kept rows in one block of their own, so the series keeps no
     # derivative row and no row past a cut alive; the recursion showed every
-    # kept row finite
-    block.resize(coeffs.shape, refcheck=False)
-    block[...] = coeffs
-    return TaylorSeries(b=b, coeffs=(u0,) + tuple(_finite_field(u0.grid, c) for c in block))
+    # kept row finite, so the series is built without the constructor's checks
+    block.resize((kept + 1, u0.grid.n_points), refcheck=False)
+    block[0], block[1:] = u0.samples, coeffs
+    block.flags.writeable = False
+    return _unchecked(TaylorSeries, b=b, grid=u0.grid, rows=block)
 
 
 def _recursion(op: _Operator, store: np.ndarray) -> tuple:
@@ -207,15 +215,14 @@ def taylor_eval(series: TaylorSeries, t: float) -> RealField:
     Warns (does not fail) when |t| exceeds the estimated temporal radius.
     """
     require_finite("t", t)
-    if series.order >= MIN_ORDER_FOR_RADIUS:
-        radius = time_radius_estimate(series)
-        if math.isfinite(radius) and abs(t) > radius:
-            warnings.warn(
-                f"evaluating at t = {t:.4g} outside the estimated temporal "
-                f"radius {radius:.4g}",
-                stacklevel=2,
-            )
-    return RealField(series.grid, _series_sum(np.stack([c.samples for c in series.coeffs]), [t])[0])
+    radius = time_radius_estimate(series) if series.order >= MIN_ORDER_FOR_RADIUS else math.inf
+    if abs(t) > radius:
+        warnings.warn(
+            f"evaluating at t = {t:.4g} outside the estimated temporal "
+            f"radius {radius:.4g}",
+            stacklevel=2,
+        )
+    return RealField(series.grid, _series_sum(series.rows, [t])[0])
 
 
 def _series_sum(rows: np.ndarray, taus, derivative: bool = False) -> np.ndarray:
@@ -242,9 +249,9 @@ def time_radius_estimate(series: TaylorSeries) -> float:
     when every tail coefficient vanishes (polynomial or steady case).
     Computed once per series.
     """
-    K = series.order
-    if K < MIN_ORDER_FOR_RADIUS:
+    if series.order < MIN_ORDER_FOR_RADIUS:
         raise ConfigurationError(
-            f"radius estimation needs order at least {MIN_ORDER_FOR_RADIUS}, got order {K}"
+            f"radius estimation needs order at least {MIN_ORDER_FOR_RADIUS}, "
+            f"got order {series.order}"
         )
     return series._radius

@@ -586,9 +586,9 @@ class TestTaylorCommand:
 
         def perturbed(u0, b, order):
             series = build(u0, b, order)
-            coeffs = list(series.coeffs)
-            coeffs[5] = RealField(series.grid, coeffs[5].samples * (1.0 + 1e-6))
-            return dataclasses.replace(series, coeffs=tuple(coeffs))
+            rows = series.rows.copy()
+            rows[5] *= 1.0 + 1e-6
+            return dataclasses.replace(series, rows=rows)
 
         def check_value():
             assert main(["taylor", "--config", str(path), "--order", "16"]) == 0
@@ -636,7 +636,18 @@ class TestTaylorCommand:
         assert main(["taylor", "--config", str(path), "--order", "4"]) == 1
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == "configuration error: radius estimation needs order at least 6, got order 4\n"
+        assert err == "configuration error: --order must be an integer >= 6, got 4\n"
+
+    def test_short_order_fails_before_the_config_is_read(self, tmp_path, capsys, monkeypatch):
+        # --order 5 is refused up front: no config is read (this one does not
+        # exist, an I/O error had it been read) and no series is built
+        calls = []
+        monkeypatch.setattr(taylor, "taylor_coeffs", lambda *args: calls.append(args))
+        assert main(["taylor", "--config", str(tmp_path / "missing.ini"), "--order", "5"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and calls == []
+        assert len(err.splitlines()) == 1
+        assert err.startswith("configuration error: --order ")
 
 
 class TestTaylorReportPin:

@@ -17,6 +17,7 @@ from bfamlab import (
     KMBound,
     NumericalError,
     RealField,
+    TaylorSeries,
     evolve,
     inverse_momentum,
     km_bound_from_run,
@@ -26,6 +27,7 @@ from bfamlab import (
     rhs_F,
     scenarios,
     sobolev_norm,
+    taylor_coeffs,
 )
 from bfamlab.grid import _irfft, _rfft
 from conftest import (
@@ -303,7 +305,8 @@ class TestRemovedOneLiners:
     coefficients in numpy FFT ordering, `k` and `xi` its FFT-ordered modes,
     `dt_max` and `cfl_safety` the numbers the removed EvolveConfig fields held,
     `traj` a Trajectory, `u0`, `b`, `t` and `n` a datum, b, a horizon and a
-    step count, `dt` a step, and `bound` a KMBound with anchor `gamma`."""
+    step count, `dt` a step, `bound` a KMBound with anchor `gamma`, and `coeffs`
+    the coefficient fields of a Taylor series."""
 
     README = Path(__file__).resolve().parents[1] / "README.md"
     FREQUENCIES = {"k": "np.rint(np.fft.fftfreq(N) * N)", "xi": "2 * np.pi * k / g.box_length"}
@@ -336,6 +339,8 @@ class TestRemovedOneLiners:
         "km_bound_radius(t, bound)": "float(np.exp(km_bound_sigma(t, bound)))",
         "km_bound_from_run(traj, gamma)":
             "km_bound_from_run(traj, gamma, [sobolev_norm(u, 2.0) for _, u in traj.snapshots])",
+        "TaylorSeries(b, coeffs)":
+            "TaylorSeries(b, coeffs[0].grid, np.stack([c.samples for c in coeffs]))",
     }
     # the diagnostics column that each removed single-state functional gave
     COLUMNS = {"conserved_mean(u)": "mean_u", "momentum_l1(u)": "m_l1",
@@ -363,6 +368,7 @@ class TestRemovedOneLiners:
         scope = {"np": np, "RealField": RealField, "momentum": momentum,
                  "sobolev_norm": sobolev_norm, "reference_march": reference_march,
                  "km_bound_sigma": km_bound_sigma, "km_bound_from_run": km_bound_from_run,
+                 "TaylorSeries": TaylorSeries,
                  "u": u, "g": g, "N": n,
                  "c": series_coefficients(u)}
         for name, expression in self.FREQUENCIES.items():
@@ -464,6 +470,12 @@ class TestRemovedOneLiners:
             got = run("km_bound_radius(t, bound)", t=t, bound=steep)
             assert type(got) is float and np.float64(got).tobytes() == np.float64(removed).tobytes()
         assert run("km_bound_from_run(traj, gamma)", gamma=bound.gamma) == bound
+
+        # a series rebuilt from the fields of one that taylor_coeffs built
+        # holds the same rows, bit for bit
+        series = taylor_coeffs(RealField(g, np.sin(g.x)), 2.0, 8)
+        rebuilt = run("TaylorSeries(b, coeffs)", b=2.0, coeffs=series.coeffs)
+        assert rebuilt.order == 8 and rebuilt.rows.tobytes() == series.rows.tobytes()
 
 
 random_grids = st.tuples(

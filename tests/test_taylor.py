@@ -201,8 +201,8 @@ class TestArithmetic:
         assert coefficients.tobytes() == symmetric_coeffs(u0, b, order).tobytes()
 
     def test_series_keeps_no_derivative_rows(self):
-        # the series holds c_1 .. c_K and no more: K N float64 values, with
-        # room for its Python objects
+        # the series holds c_0 .. c_K and no more: (K + 1) N float64 values,
+        # with room for its Python objects inside 1.1 K N
         grid = make_grid(1024, 8 * np.pi)
         u = RealField(grid, 0.45 * np.sin(grid.x + 1.0))
         taylor_coeffs(u, 2.0, 2)  # the grid builds its multipliers on first use
@@ -218,17 +218,20 @@ class TestArithmetic:
 
     @pytest.mark.parametrize("amplitude, order", [(10.0, 10), (0.5, 16)])
     def test_kept_rows_share_one_block(self, amplitude, order):
-        # 10 sin x reaches the coefficient cap at c_11: its c_1 .. c_10 are
-        # one (10, N) block, with no row beyond the cut kept alive
+        # 10 sin x reaches the coefficient cap at c_11: its c_0 .. c_10 are
+        # the rows of one read-only (11, N) block that owns its memory, with
+        # no row beyond the cut kept alive
         grid = make_grid(64, 2 * np.pi)
         u = RealField(grid, amplitude * np.sin(grid.x))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             series = taylor_coeffs(u, 2.0, 16)
         assert series.order == order
-        block = series.coeffs[1].samples.base
-        assert block.shape == (order, 64) and block.flags.c_contiguous
-        assert all(c.samples.base is block for c in series.coeffs[1:])
+        block = series.rows
+        assert block.shape == (order + 1, 64) and block.flags.c_contiguous
+        assert block.base is None and not block.flags.writeable
+        assert all(c.samples.base is block for c in series.coeffs)
+        assert np.array_equal(block[0], u.samples)
 
 
 class TestCap:
@@ -296,26 +299,35 @@ class TestFftBudget:
 
 
 class TestSeriesValidation:
-    def test_coefficients_on_another_box_rejected(self, random_field):
-        wide = RealField(make_grid(64, 4 * np.pi), random_field.samples)
-        with pytest.raises(ConfigurationError, match="c_1 lies on"):
-            TaylorSeries(b=2.0, coeffs=(random_field,) + (wide,) * 8)
+    def test_rows_of_another_shape_rejected(self, grid_2pi, random_field):
+        # c_0 alone, one row without its axis, and a third axis
+        for rows in (random_field.samples[None, :], random_field.samples,
+                     np.zeros((3, 64, 1))):
+            with pytest.raises(ConfigurationError, match=r"rows of shape \(K \+ 1, 64\)"):
+                TaylorSeries(b=2.0, grid=grid_2pi, rows=rows)
 
-    def test_coefficients_on_another_resolution_rejected(self, random_field):
-        fine = RealField(make_grid(128, 2 * np.pi), np.zeros(128))
-        with pytest.raises(ConfigurationError, match="c_2 lies on"):
-            TaylorSeries(b=2.0, coeffs=(random_field, random_field, fine))
+    def test_coefficients_on_another_resolution_rejected(self, grid_2pi):
+        with pytest.raises(ConfigurationError, match=r"got rows of shape \(3, 128\)"):
+            TaylorSeries(b=2.0, grid=grid_2pi, rows=np.zeros((3, 128)))
 
-    def test_equal_grids_accepted(self, random_field):
-        twin = RealField(make_grid(64, 2 * np.pi), random_field.samples)
-        assert twin.grid is not random_field.grid
-        series = TaylorSeries(b=2.0, coeffs=(random_field, twin))
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_rows_rejected(self, grid_2pi, random_field, value):
+        rows = np.array([random_field.samples, random_field.samples])
+        rows[1, 7] = value
+        with pytest.raises(ConfigurationError, match="needs finite rows"):
+            TaylorSeries(b=2.0, grid=grid_2pi, rows=rows)
+
+    def test_outside_rows_kept_as_a_read_only_copy(self, grid_2pi, random_field):
+        rows = np.array([random_field.samples, random_field.samples])
+        series = TaylorSeries(b=2.0, grid=grid_2pi, rows=rows)
+        rows[1] = 0.0
+        assert not series.rows.flags.writeable and rows.flags.writeable
         assert taylor_eval(series, 0.5).samples.tobytes() == (1.5 * random_field.samples).tobytes()
 
     @pytest.mark.parametrize("b", [math.nan, math.inf])
-    def test_non_finite_b_rejected(self, random_field, b):
+    def test_non_finite_b_rejected(self, grid_2pi, random_field, b):
         with pytest.raises(ConfigurationError, match="b must be finite"):
-            TaylorSeries(b=b, coeffs=(random_field, random_field))
+            TaylorSeries(b=b, grid=grid_2pi, rows=np.array([random_field.samples] * 2))
 
 
 class TestEvaluation:
@@ -325,8 +337,9 @@ class TestEvaluation:
         assert np.array_equal(out.samples, random_field.samples)
 
     def test_zero_tail_series_is_constant(self, grid_2pi, random_field):
-        zero = RealField(grid_2pi, np.zeros(64))
-        series = TaylorSeries(b=2.0, coeffs=(random_field, zero, zero))
+        rows = np.zeros((3, 64))
+        rows[0] = random_field.samples
+        series = TaylorSeries(b=2.0, grid=grid_2pi, rows=rows)
         for t in (0.1, 1.0, 10.0):
             assert np.array_equal(taylor_eval(series, t).samples, random_field.samples)
 
@@ -358,11 +371,27 @@ class TestEvaluation:
         with pytest.warns(UserWarning, match="outside the estimated temporal radius"):
             taylor_eval(series, 2.0 * rho)
 
+    def test_eval_allocates_less_than_one_block(self):
+        # the sum reads the series' rows in place: at K = 64, N = 4096 it
+        # allocates less than one (K + 1, N) block of 2.13 MB
+        grid = make_grid(4096, 32 * np.pi)
+        series = taylor_coeffs(RealField(grid, 0.45 * np.sin(grid.x + 1.0)), 2.0, 64)
+        assert series.order == 64
+        t = min(time_radius_estimate(series) / 4.0, 0.05)
+        tracemalloc.start()
+        try:
+            taylor_eval(series, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.1e6
+
 
 class TestRadiusEstimate:
     def test_exact_zero_tail_gives_infinity(self, grid_2pi, random_field):
-        zero = RealField(grid_2pi, np.zeros(64))
-        series = TaylorSeries(b=2.0, coeffs=(random_field,) + (zero,) * 8)
+        rows = np.zeros((9, 64))
+        rows[0] = random_field.samples
+        series = TaylorSeries(b=2.0, grid=grid_2pi, rows=rows)
         assert time_radius_estimate(series) == math.inf
 
     @pytest.mark.parametrize("r", [0.5, 2.0])
@@ -370,10 +399,8 @@ class TestRadiusEstimate:
         # unit-norm profile makes the root test exact
         profile = np.sin(grid_2pi.x)
         profile /= sobolev_norm(RealField(grid_2pi, profile), 0.0)
-        coeffs = tuple(
-            RealField(grid_2pi, profile * r ** (-k)) for k in range(13)
-        )
-        series = TaylorSeries(b=2.0, coeffs=coeffs)
+        rows = profile * r ** -np.arange(13.0)[:, None]
+        series = TaylorSeries(b=2.0, grid=grid_2pi, rows=rows)
         assert time_radius_estimate(series) == pytest.approx(r, rel=0.05)
 
     def test_too_few_coefficients_rejected(self, random_field):
